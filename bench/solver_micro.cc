@@ -8,12 +8,13 @@
 //
 // Comparison mode: replays synthetic cover instances and the real
 // RUBiS-derived BIPs (captured from the schema optimizer via
-// OptimizerOptions::capture_bip) against all three simplex engines
-// (factorized, sparse tableau, dense tableau), appending one JSON object
-// per instance to FILE (bench_results/ convention): rows, nnz, per-engine
-// solve time and objective, end-of-solve fill, and speedups. Exits
-// non-zero if any optimum diverges across the engine matrix, if presolve
-// changes a BIP answer, or if a thread-pooled branch-and-bound run is not
+// OptimizerOptions::capture_bip) on the production simplex and on the
+// dense full-tableau reference (ReferenceLpSolve), appending one JSON
+// object per instance to FILE (bench_results/ convention): rows, nnz, LP
+// solve time and objective for both, end-of-solve factor fill, and the
+// production branch-and-bound time and objective. Exits non-zero if the
+// production LP optimum diverges from the reference, if presolve changes
+// a BIP answer, or if a thread-pooled branch-and-bound run is not
 // byte-identical to the serial one — CI runs this as a correctness gate.
 //
 //   solver_micro --json FILE
@@ -74,17 +75,17 @@ void BM_SimplexSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexSolve)->Arg(50)->Arg(100)->Arg(200)->Arg(400)->Arg(800);
 
-void BM_SimplexSolveDense(benchmark::State& state) {
+void BM_ReferenceLpSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   LpProblem lp = MakeCoverLp(n, n / 2, 42);
   for (auto _ : state) {
-    LpResult r = lp.Solve({}, 0, 0.0, LpEngine::kDense);
+    LpResult r = ReferenceLpSolve(lp);
     benchmark::DoNotOptimize(r.objective);
   }
   state.SetLabel("vars=" + std::to_string(n) +
                  " rows=" + std::to_string(n / 2));
 }
-BENCHMARK(BM_SimplexSolveDense)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
+BENCHMARK(BM_ReferenceLpSolve)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 
 void BM_BipSolveCover(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -118,7 +119,7 @@ void BM_BipKnapsack(benchmark::State& state) {
 BENCHMARK(BM_BipKnapsack)->Arg(20)->Arg(40)->Arg(80);
 
 // ===========================================================================
-// Sparse-vs-dense comparison mode (--json).
+// Production-vs-reference comparison mode (--json).
 // ===========================================================================
 
 struct Instance {
@@ -127,12 +128,13 @@ struct Instance {
   std::vector<int> binaries;  // empty => compare LP relaxation only
 };
 
-/// Best-of-2 wall time for one LP solve on `engine`.
-double TimeLpMs(const LpProblem& lp, LpEngine engine, LpResult* out) {
+/// Best-of-2 wall time for one LP solve by `solve`.
+double TimeLpMs(const LpProblem& lp, LpResult (*solve)(const LpProblem&),
+                LpResult* out) {
   double best = 0.0;
   for (int rep = 0; rep < 2; ++rep) {
     Stopwatch watch;
-    LpResult r = lp.Solve({}, 0, 0.0, engine);
+    LpResult r = solve(lp);
     const double ms = watch.ElapsedSeconds() * 1000.0;
     if (rep == 0 || ms < best) {
       best = ms;
@@ -142,11 +144,12 @@ double TimeLpMs(const LpProblem& lp, LpEngine engine, LpResult* out) {
   return best;
 }
 
+LpResult ProductionLpSolve(const LpProblem& lp) { return lp.Solve(); }
+
 double TimeBipMs(const LpProblem& lp, const std::vector<int>& binaries,
-                 LpEngine engine, double time_limit_seconds, BipResult* out,
+                 double time_limit_seconds, BipResult* out,
                  util::ThreadPool* threads = nullptr) {
   BipOptions options;
-  options.lp_engine = engine;
   options.time_limit_seconds = time_limit_seconds;
   options.threads = threads;
   Stopwatch watch;
@@ -154,13 +157,12 @@ double TimeBipMs(const LpProblem& lp, const std::vector<int>& binaries,
   return watch.ElapsedSeconds() * 1000.0;
 }
 
-/// End-of-solve stored-entry count (tableau nonzeros, or LU+eta factor
-/// entries for the factorized engine) as SolveLog reports it — the fill
-/// measure behind the tentpole's cover_lp800 acceptance gate.
-uint64_t FillEndOf(const LpProblem& lp, LpEngine engine) {
+/// End-of-solve stored factor entries (LU + eta file) as SolveLog
+/// reports them.
+uint64_t FillEndOf(const LpProblem& lp) {
   SolveLog& log = SolveLog::Global();
   log.Enable();
-  lp.Solve({}, 0, 0.0, engine);
+  lp.Solve();
   const std::vector<LpSolveStats> records = log.LpRecords();
   log.Disable();
   return records.empty() ? 0 : records.back().fill_end;
@@ -171,7 +173,7 @@ uint64_t FillEndOf(const LpProblem& lp, LpEngine engine) {
 /// spaces and the BIP grow ~k-fold while the candidate pool keeps the
 /// RUBiS shape (clones share the same interned column families) — this is
 /// how the comparison table gets a RUBiS-derived instance big enough to
-/// expose the engines' asymptotic gap.
+/// show how the solver scales.
 std::unique_ptr<Workload> ScaleWorkload(const Workload& base, int k) {
   auto scaled = std::make_unique<Workload>(base.graph());
   for (int c = 0; c < k; ++c) {
@@ -259,8 +261,7 @@ Instance CaptureHorizonBip(const Workload& workload, int num_windows) {
 }
 
 int CompareMain(const std::string& json_path) {
-  // Per-solve ceiling for the dense branch-and-bound replays; the reported
-  // speedup is then a lower bound when the dense engine times out.
+  // Per-solve ceiling for the branch-and-bound replays.
   constexpr double kBipTimeLimitSeconds = 120.0;
 
   std::vector<Instance> instances;
@@ -309,75 +310,41 @@ int CompareMain(const std::string& json_path) {
   bench::BenchJsonWriter json;
   if (!json.Open(json_path, "solver_micro")) return 1;
 
-  std::printf("%-18s %7s %7s %9s | %10s %10s %10s %8s | %s\n", "instance",
-              "vars", "rows", "nnz", "fact", "sparse", "dense", "speedup",
-              "objectives");
+  std::printf("%-18s %7s %7s %9s | %10s %10s | %s\n", "instance", "vars",
+              "rows", "nnz", "lp", "reference", "objectives (lp vs reference)");
   bool diverged_any = false;
   for (Instance& inst : instances) {
     const bool is_bip = !inst.binaries.empty();
-    LpResult fact_lp, sparse_lp, dense_lp;
-    const double fact_lp_ms =
-        TimeLpMs(inst.lp, LpEngine::kFactorized, &fact_lp);
-    const double sparse_lp_ms = TimeLpMs(inst.lp, LpEngine::kSparse, &sparse_lp);
-    const double dense_lp_ms = TimeLpMs(inst.lp, LpEngine::kDense, &dense_lp);
-    // The relaxation has one optimal value; the engine matrix must agree on
-    // it. The tableau pair shares a pivot path, so 1e-6 guards against
-    // logic divergence; the factorized engine follows its own
-    // floating-point path and is held to solver-tolerance agreement. This
-    // is the CI divergence gate.
-    const double lp_scale =
-        std::max({1.0, std::abs(sparse_lp.objective),
-                  std::abs(dense_lp.objective)});
+    LpResult fact_lp, ref_lp;
+    const double fact_lp_ms = TimeLpMs(inst.lp, ProductionLpSolve, &fact_lp);
+    const double ref_lp_ms = TimeLpMs(inst.lp, ReferenceLpSolve, &ref_lp);
+    // The relaxation has one optimal value; the production simplex follows
+    // its own floating-point path and is held to solver-tolerance
+    // agreement with the dense reference. This is the CI divergence gate.
+    const double lp_scale = std::max(1.0, std::abs(ref_lp.objective));
     bool diverged =
-        sparse_lp.status != dense_lp.status ||
-        fact_lp.status != sparse_lp.status ||
-        std::abs(sparse_lp.objective - dense_lp.objective) > 1e-6 * lp_scale ||
-        std::abs(fact_lp.objective - sparse_lp.objective) > 1e-7 * lp_scale;
+        fact_lp.status != ref_lp.status ||
+        std::abs(fact_lp.objective - ref_lp.objective) > 1e-7 * lp_scale;
+    const uint64_t fact_fill = FillEndOf(inst.lp);
 
-    // End-of-solve fill per SolveLog: stored tableau entries vs stored
-    // factor entries. The tentpole's acceptance asks for >=5x less on
-    // cover_lp800.
-    const uint64_t sparse_fill = FillEndOf(inst.lp, LpEngine::kSparse);
-    const uint64_t fact_fill = FillEndOf(inst.lp, LpEngine::kFactorized);
-
-    double fact_bip_ms = 0.0, sparse_bip_ms = 0.0, dense_bip_ms = 0.0;
+    double fact_bip_ms = 0.0;
     bool presolve_diverged = false;
     bool thread_diverged = false;
-    BipResult fact_bip, sparse_bip, dense_bip;
+    BipResult fact_bip;
     if (is_bip) {
-      fact_bip_ms = TimeBipMs(inst.lp, inst.binaries, LpEngine::kFactorized,
-                              kBipTimeLimitSeconds, &fact_bip);
-      sparse_bip_ms = TimeBipMs(inst.lp, inst.binaries, LpEngine::kSparse,
-                                kBipTimeLimitSeconds, &sparse_bip);
-      dense_bip_ms = TimeBipMs(inst.lp, inst.binaries, LpEngine::kDense,
-                               kBipTimeLimitSeconds, &dense_bip);
-      // Branch-and-bound stops inside its MIP gap, so two engines may
-      // legitimately return different incumbents within twice the gap;
-      // only a larger disagreement (with both solves proven) is real.
-      auto bip_pair_diverged = [](const BipResult& a, const BipResult& b) {
-        if (a.status != BipStatus::kOptimal || b.status != BipStatus::kOptimal) {
-          return false;
-        }
-        const double gap_tol =
-            2.0 * BipOptions().relative_gap *
-                std::max(std::abs(a.objective), std::abs(b.objective)) +
-            1e-9;
-        return std::abs(a.objective - b.objective) > gap_tol;
-      };
-      diverged = diverged || bip_pair_diverged(sparse_bip, dense_bip) ||
-                 bip_pair_diverged(fact_bip, sparse_bip);
+      fact_bip_ms = TimeBipMs(inst.lp, inst.binaries, kBipTimeLimitSeconds,
+                              &fact_bip);
       // Presolve gate: the reductions are exact and cost-independent, so
       // branch-and-bound must select the same binary assignment with
       // presolve disabled — not merely the same objective.
       BipOptions no_presolve;
-      no_presolve.lp_engine = LpEngine::kSparse;
       no_presolve.time_limit_seconds = kBipTimeLimitSeconds;
       no_presolve.presolve = false;
       BipResult raw = SolveBip(inst.lp, inst.binaries, no_presolve);
-      presolve_diverged = raw.status != sparse_bip.status;
-      if (!presolve_diverged && sparse_bip.status == BipStatus::kOptimal) {
+      presolve_diverged = raw.status != fact_bip.status;
+      if (!presolve_diverged && fact_bip.status == BipStatus::kOptimal) {
         for (int v : inst.binaries) {
-          if (std::lround(sparse_bip.x[static_cast<size_t>(v)]) !=
+          if (std::lround(fact_bip.x[static_cast<size_t>(v)]) !=
               std::lround(raw.x[static_cast<size_t>(v)])) {
             presolve_diverged = true;
             break;
@@ -390,8 +357,8 @@ int CompareMain(const std::string& json_path) {
       for (const size_t nthreads : {size_t{2}, size_t{8}}) {
         util::ThreadPool pool(nthreads);
         BipResult pooled;
-        TimeBipMs(inst.lp, inst.binaries, LpEngine::kFactorized,
-                  kBipTimeLimitSeconds, &pooled, &pool);
+        TimeBipMs(inst.lp, inst.binaries, kBipTimeLimitSeconds, &pooled,
+                  &pool);
         if (pooled.status != fact_bip.status ||
             pooled.objective != fact_bip.objective || pooled.x != fact_bip.x ||
             pooled.nodes_explored != fact_bip.nodes_explored ||
@@ -403,56 +370,40 @@ int CompareMain(const std::string& json_path) {
     }
     diverged_any = diverged_any || diverged;
 
-    const double fact_ms = is_bip ? fact_bip_ms : fact_lp_ms;
-    const double sparse_ms = is_bip ? sparse_bip_ms : sparse_lp_ms;
-    const double dense_ms = is_bip ? dense_bip_ms : dense_lp_ms;
-    const double speedup = sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0;
-    // The headline gain: factorized over the previous (sparse tableau)
-    // default.
-    const double fact_speedup = fact_ms > 0.0 ? sparse_ms / fact_ms : 0.0;
-    std::printf(
-        "%-18s %7d %7d %9zu | %8.2fms %8.2fms %8.2fms %7.2fx | %.6g vs %.6g%s\n",
-        inst.name.c_str(), inst.lp.num_variables(), inst.lp.num_rows(),
-        inst.lp.num_nonzeros(), fact_ms, sparse_ms, dense_ms, fact_speedup,
-        is_bip ? fact_bip.objective : fact_lp.objective,
-        is_bip ? sparse_bip.objective : sparse_lp.objective,
-        diverged ? "  DIVERGED" : "");
+    std::printf("%-18s %7d %7d %9zu | %8.2fms %8.2fms | %.10g vs %.10g%s\n",
+                inst.name.c_str(), inst.lp.num_variables(), inst.lp.num_rows(),
+                inst.lp.num_nonzeros(), fact_lp_ms, ref_lp_ms,
+                fact_lp.objective, ref_lp.objective,
+                diverged ? "  DIVERGED" : "");
+    if (is_bip) {
+      std::printf("%-18s %25s | bip %8.2fms %-10s objective %.10g\n", "", "",
+                  fact_bip_ms, BipStatusName(fact_bip.status),
+                  fact_bip.objective);
+    }
 
     bench::BenchJsonWriter::Record record = json.Instance(inst.name);
     record.Metric("vars", inst.lp.num_variables())
         .Metric("rows", inst.lp.num_rows())
         .Metric("nnz", static_cast<double>(inst.lp.num_nonzeros()))
         .Metric("fact_lp_ms", fact_lp_ms)
-        .Metric("sparse_lp_ms", sparse_lp_ms)
-        .Metric("dense_lp_ms", dense_lp_ms)
+        .Metric("dense_lp_ms", ref_lp_ms)
         .Metric("fact_lp_objective", fact_lp.objective)
-        .Metric("sparse_lp_objective", sparse_lp.objective)
-        .Metric("dense_lp_objective", dense_lp.objective)
-        .Metric("sparse_fill_end", static_cast<double>(sparse_fill))
+        .Metric("dense_lp_objective", ref_lp.objective)
         .Metric("fact_fill_end", static_cast<double>(fact_fill));
     if (is_bip) {
       record.Metric("fact_bip_ms", fact_bip_ms)
-          .Metric("sparse_bip_ms", sparse_bip_ms)
-          .Metric("dense_bip_ms", dense_bip_ms)
           .Metric("fact_bip_objective", fact_bip.objective)
-          .Metric("sparse_bip_objective", sparse_bip.objective)
-          .Metric("dense_bip_objective", dense_bip.objective)
           .Label("fact_bip_status", BipStatusName(fact_bip.status))
-          .Label("sparse_bip_status", BipStatusName(sparse_bip.status))
-          .Label("dense_bip_status", BipStatusName(dense_bip.status))
           .Label("presolve_diverged", presolve_diverged)
           .Label("thread_diverged", thread_diverged);
     }
-    record.Metric("speedup", speedup)
-        .Metric("fact_speedup", fact_speedup)
-        .Label("kind", is_bip ? "bip" : "lp")
-        .Label("diverged", diverged);
+    record.Label("kind", is_bip ? "bip" : "lp").Label("diverged", diverged);
   }
   json.Close();
   if (diverged_any) {
     std::fprintf(stderr,
-                 "error: engine optima diverged (or a presolve/thread gate "
-                 "failed) on at least one instance\n");
+                 "error: the LP optimum diverged from the reference (or a "
+                 "presolve/thread gate failed) on at least one instance\n");
     return 1;
   }
   return 0;

@@ -11,7 +11,7 @@ namespace nose {
 /// Result of independently re-verifying a SolveCertificate with exact
 /// rational arithmetic (util/rational.h). Every verdict below is derived
 /// from the certificate alone — the checker shares no code with the simplex
-/// engines, so it cannot inherit their bugs or their floating-point drift.
+/// solver, so it cannot inherit its bugs or its floating-point drift.
 struct CertificateReport {
   /// True when no error-severity diagnostic fired: the solution is exactly
   /// feasible and the claimed objective matches the exact recomputation.

@@ -113,14 +113,6 @@ int Usage() {
                "  --space-limit-mb N    storage budget in megabytes\n"
                "  --format text|cql     output format (default text)\n"
                "  --strategy auto|bip|comb  candidate-selection solver\n"
-               "  --lp-engine factorized|sparse|dense\n"
-               "                        LP relaxation engine (default "
-               "factorized:\n"
-               "                        LU-factorized revised simplex; the "
-               "tableau\n"
-               "                        engines are agreement baselines — "
-               "all three\n"
-               "                        return the same optima)\n"
                "  --solve-budget SECS   time budget for the solver\n"
                "  --threads N           worker threads for the advisor "
                "pipeline\n"
@@ -748,9 +740,8 @@ int main(int argc, char** argv) {
   std::set<std::string> bool_flags;
   if (command == "advise") {
     value_flags.insert({"--mix", "--space-limit-mb", "--format", "--strategy",
-                        "--lp-engine", "--solve-budget", "--threads", "--trace",
-                        "--metrics", "--metrics-format", "--solve-log",
-                        "--report-json"});
+                        "--solve-budget", "--threads", "--trace", "--metrics",
+                        "--metrics-format", "--solve-log", "--report-json"});
     bool_flags.insert({"--verify", "--all-mixes"});
   }
   if (command == "check") {
@@ -862,19 +853,6 @@ int main(int argc, char** argv) {
       options.optimizer.strategy = nose::SolveStrategy::kCombinatorial;
     } else if (s != "auto") {
       std::fprintf(stderr, "error: unknown strategy '%s'\n", s.c_str());
-      return Usage();
-    }
-  }
-  if (args.count("--lp-engine") > 0) {
-    const std::string& e = args["--lp-engine"];
-    if (e == "factorized") {
-      options.optimizer.bip.lp_engine = nose::LpEngine::kFactorized;
-    } else if (e == "sparse") {
-      options.optimizer.bip.lp_engine = nose::LpEngine::kSparse;
-    } else if (e == "dense") {
-      options.optimizer.bip.lp_engine = nose::LpEngine::kDense;
-    } else {
-      std::fprintf(stderr, "error: unknown lp engine '%s'\n", e.c_str());
       return Usage();
     }
   }

@@ -37,8 +37,8 @@ enum class SolveStrategy {
 
 /// Snapshot of the assembled BIP, filled when
 /// OptimizerOptions::capture_bip is set. Benchmarks (solver_micro --json)
-/// use it to extract real advisor instances and replay them against both
-/// simplex engines.
+/// use it to extract real advisor instances and replay them against the
+/// production simplex and the reference tableau.
 struct BipCapture {
   LpProblem lp;
   std::vector<int> binary_vars;

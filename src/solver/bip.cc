@@ -130,7 +130,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     // solution path below is untouched: this solve exists only to certify.
     std::vector<double> duals;
     LpResult root = problem.Solve({}, /*max_iterations=*/0,
-                                  /*deadline_seconds=*/0.0, options.lp_engine,
+                                  /*deadline_seconds=*/0.0,
                                   /*start_basis=*/nullptr,
                                   /*final_basis=*/nullptr, &duals);
     if (root.status == LpStatus::kOptimal &&
@@ -216,12 +216,6 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     return incumbent - std::max(options.absolute_gap, rel);
   };
 
-  // Per-node hot starts ride on the factorized engine's dual-simplex
-  // repair of the parent basis; the tableau engines would reject the
-  // (primal-infeasible under the branch fixing) basis anyway, so they
-  // stay cold and keep their baseline trajectories untouched.
-  const bool child_hot_starts = options.lp_engine == LpEngine::kFactorized;
-
   // One selected-and-evaluated node. `solved` distinguishes the batch
   // evaluation path from the lazy serial path below.
   struct Evaluated {
@@ -271,12 +265,13 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     // The first node reaching here with no fixings is the root (it is
     // seeded that way and never pruned: its parent bound is -inf). Only
     // the root uses the caller's starting basis and exports into
-    // capture_root_basis; children hot-start from their parent instead.
+    // capture_root_basis; children hot-start from their parent instead,
+    // riding on the LP solver's dual-simplex repair of the parent basis
+    // (primal infeasible under the branch fixing, still dual feasible).
     auto solve_node = [&](Evaluated& ev, bool is_root) {
-      LpBasis* fb = (child_hot_starts || is_root) ? &ev.final_basis : nullptr;
       const LpBasis* sb = is_root ? options.root_basis : ev.node.start.get();
       ev.lp = relax->Solve(ev.node.fixings, /*max_iterations=*/0, lp_deadline,
-                           options.lp_engine, sb, fb);
+                           sb, &ev.final_basis);
       ev.solved = true;
     };
 
@@ -381,8 +376,8 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       if (branch_var == -1) {
         // Integral: new incumbent. Snap binaries exactly, then recompute
         // the objective from the snapped point in index order — this makes
-        // the reported optimum independent of the simplex engine's
-        // floating-point path (the engines agree bitwise on instances
+        // the reported optimum independent of the simplex's floating-point
+        // path (any correct LP solver gives the same bits on instances
         // whose costs and solution values are exactly representable).
         result.x = std::move(lp.x);
         for (int var : binary_vars) {
@@ -414,7 +409,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       const double frac = lp.x[static_cast<size_t>(branch_var)];
       const double preferred = frac >= 0.5 ? 1.0 : 0.0;
       std::shared_ptr<const LpBasis> child_start;
-      if (child_hot_starts && !ev.final_basis.empty()) {
+      if (!ev.final_basis.empty()) {
         child_start = std::make_shared<LpBasis>(std::move(ev.final_basis));
       }
       Node other = node;

@@ -42,8 +42,6 @@ struct BipOptions {
   /// phase); used as the initial incumbent so pruning bites immediately.
   /// Feasibility is the caller's responsibility.
   const std::vector<double>* warm_start = nullptr;
-  /// Simplex core used for every node relaxation.
-  LpEngine lp_engine = LpEngine::kFactorized;
   /// Optional worker pool for tree-parallel node evaluation. Nodes are
   /// selected in fixed-size batches (a deterministic rule that does not
   /// depend on the pool), their relaxations solved concurrently, and the
@@ -60,10 +58,10 @@ struct BipOptions {
   bool presolve = true;
   /// Optional starting basis for the ROOT relaxation, captured from a
   /// previous solve of the same (presolved) instance — the incremental
-  /// advisor's hot start. Sparse and factorized engines; an unusable basis
-  /// falls back to a cold start. (Child nodes additionally hot-start from
-  /// their parent's optimal basis under the factorized engine, which
-  /// repairs the bound-change infeasibility with dual simplex pivots.)
+  /// advisor's hot start. An unusable basis falls back to a cold start.
+  /// (Child nodes additionally hot-start from their parent's optimal
+  /// basis; the LP solver repairs the bound-change infeasibility with dual
+  /// simplex pivots.)
   const LpBasis* root_basis = nullptr;
   /// If set, receives the root relaxation's optimal basis (cleared when the
   /// root solve is not cleanly optimal).

@@ -14,7 +14,7 @@ struct SparseColumn {
 };
 
 /// LU factorization of a simplex basis with product-form updates — the
-/// machinery behind `LpEngine::kFactorized`.
+/// machinery behind LpProblem::Solve's revised simplex.
 ///
 /// `Factorize` runs Markowitz-pivoted sparse Gaussian elimination on the
 /// basis matrix B (columns supplied in slot order): at each step it picks

@@ -28,18 +28,6 @@ const char* LpStatusName(LpStatus status) {
   return "?";
 }
 
-const char* LpEngineName(LpEngine engine) {
-  switch (engine) {
-    case LpEngine::kSparse:
-      return "sparse";
-    case LpEngine::kDense:
-      return "dense";
-    case LpEngine::kFactorized:
-      return "factorized";
-  }
-  return "?";
-}
-
 LpRow MakeLpRow(RowType type, double rhs,
                 std::vector<std::pair<int, double>> coeffs) {
   std::sort(coeffs.begin(), coeffs.end());
@@ -121,783 +109,26 @@ constexpr int kBlandTrigger = 60;  // degenerate iterations before Bland's rule
 
 enum class VarStatus : uint8_t { kAtLower, kAtUpper, kBasic };
 
-// ===========================================================================
-// Sparse core (default engine).
-// ===========================================================================
-
-/// A CSR row upgrades to dense storage once its fill passes 1/kDensifyDiv
-/// of the column count: below that the two-pointer merge beats the
-/// vectorized dense update, above it the merge is pure overhead (simplex
-/// fill-in densifies pivot-heavy rows, and NoSE's storage-constraint rows
-/// start half-dense already).
-constexpr int kDensifyDiv = 5;  // densify a row above 20% fill
-
-/// One working-tableau row: CSR while sparse, a plain dense vector after
-/// fill-in crosses the threshold. Only exact zeros are elided from the CSR
-/// form: a magnitude-based drop tolerance would perturb the tableau (a
-/// dropped 1e-12 entry hit by a 1/kPivotTol pivot inverse reappears as
-/// 1e-3), and the perturbations compound until the engine terminates
-/// "optimally" at a point the exact LP rejects. Eliding only exact zeros —
-/// and materializing them on densify — keeps every floating-point
-/// operation identical to the dense tableau's, so both engines follow the
-/// same pivot sequence and return bitwise-equal optima.
-struct TabRow {
-  std::vector<int> idx;      // CSR, valid when !is_dense
-  std::vector<double> val;   // CSR, valid when !is_dense
-  std::vector<double> full;  // valid when is_dense, sized to the column count
-  bool is_dense = false;
-
-  double Coeff(int j) const {
-    if (is_dense) return full[static_cast<size_t>(j)];
-    auto it = std::lower_bound(idx.begin(), idx.end(), j);
-    return (it != idx.end() && *it == j)
-               ? val[static_cast<size_t>(it - idx.begin())]
-               : 0.0;
-  }
-
-  size_t NumStored() const { return is_dense ? full.size() : idx.size(); }
-
-  void Densify(int ncols) {
-    if (is_dense) return;
-    full.assign(static_cast<size_t>(ncols), 0.0);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      full[static_cast<size_t>(idx[k])] = val[k];
-    }
-    idx.clear();
-    idx.shrink_to_fit();
-    val.clear();
-    val.shrink_to_fit();
-    is_dense = true;
-  }
+/// One equality row of the solver's working system in CSR form: the
+/// original row (equilibrated), then its slack, then — on a cold start —
+/// its artificial. Indices stay strictly increasing because slack and
+/// artificial columns are numbered after every structural column.
+struct CsrRow {
+  std::vector<int> idx;
+  std::vector<double> val;
 };
 
-/// target += factor * src, removing the `skip` column (the entering
-/// column, whose cancellation is exact by construction). Sparse/sparse
-/// runs a two-pointer merge eliding exactly-zero results; once either side
-/// is dense the target is materialized and updated with the dense
-/// engine's element-wise expression. `scratch` avoids per-call allocation.
-void RowAxpy(TabRow* target, double factor, const TabRow& src, int skip,
-             int ncols, TabRow* scratch) {
-  if (!target->is_dense && !src.is_dense &&
-      (target->idx.size() + src.idx.size()) * kDensifyDiv <=
-          static_cast<size_t>(ncols)) {
-    scratch->idx.clear();
-    scratch->val.clear();
-    scratch->idx.reserve(target->idx.size() + src.idx.size());
-    scratch->val.reserve(target->idx.size() + src.idx.size());
-    size_t a = 0, b = 0;
-    const size_t an = target->idx.size();
-    const size_t bn = src.idx.size();
-    while (a < an || b < bn) {
-      int j;
-      double v;
-      if (b == bn || (a < an && target->idx[a] < src.idx[b])) {
-        j = target->idx[a];
-        v = target->val[a];
-        ++a;
-      } else if (a == an || src.idx[b] < target->idx[a]) {
-        j = src.idx[b];
-        v = factor * src.val[b];
-        ++b;
-      } else {
-        j = target->idx[a];
-        v = target->val[a] + factor * src.val[b];
-        ++a;
-        ++b;
-      }
-      if (j == skip || v == 0.0) continue;
-      scratch->idx.push_back(j);
-      scratch->val.push_back(v);
-    }
-    std::swap(target->idx, scratch->idx);
-    std::swap(target->val, scratch->val);
-    return;
-  }
-  target->Densify(ncols);
-  double* t = target->full.data();
-  if (src.is_dense) {
-    const double* s = src.full.data();
-    for (int j = 0; j < ncols; ++j) {
-      t[j] += factor * s[j];
-    }
-  } else {
-    for (size_t k = 0; k < src.idx.size(); ++k) {
-      t[src.idx[k]] += factor * src.val[k];
-    }
-  }
-  t[skip] = 0.0;  // exact cancellation, as in the dense engine
-}
-
-/// Bounded-variable two-phase primal simplex over CSR rows. The constraint
-/// rows hold B⁻¹A explicitly but sparsely, so one pivot costs
-/// O(nnz(column) · nnz(pivot row)) instead of the dense tableau's O(m·n);
-/// reduced costs and devex weights stay dense and are updated incrementally
-/// against the pivot row's nonzeros only (revised-simplex-style pricing).
-/// One instance per Solve() call; not reused.
-class SparseSimplex {
- public:
-  SparseSimplex(int num_structural, std::vector<double> lb,
-                std::vector<double> ub, std::vector<double> cost)
-      : n_(num_structural),
-        lb_(std::move(lb)),
-        ub_(std::move(ub)),
-        cost_(std::move(cost)) {}
-
-  /// Appends an equality row a·x = rhs over all currently known columns
-  /// (slack columns must have been added as variables by the caller).
-  /// `slack_col` is the row's own slack column, or -1 for an original
-  /// equality row — it seeds the crash basis.
-  void AddEqualityRow(TabRow row, double rhs, int slack_col) {
-    rows_.push_back(std::move(row));
-    rhs_.push_back(rhs);
-    slack_col_.push_back(slack_col);
-  }
-
-  int AddColumn(double lb, double ub, double cost) {
-    lb_.push_back(lb);
-    ub_.push_back(ub);
-    cost_.push_back(cost);
-    return static_cast<int>(cost_.size()) - 1;
-  }
-
-  LpResult Run(int max_iterations, double deadline_seconds,
-               const LpBasis* start_basis, LpBasis* final_basis,
-               bool want_duals);
-
-  /// Telemetry sink for this solve, or null (the default) for none. With a
-  /// null sink the per-iteration cost is a handful of predictable branches.
-  void set_stats(LpSolveStats* stats) { stats_ = stats; }
-  int NumTableauCols() const { return NumCols(); }
-  /// Stored tableau entries across all rows (CSR nonzeros; full width for
-  /// densified rows) — the fill measure the telemetry samples.
-  uint64_t StoredEntries() const {
-    uint64_t total = 0;
-    for (const TabRow& row : rows_) total += row.NumStored();
-    return total;
-  }
-  int NumDenseRows() const {
-    int n = 0;
-    for (const TabRow& row : rows_) n += row.is_dense ? 1 : 0;
-    return n;
-  }
-
- private:
-  int NumCols() const { return static_cast<int>(cost_.size()); }
-  int NumRows() const { return static_cast<int>(rows_.size()); }
-
-  /// Re-pivots the tableau onto `basis` (Gauss-Jordan over the stated basic
-  /// columns) and checks primal feasibility under the current bounds.
-  /// Returns false — with rows_/rhs_ restored — when the basis does not
-  /// fit, so the caller falls back to the cold crash start.
-  bool TryLoadBasis(const LpBasis& basis);
-
-  double BoundValue(int j) const {
-    return status_[static_cast<size_t>(j)] == VarStatus::kAtUpper
-               ? ub_[static_cast<size_t>(j)]
-               : lb_[static_cast<size_t>(j)];
-  }
-
-  bool IsFixed(int j) const {
-    return ub_[static_cast<size_t>(j)] - lb_[static_cast<size_t>(j)] < 1e-12;
-  }
-
-  void ComputeReducedCosts(const std::vector<double>& phase_cost) {
-    d_ = phase_cost;
-    for (int i = 0; i < NumRows(); ++i) {
-      const double cb =
-          phase_cost[static_cast<size_t>(basis_[static_cast<size_t>(i)])];
-      if (cb == 0.0) continue;
-      const TabRow& row = rows_[static_cast<size_t>(i)];
-      if (row.is_dense) {
-        for (size_t j = 0; j < row.full.size(); ++j) {
-          d_[j] -= cb * row.full[j];
-        }
-      } else {
-        for (size_t k = 0; k < row.idx.size(); ++k) {
-          d_[static_cast<size_t>(row.idx[k])] -= cb * row.val[k];
-        }
-      }
-    }
-  }
-
-  /// Runs simplex iterations until optimality/unboundedness/limit for the
-  /// current phase. Returns the LP status for this phase.
-  LpStatus Iterate(int max_iterations, int* iterations_used);
-
-  double deadline_seconds_ = 0.0;
-  Stopwatch watch_;
-
-  int n_;  // structural variable count (prefix of the columns)
-  std::vector<double> lb_, ub_, cost_;
-  std::vector<TabRow> rows_;  // m hybrid rows over NumCols() columns
-  std::vector<double> rhs_;
-  std::vector<int> slack_col_;  // per row: its slack column or -1
-  /// Cold-start bookkeeping for dual extraction: the phase-1 sign
-  /// normalization applied to each row (+1/-1), and the row's artificial
-  /// column (-1 when its own slack seeded the crash basis).
-  std::vector<double> row_sign_;
-  std::vector<int> artificial_of_row_;
-  std::vector<VarStatus> status_;
-  std::vector<int> basis_;    // per row: basic column
-  std::vector<double> xb_;    // per row: value of the basic variable
-  std::vector<double> d_;     // reduced costs for the active phase
-  std::vector<double> devex_;  // devex reference weights (pricing)
-  int degenerate_streak_ = 0;
-  LpSolveStats* stats_ = nullptr;  // telemetry sink; null = disabled
-};
-
-LpStatus SparseSimplex::Iterate(int max_iterations, int* iterations_used) {
-  const int m = NumRows();
-  const int ncols = NumCols();
-  const int base_iter = *iterations_used;  // cumulative across phases
-  int iter = 0;
-  degenerate_streak_ = 0;
-  devex_.assign(static_cast<size_t>(ncols), 1.0);
-  if (stats_ != nullptr) ++stats_->devex_resets;
-  // Entering-column scratch: (row, coefficient) pairs gathered per
-  // iteration from the row-wise storage.
-  std::vector<int> col_rows;
-  std::vector<double> col_vals;
-  TabRow scratch;
-  for (; iter < max_iterations; ++iter) {
-    if (deadline_seconds_ > 0.0 && (iter & 31) == 0 &&
-        watch_.ElapsedSeconds() > deadline_seconds_) {
-      *iterations_used += iter;
-      return LpStatus::kIterationLimit;
-    }
-    if (stats_ != nullptr &&
-        iter % SolveLog::kFillSampleStride == 0) {
-      stats_->fill_curve.emplace_back(base_iter + iter, StoredEntries());
-    }
-    const bool bland = degenerate_streak_ >= kBlandTrigger;
-    if (stats_ != nullptr && bland) ++stats_->bland_iterations;
-    // --- Pricing: devex (d_j^2 / w_j) cuts iteration counts on the highly
-    // degenerate flow-structured LPs the schema optimizer emits; Bland's
-    // rule takes over under prolonged stalling to guarantee termination.
-    int enter = -1;
-    double best_score = 0.0;
-    for (int j = 0; j < ncols; ++j) {
-      const VarStatus st = status_[static_cast<size_t>(j)];
-      if (st == VarStatus::kBasic || IsFixed(j)) continue;
-      const double dj = d_[static_cast<size_t>(j)];
-      const bool eligible = (st == VarStatus::kAtLower && dj < -kDualTol) ||
-                            (st == VarStatus::kAtUpper && dj > kDualTol);
-      if (!eligible) continue;
-      if (bland) {  // first eligible column
-        enter = j;
-        break;
-      }
-      const double score = dj * dj / devex_[static_cast<size_t>(j)];
-      if (score > best_score) {
-        best_score = score;
-        enter = j;
-      }
-    }
-    if (enter == -1) {
-      *iterations_used += iter;
-      return LpStatus::kOptimal;
-    }
-
-    const double dir =
-        status_[static_cast<size_t>(enter)] == VarStatus::kAtLower ? 1.0 : -1.0;
-
-    // --- Gather the entering column (one binary search per row). ---
-    col_rows.clear();
-    col_vals.clear();
-    for (int i = 0; i < m; ++i) {
-      const double alpha = rows_[static_cast<size_t>(i)].Coeff(enter);
-      if (alpha != 0.0) {
-        col_rows.push_back(i);
-        col_vals.push_back(alpha);
-      }
-    }
-
-    // --- Ratio test over the column's nonzeros only. ---
-    double t_best = ub_[static_cast<size_t>(enter)] - lb_[static_cast<size_t>(enter)];
-    int leave_pos = -1;   // position in col_rows; -1 => bound flip
-    bool leave_at_upper = false;
-    double best_pivot_mag = 0.0;
-    for (size_t p = 0; p < col_rows.size(); ++p) {
-      const int i = col_rows[p];
-      const double alpha = col_vals[p];
-      const double rate = dir * alpha;  // xb_i decreases at this rate
-      if (std::abs(rate) <= kPivotTol) continue;
-      const int k = basis_[static_cast<size_t>(i)];
-      double limit;
-      bool at_upper;
-      if (rate > 0.0) {
-        const double lbk = lb_[static_cast<size_t>(k)];
-        if (lbk == -LpProblem::kInfinity) continue;
-        limit = (xb_[static_cast<size_t>(i)] - lbk) / rate;
-        at_upper = false;
-      } else {
-        const double ubk = ub_[static_cast<size_t>(k)];
-        if (ubk == LpProblem::kInfinity) continue;
-        limit = (xb_[static_cast<size_t>(i)] - ubk) / rate;
-        at_upper = true;
-      }
-      if (limit < 0.0) limit = 0.0;  // guard tiny negative residuals
-      const double mag = std::abs(alpha);
-      const bool better =
-          limit < t_best - 1e-10 ||
-          (limit < t_best + 1e-10 && leave_pos >= 0 &&
-           (bland ? basis_[static_cast<size_t>(i)] <
-                        basis_[static_cast<size_t>(col_rows[static_cast<size_t>(
-                            leave_pos)])]
-                  : mag > best_pivot_mag));
-      if (better) {
-        t_best = limit;
-        leave_pos = static_cast<int>(p);
-        leave_at_upper = at_upper;
-        best_pivot_mag = mag;
-      }
-    }
-
-    if (t_best == LpProblem::kInfinity) {
-      *iterations_used += iter;
-      return LpStatus::kUnbounded;
-    }
-    degenerate_streak_ =
-        (t_best <= kDegenerateStep) ? degenerate_streak_ + 1 : 0;
-    if (stats_ != nullptr &&
-        degenerate_streak_ > stats_->max_degenerate_streak) {
-      stats_->max_degenerate_streak = degenerate_streak_;
-    }
-
-    // --- Apply the step to the affected basic values. ---
-    if (t_best != 0.0) {
-      for (size_t p = 0; p < col_rows.size(); ++p) {
-        xb_[static_cast<size_t>(col_rows[p])] -= dir * col_vals[p] * t_best;
-      }
-    }
-
-    if (leave_pos == -1) {
-      if (stats_ != nullptr) ++stats_->bound_flips;
-      // Bound flip: the entering variable runs to its opposite bound.
-      status_[static_cast<size_t>(enter)] =
-          status_[static_cast<size_t>(enter)] == VarStatus::kAtLower
-              ? VarStatus::kAtUpper
-              : VarStatus::kAtLower;
-      continue;
-    }
-
-    // --- Pivot: entering becomes basic in leave_row. ---
-    const int leave_row = col_rows[static_cast<size_t>(leave_pos)];
-    const int leave_col = basis_[static_cast<size_t>(leave_row)];
-    status_[static_cast<size_t>(leave_col)] =
-        leave_at_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-    const double enter_from =
-        dir > 0 ? lb_[static_cast<size_t>(enter)] : ub_[static_cast<size_t>(enter)];
-    basis_[static_cast<size_t>(leave_row)] = enter;
-    status_[static_cast<size_t>(enter)] = VarStatus::kBasic;
-    xb_[static_cast<size_t>(leave_row)] = enter_from + dir * t_best;
-
-    // Normalize the pivot row, making its entering coefficient exactly 1.
-    TabRow& prow = rows_[static_cast<size_t>(leave_row)];
-    const double pivot = col_vals[static_cast<size_t>(leave_pos)];
-    assert(std::abs(pivot) > kPivotTol);
-    const double inv = 1.0 / pivot;
-    if (prow.is_dense) {
-      for (double& v : prow.full) v *= inv;
-      prow.full[static_cast<size_t>(enter)] = 1.0;  // exact
-    } else {
-      size_t w = 0;
-      for (size_t k = 0; k < prow.idx.size(); ++k) {
-        const int j = prow.idx[k];
-        const double v = j == enter ? 1.0 : prow.val[k] * inv;
-        if (j != enter && v == 0.0) continue;
-        prow.idx[w] = j;
-        prow.val[w] = v;
-        ++w;
-      }
-      prow.idx.resize(w);
-      prow.val.resize(w);
-    }
-
-    // Eliminate the entering column from the other rows that carry it —
-    // the sparse analogue of Gauss-Jordan, skipping every zero row.
-    for (size_t p = 0; p < col_rows.size(); ++p) {
-      const int i = col_rows[p];
-      if (i == leave_row) continue;
-      RowAxpy(&rows_[static_cast<size_t>(i)], -col_vals[p], prow, enter,
-              ncols, &scratch);
-      // Re-inserting the exact zero the merge removed is unnecessary: the
-      // entering column is basic in leave_row only.
-    }
-    const double dfactor = d_[static_cast<size_t>(enter)];
-    if (dfactor != 0.0) {
-      if (prow.is_dense) {
-        for (int j = 0; j < ncols; ++j) {
-          d_[static_cast<size_t>(j)] -= dfactor * prow.full[static_cast<size_t>(j)];
-        }
-      } else {
-        for (size_t k = 0; k < prow.idx.size(); ++k) {
-          d_[static_cast<size_t>(prow.idx[k])] -= dfactor * prow.val[k];
-        }
-      }
-      d_[static_cast<size_t>(enter)] = 0.0;
-    }
-    // Devex weight update against the (normalized) pivot row.
-    const double w_enter = devex_[static_cast<size_t>(enter)];
-    if (prow.is_dense) {
-      for (int j = 0; j < ncols; ++j) {
-        const double a = prow.full[static_cast<size_t>(j)];
-        if (a == 0.0) continue;
-        double& w = devex_[static_cast<size_t>(j)];
-        const double candidate = a * a * w_enter;
-        if (candidate > w) w = candidate;
-      }
-    } else {
-      for (size_t k = 0; k < prow.idx.size(); ++k) {
-        const double a = prow.val[k];
-        double& w = devex_[static_cast<size_t>(prow.idx[k])];
-        const double candidate = a * a * w_enter;
-        if (candidate > w) w = candidate;
-      }
-    }
-    devex_[static_cast<size_t>(leave_col)] =
-        std::max(1.0, w_enter / std::max(pivot * pivot, 1e-12));
-  }
-  *iterations_used += iter;
-  return LpStatus::kIterationLimit;
-}
-
-bool SparseSimplex::TryLoadBasis(const LpBasis& basis) {
-  const int m = NumRows();
-  const int ncols = NumCols();
-  if (static_cast<int>(basis.status.size()) != ncols) return false;
-  std::vector<int> basic_cols;
-  basic_cols.reserve(static_cast<size_t>(m));
-  for (int j = 0; j < ncols; ++j) {
-    const uint8_t st = basis.status[static_cast<size_t>(j)];
-    if (st == static_cast<uint8_t>(VarStatus::kBasic)) {
-      basic_cols.push_back(j);
-    } else if (st == static_cast<uint8_t>(VarStatus::kAtLower)) {
-      if (lb_[static_cast<size_t>(j)] == -LpProblem::kInfinity) return false;
-    } else if (st == static_cast<uint8_t>(VarStatus::kAtUpper)) {
-      if (ub_[static_cast<size_t>(j)] == LpProblem::kInfinity) return false;
-    } else {
-      return false;
-    }
-  }
-  if (static_cast<int>(basic_cols.size()) != m) return false;
-
-  // The load pivots rows_/rhs_ in place; keep a copy to restore on failure.
-  std::vector<TabRow> rows_backup = rows_;
-  std::vector<double> rhs_backup = rhs_;
-
-  status_.assign(static_cast<size_t>(ncols), VarStatus::kAtLower);
-  for (int j = 0; j < ncols; ++j) {
-    status_[static_cast<size_t>(j)] =
-        static_cast<VarStatus>(basis.status[static_cast<size_t>(j)]);
-  }
-
-  // Gauss-Jordan: pivot each stated basic column into its own row so the
-  // tableau again equals B⁻¹A. Deterministic: columns ascend, each picks
-  // the unused row with the largest pivot magnitude.
-  basis_.assign(static_cast<size_t>(m), -1);
-  std::vector<char> row_used(static_cast<size_t>(m), 0);
-  TabRow scratch;
-  bool ok = true;
-  for (const int col : basic_cols) {
-    int best_row = -1;
-    double best_mag = 0.0;
-    for (int i = 0; i < m; ++i) {
-      if (row_used[static_cast<size_t>(i)]) continue;
-      const double a = std::abs(rows_[static_cast<size_t>(i)].Coeff(col));
-      if (a > best_mag) {
-        best_mag = a;
-        best_row = i;
-      }
-    }
-    if (best_mag <= kPivotTol) {  // singular under this basis
-      ok = false;
-      break;
-    }
-    TabRow& prow = rows_[static_cast<size_t>(best_row)];
-    const double inv = 1.0 / prow.Coeff(col);
-    if (prow.is_dense) {
-      for (double& v : prow.full) v *= inv;
-      prow.full[static_cast<size_t>(col)] = 1.0;  // exact
-    } else {
-      size_t w = 0;
-      for (size_t k = 0; k < prow.idx.size(); ++k) {
-        const int j = prow.idx[k];
-        const double v = j == col ? 1.0 : prow.val[k] * inv;
-        if (j != col && v == 0.0) continue;
-        prow.idx[w] = j;
-        prow.val[w] = v;
-        ++w;
-      }
-      prow.idx.resize(w);
-      prow.val.resize(w);
-    }
-    rhs_[static_cast<size_t>(best_row)] *= inv;
-    for (int i = 0; i < m; ++i) {
-      if (i == best_row) continue;
-      const double factor = rows_[static_cast<size_t>(i)].Coeff(col);
-      if (factor == 0.0) continue;
-      RowAxpy(&rows_[static_cast<size_t>(i)], -factor, prow, col, NumCols(),
-              &scratch);
-      rhs_[static_cast<size_t>(i)] -= factor * rhs_[static_cast<size_t>(best_row)];
-    }
-    row_used[static_cast<size_t>(best_row)] = 1;
-    basis_[static_cast<size_t>(best_row)] = col;
-  }
-
-  if (ok) {
-    // Basic values from the transformed system: xb_i = rhs_i minus the
-    // nonbasic columns resting at their bounds. Earlier basic columns are
-    // exactly zero in other rows (RowAxpy cancels the skip column exactly),
-    // but skip any basic entry defensively.
-    xb_.assign(static_cast<size_t>(m), 0.0);
-    for (int i = 0; i < m && ok; ++i) {
-      const TabRow& row = rows_[static_cast<size_t>(i)];
-      double v = rhs_[static_cast<size_t>(i)];
-      auto subtract = [&](int j, double a) {
-        if (status_[static_cast<size_t>(j)] == VarStatus::kBasic) return;
-        const double bv = BoundValue(j);
-        if (bv != 0.0) v -= a * bv;
-      };
-      if (row.is_dense) {
-        for (size_t j = 0; j < row.full.size(); ++j) {
-          if (row.full[j] != 0.0) subtract(static_cast<int>(j), row.full[j]);
-        }
-      } else {
-        for (size_t k = 0; k < row.idx.size(); ++k) {
-          subtract(row.idx[k], row.val[k]);
-        }
-      }
-      const size_t k = static_cast<size_t>(basis_[static_cast<size_t>(i)]);
-      if (v < lb_[k] - kPhase1Tol || v > ub_[k] + kPhase1Tol) {
-        ok = false;  // primal infeasible under the current bounds
-        break;
-      }
-      xb_[static_cast<size_t>(i)] = std::min(std::max(v, lb_[k]), ub_[k]);
-    }
-  }
-
-  if (!ok) {
-    rows_ = std::move(rows_backup);
-    rhs_ = std::move(rhs_backup);
-    return false;
-  }
-  return true;
-}
-
-LpResult SparseSimplex::Run(int max_iterations, double deadline_seconds,
-                            const LpBasis* start_basis, LpBasis* final_basis,
-                            bool want_duals) {
-  deadline_seconds_ = deadline_seconds;
-  watch_.Reset();
-  const int m = NumRows();
-  LpResult result;
-  if (final_basis != nullptr) final_basis->clear();
-  result.iterations = 0;
-
-  int first_artificial = NumCols();
-  row_sign_.assign(static_cast<size_t>(m), 1.0);
-  artificial_of_row_.assign(static_cast<size_t>(m), -1);
-  const bool hot = start_basis != nullptr && !start_basis->empty() &&
-                   TryLoadBasis(*start_basis);
-  result.hot_started = hot;
-  if (stats_ != nullptr && hot) stats_->fill_start = StoredEntries();
-
-  if (!hot) {
-    // Initial point: every column rests at a finite bound.
-    status_.assign(static_cast<size_t>(NumCols()), VarStatus::kAtLower);
-    for (int j = 0; j < NumCols(); ++j) {
-      if (lb_[static_cast<size_t>(j)] == -LpProblem::kInfinity) {
-        assert(ub_[static_cast<size_t>(j)] != LpProblem::kInfinity &&
-               "free variables are not supported");
-        status_[static_cast<size_t>(j)] = VarStatus::kAtUpper;
-      }
-    }
-
-    // Residual per row given the initial nonbasic values; artificial columns
-    // absorb it so the artificial basis starts feasible.
-    std::vector<double> residual(static_cast<size_t>(m), 0.0);
-    for (int i = 0; i < m; ++i) {
-      double r = rhs_[static_cast<size_t>(i)];
-      // Rows are still CSR here: densification only happens during Iterate.
-      const TabRow& row = rows_[static_cast<size_t>(i)];
-      for (size_t k = 0; k < row.idx.size(); ++k) {
-        const double v = BoundValue(row.idx[k]);
-        if (v != 0.0) r -= row.val[k] * v;
-      }
-      residual[static_cast<size_t>(i)] = r;
-    }
-
-    // Negate rows with negative residual so that every artificial can enter
-    // with coefficient +1 and the initial basis matrix is the identity
-    // (tableau rows must equal B⁻¹A for the reduced-cost formula).
-    for (int i = 0; i < m; ++i) {
-      if (residual[static_cast<size_t>(i)] < 0.0) {
-        for (double& v : rows_[static_cast<size_t>(i)].val) v = -v;
-        rhs_[static_cast<size_t>(i)] = -rhs_[static_cast<size_t>(i)];
-        residual[static_cast<size_t>(i)] = -residual[static_cast<size_t>(i)];
-        row_sign_[static_cast<size_t>(i)] = -1.0;
-      }
-    }
-
-    // Crash basis: a row whose own slack carries coefficient +1 after the
-    // sign normalization can start with that slack basic at the residual
-    // (slacks live in [0, ∞), and the residual is now nonnegative) — no
-    // artificial, no phase-1 work. NoSE's BIPs are dominated by ≤ linking
-    // rows (x_e ≤ δ) whose residual at the all-lower starting point is zero,
-    // so this removes the bulk of phase 1; artificials remain only for
-    // equality rows and for inequalities pointing away from their slack.
-    first_artificial = NumCols();
-    basis_.resize(static_cast<size_t>(m));
-    xb_.resize(static_cast<size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      const int slack = slack_col_[static_cast<size_t>(i)];
-      if (slack >= 0 &&
-          rows_[static_cast<size_t>(i)].Coeff(slack) == 1.0) {
-        status_[static_cast<size_t>(slack)] = VarStatus::kBasic;
-        basis_[static_cast<size_t>(i)] = slack;
-        xb_[static_cast<size_t>(i)] = residual[static_cast<size_t>(i)];
-      } else {
-        basis_[static_cast<size_t>(i)] = -1;  // artificial assigned below
-      }
-    }
-    for (int i = 0; i < m; ++i) {
-      if (basis_[static_cast<size_t>(i)] != -1) continue;
-      const int art = AddColumn(0.0, LpProblem::kInfinity, 0.0);
-      status_.push_back(VarStatus::kBasic);
-      // Artificial indices exceed every structural/slack index, so appending
-      // keeps the row sorted.
-      rows_[static_cast<size_t>(i)].idx.push_back(art);
-      rows_[static_cast<size_t>(i)].val.push_back(1.0);
-      basis_[static_cast<size_t>(i)] = art;
-      xb_[static_cast<size_t>(i)] = residual[static_cast<size_t>(i)];
-      artificial_of_row_[static_cast<size_t>(i)] = art;
-    }
-
-    // --- Phase 1: minimize the sum of artificials. ---
-    std::vector<double> phase1_cost(static_cast<size_t>(NumCols()), 0.0);
-    for (int j = first_artificial; j < NumCols(); ++j) {
-      phase1_cost[static_cast<size_t>(j)] = 1.0;
-    }
-    if (stats_ != nullptr) stats_->fill_start = StoredEntries();
-    ComputeReducedCosts(phase1_cost);
-    LpStatus phase1 = Iterate(max_iterations, &result.iterations);
-    if (stats_ != nullptr) stats_->phase1_iterations = result.iterations;
-    if (phase1 == LpStatus::kIterationLimit) {
-      result.status = LpStatus::kIterationLimit;
-      return result;
-    }
-    double infeasibility = 0.0;
-    for (int i = 0; i < m; ++i) {
-      if (basis_[static_cast<size_t>(i)] >= first_artificial) {
-        infeasibility += xb_[static_cast<size_t>(i)];
-      }
-    }
-    for (int j = first_artificial; j < NumCols(); ++j) {
-      if (status_[static_cast<size_t>(j)] == VarStatus::kAtUpper) {
-        infeasibility += std::abs(ub_[static_cast<size_t>(j)]);
-      }
-    }
-    if (infeasibility > kPhase1Tol) {
-      if (std::getenv("NOSE_LP_DEBUG") != nullptr) {
-        std::fprintf(stderr, "[lp] phase-1 infeasibility %.3e (rows=%d)\n",
-                     infeasibility, m);
-      }
-      result.status = LpStatus::kInfeasible;
-      return result;
-    }
-
-    // Freeze artificials at zero for phase 2. Any still basic sit at 0 and
-    // can only leave the basis degenerately, which is fine.
-    for (int j = first_artificial; j < NumCols(); ++j) {
-      ub_[static_cast<size_t>(j)] = 0.0;
-      if (status_[static_cast<size_t>(j)] == VarStatus::kAtUpper) {
-        status_[static_cast<size_t>(j)] = VarStatus::kAtLower;
-      }
-    }
-  }
-
-  // --- Phase 2: original objective. ---
-  std::vector<double> phase2_cost = cost_;
-  phase2_cost.resize(static_cast<size_t>(NumCols()), 0.0);
-  ComputeReducedCosts(phase2_cost);
-  LpStatus phase2 = Iterate(max_iterations, &result.iterations);
-  if (phase2 == LpStatus::kIterationLimit ||
-      phase2 == LpStatus::kUnbounded) {
-    result.status = phase2;
-    return result;
-  }
-
-  // Extract structural values and the objective.
-  result.x.assign(static_cast<size_t>(n_), 0.0);
-  for (int j = 0; j < n_; ++j) {
-    if (status_[static_cast<size_t>(j)] != VarStatus::kBasic) {
-      result.x[static_cast<size_t>(j)] = BoundValue(j);
-    }
-  }
-  for (int i = 0; i < m; ++i) {
-    const int k = basis_[static_cast<size_t>(i)];
-    if (k < n_) result.x[static_cast<size_t>(k)] = xb_[static_cast<size_t>(i)];
-  }
-  result.objective = 0.0;
-  for (int j = 0; j < n_; ++j) {
-    result.objective += cost_[static_cast<size_t>(j)] * result.x[static_cast<size_t>(j)];
-  }
-  result.status = LpStatus::kOptimal;
-
-  // Dual extraction (cold solves only): at the phase-2 optimum the reduced
-  // cost of a column with identity structure in row i reads off −y_i. A
-  // row's artificial is exactly such a column; a row whose crash slack
-  // seeded the basis has that slack at coefficient +1 after sign
-  // normalization, so its reduced cost d = c_slack − y_i = −y_i as well.
-  // Undo the phase-1 row negation via row_sign_. Basic columns carry d = 0,
-  // giving y_i = 0 there — possibly weaker than the true dual, never wrong
-  // for the checker, which only uses duals to assemble a safe bound. Hot
-  // starts skip the crash entirely, so no identity columns are guaranteed
-  // and duals stay empty.
-  if (want_duals && !hot) {
-    result.duals.assign(static_cast<size_t>(m), 0.0);
-    for (int i = 0; i < m; ++i) {
-      const int art = artificial_of_row_[static_cast<size_t>(i)];
-      const int col = art >= 0 ? art : slack_col_[static_cast<size_t>(i)];
-      const double yhat = -d_[static_cast<size_t>(col)];
-      result.duals[static_cast<size_t>(i)] =
-          row_sign_[static_cast<size_t>(i)] * yhat;
-    }
-  }
-
-  // Export the optimal basis over structural + slack columns only. A basis
-  // with an artificial still in it (degenerate, at value 0) cannot be
-  // replayed against a fresh tableau, so it is simply not captured.
-  if (final_basis != nullptr) {
-    bool exportable = true;
-    for (int i = 0; i < m; ++i) {
-      if (basis_[static_cast<size_t>(i)] >= first_artificial) {
-        exportable = false;
-        break;
-      }
-    }
-    if (exportable) {
-      final_basis->status.resize(static_cast<size_t>(first_artificial));
-      for (int j = 0; j < first_artificial; ++j) {
-        final_basis->status[static_cast<size_t>(j)] =
-            static_cast<uint8_t>(status_[static_cast<size_t>(j)]);
-      }
-    }
-  }
-  return result;
-}
-
 // ===========================================================================
-// Factorized revised simplex (the default engine).
+// Factorized revised simplex (the production engine).
 // ===========================================================================
 
-/// LU-factorized bounded-variable two-phase revised primal simplex
-/// (LpEngine::kFactorized). Same crash basis, phase structure, pricing
-/// rule (devex with Bland fallback), and ratio test as the tableau
-/// engines, but the basis inverse is a Markowitz sparse LU plus
-/// product-form etas (solver/factorization.h) instead of an explicit B⁻¹A
-/// tableau: the entering column arrives by FTRAN, the pivot row by BTRAN
+/// LU-factorized bounded-variable two-phase revised primal simplex — the
+/// engine behind every LpProblem::Solve. Same phase structure, pricing
+/// rule (devex with Bland fallback), and ratio test as the reference
+/// tableau (ReferenceLpSolve), but the basis inverse is a Markowitz sparse
+/// LU plus product-form etas (solver/factorization.h) instead of an
+/// explicit B⁻¹A tableau: the entering column arrives by FTRAN, the pivot
+/// row by BTRAN
 /// plus one pass over the original columns, and fill stays near
 /// nnz(basis) instead of growing toward m·n. The eta file collapses into
 /// a fresh factorization on an update-count/fill trigger or whenever an
@@ -919,8 +150,9 @@ class FactorizedSimplex {
 
   /// Appends an equality row a·x = rhs over all currently known columns
   /// (slack columns must have been added as variables by the caller).
-  /// Same contract as SparseSimplex::AddEqualityRow.
-  void AddEqualityRow(TabRow row, double rhs, int slack_col) {
+  /// `slack_col` is the row's own slack column, or -1 for an original
+  /// equality row — it seeds the crash basis.
+  void AddEqualityRow(CsrRow row, double rhs, int slack_col) {
     rows_.push_back(std::move(row));
     rhs_.push_back(rhs);
     slack_col_.push_back(slack_col);
@@ -937,13 +169,14 @@ class FactorizedSimplex {
                const LpBasis* start_basis, LpBasis* final_basis,
                bool want_duals);
 
-  /// Telemetry sink for this solve, or null (the default) for none.
+  /// Telemetry sink for this solve, or null (the default) for none. With a
+  /// null sink the per-iteration cost is a handful of predictable branches.
   void set_stats(LpSolveStats* stats) { stats_ = stats; }
-  int NumTableauCols() const { return NumCols(); }
+  /// Structural + slack + artificial columns.
+  int NumColumns() const { return NumCols(); }
   /// Stored factor entries (LU + eta file) — the fill measure the
-  /// telemetry samples in place of tableau nonzeros.
+  /// telemetry samples.
   uint64_t StoredEntries() const { return fact_.stored_entries(); }
-  int NumDenseRows() const { return 0; }
   int refactorizations() const { return refactorizations_; }
   int ft_updates() const { return ft_updates_; }
   /// L+U nonzeros of the most recent base factorization.
@@ -968,7 +201,7 @@ class FactorizedSimplex {
   void BuildColumns() {
     cols_.assign(static_cast<size_t>(NumCols()), SparseColumn{});
     for (int i = 0; i < NumRows(); ++i) {
-      const TabRow& row = rows_[static_cast<size_t>(i)];
+      const CsrRow& row = rows_[static_cast<size_t>(i)];
       for (size_t k = 0; k < row.idx.size(); ++k) {
         SparseColumn& col = cols_[static_cast<size_t>(row.idx[k])];
         col.rows.push_back(i);
@@ -1087,8 +320,8 @@ class FactorizedSimplex {
   /// the trusted infeasibility verdict — or an iteration/numerics cap).
   bool DualRepair(int* iterations_used);
 
-  /// Primal simplex iterations for the current phase (see
-  /// SparseSimplex::Iterate — same pricing, ratio test, and telemetry).
+  /// Runs primal simplex iterations until optimality/unboundedness/limit
+  /// for the current phase. Returns the LP status for this phase.
   LpStatus Iterate(int max_iterations, int* iterations_used,
                    const std::vector<double>& phase_cost);
 
@@ -1097,7 +330,7 @@ class FactorizedSimplex {
 
   int n_;  // structural variable count (prefix of the columns)
   std::vector<double> lb_, ub_, cost_;
-  std::vector<TabRow> rows_;  // CSR input rows (residuals, sign flips)
+  std::vector<CsrRow> rows_;  // CSR input rows (residuals, sign flips)
   std::vector<double> rhs_;
   std::vector<int> slack_col_;
   std::vector<double> row_sign_;
@@ -1179,8 +412,8 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     if (enter == -1 && fallback >= 0) enter = fallback;
     if (enter == -1) {
       // The incrementally updated d_ (and xb_) accumulate rounding drift
-      // between refactorizations — unlike the tableau engines, whose
-      // reduced costs stay consistent with the tableau they came from. An
+      // between refactorizations — unlike a tableau engine, whose reduced
+      // costs stay consistent with the tableau they came from. An
       // apparent optimum is only trusted after a resync: refactorize,
       // recompute both from scratch, and re-price. If pricing still finds
       // nothing against exact reduced costs, the optimum is real.
@@ -1295,7 +528,7 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     assert(std::abs(pivot) > kPivotTol);
 
     // Pivot row of B⁻¹A under the OUTGOING basis, for the reduced-cost and
-    // devex updates (the tableau engines read it off the stored row).
+    // devex updates (a tableau engine reads it off the stored row).
     ComputePivotRow(leave_row);
 
     status_[static_cast<size_t>(leave_col)] =
@@ -1318,8 +551,8 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     // Devex weight update against the (normalized) pivot row. Weights are
     // clamped: long runs of tiny pivots otherwise inflate them geometrically
     // until d_j^2 / w_j underflows to zero for every column and pricing goes
-    // blind (the tableau engines never accumulate enough degenerate pivots
-    // for this, but the factorized engine can).
+    // blind (the reference tableau never accumulates enough degenerate
+    // pivots for this, but the factorized engine can).
     constexpr double kDevexMax = 1e12;
     const double w_enter = devex_[static_cast<size_t>(enter)];
     for (int j = 0; j < ncols; ++j) {
@@ -1541,7 +774,7 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
     std::vector<double> residual(static_cast<size_t>(m), 0.0);
     for (int i = 0; i < m; ++i) {
       double r = rhs_[static_cast<size_t>(i)];
-      const TabRow& row = rows_[static_cast<size_t>(i)];
+      const CsrRow& row = rows_[static_cast<size_t>(i)];
       for (size_t k = 0; k < row.idx.size(); ++k) {
         const double v = BoundValue(row.idx[k]);
         if (v != 0.0) r -= row.val[k] * v;
@@ -1550,7 +783,7 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
     }
 
     // Negate rows with negative residual so every artificial can enter
-    // with coefficient +1 (same normalization as the tableau engines).
+    // with coefficient +1 and the crash basis matrix is the identity.
     for (int i = 0; i < m; ++i) {
       if (residual[static_cast<size_t>(i)] < 0.0) {
         for (double& v : rows_[static_cast<size_t>(i)].val) v = -v;
@@ -1560,14 +793,23 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
       }
     }
 
-    // Crash basis: slacks with coefficient +1 after normalization start
-    // basic at the residual; artificials cover the remaining rows.
+    // Crash basis: a row whose own slack carries coefficient +1 after the
+    // sign normalization can start with that slack basic at the residual
+    // (slacks live in [0, ∞), and the residual is now nonnegative) — no
+    // artificial, no phase-1 work. NoSE's BIPs are dominated by ≤ linking
+    // rows (x_e ≤ δ) whose residual at the all-lower starting point is zero,
+    // so this removes the bulk of phase 1; artificials remain only for
+    // equality rows and for inequalities pointing away from their slack.
+    // The slack is the last entry of its row (its index exceeds every
+    // structural one).
     first_artificial_ = NumCols();
     basis_.assign(static_cast<size_t>(m), -1);
     xb_.assign(static_cast<size_t>(m), 0.0);
     for (int i = 0; i < m; ++i) {
       const int slack = slack_col_[static_cast<size_t>(i)];
-      if (slack >= 0 && rows_[static_cast<size_t>(i)].Coeff(slack) == 1.0) {
+      const CsrRow& row = rows_[static_cast<size_t>(i)];
+      if (slack >= 0 && row.val.back() == 1.0) {
+        assert(row.idx.back() == slack);
         status_[static_cast<size_t>(slack)] = VarStatus::kBasic;
         basis_[static_cast<size_t>(i)] = slack;
         xb_[static_cast<size_t>(i)] = residual[static_cast<size_t>(i)];
@@ -1677,8 +919,9 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
     }
   }
 
-  // Export the optimal basis over structural + slack columns only (same
-  // contract as the sparse engine: never with an artificial still basic).
+  // Export the optimal basis over structural + slack columns only. A basis
+  // with an artificial still in it (degenerate, at value 0) cannot be
+  // replayed against a fresh crash start, so it is simply not captured.
   if (final_basis != nullptr) {
     bool exportable = true;
     for (int i = 0; i < m; ++i) {
@@ -1699,12 +942,14 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
 }
 
 // ===========================================================================
-// Dense baseline engine (the original full-tableau implementation), kept
-// for benchmark comparisons and CI divergence checks.
+// Reference engine: the original dense full-tableau implementation, kept
+// only as the test oracle behind ReferenceLpSolve.
 // ===========================================================================
 
-/// Dense full-tableau bounded-variable primal simplex. One instance per
-/// Solve() call; not reused.
+/// Dense full-tableau bounded-variable two-phase primal simplex: every
+/// row starts with its own artificial (no crash basis), and every pivot is
+/// a full Gauss-Jordan step over the explicit B⁻¹A. Slow and simple on
+/// purpose. One instance per solve; not reused.
 class DenseTableau {
  public:
   DenseTableau(int num_structural, std::vector<double> lb,
@@ -1728,18 +973,7 @@ class DenseTableau {
     return static_cast<int>(cost_.size()) - 1;
   }
 
-  LpResult Run(int max_iterations, double deadline_seconds,
-               bool want_duals = false);
-
-  /// Telemetry sink for this solve, or null for none (see SparseSimplex).
-  void set_stats(LpSolveStats* stats) { stats_ = stats; }
-  int NumTableauCols() const { return NumCols(); }
-  /// A dense tableau stores every cell, so fill is constant m·ncols.
-  uint64_t StoredEntries() const {
-    return static_cast<uint64_t>(NumRows()) *
-           static_cast<uint64_t>(NumCols());
-  }
-  int NumDenseRows() const { return NumRows(); }
+  LpResult Run(int max_iterations);
 
  private:
   int NumCols() const { return static_cast<int>(cost_.size()); }
@@ -1774,9 +1008,6 @@ class DenseTableau {
   /// current phase. Returns the LP status for this phase.
   LpStatus Iterate(int max_iterations, int* iterations_used);
 
-  double deadline_seconds_ = 0.0;
-  Stopwatch watch_;
-
   int n_;  // structural variable count (prefix of the columns)
   std::vector<double> lb_, ub_, cost_;
   std::vector<std::vector<double>> matrix_;  // m rows x NumCols()
@@ -1787,7 +1018,6 @@ class DenseTableau {
   std::vector<double> d_;     // reduced costs for the active phase
   std::vector<double> devex_;  // devex reference weights (pricing)
   int degenerate_streak_ = 0;
-  LpSolveStats* stats_ = nullptr;  // telemetry sink; null = disabled
 };
 
 LpStatus DenseTableau::Iterate(int max_iterations, int* iterations_used) {
@@ -1796,15 +1026,8 @@ LpStatus DenseTableau::Iterate(int max_iterations, int* iterations_used) {
   int iter = 0;
   degenerate_streak_ = 0;
   devex_.assign(static_cast<size_t>(ncols), 1.0);
-  if (stats_ != nullptr) ++stats_->devex_resets;
   for (; iter < max_iterations; ++iter) {
-    if (deadline_seconds_ > 0.0 && (iter & 31) == 0 &&
-        watch_.ElapsedSeconds() > deadline_seconds_) {
-      *iterations_used += iter;
-      return LpStatus::kIterationLimit;
-    }
     const bool bland = degenerate_streak_ >= kBlandTrigger;
-    if (stats_ != nullptr && bland) ++stats_->bland_iterations;
     // --- Pricing: devex (d_j^2 / w_j); Bland's rule under stalling. ---
     int enter = -1;
     double best_score = 0.0;
@@ -1878,10 +1101,6 @@ LpStatus DenseTableau::Iterate(int max_iterations, int* iterations_used) {
     }
     degenerate_streak_ =
         (t_best <= kDegenerateStep) ? degenerate_streak_ + 1 : 0;
-    if (stats_ != nullptr &&
-        degenerate_streak_ > stats_->max_degenerate_streak) {
-      stats_->max_degenerate_streak = degenerate_streak_;
-    }
 
     // --- Apply the step to all basic values. ---
     if (t_best != 0.0) {
@@ -1893,7 +1112,6 @@ LpStatus DenseTableau::Iterate(int max_iterations, int* iterations_used) {
     }
 
     if (leave_row == -1) {
-      if (stats_ != nullptr) ++stats_->bound_flips;
       // Bound flip: the entering variable runs to its opposite bound.
       status_[static_cast<size_t>(enter)] =
           status_[static_cast<size_t>(enter)] == VarStatus::kAtLower
@@ -1952,10 +1170,7 @@ LpStatus DenseTableau::Iterate(int max_iterations, int* iterations_used) {
   return LpStatus::kIterationLimit;
 }
 
-LpResult DenseTableau::Run(int max_iterations, double deadline_seconds,
-                           bool want_duals) {
-  deadline_seconds_ = deadline_seconds;
-  watch_.Reset();
+LpResult DenseTableau::Run(int max_iterations) {
   const int m = NumRows();
   LpResult result;
 
@@ -1984,13 +1199,11 @@ LpResult DenseTableau::Run(int max_iterations, double deadline_seconds,
 
   // Negate rows with negative residual so that every artificial can enter
   // with coefficient +1 and the initial basis matrix is the identity.
-  std::vector<double> row_sign(static_cast<size_t>(m), 1.0);
   for (int i = 0; i < m; ++i) {
     if (residual[static_cast<size_t>(i)] < 0.0) {
       for (double& v : matrix_[static_cast<size_t>(i)]) v = -v;
       rhs_[static_cast<size_t>(i)] = -rhs_[static_cast<size_t>(i)];
       residual[static_cast<size_t>(i)] = -residual[static_cast<size_t>(i)];
-      row_sign[static_cast<size_t>(i)] = -1.0;
     }
   }
 
@@ -2012,11 +1225,9 @@ LpResult DenseTableau::Run(int max_iterations, double deadline_seconds,
   for (int j = first_artificial; j < NumCols(); ++j) {
     phase1_cost[static_cast<size_t>(j)] = 1.0;
   }
-  if (stats_ != nullptr) stats_->fill_start = StoredEntries();
   ComputeReducedCosts(phase1_cost);
   result.iterations = 0;
   LpStatus phase1 = Iterate(max_iterations, &result.iterations);
-  if (stats_ != nullptr) stats_->phase1_iterations = result.iterations;
   if (phase1 == LpStatus::kIterationLimit) {
     result.status = LpStatus::kIterationLimit;
     return result;
@@ -2033,10 +1244,6 @@ LpResult DenseTableau::Run(int max_iterations, double deadline_seconds,
     }
   }
   if (infeasibility > kPhase1Tol) {
-    if (std::getenv("NOSE_LP_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[lp] phase-1 infeasibility %.3e (rows=%d)\n",
-                   infeasibility, m);
-    }
     result.status = LpStatus::kInfeasible;
     return result;
   }
@@ -2077,28 +1284,34 @@ LpResult DenseTableau::Run(int max_iterations, double deadline_seconds,
     result.objective += cost_[static_cast<size_t>(j)] * result.x[static_cast<size_t>(j)];
   }
   result.status = LpStatus::kOptimal;
-
-  // Dual extraction: row i's artificial is the identity column of row i, so
-  // its phase-2 reduced cost is −y_i (the artificial has zero objective
-  // cost). Undo the phase-1 row negation via row_sign.
-  if (want_duals) {
-    result.duals.assign(static_cast<size_t>(m), 0.0);
-    for (int i = 0; i < m; ++i) {
-      const int art = first_artificial + i;
-      result.duals[static_cast<size_t>(i)] =
-          row_sign[static_cast<size_t>(i)] * -d_[static_cast<size_t>(art)];
-    }
-  }
   return result;
+}
+
+/// Default simplex iteration cap when the caller passes none.
+int DefaultIterationLimit(const LpProblem& problem) {
+  return 20000 + 50 * (problem.num_rows() + problem.num_variables());
+}
+
+/// Largest coefficient magnitude of a row. Both engines divide each row by
+/// it (row equilibration) so rows mixing byte-scale and unit-scale
+/// coefficients — e.g. storage constraints — stay within the solver's
+/// absolute tolerances.
+double MaxMagnitude(const LpRow& row) {
+  double max_mag = 0.0;
+  for (double v : row.values) max_mag = std::max(max_mag, std::abs(v));
+  return max_mag;
+}
+
+double EquilibrationScale(double max_mag) {
+  return max_mag > 1e-12 ? 1.0 / max_mag : 1.0;
 }
 
 }  // namespace
 
 LpResult LpProblem::Solve(
     const std::vector<std::tuple<int, double, double>>& bound_overrides,
-    int max_iterations, double deadline_seconds, LpEngine engine,
-    const LpBasis* start_basis, LpBasis* final_basis,
-    std::vector<double>* duals) const {
+    int max_iterations, double deadline_seconds, const LpBasis* start_basis,
+    LpBasis* final_basis, std::vector<double>* duals) const {
   std::vector<double> lb = lb_;
   std::vector<double> ub = ub_;
   for (const auto& [var, olb, oub] : bound_overrides) {
@@ -2107,12 +1320,10 @@ LpResult LpProblem::Solve(
   }
 
   const int n = num_variables();
-  if (max_iterations <= 0) {
-    max_iterations = 20000 + 50 * (num_rows() + num_variables());
-  }
+  if (max_iterations <= 0) max_iterations = DefaultIterationLimit(*this);
 
   // Solver telemetry (--solve-log): one relaxed load when disabled; when
-  // enabled the engines fill `stats` and the record is appended at the end.
+  // enabled the engine fills `stats` and the record is appended at the end.
   SolveLog& solve_log = SolveLog::Global();
   const bool logging = solve_log.enabled();
   LpSolveStats stats;
@@ -2123,114 +1334,41 @@ LpResult LpProblem::Solve(
   double equil_max = 0.0;
 
   // Slack columns: one per inequality row, so every row becomes equality.
-  // Row equilibration: scale each row to unit magnitude so rows mixing
-  // byte-scale and unit-scale coefficients (e.g. storage constraints)
-  // stay within the solver's absolute tolerances.
+  FactorizedSimplex simplex(n, std::move(lb), std::move(ub), cost_);
+  simplex.set_stats(logging ? &stats : nullptr);
   std::vector<int> slack_col(rows_.size(), -1);
-  std::vector<double> row_scale(rows_.size(), 1.0);
-  LpResult result;
-  const bool want_duals = duals != nullptr;
-  // The sparse-tableau and factorized engines share the same row/slack/
-  // scaling preparation; only the simplex core behind the interface
-  // differs.
-  auto run_row_engine = [&](auto& simplex) {
-    simplex.set_stats(logging ? &stats : nullptr);
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (rows_[i].type != RowType::kEq) {
-        slack_col[i] = simplex.AddColumn(0.0, kInfinity, 0.0);
-      }
-    }
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const LpRow& src = rows_[i];
-      double max_mag = 0.0;
-      for (double v : src.values) max_mag = std::max(max_mag, std::abs(v));
-      const double scale = max_mag > 1e-12 ? 1.0 / max_mag : 1.0;
-      row_scale[i] = scale;
-      if (logging && max_mag > 1e-12) {
-        equil_min = std::min(equil_min, max_mag);
-        equil_max = std::max(equil_max, max_mag);
-      }
-      TabRow row;
-      row.idx = src.indices;
-      row.val = src.values;
-      if (scale != 1.0) {
-        for (double& v : row.val) v *= scale;
-      }
-      if (src.type == RowType::kLe) {
-        row.idx.push_back(slack_col[i]);
-        row.val.push_back(1.0);
-      } else if (src.type == RowType::kGe) {
-        row.idx.push_back(slack_col[i]);
-        row.val.push_back(-1.0);
-      }
-      simplex.AddEqualityRow(std::move(row), src.rhs * scale,
-                             slack_col[i]);
-    }
-    result = simplex.Run(max_iterations, deadline_seconds, start_basis,
-                         final_basis, want_duals);
-    if (logging) {
-      stats.fill_end = simplex.StoredEntries();
-      stats.dense_rows = simplex.NumDenseRows();
-      stats.tableau_cols = simplex.NumTableauCols();
-    }
-  };
-  if (engine == LpEngine::kFactorized) {
-    FactorizedSimplex simplex(n, std::move(lb), std::move(ub), cost_);
-    run_row_engine(simplex);
-    if (logging) {
-      stats.refactorizations = simplex.refactorizations();
-      stats.ft_updates = simplex.ft_updates();
-      stats.factor_fill = simplex.FactorFill();
-    }
-  } else if (engine == LpEngine::kSparse) {
-    SparseSimplex simplex(n, std::move(lb), std::move(ub), cost_);
-    run_row_engine(simplex);
-  } else {
-    if (final_basis != nullptr) final_basis->clear();
-    DenseTableau tableau(n, std::move(lb), std::move(ub), cost_);
-    tableau.set_stats(logging ? &stats : nullptr);
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (rows_[i].type != RowType::kEq) {
-        slack_col[i] = tableau.AddColumn(0.0, kInfinity, 0.0);
-      }
-    }
-    // Dense rows sized to structural + slack columns (artificials appended
-    // by the tableau itself).
-    int total_cols = n;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (slack_col[i] >= 0) total_cols = std::max(total_cols, slack_col[i] + 1);
-    }
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      const LpRow& src = rows_[i];
-      std::vector<double> dense(static_cast<size_t>(total_cols), 0.0);
-      double max_mag = 0.0;
-      for (size_t k = 0; k < src.indices.size(); ++k) {
-        dense[static_cast<size_t>(src.indices[k])] = src.values[k];
-        max_mag = std::max(max_mag, std::abs(src.values[k]));
-      }
-      const double scale = max_mag > 1e-12 ? 1.0 / max_mag : 1.0;
-      row_scale[i] = scale;
-      if (logging && max_mag > 1e-12) {
-        equil_min = std::min(equil_min, max_mag);
-        equil_max = std::max(equil_max, max_mag);
-      }
-      if (scale != 1.0) {
-        for (double& v : dense) v *= scale;
-      }
-      if (src.type == RowType::kLe) {
-        dense[static_cast<size_t>(slack_col[i])] = 1.0;
-      } else if (src.type == RowType::kGe) {
-        dense[static_cast<size_t>(slack_col[i])] = -1.0;
-      }
-      tableau.AddEqualityRow(std::move(dense), src.rhs * scale);
-    }
-    result = tableau.Run(max_iterations, deadline_seconds, want_duals);
-    if (logging) {
-      stats.fill_end = tableau.StoredEntries();
-      stats.dense_rows = tableau.NumDenseRows();
-      stats.tableau_cols = tableau.NumTableauCols();
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i].type != RowType::kEq) {
+      slack_col[i] = simplex.AddColumn(0.0, kInfinity, 0.0);
     }
   }
+  std::vector<double> row_scale(rows_.size(), 1.0);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    const LpRow& src = rows_[i];
+    const double max_mag = MaxMagnitude(src);
+    const double scale = EquilibrationScale(max_mag);
+    row_scale[i] = scale;
+    if (logging && max_mag > 1e-12) {
+      equil_min = std::min(equil_min, max_mag);
+      equil_max = std::max(equil_max, max_mag);
+    }
+    CsrRow row;
+    row.idx = src.indices;
+    row.val = src.values;
+    if (scale != 1.0) {
+      for (double& v : row.val) v *= scale;
+    }
+    if (src.type == RowType::kLe) {
+      row.idx.push_back(slack_col[i]);
+      row.val.push_back(1.0);
+    } else if (src.type == RowType::kGe) {
+      row.idx.push_back(slack_col[i]);
+      row.val.push_back(-1.0);
+    }
+    simplex.AddEqualityRow(std::move(row), src.rhs * scale, slack_col[i]);
+  }
+  LpResult result = simplex.Run(max_iterations, deadline_seconds, start_basis,
+                                final_basis, duals != nullptr);
 
   // Undo row equilibration on the duals: the engine solved
   // scale_i·(a_i·x) = scale_i·b_i, so the multiplier of the original row is
@@ -2257,8 +1395,9 @@ LpResult LpProblem::Solve(
   solves.Increment();
   iterations.Add(static_cast<uint64_t>(result.iterations));
   nonzeros.Add(num_nonzeros_);
-  if (start_basis != nullptr && !start_basis->empty() &&
-      engine != LpEngine::kDense) {
+  const bool hot_start_attempted =
+      start_basis != nullptr && !start_basis->empty();
+  if (hot_start_attempted) {
     static obs::Counter& hot_attempts = obs::MetricsRegistry::Global()
         .GetCounter("solver.lp_hot_start_attempts");
     hot_attempts.Increment();
@@ -2269,15 +1408,18 @@ LpResult LpProblem::Solve(
     }
   }
   if (logging) {
-    stats.engine = LpEngineName(engine);
+    stats.engine = "factorized";
     stats.status = LpStatusName(result.status);
     stats.rows = num_rows();
     stats.cols = n;
+    stats.tableau_cols = simplex.NumColumns();
     stats.nonzeros = num_nonzeros_;
     stats.iterations = result.iterations;
-    stats.hot_start_attempted = start_basis != nullptr &&
-                                !start_basis->empty() &&
-                                engine != LpEngine::kDense;
+    stats.fill_end = simplex.StoredEntries();
+    stats.refactorizations = simplex.refactorizations();
+    stats.ft_updates = simplex.ft_updates();
+    stats.factor_fill = simplex.FactorFill();
+    stats.hot_start_attempted = hot_start_attempted;
     stats.hot_started = result.hot_started;
     stats.equilibration_cond =
         (equil_max > 0.0 && equil_min > 0.0) ? equil_max / equil_min : 1.0;
@@ -2287,6 +1429,48 @@ LpResult LpProblem::Solve(
     solve_log.RecordLp(std::move(stats));
   }
   return result;
+}
+
+LpResult ReferenceLpSolve(const LpProblem& problem) {
+  const int n = problem.num_variables();
+  std::vector<double> lb(static_cast<size_t>(n));
+  std::vector<double> ub(static_cast<size_t>(n));
+  std::vector<double> cost(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    lb[static_cast<size_t>(v)] = problem.lower_bound(v);
+    ub[static_cast<size_t>(v)] = problem.upper_bound(v);
+    cost[static_cast<size_t>(v)] = problem.cost(v);
+  }
+  DenseTableau tableau(n, std::move(lb), std::move(ub), std::move(cost));
+  // Same slack numbering and row equilibration as LpProblem::Solve; dense
+  // rows span structural + slack columns (the tableau appends its own
+  // artificials).
+  const int m = problem.num_rows();
+  std::vector<int> slack_col(static_cast<size_t>(m), -1);
+  int total_cols = n;
+  for (int i = 0; i < m; ++i) {
+    if (problem.row(i).type != RowType::kEq) {
+      slack_col[static_cast<size_t>(i)] =
+          tableau.AddColumn(0.0, LpProblem::kInfinity, 0.0);
+      total_cols = slack_col[static_cast<size_t>(i)] + 1;
+    }
+  }
+  for (int i = 0; i < m; ++i) {
+    const LpRow& src = problem.row(i);
+    const double scale = EquilibrationScale(MaxMagnitude(src));
+    std::vector<double> dense(static_cast<size_t>(total_cols), 0.0);
+    for (size_t k = 0; k < src.indices.size(); ++k) {
+      dense[static_cast<size_t>(src.indices[k])] = src.values[k] * scale;
+    }
+    const int slack = slack_col[static_cast<size_t>(i)];
+    if (src.type == RowType::kLe) {
+      dense[static_cast<size_t>(slack)] = 1.0;
+    } else if (src.type == RowType::kGe) {
+      dense[static_cast<size_t>(slack)] = -1.0;
+    }
+    tableau.AddEqualityRow(std::move(dense), src.rhs * scale);
+  }
+  return tableau.Run(DefaultIterationLimit(problem));
 }
 
 }  // namespace nose

@@ -17,19 +17,6 @@ enum class LpStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 
 const char* LpStatusName(LpStatus status);
 
-/// Which simplex core executes a solve. kFactorized is the production
-/// engine: an LU-factorized revised simplex (Markowitz-pivoted sparse LU
-/// of the basis with product-form updates and periodic refactorization —
-/// see solver/factorization.h) that prices directly from the original
-/// columns, so its fill tracks nnz(basis) instead of the tableau's B⁻¹A.
-/// kSparse keeps the explicit-tableau sparse core and kDense the original
-/// full-tableau implementation as correctness and benchmark baselines
-/// (solver_micro --json compares all three, and CI fails if their optima
-/// diverge).
-enum class LpEngine { kSparse, kDense, kFactorized };
-
-const char* LpEngineName(LpEngine engine);
-
 struct LpResult {
   LpStatus status = LpStatus::kIterationLimit;
   double objective = 0.0;
@@ -38,11 +25,8 @@ struct LpResult {
   bool hot_started = false;  ///< true if a starting basis was loaded
   /// Dual value per original constraint row, filled only when the caller
   /// asked for duals (Solve's `duals` out-parameter) and the solve ended
-  /// kOptimal. The factorized engine recovers duals with one BTRAN against
-  /// the optimal basis, hot-started or not; the tableau engines read them
-  /// off reduced costs of identity columns and therefore only fill duals
-  /// for cold starts (a hot-started tableau carries no identity columns
-  /// for equality rows). Sign convention: y_i ≥ 0 certifies a binding ≥
+  /// kOptimal. Recovered with one BTRAN against the optimal basis,
+  /// hot-started or not. Sign convention: y_i ≥ 0 certifies a binding ≥
   /// row, y_i ≤ 0 a binding ≤ row, free for =. The values are
   /// floating-point candidates — the certificate checker (analysis/
   /// certify.h) re-derives an exact safe bound from them rather than
@@ -58,10 +42,10 @@ struct LpResult {
 /// fit — wrong size, wrong basic count, singular, or primal infeasible
 /// under the new bounds — is rejected and the solve falls back to the cold
 /// crash start, so stale bases cost a failed load, never a wrong answer.
-/// The factorized engine goes one step further before giving up on a
-/// primal-infeasible load: branch-and-bound children differ from their
-/// parent only in bounds, which keeps the parent basis dual feasible, so a
-/// short bounded-variable dual-simplex run drives the violated basics back
+/// Before giving up on a primal-infeasible load the solver tries one
+/// repair: branch-and-bound children differ from their parent only in
+/// bounds, which keeps the parent basis dual feasible, so a short
+/// bounded-variable dual-simplex run drives the violated basics back
 /// inside their bounds in a handful of pivots.
 struct LpBasis {
   std::vector<uint8_t> status;
@@ -108,8 +92,8 @@ class LpRowBuffer {
 };
 
 /// A linear program: minimize cᵀx subject to row constraints and variable
-/// bounds l ≤ x ≤ u. Build incrementally, then Solve(). The default solver
-/// is an LU-factorized two-phase revised primal simplex with bounded
+/// bounds l ≤ x ≤ u. Build incrementally, then Solve(). The solver is an
+/// LU-factorized two-phase revised primal simplex with bounded
 /// variables (nonbasic variables rest at either bound; bound flips are
 /// handled without pivots): the basis inverse is held as a Markowitz
 /// sparse LU plus product-form updates, the entering column and pivot row
@@ -154,29 +138,22 @@ class LpProblem {
   /// bounds for this solve only (used by branch-and-bound nodes);
   /// entries are (var, lb, ub). `deadline_seconds` (0 = none) aborts an
   /// overlong solve with kIterationLimit so callers stay responsive.
-  /// `engine` selects the simplex core; all three return the same optima
-  /// (within tolerances — kSparse and kDense are bitwise-identical by
-  /// construction; kFactorized follows its own floating-point path and
-  /// agrees to the solver tolerances). kFactorized is the default and the
-  /// fastest on the optimizer's instances, widening with workload size
-  /// (solver_micro --json measures the gaps and gates CI on agreement).
+  /// ReferenceLpSolve below returns the same optima to solver tolerances
+  /// (tests and solver_micro --json check the agreement).
   ///
-  /// `start_basis` (sparse and factorized engines) hot-starts the solve
-  /// from a basis captured by an earlier solve of the same constraint
-  /// rows; on a successful load phase 1 is skipped, and the factorized
-  /// engine additionally repairs bound-change infeasibility with dual
-  /// simplex pivots. `final_basis` (sparse and factorized engines)
-  /// receives the optimal basis of this solve, or is cleared when none is
-  /// available (non-optimal exit, artificial still basic, or the dense
-  /// engine).
+  /// `start_basis` hot-starts the solve from a basis captured by an
+  /// earlier solve of the same constraint rows; on a successful load
+  /// phase 1 is skipped, and bound-change infeasibility is repaired with
+  /// dual simplex pivots. `final_basis` receives the optimal basis of this
+  /// solve, or is cleared when none is available (non-optimal exit or an
+  /// artificial still basic).
   ///
   /// `duals`, when non-null, receives one multiplier per constraint row at
   /// the optimum (see LpResult::duals); cleared when the solve was not
-  /// cleanly optimal, or — tableau engines only — was hot-started.
+  /// cleanly optimal.
   LpResult Solve(
       const std::vector<std::tuple<int, double, double>>& bound_overrides = {},
       int max_iterations = 0, double deadline_seconds = 0.0,
-      LpEngine engine = LpEngine::kFactorized,
       const LpBasis* start_basis = nullptr,
       LpBasis* final_basis = nullptr,
       std::vector<double>* duals = nullptr) const;
@@ -188,6 +165,15 @@ class LpProblem {
   std::vector<LpRow> rows_;
   size_t num_nonzeros_ = 0;
 };
+
+/// Test oracle: solves `problem` from scratch with the original dense
+/// full-tableau simplex (every row starts on its own artificial, every
+/// pivot updates the explicit B⁻¹A). It shares no code path with
+/// LpProblem::Solve beyond the row equilibration, so agreement between
+/// the two checks the production engine the way ReferenceBipMinimize
+/// checks branch and bound. O(m·n) per pivot: small instances only. No
+/// basis, deadline, telemetry, or duals; `hot_started` is always false.
+LpResult ReferenceLpSolve(const LpProblem& problem);
 
 }  // namespace nose
 

@@ -969,8 +969,8 @@ std::string ExplainSolveLog(const SolveLogData& data) {
           static_cast<unsigned long long>(bland_iters),
           100.0 * static_cast<double>(bland_iters) / iter_denom,
           static_cast<unsigned long long>(bound_flips));
-  // Only the factorized engine reports basis telemetry; logs recorded
-  // before it existed (or with the tableau engines) render unchanged.
+  // Logs recorded before basis telemetry existed (or with the since-
+  // deleted tableau engines) carry none and render unchanged.
   if (refactorizations + ft_updates > 0) {
     Appendf(&out,
             "basis: %llu refactorizations, %llu forrest-tomlin updates "

@@ -11,7 +11,7 @@
 
 namespace nose {
 
-/// Per-LP-solve telemetry captured by both simplex engines. Everything here
+/// Per-LP-solve telemetry captured by the simplex engine. Everything here
 /// is a pure function of the instance and the (deterministic) pivot path —
 /// except `solve_ms`, which is wall clock and therefore excluded from
 /// SolveLog::Fingerprint().
@@ -20,7 +20,9 @@ struct LpSolveStats {
   uint64_t bip_id = 0;  ///< enclosing B&B solve, 0 = standalone LP
   int node_id = -1;     ///< explored-node ordinal within bip_id, -1 = none
 
-  std::string engine;  ///< "factorized" | "sparse" | "dense"
+  /// Always "factorized" today; logs written while the since-deleted
+  /// tableau engines existed may also say "sparse" or "dense".
+  std::string engine;
   std::string status;  ///< LpStatusName of the result
   int rows = 0;        ///< constraint rows of the original problem
   int cols = 0;        ///< structural variables
@@ -34,16 +36,16 @@ struct LpSolveStats {
   int bound_flips = 0;        ///< nonbasic bound-to-bound moves (no pivot)
   int max_degenerate_streak = 0;  ///< longest run of zero-step pivots
 
-  /// Stored tableau entries (CSR nonzeros, or the full width for densified
-  /// rows) before phase 1 and at termination — the fill-accumulation
-  /// signal behind the cover_lp800 slowdown. The factorized engine reports
-  /// its stored factor entries (LU + eta file) here instead, so the same
-  /// field compares fill across engines.
+  /// Stored factor entries (LU + eta file) before phase 1 and at
+  /// termination — the fill-accumulation signal. Older logs from the
+  /// tableau engines hold stored tableau entries here.
   uint64_t fill_start = 0;
   uint64_t fill_end = 0;
-  int dense_rows = 0;  ///< rows that upgraded from CSR to dense storage
+  /// Rows a tableau engine upgraded from CSR to dense storage; always 0
+  /// for the factorized engine, kept so older logs still parse.
+  int dense_rows = 0;
 
-  /// Basis-maintenance telemetry — factorized engine only (zero elsewhere).
+  /// Basis-maintenance telemetry (zero in logs from the tableau engines).
   /// `refactorizations` counts basis factorizations from scratch (the
   /// initial crash/hot-load one included), `ft_updates` the product-form
   /// updates appended between them, and `factor_fill` the L+U nonzeros of
@@ -61,8 +63,8 @@ struct LpSolveStats {
 
   double solve_ms = 0.0;  ///< wall clock; excluded from Fingerprint()
 
-  /// (cumulative iteration, stored entries — tableau or factor) sampled
-  /// every kFillSampleStride iterations; sparse and factorized engines.
+  /// (cumulative iteration, stored factor entries) sampled every
+  /// kFillSampleStride iterations.
   std::vector<std::pair<int, uint64_t>> fill_curve;
 
   /// Stored entries as a fraction of the full tableau (rows·tableau_cols).
@@ -121,7 +123,7 @@ struct BipSolveStats {
 ///
 /// Off by default. When disabled, the instrumentation cost is one relaxed
 /// atomic load per LP/BIP solve — nothing per simplex iteration — so the
-/// engines run at full speed (pinned by the overhead smoke test). When
+/// solver runs at full speed (pinned by the overhead smoke test). When
 /// enabled, records append under a mutex; capacity overflow drops the
 /// OLDEST records (ring semantics) and counts the drops.
 ///

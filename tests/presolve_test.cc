@@ -263,15 +263,15 @@ TEST(PresolveBasisTest, OptimalBasisRoundTripsIntoHotStart) {
   lp.AddRow(RowType::kLe, 8.0, {{x0, 2.0}, {x1, 1.0}});
 
   LpBasis basis;
-  LpResult first = lp.Solve({}, 0, 0.0, LpEngine::kSparse, nullptr, &basis);
+  LpResult first = lp.Solve({}, 0, 0.0, nullptr, &basis);
   ASSERT_EQ(first.status, LpStatus::kOptimal);
   ASSERT_FALSE(basis.empty());
   // One status per structural column plus one per inequality slack.
   EXPECT_EQ(basis.status.size(), 4u);
 
   lp.SetCost(x0, 5.0);
-  LpResult hot = lp.Solve({}, 0, 0.0, LpEngine::kSparse, &basis, nullptr);
-  LpResult cold = lp.Solve({}, 0, 0.0, LpEngine::kSparse, nullptr, nullptr);
+  LpResult hot = lp.Solve({}, 0, 0.0, &basis, nullptr);
+  LpResult cold = lp.Solve({}, 0, 0.0, nullptr, nullptr);
   ASSERT_EQ(hot.status, LpStatus::kOptimal);
   EXPECT_TRUE(hot.hot_started);
   EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
@@ -285,13 +285,13 @@ TEST(PresolveBasisTest, MalformedBasisIsRejectedNotTrusted) {
 
   LpBasis wrong_size;
   wrong_size.status = {2};  // too short for 2 structurals + 1 slack
-  LpResult r = lp.Solve({}, 0, 0.0, LpEngine::kSparse, &wrong_size, nullptr);
+  LpResult r = lp.Solve({}, 0, 0.0, &wrong_size, nullptr);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_FALSE(r.hot_started);
 
   LpBasis all_basic;
   all_basic.status = {2, 2, 2};  // basic count != row count: singular
-  LpResult r2 = lp.Solve({}, 0, 0.0, LpEngine::kSparse, &all_basic, nullptr);
+  LpResult r2 = lp.Solve({}, 0, 0.0, &all_basic, nullptr);
   ASSERT_EQ(r2.status, LpStatus::kOptimal);
   EXPECT_FALSE(r2.hot_started);
   EXPECT_NEAR(r.objective, r2.objective, 1e-9);

@@ -1,5 +1,5 @@
 // Additional solver behaviors: warm starts, budgets, deadlines, gaps, and
-// the sparse-vs-dense-vs-brute-force equivalence property.
+// the branch-and-bound-vs-brute-force equivalence property.
 
 #include <gtest/gtest.h>
 
@@ -125,12 +125,12 @@ TEST(SimplexStressTest, ManyDegenerateFlowRows) {
 
 // ===========================================================================
 // Property: on random all-binary instances with integer costs, branch and
-// bound over either simplex engine lands on exactly the brute-force
+// bound over the production simplex lands on exactly the brute-force
 // optimum. Integer costs over a 0/1 assignment sum exactly (both the
 // incumbent recompute and the reference accumulate in variable-index
-// order), so the comparison is bitwise — any drop-tolerance drift or
-// premature optimality claim in a simplex core turns into a hard failure
-// here, not a tolerance blur.
+// order), so the comparison is bitwise — any drift or premature
+// optimality claim in the simplex, its hot starts or its dual-simplex
+// repair turns into a hard failure here, not a tolerance blur.
 // ===========================================================================
 
 LpProblem MakeRandomBinaryProgram(Rng* rng) {
@@ -152,8 +152,8 @@ LpProblem MakeRandomBinaryProgram(Rng* rng) {
     if (coeffs.empty()) coeffs.emplace_back(0, 1.0);
     // Mostly ≤ rows with generous right-hand sides so a healthy majority
     // of instances stay feasible; the occasional = / ≥ row with a tight
-    // rhs still produces infeasible instances, a welcome outcome — both
-    // engines must agree on kInfeasible too.
+    // rhs still produces infeasible instances, a welcome outcome — the
+    // solver must agree with brute force on kInfeasible too.
     const double pick = rng->NextDouble();
     RowType type = RowType::kLe;
     double rhs = static_cast<double>(rng->UniformRange(0, 6));
@@ -169,7 +169,7 @@ LpProblem MakeRandomBinaryProgram(Rng* rng) {
   return lp;
 }
 
-TEST(SparseDensePropertyTest, BitwiseMatchesBruteForceOnBothEngines) {
+TEST(BipBruteForcePropertyTest, BitwiseMatchesBruteForce) {
   int feasible_seen = 0;
   int infeasible_seen = 0;
   for (int seed = 0; seed < 60; ++seed) {
@@ -182,25 +182,16 @@ TEST(SparseDensePropertyTest, BitwiseMatchesBruteForceOnBothEngines) {
     const ReferenceBipResult ref = ReferenceBipMinimize(lp);
     ref.feasible ? ++feasible_seen : ++infeasible_seen;
 
-    double engine_objective[2] = {0.0, 0.0};
-    for (LpEngine engine : {LpEngine::kSparse, LpEngine::kDense}) {
-      BipOptions options;
-      options.absolute_gap = 0.0;
-      options.relative_gap = 0.0;
-      options.lp_engine = engine;
-      const BipResult got = SolveBip(lp, binaries, options);
-      if (ref.feasible) {
-        ASSERT_EQ(got.status, BipStatus::kOptimal)
-            << "seed " << seed << " engine " << LpEngineName(engine);
-        EXPECT_EQ(got.objective, ref.objective)
-            << "seed " << seed << " engine " << LpEngineName(engine);
-      } else {
-        EXPECT_EQ(got.status, BipStatus::kInfeasible)
-            << "seed " << seed << " engine " << LpEngineName(engine);
-      }
-      engine_objective[engine == LpEngine::kDense] = got.objective;
+    BipOptions options;
+    options.absolute_gap = 0.0;
+    options.relative_gap = 0.0;
+    const BipResult got = SolveBip(lp, binaries, options);
+    if (ref.feasible) {
+      ASSERT_EQ(got.status, BipStatus::kOptimal) << "seed " << seed;
+      EXPECT_EQ(got.objective, ref.objective) << "seed " << seed;
+    } else {
+      EXPECT_EQ(got.status, BipStatus::kInfeasible) << "seed " << seed;
     }
-    EXPECT_EQ(engine_objective[0], engine_objective[1]) << "seed " << seed;
   }
   // The generator must exercise both outcomes or the property is vacuous.
   EXPECT_GT(feasible_seen, 10);
