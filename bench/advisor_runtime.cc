@@ -75,11 +75,13 @@ int Main(int argc, char** argv) {
       continue;
     }
     std::printf(
-        "%-10s total %6.2fs  (enum %.2fs, cost %.2fs, build %.2fs, solve "
-        "%.2fs, other %.2fs)  candidates=%zu schema=%zu bip=%dx%d nodes=%d\n",
+        "%-10s total %6.3fs  (enum %.3fs, cost %.3fs, build %.3fs, solve "
+        "%.3fs = cost-solve %.3fs + size-solve %.3fs, other %.3fs)  "
+        "candidates=%zu schema=%zu bip=%dx%d nodes=%d\n",
         mix, rec->timing.total_seconds, rec->timing.enumeration_seconds,
         rec->timing.cost_calculation_seconds,
         rec->timing.bip_construction_seconds, rec->timing.bip_solve_seconds,
+        rec->timing.cost_solve_seconds, rec->timing.size_solve_seconds,
         rec->timing.other_seconds, rec->num_candidates, rec->schema.size(),
         rec->bip_variables, rec->bip_constraints, rec->bb_nodes);
     json.Instance(mix)
@@ -91,6 +93,8 @@ int Main(int argc, char** argv) {
         .Metric("cost_seconds", rec->timing.cost_calculation_seconds)
         .Metric("build_seconds", rec->timing.bip_construction_seconds)
         .Metric("solve_seconds", rec->timing.bip_solve_seconds)
+        .Metric("cost_solve_seconds", rec->timing.cost_solve_seconds)
+        .Metric("size_solve_seconds", rec->timing.size_solve_seconds)
         .Metric("other_seconds", rec->timing.other_seconds)
         .Metric("total_seconds", rec->timing.total_seconds);
   }

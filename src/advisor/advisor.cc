@@ -240,6 +240,8 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
     rec.bb_nodes = opt.bb_nodes;
     rec.timing.cost_calculation_seconds = opt.timing.cost_calculation_seconds;
     rec.timing.bip_construction_seconds = opt.timing.bip_construction_seconds;
+    rec.timing.cost_solve_seconds = opt.timing.cost_solve_seconds;
+    rec.timing.size_solve_seconds = opt.timing.size_solve_seconds;
     rec.timing.bip_solve_seconds = opt.timing.bip_solve_seconds;
     rec.timing.other_seconds = opt.timing.other_seconds;
     if (options_.verify_invariants) {
@@ -398,6 +400,8 @@ StatusOr<Recommendation> Advisor::RecommendImpl(
   rec.bb_nodes = opt.bb_nodes;
   rec.timing.cost_calculation_seconds = opt.timing.cost_calculation_seconds;
   rec.timing.bip_construction_seconds = opt.timing.bip_construction_seconds;
+  rec.timing.cost_solve_seconds = opt.timing.cost_solve_seconds;
+  rec.timing.size_solve_seconds = opt.timing.size_solve_seconds;
   rec.timing.bip_solve_seconds = opt.timing.bip_solve_seconds;
   // Enumeration ran before this span started (Recommend times it; the
   // shared-pool path charges it to the group's first mix).

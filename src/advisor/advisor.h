@@ -48,6 +48,11 @@ struct AdvisorTiming {
   double enumeration_seconds = 0.0;  ///< counted under "other" in Fig. 13
   double cost_calculation_seconds = 0.0;
   double bip_construction_seconds = 0.0;
+  /// The two BIP stages (paper §V): minimum workload cost, then minimum
+  /// schema size at that cost (OptimizerTiming has the details).
+  double cost_solve_seconds = 0.0;
+  double size_solve_seconds = 0.0;
+  /// Exactly cost_solve_seconds + size_solve_seconds.
   double bip_solve_seconds = 0.0;
   double other_seconds = 0.0;
   double total_seconds = 0.0;

@@ -668,6 +668,8 @@ int RunCheck(std::map<std::string, std::string>& args,
     run_report.AddPhase("bip_construction",
                         rec->timing.bip_construction_seconds);
     run_report.AddPhase("bip_solve", rec->timing.bip_solve_seconds);
+    run_report.AddPhase("cost_solve", rec->timing.cost_solve_seconds);
+    run_report.AddPhase("size_solve", rec->timing.size_solve_seconds);
     run_report.AddPhase("total", rec->timing.total_seconds);
     char digest[256];
     std::snprintf(digest, sizeof(digest),
@@ -945,6 +947,8 @@ int main(int argc, char** argv) {
       timing.enumeration_seconds += rec.timing.enumeration_seconds;
       timing.cost_calculation_seconds += rec.timing.cost_calculation_seconds;
       timing.bip_construction_seconds += rec.timing.bip_construction_seconds;
+      timing.cost_solve_seconds += rec.timing.cost_solve_seconds;
+      timing.size_solve_seconds += rec.timing.size_solve_seconds;
       timing.bip_solve_seconds += rec.timing.bip_solve_seconds;
       timing.other_seconds += rec.timing.other_seconds;
       timing.total_seconds += rec.timing.total_seconds;
@@ -962,6 +966,8 @@ int main(int argc, char** argv) {
     run_report.AddPhase("cost_calculation", timing.cost_calculation_seconds);
     run_report.AddPhase("bip_construction", timing.bip_construction_seconds);
     run_report.AddPhase("bip_solve", timing.bip_solve_seconds);
+    run_report.AddPhase("cost_solve", timing.cost_solve_seconds);
+    run_report.AddPhase("size_solve", timing.size_solve_seconds);
     run_report.AddPhase("other", timing.other_seconds);
     run_report.AddPhase("total", timing.total_seconds);
     run_report.SetDigest(digest);

@@ -121,7 +121,8 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     const double budget = SolveBudgetSeconds(options_, total_watch);
     copt.time_limit_seconds = budget > 0.0 ? budget : 60.0;
     CombinatorialResult comb = SolveCombinatorial(input, copt);
-    result.timing.bip_solve_seconds = phase->StopSeconds();
+    result.timing.cost_solve_seconds = phase->StopSeconds();
+    result.timing.bip_solve_seconds = result.timing.cost_solve_seconds;
     if (!comb.feasible) {
       return Status::ResourceExhausted(
           "combinatorial solve found no schema within its budget");
@@ -284,6 +285,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
       }
     }
 
+    result.timing.cost_solve_seconds = phase->ElapsedSeconds();
     BipResult chosen = std::move(first);
     if (options_.minimize_schema_size) {
       // Pin the workload cost to the optimum, then minimize the number of
@@ -322,7 +324,10 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
         chosen = std::move(second);
       }
     }
-    result.timing.bip_solve_seconds = phase->StopSeconds();
+    result.timing.size_solve_seconds =
+        phase->StopSeconds() - result.timing.cost_solve_seconds;
+    result.timing.bip_solve_seconds =
+        result.timing.cost_solve_seconds + result.timing.size_solve_seconds;
 
     for (size_t c = 0; c < candidates.size(); ++c) {
       selected[c] = chosen.x[static_cast<size_t>(delta_vars[c])] > 0.5;

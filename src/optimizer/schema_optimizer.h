@@ -125,6 +125,12 @@ struct PlanSpaceCache {
 struct OptimizerTiming {
   double cost_calculation_seconds = 0.0;  ///< plan-space construction
   double bip_construction_seconds = 0.0;
+  /// The cost solve (stage 1, incl. the certificate's exact re-route) and
+  /// the schema-size solve at that cost (stage 2, paper §V; 0 when
+  /// disabled). The combinatorial path counts entirely as the cost solve.
+  double cost_solve_seconds = 0.0;
+  double size_solve_seconds = 0.0;
+  /// Exactly cost_solve_seconds + size_solve_seconds.
   double bip_solve_seconds = 0.0;
   double other_seconds = 0.0;
 };

@@ -109,6 +109,9 @@ constexpr int kBlandTrigger = 60;  // degenerate iterations before Bland's rule
 
 enum class VarStatus : uint8_t { kAtLower, kAtUpper, kBasic };
 
+/// Outcome of loading a hot-start basis (FactorizedSimplex::TryLoadBasis).
+enum class HotLoad { kFeasible, kInfeasible, kRejected };
+
 /// One equality row of the solver's working system in CSR form: the
 /// original row (equilibrated), then its slack, then — on a cold start —
 /// its artificial. Indices stay strictly increasing because slack and
@@ -136,8 +139,12 @@ struct CsrRow {
 /// bounded-variable dual simplex to repair the primal infeasibility a
 /// branch-and-bound bound change leaves behind (the parent basis stays
 /// dual feasible because only bounds changed), so a child node re-solves
-/// in a handful of pivots. Duals come from one BTRAN at the optimum and
-/// are available for hot-started solves too. One instance per Solve()
+/// in a handful of pivots. When the repair stalls on a row no column can
+/// fix, that row is checked as a Farkas certificate (an aggregate of the
+/// constraints that no point in the variable box satisfies) and, if it
+/// holds, the solve ends kInfeasible with no phase 1; an unchecked stall
+/// falls back to the cold start. Duals come from one BTRAN at the optimum
+/// and are available for hot-started solves too. One instance per Solve()
 /// call; not reused.
 class FactorizedSimplex {
  public:
@@ -181,6 +188,9 @@ class FactorizedSimplex {
   int ft_updates() const { return ft_updates_; }
   /// L+U nonzeros of the most recent base factorization.
   uint64_t FactorFill() const { return fact_.lu_entries(); }
+  /// True when Run returned kInfeasible from a hot start's Farkas check
+  /// rather than from a cold phase 1.
+  bool farkas_infeasible() const { return farkas_infeasible_; }
 
  private:
   int NumCols() const { return static_cast<int>(cost_.size()); }
@@ -308,17 +318,44 @@ class FactorizedSimplex {
 
   /// Loads a caller-provided basis: factorize, compute xb, and — when a
   /// bound change left basic variables outside their bounds — run the
-  /// dual-simplex repair. Returns false when the basis cannot be used
-  /// (wrong shape, singular, or repair gave up); the cold path then
-  /// rebuilds every piece of state from scratch.
-  bool TryLoadBasis(const LpBasis& basis, int* iterations_used);
+  /// dual-simplex repair. kFeasible: the basis is loaded and primal
+  /// feasible, phase 2 continues from it. kInfeasible: the repair proved
+  /// the LP infeasible (see DualRepair); Run returns that verdict without
+  /// a phase 1. kRejected: the basis cannot be used (wrong shape, singular,
+  /// or the repair gave up without a proof); the cold path then rebuilds
+  /// every piece of state from scratch and its phase 1 decides.
+  HotLoad TryLoadBasis(const LpBasis& basis, int* iterations_used);
 
   /// Bounded-variable dual simplex on the loaded basis: picks the most
   /// violated basic, prices its BTRAN row, and pivots by the dual ratio
-  /// test until primal feasible. Returns false to fall back to a cold
-  /// start (no eligible entering column — the cold phase 1 then delivers
-  /// the trusted infeasibility verdict — or an iteration/numerics cap).
-  bool DualRepair(int* iterations_used);
+  /// test until primal feasible (kFeasible). When the ratio test finds no
+  /// eligible entering column the dual is unbounded along the pivot row,
+  /// which suggests primal infeasibility; the verdict is returned as
+  /// kInfeasible only if PivotRowProvesInfeasible() confirms it. An
+  /// unconfirmed verdict, an iteration cap, the deadline, or a pivot the
+  /// FTRAN disagrees with all return kRejected for the cold fallback.
+  HotLoad DualRepair(int* iterations_used);
+
+  /// Farkas check on the pivot row the repair just priced: rho_ = e_rᵀB⁻¹
+  /// and rowvals_ = rho_ᵀA. Every x with Ax = b satisfies
+  /// rowvals_·x = rho_ᵀb, so the LP is infeasible when rho_ᵀb lies outside
+  /// [Σ min(a_j·l_j, a_j·u_j), Σ max(…)] over the column boxes by more
+  /// than kPhase1Tol·max(1, ‖rho_‖∞) — the most a point the cold phase 1
+  /// accepts can miss the aggregated row by — plus 1e-9 of the summed
+  /// term magnitudes for rounding in the sums. Slack columns use their
+  /// implied boxes (ImpliedBoxes) instead of [0, ∞): rounding-level
+  /// entries on unbounded slacks would otherwise make both ends infinite.
+  /// Any vector rho_ gives a valid aggregate, so the check is sound however
+  /// inexact the factorization is.
+  bool PivotRowProvesInfeasible() const;
+
+  /// Column boxes for the Farkas check: lb_/ub_, except that each slack's
+  /// [0, ∞) is tightened to the range its own row implies from the
+  /// structural boxes. Row i reads a_i·x + σ·s_i = b_i, so every exactly
+  /// feasible point has s_i = σ·(b_i − a_i·x) with a_i·x inside the row's
+  /// activity range.
+  void ImpliedBoxes(std::vector<double>* box_lb,
+                    std::vector<double>* box_ub) const;
 
   /// Runs primal simplex iterations until optimality/unboundedness/limit
   /// for the current phase. Returns the LP status for this phase.
@@ -350,6 +387,7 @@ class FactorizedSimplex {
   int degenerate_streak_ = 0;
   int refactorizations_ = 0;
   int ft_updates_ = 0;
+  bool farkas_infeasible_ = false;
   LpSolveStats* stats_ = nullptr;
 };
 
@@ -572,7 +610,7 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
   return LpStatus::kIterationLimit;
 }
 
-bool FactorizedSimplex::DualRepair(int* iterations_used) {
+HotLoad FactorizedSimplex::DualRepair(int* iterations_used) {
   const int m = NumRows();
   const int ncols = NumCols();
   // The repair runs before any artificials exist, so the phase-2 cost is
@@ -583,7 +621,7 @@ bool FactorizedSimplex::DualRepair(int* iterations_used) {
   for (int iter = 0; iter < limit; ++iter) {
     if (deadline_seconds_ > 0.0 && (iter & 31) == 0 &&
         watch_.ElapsedSeconds() > deadline_seconds_) {
-      return false;
+      return HotLoad::kRejected;
     }
     // --- Leaving variable: the most violated basic (lowest slot on tie).
     int leave_row = -1;
@@ -605,7 +643,7 @@ bool FactorizedSimplex::DualRepair(int* iterations_used) {
         to_upper = false;
       }
     }
-    if (leave_row < 0) return true;  // primal feasible
+    if (leave_row < 0) return HotLoad::kFeasible;
 
     const int leave_col = basis_[static_cast<size_t>(leave_row)];
     ComputePivotRow(leave_row);
@@ -639,10 +677,11 @@ bool FactorizedSimplex::DualRepair(int* iterations_used) {
       }
     }
     if (enter < 0) {
-      // Dual unbounded — the subproblem is primal infeasible. Fall back to
-      // the cold start for the trusted phase-1 verdict rather than
-      // declaring infeasibility off fresh repair code.
-      return false;
+      // Dual unbounded along this row — the subproblem looks primal
+      // infeasible. Report it only with a checked certificate; otherwise
+      // the cold phase 1 delivers the verdict.
+      return PivotRowProvesInfeasible() ? HotLoad::kInfeasible
+                                        : HotLoad::kRejected;
     }
 
     // --- Pivot. ---
@@ -655,7 +694,7 @@ bool FactorizedSimplex::DualRepair(int* iterations_used) {
     }
     fact_.Ftran(&alpha_);
     const double pivot = alpha_[static_cast<size_t>(leave_row)];
-    if (std::abs(pivot) <= kPivotTol) return false;  // numerics disagree
+    if (std::abs(pivot) <= kPivotTol) return HotLoad::kRejected;
 
     const double bound_k = to_upper ? ub_[static_cast<size_t>(leave_col)]
                                     : lb_[static_cast<size_t>(leave_col)];
@@ -685,14 +724,79 @@ bool FactorizedSimplex::DualRepair(int* iterations_used) {
     UpdateFactors(leave_row, alpha_, cost_);
     ++(*iterations_used);
   }
-  return false;  // repair did not converge; cold start decides
+  return HotLoad::kRejected;  // repair did not converge; cold start decides
 }
 
-bool FactorizedSimplex::TryLoadBasis(const LpBasis& basis,
-                                     int* iterations_used) {
+void FactorizedSimplex::ImpliedBoxes(std::vector<double>* box_lb,
+                                     std::vector<double>* box_ub) const {
+  *box_lb = lb_;
+  *box_ub = ub_;
+  for (int i = 0; i < NumRows(); ++i) {
+    const int slack = slack_col_[static_cast<size_t>(i)];
+    if (slack < 0) continue;
+    // On the hot path rows are unnegated and carry no artificial, so the
+    // slack is the last entry and every other entry is structural.
+    const CsrRow& row = rows_[static_cast<size_t>(i)];
+    assert(row.idx.back() == slack);
+    double act_lo = 0.0;
+    double act_hi = 0.0;
+    for (size_t k = 0; k + 1 < row.idx.size(); ++k) {
+      const double a = row.val[k];
+      if (a == 0.0) continue;
+      const double t1 = a * lb_[static_cast<size_t>(row.idx[k])];
+      const double t2 = a * ub_[static_cast<size_t>(row.idx[k])];
+      act_lo += std::min(t1, t2);
+      act_hi += std::max(t1, t2);
+    }
+    // σ·s = b − a·x, with σ = ±1.
+    const double b = rhs_[static_cast<size_t>(i)];
+    const double lo = row.val.back() > 0.0 ? b - act_hi : act_lo - b;
+    const double hi = row.val.back() > 0.0 ? b - act_lo : act_hi - b;
+    double& s_lb = (*box_lb)[static_cast<size_t>(slack)];
+    double& s_ub = (*box_ub)[static_cast<size_t>(slack)];
+    s_lb = std::max(s_lb, lo);
+    // A row the box cannot satisfy leaves hi below lo; the LP is then
+    // infeasible anyway, and an empty box would only invert terms.
+    s_ub = std::max(s_lb, std::min(s_ub, hi));
+  }
+}
+
+bool FactorizedSimplex::PivotRowProvesInfeasible() const {
+  std::vector<double> box_lb;
+  std::vector<double> box_ub;
+  ImpliedBoxes(&box_lb, &box_ub);
+  double rho_b = 0.0;
+  double magnitude = 0.0;
+  double rho_max = 0.0;
+  for (int i = 0; i < NumRows(); ++i) {
+    const double term =
+        rho_[static_cast<size_t>(i)] * rhs_[static_cast<size_t>(i)];
+    rho_b += term;
+    magnitude += std::abs(term);
+    rho_max = std::max(rho_max, std::abs(rho_[static_cast<size_t>(i)]));
+  }
+  double lo = 0.0;
+  double hi = 0.0;
+  for (int j = 0; j < NumCols(); ++j) {
+    const double a = rowvals_[static_cast<size_t>(j)];
+    if (a == 0.0) continue;
+    const double t1 = a * box_lb[static_cast<size_t>(j)];
+    const double t2 = a * box_ub[static_cast<size_t>(j)];
+    lo += std::min(t1, t2);
+    hi += std::max(t1, t2);
+    if (std::isfinite(t1)) magnitude += std::abs(t1);
+    if (std::isfinite(t2)) magnitude += std::abs(t2);
+  }
+  const double margin =
+      kPhase1Tol * std::max(1.0, rho_max) + 1e-9 * magnitude;
+  return rho_b > hi + margin || rho_b < lo - margin;
+}
+
+HotLoad FactorizedSimplex::TryLoadBasis(const LpBasis& basis,
+                                        int* iterations_used) {
   const int m = NumRows();
   const int ncols = NumCols();
-  if (static_cast<int>(basis.status.size()) != ncols) return false;
+  if (static_cast<int>(basis.status.size()) != ncols) return HotLoad::kRejected;
   std::vector<int> basic_cols;
   basic_cols.reserve(static_cast<size_t>(m));
   for (int j = 0; j < ncols; ++j) {
@@ -700,14 +804,18 @@ bool FactorizedSimplex::TryLoadBasis(const LpBasis& basis,
     if (st == static_cast<uint8_t>(VarStatus::kBasic)) {
       basic_cols.push_back(j);
     } else if (st == static_cast<uint8_t>(VarStatus::kAtLower)) {
-      if (lb_[static_cast<size_t>(j)] == -LpProblem::kInfinity) return false;
+      if (lb_[static_cast<size_t>(j)] == -LpProblem::kInfinity) {
+        return HotLoad::kRejected;
+      }
     } else if (st == static_cast<uint8_t>(VarStatus::kAtUpper)) {
-      if (ub_[static_cast<size_t>(j)] == LpProblem::kInfinity) return false;
+      if (ub_[static_cast<size_t>(j)] == LpProblem::kInfinity) {
+        return HotLoad::kRejected;
+      }
     } else {
-      return false;
+      return HotLoad::kRejected;
     }
   }
-  if (static_cast<int>(basic_cols.size()) != m) return false;
+  if (static_cast<int>(basic_cols.size()) != m) return HotLoad::kRejected;
 
   status_.assign(static_cast<size_t>(ncols), VarStatus::kAtLower);
   for (int j = 0; j < ncols; ++j) {
@@ -715,27 +823,26 @@ bool FactorizedSimplex::TryLoadBasis(const LpBasis& basis,
         static_cast<VarStatus>(basis.status[static_cast<size_t>(j)]);
   }
   basis_ = std::move(basic_cols);
-  if (!FactorizeBasis()) return false;  // singular under this basis
+  if (!FactorizeBasis()) return HotLoad::kRejected;  // singular here
   ComputeXb();
 
-  bool feasible = true;
+  HotLoad load = HotLoad::kFeasible;
   for (int i = 0; i < m; ++i) {
     const size_t k = static_cast<size_t>(basis_[static_cast<size_t>(i)]);
     const double v = xb_[static_cast<size_t>(i)];
     if (v < lb_[k] - kPhase1Tol || v > ub_[k] + kPhase1Tol) {
-      feasible = false;
+      load = DualRepair(iterations_used);
       break;
     }
   }
-  if (!feasible) feasible = DualRepair(iterations_used);
-  if (!feasible) return false;
+  if (load != HotLoad::kFeasible) return load;
 
   for (int i = 0; i < m; ++i) {
     const size_t k = static_cast<size_t>(basis_[static_cast<size_t>(i)]);
     xb_[static_cast<size_t>(i)] =
         std::min(std::max(xb_[static_cast<size_t>(i)], lb_[k]), ub_[k]);
   }
-  return true;
+  return HotLoad::kFeasible;
 }
 
 LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
@@ -751,13 +858,19 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
   first_artificial_ = NumCols();
   row_sign_.assign(static_cast<size_t>(m), 1.0);
   artificial_of_row_.assign(static_cast<size_t>(m), -1);
-  bool hot = false;
+  HotLoad load = HotLoad::kRejected;
   if (start_basis != nullptr && !start_basis->empty()) {
     BuildColumns();
-    hot = TryLoadBasis(*start_basis, &result.iterations);
+    load = TryLoadBasis(*start_basis, &result.iterations);
   }
+  const bool hot = load != HotLoad::kRejected;
   result.hot_started = hot;
   if (stats_ != nullptr && hot) stats_->fill_start = fact_.stored_entries();
+  if (load == HotLoad::kInfeasible) {
+    farkas_infeasible_ = true;
+    result.status = LpStatus::kInfeasible;
+    return result;
+  }
 
   if (!hot) {
     // Initial point: every column rests at a finite bound.
@@ -1406,6 +1519,11 @@ LpResult LpProblem::Solve(
           obs::MetricsRegistry::Global().GetCounter("solver.lp_hot_starts");
       hot_starts.Increment();
     }
+    if (simplex.farkas_infeasible()) {
+      static obs::Counter& farkas = obs::MetricsRegistry::Global().GetCounter(
+          "solver.lp_farkas_infeasible");
+      farkas.Increment();
+    }
   }
   if (logging) {
     stats.engine = "factorized";
@@ -1421,6 +1539,7 @@ LpResult LpProblem::Solve(
     stats.factor_fill = simplex.FactorFill();
     stats.hot_start_attempted = hot_start_attempted;
     stats.hot_started = result.hot_started;
+    stats.farkas = simplex.farkas_infeasible();
     stats.equilibration_cond =
         (equil_max > 0.0 && equil_min > 0.0) ? equil_max / equil_min : 1.0;
     stats.bip_id = SolveLog::ContextBipId();

@@ -22,7 +22,10 @@ struct LpResult {
   double objective = 0.0;
   std::vector<double> x;  ///< variable values at the optimum (if kOptimal)
   int iterations = 0;
-  bool hot_started = false;  ///< true if a starting basis was loaded
+  /// True if the starting basis was used: the solve continued from it, or
+  /// ended on the Farkas verdict of its dual repair (then kInfeasible).
+  /// False when there was none or it was rejected for the cold start.
+  bool hot_started = false;
   /// Dual value per original constraint row, filled only when the caller
   /// asked for duals (Solve's `duals` out-parameter) and the solve ended
   /// kOptimal. Recovered with one BTRAN against the optimal basis,
@@ -46,7 +49,10 @@ struct LpResult {
 /// repair: branch-and-bound children differ from their parent only in
 /// bounds, which keeps the parent basis dual feasible, so a short
 /// bounded-variable dual-simplex run drives the violated basics back
-/// inside their bounds in a handful of pivots.
+/// inside their bounds in a handful of pivots. When the repair stalls
+/// because the child is infeasible, the stalled row is checked as an
+/// infeasibility certificate; a checked one ends the solve kInfeasible
+/// without a cold phase 1, an unchecked one falls back to the cold start.
 struct LpBasis {
   std::vector<uint8_t> status;
 
@@ -144,9 +150,10 @@ class LpProblem {
   /// `start_basis` hot-starts the solve from a basis captured by an
   /// earlier solve of the same constraint rows; on a successful load
   /// phase 1 is skipped, and bound-change infeasibility is repaired with
-  /// dual simplex pivots. `final_basis` receives the optimal basis of this
-  /// solve, or is cleared when none is available (non-optimal exit or an
-  /// artificial still basic).
+  /// dual simplex pivots — or, when no pivot can repair it, proven
+  /// (counter `solver.lp_farkas_infeasible`). `final_basis` receives the
+  /// optimal basis of this solve, or is cleared when none is available
+  /// (non-optimal exit or an artificial still basic).
   ///
   /// `duals`, when non-null, receives one multiplier per constraint row at
   /// the optimum (see LpResult::duals); cleared when the solve was not

@@ -90,6 +90,8 @@ std::string RenderLp(const LpSolveStats& r, bool canonical) {
   AppendBool(&out, r.hot_start_attempted);
   out += ",\"hot_started\":";
   AppendBool(&out, r.hot_started);
+  out += ",\"farkas\":";
+  AppendBool(&out, r.farkas);
   if (!canonical) {
     out += ",\"ms\":";
     AppendNum(&out, r.solve_ms);
@@ -716,6 +718,7 @@ bool ParseSolveLogJsonl(const std::string& text, SolveLogData* out,
       r.equilibration_cond = value.Num("equil_cond", 1.0);
       r.hot_start_attempted = value.Bool("hot_attempted", false);
       r.hot_started = value.Bool("hot_started", false);
+      r.farkas = value.Bool("farkas", false);
       r.solve_ms = value.Num("ms", 0.0);
       const JsonValue* curve = value.Find("fill_curve");
       if (curve != nullptr && curve->kind == JsonValue::Kind::kArray) {
@@ -886,12 +889,23 @@ std::string ExplainSolveLog(const SolveLogData& data) {
     Appendf(&out, "\n");
     Appendf(&out,
             "nodes: %d explored, max depth %d, %llu incumbents; pruned: "
-            "%llu by bound + %llu by parent bound, %llu infeasible\n",
+            "%llu by bound + %llu by parent bound, %llu infeasible",
             b.nodes_explored, b.max_depth,
             static_cast<unsigned long long>(b.incumbents),
             static_cast<unsigned long long>(b.pruned_bound),
             static_cast<unsigned long long>(b.pruned_parent),
             static_cast<unsigned long long>(b.infeasible));
+    // Node verdicts proven from a hot start's pivot row; logs without the
+    // field (or without such verdicts) render as before.
+    uint64_t farkas = 0;
+    for (const LpSolveStats& r : data.lp) {
+      if (r.bip_id == b.id && r.farkas) ++farkas;
+    }
+    if (farkas > 0) {
+      Appendf(&out, " (%llu by Farkas proof)",
+              static_cast<unsigned long long>(farkas));
+    }
+    Appendf(&out, "\n");
     const char* root_hot = !b.root_hot_start_attempted ? "not attempted"
                            : b.root_hot_started        ? "hit"
                                                        : "miss";

@@ -59,7 +59,14 @@ struct LpSolveStats {
   double equilibration_cond = 1.0;
 
   bool hot_start_attempted = false;
+  /// The starting basis was used: the solve either continued from it
+  /// (dual repair, then phase 2) or ended on its Farkas verdict. Only a
+  /// rejected basis, which falls back to the cold crash start, is a miss.
   bool hot_started = false;
+  /// kInfeasible proven from the hot start's dual-repair pivot row (a
+  /// checked Farkas certificate) instead of by a cold phase 1. Logs
+  /// written before the check existed lack the field and read false.
+  bool farkas = false;
 
   double solve_ms = 0.0;  ///< wall clock; excluded from Fingerprint()
 

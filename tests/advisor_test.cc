@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "rubis/model.h"
+#include "rubis/workload.h"
 #include "tests/hotel_fixture.h"
 
 namespace nose {
@@ -213,6 +215,16 @@ TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {
   }
 }
 
+/// The solve time splits into the cost solve and the schema-size solve,
+/// and the split accounts for it exactly.
+void ExpectSolveSplit(const AdvisorTiming& timing, const std::string& mix) {
+  EXPECT_GE(timing.cost_solve_seconds, 0.0) << mix;
+  EXPECT_GE(timing.size_solve_seconds, 0.0) << mix;
+  EXPECT_EQ(timing.bip_solve_seconds,
+            timing.cost_solve_seconds + timing.size_solve_seconds)
+      << mix;
+}
+
 TEST(AdvisorTest, TimingBreakdownStaysNonNegative) {
   // Shared-pool advising hands later mixes cached plan spaces, which once
   // drove the residual "other" bucket (total minus attributed phases)
@@ -236,7 +248,20 @@ TEST(AdvisorTest, TimingBreakdownStaysNonNegative) {
     EXPECT_GE(rec.timing.bip_solve_seconds, 0.0) << mix;
     EXPECT_GE(rec.timing.other_seconds, 0.0) << mix;
     EXPECT_GE(rec.timing.total_seconds, 0.0) << mix;
+    ExpectSolveSplit(rec.timing, mix);
   }
+
+  // On RUBiS `default` the schema-size stage runs a real search (over a
+  // hundred nodes), so its share of the solve time is visible.
+  auto rubis_graph = rubis::MakeGraph();
+  ASSERT_TRUE(rubis_graph.ok()) << rubis_graph.status();
+  auto rubis_workload = rubis::MakeWorkload(**rubis_graph);
+  ASSERT_TRUE(rubis_workload.ok()) << rubis_workload.status();
+  auto rec = advisor.Recommend(**rubis_workload, rubis::kBiddingMix);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  ExpectSolveSplit(rec->timing, rubis::kBiddingMix);
+  EXPECT_GT(rec->timing.cost_solve_seconds, 0.0);
+  EXPECT_GT(rec->timing.size_solve_seconds, 0.0);
 }
 
 }  // namespace

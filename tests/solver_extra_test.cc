@@ -1,8 +1,13 @@
-// Additional solver behaviors: warm starts, budgets, deadlines, gaps, and
-// the branch-and-bound-vs-brute-force equivalence property.
+// Additional solver behaviors: warm starts, budgets, deadlines, gaps, the
+// branch-and-bound-vs-brute-force equivalence property, and infeasibility
+// verdicts proven from hot starts.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <tuple>
+
+#include "obs/metrics.h"
 #include "solver/bip.h"
 #include "solver/lp.h"
 #include "tests/reference_evaluator.h"
@@ -196,6 +201,171 @@ TEST(BipBruteForcePropertyTest, BitwiseMatchesBruteForce) {
   // The generator must exercise both outcomes or the property is vacuous.
   EXPECT_GT(feasible_seen, 10);
   EXPECT_GT(infeasible_seen, 5);
+}
+
+// ===========================================================================
+// Farkas verdicts from hot starts: when the dual repair of a hot-started
+// child finds no entering column, the solve reports kInfeasible only if the
+// repair's pivot row certifies it (lp.cc, PivotRowProvesInfeasible), and
+// otherwise re-solves cold. Both paths must agree with the reference
+// tableau on the fixed LP.
+// ===========================================================================
+
+/// Random LP shaped like the schema optimizer's BIPs: binary selection
+/// variables `d` gating continuous flows (x ≤ d), equality coverage rows
+/// over the flows, and one ≤ budget row over everything, as in the
+/// schema-size stage. Costs spread over twelve decades, like the
+/// optimizer's byte- and request-scale terms, so the equilibrated budget
+/// row mixes tiny and unit coefficients and pivot rows carry the
+/// rounding-level entries on unbounded slacks that the implied slack
+/// boxes exist for.
+LpProblem MakeRandomFlowProgram(Rng* rng, std::vector<int>* binaries) {
+  auto cost = [rng] {
+    return std::pow(10.0, -6.0 + 12.0 * rng->NextDouble());
+  };
+  LpProblem lp;
+  const int num_d = 10 + static_cast<int>(rng->Uniform(20));
+  const int num_cover = 4 + static_cast<int>(rng->Uniform(10));
+  for (int k = 0; k < num_d; ++k) {
+    binaries->push_back(lp.AddVariable(0.0, 1.0, cost()));
+  }
+  std::vector<std::pair<int, double>> budget;
+  for (int d : *binaries) budget.emplace_back(d, lp.cost(d));
+  for (int c = 0; c < num_cover; ++c) {
+    std::vector<std::pair<int, double>> cover;
+    for (int d : *binaries) {
+      if (!rng->Chance(0.4)) continue;
+      const double x_cost = cost();
+      const int x = lp.AddVariable(0.0, 1.0, x_cost);
+      lp.AddRow(RowType::kLe, 0.0, {{x, 1.0}, {d, -1.0}});
+      cover.emplace_back(x, 1.0);
+      budget.emplace_back(x, x_cost);
+    }
+    if (cover.empty()) continue;
+    lp.AddRow(RowType::kEq, 1.0, std::move(cover));
+  }
+  double total = 0.0;
+  for (const auto& [var, c] : budget) total += c;
+  lp.AddRow(RowType::kLe, total * (0.05 + 0.3 * rng->NextDouble()),
+            std::move(budget));
+  return lp;
+}
+
+uint64_t FarkasVerdicts() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("solver.lp_farkas_infeasible")
+      .value();
+}
+
+TEST(FarkasHotStartPropertyTest, StatusMatchesReferenceUnderRandomFixings) {
+  const uint64_t farkas_before = FarkasVerdicts();
+  int hot_solves = 0;
+  int infeasible_seen = 0;
+  for (int seed = 0; seed < 48; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 7919 + 11);
+    std::vector<int> binaries;
+    const LpProblem lp = MakeRandomFlowProgram(&rng, &binaries);
+    LpBasis root_basis;
+    const LpResult root = lp.Solve({}, 0, 0.0, nullptr, &root_basis);
+    if (root.status != LpStatus::kOptimal || root_basis.empty()) continue;
+    for (int trial = 0; trial < 12; ++trial) {
+      // Fix a random subset of the binaries, as a branch-and-bound node
+      // several levels down would.
+      const uint64_t n = binaries.size();
+      const int count = 1 + static_cast<int>(rng.Uniform(n / 2 + 1));
+      std::vector<std::tuple<int, double, double>> fixings;
+      LpProblem fixed = lp;
+      for (int k = 0; k < count; ++k) {
+        const int var = binaries[rng.Uniform(n)];
+        const double value = rng.Chance(0.5) ? 1.0 : 0.0;
+        fixings.emplace_back(var, value, value);
+        fixed.SetBounds(var, value, value);  // a repeated var: last one wins
+      }
+      const LpResult reference = ReferenceLpSolve(fixed);
+      const LpResult hot = lp.Solve(fixings, 0, 0.0, &root_basis);
+      ++hot_solves;
+      ASSERT_EQ(hot.status, reference.status)
+          << "seed " << seed << " trial " << trial;
+      if (reference.status == LpStatus::kInfeasible) ++infeasible_seen;
+      if (reference.status == LpStatus::kOptimal) {
+        const double scale = 1.0 + std::fabs(reference.objective);
+        EXPECT_NEAR(hot.objective, reference.objective, 1e-7 * scale)
+            << "seed " << seed << " trial " << trial;
+      }
+    }
+  }
+  EXPECT_GE(hot_solves, 500);
+  EXPECT_GE(infeasible_seen, 50);
+  // The certificate path must carry the verdicts (55 of 55 here); a check
+  // that proves nothing would pass the status comparison vacuously, and
+  // one without the implied slack boxes proves only 43.
+  EXPECT_GE(FarkasVerdicts() - farkas_before, 50u);
+}
+
+TEST(FarkasHotStartTest, CertificateNeedsImpliedSlackBox) {
+  // min b − z  s.t.  R0: y − 1e-10·z − b = 0.5   (y, z in [0, 1])
+  //                  R1: z ≤ 0.5                   (slack s1 ≥ 0)
+  // The optimum has y and z basic and b at 0. Fixing b = 1 pushes y to
+  // 1.5 + 5e-11, above its bound. The repair's pivot row for y reads
+  // y − b + 1e-10·s1 = 0.5 + 5e-11: the only column that could pull y
+  // back is s1, with a pivot too small to take, so the repair stops.
+  // With s1 in [0, ∞) the row bounds nothing; with the box R1 implies,
+  // s1 = 0.5 − z in [0, 0.5], it proves y ≥ 1.5.
+  LpProblem lp;
+  const int y = lp.AddVariable(0.0, 1.0, 0.0);
+  const int z = lp.AddVariable(0.0, 1.0, -1.0);
+  const int b = lp.AddVariable(0.0, 1.0, 1.0);
+  lp.AddRow(RowType::kEq, 0.5, {{y, 1.0}, {z, -1e-10}, {b, -1.0}});
+  lp.AddRow(RowType::kLe, 0.5, {{z, 1.0}});
+  LpBasis basis;
+  const LpResult root = lp.Solve({}, 0, 0.0, nullptr, &basis);
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  ASSERT_FALSE(basis.empty());
+  ASSERT_EQ(basis.status[static_cast<size_t>(y)], 2);  // basic
+  ASSERT_EQ(basis.status[static_cast<size_t>(z)], 2);
+
+  LpProblem fixed = lp;
+  fixed.SetBounds(b, 1.0, 1.0);
+  ASSERT_EQ(ReferenceLpSolve(fixed).status, LpStatus::kInfeasible);
+
+  const uint64_t farkas_before = FarkasVerdicts();
+  const LpResult child = lp.Solve({{b, 1.0, 1.0}}, 0, 0.0, &basis);
+  EXPECT_EQ(child.status, LpStatus::kInfeasible);
+  EXPECT_TRUE(child.hot_started);
+  EXPECT_EQ(FarkasVerdicts() - farkas_before, 1u);
+}
+
+TEST(FarkasHotStartTest, TightAggregateIsLeftToColdPhase1) {
+  // min b − z  s.t.  R0: y − 1e-10·z − b = 0   (y in [0, 1], z ≥ 0)
+  //                  R1: z ≤ 1e5               (slack s1 ≥ 0)
+  // The optimum has z = 1e5 and y = 1e-5 basic, b at 0. Fixing b = 1
+  // pushes y to 1 + 1e-5; the repair stops on the same too-small pivot
+  // as above. But the LP is feasible (z = 0, y = 1): the aggregated row
+  // y − b + 1e-10·s1 = 1e-5 reaches the top of its range exactly, inside
+  // the margin, so no proof is claimed and the cold phase 1 decides.
+  LpProblem lp;
+  const int y = lp.AddVariable(0.0, 1.0, 0.0);
+  const int z = lp.AddVariable(0.0, LpProblem::kInfinity, -1.0);
+  const int b = lp.AddVariable(0.0, 1.0, 1.0);
+  lp.AddRow(RowType::kEq, 0.0, {{y, 1.0}, {z, -1e-10}, {b, -1.0}});
+  lp.AddRow(RowType::kLe, 1e5, {{z, 1.0}});
+  LpBasis basis;
+  const LpResult root = lp.Solve({}, 0, 0.0, nullptr, &basis);
+  ASSERT_EQ(root.status, LpStatus::kOptimal);
+  ASSERT_EQ(basis.status[static_cast<size_t>(y)], 2);  // basic
+  ASSERT_EQ(basis.status[static_cast<size_t>(z)], 2);
+
+  LpProblem fixed = lp;
+  fixed.SetBounds(b, 1.0, 1.0);
+  const LpResult reference = ReferenceLpSolve(fixed);
+  ASSERT_EQ(reference.status, LpStatus::kOptimal);
+
+  const uint64_t farkas_before = FarkasVerdicts();
+  const LpResult child = lp.Solve({{b, 1.0, 1.0}}, 0, 0.0, &basis);
+  ASSERT_EQ(child.status, LpStatus::kOptimal);
+  EXPECT_NEAR(child.objective, reference.objective, 1e-7);
+  EXPECT_FALSE(child.hot_started);  // the basis was rejected, not used
+  EXPECT_EQ(FarkasVerdicts(), farkas_before);
 }
 
 }  // namespace
