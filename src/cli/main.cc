@@ -2,36 +2,40 @@
 // being used — point it at a conceptual model and a workload, get back a
 // schema and per-statement implementation plans.
 //
-//   nose advise --model hotel.model --workload hotel.workload
-//        [--mix NAME] [--space-limit-mb N] [--format text|cql]
-//        [--strategy auto|bip|comb] [--solve-budget SECONDS] [--verify]
-//        [--threads N] [--trace FILE] [--metrics FILE]
-//   nose check  --model hotel.model --workload hotel.workload
-//        [--mix NAME] [--certificate FILE] [--solve-budget SECONDS]
-//        [--threads N]
-//   nose check  --verify-certificate FILE
-//   nose lint   --model hotel.model --workload hotel.workload
+//   nose advise  --model FILE --workload FILE [--mix NAME | --all-mixes]
+//   nose check   --model FILE --workload FILE [--mix NAME] [--certificate F]
+//   nose check   --verify-certificate FILE
+//   nose lint    --model FILE --workload FILE
+//   nose evolve  --scenario FILE [--horizon]
+//   nose serve   --scenario FILE [--threads N] [--rate TPS] ...
+//   nose explain SOLVE_LOG
 //
-// File formats: the entity-graph DSL (see ParseModel) and the ';'-separated
-// workload statement language (see ParseWorkload).
+// advise, check, evolve and serve share one telemetry block (--trace,
+// --metrics, --metrics-format, --solve-log, --report-json; see Telemetry).
+// `nose` with no arguments prints every option. File formats: the
+// entity-graph DSL (see ParseModel), the ';'-separated workload statement
+// language (see ParseWorkload) and drift scenarios (see LoadScenarioFile).
 
 #include <algorithm>
+#include <cerrno>
+#include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "advisor/advisor.h"
 #include "analysis/certify.h"
 #include "analysis/invariants.h"
 #include "analysis/lint.h"
 #include "evolve/driver.h"
-#include "solver/certificate.h"
 #include "evolve/scenario.h"
 #include "export/cql.h"
 #include "obs/metrics.h"
@@ -40,125 +44,121 @@
 #include "parser/model_parser.h"
 #include "parser/workload_parser.h"
 #include "serve/serve.h"
+#include "solver/certificate.h"
 #include "solver/solve_log.h"
 
 namespace {
 
+constexpr const char* kUsage = R"(usage:
+  nose advise  --model FILE --workload FILE [options]
+  nose check   --model FILE --workload FILE [options]
+  nose check   --verify-certificate FILE
+  nose lint    --model FILE --workload FILE
+  nose evolve  --scenario FILE [options]
+  nose serve   --scenario FILE [options]
+  nose explain SOLVE_LOG
+common options (advise, check, evolve, serve):
+  --trace FILE          write a Chrome trace_event JSON timeline
+                        (chrome://tracing / Perfetto; env NOSE_TRACE
+                        is the fallback when the flag is absent)
+  --metrics FILE        write a snapshot of pipeline counters
+  --metrics-format FMT  json (default) or prom (OpenMetrics text)
+  --solve-log FILE      record per-LP and branch-and-bound telemetry
+                        and write it as JSONL (inspect with
+                        'nose explain FILE')
+  --report-json FILE    write a machine-readable run report (phase
+                        timings, digest, solver summary, metrics)
+options (advise, check):
+  --mix NAME            workload mix (default: 'default')
+  --solve-budget SECS   time budget for the solver
+  --threads N           worker threads for the advisor pipeline
+                        (default: hardware cores; same recommendation
+                        at any value)
+options (advise):
+  --all-mixes           advise every mix, sharing the candidate pool
+                        and plan spaces across mixes with the same
+                        statement set (same output as per-mix runs)
+  --space-limit-mb N    storage budget in megabytes
+  --format text|cql     output format (default text)
+  --strategy auto|bip|comb  candidate-selection solver
+  --verify              audit the recommendation against the
+                        workload invariants before printing
+options (check):
+  --certificate FILE    write the solve certificate for an
+                        independent re-verification
+  --verify-certificate FILE  re-verify a written certificate in exact
+                        arithmetic (no model/workload needed)
+options (evolve):
+  --scenario FILE       drift scenario (see workloads/rubis_drift.scenario)
+  --horizon             plan the whole horizon up front (multi-period
+                        BIP; migrate at planned phase boundaries instead
+                        of on drift triggers; same as 'mode planned')
+options (serve):
+  --scenario FILE       drift scenario to replay concurrently
+  --threads N           driver worker threads (default 4)
+  --streams N           fixed logical client streams (default 8; final
+                        store content is identical at any thread count
+                        for a given stream count)
+  --rate TPS            target aggregate transactions/second
+                        (default 0: unpaced)
+  --stripes N           store hash stripes per column family
+  --migration-threads N backfill workers for live migrations
+  --advise-deadline SECS  anytime budget for each boundary
+                        re-advise (0 = unbudgeted)
+)";
+
 int Usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  nose advise --model FILE --workload FILE [options]\n"
-               "  nose check  --model FILE --workload FILE [options]\n"
-               "  nose check  --verify-certificate FILE\n"
-               "  nose lint   --model FILE --workload FILE\n"
-               "  nose evolve --scenario FILE [--horizon] [--report FILE]\n"
-               "  nose serve  --scenario FILE [--threads N] [--rate TPS]\n"
-               "  nose explain SOLVE_LOG\n"
-               "common options (advise, check, evolve):\n"
-               "  --solve-log FILE      record per-LP and branch-and-bound\n"
-               "                        telemetry and write it as JSONL "
-               "(inspect\n"
-               "                        with 'nose explain FILE')\n"
-               "  --report-json FILE    write a machine-readable run report\n"
-               "                        (phase timings, solver stats, metrics\n"
-               "                        snapshot, recommendation digest)\n"
-               "  --metrics-format FMT  json (default) or prom (OpenMetrics "
-               "text)\n"
-               "                        for the --metrics snapshot\n"
-               "options (check):\n"
-               "  --mix NAME            workload mix to check "
-               "(default: 'default')\n"
-               "  --certificate FILE    write the solve certificate for an\n"
-               "                        independent re-verification\n"
-               "  --verify-certificate FILE  re-verify a written certificate "
-               "in exact\n"
-               "                        arithmetic (no model/workload needed)\n"
-               "  --solve-budget SECS   time budget for the solver\n"
-               "  --threads N           worker threads for the advisor "
-               "pipeline\n"
-               "options (evolve):\n"
-               "  --scenario FILE       drift scenario (see "
-               "workloads/rubis_drift.scenario)\n"
-               "  --horizon             plan the whole horizon up front "
-               "(multi-period\n"
-               "                        BIP; migrate at planned phase "
-               "boundaries instead\n"
-               "                        of on drift triggers; same as "
-               "'mode planned')\n"
-               "  --report FILE         write a JSON migration report\n"
-               "options (serve):\n"
-               "  --scenario FILE       drift scenario to replay concurrently\n"
-               "  --threads N           driver worker threads (default 4)\n"
-               "  --streams N           fixed logical client streams "
-               "(default 8;\n"
-               "                        final store content is identical at "
-               "any\n"
-               "                        thread count for a given stream "
-               "count)\n"
-               "  --rate TPS            target aggregate transactions/second\n"
-               "                        (default: unpaced)\n"
-               "  --stripes N           store hash stripes per column family\n"
-               "  --migration-threads N backfill workers for live migrations\n"
-               "  --advise-deadline SECS  anytime budget for each boundary\n"
-               "                        re-advise (0 = unbudgeted)\n"
-               "options (advise):\n"
-               "  --mix NAME            workload mix to advise for "
-               "(default: 'default')\n"
-               "  --all-mixes           advise every mix, sharing the "
-               "candidate pool\n"
-               "                        and plan spaces across mixes with "
-               "the same\n"
-               "                        statement set (same output as "
-               "per-mix runs)\n"
-               "  --space-limit-mb N    storage budget in megabytes\n"
-               "  --format text|cql     output format (default text)\n"
-               "  --strategy auto|bip|comb  candidate-selection solver\n"
-               "  --solve-budget SECS   time budget for the solver\n"
-               "  --threads N           worker threads for the advisor "
-               "pipeline\n"
-               "                        (default: hardware cores; same "
-               "recommendation\n"
-               "                        at any value)\n"
-               "  --verify              audit the recommendation against the\n"
-               "                        workload invariants before printing\n"
-               "  --trace FILE          write a Chrome trace_event JSON "
-               "timeline\n"
-               "                        (chrome://tracing / Perfetto; env "
-               "NOSE_TRACE\n"
-               "                        is the fallback when the flag is "
-               "absent)\n"
-               "  --metrics FILE        write a JSON snapshot of pipeline "
-               "counters\n");
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
-nose::StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return nose::Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using Args = std::map<std::string, std::string>;
 
-/// Parses "--flag value" / bare boolean "--flag" argument lists against the
-/// command's allowed flag sets. Rejects unknown flags and value flags with
-/// a missing value instead of silently dropping them.
-bool ParseArgs(int argc, char** argv, int start,
-               const std::set<std::string>& value_flags,
-               const std::set<std::string>& bool_flags,
-               std::map<std::string, std::string>* args) {
-  for (int i = start; i < argc; ++i) {
+/// The flags one command accepts. Every command but lint also takes the
+/// telemetry block's flags.
+struct CommandFlags {
+  std::set<std::string> values;
+  std::set<std::string> bools;
+  bool telemetry = true;
+};
+
+const std::set<std::string> kTelemetryFlags = {
+    "--trace", "--metrics", "--metrics-format", "--solve-log", "--report-json"};
+
+const std::map<std::string, CommandFlags> kCommands = {
+    {"advise",
+     {{"--model", "--workload", "--mix", "--space-limit-mb", "--format",
+       "--strategy", "--solve-budget", "--threads"},
+      {"--verify", "--all-mixes"}}},
+    {"check",
+     {{"--model", "--workload", "--mix", "--certificate",
+       "--verify-certificate", "--solve-budget", "--threads"},
+      {}}},
+    {"lint", {{"--model", "--workload"}, {}, false}},
+    {"evolve", {{"--scenario"}, {"--horizon"}}},
+    {"serve",
+     {{"--scenario", "--threads", "--streams", "--stripes",
+       "--migration-threads", "--rate", "--advise-deadline"},
+      {}}},
+};
+
+/// Parses "--flag value" / bare boolean "--flag" argument lists against
+/// the command's flags. Rejects unknown flags and value flags with a
+/// missing value instead of silently dropping them.
+bool ParseArgs(int argc, char** argv, const CommandFlags& flags, Args* args) {
+  for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag.rfind("--", 0) != 0) {
       std::fprintf(stderr, "error: expected a --flag, got '%s'\n",
                    flag.c_str());
       return false;
     }
-    if (bool_flags.count(flag) > 0) {
+    if (flags.bools.count(flag) > 0) {
       (*args)[flag] = "true";
       continue;
     }
-    if (value_flags.count(flag) == 0) {
+    if (flags.values.count(flag) == 0 &&
+        !(flags.telemetry && kTelemetryFlags.count(flag) > 0)) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", flag.c_str());
       return false;
     }
@@ -171,150 +171,238 @@ bool ParseArgs(int argc, char** argv, int start,
   return true;
 }
 
-/// Parses a strictly positive double flag value; nullopt-style failure
-/// reports through the return code.
-bool ParsePositiveDouble(const std::string& flag, const std::string& text,
-                         double* out) {
-  try {
-    size_t used = 0;
-    *out = std::stod(text, &used);
-    if (used != text.size() || !(*out > 0.0)) throw std::invalid_argument(text);
-  } catch (...) {
-    std::fprintf(stderr, "error: flag '%s' needs a positive number, got '%s'\n",
-                 flag.c_str(), text.c_str());
-    return false;
-  }
-  return true;
+/// The value of `flag`, or `fallback` when it is absent.
+std::string Flag(const Args& args, const std::string& flag,
+                 const std::string& fallback = "") {
+  const auto it = args.find(flag);
+  return it == args.end() ? fallback : it->second;
 }
 
-/// Validates --metrics-format (defaulting to "json" when absent).
-bool MetricsFormat(std::map<std::string, std::string>& args,
-                   std::string* format) {
-  *format = args.count("--metrics-format") > 0 ? args["--metrics-format"]
-                                               : "json";
-  if (*format != "json" && *format != "prom") {
-    std::fprintf(stderr, "error: unknown metrics format '%s' (json|prom)\n",
-                 format->c_str());
-    return false;
-  }
-  return true;
-}
+enum class Num { kPositive, kNonNegative, kCount };
 
-/// Writes the metrics snapshot in the requested format.
-bool WriteMetricsSnapshot(const std::string& path, const std::string& format) {
-  std::string error;
-  const bool ok =
-      format == "prom"
-          ? nose::obs::MetricsRegistry::Global().WriteOpenMetrics(path, &error)
-          : nose::obs::MetricsRegistry::Global().WriteJson(path, &error);
+/// Counts beyond this are typos, not configurations (the error line below
+/// names the bound).
+constexpr double kMaxCount = 65536;
+
+/// The one numeric-flag parser. Leaves *out alone when `flag` is absent;
+/// otherwise the whole value must be a finite number that is > 0
+/// (kPositive), >= 0 (kNonNegative), or an integer in [1, kMaxCount]
+/// (kCount). A bad value prints an "error: flag ..." line and returns
+/// false.
+bool NumberFlag(const Args& args, const std::string& flag, Num kind,
+                double* out) {
+  const auto it = args.find(flag);
+  if (it == args.end()) return true;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  bool ok = !text.empty() && end == text.c_str() + text.size() &&
+            errno == 0 && std::isfinite(value);
+  ok = ok && (kind == Num::kNonNegative ? value >= 0.0 : value > 0.0);
+  if (kind == Num::kCount) {
+    ok = ok && value == std::floor(value) && value <= kMaxCount;
+  }
   if (!ok) {
-    std::fprintf(stderr, "error: cannot write metrics: %s\n", error.c_str());
+    static const char* const kWant[] = {"a positive number", "a number >= 0",
+                                        "an integer in [1, 65536]"};
+    std::fprintf(stderr, "error: flag '%s' needs %s, got '%s'\n",
+                 flag.c_str(), kWant[static_cast<int>(kind)], text.c_str());
     return false;
   }
-  std::fprintf(stderr, "wrote metrics to %s\n", path.c_str());
+  *out = value;
   return true;
 }
 
-/// Exports the solver telemetry JSONL when --solve-log was given (the log
-/// itself was enabled before the run).
-bool WriteSolveLogIfRequested(std::map<std::string, std::string>& args) {
-  if (args.count("--solve-log") == 0) return true;
-  std::string error;
-  if (!nose::SolveLog::Global().WriteJsonl(args["--solve-log"], &error)) {
-    std::fprintf(stderr, "error: cannot write solve log: %s\n", error.c_str());
-    return false;
-  }
-  std::fprintf(stderr, "wrote solve log to %s\n", args["--solve-log"].c_str());
+bool CountFlag(const Args& args, const std::string& flag, size_t* out) {
+  double value = static_cast<double>(*out);
+  if (!NumberFlag(args, flag, Num::kCount, &value)) return false;
+  *out = static_cast<size_t>(value);
   return true;
 }
 
-/// Writes the evolve report as JSON (hand-rolled like the metrics export;
-/// all fields are counts or finite doubles). In planned mode the report
-/// carries the horizon schedule's objectives next to the realized store
-/// cost so the planned-vs-reactive comparison reads straight off the file.
-bool WriteEvolveReport(const std::string& path,
-                       nose::evolve::DriftRunner& runner) {
-  const nose::evolve::EvolveReport& report = runner.report();
-  const nose::HorizonPlan* plan = runner.horizon_plan();
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "{\n"
-      << "  \"mode\": \"" << (plan != nullptr ? "planned" : "reactive")
-      << "\",\n"
-      << "  \"transactions\": " << report.transactions << ",\n"
-      << "  \"statements\": " << report.statements << ",\n"
-      << "  \"re_advises_incremental\": " << report.re_advises_incremental
-      << ",\n"
-      << "  \"re_advises_cold\": " << report.re_advises_cold << ",\n"
-      << "  \"no_op_readvises\": " << report.no_op_readvises << ",\n"
-      << "  \"last_drift\": " << report.last_drift << ",\n"
-      << "  \"invariant_violations\": " << report.invariant_violations << ",\n"
-      << "  \"realized_store_ms\": "
-      << runner.controller().store()->stats().simulated_ms << ",\n"
-      << "  \"forecast_residual\": "
-      << runner.controller().tracker().forecast_residual() << ",\n";
-  if (plan != nullptr) {
-    out << "  \"planned_execution_objective\": " << plan->execution_objective
-        << ",\n"
-        << "  \"planned_migration_objective\": " << plan->migration_objective
-        << ",\n"
-        << "  \"planned_total_objective\": " << plan->total_objective << ",\n"
-        << "  \"planned_windows\": " << plan->windows.size() << ",\n"
-        << "  \"planned_transitions\": [";
-    for (size_t i = 0; i < plan->transitions.size(); ++i) {
-      const nose::HorizonTransition& t = plan->transitions[i];
-      out << (i > 0 ? ", " : "") << "{\"at_window\": " << t.at_window
-          << ", \"builds\": " << t.builds.size()
-          << ", \"drops\": " << t.drops.size()
-          << ", \"build_cost_ms\": " << t.build_cost_ms << "}";
+/// Reports one telemetry write on stderr; returns `ok`.
+bool Reported(bool ok, const char* what, const std::string& path,
+              const std::string& error) {
+  if (ok) {
+    std::fprintf(stderr, "wrote %s to %s\n", what, path.c_str());
+  } else {
+    std::fprintf(stderr, "error: cannot write %s: %s\n", what, error.c_str());
+  }
+  return ok;
+}
+
+/// The telemetry block every run command shares: --trace (env NOSE_TRACE
+/// is the fallback), --metrics, --metrics-format, --solve-log and
+/// --report-json. Start() before the run turns recording on; Finish()
+/// after it writes every requested file, the run report last.
+class Telemetry {
+ public:
+  /// False (after an error line) on an unknown --metrics-format.
+  bool Parse(const Args& args) {
+    const char* env_trace = std::getenv("NOSE_TRACE");
+    trace_path_ = Flag(args, "--trace", env_trace != nullptr ? env_trace : "");
+    metrics_path_ = Flag(args, "--metrics");
+    metrics_format_ = Flag(args, "--metrics-format", "json");
+    solve_log_path_ = Flag(args, "--solve-log");
+    report_path_ = Flag(args, "--report-json");
+    if (metrics_format_ != "json" && metrics_format_ != "prom") {
+      std::fprintf(stderr, "error: unknown metrics format '%s' (json|prom)\n",
+                   metrics_format_.c_str());
+      return false;
     }
-    out << "],\n";
+    return true;
   }
-  out << "  \"migrations\": [\n";
-  for (size_t i = 0; i < report.migrations.size(); ++i) {
-    const nose::evolve::MigrationRecord& m = report.migrations[i];
-    out << "    {\"started_at\": " << m.started_at_transaction
-        << ", \"finished_at\": " << m.finished_at_transaction
-        << ", \"builds\": " << m.builds << ", \"keeps\": " << m.keeps
-        << ", \"drops\": " << m.drops
-        << ", \"rows_backfilled\": " << m.rows_backfilled
-        << ", \"catchup_updates\": " << m.catchup_updates
-        << ", \"dual_writes\": " << m.dual_writes
-        << ", \"verify_queries\": " << m.verify_queries
-        << ", \"verify_mismatches\": " << m.verify_mismatches
-        << ", \"est_build_cost_ms\": " << m.est_build_cost_ms
-        << ", \"actual_ms\": " << m.actual_ms
-        << ", \"advise_incremental\": "
-        << (m.advise_incremental ? "true" : "false")
-        << ", \"advise_seconds\": " << m.advise_seconds
-        << ", \"drift_at_trigger\": " << m.drift_at_trigger
-        << ", \"planned\": " << (m.planned ? "true" : "false")
-        << ", \"to_window\": " << m.to_window
-        << ", \"aborted\": " << (m.aborted ? "true" : "false") << "}"
-        << (i + 1 < report.migrations.size() ? "," : "") << "\n";
+
+  void Start() const {
+    if (!trace_path_.empty()) {
+      nose::obs::TraceRecorder::Global().Enable();
+      nose::obs::TraceRecorder::EnableCrashFlush(trace_path_);
+      nose::obs::SetCurrentThreadName("main");
+    }
+    if (!solve_log_path_.empty()) nose::SolveLog::Global().Enable();
   }
-  out << "  ]\n}\n";
-  return static_cast<bool>(out);
+
+  /// Call once the run's worker pools are gone, so every trace buffer is
+  /// quiescent. `report` gets the solver summary and the metrics snapshot
+  /// as its last sections. False (after an error line) on a failed write.
+  bool Finish(nose::obs::RunReport* report) const {
+    std::string error;
+    if (!trace_path_.empty()) {
+      nose::obs::TraceRecorder& trace = nose::obs::TraceRecorder::Global();
+      trace.Disable();
+      if (!Reported(trace.WriteChromeJson(trace_path_, &error), "trace",
+                    trace_path_, error)) {
+        return false;
+      }
+    }
+    nose::obs::MetricsRegistry& metrics = nose::obs::MetricsRegistry::Global();
+    if (!metrics_path_.empty() &&
+        !Reported(metrics_format_ == "prom"
+                      ? metrics.WriteOpenMetrics(metrics_path_, &error)
+                      : metrics.WriteJson(metrics_path_, &error),
+                  "metrics", metrics_path_, error)) {
+      return false;
+    }
+    if (!solve_log_path_.empty() &&
+        !Reported(nose::SolveLog::Global().WriteJsonl(solve_log_path_, &error),
+                  "solve log", solve_log_path_, error)) {
+      return false;
+    }
+    if (report_path_.empty()) return true;
+    report->AddSection("solver", nose::SolveLog::Global().SummaryJson());
+    report->AddSection("metrics", metrics.ToJson());
+    return Reported(report->WriteJson(report_path_, &error), "report",
+                    report_path_, error);
+  }
+
+ private:
+  std::string trace_path_;
+  std::string metrics_path_;
+  std::string metrics_format_;
+  std::string solve_log_path_;
+  std::string report_path_;
+};
+
+nose::StatusOr<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return nose::Status::NotFound("cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
-int RunEvolve(std::map<std::string, std::string>& args) {
-  if (args.count("--scenario") == 0) return Usage();
-  std::string metrics_format;
-  if (!MetricsFormat(args, &metrics_format)) return Usage();
-  std::string trace_path;
-  if (args.count("--trace") > 0) {
-    trace_path = args["--trace"];
-  } else if (const char* env = std::getenv("NOSE_TRACE")) {
-    trace_path = env;
+/// The advisor flags advise and check share: --threads, --solve-budget,
+/// and --mix, which must name one of the workload's mixes. Returns 0, or
+/// the exit code to stop with.
+int AdvisorFlags(const Args& args, const nose::Workload& workload,
+                 nose::AdvisorOptions* options, std::string* mix) {
+  if (!CountFlag(args, "--threads", &options->num_threads) ||
+      !NumberFlag(args, "--solve-budget", Num::kPositive,
+                  &options->optimizer.bip.time_limit_seconds)) {
+    return Usage();
   }
-  if (!trace_path.empty()) {
-    nose::obs::TraceRecorder::Global().Enable();
-    nose::obs::TraceRecorder::EnableCrashFlush(trace_path);
-    nose::obs::SetCurrentThreadName("main");
+  *mix = Flag(args, "--mix", nose::Workload::kDefaultMix);
+  const std::vector<std::string> mixes = workload.MixNames();
+  if (args.count("--all-mixes") > 0 ||
+      std::find(mixes.begin(), mixes.end(), *mix) != mixes.end()) {
+    return 0;
   }
-  if (args.count("--solve-log") > 0) nose::SolveLog::Global().Enable();
+  std::fprintf(stderr, "error: workload has no mix '%s'; available:",
+               mix->c_str());
+  for (const std::string& m : mixes) std::fprintf(stderr, " %s", m.c_str());
+  std::fprintf(stderr, "\n");
+  return 1;
+}
 
-  auto scenario = nose::evolve::LoadScenarioFile(args["--scenario"]);
+/// The advisor's phase timings, summed over `timings`.
+void AddAdvisorPhases(nose::obs::RunReport* report,
+                      const std::vector<nose::AdvisorTiming>& timings) {
+  using T = nose::AdvisorTiming;
+  static const std::pair<const char*, double T::*> kPhases[] = {
+      {"enumeration", &T::enumeration_seconds},
+      {"cost_calculation", &T::cost_calculation_seconds},
+      {"bip_construction", &T::bip_construction_seconds},
+      {"bip_solve", &T::bip_solve_seconds},
+      {"cost_solve", &T::cost_solve_seconds},
+      {"size_solve", &T::size_solve_seconds},
+      {"other", &T::other_seconds},
+      {"total", &T::total_seconds}};
+  for (const auto& [name, field] : kPhases) {
+    double seconds = 0.0;
+    for (const T& timing : timings) seconds += timing.*field;
+    report->AddPhase(name, seconds);
+  }
+}
+
+/// Evolve's migrations as a JSON array, one object per migration.
+std::string MigrationRecordsJson(
+    const std::vector<nose::evolve::MigrationRecord>& migrations) {
+  std::string out = "[";
+  for (const nose::evolve::MigrationRecord& m : migrations) {
+    char buf[768];
+    std::snprintf(
+        buf, sizeof(buf),
+        "%s{\"started_at\":%zu,\"finished_at\":%zu,\"builds\":%zu,"
+        "\"keeps\":%zu,\"drops\":%zu,\"rows_backfilled\":%" PRIu64
+        ",\"catchup_updates\":%" PRIu64 ",\"dual_writes\":%" PRIu64
+        ",\"verify_queries\":%" PRIu64 ",\"verify_mismatches\":%" PRIu64
+        ",\"est_build_cost_ms\":%.9g,\"actual_ms\":%.9g,"
+        "\"advise_incremental\":%s,\"advise_seconds\":%.9g,"
+        "\"drift_at_trigger\":%.9g,\"planned\":%s,\"to_window\":%zu,"
+        "\"aborted\":%s}",
+        out.size() > 1 ? "," : "", m.started_at_transaction,
+        m.finished_at_transaction, m.builds, m.keeps, m.drops,
+        m.rows_backfilled, m.catchup_updates, m.dual_writes, m.verify_queries,
+        m.verify_mismatches, m.est_build_cost_ms, m.actual_ms,
+        m.advise_incremental ? "true" : "false", m.advise_seconds,
+        m.drift_at_trigger, m.planned ? "true" : "false", m.to_window,
+        m.aborted ? "true" : "false");
+    out += buf;
+  }
+  return out + "]";
+}
+
+/// The horizon schedule's transitions as a JSON array.
+std::string TransitionsJson(
+    const std::vector<nose::HorizonTransition>& transitions) {
+  std::string out = "[";
+  for (const nose::HorizonTransition& t : transitions) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"at_window\":%zu,\"builds\":%zu,\"drops\":%zu,"
+                  "\"build_cost_ms\":%.9g}",
+                  out.size() > 1 ? "," : "", t.at_window, t.builds.size(),
+                  t.drops.size(), t.build_cost_ms);
+    out += buf;
+  }
+  return out + "]";
+}
+
+int RunEvolve(const Args& args, const Telemetry& telemetry) {
+  if (args.count("--scenario") == 0) return Usage();
+  telemetry.Start();
+  auto scenario = nose::evolve::LoadScenarioFile(args.at("--scenario"));
   if (!scenario.ok()) {
     std::cerr << "scenario error: " << scenario.status() << "\n";
     return 1;
@@ -327,77 +415,51 @@ int RunEvolve(std::map<std::string, std::string>& args) {
   }
   nose::Status run = (*runner)->Run();
   const nose::evolve::EvolveReport& report = (*runner)->report();
-  if ((*runner)->horizon_plan() != nullptr) {
-    // The planned schedule first: which boundaries the optimizer chose to
-    // migrate at, and what it expects that to cost.
-    std::cout << (*runner)->horizon_plan()->ToString();
-  }
+  const nose::HorizonPlan* plan = (*runner)->horizon_plan();
+  // The planned schedule first: which boundaries the optimizer chose to
+  // migrate at, and what it expects that to cost.
+  if (plan != nullptr) std::cout << plan->ToString();
   std::cout << report.ToString();
   if (!run.ok()) {
     std::cerr << "evolve error: " << run << "\n";
   }
 
-  if (!trace_path.empty()) {
-    nose::obs::TraceRecorder::Global().Disable();
-    std::string error;
-    if (!nose::obs::TraceRecorder::Global().WriteChromeJson(trace_path,
-                                                            &error)) {
-      std::fprintf(stderr, "error: cannot write trace: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote trace to %s\n", trace_path.c_str());
+  nose::obs::RunReport run_report("evolve");
+  run_report.AddString("scenario", args.at("--scenario"));
+  run_report.AddString("mode", plan != nullptr ? "planned" : "reactive");
+  run_report.AddNumber("transactions", report.transactions);
+  run_report.AddNumber("statements", report.statements);
+  run_report.AddNumber("re_advises_incremental",
+                       report.re_advises_incremental);
+  run_report.AddNumber("re_advises_cold", report.re_advises_cold);
+  run_report.AddNumber("no_op_readvises", report.no_op_readvises);
+  run_report.AddNumber("last_drift", report.last_drift);
+  run_report.AddNumber("migrations", report.migrations.size());
+  run_report.AddNumber("invariant_violations", report.invariant_violations);
+  // The tracker's one-step-ahead forecast error: the re-planning trigger
+  // signal, surfaced here so planned-mode runs can be judged on it.
+  run_report.AddNumber("forecast_residual",
+                       (*runner)->controller().tracker().forecast_residual());
+  run_report.AddNumber("realized_store_ms",
+                       (*runner)->controller().store()->stats().simulated_ms);
+  if (plan != nullptr) {
+    run_report.AddNumber("planned_execution_objective",
+                         plan->execution_objective);
+    run_report.AddNumber("planned_migration_objective",
+                         plan->migration_objective);
+    run_report.AddNumber("planned_total_objective", plan->total_objective);
+    run_report.AddNumber("planned_windows", plan->windows.size());
   }
-  if (args.count("--metrics") > 0 &&
-      !WriteMetricsSnapshot(args["--metrics"], metrics_format)) {
-    return 1;
+  double advise_seconds = 0.0;
+  for (const auto& m : report.migrations) advise_seconds += m.advise_seconds;
+  run_report.AddPhase("advise", advise_seconds);
+  run_report.AddSection("migration_records",
+                        MigrationRecordsJson(report.migrations));
+  if (plan != nullptr) {
+    run_report.AddSection("planned_transitions",
+                          TransitionsJson(plan->transitions));
   }
-  if (!WriteSolveLogIfRequested(args)) return 1;
-  if (args.count("--report") > 0) {
-    if (!WriteEvolveReport(args["--report"], **runner)) {
-      std::fprintf(stderr, "error: cannot write report to %s\n",
-                   args["--report"].c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote report to %s\n", args["--report"].c_str());
-  }
-  if (args.count("--report-json") > 0) {
-    nose::obs::RunReport run_report("evolve");
-    run_report.AddString("scenario", args["--scenario"]);
-    run_report.AddString("mode",
-                         (*runner)->horizon_plan() != nullptr ? "planned"
-                                                              : "reactive");
-    run_report.AddNumber("transactions",
-                         static_cast<double>(report.transactions));
-    run_report.AddNumber("statements", static_cast<double>(report.statements));
-    run_report.AddNumber(
-        "re_advises_incremental",
-        static_cast<double>(report.re_advises_incremental));
-    run_report.AddNumber("re_advises_cold",
-                         static_cast<double>(report.re_advises_cold));
-    run_report.AddNumber("migrations",
-                         static_cast<double>(report.migrations.size()));
-    run_report.AddNumber("invariant_violations",
-                         static_cast<double>(report.invariant_violations));
-    // The tracker's one-step-ahead forecast error: the re-planning trigger
-    // signal, surfaced here so planned-mode runs can be judged on it.
-    run_report.AddNumber(
-        "forecast_residual",
-        (*runner)->controller().tracker().forecast_residual());
-    run_report.AddNumber(
-        "realized_store_ms",
-        (*runner)->controller().store()->stats().simulated_ms);
-    double advise_seconds = 0.0;
-    for (const auto& m : report.migrations) advise_seconds += m.advise_seconds;
-    run_report.AddPhase("advise", advise_seconds);
-    run_report.SetSolverSummary(nose::SolveLog::Global().SummaryJson());
-    run_report.SetMetrics(nose::obs::MetricsRegistry::Global().ToJson());
-    std::string error;
-    if (!run_report.WriteJson(args["--report-json"], &error)) {
-      std::fprintf(stderr, "error: cannot write report: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote report to %s\n", args["--report-json"].c_str());
-  }
+  if (!telemetry.Finish(&run_report)) return 1;
 
   size_t mismatches = 0, aborted = 0;
   for (const auto& m : report.migrations) {
@@ -415,49 +477,24 @@ int RunEvolve(std::map<std::string, std::string>& args) {
   return 0;
 }
 
-int RunServe(std::map<std::string, std::string>& args) {
+int RunServe(const Args& args, const Telemetry& telemetry) {
   if (args.count("--scenario") == 0) return Usage();
-  std::string metrics_format;
-  if (!MetricsFormat(args, &metrics_format)) return Usage();
-  std::string trace_path;
-  if (args.count("--trace") > 0) {
-    trace_path = args["--trace"];
-  } else if (const char* env = std::getenv("NOSE_TRACE")) {
-    trace_path = env;
+  nose::serve::ServeOptions options;
+  if (!CountFlag(args, "--threads", &options.threads) ||
+      !CountFlag(args, "--streams", &options.streams) ||
+      !CountFlag(args, "--stripes", &options.store_stripes) ||
+      !CountFlag(args, "--migration-threads", &options.migration_threads) ||
+      !NumberFlag(args, "--rate", Num::kNonNegative, &options.target_rate) ||
+      !NumberFlag(args, "--advise-deadline", Num::kNonNegative,
+                  &options.advise_deadline_seconds)) {
+    return Usage();
   }
-  if (!trace_path.empty()) {
-    nose::obs::TraceRecorder::Global().Enable();
-    nose::obs::TraceRecorder::EnableCrashFlush(trace_path);
-    nose::obs::SetCurrentThreadName("main");
-  }
-  if (args.count("--solve-log") > 0) nose::SolveLog::Global().Enable();
-
-  auto scenario = nose::evolve::LoadScenarioFile(args["--scenario"]);
+  telemetry.Start();
+  auto scenario = nose::evolve::LoadScenarioFile(args.at("--scenario"));
   if (!scenario.ok()) {
     std::cerr << "scenario error: " << scenario.status() << "\n";
     return 1;
   }
-  nose::serve::ServeOptions options;
-  if (args.count("--threads") > 0) {
-    options.threads = static_cast<size_t>(std::stoul(args["--threads"]));
-  }
-  if (args.count("--streams") > 0) {
-    options.streams = static_cast<size_t>(std::stoul(args["--streams"]));
-  }
-  if (args.count("--stripes") > 0) {
-    options.store_stripes = static_cast<size_t>(std::stoul(args["--stripes"]));
-  }
-  if (args.count("--migration-threads") > 0) {
-    options.migration_threads =
-        static_cast<size_t>(std::stoul(args["--migration-threads"]));
-  }
-  if (args.count("--rate") > 0) {
-    options.target_rate = std::stod(args["--rate"]);
-  }
-  if (args.count("--advise-deadline") > 0) {
-    options.advise_deadline_seconds = std::stod(args["--advise-deadline"]);
-  }
-
   auto harness = nose::serve::ServeHarness::Create(*scenario, options);
   if (!harness.ok()) {
     std::cerr << "serve error: " << harness.status() << "\n";
@@ -470,71 +507,43 @@ int RunServe(std::map<std::string, std::string>& args) {
     std::cerr << "serve error: " << run << "\n";
   }
 
-  if (!trace_path.empty()) {
-    nose::obs::TraceRecorder::Global().Disable();
-    std::string error;
-    if (!nose::obs::TraceRecorder::Global().WriteChromeJson(trace_path,
-                                                            &error)) {
-      std::fprintf(stderr, "error: cannot write trace: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote trace to %s\n", trace_path.c_str());
+  nose::obs::RunReport run_report("serve");
+  run_report.AddString("scenario", args.at("--scenario"));
+  run_report.AddNumber("threads", report.threads);
+  run_report.AddNumber("streams", report.streams);
+  run_report.AddNumber("transactions", report.transactions);
+  run_report.AddNumber("statements", report.statements);
+  run_report.AddNumber("migrations", report.migrations.size());
+  run_report.AddNumber("p50_before_ms", report.before.p50_ms);
+  run_report.AddNumber("p95_before_ms", report.before.p95_ms);
+  run_report.AddNumber("p99_before_ms", report.before.p99_ms);
+  run_report.AddNumber("p50_during_ms", report.during.p50_ms);
+  run_report.AddNumber("p95_during_ms", report.during.p95_ms);
+  run_report.AddNumber("p99_during_ms", report.during.p99_ms);
+  run_report.AddNumber("p50_after_ms", report.after.p50_ms);
+  run_report.AddNumber("p95_after_ms", report.after.p95_ms);
+  run_report.AddNumber("p99_after_ms", report.after.p99_ms);
+  size_t deadline_misses = 0;
+  for (const auto& a : report.advises) {
+    if (!a.deadline_hit) ++deadline_misses;
   }
-  if (args.count("--metrics") > 0 &&
-      !WriteMetricsSnapshot(args["--metrics"], metrics_format)) {
-    return 1;
+  run_report.AddNumber("advises", report.advises.size());
+  run_report.AddNumber("advise_deadline_misses", deadline_misses);
+  uint64_t rows_dropped = 0, retries = 0;
+  double wall = 0.0;
+  for (const auto& m : report.migrations) {
+    rows_dropped += m.rows_dropped;
+    retries += m.verify_retries;
+    wall += m.wall_seconds;
   }
-  if (!WriteSolveLogIfRequested(args)) return 1;
-  if (args.count("--report-json") > 0) {
-    nose::obs::RunReport run_report("serve");
-    run_report.AddString("scenario", args["--scenario"]);
-    run_report.AddNumber("threads", static_cast<double>(report.threads));
-    run_report.AddNumber("streams", static_cast<double>(report.streams));
-    run_report.AddNumber("transactions",
-                         static_cast<double>(report.transactions));
-    run_report.AddNumber("statements", static_cast<double>(report.statements));
-    run_report.AddNumber("migrations",
-                         static_cast<double>(report.migrations.size()));
-    run_report.AddNumber("p50_before_ms", report.before.p50_ms);
-    run_report.AddNumber("p95_before_ms", report.before.p95_ms);
-    run_report.AddNumber("p99_before_ms", report.before.p99_ms);
-    run_report.AddNumber("p50_during_ms", report.during.p50_ms);
-    run_report.AddNumber("p95_during_ms", report.during.p95_ms);
-    run_report.AddNumber("p99_during_ms", report.during.p99_ms);
-    run_report.AddNumber("p50_after_ms", report.after.p50_ms);
-    run_report.AddNumber("p95_after_ms", report.after.p95_ms);
-    run_report.AddNumber("p99_after_ms", report.after.p99_ms);
-    size_t deadline_misses = 0;
-    for (const auto& a : report.advises) {
-      if (!a.deadline_hit) ++deadline_misses;
-    }
-    run_report.AddNumber("advises", static_cast<double>(report.advises.size()));
-    run_report.AddNumber("advise_deadline_misses",
-                         static_cast<double>(deadline_misses));
-    uint64_t rows_dropped = 0, retries = 0;
-    double wall = 0.0;
-    for (const auto& m : report.migrations) {
-      rows_dropped += m.rows_dropped;
-      retries += m.verify_retries;
-      wall += m.wall_seconds;
-    }
-    run_report.AddNumber("migration_rows_dropped",
-                         static_cast<double>(rows_dropped));
-    run_report.AddNumber("migration_verify_retries",
-                         static_cast<double>(retries));
-    run_report.AddPhase("migrate", wall);
-    run_report.AddNumber("realized_store_ms", report.store.simulated_ms);
-    run_report.SetDigest("{\"store_digest\":\"" +
-                         std::to_string(report.store_digest) + "\"}");
-    run_report.SetSolverSummary(nose::SolveLog::Global().SummaryJson());
-    run_report.SetMetrics(nose::obs::MetricsRegistry::Global().ToJson());
-    std::string error;
-    if (!run_report.WriteJson(args["--report-json"], &error)) {
-      std::fprintf(stderr, "error: cannot write report: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote report to %s\n", args["--report-json"].c_str());
-  }
+  run_report.AddNumber("migration_rows_dropped", rows_dropped);
+  run_report.AddNumber("migration_verify_retries", retries);
+  run_report.AddPhase("migrate", wall);
+  run_report.AddNumber("realized_store_ms", report.store.simulated_ms);
+  run_report.AddSection("digest", "{\"store_digest\":\"" +
+                                      std::to_string(report.store_digest) +
+                                      "\"}");
+  if (!telemetry.Finish(&run_report)) return 1;
   return run.ok() ? 0 : 1;
 }
 
@@ -578,7 +587,7 @@ int VerifyCertificateFile(const std::string& path) {
 /// the NOSE-S anti-pattern analyses, and verifies the certificate with
 /// exact arithmetic. Exit 1 on any error-severity finding or an unverified
 /// certificate.
-int RunCheck(std::map<std::string, std::string>& args,
+int RunCheck(const Args& args, const Telemetry& telemetry,
              const nose::Workload& workload,
              std::vector<nose::Diagnostic> diags) {
   nose::AdvisorOptions options;
@@ -587,34 +596,12 @@ int RunCheck(std::map<std::string, std::string>& args,
   options.optimizer.strategy = nose::SolveStrategy::kBip;
   options.analyze_antipatterns = true;
   options.verify_invariants = false;  // audited below without aborting
-  if (args.count("--solve-budget") > 0) {
-    double secs = 0.0;
-    if (!ParsePositiveDouble("--solve-budget", args["--solve-budget"],
-                             &secs)) {
-      return Usage();
-    }
-    options.optimizer.bip.time_limit_seconds = secs;
-  }
-  if (args.count("--threads") > 0) {
-    double n = 0.0;
-    if (!ParsePositiveDouble("--threads", args["--threads"], &n) ||
-        n != static_cast<size_t>(n)) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return Usage();
-    }
-    options.num_threads = static_cast<size_t>(n);
-  }
-  const std::string mix = args.count("--mix") > 0
-                              ? args["--mix"]
-                              : std::string(nose::Workload::kDefaultMix);
-  const std::vector<std::string> mixes = workload.MixNames();
-  if (std::find(mixes.begin(), mixes.end(), mix) == mixes.end()) {
-    std::fprintf(stderr, "error: workload has no mix '%s'\n", mix.c_str());
-    return 1;
-  }
+  std::string mix;
+  if (const int rc = AdvisorFlags(args, workload, &options, &mix)) return rc;
 
+  telemetry.Start();
   nose::SolveCertificate cert;
-  cert.instance = args["--workload"] + ":" + mix;
+  cert.instance = args.at("--workload") + ":" + mix;
   options.optimizer.capture_certificate = &cert;
   nose::Advisor advisor(options);
   auto rec = advisor.Recommend(workload, mix);
@@ -637,58 +624,137 @@ int RunCheck(std::map<std::string, std::string>& args,
   nose::CertificateReport report = nose::CheckCertificate(cert);
   PrintCertificateReport(cert.instance, report);
   if (args.count("--certificate") > 0) {
-    nose::Status written = nose::WriteCertificate(cert, args["--certificate"]);
+    nose::Status written =
+        nose::WriteCertificate(cert, args.at("--certificate"));
     if (!written.ok()) {
       std::cerr << "certificate error: " << written << "\n";
       return 1;
     }
     std::fprintf(stderr, "wrote certificate to %s\n",
-                 args["--certificate"].c_str());
+                 args.at("--certificate").c_str());
   }
 
   const size_t errors = nose::CountSeverity(diags, nose::Severity::kError);
+  const size_t warnings = nose::CountSeverity(diags, nose::Severity::kWarning);
   std::printf(
       "check %s: %zu error(s), %zu warning(s), %zu note(s); schema %zu "
       "column families, cost %.6g\n",
-      cert.instance.c_str(), errors,
-      nose::CountSeverity(diags, nose::Severity::kWarning),
+      cert.instance.c_str(), errors, warnings,
       nose::CountSeverity(diags, nose::Severity::kNote), rec->schema.size(),
       rec->objective);
-  if (args.count("--report-json") > 0) {
-    nose::obs::RunReport run_report("check");
-    run_report.AddString("instance", cert.instance);
-    run_report.AddNumber("errors", static_cast<double>(errors));
-    run_report.AddNumber(
-        "warnings",
-        static_cast<double>(
-            nose::CountSeverity(diags, nose::Severity::kWarning)));
-    run_report.AddPhase("enumeration", rec->timing.enumeration_seconds);
-    run_report.AddPhase("cost_calculation",
-                        rec->timing.cost_calculation_seconds);
-    run_report.AddPhase("bip_construction",
-                        rec->timing.bip_construction_seconds);
-    run_report.AddPhase("bip_solve", rec->timing.bip_solve_seconds);
-    run_report.AddPhase("cost_solve", rec->timing.cost_solve_seconds);
-    run_report.AddPhase("size_solve", rec->timing.size_solve_seconds);
-    run_report.AddPhase("total", rec->timing.total_seconds);
-    char digest[256];
-    std::snprintf(digest, sizeof(digest),
-                  "{\"objective\":%.9g,\"column_families\":%zu,"
-                  "\"certificate_verified\":%s,\"certified_gap\":%.9g}",
-                  rec->objective, rec->schema.size(),
-                  report.verified ? "true" : "false",
-                  report.bound_available ? report.certified_gap : 0.0);
-    run_report.SetDigest(digest);
-    run_report.SetSolverSummary(nose::SolveLog::Global().SummaryJson());
-    run_report.SetMetrics(nose::obs::MetricsRegistry::Global().ToJson());
-    std::string error;
-    if (!run_report.WriteJson(args["--report-json"], &error)) {
-      std::fprintf(stderr, "error: cannot write report: %s\n", error.c_str());
+
+  nose::obs::RunReport run_report("check");
+  run_report.AddString("instance", cert.instance);
+  run_report.AddNumber("errors", errors);
+  run_report.AddNumber("warnings", warnings);
+  AddAdvisorPhases(&run_report, {rec->timing});
+  char digest[256];
+  std::snprintf(digest, sizeof(digest),
+                "{\"objective\":%.9g,\"column_families\":%zu,"
+                "\"certificate_verified\":%s,\"certified_gap\":%.9g}",
+                rec->objective, rec->schema.size(),
+                report.verified ? "true" : "false",
+                report.bound_available ? report.certified_gap : 0.0);
+  run_report.AddSection("digest", digest);
+  if (!telemetry.Finish(&run_report)) return 1;
+  return (errors > 0 || !report.verified) ? 1 : 0;
+}
+
+int RunAdvise(const Args& args, const Telemetry& telemetry,
+              const nose::Workload& workload) {
+  nose::AdvisorOptions options;
+  double space_limit_mb = 0.0;
+  if (!NumberFlag(args, "--space-limit-mb", Num::kPositive, &space_limit_mb)) {
+    return Usage();
+  }
+  if (args.count("--space-limit-mb") > 0) {
+    options.optimizer.space_limit_bytes = space_limit_mb * 1e6;
+  }
+  const std::string strategy = Flag(args, "--strategy", "auto");
+  if (strategy == "bip") {
+    options.optimizer.strategy = nose::SolveStrategy::kBip;
+  } else if (strategy == "comb") {
+    options.optimizer.strategy = nose::SolveStrategy::kCombinatorial;
+  } else if (strategy != "auto") {
+    std::fprintf(stderr, "error: unknown strategy '%s'\n", strategy.c_str());
+    return Usage();
+  }
+  const std::string format = Flag(args, "--format", "text");
+  if (format != "text" && format != "cql") {
+    std::fprintf(stderr, "error: unknown format '%s'\n", format.c_str());
+    return Usage();
+  }
+  if (args.count("--verify") > 0) options.verify_invariants = true;
+  const bool all_mixes = args.count("--all-mixes") > 0;
+  if (all_mixes && args.count("--mix") > 0) {
+    std::fprintf(stderr, "error: --mix and --all-mixes are exclusive\n");
+    return Usage();
+  }
+  std::string mix;
+  if (const int rc = AdvisorFlags(args, workload, &options, &mix)) return rc;
+
+  telemetry.Start();
+  nose::Advisor advisor(options);
+  std::vector<std::pair<std::string, nose::Recommendation>> results;
+  if (all_mixes) {
+    auto recs = advisor.AdviseAllMixes(workload);
+    if (!recs.ok()) {
+      std::cerr << "advisor error: " << recs.status() << "\n";
       return 1;
     }
-    std::fprintf(stderr, "wrote report to %s\n", args["--report-json"].c_str());
+    results = std::move(*recs);
+  } else {
+    auto rec = advisor.Recommend(workload, mix);
+    if (!rec.ok()) {
+      std::cerr << "advisor error: " << rec.status() << "\n";
+      return 1;
+    }
+    results.emplace_back(mix, std::move(*rec));
   }
-  return (errors > 0 || !report.verified) ? 1 : 0;
+
+  nose::obs::RunReport run_report("advise");
+  run_report.AddString("model", args.at("--model"));
+  run_report.AddString("workload", args.at("--workload"));
+  std::vector<nose::AdvisorTiming> timings;
+  std::string digest = "[";
+  for (const auto& [rec_mix, rec] : results) {
+    timings.push_back(rec.timing);
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"mix\":\"%s\",\"column_families\":%zu,"
+                  "\"objective\":%.9g,\"candidates\":%zu,"
+                  "\"solve_proven\":%s}",
+                  digest.size() > 1 ? "," : "", rec_mix.c_str(),
+                  rec.schema.size(), rec.objective, rec.num_candidates,
+                  rec.solve_proven ? "true" : "false");
+    digest += buf;
+  }
+  AddAdvisorPhases(&run_report, timings);
+  run_report.AddSection("digest", digest + "]");
+  // The advisor's pool is destroyed inside Recommend, so every worker has
+  // drained and the trace buffers are quiescent — safe to export.
+  if (!telemetry.Finish(&run_report)) return 1;
+
+  for (const auto& [rec_mix, rec] : results) {
+    if (results.size() > 1) {
+      std::cout << "##### mix: " << rec_mix << " #####\n";
+    }
+    if (format == "cql") {
+      std::cout << nose::RecommendationToCql(rec);
+    } else {
+      std::cout << rec.ToString();
+    }
+    // Advisor findings (e.g. NOSE-W006) go to stderr so text/cql output
+    // stays machine-consumable.
+    std::cerr << nose::FormatDiagnostics(rec.diagnostics);
+    std::fprintf(stderr,
+                 "advised '%s' in %.2fs: %zu candidates -> %zu column "
+                 "families (workload cost %.4f%s)\n",
+                 rec_mix.c_str(), rec.timing.total_seconds,
+                 rec.num_candidates, rec.schema.size(), rec.objective,
+                 rec.solve_proven ? "" : ", budget-bound");
+  }
+  return 0;
 }
 
 }  // namespace
@@ -696,10 +762,6 @@ int RunCheck(std::map<std::string, std::string>& args,
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  if (command != "advise" && command != "check" && command != "lint" &&
-      command != "evolve" && command != "serve" && command != "explain") {
-    return Usage();
-  }
 
   // `nose explain SOLVE_LOG`: offline diagnosis of a --solve-log capture.
   if (command == "explain") {
@@ -714,47 +776,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "evolve") {
-    std::map<std::string, std::string> args;
-    if (!ParseArgs(argc, argv, 2,
-                   {"--scenario", "--report", "--trace", "--metrics",
-                    "--metrics-format", "--solve-log", "--report-json"},
-                   {"--horizon"}, &args)) {
-      return Usage();
-    }
-    return RunEvolve(args);
-  }
-
-  if (command == "serve") {
-    std::map<std::string, std::string> args;
-    if (!ParseArgs(argc, argv, 2,
-                   {"--scenario", "--threads", "--streams", "--stripes",
-                    "--migration-threads", "--rate", "--advise-deadline",
-                    "--trace", "--metrics", "--metrics-format", "--solve-log",
-                    "--report-json"},
-                   {}, &args)) {
-      return Usage();
-    }
-    return RunServe(args);
-  }
-
-  std::set<std::string> value_flags = {"--model", "--workload"};
-  std::set<std::string> bool_flags;
-  if (command == "advise") {
-    value_flags.insert({"--mix", "--space-limit-mb", "--format", "--strategy",
-                        "--solve-budget", "--threads", "--trace", "--metrics",
-                        "--metrics-format", "--solve-log", "--report-json"});
-    bool_flags.insert({"--verify", "--all-mixes"});
-  }
-  if (command == "check") {
-    value_flags.insert({"--mix", "--certificate", "--verify-certificate",
-                        "--solve-budget", "--threads", "--solve-log",
-                        "--report-json"});
-  }
-  std::map<std::string, std::string> args;
-  if (!ParseArgs(argc, argv, 2, value_flags, bool_flags, &args)) {
+  const auto spec = kCommands.find(command);
+  Args args;
+  Telemetry telemetry;
+  if (spec == kCommands.end() || !ParseArgs(argc, argv, spec->second, &args) ||
+      !telemetry.Parse(args)) {
     return Usage();
   }
+  if (command == "evolve") return RunEvolve(args, telemetry);
+  if (command == "serve") return RunServe(args, telemetry);
+
   // Standalone certificate verification needs no model or workload.
   if (command == "check" && args.count("--verify-certificate") > 0) {
     if (args.count("--model") > 0 || args.count("--workload") > 0) {
@@ -762,13 +793,13 @@ int main(int argc, char** argv) {
                    "error: --verify-certificate excludes --model/--workload\n");
       return Usage();
     }
-    return VerifyCertificateFile(args["--verify-certificate"]);
+    return VerifyCertificateFile(args.at("--verify-certificate"));
   }
   if (args.count("--model") == 0 || args.count("--workload") == 0) {
     return Usage();
   }
 
-  auto model_text = ReadFile(args["--model"]);
+  auto model_text = ReadFile(args.at("--model"));
   if (!model_text.ok()) {
     std::cerr << model_text.status() << "\n";
     return 1;
@@ -778,7 +809,7 @@ int main(int argc, char** argv) {
     std::cerr << "model error: " << graph.status() << "\n";
     return 1;
   }
-  auto workload_text = ReadFile(args["--workload"]);
+  auto workload_text = ReadFile(args.at("--workload"));
   if (!workload_text.ok()) {
     std::cerr << workload_text.status() << "\n";
     return 1;
@@ -789,7 +820,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const nose::LintSources sources{args["--model"], args["--workload"]};
+  const nose::LintSources sources{args.at("--model"), args.at("--workload")};
   std::vector<nose::Diagnostic> diags = nose::LintAll(**workload, sources);
   const size_t num_errors =
       nose::CountSeverity(diags, nose::Severity::kError);
@@ -815,190 +846,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (args.count("--solve-log") > 0) nose::SolveLog::Global().Enable();
-
   if (command == "check") {
-    const int rc = RunCheck(args, **workload, std::move(diags));
-    if (!WriteSolveLogIfRequested(args)) return 1;
-    return rc;
+    return RunCheck(args, telemetry, **workload, std::move(diags));
   }
-
-  nose::AdvisorOptions options;
-  if (args.count("--space-limit-mb") > 0) {
-    double mb = 0.0;
-    if (!ParsePositiveDouble("--space-limit-mb", args["--space-limit-mb"], &mb)) {
-      return Usage();
-    }
-    options.optimizer.space_limit_bytes = mb * 1e6;
-  }
-  if (args.count("--solve-budget") > 0) {
-    double secs = 0.0;
-    if (!ParsePositiveDouble("--solve-budget", args["--solve-budget"], &secs)) {
-      return Usage();
-    }
-    options.optimizer.bip.time_limit_seconds = secs;
-  }
-  if (args.count("--threads") > 0) {
-    double n = 0.0;
-    if (!ParsePositiveDouble("--threads", args["--threads"], &n) ||
-        n != static_cast<size_t>(n)) {
-      std::fprintf(stderr, "error: --threads wants a positive integer\n");
-      return Usage();
-    }
-    options.num_threads = static_cast<size_t>(n);
-  }
-  if (args.count("--strategy") > 0) {
-    const std::string& s = args["--strategy"];
-    if (s == "bip") {
-      options.optimizer.strategy = nose::SolveStrategy::kBip;
-    } else if (s == "comb") {
-      options.optimizer.strategy = nose::SolveStrategy::kCombinatorial;
-    } else if (s != "auto") {
-      std::fprintf(stderr, "error: unknown strategy '%s'\n", s.c_str());
-      return Usage();
-    }
-  }
-  const std::string format =
-      args.count("--format") > 0 ? args["--format"] : "text";
-  if (format != "text" && format != "cql") {
-    std::fprintf(stderr, "error: unknown format '%s'\n", format.c_str());
-    return Usage();
-  }
-  if (args.count("--verify") > 0) options.verify_invariants = true;
-  const bool all_mixes = args.count("--all-mixes") > 0;
-  if (all_mixes && args.count("--mix") > 0) {
-    std::fprintf(stderr, "error: --mix and --all-mixes are exclusive\n");
-    return Usage();
-  }
-  const std::string mix = args.count("--mix") > 0
-                              ? args["--mix"]
-                              : std::string(nose::Workload::kDefaultMix);
-  const std::vector<std::string> mixes = (*workload)->MixNames();
-  if (!all_mixes &&
-      std::find(mixes.begin(), mixes.end(), mix) == mixes.end()) {
-    std::fprintf(stderr, "error: workload has no mix '%s'; available:",
-                 mix.c_str());
-    for (const std::string& m : mixes) std::fprintf(stderr, " %s", m.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-
-  // --trace FILE wins over the NOSE_TRACE environment fallback; either
-  // turns recording on for the whole advisor run.
-  std::string trace_path;
-  if (args.count("--trace") > 0) {
-    trace_path = args["--trace"];
-  } else if (const char* env = std::getenv("NOSE_TRACE")) {
-    trace_path = env;
-  }
-  const std::string metrics_path =
-      args.count("--metrics") > 0 ? args["--metrics"] : "";
-  std::string metrics_format;
-  if (!MetricsFormat(args, &metrics_format)) return Usage();
-  if (!trace_path.empty()) {
-    nose::obs::TraceRecorder::Global().Enable();
-    nose::obs::TraceRecorder::EnableCrashFlush(trace_path);
-    nose::obs::SetCurrentThreadName("main");
-  }
-
-  nose::Advisor advisor(options);
-  std::vector<std::pair<std::string, nose::Recommendation>> results;
-  if (all_mixes) {
-    auto recs = advisor.AdviseAllMixes(**workload);
-    if (!recs.ok()) {
-      std::cerr << "advisor error: " << recs.status() << "\n";
-      return 1;
-    }
-    results = std::move(*recs);
-  } else {
-    auto rec = advisor.Recommend(**workload, mix);
-    if (!rec.ok()) {
-      std::cerr << "advisor error: " << rec.status() << "\n";
-      return 1;
-    }
-    results.emplace_back(mix, std::move(*rec));
-  }
-  // The advisor's pool is destroyed inside Recommend, so every worker has
-  // drained and the buffers are quiescent — safe to export.
-  if (!trace_path.empty()) {
-    nose::obs::TraceRecorder::Global().Disable();
-    std::string error;
-    if (!nose::obs::TraceRecorder::Global().WriteChromeJson(trace_path,
-                                                            &error)) {
-      std::fprintf(stderr, "error: cannot write trace: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote trace to %s\n", trace_path.c_str());
-  }
-  if (!metrics_path.empty() &&
-      !WriteMetricsSnapshot(metrics_path, metrics_format)) {
-    return 1;
-  }
-  if (!WriteSolveLogIfRequested(args)) return 1;
-  if (args.count("--report-json") > 0) {
-    nose::obs::RunReport run_report("advise");
-    run_report.AddString("model", args["--model"]);
-    run_report.AddString("workload", args["--workload"]);
-    nose::AdvisorTiming timing;
-    std::string digest = "[";
-    char buf[256];
-    for (size_t i = 0; i < results.size(); ++i) {
-      const auto& [rec_mix, rec] = results[i];
-      timing.enumeration_seconds += rec.timing.enumeration_seconds;
-      timing.cost_calculation_seconds += rec.timing.cost_calculation_seconds;
-      timing.bip_construction_seconds += rec.timing.bip_construction_seconds;
-      timing.cost_solve_seconds += rec.timing.cost_solve_seconds;
-      timing.size_solve_seconds += rec.timing.size_solve_seconds;
-      timing.bip_solve_seconds += rec.timing.bip_solve_seconds;
-      timing.other_seconds += rec.timing.other_seconds;
-      timing.total_seconds += rec.timing.total_seconds;
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"mix\":\"%s\",\"column_families\":%zu,"
-                    "\"objective\":%.9g,\"candidates\":%zu,"
-                    "\"solve_proven\":%s}",
-                    i > 0 ? "," : "", rec_mix.c_str(), rec.schema.size(),
-                    rec.objective, rec.num_candidates,
-                    rec.solve_proven ? "true" : "false");
-      digest += buf;
-    }
-    digest.push_back(']');
-    run_report.AddPhase("enumeration", timing.enumeration_seconds);
-    run_report.AddPhase("cost_calculation", timing.cost_calculation_seconds);
-    run_report.AddPhase("bip_construction", timing.bip_construction_seconds);
-    run_report.AddPhase("bip_solve", timing.bip_solve_seconds);
-    run_report.AddPhase("cost_solve", timing.cost_solve_seconds);
-    run_report.AddPhase("size_solve", timing.size_solve_seconds);
-    run_report.AddPhase("other", timing.other_seconds);
-    run_report.AddPhase("total", timing.total_seconds);
-    run_report.SetDigest(digest);
-    run_report.SetSolverSummary(nose::SolveLog::Global().SummaryJson());
-    run_report.SetMetrics(nose::obs::MetricsRegistry::Global().ToJson());
-    std::string error;
-    if (!run_report.WriteJson(args["--report-json"], &error)) {
-      std::fprintf(stderr, "error: cannot write report: %s\n", error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote report to %s\n", args["--report-json"].c_str());
-  }
-
-  for (const auto& [rec_mix, rec] : results) {
-    if (results.size() > 1) {
-      std::cout << "##### mix: " << rec_mix << " #####\n";
-    }
-    if (format == "cql") {
-      std::cout << nose::RecommendationToCql(rec);
-    } else {
-      std::cout << rec.ToString();
-    }
-    // Advisor findings (e.g. NOSE-W006) go to stderr so text/cql output
-    // stays machine-consumable.
-    std::cerr << nose::FormatDiagnostics(rec.diagnostics);
-    std::fprintf(stderr,
-                 "advised '%s' in %.2fs: %zu candidates -> %zu column "
-                 "families (workload cost %.4f%s)\n",
-                 rec_mix.c_str(), rec.timing.total_seconds,
-                 rec.num_candidates, rec.schema.size(), rec.objective,
-                 rec.solve_proven ? "" : ", budget-bound");
-  }
-  return 0;
+  return RunAdvise(args, telemetry, **workload);
 }

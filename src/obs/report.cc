@@ -7,8 +7,6 @@
 namespace nose {
 namespace obs {
 
-namespace {
-
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
   for (char c : s) {
@@ -41,6 +39,8 @@ void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
+namespace {
+
 void AppendDouble(std::string* out, double v) {
   if (!std::isfinite(v)) v = 0.0;
   char buf[40];
@@ -66,6 +66,10 @@ void RunReport::AddNumber(const std::string& key, double value) {
   fields_.emplace_back(key, std::move(rendered));
 }
 
+void RunReport::AddSection(const std::string& key, std::string json) {
+  if (!json.empty()) sections_.emplace_back(key, std::move(json));
+}
+
 std::string RunReport::ToJson() const {
   std::string out = "{\"report_version\":1,\"command\":";
   AppendJsonString(&out, command_);
@@ -85,17 +89,11 @@ std::string RunReport::ToJson() const {
     AppendDouble(&out, seconds);
   }
   out.push_back('}');
-  if (!digest_json_.empty()) {
-    out += ",\"digest\":";
-    out += digest_json_;
-  }
-  if (!solver_json_.empty()) {
-    out += ",\"solver\":";
-    out += solver_json_;
-  }
-  if (!metrics_json_.empty()) {
-    out += ",\"metrics\":";
-    out += metrics_json_;
+  for (const auto& [key, json] : sections_) {
+    out.push_back(',');
+    AppendJsonString(&out, key);
+    out.push_back(':');
+    out += json;
   }
   out.push_back('}');
   return out;

@@ -8,13 +8,19 @@
 namespace nose {
 namespace obs {
 
+/// Appends `s` as a JSON string literal: quotes and backslashes escaped,
+/// \n \r \t in short form, other control bytes as \u00XX. The one escaper
+/// behind every hand-rolled JSON writer (trace, run report, solve log).
+void AppendJsonString(std::string* out, const std::string& s);
+
 /// Builder for the unified machine-readable run report emitted by
-/// `nose advise/evolve/check --report-json`:
+/// `nose advise/check/evolve/serve --report-json`:
 ///
 ///   {"report_version":1,"command":"advise",
 ///    <scalar fields in insertion order>,
 ///    "phases":{"<name>_seconds":t,...},
-///    "digest":{...},"solver":{...},"metrics":{...}}
+///    <sections in insertion order, e.g. "digest":{...},"solver":{...},
+///     "metrics":{...}>}
 ///
 /// The obs layer sits below the solver and optimizer in the link order, so
 /// the structured sections (digest, solver summary, metrics snapshot) are
@@ -31,11 +37,9 @@ class RunReport {
   void AddString(const std::string& key, const std::string& value);
   void AddNumber(const std::string& key, double value);
 
-  /// Pre-rendered JSON values for the structured sections. Empty sections
-  /// are omitted from the output.
-  void SetDigest(std::string json) { digest_json_ = std::move(json); }
-  void SetSolverSummary(std::string json) { solver_json_ = std::move(json); }
-  void SetMetrics(std::string json) { metrics_json_ = std::move(json); }
+  /// A pre-rendered JSON value under `key`, emitted after "phases" in
+  /// insertion order. An empty `json` omits the section.
+  void AddSection(const std::string& key, std::string json);
 
   std::string ToJson() const;
   bool WriteJson(const std::string& path, std::string* error = nullptr) const;
@@ -45,9 +49,7 @@ class RunReport {
   std::vector<std::pair<std::string, double>> phases_;
   /// (key, rendered JSON value) — strings arrive pre-escaped by AddString.
   std::vector<std::pair<std::string, std::string>> fields_;
-  std::string digest_json_;
-  std::string solver_json_;
-  std::string metrics_json_;
+  std::vector<std::pair<std::string, std::string>> sections_;
 };
 
 }  // namespace obs

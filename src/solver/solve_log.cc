@@ -10,6 +10,8 @@
 #include <limits>
 #include <sstream>
 
+#include "obs/report.h"
+
 namespace nose {
 
 namespace {
@@ -32,22 +34,7 @@ void AppendU64(std::string* out, uint64_t v) {
 
 void AppendBool(std::string* out, bool v) { *out += v ? "true" : "false"; }
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
+using obs::AppendJsonString;
 
 /// Renders one LP record. `canonical` drops wall-clock fields and global
 /// ids for Fingerprint().

@@ -1,7 +1,8 @@
 // Unit tests for the observability layer: the trace recorder's span
 // capture and Chrome trace_event export, the metrics registry's counters /
 // gauges / histograms and their JSON snapshot, and the interaction with the
-// worker pool (spans recorded inside pool tasks land on named worker lanes).
+// worker pool (spans recorded inside pool tasks land on named worker lanes),
+// and the run report's JSON assembly.
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -293,6 +295,25 @@ TEST(TraceTest, FlushPartialWritesValidJsonMidRecording) {
   // The recorder keeps working after a partial flush.
   open_span.End();
   rec.Disable();
+}
+
+TEST(ReportTest, JsonStringEscapes) {
+  std::string out;
+  obs::AppendJsonString(&out, "a\"b\\c\nd\re\tf\x01");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001\"");
+}
+
+TEST(ReportTest, SectionsFollowPhasesInInsertionOrder) {
+  obs::RunReport report("demo");
+  report.AddString("name", "x");
+  report.AddPhase("solve", 0.5);
+  report.AddSection("digest", "[1]");
+  report.AddSection("empty", "");
+  report.AddSection("solver", "{}");
+  EXPECT_EQ(report.ToJson(),
+            "{\"report_version\":1,\"command\":\"demo\",\"name\":\"x\","
+            "\"phases\":{\"solve_seconds\":0.5},\"digest\":[1],"
+            "\"solver\":{}}");
 }
 
 }  // namespace
