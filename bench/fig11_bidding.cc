@@ -84,8 +84,9 @@ int Main(int argc, char** argv) {
         .Metric("normalized_ms", totals[1] / executions)
         .Metric("expert_ms", totals[2] / executions)
         .Label("is_write", tx.is_write);
-    for (int s = 0; s < 3; ++s) wsum[s] += tx.bidding_weight * totals[s] / executions;
-    wtotal += tx.bidding_weight;
+    const double weight = rubis::TransactionWeight(tx, rubis::kBiddingMix);
+    for (int s = 0; s < 3; ++s) wsum[s] += weight * totals[s] / executions;
+    wtotal += weight;
   }
   std::printf("%-22s %12.3f %12.3f %12.3f\n", "WEIGHTED-AVG",
               wsum[0] / wtotal, wsum[1] / wtotal, wsum[2] / wtotal);

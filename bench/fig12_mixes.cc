@@ -29,15 +29,6 @@
 namespace nose::bench {
 namespace {
 
-/// Weight of `tx` under a mix.
-double TxWeight(const rubis::Transaction& tx, const std::string& mix) {
-  if (mix == rubis::kBrowsingMix) return tx.browsing_weight;
-  double w = tx.bidding_weight;
-  if (tx.is_write && mix == rubis::kWrite10xMix) w *= 10.0;
-  if (tx.is_write && mix == rubis::kWrite100xMix) w *= 100.0;
-  return w;
-}
-
 int Main(int argc, char** argv) {
   bool compare = false;
   std::string json_path;
@@ -115,17 +106,8 @@ int Main(int argc, char** argv) {
               "Mix", "NoSE", "Normalized", "Expert");
 
   for (const auto& [label, mix] : mixes) {
-    // Cumulative transaction distribution for this mix.
-    std::vector<const rubis::Transaction*> txs;
-    std::vector<double> cdf;
-    double total = 0.0;
-    for (const rubis::Transaction& tx : rubis::Transactions()) {
-      const double w = TxWeight(tx, mix);
-      if (w <= 0.0) continue;
-      total += w;
-      txs.push_back(&tx);
-      cdf.push_back(total);
-    }
+    auto sampler = rubis::TransactionSampler::ForMix(mix);
+    if (!sampler.ok()) RubisBench::Die("sampler/" + mix, sampler.status());
 
     auto nose = bench.MakeNose(mix);
     auto normalized = bench.MakeNormalized(mix);
@@ -138,10 +120,7 @@ int Main(int argc, char** argv) {
       rubis::ParamGenerator gen(&bench.data(), 0xF16'12 + 31 * s);
       double sum = 0.0;
       for (int i = 0; i < samples; ++i) {
-        const double u = pick.NextDouble() * total;
-        size_t t = 0;
-        while (t + 1 < cdf.size() && cdf[t] < u) ++t;
-        sum += bench.RunTransaction(suts[s], *txs[t], &gen);
+        sum += bench.RunTransaction(suts[s], sampler->Pick(&pick), &gen);
       }
       avg[s] = sum / samples;
     }

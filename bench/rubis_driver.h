@@ -43,21 +43,7 @@ class RubisBench {
       scale_factor = env != nullptr ? std::atof(env) : 0.25;
       if (scale_factor <= 0.0) scale_factor = 0.25;
     }
-    rubis::ModelScale scale;
-    scale.regions = std::max<size_t>(2, static_cast<size_t>(10 * scale_factor));
-    scale.categories =
-        std::max<size_t>(2, static_cast<size_t>(20 * scale_factor));
-    scale.users = std::max<size_t>(20, static_cast<size_t>(2000 * scale_factor));
-    scale.items = std::max<size_t>(40, static_cast<size_t>(4000 * scale_factor));
-    scale.old_items =
-        std::max<size_t>(20, static_cast<size_t>(2000 * scale_factor));
-    scale.bids =
-        std::max<size_t>(200, static_cast<size_t>(20000 * scale_factor));
-    scale.buynows =
-        std::max<size_t>(20, static_cast<size_t>(1000 * scale_factor));
-    scale.comments =
-        std::max<size_t>(40, static_cast<size_t>(4000 * scale_factor));
-
+    const rubis::ModelScale scale = rubis::ScaleFor(scale_factor);
     auto graph = rubis::MakeGraph(scale);
     if (!graph.ok()) Die("model", graph.status());
     graph_ = std::move(graph).value();

@@ -226,7 +226,6 @@ std::vector<Diagnostic> AuditRecommendation(const Workload& workload,
     update_plans[name] = &plan;
   }
 
-  double replayed = 0.0;
   for (const auto& [entry, weight] : workload.EntriesIn(mix)) {
     const std::string label = "statement '" + entry->name + "'";
     if (entry->IsQuery()) {
@@ -246,7 +245,6 @@ std::vector<Diagnostic> AuditRecommendation(const Workload& workload,
              label + ": recommended plan answers a different query",
              "plan: " + plan.query->ToString());
       }
-      replayed += weight * plan.cost;
     } else {
       auto it = update_plans.find(entry->name);
       if (it == update_plans.end()) {
@@ -280,28 +278,12 @@ std::vector<Diagnostic> AuditRecommendation(const Workload& workload,
                    "' but its plan has no maintenance part for it");
         }
       }
-
-      // Replay cost. A support plan shared between parts is stored once per
-      // part but executed (and priced by the optimizer) once per statement,
-      // so deduplicate by the synthesized support query.
-      double update_cost = 0.0;
-      std::set<std::string> counted_supports;
-      for (const UpdatePlanPart& part : plan.parts) {
-        update_cost += part.write_cost;
-        for (const QueryPlan& support : part.support_plans) {
-          const std::string key = support.query != nullptr
-                                      ? support.query->ToString()
-                                      : std::to_string(update_cost);
-          if (counted_supports.insert(key).second) {
-            update_cost += support.cost;
-          }
-        }
-      }
-      replayed += weight * update_cost;
     }
   }
 
   // NOSE-I006: the reported objective must be reproducible from the plans.
+  const double replayed = ReplayedPlanCost(workload, mix, *view.query_plans,
+                                           *view.update_plans);
   const double tolerance = 1e-4 * std::max(1.0, std::abs(view.objective));
   if (std::abs(replayed - view.objective) > tolerance) {
     Emit(&out, "NOSE-I006",

@@ -1,73 +1,31 @@
 #include "evolve/driver.h"
 
-#include <algorithm>
 #include <vector>
-
-#include "rubis/workload.h"
 
 namespace nose::evolve {
 
-namespace {
-
-double MixWeight(const rubis::Transaction& tx, const std::string& mix) {
-  if (mix == rubis::kBrowsingMix) return tx.browsing_weight;
-  return tx.bidding_weight;
-}
-
-}  // namespace
-
 StatusOr<std::unique_ptr<DriftRunner>> DriftRunner::Create(
     const DriftScenario& scenario) {
-  if (scenario.workload != "rubis") {
-    return Status::Unimplemented("unknown scenario workload " +
-                                 scenario.workload);
-  }
   std::unique_ptr<DriftRunner> runner(new DriftRunner(scenario));
-  auto graph = rubis::MakeGraph(rubis::ScaleFor(scenario.scale));
-  if (!graph.ok()) return graph.status();
-  runner->graph_ = std::move(graph).value();
-  runner->data_ = std::make_unique<Dataset>(rubis::GenerateData(
-      runner->graph_.get(), rubis::ScaleFor(scenario.scale), scenario.seed));
-  auto workload = rubis::MakeWorkload(*runner->graph_);
-  if (!workload.ok()) return workload.status();
-  runner->workload_ = std::move(workload).value();
+  NOSE_ASSIGN_OR_RETURN(runner->env_, MakeEnvironment(scenario));
   runner->params_ = std::make_unique<rubis::ParamGenerator>(
-      runner->data_.get(), scenario.seed);
+      runner->env_.data.get(), scenario.seed);
   runner->controller_ = std::make_unique<EvolveController>(
-      runner->workload_.get(), runner->data_.get(), scenario.options);
+      runner->env_.workload.get(), runner->env_.data.get(), scenario.options);
   runner->rng_ = Rng(scenario.seed);
   return runner;
 }
 
-Status DriftRunner::RunPhase(const DriftPhase& phase) {
-  const std::vector<rubis::Transaction>& txs = rubis::Transactions();
-  std::vector<double> cumulative;
-  cumulative.reserve(txs.size());
-  double total = 0.0;
-  for (const rubis::Transaction& tx : txs) {
-    total += MixWeight(tx, phase.mix);
-    cumulative.push_back(total);
-  }
-  if (total <= 0.0) {
-    return Status::InvalidArgument("mix " + phase.mix +
-                                   " weights no transaction");
-  }
-
-  for (size_t t = 0; t < phase.transactions; ++t) {
-    const double pick = rng_.NextDouble() * total;
-    size_t chosen = std::lower_bound(cumulative.begin(), cumulative.end(),
-                                     pick) -
-                    cumulative.begin();
-    if (chosen >= txs.size()) chosen = txs.size() - 1;
-    const rubis::Transaction& tx = txs[chosen];
-
+Status DriftRunner::RunPhase(size_t phase) {
+  const Workload& workload = *env_.workload;
+  for (size_t t = 0; t < scenario_.phases[phase].transactions; ++t) {
+    const rubis::Transaction& tx = env_.phase_samplers[phase].Pick(&rng_);
     PlanExecutor::Params params;
     for (const std::string& stmt : tx.statements) {
-      params_->AddStatementParams(*workload_->FindEntry(stmt), &params);
+      params_->AddStatementParams(*workload.FindEntry(stmt), &params);
     }
     for (const std::string& stmt : tx.statements) {
-      const WorkloadEntry* entry = workload_->FindEntry(stmt);
-      if (entry->IsQuery()) {
+      if (workload.FindEntry(stmt)->IsQuery()) {
         auto rows = controller_->ExecuteQuery(stmt, params);
         if (!rows.ok()) return rows.status();
       } else {
@@ -80,19 +38,11 @@ Status DriftRunner::RunPhase(const DriftPhase& phase) {
 }
 
 Status DriftRunner::PlanAndInit() {
-  const std::vector<rubis::Transaction>& txs = rubis::Transactions();
   WorkloadHorizon horizon;
   std::vector<size_t> starts;
   size_t cumulative = 0;
-  for (const DriftPhase& phase : scenario_.phases) {
-    double mix_weight = 0.0;
-    for (const rubis::Transaction& tx : txs) {
-      mix_weight += MixWeight(tx, phase.mix);
-    }
-    if (mix_weight <= 0.0) {
-      return Status::InvalidArgument("mix " + phase.mix +
-                                     " weights no transaction");
-    }
+  for (size_t p = 0; p < scenario_.phases.size(); ++p) {
+    const DriftPhase& phase = scenario_.phases[p];
     HorizonWindow window;
     window.label = phase.mix;
     window.mix = phase.mix;
@@ -102,7 +52,8 @@ Status DriftRunner::PlanAndInit() {
     // using them). Scaling by transactions / Σ_tx w_tx makes
     // Σ duration·objective the expected total execution milliseconds —
     // commensurable with the migration build costs in the same objective.
-    window.duration = static_cast<double>(phase.transactions) / mix_weight;
+    window.duration = static_cast<double>(phase.transactions) /
+                      env_.phase_samplers[p].total();
     horizon.windows.push_back(std::move(window));
     starts.push_back(cumulative);
     cumulative += phase.transactions;
@@ -114,7 +65,7 @@ Status DriftRunner::PlanAndInit() {
   // Price scheduled migrations with the chunking the executor will use.
   horizon_options.backfill_chunk_rows =
       static_cast<double>(scenario_.options.migration.chunk_rows);
-  auto plan = advisor.PlanHorizon(*workload_, horizon, horizon_options);
+  auto plan = advisor.PlanHorizon(*env_.workload, horizon, horizon_options);
   if (!plan.ok()) return plan.status();
   horizon_plan_ = std::make_unique<HorizonPlan>(std::move(*plan));
 
@@ -134,16 +85,13 @@ Status DriftRunner::PlanAndInit() {
 }
 
 Status DriftRunner::Run() {
-  if (scenario_.phases.empty()) {
-    return Status::InvalidArgument("scenario has no phases");
-  }
   if (scenario_.planned) {
     NOSE_RETURN_IF_ERROR(PlanAndInit());
   } else {
     NOSE_RETURN_IF_ERROR(controller_->Init(scenario_.phases.front().mix));
   }
-  for (const DriftPhase& phase : scenario_.phases) {
-    NOSE_RETURN_IF_ERROR(RunPhase(phase));
+  for (size_t p = 0; p < scenario_.phases.size(); ++p) {
+    NOSE_RETURN_IF_ERROR(RunPhase(p));
   }
   return controller_->Finish();
 }

@@ -8,13 +8,12 @@
 #include "evolve/evolve.h"
 #include "evolve/scenario.h"
 #include "rubis/datagen.h"
-#include "rubis/model.h"
 #include "util/statusor.h"
 
 namespace nose::evolve {
 
 /// Owns a drift-scenario run end to end: builds the scenario's environment
-/// (currently the RUBiS model, dataset, and workload), drives the
+/// (MakeEnvironment: model, dataset, workload, phase samplers), drives the
 /// controller through each phase by sampling transactions from the phase's
 /// mix, and leaves its state (controller, logs, store) open for
 /// inspection — the e2e drift test replays the logs against a control
@@ -35,9 +34,9 @@ class DriftRunner {
 
   EvolveController& controller() { return *controller_; }
   const EvolveReport& report() const { return controller_->report(); }
-  Workload& workload() { return *workload_; }
-  const Dataset& data() const { return *data_; }
-  const EntityGraph& graph() const { return *graph_; }
+  Workload& workload() { return *env_.workload; }
+  const Dataset& data() const { return *env_.data; }
+  const EntityGraph& graph() const { return *env_.graph; }
   const DriftScenario& scenario() const { return scenario_; }
   /// The horizon schedule solved up front in planned mode; null in
   /// reactive mode (or before Run). Owns the pool every planned window's
@@ -48,15 +47,13 @@ class DriftRunner {
   explicit DriftRunner(DriftScenario scenario)
       : scenario_(std::move(scenario)) {}
 
-  Status RunPhase(const DriftPhase& phase);
+  Status RunPhase(size_t phase);
   /// Planned mode: builds the WorkloadHorizon from the phases, solves it,
   /// and hands the schedule to the controller.
   Status PlanAndInit();
 
   DriftScenario scenario_;
-  std::unique_ptr<EntityGraph> graph_;
-  std::unique_ptr<Dataset> data_;
-  std::unique_ptr<Workload> workload_;
+  ScenarioEnvironment env_;
   std::unique_ptr<rubis::ParamGenerator> params_;
   std::unique_ptr<EvolveController> controller_;
   std::unique_ptr<HorizonPlan> horizon_plan_;

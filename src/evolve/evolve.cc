@@ -8,30 +8,18 @@
 
 namespace nose::evolve {
 
-EvolveController::EvolveController(Workload* workload, const Dataset* data,
-                                   EvolveOptions options)
-    : workload_(workload),
-      data_(data),
-      options_(std::move(options)),
-      advisor_(options_.advisor),
-      tracker_(options_.tracker),
-      store_(options_.advisor.cost_params) {}
-
-EvolveController::~EvolveController() = default;
-
-std::unique_ptr<EvolveController::Generation> EvolveController::MakeGeneration(
-    Recommendation rec, const Schema* reuse_names_from) {
+std::unique_ptr<Generation> MakeGeneration(Recommendation rec,
+                                           const Schema* reuse_names_from,
+                                           const std::string& prefix,
+                                           RecordStore* store) {
   auto gen = std::make_unique<Generation>();
   gen->rec = std::move(rec);
   gen->named = std::make_unique<Schema>();
-  const std::string prefix = "g" + std::to_string(generation_ + 1) + "_";
   const Schema& advised = gen->rec.schema;
   for (size_t i = 0; i < advised.size(); ++i) {
     const ColumnFamily& cf = advised.column_families()[i];
     const std::string* kept =
         reuse_names_from != nullptr ? reuse_names_from->NameOf(cf) : nullptr;
-    // Kept column families retain their live store names; new ones get
-    // generation-prefixed names so both generations coexist in one store.
     const std::string name =
         kept != nullptr ? *kept
                         : (reuse_names_from != nullptr ? prefix : std::string()) +
@@ -44,9 +32,41 @@ std::unique_ptr<EvolveController::Generation> EvolveController::MakeGeneration(
   for (const auto& [stmt, plan] : gen->rec.update_plans) {
     gen->update_plans.emplace(stmt, plan);
   }
-  gen->executor = std::make_unique<PlanExecutor>(&store_, gen->named.get());
+  gen->executor = std::make_unique<PlanExecutor>(store, gen->named.get());
   return gen;
 }
+
+ArmedMigration ArmMigration(const Generation& from, const Generation& to,
+                            const Workload& workload, const std::string& mix,
+                            const Dataset& data, RecordStore* store,
+                            const EvolveOptions& options,
+                            MigrationCounts* record) {
+  MigrationTraffic traffic;
+  traffic.update_weight_share = UpdateWeightShare(workload, mix);
+  traffic.chunk_rows = static_cast<double>(options.migration.chunk_rows);
+  ArmedMigration armed;
+  armed.plan = std::make_unique<MigrationPlan>(
+      PlanMigration(*from.named, *to.named,
+                    CostModel(options.advisor.cost_params), traffic));
+  if (armed.plan->empty()) return armed;
+  record->CopyPlan(*armed.plan);
+  armed.executor = std::make_unique<MigrationExecutor>(
+      &data, store, to.named.get(), from.executor.get(), to.executor.get(),
+      &from.query_plans, &to.query_plans, &to.update_plans, armed.plan.get(),
+      options.migration);
+  return armed;
+}
+
+EvolveController::EvolveController(Workload* workload, const Dataset* data,
+                                   EvolveOptions options)
+    : workload_(workload),
+      data_(data),
+      options_(std::move(options)),
+      advisor_(options_.advisor),
+      tracker_(options_.tracker),
+      store_(options_.advisor.cost_params) {}
+
+EvolveController::~EvolveController() = default;
 
 std::map<std::string, double> EvolveController::ActiveWeights() const {
   std::map<std::string, double> weights;
@@ -56,15 +76,19 @@ std::map<std::string, double> EvolveController::ActiveWeights() const {
   return weights;
 }
 
-Status EvolveController::Init(const std::string& initial_mix) {
-  auto advise = advisor_.Advise(*workload_, initial_mix);
-  if (!advise.ok()) return advise.status();
-  active_mix_ = initial_mix;
-  active_ = MakeGeneration(std::move(advise).value().rec, nullptr);
+Status EvolveController::Deploy(Recommendation rec, const std::string& mix) {
+  active_mix_ = mix;
+  active_ = MakeGeneration(std::move(rec), nullptr, "", &store_);
   NOSE_RETURN_IF_ERROR(LoadSchema(*data_, *active_->named, &store_));
   tracker_.SetAdvised(ActiveWeights());
   obs::MetricsRegistry::Global().GetGauge("evolve.generation").Set(0.0);
   return Status::Ok();
+}
+
+Status EvolveController::Init(const std::string& initial_mix) {
+  auto advise = advisor_.Advise(*workload_, initial_mix);
+  if (!advise.ok()) return advise.status();
+  return Deploy(std::move(advise).value().rec, initial_mix);
 }
 
 Status EvolveController::InitPlanned(std::vector<PlannedWindow> windows) {
@@ -74,12 +98,7 @@ Status EvolveController::InitPlanned(std::vector<PlannedWindow> windows) {
   planned_mode_ = true;
   planned_ = std::move(windows);
   current_window_ = 0;
-  active_mix_ = planned_[0].mix;
-  active_ = MakeGeneration(planned_[0].rec, nullptr);
-  NOSE_RETURN_IF_ERROR(LoadSchema(*data_, *active_->named, &store_));
-  tracker_.SetAdvised(ActiveWeights());
-  obs::MetricsRegistry::Global().GetGauge("evolve.generation").Set(0.0);
-  return Status::Ok();
+  return Deploy(planned_[0].rec, planned_[0].mix);
 }
 
 StatusOr<std::vector<ValueTuple>> EvolveController::ExecuteQuery(
@@ -139,57 +158,12 @@ Status EvolveController::EndTransaction() {
 
 Status EvolveController::StartPlannedMigration(size_t target) {
   obs::Span span("evolve.planned_migration", "evolve");
-  pending_record_ = MigrationRecord();
-  pending_record_.started_at_transaction = report_.transactions;
-  pending_record_.planned = true;
-  pending_record_.to_window = target;
-  pending_record_.drift_at_trigger = tracker_.drift();
-
-  auto next = MakeGeneration(planned_[target].rec, active_->named.get());
-  CostModel cost(options_.advisor.cost_params);
-  // Price the dual-write overhead under the mix the migration enters —
-  // the same traffic profile the horizon planner charged its transition
-  // variables with, so planned estimates and execution-time estimates
-  // agree.
-  MigrationTraffic traffic;
-  traffic.update_weight_share =
-      UpdateWeightShare(*workload_, planned_[target].mix);
-  traffic.chunk_rows = static_cast<double>(options_.migration.chunk_rows);
-  auto plan = std::make_unique<MigrationPlan>(
-      PlanMigration(*active_->named, *next->named, cost, traffic));
-
-  if (plan->empty()) {
-    // The horizon planner kept the schema across this boundary; adopt the
-    // window's plans in place — no data movement, no availability gap.
-    active_ = std::move(next);
-    current_window_ = target;
-    active_mix_ = planned_[target].mix;
-    tracker_.SetAdvised(ActiveWeights());
-    ++report_.no_op_readvises;
-    return Status::Ok();
-  }
-
-  pending_record_.builds = plan->build_indices.size();
-  pending_record_.keeps = plan->keep_names.size();
-  pending_record_.drops = plan->drop_names.size();
-  pending_record_.est_build_cost_ms = plan->est_build_cost_ms;
-  pending_record_.est_drop_cost_ms = plan->est_drop_cost_ms;
-  pending_record_.est_dual_write_cost_ms = plan->est_dual_write_cost_ms;
-  pending_ = std::move(next);
-  mig_plan_ = std::move(plan);
-  migration_ = std::make_unique<MigrationExecutor>(
-      data_, &store_, pending_->named.get(), active_->executor.get(),
-      pending_->executor.get(), &active_->query_plans, &pending_->query_plans,
-      &pending_->update_plans, mig_plan_.get(), options_.migration);
-  Status prepared = migration_->Prepare();
-  if (!prepared.ok()) {
-    AbortMigration();
-    return prepared;
-  }
-  obs::MetricsRegistry::Global()
-      .GetCounter("evolve.migrations_started")
-      .Increment();
-  return Status::Ok();
+  MigrationRecord record;
+  record.planned = true;
+  record.to_window = target;
+  // Dual writes are priced under the mix the migration enters — the same
+  // traffic profile the horizon planner charged its transition with.
+  return StartMigration(record, planned_[target].rec, planned_[target].mix);
 }
 
 Status EvolveController::StartReadvise() {
@@ -206,45 +180,34 @@ Status EvolveController::StartReadvise() {
   } else {
     ++report_.re_advises_cold;
   }
-  pending_record_ = MigrationRecord();
-  pending_record_.started_at_transaction = report_.transactions;
-  pending_record_.advise_incremental = result.incremental;
-  pending_record_.advise_seconds = result.seconds;
-  pending_record_.drift_at_trigger = tracker_.drift();
-
-  auto next = MakeGeneration(std::move(result.rec), active_->named.get());
-  CostModel cost(options_.advisor.cost_params);
+  MigrationRecord record;
+  record.advise_incremental = result.incremental;
+  record.advise_seconds = result.seconds;
   // Reactive migrations run under the drift-estimated mix just written
-  // into observed_mix — price dual writes with its update share.
-  MigrationTraffic traffic;
-  traffic.update_weight_share =
-      UpdateWeightShare(*workload_, options_.observed_mix);
-  traffic.chunk_rows = static_cast<double>(options_.migration.chunk_rows);
-  auto plan = std::make_unique<MigrationPlan>(
-      PlanMigration(*active_->named, *next->named, cost, traffic));
+  // into observed_mix.
+  return StartMigration(record, std::move(result.rec), options_.observed_mix);
+}
 
-  if (plan->empty()) {
-    // Identical schema: the fresh plans only re-rank equal-cost paths, so
-    // adopt them in place — no data movement, no availability gap.
-    active_ = std::move(next);
-    active_mix_ = options_.observed_mix;
-    tracker_.SetAdvised(ActiveWeights());
+Status EvolveController::StartMigration(MigrationRecord record,
+                                        Recommendation rec,
+                                        const std::string& mix) {
+  pending_record_ = record;
+  pending_record_.started_at_transaction = report_.transactions;
+  pending_record_.drift_at_trigger = tracker_.drift();
+  auto next = MakeGeneration(std::move(rec), active_->named.get(),
+                             "g" + std::to_string(generation_ + 1) + "_",
+                             &store_);
+  ArmedMigration armed = ArmMigration(*active_, *next, *workload_, mix, *data_,
+                                      &store_, options_, &pending_record_);
+  if (armed.executor == nullptr) {
+    // Identical schema: the fresh plans only re-rank equal-cost paths.
+    Activate(std::move(next));
     ++report_.no_op_readvises;
     return Status::Ok();
   }
-
-  pending_record_.builds = plan->build_indices.size();
-  pending_record_.keeps = plan->keep_names.size();
-  pending_record_.drops = plan->drop_names.size();
-  pending_record_.est_build_cost_ms = plan->est_build_cost_ms;
-  pending_record_.est_drop_cost_ms = plan->est_drop_cost_ms;
-  pending_record_.est_dual_write_cost_ms = plan->est_dual_write_cost_ms;
   pending_ = std::move(next);
-  mig_plan_ = std::move(plan);
-  migration_ = std::make_unique<MigrationExecutor>(
-      data_, &store_, pending_->named.get(), active_->executor.get(),
-      pending_->executor.get(), &active_->query_plans, &pending_->query_plans,
-      &pending_->update_plans, mig_plan_.get(), options_.migration);
+  mig_plan_ = std::move(armed.plan);
+  migration_ = std::move(armed.executor);
   Status prepared = migration_->Prepare();
   if (!prepared.ok()) {
     AbortMigration();
@@ -254,6 +217,19 @@ Status EvolveController::StartReadvise() {
       .GetCounter("evolve.migrations_started")
       .Increment();
   return Status::Ok();
+}
+
+std::unique_ptr<Generation> EvolveController::Activate(
+    std::unique_ptr<Generation> next) {
+  std::unique_ptr<Generation> old = std::exchange(active_, std::move(next));
+  if (pending_record_.planned) {
+    current_window_ = pending_record_.to_window;
+    active_mix_ = planned_[current_window_].mix;
+  } else {
+    active_mix_ = options_.observed_mix;
+  }
+  tracker_.SetAdvised(ActiveWeights());
+  return old;
 }
 
 Status EvolveController::AdvanceMigration() {
@@ -272,21 +248,11 @@ Status EvolveController::Cutover() {
   obs::Span span("evolve.cutover", "evolve");
   const MigrationProgress& prog = migration_->progress();
   pending_record_.finished_at_transaction = report_.transactions;
-  pending_record_.rows_backfilled = prog.rows_backfilled;
-  pending_record_.catchup_updates = prog.catchup_updates;
-  pending_record_.dual_writes = prog.dual_writes;
-  pending_record_.verify_queries = prog.verify_queries;
+  pending_record_.CopyProgress(prog);
   pending_record_.verify_mismatches = prog.verify_mismatches;
   pending_record_.actual_ms = prog.simulated_ms;
 
-  std::unique_ptr<Generation> old = std::move(active_);
-  active_ = std::move(pending_);
-  if (pending_record_.planned) {
-    current_window_ = pending_record_.to_window;
-    active_mix_ = planned_[current_window_].mix;
-  } else {
-    active_mix_ = options_.observed_mix;
-  }
+  std::unique_ptr<Generation> old = Activate(std::move(pending_));
   for (const std::string& name : mig_plan_->drop_names) {
     NOSE_RETURN_IF_ERROR(store_.DropColumnFamily(name));
   }
@@ -295,7 +261,6 @@ Status EvolveController::Cutover() {
   mig_plan_.reset();
   old.reset();
   ++generation_;
-  tracker_.SetAdvised(ActiveWeights());
   report_.migrations.push_back(pending_record_);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.GetCounter("evolve.migrations_completed").Increment();
@@ -308,8 +273,7 @@ void EvolveController::AbortMigration() {
   pending_record_.finished_at_transaction = report_.transactions;
   if (migration_ != nullptr) {
     const MigrationProgress& prog = migration_->progress();
-    pending_record_.rows_backfilled = prog.rows_backfilled;
-    pending_record_.verify_queries = prog.verify_queries;
+    pending_record_.CopyProgress(prog);
     pending_record_.verify_mismatches = prog.verify_mismatches;
     pending_record_.actual_ms = prog.simulated_ms;
   }

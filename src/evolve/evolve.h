@@ -28,23 +28,49 @@ struct EvolveOptions {
   size_t query_log_capacity = 128;
 };
 
+/// One schema generation: recommendation, store-named schema, plans keyed
+/// by statement, executor. The named schema lives behind a unique_ptr so
+/// the executor's pointer survives generation swaps.
+struct Generation {
+  Recommendation rec;
+  std::unique_ptr<Schema> named;
+  std::map<std::string, QueryPlan> query_plans;
+  std::map<std::string, UpdatePlan> update_plans;
+  std::unique_ptr<PlanExecutor> executor;
+};
+
+/// Names `rec`'s column families for `store`: families kept from the live
+/// generation `reuse_names_from` keep their store names, new ones get
+/// `prefix` so both generations coexist in one store (no live generation:
+/// advised names). Builds the generation's executor over `store`.
+std::unique_ptr<Generation> MakeGeneration(Recommendation rec,
+                                           const Schema* reuse_names_from,
+                                           const std::string& prefix,
+                                           RecordStore* store);
+
+/// A priced migration between generations. `executor` (not yet prepared)
+/// is null when the plan is empty: the caller adopts the new plans in
+/// place, with no data movement and no availability gap.
+struct ArmedMigration {
+  std::unique_ptr<MigrationPlan> plan;
+  std::unique_ptr<MigrationExecutor> executor;
+};
+
+/// Plans the migration `from` -> `to`, pricing dual writes with `mix`'s
+/// update share — the pricing the horizon planner charges transitions
+/// with, so planned, reactive and served estimates agree. Unless the plan
+/// is empty, copies it into `record` and builds the executor.
+ArmedMigration ArmMigration(const Generation& from, const Generation& to,
+                            const Workload& workload, const std::string& mix,
+                            const Dataset& data, RecordStore* store,
+                            const EvolveOptions& options,
+                            MigrationCounts* record);
+
 /// Outcome of one completed (or aborted) migration.
-struct MigrationRecord {
+struct MigrationRecord : MigrationCounts {
   size_t started_at_transaction = 0;
   size_t finished_at_transaction = 0;
-  size_t builds = 0;
-  size_t keeps = 0;
-  size_t drops = 0;
-  uint64_t rows_backfilled = 0;
-  uint64_t catchup_updates = 0;
-  uint64_t dual_writes = 0;
-  uint64_t verify_queries = 0;
   uint64_t verify_mismatches = 0;
-  double est_build_cost_ms = 0.0;
-  /// Estimated drop + dual-write charges (shared horizon pricing), so the
-  /// estimate is commensurable with actual_ms — which includes both.
-  double est_drop_cost_ms = 0.0;
-  double est_dual_write_cost_ms = 0.0;
   double actual_ms = 0.0;  ///< simulated store ms charged by the migration
   bool advise_incremental = false;
   double advise_seconds = 0.0;
@@ -149,19 +175,15 @@ class EvolveController {
   size_t current_window() const { return current_window_; }
 
  private:
-  /// One schema generation: recommendation, store-named schema, plans
-  /// keyed by statement, executor. The named schema lives behind a
-  /// unique_ptr so the executor's pointer survives generation swaps.
-  struct Generation {
-    Recommendation rec;
-    std::unique_ptr<Schema> named;
-    std::map<std::string, QueryPlan> query_plans;
-    std::map<std::string, UpdatePlan> update_plans;
-    std::unique_ptr<PlanExecutor> executor;
-  };
-
-  std::unique_ptr<Generation> MakeGeneration(Recommendation rec,
-                                             const Schema* reuse_names_from);
+  /// Deploys `rec` as the initial generation, loaded uncharged.
+  Status Deploy(Recommendation rec, const std::string& mix);
+  /// Starts `record`'s migration toward `rec` (advised for `mix`), or
+  /// adopts `rec` in place when the schema is unchanged.
+  Status StartMigration(MigrationRecord record, Recommendation rec,
+                        const std::string& mix);
+  /// Makes `next` the active generation under the mix pending_record_
+  /// migrates to; returns the superseded generation.
+  std::unique_ptr<Generation> Activate(std::unique_ptr<Generation> next);
   Status StartReadvise();
   Status StartPlannedMigration(size_t target);
   Status AdvanceMigration();

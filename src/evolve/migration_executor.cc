@@ -18,6 +18,22 @@ int64_t MsToNanos(double ms) {
 
 }  // namespace
 
+void MigrationCounts::CopyPlan(const MigrationPlan& plan) {
+  builds = plan.build_indices.size();
+  keeps = plan.keep_names.size();
+  drops = plan.drop_names.size();
+  est_build_cost_ms = plan.est_build_cost_ms;
+  est_drop_cost_ms = plan.est_drop_cost_ms;
+  est_dual_write_cost_ms = plan.est_dual_write_cost_ms;
+}
+
+void MigrationCounts::CopyProgress(const MigrationProgress& progress) {
+  rows_backfilled = progress.rows_backfilled;
+  catchup_updates = progress.catchup_updates;
+  dual_writes = progress.dual_writes;
+  verify_queries = progress.verify_queries;
+}
+
 MigrationExecutor::MigrationExecutor(
     const Dataset* data, RecordStore* store, const Schema* new_schema,
     PlanExecutor* old_executor, PlanExecutor* new_executor,

@@ -48,6 +48,26 @@ struct MigrationProgress {
   double simulated_ms = 0.0;
 };
 
+/// The fields the evolve and serve migration records share: the plan's
+/// shape and estimates, and the executor's work counters.
+struct MigrationCounts {
+  size_t builds = 0;
+  size_t keeps = 0;
+  size_t drops = 0;
+  uint64_t rows_backfilled = 0;
+  uint64_t catchup_updates = 0;
+  uint64_t dual_writes = 0;
+  uint64_t verify_queries = 0;
+  double est_build_cost_ms = 0.0;
+  /// Estimated drop + dual-write charges, so the estimate is
+  /// commensurable with the simulated ms charged — which includes both.
+  double est_drop_cost_ms = 0.0;
+  double est_dual_write_cost_ms = 0.0;
+
+  void CopyPlan(const MigrationPlan& plan);
+  void CopyProgress(const MigrationProgress& progress);
+};
+
 /// Executes one migration plan against the live store in bounded steps.
 ///
 /// Single-threaded (evolve loop) use: the controller calls Step() between

@@ -4,6 +4,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "rubis/datagen.h"
+#include "rubis/model.h"
+#include "util/strings.h"
+
 namespace nose::evolve {
 
 StatusOr<DriftScenario> ParseScenario(const std::string& text,
@@ -121,6 +125,34 @@ StatusOr<DriftScenario> LoadScenarioFile(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return ParseScenario(text.str(), path);
+}
+
+StatusOr<ScenarioEnvironment> MakeEnvironment(const DriftScenario& scenario) {
+  if (scenario.workload != "rubis") {
+    return Status::Unimplemented("unknown scenario workload " +
+                                 scenario.workload);
+  }
+  if (scenario.phases.empty()) {
+    return Status::InvalidArgument("scenario has no phases");
+  }
+  ScenarioEnvironment env;
+  const rubis::ModelScale scale = rubis::ScaleFor(scenario.scale);
+  NOSE_ASSIGN_OR_RETURN(env.graph, rubis::MakeGraph(scale));
+  env.data = std::make_unique<Dataset>(
+      rubis::GenerateData(env.graph.get(), scale, scenario.seed));
+  NOSE_ASSIGN_OR_RETURN(env.workload, rubis::MakeWorkload(*env.graph));
+  for (size_t p = 0; p < scenario.phases.size(); ++p) {
+    const std::string& mix = scenario.phases[p].mix;
+    auto sampler = rubis::TransactionSampler::ForMix(mix);
+    if (!sampler.ok()) {
+      return Status::InvalidArgument(
+          "phase " + std::to_string(p) + " runs unknown mix '" + mix +
+          "' (workload " + scenario.workload + " defines " +
+          StrJoin(env.workload->MixNames(), ", ") + ")");
+    }
+    env.phase_samplers.push_back(std::move(sampler).value());
+  }
+  return env;
 }
 
 }  // namespace nose::evolve

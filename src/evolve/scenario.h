@@ -1,10 +1,13 @@
 #ifndef NOSE_EVOLVE_SCENARIO_H_
 #define NOSE_EVOLVE_SCENARIO_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "evolve/evolve.h"
+#include "executor/dataset.h"
+#include "rubis/workload.h"
 #include "util/statusor.h"
 
 namespace nose::evolve {
@@ -53,6 +56,23 @@ struct DriftScenario {
 StatusOr<DriftScenario> ParseScenario(const std::string& text,
                                       const std::string& source = "scenario");
 StatusOr<DriftScenario> LoadScenarioFile(const std::string& path);
+
+/// The application a scenario runs, shared by the evolve and serve loops:
+/// its model, generated dataset and workload, and one transaction sampler
+/// per phase. `graph` and `data` sit behind pointers because `workload`
+/// and the loops' executors point into them.
+struct ScenarioEnvironment {
+  std::unique_ptr<EntityGraph> graph;
+  std::unique_ptr<Dataset> data;
+  std::unique_ptr<Workload> workload;
+  std::vector<rubis::TransactionSampler> phase_samplers;
+};
+
+/// Builds the environment of `scenario`: the one place that maps the
+/// scenario's `workload` name to an application. Fails with
+/// InvalidArgument on a scenario without phases or a phase whose mix the
+/// workload does not define.
+StatusOr<ScenarioEnvironment> MakeEnvironment(const DriftScenario& scenario);
 
 }  // namespace nose::evolve
 

@@ -141,7 +141,9 @@ struct OptimizationResult {
   /// Workload::EntriesIn(mix): (statement name, recommended plan).
   std::vector<std::pair<std::string, QueryPlan>> query_plans;
   std::vector<std::pair<std::string, UpdatePlan>> update_plans;
-  /// Optimal weighted workload cost (the BIP objective).
+  /// Weighted workload cost of the returned plans (ReplayedPlanCost). The
+  /// solver's incumbent can cost up to its relative gap more: extraction
+  /// re-routes every statement along its best plan over the selection.
   double objective = 0.0;
   /// True when the solver proved optimality (within its gap); false when a
   /// node/time budget stopped it with the best incumbent found.

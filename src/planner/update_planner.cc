@@ -1,6 +1,7 @@
 #include "planner/update_planner.h"
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 
@@ -334,6 +335,40 @@ std::string UpdatePlan::ToString() const {
   }
   out += "  estimated cost: " + std::to_string(cost) + "\n";
   return out;
+}
+
+double ReplayedPlanCost(
+    const Workload& workload, const std::string& mix,
+    const std::vector<std::pair<std::string, QueryPlan>>& query_plans,
+    const std::vector<std::pair<std::string, UpdatePlan>>& update_plans) {
+  std::map<std::string, const QueryPlan*> queries;
+  for (const auto& [name, plan] : query_plans) queries[name] = &plan;
+  std::map<std::string, const UpdatePlan*> updates;
+  for (const auto& [name, plan] : update_plans) updates[name] = &plan;
+
+  double replayed = 0.0;
+  for (const auto& [entry, weight] : workload.EntriesIn(mix)) {
+    if (entry->IsQuery()) {
+      auto it = queries.find(entry->name);
+      if (it != queries.end()) replayed += weight * it->second->cost;
+      continue;
+    }
+    auto it = updates.find(entry->name);
+    if (it == updates.end()) continue;
+    double update_cost = 0.0;
+    std::set<std::string> counted_supports;
+    for (const UpdatePlanPart& part : it->second->parts) {
+      update_cost += part.write_cost;
+      for (const QueryPlan& support : part.support_plans) {
+        const std::string key = support.query != nullptr
+                                    ? support.query->ToString()
+                                    : std::to_string(update_cost);
+        if (counted_supports.insert(key).second) update_cost += support.cost;
+      }
+    }
+    replayed += weight * update_cost;
+  }
+  return replayed;
 }
 
 }  // namespace nose

@@ -9,6 +9,7 @@
 #include "schema/column_family.h"
 #include "util/statusor.h"
 #include "workload/update.h"
+#include "workload/workload.h"
 
 namespace nose {
 
@@ -71,6 +72,17 @@ StatusOr<UpdatePlan> PlanUpdateForSchema(const Update& update,
                                          const QueryPlanner& planner,
                                          const CardinalityEstimator& est,
                                          const CostModel& cost);
+
+/// Weighted cost of running `mix` with the given plans: Σ weight × plan
+/// cost over the mix's statements, an update costing its parts' writes
+/// plus each distinct support query once (parts store a shared support
+/// plan once each, but it executes once per statement). Statements
+/// without a plan add nothing. This is the objective a recommendation
+/// reports and what the NOSE-I006 audit replays.
+double ReplayedPlanCost(
+    const Workload& workload, const std::string& mix,
+    const std::vector<std::pair<std::string, QueryPlan>>& query_plans,
+    const std::vector<std::pair<std::string, UpdatePlan>>& update_plans);
 
 }  // namespace nose
 

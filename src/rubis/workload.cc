@@ -1,5 +1,6 @@
 #include "rubis/workload.h"
 
+#include <algorithm>
 #include <map>
 
 #include "parser/statement_parser.h"
@@ -114,21 +115,54 @@ const std::vector<Transaction>& Transactions() {
   return *kTransactions;
 }
 
+double TransactionWeight(const Transaction& tx, const std::string& mix) {
+  if (mix == kBrowsingMix) return tx.browsing_weight;
+  if (mix == kBiddingMix) return tx.bidding_weight;
+  if (mix == kWrite10xMix) {
+    return tx.is_write ? tx.bidding_weight * 10.0 : tx.bidding_weight;
+  }
+  if (mix == kWrite100xMix) {
+    return tx.is_write ? tx.bidding_weight * 100.0 : tx.bidding_weight;
+  }
+  return 0.0;
+}
+
+StatusOr<TransactionSampler> TransactionSampler::ForMix(
+    const std::string& mix) {
+  TransactionSampler sampler;
+  for (const Transaction& tx : Transactions()) {
+    const double weight = TransactionWeight(tx, mix);
+    if (weight <= 0.0) continue;
+    sampler.total_ += weight;
+    sampler.entries_.push_back({&tx, weight, sampler.total_});
+  }
+  if (sampler.entries_.empty()) {
+    return Status::InvalidArgument("mix " + mix + " weights no transaction");
+  }
+  return sampler;
+}
+
+const Transaction& TransactionSampler::Pick(Rng* rng) const {
+  const double pick = rng->NextDouble() * total_;
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), pick,
+      [](const Entry& e, double value) { return e.cumulative < value; });
+  if (it == entries_.end()) --it;
+  return *it->tx;
+}
+
 StatusOr<std::unique_ptr<Workload>> MakeWorkload(const EntityGraph& graph) {
   auto workload = std::make_unique<Workload>(&graph);
+  constexpr const char* kMixes[] = {kBiddingMix, kBrowsingMix, kWrite10xMix,
+                                    kWrite100xMix};
 
   // Statement weight per mix = sum of weights of transactions using it.
   std::map<std::string, std::map<std::string, double>> weights;
   for (const Transaction& tx : Transactions()) {
     for (const std::string& stmt : tx.statements) {
-      weights[stmt][kBiddingMix] += tx.bidding_weight;
-      weights[stmt][kBrowsingMix] += tx.browsing_weight;
-      const double w10 = tx.is_write ? tx.bidding_weight * 10.0
-                                     : tx.bidding_weight;
-      const double w100 = tx.is_write ? tx.bidding_weight * 100.0
-                                      : tx.bidding_weight;
-      weights[stmt][kWrite10xMix] += w10;
-      weights[stmt][kWrite100xMix] += w100;
+      for (const char* mix : kMixes) {
+        weights[stmt][mix] += TransactionWeight(tx, mix);
+      }
     }
   }
 

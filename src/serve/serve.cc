@@ -8,18 +8,12 @@
 #include "executor/loader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rubis/workload.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace nose::serve {
 
 namespace {
-
-double MixWeight(const rubis::Transaction& tx, const std::string& mix) {
-  if (mix == rubis::kBrowsingMix) return tx.browsing_weight;
-  return tx.bidding_weight;
-}
 
 LatencyQuantiles Quantiles(std::vector<double>& samples) {
   LatencyQuantiles q;
@@ -61,25 +55,11 @@ ServeHarness::~ServeHarness() {
 
 StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
     const evolve::DriftScenario& scenario, ServeOptions options) {
-  if (scenario.workload != "rubis") {
-    return Status::Unimplemented("unknown scenario workload " +
-                                 scenario.workload);
-  }
-  if (scenario.phases.empty()) {
-    return Status::InvalidArgument("scenario has no phases");
-  }
   if (options.threads == 0) options.threads = 1;
   if (options.streams == 0) options.streams = options.threads;
   std::unique_ptr<ServeHarness> harness(
       new ServeHarness(scenario, std::move(options)));
-  auto graph = rubis::MakeGraph(rubis::ScaleFor(scenario.scale));
-  if (!graph.ok()) return graph.status();
-  harness->graph_ = std::move(graph).value();
-  harness->data_ = std::make_unique<Dataset>(rubis::GenerateData(
-      harness->graph_.get(), rubis::ScaleFor(scenario.scale), scenario.seed));
-  auto workload = rubis::MakeWorkload(*harness->graph_);
-  if (!workload.ok()) return workload.status();
-  harness->workload_ = std::move(workload).value();
+  NOSE_ASSIGN_OR_RETURN(harness->env_, evolve::MakeEnvironment(scenario));
   harness->advisor_ =
       std::make_unique<Advisor>(scenario.options.advisor);
   harness->store_ = std::make_unique<RecordStore>(
@@ -90,7 +70,7 @@ StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
     // Per-stream generators: stream s's statement sequence is a function
     // of (seed, s, stream count) only — never of the thread count.
     harness->streams_[s].params = std::make_unique<rubis::ParamGenerator>(
-        harness->data_.get(), scenario.seed, s, streams);
+        harness->env_.data.get(), scenario.seed, s, streams);
     harness->streams_[s].mix_rng =
         Rng(scenario.seed + 0x9e3779b97f4a7c15ull * (s + 1));
   }
@@ -99,45 +79,14 @@ StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
   return harness;
 }
 
-std::shared_ptr<ServeHarness::Generation> ServeHarness::MakeGeneration(
-    Recommendation rec, const Schema* reuse_names_from) {
-  auto gen = std::make_shared<Generation>();
-  gen->serial = next_serial_++;
-  gen->rec = std::move(rec);
-  gen->named = std::make_unique<Schema>();
-  const std::string prefix = "s" + std::to_string(gen->serial) + "_";
-  const Schema& advised = gen->rec.schema;
-  for (size_t i = 0; i < advised.size(); ++i) {
-    const ColumnFamily& cf = advised.column_families()[i];
-    const std::string* kept =
-        reuse_names_from != nullptr ? reuse_names_from->NameOf(cf) : nullptr;
-    // Kept column families retain their live store names; new ones get
-    // generation-prefixed names so both generations coexist in one store.
-    const std::string name =
-        kept != nullptr
-            ? *kept
-            : (reuse_names_from != nullptr ? prefix : std::string()) +
-                  advised.names()[i];
-    gen->named->Add(cf, name, advised.PoolIdAt(i));
-  }
-  for (const auto& [stmt, plan] : gen->rec.query_plans) {
-    gen->query_plans.emplace(stmt, plan);
-  }
-  for (const auto& [stmt, plan] : gen->rec.update_plans) {
-    gen->update_plans.emplace(stmt, plan);
-  }
-  gen->executor = std::make_unique<PlanExecutor>(store_.get(), gen->named.get());
-  return gen;
-}
-
 StatusOr<Recommendation> ServeHarness::AdviseForPhase(size_t phase) {
   const std::string& mix = scenario_.phases[phase].mix;
   Stopwatch watch;
   StatusOr<Recommendation> rec =
       options_.advise_deadline_seconds > 0.0
-          ? advisor_->Recommend(*workload_, mix,
+          ? advisor_->Recommend(*env_.workload, mix,
                                 options_.advise_deadline_seconds)
-          : advisor_->Recommend(*workload_, mix);
+          : advisor_->Recommend(*env_.workload, mix);
   if (!rec.ok()) return rec.status();
   ServeAdviseRecord record;
   record.phase = phase;
@@ -152,27 +101,23 @@ StatusOr<Recommendation> ServeHarness::AdviseForPhase(size_t phase) {
 
 Status ServeHarness::PrepareBoundary(size_t phase) {
   NOSE_ASSIGN_OR_RETURN(Recommendation rec, AdviseForPhase(phase));
+  const Schema* live = active_ != nullptr ? active_->named.get() : nullptr;
+  std::shared_ptr<Generation> next = evolve::MakeGeneration(
+      std::move(rec), live, "s" + std::to_string(next_serial_++) + "_",
+      store_.get());
   if (phase == 0) {
     report_.advises.back().schema_changed = true;
-    active_ = MakeGeneration(std::move(rec), nullptr);
+    active_ = std::move(next);
     // The initial deployment is not part of the served workload: load the
     // full schema uncharged, exactly like the evolve loop's Init.
-    return LoadSchema(*data_, *active_->named, store_.get());
+    return LoadSchema(*env_.data, *active_->named, store_.get());
   }
 
-  auto next = MakeGeneration(std::move(rec), active_->named.get());
-  CostModel cost(scenario_.options.advisor.cost_params);
-  // Price the migration under the mix it runs beneath — the same shared
-  // pricing the horizon planner and the evolve loop use.
-  MigrationTraffic traffic;
-  traffic.update_weight_share =
-      UpdateWeightShare(*workload_, scenario_.phases[phase].mix);
-  traffic.chunk_rows =
-      static_cast<double>(scenario_.options.migration.chunk_rows);
-  auto plan = std::make_unique<evolve::MigrationPlan>(
-      evolve::PlanMigration(*active_->named, *next->named, cost, traffic));
-
-  if (plan->empty()) {
+  mig_record_ = ServeMigrationRecord();
+  evolve::ArmedMigration armed = evolve::ArmMigration(
+      *active_, *next, *env_.workload, scenario_.phases[phase].mix, *env_.data,
+      store_.get(), scenario_.options, &mig_record_);
+  if (armed.executor == nullptr) {
     // Same physical schema: adopt the fresh plans in place (drivers are
     // parked between phases, so a plain swap is safe).
     std::lock_guard<std::mutex> lock(gen_mu_);
@@ -181,29 +126,17 @@ Status ServeHarness::PrepareBoundary(size_t phase) {
   }
 
   report_.advises.back().schema_changed = true;
-  mig_record_ = ServeMigrationRecord();
   mig_record_.at_phase = phase;
   mig_record_.to_mix = scenario_.phases[phase].mix;
-  mig_record_.builds = plan->build_indices.size();
-  mig_record_.keeps = plan->keep_names.size();
-  mig_record_.drops = plan->drop_names.size();
-  mig_record_.est_build_cost_ms = plan->est_build_cost_ms;
-  mig_record_.est_drop_cost_ms = plan->est_drop_cost_ms;
-  mig_record_.est_dual_write_cost_ms = plan->est_dual_write_cost_ms;
-
   pending_ = std::move(next);
-  mig_plan_ = std::move(plan);
-  migration_ = std::make_unique<evolve::MigrationExecutor>(
-      data_.get(), store_.get(), pending_->named.get(),
-      active_->executor.get(), pending_->executor.get(), &active_->query_plans,
-      &pending_->query_plans, &pending_->update_plans, mig_plan_.get(),
-      scenario_.options.migration);
+  mig_plan_ = std::move(armed.plan);
+  migration_ = std::move(armed.executor);
   NOSE_RETURN_IF_ERROR(migration_->Prepare());
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     live_migration_ = migration_.get();
     dual_routing_ = false;
-    migrating_from_serial_ = active_->serial;
+    migrating_from_ = active_.get();
   }
   return Status::Ok();
 }
@@ -214,11 +147,11 @@ Status ServeHarness::ExecuteTransaction(Stream& stream,
                                         size_t* statements) {
   PlanExecutor::Params params;
   for (const std::string& stmt : tx.statements) {
-    stream.params->AddStatementParams(*workload_->FindEntry(stmt), &params);
+    stream.params->AddStatementParams(*env_.workload->FindEntry(stmt),
+                                      &params);
   }
   for (const std::string& stmt : tx.statements) {
-    const WorkloadEntry* entry = workload_->FindEntry(stmt);
-    if (entry->IsQuery()) {
+    if (env_.workload->FindEntry(stmt)->IsQuery()) {
       auto it = gen->query_plans.find(stmt);
       if (it == gen->query_plans.end()) {
         return Status::NotFound("no active plan for query " + stmt);
@@ -243,7 +176,7 @@ Status ServeHarness::ExecuteTransaction(Stream& stream,
         // prefix or dual-written, never both (see the header).
         std::lock_guard<std::mutex> lock(log_mu_);
         update_log_.push_back({stmt, params});
-        if (dual_routing_ && gen->serial == migrating_from_serial_) {
+        if (dual_routing_ && gen.get() == migrating_from_) {
           dual = live_migration_;
         }
       }
@@ -283,11 +216,9 @@ void ServeHarness::ResumeDrivers() {
 }
 
 void ServeHarness::DriverLoop(size_t workers, const std::vector<size_t>& owned,
-                              const std::vector<double>& cumulative,
-                              double total_weight,
+                              const rubis::TransactionSampler& sampler,
                               std::vector<Sample>* samples, size_t* statements,
                               Status* status) {
-  const std::vector<rubis::Transaction>& txs = rubis::Transactions();
   const auto start = std::chrono::steady_clock::now();
   const double period_seconds =
       options_.target_rate > 0.0
@@ -311,11 +242,7 @@ void ServeHarness::DriverLoop(size_t workers, const std::vector<size_t>& owned,
       }
       // Sample the transaction from the stream's own RNG: the sequence
       // depends only on the stream, not on which worker runs it.
-      const double pick = stream.mix_rng.NextDouble() * total_weight;
-      size_t chosen =
-          std::lower_bound(cumulative.begin(), cumulative.end(), pick) -
-          cumulative.begin();
-      if (chosen >= txs.size()) chosen = txs.size() - 1;
+      const rubis::Transaction& tx = sampler.Pick(&stream.mix_rng);
 
       std::shared_ptr<Generation> gen;
       {
@@ -324,7 +251,7 @@ void ServeHarness::DriverLoop(size_t workers, const std::vector<size_t>& owned,
       }
       const int bucket = bucket_.load(std::memory_order_relaxed);
       const double before = RecordStore::ThreadChargeMs();
-      Status s_txn = ExecuteTransaction(stream, txs[chosen], gen, statements);
+      Status s_txn = ExecuteTransaction(stream, tx, gen, statements);
       if (!s_txn.ok()) {
         *status = s_txn;
         return;
@@ -424,6 +351,7 @@ void ServeHarness::MigrationWorker(size_t phase) {
       std::lock_guard<std::mutex> lock(log_mu_);
       dual_routing_ = false;
       live_migration_ = nullptr;
+      migrating_from_ = nullptr;
     }
     migration_->FinishCutover();
 
@@ -445,12 +373,10 @@ void ServeHarness::MigrationWorker(size_t phase) {
     std::lock_guard<std::mutex> lock(log_mu_);
     dual_routing_ = false;
     live_migration_ = nullptr;
+    migrating_from_ = nullptr;
   }
   const evolve::MigrationProgress prog = migration_->progress();
-  mig_record_.rows_backfilled = prog.rows_backfilled;
-  mig_record_.catchup_updates = prog.catchup_updates;
-  mig_record_.dual_writes = prog.dual_writes;
-  mig_record_.verify_queries = prog.verify_queries;
+  mig_record_.CopyProgress(prog);
   mig_record_.simulated_ms = prog.simulated_ms;
   mig_record_.wall_seconds = wall.ElapsedSeconds();
   migration_status_ = status;
@@ -459,18 +385,7 @@ void ServeHarness::MigrationWorker(size_t phase) {
 
 Status ServeHarness::RunPhase(size_t phase) {
   const evolve::DriftPhase& drift_phase = scenario_.phases[phase];
-  const std::vector<rubis::Transaction>& txs = rubis::Transactions();
-  std::vector<double> cumulative;
-  cumulative.reserve(txs.size());
-  double total = 0.0;
-  for (const rubis::Transaction& tx : txs) {
-    total += MixWeight(tx, drift_phase.mix);
-    cumulative.push_back(total);
-  }
-  if (total <= 0.0) {
-    return Status::InvalidArgument("mix " + drift_phase.mix +
-                                   " weights no transaction");
-  }
+  const rubis::TransactionSampler& sampler = env_.phase_samplers[phase];
 
   // Deal this phase's transactions across the fixed streams.
   const size_t streams = streams_.size();
@@ -498,10 +413,9 @@ Status ServeHarness::RunPhase(size_t phase) {
     std::vector<size_t> owned;
     for (size_t s = w; s < streams; s += workers) owned.push_back(s);
     threads.emplace_back([this, w, workers, owned = std::move(owned),
-                          &cumulative, total, &samples, &statements,
-                          &statuses] {
-      DriverLoop(workers, owned, cumulative, total, &samples[w],
-                 &statements[w], &statuses[w]);
+                          &sampler, &samples, &statements, &statuses] {
+      DriverLoop(workers, owned, sampler, &samples[w], &statements[w],
+                 &statuses[w]);
       std::lock_guard<std::mutex> lock(pause_mu_);
       --running_drivers_;
       pause_cv_.notify_all();

@@ -12,14 +12,10 @@
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "evolve/evolve.h"
 #include "evolve/migration_executor.h"
-#include "evolve/migration_planner.h"
 #include "evolve/scenario.h"
-#include "executor/dataset.h"
-#include "executor/plan_executor.h"
 #include "rubis/datagen.h"
-#include "rubis/model.h"
-#include "rubis/workload.h"
 #include "store/record_store.h"
 #include "util/statusor.h"
 
@@ -61,16 +57,9 @@ struct LatencyQuantiles {
 };
 
 /// Timeline of one live migration executed under load.
-struct ServeMigrationRecord {
+struct ServeMigrationRecord : evolve::MigrationCounts {
   size_t at_phase = 0;  ///< scenario phase whose boundary triggered it
   std::string to_mix;
-  size_t builds = 0;
-  size_t keeps = 0;
-  size_t drops = 0;
-  uint64_t rows_backfilled = 0;
-  uint64_t catchup_updates = 0;
-  uint64_t dual_writes = 0;
-  uint64_t verify_queries = 0;
   /// Dirty concurrent verification passes retried before a clean one.
   uint64_t verify_retries = 0;
   /// True when the drivers had to be quiesced for the deciding pass.
@@ -78,10 +67,6 @@ struct ServeMigrationRecord {
   /// Space reclaimed by dropping the superseded generation at cutover.
   uint64_t rows_dropped = 0;
   uint64_t bytes_dropped = 0;
-  /// Shared-pricing estimates (same functions the horizon planner uses).
-  double est_build_cost_ms = 0.0;
-  double est_drop_cost_ms = 0.0;
-  double est_dual_write_cost_ms = 0.0;
   /// Simulated store milliseconds charged to migration work.
   double simulated_ms = 0.0;
   /// Wall-clock seconds from migration start to completed cutover.
@@ -132,11 +117,12 @@ struct ServeReport {
 /// cutover that drops the superseded column families).
 ///
 /// Determinism: the workload is S fixed logical streams; stream s owns a
-/// sharded rubis::ParamGenerator (shard s of S) and its own transaction
-/// sampler, so its statement sequence is independent of the thread count,
-/// and statements of different streams never write the same record. All
-/// cross-stream interleavings therefore commute in the store, and the
-/// final post-cutover content digest is identical at any thread count.
+/// sharded rubis::ParamGenerator (shard s of S) and its own RNG drawing
+/// from the phase's sampler, so its statement sequence is independent of
+/// the thread count, and statements of different streams never write the
+/// same record. All cross-stream interleavings therefore commute in the
+/// store, and the final post-cutover content digest is identical at any
+/// thread count.
 class ServeHarness {
  public:
   static StatusOr<std::unique_ptr<ServeHarness>> Create(
@@ -149,21 +135,13 @@ class ServeHarness {
 
   const ServeReport& report() const { return report_; }
   RecordStore* store() { return store_.get(); }
-  const Workload& workload() const { return *workload_; }
+  const Workload& workload() const { return *env_.workload; }
 
  private:
-  /// One schema generation, shared with driver threads: they snapshot the
-  /// active generation per transaction, so a superseded generation stays
-  /// alive until its last in-flight transaction finishes (the cutover's
-  /// epoch barrier waits on exactly that).
-  struct Generation {
-    size_t serial = 0;
-    Recommendation rec;
-    std::unique_ptr<Schema> named;
-    std::map<std::string, QueryPlan> query_plans;
-    std::map<std::string, UpdatePlan> update_plans;
-    std::unique_ptr<PlanExecutor> executor;
-  };
+  /// Shared with driver threads, which snapshot the active generation per
+  /// transaction: a superseded one lives until its last in-flight
+  /// transaction finishes (the cutover's epoch barrier waits on that).
+  using Generation = evolve::Generation;
 
   /// One logical client stream.
   struct Stream {
@@ -181,8 +159,6 @@ class ServeHarness {
   ServeHarness(evolve::DriftScenario scenario, ServeOptions options);
 
   StatusOr<Recommendation> AdviseForPhase(size_t phase);
-  std::shared_ptr<Generation> MakeGeneration(Recommendation rec,
-                                             const Schema* reuse_names_from);
   /// Advises phase `p`'s mix and either adopts the result in place (same
   /// schema) or arms a live migration toward it (started by RunPhase).
   Status PrepareBoundary(size_t phase);
@@ -190,7 +166,7 @@ class ServeHarness {
   /// any armed migration.
   Status RunPhase(size_t phase);
   void DriverLoop(size_t workers, const std::vector<size_t>& owned,
-                  const std::vector<double>& cumulative, double total_weight,
+                  const rubis::TransactionSampler& sampler,
                   std::vector<Sample>* samples, size_t* statements,
                   Status* status);
   Status ExecuteTransaction(Stream& stream, const rubis::Transaction& tx,
@@ -208,9 +184,7 @@ class ServeHarness {
   evolve::DriftScenario scenario_;
   ServeOptions options_;
 
-  std::unique_ptr<EntityGraph> graph_;
-  std::unique_ptr<Dataset> data_;
-  std::unique_ptr<Workload> workload_;
+  evolve::ScenarioEnvironment env_;
   std::unique_ptr<Advisor> advisor_;
   std::unique_ptr<RecordStore> store_;
   std::vector<Stream> streams_;
@@ -220,7 +194,7 @@ class ServeHarness {
   std::mutex gen_mu_;
   std::shared_ptr<Generation> active_;
   std::shared_ptr<Generation> pending_;
-  size_t next_serial_ = 0;
+  size_t next_serial_ = 0;  ///< names new families "s<serial>_..."
 
   /// Armed migration state (created at a boundary, executed by
   /// MigrationWorker while RunPhase drives traffic).
@@ -240,7 +214,7 @@ class ServeHarness {
   std::vector<evolve::LoggedStatement> query_log_;
   bool dual_routing_ = false;                        ///< guarded by log_mu_
   evolve::MigrationExecutor* live_migration_ = nullptr;  ///< guarded by log_mu_
-  size_t migrating_from_serial_ = 0;                 ///< guarded by log_mu_
+  const Generation* migrating_from_ = nullptr;       ///< guarded by log_mu_
 
   /// Latency bucket of newly started transactions: 0 before any migration,
   /// 1 while one is in flight, 2 after the last cutover.

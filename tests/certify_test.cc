@@ -133,14 +133,6 @@ ParsedFixture LoadFixture(const std::string& stem) {
   return out;
 }
 
-const Diagnostic* FindCode(const std::vector<Diagnostic>& diags,
-                           const std::string& code) {
-  for (const Diagnostic& d : diags) {
-    if (d.code == code) return &d;
-  }
-  return nullptr;
-}
-
 SolveCertificate CaptureCertificate(const std::string& stem,
                                     const std::string& mix = "default") {
   ParsedFixture f = LoadFixture(stem);

@@ -432,7 +432,9 @@ TEST(EvolveE2ETest, RubisDriftMigratesLiveAndStaysConsistent) {
     EXPECT_EQ(m.verify_mismatches, 0u);
     EXPECT_GT(m.verify_queries, 0u);
     EXPECT_TRUE(m.advise_incremental);
-    if (m.builds > 0) EXPECT_GT(m.rows_backfilled, 0u);
+    if (m.builds > 0) {
+      EXPECT_GT(m.rows_backfilled, 0u);
+    }
   }
 
   EvolveController& controller = (*runner)->controller();
@@ -474,6 +476,40 @@ TEST(EvolveE2ETest, RubisDriftMigratesLiveAndStaysConsistent) {
     ++compared;
   }
   EXPECT_GT(compared, 0u);
+}
+
+// The bundled scenario with the advisor's invariant audit on in every
+// build type: each re-advise must report the cost of the plans it
+// returns (NOSE-I006), including the incremental re-advise at txn 653.
+TEST(EvolveE2ETest, BundledDriftScenarioPassesInvariantAudit) {
+  auto scenario = LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  scenario->options.advisor.verify_invariants = true;
+  auto runner = DriftRunner::Create(*scenario);
+  ASSERT_TRUE(runner.ok()) << runner.status();
+  Status run = (*runner)->Run();
+  ASSERT_TRUE(run.ok()) << run;
+  const EvolveReport& report = (*runner)->report();
+  EXPECT_EQ(report.invariant_violations, 0u);
+  EXPECT_GE(report.migrations.size(), 1u);
+}
+
+TEST(EvolveE2ETest, UnknownPhaseMixIsRejected) {
+  auto scenario = ParseScenario(
+      "workload rubis\n"
+      "scale 0.02\n"
+      "phase default 60\n"
+      "phase bogus 60\n");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  auto runner = DriftRunner::Create(*scenario);
+  ASSERT_FALSE(runner.ok());
+  EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = runner.status().ToString();
+  EXPECT_NE(message.find("phase 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("'bogus'"), std::string::npos) << message;
+  EXPECT_NE(message.find("browsing, default, write100x, write10x"),
+            std::string::npos)
+      << message;
 }
 
 // ===========================================================================

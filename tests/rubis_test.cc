@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -70,6 +71,35 @@ TEST(RubisWorkloadTest, AllStatementsParseAndTransactionsResolve) {
     if (!entry->IsQuery()) w_100 += weight;
   }
   EXPECT_GT(w_100, 5.0 * w_bid);
+}
+
+// The sampler is the traffic side of a mix and MakeWorkload the advised
+// side: for every mix and statement, the sampler's weight summed over the
+// transactions running that statement must be the statement's weight, or
+// a phase would sample traffic the advisor never optimized for.
+TEST(RubisWorkloadTest, SamplerWeightsReproduceStatementWeights) {
+  auto graph = rubis::MakeGraph();
+  ASSERT_TRUE(graph.ok());
+  auto workload = rubis::MakeWorkload(**graph);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  const std::vector<std::string> mixes = (*workload)->MixNames();
+  EXPECT_EQ(mixes.size(), 4u);
+  for (const std::string& mix : mixes) {
+    auto sampler = rubis::TransactionSampler::ForMix(mix);
+    ASSERT_TRUE(sampler.ok()) << mix << ": " << sampler.status();
+    for (const WorkloadEntry& entry : (*workload)->entries()) {
+      double sampled = 0.0;
+      for (const auto& e : sampler->entries()) {
+        const std::vector<std::string>& stmts = e.tx->statements;
+        if (std::find(stmts.begin(), stmts.end(), entry.name) != stmts.end()) {
+          sampled += e.weight;
+        }
+      }
+      EXPECT_DOUBLE_EQ(sampled, entry.WeightIn(mix))
+          << "mix " << mix << ", statement " << entry.name;
+    }
+  }
+  EXPECT_FALSE(rubis::TransactionSampler::ForMix("bogus").ok());
 }
 
 class RubisAdvisorTest : public ::testing::Test {

@@ -74,18 +74,24 @@ TEST(ServeTest, StoreContentIdenticalAcrossThreadCounts) {
 }
 
 TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
-  auto harness = RunServe(4);
-  ASSERT_TRUE(harness.ok()) << harness.status();
-  const ServeReport& report = (*harness)->report();
+  // A third phase after the migration phase: RunPhase joins the migration
+  // worker before it returns, so all of phase 2 lands in the "after"
+  // bucket however long the migration took under load.
+  evolve::DriftScenario scenario = TwoPhaseScenario();
+  scenario.phases.push_back({"browsing", 80});
+  auto created = ServeHarness::Create(scenario, Options(4));
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_TRUE((*created)->Run().ok());
+  const ServeReport& report = (*created)->report();
 
   EXPECT_EQ(report.threads, 4u);
   EXPECT_EQ(report.streams, 8u);
-  EXPECT_EQ(report.transactions, 400u);
-  // Every transaction landed in exactly one latency bucket.
-  EXPECT_EQ(report.before.count + report.during.count + report.after.count,
-            report.transactions);
-  EXPECT_GT(report.before.count, 0u);
-  EXPECT_GT(report.after.count, 0u);
+  EXPECT_EQ(report.transactions, 160u + 240u + 80u);
+  // Every transaction landed in exactly one latency bucket: phase 0 before
+  // any migration, phase 1 during or after it, phase 2 after it.
+  EXPECT_EQ(report.before.count, 160u);
+  EXPECT_EQ(report.during.count + report.after.count, 240u + 80u);
+  EXPECT_GE(report.after.count, 80u);
   EXPECT_GE(report.before.p95_ms, report.before.p50_ms);
   EXPECT_GE(report.before.p99_ms, report.before.p95_ms);
   EXPECT_GE(report.before.max_ms, report.before.p99_ms);
@@ -100,14 +106,30 @@ TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
   EXPECT_GT(m.bytes_dropped, 0u);
   EXPECT_GT(m.wall_seconds, 0.0);
 
-  ASSERT_EQ(report.advises.size(), 2u);
-  EXPECT_TRUE(report.advises[0].schema_changed);  // initial deployment
-  EXPECT_TRUE(report.advises[1].schema_changed);  // browsing migration
+  ASSERT_EQ(report.advises.size(), 3u);
+  EXPECT_TRUE(report.advises[0].schema_changed);   // initial deployment
+  EXPECT_TRUE(report.advises[1].schema_changed);   // browsing migration
+  EXPECT_FALSE(report.advises[2].schema_changed);  // browsing again: kept
 
   const std::string text = report.ToString();
   EXPECT_NE(text.find("before migration"), std::string::npos);
   EXPECT_NE(text.find("after cutover"), std::string::npos);
   EXPECT_NE(text.find("migrations: 1"), std::string::npos);
+}
+
+TEST(ServeTest, UnknownPhaseMixIsRejected) {
+  auto scenario = evolve::ParseScenario(
+      "workload rubis\n"
+      "scale 0.02\n"
+      "phase default 60\n"
+      "phase bogus 60\n");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  auto harness = ServeHarness::Create(*scenario, Options(2));
+  ASSERT_FALSE(harness.ok());
+  EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(harness.status().ToString().find("phase 1 runs unknown mix"),
+            std::string::npos)
+      << harness.status();
 }
 
 // Same mix in consecutive phases: the re-advise returns the same schema and
