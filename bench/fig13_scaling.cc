@@ -113,9 +113,6 @@ int Main(int argc, char** argv) {
     AdvisorOptions options;
     options.num_threads = args.threads;
     options.optimizer.bip.time_limit_seconds = args.solve_budget;
-    // The second solve phase (schema-size minimization) is cosmetic and
-    // budget-bound; excluded so the measurement tracks the core pipeline.
-    options.optimizer.minimize_schema_size = false;
     Advisor advisor(options);
     auto rec = advisor.Recommend(*rw->workload);
     if (!rec.ok()) {

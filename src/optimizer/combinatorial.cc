@@ -20,6 +20,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// the same for a serial run and any pool size.
 constexpr size_t kEvalBatch = 16;
 
+/// Gap of the first pass of an exact search (see SolveCombinatorial).
+constexpr double kFirstPassGap = 0.01;
+
 struct Node {
   /// Candidate fixings along the branch: (index, on/off).
   std::vector<std::pair<size_t, bool>> fixings;
@@ -41,7 +44,9 @@ class Solver {
   Solver(const CombinatorialInput& input, const CombinatorialOptions& options)
       : in_(input), opt_(options) {}
 
-  CombinatorialResult Run() {
+  /// `start`, when feasible, is the initial incumbent: the search returns
+  /// it unless it finds a strictly cheaper schema.
+  CombinatorialResult Run(const CombinatorialResult& start) {
     obs::Span span("solver.combinatorial", "solver");
     CombinatorialResult result;
     uint64_t evaluations = 0;
@@ -49,6 +54,12 @@ class Solver {
     std::vector<Node> stack;
     stack.push_back(Node{});
     double incumbent = kInf;
+    if (start.feasible) {
+      incumbent = start.objective;
+      result.objective = start.objective;
+      result.selected = start.selected;
+      result.feasible = true;
+    }
 
     Stopwatch watch;
     bool budget_hit = false;
@@ -290,8 +301,35 @@ class Solver {
 
 CombinatorialResult SolveCombinatorial(const CombinatorialInput& input,
                                        const CombinatorialOptions& options) {
-  Solver solver(input, options);
-  return solver.Run();
+  if (options.relative_gap >= kFirstPassGap) {
+    return Solver(input, options).Run(CombinatorialResult());
+  }
+  // A tighter search runs in two passes. Depth-first search with pruning
+  // at the exact optimum can spend its whole node budget enumerating one
+  // near-optimal plateau; a first pass at kFirstPassGap proves a schema
+  // within 1% quickly, and the tight pass then starts from it. A budget
+  // that stops the tight pass still returns a schema within 1%.
+  Stopwatch watch;
+  CombinatorialOptions first_options = options;
+  first_options.relative_gap = kFirstPassGap;
+  CombinatorialResult first =
+      Solver(input, first_options).Run(CombinatorialResult());
+  if (!first.proven) return first;
+  CombinatorialOptions tight_options = options;
+  tight_options.max_nodes = options.max_nodes - first.nodes_explored;
+  if (options.time_limit_seconds > 0.0) {
+    tight_options.time_limit_seconds = std::max(
+        1e-3, options.time_limit_seconds - watch.ElapsedSeconds());
+  }
+  CombinatorialResult tight = Solver(input, tight_options).Run(first);
+  tight.nodes_explored += first.nodes_explored;
+  if (!tight.proven) {
+    tight.best_bound = std::max(
+        tight.best_bound,
+        first.objective -
+            std::max(1e-9, kFirstPassGap * std::abs(first.objective)));
+  }
+  return tight;
 }
 
 }  // namespace nose

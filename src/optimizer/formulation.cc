@@ -479,6 +479,29 @@ double WindowObjective(const WindowFormulation& form,
   return obj;
 }
 
+int DropRedundantCandidates(const WindowFormulation& form, double objective,
+                            std::vector<bool>* selected) {
+  double best = objective;
+  int dropped = 0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (size_t c = selected->size(); c-- > 0;) {
+      if (!(*selected)[c]) continue;
+      (*selected)[c] = false;
+      const double obj = WindowObjective(form, *selected);
+      if (obj <= best + 1e-6 * std::max(1.0, std::abs(best))) {
+        best = std::min(best, obj);
+        ++dropped;
+        changed = true;
+      } else {
+        (*selected)[c] = true;
+      }
+    }
+  }
+  return dropped;
+}
+
 Status ExtractWindowPlans(const WindowFormulation& form,
                           const Workload& workload, const std::string& mix,
                           const CandidatePool& pool,

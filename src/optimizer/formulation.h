@@ -158,6 +158,19 @@ Status ExtractWindowPlans(const WindowFormulation& form,
 double WindowObjective(const WindowFormulation& form,
                        const std::vector<bool>& selected);
 
+/// The schema-size stage (paper §V: among minimum-cost schemas, the one
+/// with the fewest column families). Walks the selected candidates in
+/// reverse index order and drops each one whose removal keeps
+/// WindowObjective(form, *selected) at or below the budget `best + 1e-6 ·
+/// max(1, |best|)`, sweeping again until a sweep drops nothing. `best`
+/// starts at `objective` (the cost solve's) and follows any drop that
+/// lowers the objective, so a poor starting point (an early-stopped solve)
+/// descends instead of spending its slack on fewer families. The result is
+/// a fixpoint: dropping any one remaining candidate exceeds the final
+/// budget. Returns the number of candidates dropped.
+int DropRedundantCandidates(const WindowFormulation& form, double objective,
+                            std::vector<bool>* selected);
+
 }  // namespace nose
 
 #endif  // NOSE_OPTIMIZER_FORMULATION_H_

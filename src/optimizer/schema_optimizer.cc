@@ -86,6 +86,9 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
   }
 
   std::vector<bool> selected(candidates.size(), false);
+  // BIP path only: the LP variable of each candidate's δ (the first
+  // variables of the problem, in candidate order).
+  std::vector<int> delta_vars;
 
   if (strategy == SolveStrategy::kCombinatorial) {
     // ==== Combinatorial branch and bound (large instances). ====
@@ -122,8 +125,6 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     const double budget = SolveBudgetSeconds(options_, total_watch);
     copt.time_limit_seconds = budget > 0.0 ? budget : 60.0;
     CombinatorialResult comb = SolveCombinatorial(input, copt);
-    result.timing.cost_solve_seconds = phase->StopSeconds();
-    result.timing.bip_solve_seconds = result.timing.cost_solve_seconds;
     if (!comb.feasible) {
       return Status::ResourceExhausted(
           "combinatorial solve found no schema within its budget");
@@ -139,7 +140,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     LpProblem lp;
     int num_constraints = 0;
 
-    std::vector<int> delta_vars(candidates.size());
+    delta_vars.resize(candidates.size());
     for (size_t c = 0; c < candidates.size(); ++c) {
       delta_vars[c] =
           lp.AddVariable(0.0, form.allowed[c] ? 1.0 : 0.0, form.delta_cost[c]);
@@ -168,13 +169,13 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     // its best plan — feasible unless a storage budget is active. Gives
     // branch and bound an incumbent immediately (anytime behavior).
     std::vector<double> warm;
-    BipOptions first_options = options_.bip;
-    first_options.threads = threads;
+    BipOptions bip_options = options_.bip;
+    bip_options.threads = threads;
     if (!options_.space_limit_bytes.has_value()) {
       warm.assign(static_cast<size_t>(lp.num_variables()), 0.0);
       if (RouteWindowPoint(form, delta_vars, form.allowed,
                            /*all_supports=*/true, &warm)) {
-        first_options.warm_start = &warm;
+        bip_options.warm_start = &warm;
       }
     }
     // Shared-pool advising: the previous mix's root basis is reusable here
@@ -186,24 +187,22 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     const bool cache_matches =
         cache != nullptr && cache->last_bip_variables == lp.num_variables() &&
         cache->last_bip_rows == lp.num_rows() &&
-        cache->last_bip_nonzeros == lp.num_nonzeros() &&
-        cache->last_bip_solution.size() ==
-            static_cast<size_t>(lp.num_variables());
+        cache->last_bip_nonzeros == lp.num_nonzeros();
     if (cache_matches) {
       // Hot-start the root LP from the previous optimal basis: identical
       // rows keep that basis primal feasible under the new costs, so the
       // root solve skips phase 1. The previous mix's incumbent is NOT
-      // seeded, even though it is feasible here: with gap-based pruning the
-      // returned optimum depends on the incumbent chain, so a foreign
-      // incumbent could prune the (within-gap, slightly better) solution
-      // the cold per-mix solve returns — breaking the byte-equality
-      // contract between AdviseAllMixes and Recommend.
+      // seeded, even though it is feasible here: among equal-cost optima
+      // the returned one depends on the incumbent chain, so a foreign
+      // incumbent could prune the tie the cold per-mix solve returns —
+      // breaking the byte-equality contract between AdviseAllMixes and
+      // Recommend.
       if (!cache->last_root_basis.empty()) {
-        first_options.root_basis = &cache->last_root_basis;
+        bip_options.root_basis = &cache->last_root_basis;
       }
     }
     if (cache != nullptr) {
-      first_options.capture_root_basis = &captured_root_basis;
+      bip_options.capture_root_basis = &captured_root_basis;
     }
 
     if (options_.capture_bip != nullptr) {
@@ -211,12 +210,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
       options_.capture_bip->binary_vars = binaries;
       options_.capture_bip->captured = true;
     }
-    // Certify the FIRST (cost-minimizing) solve only: the schema-size stage
-    // re-solves a different instance (extra budget row, count objective)
-    // whose optimum says nothing about workload cost.
-    if (options_.capture_certificate != nullptr) {
-      first_options.capture_certificate = options_.capture_certificate;
-    }
+    bip_options.capture_certificate = options_.capture_certificate;
 
     result.bip_variables = lp.num_variables();
     result.bip_constraints = num_constraints;
@@ -236,118 +230,75 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     }
     result.timing.bip_construction_seconds = phase->StopSeconds();
 
-    // ==== BIP solving (two-stage, paper §V). ====
+    // ==== BIP solving (cost stage, paper §V). ====
     phase.emplace("optimizer.bip_solve", "optimizer");
-    first_options.time_limit_seconds = SolveBudgetSeconds(options_, total_watch);
-    BipResult first = SolveBip(lp, binaries, first_options);
-    if (first.status == BipStatus::kInfeasible) {
+    bip_options.time_limit_seconds = SolveBudgetSeconds(options_, total_watch);
+    BipResult solved = SolveBip(lp, binaries, bip_options);
+    if (solved.status == BipStatus::kInfeasible) {
       return Status::Infeasible(
           "schema BIP has no feasible solution (space limit too tight?)");
     }
-    if (first.status == BipStatus::kNoSolution) {
+    if (solved.status == BipStatus::kNoSolution) {
       return Status::ResourceExhausted(
           "BIP solve hit its node/time budget before finding any feasible "
           "schema; raise OptimizerOptions::bip limits");
     }
-    result.bb_nodes = first.nodes_explored;
-    result.objective = first.objective;
-    result.solve_proven = first.status == BipStatus::kOptimal;
-    // The bound refers to the COST solve; the schema-size second stage
-    // below holds the cost fixed, so it cannot change the bound.
-    result.best_bound = first.best_bound;
-
-    // Replace the certificate's solution with an exactly-integral point:
-    // deltas snapped from the solve, each support indicator the OR of its
-    // dependent deltas, and every flow re-routed along the best path over
-    // the selected candidates (one exists — the BIP solution proves
-    // coverage). Integer-coefficient rows then verify with zero violation
-    // in exact arithmetic; the incumbent's raw LP vector would not.
-    if (options_.capture_certificate != nullptr) {
-      SolveCertificate& cert = *options_.capture_certificate;
-      std::vector<double> xhat(static_cast<size_t>(lp.num_variables()), 0.0);
-      std::vector<bool> cert_selected(candidates.size(), false);
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        cert_selected[c] =
-            first.x[static_cast<size_t>(delta_vars[c])] > 0.5 &&
-            form.allowed[c];
-      }
-      if (RouteWindowPoint(form, delta_vars, cert_selected,
-                           /*all_supports=*/false, &xhat)) {
-        cert.x = std::move(xhat);
-        double obj = 0.0;
-        for (int v = 0; v < lp.num_variables(); ++v) {
-          obj += lp.cost(v) * cert.x[static_cast<size_t>(v)];
-        }
-        cert.objective = obj;
-      }
-    }
-
-    result.timing.cost_solve_seconds = phase->ElapsedSeconds();
-    BipResult chosen = std::move(first);
-    if (options_.minimize_schema_size) {
-      // Pin the workload cost to the optimum, then minimize the number of
-      // selected column families. Proving optimality of a count objective
-      // is hopeless for plain branch and bound, so budget this phase; the
-      // unused-candidate prune below removes any slack it leaves.
-      std::vector<std::pair<int, double>> cost_row;
-      for (int v = 0; v < lp.num_variables(); ++v) {
-        const double c = lp.cost(v);
-        if (c != 0.0) cost_row.emplace_back(v, c);
-      }
-      const double budget =
-          chosen.objective + 1e-6 * std::max(1.0, std::abs(chosen.objective));
-      LpProblem second_lp = lp;
-      second_lp.AddRow(RowType::kLe, budget, std::move(cost_row));
-      for (int v = 0; v < second_lp.num_variables(); ++v) {
-        second_lp.SetCost(v, 0.0);
-      }
-      for (int dv : delta_vars) second_lp.SetCost(dv, 1.0);
-      // The phase-1 solution is feasible here (its cost equals the
-      // budget); use it as the incumbent, and exploit the integral
-      // objective (a count) for near-unit gap pruning.
-      BipOptions second_options = options_.bip;
-      second_options.threads = threads;
-      second_options.warm_start = &chosen.x;
-      second_options.absolute_gap = 1.0 - 1e-6;
-      second_options.max_nodes = std::min(options_.bip.max_nodes, 500);
-      // Under a deadline this stage gets only the time the cost solve
-      // left; its warm start keeps the minimum-cost schema either way.
-      second_options.time_limit_seconds =
-          SolveBudgetSeconds(options_, total_watch);
-      BipResult second = SolveBip(second_lp, binaries, second_options);
-      if (second.status == BipStatus::kOptimal ||
-          second.status == BipStatus::kNodeLimit) {
-        result.bb_nodes += second.nodes_explored;
-        chosen = std::move(second);
-      }
-    }
-    result.timing.size_solve_seconds =
-        phase->StopSeconds() - result.timing.cost_solve_seconds;
-    result.timing.bip_solve_seconds =
-        result.timing.cost_solve_seconds + result.timing.size_solve_seconds;
-
+    result.bb_nodes = solved.nodes_explored;
+    result.objective = solved.objective;
+    result.solve_proven = solved.status == BipStatus::kOptimal;
+    result.best_bound = solved.best_bound;
     for (size_t c = 0; c < candidates.size(); ++c) {
-      selected[c] = chosen.x[static_cast<size_t>(delta_vars[c])] > 0.5;
+      selected[c] = solved.x[static_cast<size_t>(delta_vars[c])] > 0.5;
     }
     if (cache != nullptr) {
-      cache->last_bip_solution = chosen.x;
       cache->last_bip_variables = lp.num_variables();
       cache->last_bip_rows = lp.num_rows();
       cache->last_bip_nonzeros = lp.num_nonzeros();
-      // Captured from the FIRST solve's root: the second (schema-size)
-      // stage appends a budget row, so its bases live in a different
-      // geometry and are never exchanged with this cache.
       cache->last_root_basis = std::move(captured_root_basis);
     }
   }
+
+  // ==== Schema-size stage (paper §V). ====
+  // Fewest column families among the minimum-cost schemas: a greedy drop
+  // pass within 1e-6 of the cost stage's objective. The cost stage's lower
+  // bound stays valid.
+  result.timing.cost_solve_seconds = phase->ElapsedSeconds();
+  if (options_.minimize_schema_size) {
+    DropRedundantCandidates(form, result.objective, &selected);
+  }
+  result.timing.size_solve_seconds =
+      phase->StopSeconds() - result.timing.cost_solve_seconds;
+  result.timing.bip_solve_seconds =
+      result.timing.cost_solve_seconds + result.timing.size_solve_seconds;
 
   // ==== Phase: extraction ("other"). ====
   obs::Span extraction_span("optimizer.extraction", "optimizer");
   NOSE_RETURN_IF_ERROR(ExtractWindowPlans(form, workload, mix, pool, *est_,
                                           /*prune=*/true, &selected, &result));
-  // Report what the returned plans cost. Extraction routes every statement
-  // along its best plan over the final selection, which can undercut the
-  // solver's incumbent by up to the relative gap it stopped within.
+  // Certify the schema that is returned, after the size stage and the
+  // prune: the certificate's solution becomes an exactly-integral point —
+  // deltas from the final selection, each support indicator the OR of its
+  // dependent deltas, and every flow routed along its best path over the
+  // selection (extraction just proved one exists). Integer-coefficient
+  // rows then verify with zero violation in exact arithmetic; the
+  // incumbent's raw LP vector would not.
+  if (options_.capture_certificate != nullptr && !delta_vars.empty()) {
+    SolveCertificate& cert = *options_.capture_certificate;
+    const LpProblem& lp = cert.problem;
+    std::vector<double> xhat(static_cast<size_t>(lp.num_variables()), 0.0);
+    if (RouteWindowPoint(form, delta_vars, selected,
+                         /*all_supports=*/false, &xhat)) {
+      cert.x = std::move(xhat);
+      double obj = 0.0;
+      for (int v = 0; v < lp.num_variables(); ++v) {
+        obj += lp.cost(v) * cert.x[static_cast<size_t>(v)];
+      }
+      cert.objective = obj;
+    }
+  }
+  // Report what the returned plans cost: the size stage may have spent up
+  // to 1e-6 of the cost solve's objective, and an inexact or early-stopped
+  // solve's incumbent can route worse than extraction's best plans.
   result.objective = ReplayedPlanCost(workload, mix, result.query_plans,
                                       result.update_plans);
   result.best_bound = std::min(result.best_bound, result.objective);

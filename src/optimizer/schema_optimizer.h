@@ -49,8 +49,11 @@ struct OptimizerOptions {
   /// Optional storage budget in bytes (paper: "an optional space
   /// constraint").
   std::optional<double> space_limit_bytes;
-  /// Run the second solve that, among all minimum-cost schemas, picks the
-  /// one with the fewest column families (paper §V).
+  /// Run the schema-size stage after the cost solve: among schemas within
+  /// 1e-6 of its objective, drop column families greedily until none can
+  /// go (paper §V's fewest-column-families tiebreak;
+  /// DropRedundantCandidates in optimizer/formulation.h). Applies to both
+  /// strategies.
   bool minimize_schema_size = true;
   SolveStrategy strategy = SolveStrategy::kAuto;
   size_t auto_bip_threshold = 120;
@@ -68,12 +71,13 @@ struct OptimizerOptions {
   /// assembled problem before solving.
   BipCapture* capture_bip = nullptr;
   /// When non-null and the BIP strategy runs, receives a machine-checkable
-  /// certificate of the FIRST (cost-minimizing) solve — see
-  /// solver/certificate.h. The certified solution is re-derived as an
-  /// exactly-integral point (binaries snapped, support indicators implied,
-  /// flows re-routed along best paths over the selected candidates), so the
-  /// exact-arithmetic checker verifies it with zero tolerance on
-  /// integer-coefficient rows. Not filled by the combinatorial strategy.
+  /// certificate of the cost solve — see solver/certificate.h. Its point
+  /// is the schema that is returned (after the size stage and the unused-
+  /// candidate prune), re-derived as an exactly-integral point (deltas
+  /// from the final selection, support indicators implied, flows routed
+  /// along best paths over it), so the exact-arithmetic checker verifies
+  /// it with zero tolerance on integer-coefficient rows. Not filled by the
+  /// combinatorial strategy.
   SolveCertificate* capture_certificate = nullptr;
 };
 
@@ -103,15 +107,10 @@ struct PlanSpaceCache {
   /// the texts of their support queries.
   std::map<std::string, std::vector<UpdateSupport>> update_supports;
 
-  /// The previous mix's optimal BIP solution. Mixes sharing a cache build
-  /// BIPs with identical variables and rows (only objective weights
-  /// differ), so this point stays feasible and seeds branch-and-bound
-  /// with a tight incumbent when it beats the greedy warm start.
-  std::vector<double> last_bip_solution;
-  /// Structural fingerprint of the BIP that produced last_bip_solution /
-  /// last_root_basis. A solve whose assembled BIP does not match discards
-  /// both instead of applying them to a mismatched variable space (the
-  /// workload or pool changed under the cache).
+  /// Structural fingerprint of the BIP that produced last_root_basis. A
+  /// solve whose assembled BIP does not match discards the basis instead
+  /// of applying it to a mismatched variable space (the workload or pool
+  /// changed under the cache).
   int last_bip_variables = -1;
   int last_bip_rows = -1;
   size_t last_bip_nonzeros = 0;
@@ -125,9 +124,8 @@ struct PlanSpaceCache {
 struct OptimizerTiming {
   double cost_calculation_seconds = 0.0;  ///< plan-space construction
   double bip_construction_seconds = 0.0;
-  /// The cost solve (stage 1, incl. the certificate's exact re-route) and
-  /// the schema-size solve at that cost (stage 2, paper §V; 0 when
-  /// disabled). The combinatorial path counts entirely as the cost solve.
+  /// The cost solve (BIP or combinatorial) and the schema-size stage at
+  /// that cost (the greedy drop pass, paper §V; ~0 when disabled).
   double cost_solve_seconds = 0.0;
   double size_solve_seconds = 0.0;
   /// Exactly cost_solve_seconds + size_solve_seconds.
@@ -141,9 +139,10 @@ struct OptimizationResult {
   /// Workload::EntriesIn(mix): (statement name, recommended plan).
   std::vector<std::pair<std::string, QueryPlan>> query_plans;
   std::vector<std::pair<std::string, UpdatePlan>> update_plans;
-  /// Weighted workload cost of the returned plans (ReplayedPlanCost). The
-  /// solver's incumbent can cost up to its relative gap more: extraction
-  /// re-routes every statement along its best plan over the selection.
+  /// Weighted workload cost of the returned plans (ReplayedPlanCost). It
+  /// can differ from the cost solve's incumbent: the size stage may spend
+  /// up to 1e-6 of it, and with a positive relative gap or an early stop
+  /// extraction's best-plan routing can undercut it.
   double objective = 0.0;
   /// True when the solver proved optimality (within its gap); false when a
   /// node/time budget stopped it with the best incumbent found.

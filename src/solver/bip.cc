@@ -207,6 +207,8 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
 
   std::vector<Node> stack;
   stack.push_back(Node{{}, -LpProblem::kInfinity, nullptr});
+  // Smallest parent bound of a node whose relaxation was abandoned.
+  double abandoned_bound = LpProblem::kInfinity;
   bool root_pending = true;
 
   auto prune_threshold = [&]() {
@@ -352,9 +354,10 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         continue;
       }
       if (lp.status != LpStatus::kOptimal) {
-        // Unbounded or iteration-limited relaxations abort the search; the
-        // schema optimizer's models are always bounded, so this is
-        // defensive.
+        // An unbounded or iteration/deadline-limited relaxation leaves its
+        // subtree unexplored: the search can no longer claim optimality,
+        // and the node's parent bound stays part of the global bound.
+        abandoned_bound = std::min(abandoned_bound, node.parent_bound);
         if (logging) {
           record_node(node_id, depth, "abandoned", node.parent_bound, &lp,
                       /*branch_var=*/-1, incumbent);
@@ -425,14 +428,14 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     }
   }
 
-  if (!stack.empty()) {
-    // Node limit reached with work remaining. The global lower bound at
-    // this point: every open subtree costs at least its parent's LP
-    // bound, and every pruned subtree at least the (final, smallest)
-    // prune threshold.
+  if (!stack.empty() || abandoned_bound < LpProblem::kInfinity) {
+    // Node limit reached with work remaining, or subtrees abandoned. The
+    // global lower bound at this point: every open or abandoned subtree
+    // costs at least its parent's LP bound, and every pruned subtree at
+    // least the (final, smallest) prune threshold.
     result.status = std::isfinite(incumbent) ? BipStatus::kNodeLimit
                                              : BipStatus::kNoSolution;
-    double open_min = prune_threshold();
+    double open_min = std::min(prune_threshold(), abandoned_bound);
     for (const Node& node : stack) {
       open_min = std::min(open_min, node.parent_bound);
     }

@@ -25,15 +25,16 @@ const char* BipStatusName(BipStatus status);
 
 struct BipOptions {
   double integrality_tolerance = 1e-6;
-  /// Prune nodes whose LP bound is within this of the incumbent. For
-  /// problems with provably integral objectives (e.g. minimizing a count),
-  /// set this just below 1 to prune aggressively.
+  /// Prune nodes whose LP bound is within this of the incumbent: the
+  /// floating-point tolerance of an exact solve.
   double absolute_gap = 1e-9;
   /// Additionally prune within `relative_gap * |incumbent|`: the returned
   /// solution is optimal to within this factor (Gurobi-style MIP gap).
-  /// Schema-advisor instances contain many near-duplicate candidates whose
-  /// equal-cost plateaus are pointless to enumerate exactly.
-  double relative_gap = 0.01;
+  /// 0 proves the optimum, so every exact solver (and the combinatorial
+  /// strategy) returns the same cost; a positive gap trades that for
+  /// fewer nodes. A time or node budget still returns the incumbent with
+  /// an honest anytime gap either way.
+  double relative_gap = 0.0;
   int max_nodes = 1000000;
   /// Wall-clock budget in seconds; 0 disables. On expiry the best
   /// incumbent is returned with kNodeLimit status.

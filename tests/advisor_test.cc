@@ -40,7 +40,7 @@ TEST(AdvisorTest, Fig3QueryGetsMaterializedView) {
   auto rec = advisor.Recommend(workload);
   ASSERT_TRUE(rec.ok()) << rec.status();
   // Read-only workload: a single materialized view answers the query in one
-  // get, and the second solve phase shrinks the schema to just that.
+  // get, and the schema-size stage drops every other family.
   EXPECT_EQ(rec->schema.size(), 1u);
   ASSERT_EQ(rec->query_plans.size(), 1u);
   EXPECT_EQ(rec->query_plans[0].second.steps.size(), 1u);
@@ -251,8 +251,8 @@ TEST(AdvisorTest, TimingBreakdownStaysNonNegative) {
     ExpectSolveSplit(rec.timing, mix);
   }
 
-  // On RUBiS `default` the schema-size stage runs a real search (over a
-  // hundred nodes), so its share of the solve time is visible.
+  // On RUBiS `default` both stages do real work: branch and bound for the
+  // cost, then the drop pass over the fourteen selected families.
   auto rubis_graph = rubis::MakeGraph();
   ASSERT_TRUE(rubis_graph.ok()) << rubis_graph.status();
   auto rubis_workload = rubis::MakeWorkload(**rubis_graph);

@@ -480,7 +480,7 @@ TEST(EvolveE2ETest, RubisDriftMigratesLiveAndStaysConsistent) {
 
 // The bundled scenario with the advisor's invariant audit on in every
 // build type: each re-advise must report the cost of the plans it
-// returns (NOSE-I006), including the incremental re-advise at txn 653.
+// returns (NOSE-I006).
 TEST(EvolveE2ETest, BundledDriftScenarioPassesInvariantAudit) {
   auto scenario = LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
   ASSERT_TRUE(scenario.ok()) << scenario.status();

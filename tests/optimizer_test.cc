@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "optimizer/formulation.h"
 #include "randwl/random_workload.h"
 #include "tests/hotel_fixture.h"
 
@@ -33,8 +37,8 @@ std::unique_ptr<Workload> MakeMixedWorkload(const EntityGraph& graph,
   return workload;
 }
 
-/// The two solve strategies must agree on the objective (within the
-/// optimality gaps both honor).
+/// Both strategies prove the cost optimum at the default (zero) gap, so
+/// they must agree on the objective to floating-point accuracy.
 TEST(OptimizerStrategyTest, CombinatorialMatchesBipOnHotelWorkloads) {
   auto graph = MakeHotelGraph();
   for (double w : {0.001, 0.5, 10.0}) {
@@ -53,7 +57,7 @@ TEST(OptimizerStrategyTest, CombinatorialMatchesBipOnHotelWorkloads) {
     ASSERT_TRUE(comb.ok()) << comb.status();
 
     const double tol =
-        0.025 * std::max(1e-9, std::max(bip->objective, comb->objective));
+        1e-9 * std::max(1e-9, std::max(bip->objective, comb->objective));
     EXPECT_NEAR(bip->objective, comb->objective, tol) << "weight " << w;
   }
 }
@@ -99,8 +103,9 @@ TEST_P(StrategyEquivalenceTest, RandomWorkloadsAgree) {
   if (!bip->solve_proven || !comb->solve_proven) {
     GTEST_SKIP() << "a solver hit its budget; objectives not comparable";
   }
+  // The cross-solver differential oracle: two exact solvers, one optimum.
   const double tol =
-      0.03 * std::max(1e-9, std::max(bip->objective, comb->objective));
+      1e-9 * std::max(1e-9, std::max(bip->objective, comb->objective));
   EXPECT_NEAR(bip->objective, comb->objective, tol)
       << "seed " << gen.seed;
   // Both schemas must cover the workload with comparable costs; plan counts
@@ -110,7 +115,44 @@ TEST_P(StrategyEquivalenceTest, RandomWorkloadsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyEquivalenceTest,
-                         ::testing::Range(0, 8));
+                         ::testing::Range(0, 24));
+
+TEST(OptimizerStrategyTest, ExactCombinatorialSearchKeepsItsFirstPass) {
+  // A zero-gap combinatorial search runs a 1%-gap pass first. A node
+  // budget that stops the tight pass right after it still returns that
+  // pass's schema (or a cheaper one), with a bound proving it within 1%.
+  randwl::GeneratorOptions gen;
+  gen.num_entities = 4;
+  gen.num_statements = 6;
+  gen.seed = 1015;
+  auto rw = randwl::Generate(gen);
+  ASSERT_TRUE(rw.ok()) << rw.status();
+
+  AdvisorOptions coarse;
+  coarse.optimizer.strategy = SolveStrategy::kCombinatorial;
+  coarse.optimizer.minimize_schema_size = false;
+  coarse.optimizer.bip.relative_gap = 0.01;
+  auto first = Advisor(coarse).Recommend(*rw->workload);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(first->solve_proven);
+
+  AdvisorOptions capped = coarse;
+  capped.optimizer.bip.relative_gap = 0.0;
+  capped.optimizer.bip.max_nodes = first->bb_nodes + 1;
+  auto rec = Advisor(capped).Recommend(*rw->workload);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_FALSE(rec->solve_proven);
+  EXPECT_LE(rec->objective, first->objective);
+  EXPECT_GE(rec->best_bound, 0.99 * first->objective - 1e-9);
+  EXPECT_LE(rec->anytime_gap, 0.01 + 1e-9);
+
+  AdvisorOptions exact = capped;
+  exact.optimizer.bip.max_nodes = OptimizerOptions().bip.max_nodes;
+  auto proven = Advisor(exact).Recommend(*rw->workload);
+  ASSERT_TRUE(proven.ok()) << proven.status();
+  EXPECT_TRUE(proven->solve_proven);
+  EXPECT_LE(proven->objective, rec->objective);
+}
 
 TEST(OptimizerStrategyTest, AutoSelectsBipForSmallPools) {
   auto graph = MakeHotelGraph();
@@ -152,8 +194,9 @@ TEST(OptimizerCacheTest, StructuralChangeDiscardsWarmStart) {
   auto full = optimizer.Optimize(*workload, Workload::kDefaultMix, pool,
                                  nullptr, &cache);
   ASSERT_TRUE(full.ok()) << full.status();
-  // The solve deposits its optimum plus the BIP's structural fingerprint.
-  ASSERT_FALSE(cache.last_bip_solution.empty());
+  // The solve deposits its root basis plus the BIP's structural
+  // fingerprint.
+  ASSERT_FALSE(cache.last_root_basis.empty());
   ASSERT_GT(cache.last_bip_variables, 0);
   const int full_vars = cache.last_bip_variables;
   const int full_rows = cache.last_bip_rows;
@@ -190,7 +233,6 @@ TEST(OptimizerCacheTest, CorruptStaleSolutionIsIgnoredSafely) {
   // A cache carrying garbage with a non-matching fingerprint: the solve
   // must ignore it entirely (a matching one is never fabricated here).
   PlanSpaceCache cache;
-  cache.last_bip_solution = {1.0, 0.0, 1.0};
   cache.last_bip_variables = 3;
   cache.last_bip_rows = 1;
   cache.last_bip_nonzeros = 3;
@@ -203,6 +245,109 @@ TEST(OptimizerCacheTest, CorruptStaleSolutionIsIgnoredSafely) {
   ASSERT_TRUE(plain.ok());
   EXPECT_DOUBLE_EQ(guarded->objective, plain->objective);
   EXPECT_EQ(guarded->schema.ToString(), plain->schema.ToString());
+}
+
+/// The schema-size stage on one workload and strategy: against the cost
+/// stage alone (minimize_schema_size = false), the returned schema is a
+/// drop-pass fixpoint under the 1e-6 budget, costs the same to within that
+/// budget, and has no more column families.
+void ExpectDropPassProperties(const EntityGraph& graph,
+                              const Workload& workload,
+                              SolveStrategy strategy,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::string mix = Workload::kDefaultMix;
+  CostModel cost;
+  CardinalityEstimator est(&graph, &cost.params());
+  CandidatePool pool = Enumerator().EnumerateWorkload(workload, mix);
+
+  OptimizerOptions opts;
+  opts.strategy = strategy;
+  opts.minimize_schema_size = false;
+  auto cost_stage =
+      SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
+  ASSERT_TRUE(cost_stage.ok()) << cost_stage.status();
+  opts.minimize_schema_size = true;
+  auto sized = SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
+  ASSERT_TRUE(sized.ok()) << sized.status();
+
+  const double budget =
+      cost_stage->objective +
+      1e-6 * std::max(1.0, std::abs(cost_stage->objective));
+  EXPECT_NEAR(sized->objective, cost_stage->objective,
+              1e-6 * std::max(1.0, std::abs(cost_stage->objective)));
+  EXPECT_LE(sized->schema.size(), cost_stage->schema.size());
+
+  auto form = BuildWindowFormulation(workload, mix, pool, &cost, &est,
+                                     nullptr, nullptr);
+  ASSERT_TRUE(form.ok()) << form.status();
+  std::vector<bool> selected(pool.size(), false);
+  for (size_t i = 0; i < sized->schema.size(); ++i) {
+    selected[sized->schema.PoolIdAt(i)] = true;
+  }
+  EXPECT_LE(WindowObjective(*form, selected), budget);
+  for (size_t c = 0; c < selected.size(); ++c) {
+    if (!selected[c]) continue;
+    selected[c] = false;
+    EXPECT_GT(WindowObjective(*form, selected), budget)
+        << "candidate " << c << " could still be dropped";
+    selected[c] = true;
+  }
+}
+
+TEST(SchemaSizeStageTest, DropPassIsAFixpointWithinBudget) {
+  auto graph = MakeHotelGraph();
+  for (double w : {0.001, 0.5, 10.0}) {
+    auto workload = MakeMixedWorkload(*graph, w);
+    for (SolveStrategy strategy :
+         {SolveStrategy::kBip, SolveStrategy::kCombinatorial}) {
+      ExpectDropPassProperties(
+          *graph, *workload, strategy,
+          "hotel weight " + std::to_string(w) +
+              (strategy == SolveStrategy::kBip ? " bip" : " combinatorial"));
+    }
+  }
+  // Seed 1044's cost optimum has a family the workload can do without.
+  for (uint64_t seed : {1000, 1005, 1044}) {
+    randwl::GeneratorOptions gen;
+    gen.num_entities = 4;
+    gen.num_statements = 6;
+    gen.seed = seed;
+    auto rw = randwl::Generate(gen);
+    ASSERT_TRUE(rw.ok()) << rw.status();
+    for (SolveStrategy strategy :
+         {SolveStrategy::kBip, SolveStrategy::kCombinatorial}) {
+      ExpectDropPassProperties(
+          *rw->graph, *rw->workload, strategy,
+          "randwl seed " + std::to_string(seed) +
+              (strategy == SolveStrategy::kBip ? " bip" : " combinatorial"));
+    }
+  }
+}
+
+TEST(SchemaSizeStageTest, DescendsFromEveryUsableCandidate) {
+  // Starting from every usable candidate (a poor incumbent), the pass
+  // drops families, ends no costlier than it started, and leaves a
+  // fixpoint that a second call cannot shrink.
+  auto graph = MakeHotelGraph();
+  auto workload = MakeMixedWorkload(*graph, 0.5);
+  CostModel cost;
+  CardinalityEstimator est(graph.get(), &cost.params());
+  CandidatePool pool =
+      Enumerator().EnumerateWorkload(*workload, Workload::kDefaultMix);
+  auto form = BuildWindowFormulation(*workload, Workload::kDefaultMix, pool,
+                                     &cost, &est, nullptr, nullptr);
+  ASSERT_TRUE(form.ok()) << form.status();
+  std::vector<bool> selected = form->allowed;
+  const size_t before = std::count(selected.begin(), selected.end(), true);
+  const double objective = WindowObjective(*form, selected);
+  const int dropped = DropRedundantCandidates(*form, objective, &selected);
+  const size_t after = std::count(selected.begin(), selected.end(), true);
+  EXPECT_EQ(before - after, static_cast<size_t>(dropped));
+  EXPECT_GT(dropped, 0);
+  EXPECT_LE(WindowObjective(*form, selected),
+            objective + 1e-6 * std::max(1.0, objective));
+  EXPECT_EQ(DropRedundantCandidates(*form, objective, &selected), 0);
 }
 
 TEST(OptimizerStrategyTest, CombinatorialHandlesLargerRandomInstances) {

@@ -54,6 +54,25 @@ TEST(BipWarmStartTest, NoSolutionWithoutWarmStartAndZeroBudget) {
   EXPECT_EQ(r.status, BipStatus::kNoSolution);
 }
 
+TEST(BipWarmStartTest, AbandonedRelaxationIsNotClaimedOptimal) {
+  // y is continuous with an unbounded improving direction, so the root
+  // relaxation is unbounded and branch and bound abandons it. The search
+  // must not then claim the warm start optimal, nor, without a warm
+  // start, the problem infeasible.
+  LpProblem lp;
+  int a = lp.AddVariable(0.0, 1.0, 1.0);
+  int y = lp.AddVariable(0.0, LpProblem::kInfinity, -1.0);
+  lp.AddRow(RowType::kGe, 0.0, {{y, 1.0}, {a, -1.0}});
+  std::vector<double> warm = {0.0, 0.0};
+  BipOptions options;
+  options.warm_start = &warm;
+  BipResult r = SolveBip(lp, {a}, options);
+  EXPECT_EQ(r.status, BipStatus::kNodeLimit);
+  EXPECT_EQ(r.objective, 0.0);
+  EXPECT_FALSE(std::isfinite(r.best_bound));
+  EXPECT_EQ(SolveBip(lp, {a}).status, BipStatus::kNoSolution);
+}
+
 TEST(LpDeadlineTest, DeadlineReturnsIterationLimit) {
   // A large random LP with an absurdly small deadline must abort cleanly.
   Rng rng(3);
@@ -213,12 +232,11 @@ TEST(BipBruteForcePropertyTest, BitwiseMatchesBruteForce) {
 
 /// Random LP shaped like the schema optimizer's BIPs: binary selection
 /// variables `d` gating continuous flows (x ≤ d), equality coverage rows
-/// over the flows, and one ≤ budget row over everything, as in the
-/// schema-size stage. Costs spread over twelve decades, like the
-/// optimizer's byte- and request-scale terms, so the equilibrated budget
-/// row mixes tiny and unit coefficients and pivot rows carry the
-/// rounding-level entries on unbounded slacks that the implied slack
-/// boxes exist for.
+/// over the flows, and one ≤ budget row over everything. Costs spread over
+/// twelve decades, like the optimizer's byte- and request-scale terms, so
+/// the equilibrated budget row mixes tiny and unit coefficients and pivot
+/// rows carry the rounding-level entries on unbounded slacks that the
+/// implied slack boxes exist for.
 LpProblem MakeRandomFlowProgram(Rng* rng, std::vector<int>* binaries) {
   auto cost = [rng] {
     return std::pow(10.0, -6.0 + 12.0 * rng->NextDouble());
