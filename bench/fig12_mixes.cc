@@ -11,7 +11,8 @@
 // --compare additionally re-advises each mix with the per-mix path
 // (Advisor::Recommend), checks the recommendations are identical, and
 // reports both advising wall times; --json appends nose-bench-v1 records
-// (one "advising" record plus one per mix) to FILE.
+// (one "advising" record plus one per mix, which pins the recommendation's
+// objective and schema size) to FILE.
 //
 // Environment: NOSE_RUBIS_SCALE (default 0.25), NOSE_FIG12_TRANSACTIONS
 // (default 1500 sampled transactions per mix).
@@ -126,8 +127,13 @@ int Main(int argc, char** argv) {
     }
     std::printf("%-10s %12.3f %12.3f %12.3f\n", label.c_str(), avg[0], avg[1],
                 avg[2]);
+    // The recommendation itself, unitless, so bench_compare pins it at
+    // rtol rather than letting it ride the one-sided timing band.
     json.Instance(mix)
         .Metric("samples", static_cast<double>(samples))
+        .Metric("nose_objective", nose->rec->objective)
+        .Metric("nose_schema_size",
+                static_cast<double>(nose->rec->schema.size()))
         .Metric("nose_ms", avg[0])
         .Metric("normalized_ms", avg[1])
         .Metric("expert_ms", avg[2]);

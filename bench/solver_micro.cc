@@ -157,15 +157,14 @@ double TimeBipMs(const LpProblem& lp, const std::vector<int>& binaries,
   return watch.ElapsedSeconds() * 1000.0;
 }
 
-/// End-of-solve stored factor entries (LU + eta file) as SolveLog
-/// reports them.
+/// End-of-solve stored factor entries (LU + eta file) as the solve log
+/// records them.
 uint64_t FillEndOf(const LpProblem& lp) {
-  SolveLog& log = SolveLog::Global();
-  log.Enable();
-  lp.Solve();
-  const std::vector<LpSolveStats> records = log.LpRecords();
-  log.Disable();
-  return records.empty() ? 0 : records.back().fill_end;
+  LpSolveStats stats;
+  lp.Solve({}, /*max_iterations=*/0, /*deadline_seconds=*/0.0,
+           /*start_basis=*/nullptr, /*final_basis=*/nullptr,
+           /*duals=*/nullptr, &stats);
+  return stats.fill_end;
 }
 
 /// RUBiS workload with every statement cloned `k` times under distinct

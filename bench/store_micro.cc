@@ -88,10 +88,12 @@ void BM_StoreClusteringPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreClusteringPrefix);
 
-/// Console output as usual, plus one nose-bench-v1 record per run.
+/// Plain console output (no colour codes, so the captured text can be
+/// committed), plus one nose-bench-v1 record per run.
 class BenchJsonReporter : public benchmark::ConsoleReporter {
  public:
-  explicit BenchJsonReporter(bench::BenchJsonWriter* json) : json_(json) {}
+  explicit BenchJsonReporter(bench::BenchJsonWriter* json)
+      : ConsoleReporter(OO_None), json_(json) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     ConsoleReporter::ReportRuns(runs);

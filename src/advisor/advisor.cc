@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -68,10 +69,12 @@ StatusOr<Recommendation> Advisor::Recommend(const Workload& workload,
   // Hand the optimizer what enumeration left of the budget. The optimizer
   // in turn charges planning and assembly against it and bounds only the
   // solve — see OptimizerOptions::deadline_seconds. A non-positive
-  // remainder still runs the pipeline (the solve floor guarantees an
-  // incumbent); the overrun is reported through deadline_hit.
-  const double remaining =
-      std::max(1e-3, deadline_seconds - watch.ElapsedSeconds());
+  // remainder still runs the pipeline, as the smallest positive budget (0
+  // would disable it): the optimizer finds it spent and solves only the
+  // root node, which still yields an incumbent. The overrun is reported
+  // through deadline_hit.
+  const double remaining = std::max(std::numeric_limits<double>::min(),
+                                    deadline_seconds - watch.ElapsedSeconds());
   NOSE_ASSIGN_OR_RETURN(
       Recommendation rec,
       RecommendImpl(workload, mix, std::move(pool), enumeration_seconds,

@@ -67,7 +67,7 @@ common options (advise, check, evolve, serve):
                         and write it as JSONL (inspect with
                         'nose explain FILE')
   --report-json FILE    write a machine-readable run report (phase
-                        timings, digest, solver summary, metrics)
+                        timings, digest, metrics)
 options (advise, check):
   --mix NAME            workload mix (default: 'default')
   --solve-budget SECS   time budget for the solver
@@ -264,8 +264,7 @@ class Telemetry {
   }
 
   /// Call once the run's worker pools are gone, so every trace buffer is
-  /// quiescent. `report` gets the solver summary and the metrics snapshot
-  /// as its last sections. False (after an error line) on a failed write.
+  /// quiescent. `report` gets the metrics snapshot as its last section. False (after an error line) on a failed write.
   bool Finish(nose::obs::RunReport* report) const {
     std::string error;
     if (!trace_path_.empty()) {
@@ -290,7 +289,6 @@ class Telemetry {
       return false;
     }
     if (report_path_.empty()) return true;
-    report->AddSection("solver", nose::SolveLog::Global().SummaryJson());
     report->AddSection("metrics", metrics.ToJson());
     return Reported(report->WriteJson(report_path_, &error), "report",
                     report_path_, error);

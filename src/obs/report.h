@@ -19,11 +19,10 @@ void AppendJsonString(std::string* out, const std::string& s);
 ///   {"report_version":1,"command":"advise",
 ///    <scalar fields in insertion order>,
 ///    "phases":{"<name>_seconds":t,...},
-///    <sections in insertion order, e.g. "digest":{...},"solver":{...},
-///     "metrics":{...}>}
+///    <sections in insertion order, e.g. "digest":{...},"metrics":{...}>}
 ///
 /// The obs layer sits below the solver and optimizer in the link order, so
-/// the structured sections (digest, solver summary, metrics snapshot) are
+/// the structured sections (digest, metrics snapshot) are
 /// passed in as pre-rendered JSON strings by the CLI; this class only
 /// assembles and validates nothing.
 class RunReport {

@@ -49,6 +49,17 @@ double SolveBudgetSeconds(const OptimizerOptions& options,
   return limit;
 }
 
+/// True when a deadline is set and the stages before the solve already
+/// spent it. The solve then stops after its root node: the root
+/// relaxation bounds the optimum and the warm start (BIP) or the root's
+/// completion (combinatorial) is the incumbent. A node cap, unlike the
+/// kMinSolveSeconds floor alone, does not race the machine's speed.
+bool DeadlineSpent(const OptimizerOptions& options,
+                   const Stopwatch& total_watch) {
+  return options.deadline_seconds > 0.0 &&
+         total_watch.ElapsedSeconds() >= options.deadline_seconds;
+}
+
 }  // namespace
 
 StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
@@ -124,6 +135,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     copt.threads = threads;
     const double budget = SolveBudgetSeconds(options_, total_watch);
     copt.time_limit_seconds = budget > 0.0 ? budget : 60.0;
+    if (DeadlineSpent(options_, total_watch)) copt.max_nodes = 1;
     CombinatorialResult comb = SolveCombinatorial(input, copt);
     if (!comb.feasible) {
       return Status::ResourceExhausted(
@@ -233,6 +245,12 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     // ==== BIP solving (cost stage, paper §V). ====
     phase.emplace("optimizer.bip_solve", "optimizer");
     bip_options.time_limit_seconds = SolveBudgetSeconds(options_, total_watch);
+    // Without a warm start (a space limit is set) the root alone may leave
+    // no incumbent; such a solve keeps the time floor only.
+    if (bip_options.warm_start != nullptr &&
+        DeadlineSpent(options_, total_watch)) {
+      bip_options.max_nodes = 1;
+    }
     BipResult solved = SolveBip(lp, binaries, bip_options);
     if (solved.status == BipStatus::kInfeasible) {
       return Status::Infeasible(

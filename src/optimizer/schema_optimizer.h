@@ -63,7 +63,8 @@ struct OptimizerOptions {
   /// assembly run to completion (they are what makes ANY incumbent
   /// possible), and the solve stage receives whatever they left, floored
   /// at a few milliseconds so the warm-started search always returns an
-  /// incumbent. Tightens bip.time_limit_seconds when both are set; a
+  /// incumbent. If they left nothing, the solve stops after its root
+  /// node. Tightens bip.time_limit_seconds when both are set; a
   /// deadline generous enough that no limit fires leaves the result
   /// byte-identical to an unbudgeted run.
   double deadline_seconds = 0.0;

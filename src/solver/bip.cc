@@ -83,37 +83,46 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
                    const BipOptions& options) {
   obs::Span span("solver.bip", "solver");
   BipResult result;
-  // Solver telemetry (--solve-log). BeginBip stamps this thread's context so
-  // every LP solved below (including the certificate root solve) is
-  // attributed to this search; the guard clears it on every return path.
+  // Search statistics, kept whether or not the solve log is on: they feed
+  // the solver.bb_* metrics and, when logging, the log's bip record.
+  BipSolveStats bstats;
+  bstats.vars = problem.num_variables();
+  bstats.rows = problem.num_rows();
+  bstats.nonzeros = problem.num_nonzeros();
+  bstats.binaries = static_cast<int>(binary_vars.size());
+  bstats.root_hot_start_attempted =
+      options.root_basis != nullptr && !options.root_basis->empty();
+  // Solver telemetry (--solve-log). The search runs the same schedule
+  // either way; SolveBip stamps each LP record with its own (bip, node)
+  // ids and appends it.
   SolveLog& slog = SolveLog::Global();
   const bool logging = slog.enabled();
-  const uint64_t bip_id = logging ? slog.BeginBip() : 0;
-  struct ContextGuard {
-    bool active;
-    ~ContextGuard() {
-      if (active) SolveLog::ClearContext();
-    }
-  } context_guard{logging};
-  BipSolveStats bstats;
+  if (logging) bstats.id = slog.NextBipId();
+  auto record_lp = [&](LpSolveStats& stats, uint64_t bip_id, int node_id) {
+    stats.bip_id = bip_id;
+    stats.node_id = node_id;
+    slog.RecordLp(std::move(stats));
+  };
   Stopwatch bip_watch;
-  if (logging) {
-    bstats.id = bip_id;
-    bstats.vars = problem.num_variables();
-    bstats.rows = problem.num_rows();
-    bstats.nonzeros = problem.num_nonzeros();
-    bstats.binaries = static_cast<int>(binary_vars.size());
-    bstats.root_hot_start_attempted =
-        options.root_basis != nullptr && !options.root_basis->empty();
-  }
-  auto record_bip = [&]() {
-    if (!logging) return;
+  auto finish = [&]() {
     bstats.status = BipStatusName(result.status);
     bstats.objective = result.objective;
     bstats.nodes_explored = result.nodes_explored;
     bstats.lp_iterations = static_cast<uint64_t>(result.lp_iterations);
     bstats.solve_ms = bip_watch.ElapsedMillis();
-    slog.RecordBip(bstats);
+    static obs::Counter& nodes_counter =
+        obs::MetricsRegistry::Global().GetCounter("solver.bb_nodes");
+    static obs::Counter& pruned_counter =
+        obs::MetricsRegistry::Global().GetCounter("solver.bb_pruned");
+    static obs::Counter& infeasible_counter =
+        obs::MetricsRegistry::Global().GetCounter("solver.bb_infeasible");
+    static obs::Counter& incumbent_counter =
+        obs::MetricsRegistry::Global().GetCounter("solver.bb_incumbents");
+    nodes_counter.Add(static_cast<uint64_t>(bstats.nodes_explored));
+    pruned_counter.Add(bstats.pruned_parent + bstats.pruned_bound);
+    infeasible_counter.Add(bstats.infeasible);
+    incumbent_counter.Add(bstats.incumbents);
+    if (logging) slog.RecordBip(bstats);
   };
   if (options.capture_root_basis != nullptr) {
     options.capture_root_basis->clear();
@@ -127,12 +136,16 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     cert->binary_vars = binary_vars;
     // Harvest duals from one cold solve of the ORIGINAL root relaxation
     // (not the presolved one, whose rows the checker never sees). The
-    // solution path below is untouched: this solve exists only to certify.
+    // solution path below is untouched: this solve exists only to certify,
+    // so its log record stands outside the search (bip 0).
     std::vector<double> duals;
+    LpSolveStats stats;
     LpResult root = problem.Solve({}, /*max_iterations=*/0,
                                   /*deadline_seconds=*/0.0,
                                   /*start_basis=*/nullptr,
-                                  /*final_basis=*/nullptr, &duals);
+                                  /*final_basis=*/nullptr, &duals,
+                                  logging ? &stats : nullptr);
+    if (logging) record_lp(stats, /*bip_id=*/0, /*node_id=*/-1);
     if (root.status == LpStatus::kOptimal &&
         duals.size() == static_cast<size_t>(problem.num_rows())) {
       cert->root_available = true;
@@ -144,33 +157,28 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
   // Exact reductions once, up front; every node then relaxes the smaller
   // instance. Variables keep their indices, so fixings, warm starts, and
   // the extracted solution are unaffected.
-  PresolveSummary presolve_summary;
   LpProblem reduced;
   const LpProblem* relax = &problem;
   if (options.presolve) {
+    PresolveSummary presolve_summary;
     reduced = PresolveForBip(problem, binary_vars, &presolve_summary);
-    if (logging) {
-      bstats.presolved = true;
-      bstats.presolve_rows_dropped = presolve_summary.singleton_rows_dropped +
-                                     presolve_summary.duplicate_rows_dropped +
-                                     presolve_summary.scaled_duplicate_rows_dropped +
-                                     presolve_summary.dominated_rows_dropped +
-                                     presolve_summary.redundant_rows_dropped;
-      bstats.presolve_bounds_tightened =
-          presolve_summary.bounds_tightened +
-          presolve_summary.activity_bounds_tightened;
-    }
+    bstats.presolved = true;
+    bstats.presolve_rows_dropped = presolve_summary.singleton_rows_dropped +
+                                   presolve_summary.duplicate_rows_dropped +
+                                   presolve_summary.scaled_duplicate_rows_dropped +
+                                   presolve_summary.dominated_rows_dropped +
+                                   presolve_summary.redundant_rows_dropped;
+    bstats.presolve_bounds_tightened =
+        presolve_summary.bounds_tightened +
+        presolve_summary.activity_bounds_tightened;
     if (presolve_summary.infeasible) {
       result.status = BipStatus::kInfeasible;
-      record_bip();
+      finish();
       return result;
     }
     relax = &reduced;
   }
 
-  uint64_t pruned = 0;
-  uint64_t infeasible = 0;
-  uint64_t incumbents = 0;
   double incumbent = LpProblem::kInfinity;
   if (options.warm_start != nullptr &&
       options.warm_start->size() ==
@@ -183,14 +191,15 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     result.x = *options.warm_start;
     result.objective = incumbent;
     result.status = BipStatus::kOptimal;  // provisional
-    if (logging) bstats.warm_started = true;
+    bstats.warm_started = true;
   }
 
-  auto record_node = [&, bip_id](int node_id, int depth, const char* action,
-                                 double parent_bound, const LpResult* lp,
-                                 int branch_var, double incumbent_now) {
+  auto record_node = [&](int node_id, int depth, const char* action,
+                         double parent_bound, const LpResult* lp,
+                         int branch_var) {
+    if (!logging) return;
     BbNodeEvent event;
-    event.bip_id = bip_id;
+    event.bip_id = bstats.id;
     event.node_id = node_id;
     event.depth = depth;
     event.action = action;
@@ -201,7 +210,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       event.lp_iterations = lp->iterations;
     }
     event.branch_var = branch_var;
-    event.incumbent = incumbent_now;
+    event.incumbent = incumbent;
     slog.RecordNode(std::move(event));
   };
 
@@ -218,22 +227,25 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     return incumbent - std::max(options.absolute_gap, rel);
   };
 
-  // One selected-and-evaluated node. `solved` distinguishes the batch
-  // evaluation path from the lazy serial path below.
+  // One selected-and-evaluated node. `node_id` stays -1 unless the node
+  // is processed: a relaxation solved for a node pruned (or returned to
+  // the stack) before its turn is logged as discarded.
   struct Evaluated {
     Node node;
     LpResult lp;
     LpBasis final_basis;
-    bool solved = false;
+    LpSolveStats stats;
+    int node_id = -1;
   };
   std::vector<Evaluated> batch;
 
   Stopwatch watch;
+  auto out_of_time = [&]() {
+    return options.time_limit_seconds > 0.0 &&
+           watch.ElapsedSeconds() > options.time_limit_seconds;
+  };
   while (!stack.empty() && result.nodes_explored < options.max_nodes) {
-    if (options.time_limit_seconds > 0.0 &&
-        watch.ElapsedSeconds() > options.time_limit_seconds) {
-      break;
-    }
+    if (out_of_time()) break;
 
     // --- Select a batch: pop until kNodeBatch survivors of the
     // parent-bound prune. The prune is decided against the incumbent as of
@@ -245,13 +257,10 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       Node node = std::move(stack.back());
       stack.pop_back();
       if (node.parent_bound >= prune_threshold()) {
-        ++pruned;
-        if (logging) {
-          ++bstats.pruned_parent;
-          record_node(/*node_id=*/-1, static_cast<int>(node.fixings.size()),
-                      "pruned_parent", node.parent_bound,
-                      /*lp=*/nullptr, /*branch_var=*/-1, incumbent);
-        }
+        ++bstats.pruned_parent;
+        record_node(/*node_id=*/-1, static_cast<int>(node.fixings.size()),
+                    "pruned_parent", node.parent_bound, /*lp=*/nullptr,
+                    /*branch_var=*/-1);
         continue;
       }
       batch.emplace_back();
@@ -264,45 +273,32 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
           1.0, options.time_limit_seconds - watch.ElapsedSeconds());
     }
 
-    // The first node reaching here with no fixings is the root (it is
-    // seeded that way and never pruned: its parent bound is -inf). Only
-    // the root uses the caller's starting basis and exports into
-    // capture_root_basis; children hot-start from their parent instead,
-    // riding on the LP solver's dual-simplex repair of the parent basis
-    // (primal infeasible under the branch fixing, still dual feasible).
-    auto solve_node = [&](Evaluated& ev, bool is_root) {
-      const LpBasis* sb = is_root ? options.root_basis : ev.node.start.get();
-      ev.lp = relax->Solve(ev.node.fixings, /*max_iterations=*/0, lp_deadline,
-                           sb, &ev.final_basis);
-      ev.solved = true;
-    };
-
     // --- Evaluate the whole batch, concurrently when a pool is available
-    // (each relaxation is a pure function of its node). Skipped while
-    // logging: LP telemetry carries per-node context and record order, so
-    // logging runs solve lazily below, on the serial spine. ---
-    if (!logging && batch.size() > 1) {
-      util::ParallelFor(options.threads, batch.size(), [&](size_t i) {
-        // Deadline granularity: once the budget expires, start no further
-        // LPs — the serial pass below returns unsolved nodes to the stack.
-        // In-flight relaxations still finish, so an expiry overshoots by at
-        // most one LP solve per worker.
-        if (options.time_limit_seconds > 0.0 &&
-            watch.ElapsedSeconds() > options.time_limit_seconds) {
-          return;
-        }
-        solve_node(batch[i],
-                   /*is_root=*/root_pending && batch[i].node.fixings.empty());
-      });
-    }
+    // (each relaxation is a pure function of its node). The first node
+    // reaching here with no fixings is the root (it is seeded that way and
+    // never pruned: its parent bound is -inf). Only the root uses the
+    // caller's starting basis; children hot-start from their parent,
+    // riding on the LP solver's dual-simplex repair of the parent basis
+    // (primal infeasible under the branch fixing, still dual feasible). ---
+    util::ParallelFor(options.threads, batch.size(), [&](size_t i) {
+      // Deadline granularity: once the budget expires, start no further
+      // LPs — the processing pass below returns unsolved nodes to the
+      // stack. In-flight relaxations still finish, so an expiry overshoots
+      // by at most one LP solve per worker.
+      if (out_of_time()) return;
+      Evaluated& ev = batch[i];
+      const bool is_root = root_pending && ev.node.fixings.empty();
+      ev.lp = relax->Solve(
+          ev.node.fixings, /*max_iterations=*/0, lp_deadline,
+          is_root ? options.root_basis : ev.node.start.get(), &ev.final_basis,
+          /*duals=*/nullptr, logging ? &ev.stats : nullptr);
+    });
 
     // --- Process in pop order (always serial): prune, bound, incumbent,
-    // branch. Byte-for-byte the serial algorithm — the evaluation above
-    // only precomputed LP results it consumes. ---
+    // branch. The evaluation above only precomputed the LP results this
+    // pass consumes, so the trajectory is the serial algorithm's. ---
     for (size_t bi = 0; bi < batch.size(); ++bi) {
-      if (result.nodes_explored >= options.max_nodes ||
-          (options.time_limit_seconds > 0.0 &&
-           watch.ElapsedSeconds() > options.time_limit_seconds)) {
+      if (result.nodes_explored >= options.max_nodes || out_of_time()) {
         // Return the unprocessed tail to the stack (reverse order restores
         // the pop order) so the node-limit status sees them pending.
         for (size_t r = batch.size(); r-- > bi;) {
@@ -315,42 +311,30 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       const int depth = static_cast<int>(node.fixings.size());
       if (node.parent_bound >= prune_threshold()) {
         // An incumbent found earlier in this batch retroactively prunes
-        // the node; its speculative LP result (if any) is discarded
-        // uncounted, matching the lazy path exactly.
-        ++pruned;
-        if (logging) {
-          ++bstats.pruned_parent;
-          record_node(/*node_id=*/-1, depth, "pruned_parent",
-                      node.parent_bound, /*lp=*/nullptr, /*branch_var=*/-1,
-                      incumbent);
-        }
+        // the node; its speculative LP result is discarded.
+        ++bstats.pruned_parent;
+        record_node(/*node_id=*/-1, depth, "pruned_parent", node.parent_bound,
+                    /*lp=*/nullptr, /*branch_var=*/-1);
         continue;
       }
 
       const int node_id = result.nodes_explored;
+      ev.node_id = node_id;
       ++result.nodes_explored;
-      if (logging) bstats.max_depth = std::max(bstats.max_depth, depth);
-      const bool is_root = root_pending && node.fixings.empty();
-      if (is_root) root_pending = false;
-      if (!ev.solved) {
-        if (logging) SolveLog::SetContext(bip_id, node_id);
-        solve_node(ev, is_root);
-      }
+      bstats.max_depth = std::max(bstats.max_depth, depth);
       LpResult& lp = ev.lp;
-      if (is_root) {
-        if (logging) bstats.root_hot_started = lp.hot_started;
+      if (root_pending && node.fixings.empty()) {
+        root_pending = false;
+        bstats.root_hot_started = lp.hot_started;
         if (options.capture_root_basis != nullptr) {
           *options.capture_root_basis = ev.final_basis;
         }
       }
       result.lp_iterations += lp.iterations;
       if (lp.status == LpStatus::kInfeasible) {
-        ++infeasible;
-        if (logging) {
-          ++bstats.infeasible;
-          record_node(node_id, depth, "infeasible", node.parent_bound, &lp,
-                      /*branch_var=*/-1, incumbent);
-        }
+        ++bstats.infeasible;
+        record_node(node_id, depth, "infeasible", node.parent_bound, &lp,
+                    /*branch_var=*/-1);
         continue;
       }
       if (lp.status != LpStatus::kOptimal) {
@@ -358,19 +342,14 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         // subtree unexplored: the search can no longer claim optimality,
         // and the node's parent bound stays part of the global bound.
         abandoned_bound = std::min(abandoned_bound, node.parent_bound);
-        if (logging) {
-          record_node(node_id, depth, "abandoned", node.parent_bound, &lp,
-                      /*branch_var=*/-1, incumbent);
-        }
+        record_node(node_id, depth, "abandoned", node.parent_bound, &lp,
+                    /*branch_var=*/-1);
         continue;
       }
       if (lp.objective >= prune_threshold()) {
-        ++pruned;
-        if (logging) {
-          ++bstats.pruned_bound;
-          record_node(node_id, depth, "pruned_bound", node.parent_bound, &lp,
-                      /*branch_var=*/-1, incumbent);
-        }
+        ++bstats.pruned_bound;
+        record_node(node_id, depth, "pruned_bound", node.parent_bound, &lp,
+                    /*branch_var=*/-1);
         continue;
       }
 
@@ -393,22 +372,17 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         }
         result.objective = incumbent;
         result.status = BipStatus::kOptimal;  // provisional; confirmed below
-        ++incumbents;
-        if (logging) {
-          ++bstats.incumbents;
-          record_node(node_id, depth, "incumbent", node.parent_bound, &lp,
-                      /*branch_var=*/-1, incumbent);
-        }
+        ++bstats.incumbents;
+        record_node(node_id, depth, "incumbent", node.parent_bound, &lp,
+                    /*branch_var=*/-1);
         continue;
       }
 
       // Depth-first within the batch: push the branch suggested by the
       // fractional value last so it pops first. Both children share the
       // parent's optimal basis as their hot start.
-      if (logging) {
-        record_node(node_id, depth, "branched", node.parent_bound, &lp,
-                    branch_var, incumbent);
-      }
+      record_node(node_id, depth, "branched", node.parent_bound, &lp,
+                  branch_var);
       const double frac = lp.x[static_cast<size_t>(branch_var)];
       const double preferred = frac >= 0.5 ? 1.0 : 0.0;
       std::shared_ptr<const LpBasis> child_start;
@@ -425,6 +399,17 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       first.start = std::move(child_start);
       first.fixings.emplace_back(branch_var, preferred, preferred);
       stack.push_back(std::move(first));
+    }
+
+    // --- Log every relaxation the batch solved, in pop order: one record
+    // per LP, so the log's count matches solver.lp_solves. A slot the
+    // deadline skipped was never solved and has no status. ---
+    if (logging) {
+      for (Evaluated& ev : batch) {
+        if (!ev.stats.status.empty()) {
+          record_lp(ev.stats, bstats.id, ev.node_id);
+        }
+      }
     }
   }
 
@@ -452,19 +437,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     cert->objective = result.objective;
     cert->x = result.x;
   }
-  static obs::Counter& nodes_counter =
-      obs::MetricsRegistry::Global().GetCounter("solver.bb_nodes");
-  static obs::Counter& pruned_counter =
-      obs::MetricsRegistry::Global().GetCounter("solver.bb_pruned");
-  static obs::Counter& infeasible_counter =
-      obs::MetricsRegistry::Global().GetCounter("solver.bb_infeasible");
-  static obs::Counter& incumbent_counter =
-      obs::MetricsRegistry::Global().GetCounter("solver.bb_incumbents");
-  nodes_counter.Add(static_cast<uint64_t>(result.nodes_explored));
-  pruned_counter.Add(pruned);
-  infeasible_counter.Add(infeasible);
-  incumbent_counter.Add(incumbents);
-  record_bip();
+  finish();
   return result;
 }
 

@@ -48,9 +48,8 @@ struct BipOptions {
   /// depend on the pool), their relaxations solved concurrently, and the
   /// results processed in batch order — so the explored trajectory, the
   /// recommendation, and every statistic in BipResult are identical at any
-  /// thread count (and with no pool at all); only the wall clock differs.
-  /// Ignored while the solve log is enabled: telemetry record order is part
-  /// of the determinism contract, so logging runs solve nodes serially.
+  /// thread count (and with no pool at all), with or without the solve
+  /// log; only the wall clock differs.
   util::ThreadPool* threads = nullptr;
   /// Apply exact presolve reductions (singleton rows → bounds, duplicate
   /// inequality dedup) once, before the search; every node then solves the

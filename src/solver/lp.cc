@@ -1424,7 +1424,8 @@ double EquilibrationScale(double max_mag) {
 LpResult LpProblem::Solve(
     const std::vector<std::tuple<int, double, double>>& bound_overrides,
     int max_iterations, double deadline_seconds, const LpBasis* start_basis,
-    LpBasis* final_basis, std::vector<double>* duals) const {
+    LpBasis* final_basis, std::vector<double>* duals,
+    LpSolveStats* stats) const {
   std::vector<double> lb = lb_;
   std::vector<double> ub = ub_;
   for (const auto& [var, olb, oub] : bound_overrides) {
@@ -1435,11 +1436,6 @@ LpResult LpProblem::Solve(
   const int n = num_variables();
   if (max_iterations <= 0) max_iterations = DefaultIterationLimit(*this);
 
-  // Solver telemetry (--solve-log): one relaxed load when disabled; when
-  // enabled the engine fills `stats` and the record is appended at the end.
-  SolveLog& solve_log = SolveLog::Global();
-  const bool logging = solve_log.enabled();
-  LpSolveStats stats;
   Stopwatch solve_watch;
   // Equilibration conditioning estimate: spread of the per-row magnitudes
   // the scaling divides out (max/min over nontrivial rows).
@@ -1448,7 +1444,7 @@ LpResult LpProblem::Solve(
 
   // Slack columns: one per inequality row, so every row becomes equality.
   FactorizedSimplex simplex(n, std::move(lb), std::move(ub), cost_);
-  simplex.set_stats(logging ? &stats : nullptr);
+  simplex.set_stats(stats);
   std::vector<int> slack_col(rows_.size(), -1);
   for (size_t i = 0; i < rows_.size(); ++i) {
     if (rows_[i].type != RowType::kEq) {
@@ -1461,7 +1457,7 @@ LpResult LpProblem::Solve(
     const double max_mag = MaxMagnitude(src);
     const double scale = EquilibrationScale(max_mag);
     row_scale[i] = scale;
-    if (logging && max_mag > 1e-12) {
+    if (stats != nullptr && max_mag > 1e-12) {
       equil_min = std::min(equil_min, max_mag);
       equil_max = std::max(equil_max, max_mag);
     }
@@ -1525,27 +1521,23 @@ LpResult LpProblem::Solve(
       farkas.Increment();
     }
   }
-  if (logging) {
-    stats.engine = "factorized";
-    stats.status = LpStatusName(result.status);
-    stats.rows = num_rows();
-    stats.cols = n;
-    stats.tableau_cols = simplex.NumColumns();
-    stats.nonzeros = num_nonzeros_;
-    stats.iterations = result.iterations;
-    stats.fill_end = simplex.StoredEntries();
-    stats.refactorizations = simplex.refactorizations();
-    stats.ft_updates = simplex.ft_updates();
-    stats.factor_fill = simplex.FactorFill();
-    stats.hot_start_attempted = hot_start_attempted;
-    stats.hot_started = result.hot_started;
-    stats.farkas = simplex.farkas_infeasible();
-    stats.equilibration_cond =
+  if (stats != nullptr) {
+    stats->status = LpStatusName(result.status);
+    stats->rows = num_rows();
+    stats->cols = n;
+    stats->tableau_cols = simplex.NumColumns();
+    stats->nonzeros = num_nonzeros_;
+    stats->iterations = result.iterations;
+    stats->fill_end = simplex.StoredEntries();
+    stats->refactorizations = simplex.refactorizations();
+    stats->ft_updates = simplex.ft_updates();
+    stats->factor_fill = simplex.FactorFill();
+    stats->hot_start_attempted = hot_start_attempted;
+    stats->hot_started = result.hot_started;
+    stats->farkas = simplex.farkas_infeasible();
+    stats->equilibration_cond =
         (equil_max > 0.0 && equil_min > 0.0) ? equil_max / equil_min : 1.0;
-    stats.bip_id = SolveLog::ContextBipId();
-    stats.node_id = SolveLog::ContextNodeId();
-    stats.solve_ms = solve_watch.ElapsedMillis();
-    solve_log.RecordLp(std::move(stats));
+    stats->solve_ms = solve_watch.ElapsedMillis();
   }
   return result;
 }

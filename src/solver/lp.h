@@ -9,6 +9,8 @@
 
 namespace nose {
 
+struct LpSolveStats;
+
 /// Sense of a linear constraint row.
 enum class RowType { kLe, kGe, kEq };
 
@@ -158,12 +160,17 @@ class LpProblem {
   /// `duals`, when non-null, receives one multiplier per constraint row at
   /// the optimum (see LpResult::duals); cleared when the solve was not
   /// cleanly optimal.
+  ///
+  /// `stats`, when non-null, receives this solve's telemetry (see
+  /// solver/solve_log.h); the caller stamps and records it. Null costs
+  /// nothing per iteration.
   LpResult Solve(
       const std::vector<std::tuple<int, double, double>>& bound_overrides = {},
       int max_iterations = 0, double deadline_seconds = 0.0,
       const LpBasis* start_basis = nullptr,
       LpBasis* final_basis = nullptr,
-      std::vector<double>* duals = nullptr) const;
+      std::vector<double>* duals = nullptr,
+      LpSolveStats* stats = nullptr) const;
 
  private:
   std::vector<double> cost_;

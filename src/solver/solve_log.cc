@@ -47,8 +47,6 @@ std::string RenderLp(const LpSolveStats& r, bool canonical) {
     AppendU64(&out, r.bip_id);
   }
   out += ",\"node\":" + std::to_string(r.node_id);
-  out += ",\"engine\":";
-  AppendJsonString(&out, r.engine);
   out += ",\"status\":";
   AppendJsonString(&out, r.status);
   out += ",\"rows\":" + std::to_string(r.rows);
@@ -66,7 +64,6 @@ std::string RenderLp(const LpSolveStats& r, bool canonical) {
   AppendU64(&out, r.fill_start);
   out += ",\"fill_end\":";
   AppendU64(&out, r.fill_end);
-  out += ",\"dense_rows\":" + std::to_string(r.dense_rows);
   out += ",\"refactorizations\":" + std::to_string(r.refactorizations);
   out += ",\"ft_updates\":" + std::to_string(r.ft_updates);
   out += ",\"factor_fill\":";
@@ -166,13 +163,6 @@ std::string RenderBip(const BipSolveStats& r, bool canonical) {
   return out;
 }
 
-/// Thread-local B&B context; LP solves read it to tag their records.
-struct BipContext {
-  uint64_t bip_id = 0;
-  int node_id = -1;
-};
-thread_local BipContext tls_context;
-
 }  // namespace
 
 double LpSolveStats::FillRatio(uint64_t stored) const {
@@ -245,28 +235,10 @@ void SolveLog::RecordBip(BipSolveStats stats) {
   bip_records_.push_back(std::move(stats));
 }
 
-uint64_t SolveLog::BeginBip() {
-  uint64_t id;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = ++next_bip_id_;
-  }
-  SetContext(id, -1);
-  return id;
+uint64_t SolveLog::NextBipId() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ++next_bip_id_;
 }
-
-void SolveLog::SetContext(uint64_t bip_id, int node_id) {
-  tls_context.bip_id = bip_id;
-  tls_context.node_id = node_id;
-}
-
-void SolveLog::ClearContext() {
-  tls_context.bip_id = 0;
-  tls_context.node_id = -1;
-}
-
-uint64_t SolveLog::ContextBipId() { return tls_context.bip_id; }
-int SolveLog::ContextNodeId() { return tls_context.node_id; }
 
 size_t SolveLog::lp_record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -293,19 +265,9 @@ uint64_t SolveLog::dropped_node_events() const {
   return dropped_nodes_;
 }
 
-uint64_t SolveLog::dropped_bip_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_bips_;
-}
-
 std::vector<LpSolveStats> SolveLog::LpRecords() const {
   std::lock_guard<std::mutex> lock(mu_);
   return std::vector<LpSolveStats>(lp_records_.begin(), lp_records_.end());
-}
-
-std::vector<BbNodeEvent> SolveLog::NodeEvents() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<BbNodeEvent>(node_events_.begin(), node_events_.end());
 }
 
 std::vector<BipSolveStats> SolveLog::BipRecords() const {
@@ -356,64 +318,6 @@ bool SolveLog::WriteJsonl(const std::string& path, std::string* error) const {
     return false;
   }
   return true;
-}
-
-std::string SolveLog::SummaryJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t lp_iters = 0;
-  uint64_t hot_attempts = 0;
-  uint64_t hot_hits = 0;
-  double lp_ms = 0.0;
-  double max_fill = 0.0;
-  for (const LpSolveStats& r : lp_records_) {
-    lp_iters += static_cast<uint64_t>(r.iterations);
-    if (r.hot_start_attempted) ++hot_attempts;
-    if (r.hot_started) ++hot_hits;
-    lp_ms += r.solve_ms;
-    max_fill = std::max(max_fill, r.FillRatio(r.fill_end));
-  }
-  uint64_t bb_nodes = 0;
-  uint64_t bb_incumbents = 0;
-  uint64_t bb_pruned = 0;
-  double bip_ms = 0.0;
-  for (const BipSolveStats& r : bip_records_) {
-    bb_nodes += static_cast<uint64_t>(r.nodes_explored);
-    bb_incumbents += r.incumbents;
-    bb_pruned += r.pruned_bound + r.pruned_parent;
-    bip_ms += r.solve_ms;
-  }
-  std::string out = "{\"enabled\":";
-  AppendBool(&out, enabled_.load(std::memory_order_relaxed));
-  out += ",\"lp_solves\":";
-  AppendU64(&out, lp_records_.size());
-  out += ",\"lp_iterations\":";
-  AppendU64(&out, lp_iters);
-  out += ",\"lp_ms\":";
-  AppendNum(&out, lp_ms);
-  out += ",\"max_fill_ratio\":";
-  AppendNum(&out, max_fill);
-  out += ",\"hot_start_attempts\":";
-  AppendU64(&out, hot_attempts);
-  out += ",\"hot_start_hits\":";
-  AppendU64(&out, hot_hits);
-  out += ",\"bip_solves\":";
-  AppendU64(&out, bip_records_.size());
-  out += ",\"bb_nodes\":";
-  AppendU64(&out, bb_nodes);
-  out += ",\"bb_incumbents\":";
-  AppendU64(&out, bb_incumbents);
-  out += ",\"bb_pruned\":";
-  AppendU64(&out, bb_pruned);
-  out += ",\"bip_ms\":";
-  AppendNum(&out, bip_ms);
-  out += ",\"node_events\":";
-  AppendU64(&out, node_events_.size());
-  out += ",\"dropped_lp\":";
-  AppendU64(&out, dropped_lp_);
-  out += ",\"dropped_nodes\":";
-  AppendU64(&out, dropped_nodes_);
-  out += "}";
-  return out;
 }
 
 std::string SolveLog::Fingerprint() const {
@@ -684,7 +588,6 @@ bool ParseSolveLogJsonl(const std::string& text, SolveLogData* out,
       r.id = value.U64("id", 0);
       r.bip_id = value.U64("bip", 0);
       r.node_id = value.Int("node", -1);
-      r.engine = value.Str("engine");
       r.status = value.Str("status");
       r.rows = value.Int("rows", 0);
       r.cols = value.Int("cols", 0);
@@ -698,7 +601,6 @@ bool ParseSolveLogJsonl(const std::string& text, SolveLogData* out,
       r.max_degenerate_streak = value.Int("max_degen_streak", 0);
       r.fill_start = value.U64("fill_start", 0);
       r.fill_end = value.U64("fill_end", 0);
-      r.dense_rows = value.Int("dense_rows", 0);
       r.refactorizations = value.Int("refactorizations", 0);
       r.ft_updates = value.Int("ft_updates", 0);
       r.factor_fill = value.U64("factor_fill", 0);
@@ -798,13 +700,10 @@ void Appendf(std::string* out, const char* fmt, ...) {
 
 std::string LpContext(const LpSolveStats& r) {
   if (r.bip_id == 0) return "standalone";
-  std::string out = "b&b " + std::to_string(r.bip_id);
-  if (r.node_id >= 0) {
-    out += " node " + std::to_string(r.node_id);
-  } else {
-    out += " root";
-  }
-  return out;
+  const std::string bip = "b&b " + std::to_string(r.bip_id);
+  if (r.node_id < 0) return bip + " discarded";
+  if (r.node_id == 0) return bip + " root";
+  return bip + " node " + std::to_string(r.node_id);
 }
 
 }  // namespace
@@ -841,7 +740,7 @@ std::string ExplainSolveLog(const SolveLogData& data) {
     total_ms += r.solve_ms;
     if (r.bip_id == 0) {
       standalone_ms += r.solve_ms;
-    } else if (r.node_id <= 0) {
+    } else if (r.node_id == 0) {
       root_ms += r.solve_ms;
     } else {
       tree_ms += r.solve_ms;
@@ -882,11 +781,17 @@ std::string ExplainSolveLog(const SolveLogData& data) {
             static_cast<unsigned long long>(b.pruned_bound),
             static_cast<unsigned long long>(b.pruned_parent),
             static_cast<unsigned long long>(b.infeasible));
-    // Node verdicts proven from a hot start's pivot row; logs without the
-    // field (or without such verdicts) render as before.
+    // Explored nodes whose verdict came from a hot start's pivot row, and
+    // batch relaxations solved for nodes that were never processed.
     uint64_t farkas = 0;
+    uint64_t discarded = 0;
     for (const LpSolveStats& r : data.lp) {
-      if (r.bip_id == b.id && r.farkas) ++farkas;
+      if (r.bip_id != b.id) continue;
+      if (r.node_id < 0) {
+        ++discarded;
+      } else if (r.farkas) {
+        ++farkas;
+      }
     }
     if (farkas > 0) {
       Appendf(&out, " (%llu by Farkas proof)",
@@ -901,6 +806,12 @@ std::string ExplainSolveLog(const SolveLogData& data) {
             "iterations, %.2f ms\n",
             root_hot, b.warm_started ? "yes" : "no",
             static_cast<unsigned long long>(b.lp_iterations), b.solve_ms);
+    if (discarded > 0) {
+      Appendf(&out,
+              "%llu batch relaxations discarded (node pruned or left "
+              "pending before its turn)\n",
+              static_cast<unsigned long long>(discarded));
+    }
     // Incumbent trajectory (first improvements tell how fast the search
     // closes in; an early near-final incumbent means pruning did the rest).
     int shown = 0;
@@ -931,17 +842,16 @@ std::string ExplainSolveLog(const SolveLogData& data) {
   if (!by_ms.empty()) {
     Appendf(&out, "\n== top lp time sinks ==\n");
     Appendf(&out,
-            "   #        ms    iters   ph1  rows x cols      fill      "
-            "engine  context\n");
+            "   #        ms    iters   ph1  rows x cols           fill  "
+            "context\n");
     const size_t top = std::min<size_t>(by_ms.size(), 10);
     for (size_t i = 0; i < top; ++i) {
       const LpSolveStats& r = *by_ms[i];
       Appendf(&out,
-              " %3zu %9.2f %8d %5d %5dx%-6d %4.1f%%->%-5.1f%% %7s  %s\n",
+              " %3zu %9.2f %8d %5d %5dx%-6d %5.1f%%->%5.1f%%  %s\n",
               i + 1, r.solve_ms, r.iterations, r.phase1_iterations, r.rows,
               r.tableau_cols, 100.0 * r.FillRatio(r.fill_start),
-              100.0 * r.FillRatio(r.fill_end), r.engine.c_str(),
-              LpContext(r).c_str());
+              100.0 * r.FillRatio(r.fill_end), LpContext(r).c_str());
     }
   }
 
@@ -970,8 +880,6 @@ std::string ExplainSolveLog(const SolveLogData& data) {
           static_cast<unsigned long long>(bland_iters),
           100.0 * static_cast<double>(bland_iters) / iter_denom,
           static_cast<unsigned long long>(bound_flips));
-  // Logs recorded before basis telemetry existed (or with the since-
-  // deleted tableau engines) carry none and render unchanged.
   if (refactorizations + ft_updates > 0) {
     Appendf(&out,
             "basis: %llu refactorizations, %llu forrest-tomlin updates "
@@ -994,10 +902,10 @@ std::string ExplainSolveLog(const SolveLogData& data) {
     }
   }
   if (focus != nullptr) {
-    Appendf(&out, "\n== fill growth (lp %llu: %d rows x %d tableau cols, %s, "
+    Appendf(&out, "\n== fill growth (lp %llu: %d rows x %d tableau cols, "
                   "%.2f ms) ==\n",
             static_cast<unsigned long long>(focus->id), focus->rows,
-            focus->tableau_cols, focus->engine.c_str(), focus->solve_ms);
+            focus->tableau_cols, focus->solve_ms);
     uint64_t peak = 1;
     for (const auto& [iter, stored] : focus->fill_curve) {
       (void)iter;
@@ -1021,11 +929,11 @@ std::string ExplainSolveLog(const SolveLogData& data) {
     const double end_fill = focus->FillRatio(focus->fill_end);
     Appendf(&out,
             "fill grew %.1fx over the solve: %.1f%% -> %.1f%% of the "
-            "tableau; %d of %d rows densified; longest degenerate streak "
-            "%d, equilibration cond %.3g\n",
+            "tableau; longest degenerate streak %d, equilibration cond "
+            "%.3g\n",
             start_fill > 0.0 ? end_fill / start_fill : 0.0,
-            100.0 * start_fill, 100.0 * end_fill, focus->dense_rows,
-            focus->rows, focus->max_degenerate_streak,
+            100.0 * start_fill, 100.0 * end_fill,
+            focus->max_degenerate_streak,
             focus->equilibration_cond);
   }
   return out;

@@ -11,18 +11,22 @@
 
 namespace nose {
 
-/// Per-LP-solve telemetry captured by the simplex engine. Everything here
-/// is a pure function of the instance and the (deterministic) pivot path —
-/// except `solve_ms`, which is wall clock and therefore excluded from
-/// SolveLog::Fingerprint().
+/// Per-LP-solve telemetry, filled by LpProblem::Solve into a caller-owned
+/// record and stamped by the caller (SolveBip) with its search context.
+/// Everything here is a pure function of the instance and the
+/// (deterministic) pivot path — except `solve_ms`, which is wall clock and
+/// therefore excluded from SolveLog::Fingerprint().
 struct LpSolveStats {
   uint64_t id = 0;      ///< 1-based record id, assigned by SolveLog::RecordLp
-  uint64_t bip_id = 0;  ///< enclosing B&B solve, 0 = standalone LP
-  int node_id = -1;     ///< explored-node ordinal within bip_id, -1 = none
+  /// Enclosing B&B solve; 0 = solved outside any search (the certificate's
+  /// dual harvest).
+  uint64_t bip_id = 0;
+  /// Explored-node ordinal within bip_id (0 = the root). -1 inside a search
+  /// marks a discarded relaxation: solved in a batch, but its node was
+  /// pruned by an incumbent found earlier in that batch, or left pending
+  /// when a budget ran out.
+  int node_id = -1;
 
-  /// Always "factorized" today; logs written while the since-deleted
-  /// tableau engines existed may also say "sparse" or "dense".
-  std::string engine;
   std::string status;  ///< LpStatusName of the result
   int rows = 0;        ///< constraint rows of the original problem
   int cols = 0;        ///< structural variables
@@ -37,19 +41,15 @@ struct LpSolveStats {
   int max_degenerate_streak = 0;  ///< longest run of zero-step pivots
 
   /// Stored factor entries (LU + eta file) before phase 1 and at
-  /// termination — the fill-accumulation signal. Older logs from the
-  /// tableau engines hold stored tableau entries here.
+  /// termination — the fill-accumulation signal.
   uint64_t fill_start = 0;
   uint64_t fill_end = 0;
-  /// Rows a tableau engine upgraded from CSR to dense storage; always 0
-  /// for the factorized engine, kept so older logs still parse.
-  int dense_rows = 0;
 
-  /// Basis-maintenance telemetry (zero in logs from the tableau engines).
-  /// `refactorizations` counts basis factorizations from scratch (the
-  /// initial crash/hot-load one included), `ft_updates` the product-form
-  /// updates appended between them, and `factor_fill` the L+U nonzeros of
-  /// the final base factorization.
+  /// Basis-maintenance telemetry. `refactorizations` counts basis
+  /// factorizations from scratch (the initial crash/hot-load one
+  /// included), `ft_updates` the product-form updates appended between
+  /// them, and `factor_fill` the L+U nonzeros of the final base
+  /// factorization.
   int refactorizations = 0;
   int ft_updates = 0;
   uint64_t factor_fill = 0;
@@ -64,8 +64,7 @@ struct LpSolveStats {
   /// rejected basis, which falls back to the cold crash start, is a miss.
   bool hot_started = false;
   /// kInfeasible proven from the hot start's dual-repair pivot row (a
-  /// checked Farkas certificate) instead of by a cold phase 1. Logs
-  /// written before the check existed lack the field and read false.
+  /// checked Farkas certificate) instead of by a cold phase 1.
   bool farkas = false;
 
   double solve_ms = 0.0;  ///< wall clock; excluded from Fingerprint()
@@ -129,23 +128,23 @@ struct BipSolveStats {
 /// (`nose ... --solve-log FILE`, read back by `nose explain`).
 ///
 /// Off by default. When disabled, the instrumentation cost is one relaxed
-/// atomic load per LP/BIP solve — nothing per simplex iteration — so the
-/// solver runs at full speed (pinned by the overhead smoke test). When
-/// enabled, records append under a mutex; capacity overflow drops the
-/// OLDEST records (ring semantics) and counts the drops.
+/// atomic load per BIP solve — nothing per LP or simplex iteration — so
+/// the solver runs at full speed. When enabled, records append under a
+/// mutex; capacity overflow drops the OLDEST records (ring semantics) and
+/// counts the drops.
 ///
-/// Determinism: LP and B&B solves run on the serial spine of the advisor
-/// pipeline (only formulation assembly is parallel), so record order — and
-/// therefore the JSONL export — is identical at any thread count.
+/// Determinism: SolveBip runs the same batched search with or without the
+/// log and appends each batch's LP records in pop order after processing
+/// it, so the records of one search do not depend on the thread count.
 /// Fingerprint() additionally strips wall-clock fields and global ids and
-/// sorts the canonical lines, so it is invariant even if callers ever
-/// overlap independent solves from multiple threads.
+/// sorts the canonical lines, so it is invariant even if callers overlap
+/// independent solves from multiple threads.
 class SolveLog {
  public:
   static constexpr size_t kDefaultLpCapacity = 16384;
   static constexpr size_t kDefaultNodeCapacity = 65536;
   static constexpr size_t kDefaultBipCapacity = 4096;
-  /// Sparse fill is sampled every this many simplex iterations.
+  /// Factor fill is sampled every this many simplex iterations.
   static constexpr int kFillSampleStride = 64;
 
   static SolveLog& Global();
@@ -164,36 +163,24 @@ class SolveLog {
   void RecordNode(BbNodeEvent event);
   void RecordBip(BipSolveStats stats);
 
-  /// Allocates the next B&B solve id and sets the calling thread's context
-  /// to (id, node -1).
-  uint64_t BeginBip();
-
-  /// Thread-local B&B context: LP solves stamp their records with it so
-  /// `nose explain` can attribute LP time to tree nodes.
-  static void SetContext(uint64_t bip_id, int node_id);
-  static void ClearContext();
-  static uint64_t ContextBipId();
-  static int ContextNodeId();
+  /// Allocates the next 1-based B&B solve id; SolveBip stamps its LP,
+  /// node and bip records with it.
+  uint64_t NextBipId();
 
   size_t lp_record_count() const;
   size_t node_event_count() const;
   size_t bip_record_count() const;
   uint64_t dropped_lp_records() const;
   uint64_t dropped_node_events() const;
-  uint64_t dropped_bip_records() const;
 
   /// Snapshot copies (records stay in the log).
   std::vector<LpSolveStats> LpRecords() const;
-  std::vector<BbNodeEvent> NodeEvents() const;
   std::vector<BipSolveStats> BipRecords() const;
 
   /// JSONL export: one meta line, then one line per record in record order
   /// ("type" ∈ meta|lp|node|bip).
   std::string ToJsonl() const;
   bool WriteJsonl(const std::string& path, std::string* error = nullptr) const;
-
-  /// Aggregate summary as one JSON object (embedded in --report-json).
-  std::string SummaryJson() const;
 
   /// Canonical timing-free digest: every record rendered without wall-clock
   /// fields or global ids, lines sorted. Bitwise-identical across runs at

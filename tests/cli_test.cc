@@ -216,17 +216,17 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
   using Names = std::vector<std::string>;
   EXPECT_EQ(Keys(advise),
             (Names{"report_version", "command", "model", "workload", "phases",
-                   "digest", "solver", "metrics"}));
+                   "digest", "metrics"}));
   EXPECT_EQ(Keys(check),
             (Names{"report_version", "command", "instance", "errors",
-                   "warnings", "phases", "digest", "solver", "metrics"}));
+                   "warnings", "phases", "digest", "metrics"}));
   EXPECT_EQ(Keys(evolve),
             (Names{"report_version", "command", "scenario", "mode",
                    "transactions", "statements", "re_advises_incremental",
                    "re_advises_cold", "no_op_readvises", "last_drift",
                    "migrations", "invariant_violations", "forecast_residual",
                    "realized_store_ms", "phases", "migration_records",
-                   "solver", "metrics"}));
+                   "metrics"}));
   EXPECT_EQ(Keys(serve),
             (Names{"report_version", "command", "scenario", "threads",
                    "streams", "transactions", "statements", "migrations",
@@ -235,7 +235,7 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
                    "p50_after_ms", "p95_after_ms", "p99_after_ms", "advises",
                    "advise_deadline_misses", "migration_rows_dropped",
                    "migration_verify_retries", "realized_store_ms", "phases",
-                   "digest", "solver", "metrics"}));
+                   "digest", "metrics"}));
 
   // check and advise share one phase list.
   EXPECT_EQ(Keys(Value(check, "phases")),

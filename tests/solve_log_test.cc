@@ -1,10 +1,15 @@
 // Solver telemetry (SolveLog): the determinism contract — the timing-free
-// fingerprint of an advise is bitwise-identical at any thread count — plus
-// disabled-by-default behaviour, JSONL round-tripping, ring-buffer
+// fingerprint of an advise is bitwise-identical at any thread count — and
+// the production contract — the log records the search the advisor runs
+// without it, one record per LP solve — on hotel (a one-node search) and
+// RUBiS `default` (a branching one, whose batches hold several nodes).
+// Plus disabled-by-default behaviour, JSONL round-tripping, ring-buffer
 // semantics, and a golden test of the `nose explain` renderer against the
 // bundled solve log under tests/data/.
 
+#include <cstdint>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,8 +17,11 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "obs/metrics.h"
 #include "parser/model_parser.h"
 #include "parser/workload_parser.h"
+#include "rubis/model.h"
+#include "rubis/workload.h"
 #include "solver/bip.h"
 #include "solver/lp.h"
 #include "solver/solve_log.h"
@@ -63,6 +71,41 @@ Recommendation AdviseHotel(size_t threads) {
   return std::move(rec).value();
 }
 
+/// Advises RUBiS `default` at `threads` workers: its B&B branches, so
+/// node batches hold several relaxations and some get discarded.
+Recommendation AdviseRubis(size_t threads) {
+  auto graph = rubis::MakeGraph();
+  EXPECT_TRUE(graph.ok());
+  auto workload = rubis::MakeWorkload(**graph);
+  EXPECT_TRUE(workload.ok());
+  AdvisorOptions options;
+  options.num_threads = threads;
+  Advisor advisor(options);
+  auto rec = advisor.Recommend(**workload, rubis::kBiddingMix);
+  EXPECT_TRUE(rec.ok());
+  return std::move(rec).value();
+}
+
+using AdviseFn = Recommendation (*)(size_t threads);
+const std::vector<std::pair<const char*, AdviseFn>> kInputs = {
+    {"hotel", AdviseHotel}, {"rubis-default", AdviseRubis}};
+
+/// How much each solver.* counter grew while `advise` ran.
+std::map<std::string, uint64_t> SolverCounterDeltas(AdviseFn advise,
+                                                    size_t threads,
+                                                    Recommendation* rec) {
+  const auto before = obs::MetricsRegistry::Global().CounterValues();
+  *rec = advise(threads);
+  std::map<std::string, uint64_t> deltas;
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().CounterValues()) {
+    if (name.rfind("solver.", 0) != 0) continue;
+    const auto it = before.find(name);
+    deltas[name] = value - (it == before.end() ? 0 : it->second);
+  }
+  return deltas;
+}
+
 /// Restores the global log to its default (disabled, empty) state however
 /// the test exits.
 struct SolveLogGuard {
@@ -86,38 +129,52 @@ TEST(SolveLogTest, DisabledByDefaultRecordsNothing) {
 TEST(SolveLogTest, EnablingDoesNotPerturbResults) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
-  log.Disable();
-  log.Clear();
-  const Recommendation plain = AdviseHotel(1);
+  for (const auto& [name, advise] : kInputs) {
+    SCOPED_TRACE(name);
+    log.Disable();
+    log.Clear();
+    Recommendation plain;
+    const auto plain_counters = SolverCounterDeltas(advise, 4, &plain);
 
-  log.Enable();
-  const Recommendation logged = AdviseHotel(1);
-  EXPECT_GT(log.lp_record_count(), 0u);
-  EXPECT_GT(log.bip_record_count(), 0u);
+    log.Enable();
+    Recommendation logged;
+    const auto logged_counters = SolverCounterDeltas(advise, 4, &logged);
+    EXPECT_GT(log.lp_record_count(), 0u);
+    EXPECT_GT(log.bip_record_count(), 0u);
 
-  // Bitwise equality: telemetry must be observation-only.
-  EXPECT_EQ(plain.objective, logged.objective);
-  EXPECT_EQ(plain.schema.ToString(), logged.schema.ToString());
-  EXPECT_EQ(plain.bb_nodes, logged.bb_nodes);
+    // Bitwise equality: telemetry must be observation-only.
+    EXPECT_EQ(plain.objective, logged.objective);
+    EXPECT_EQ(plain.schema.ToString(), logged.schema.ToString());
+    EXPECT_EQ(plain.bb_nodes, logged.bb_nodes);
+    // The logged run is the production search: same LP solves, simplex
+    // iterations, nodes and prunes, counter for counter.
+    EXPECT_EQ(plain_counters, logged_counters);
+    // One record per LP solve, discarded batch relaxations included.
+    EXPECT_EQ(log.lp_record_count(), logged_counters.at("solver.lp_solves"));
+  }
 }
 
 TEST(SolveLogTest, FingerprintIdenticalAcrossThreadCounts) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
-  std::string reference;
-  size_t reference_lps = 0;
-  for (size_t threads : {1u, 2u, 8u}) {
-    log.Enable();  // clears previous records and id counters
-    AdviseHotel(threads);
-    const std::string fp = log.Fingerprint();
-    ASSERT_FALSE(fp.empty());
-    if (reference.empty()) {
-      reference = fp;
-      reference_lps = log.lp_record_count();
-    } else {
-      EXPECT_EQ(fp, reference) << "threads=" << threads;
-      EXPECT_EQ(log.lp_record_count(), reference_lps)
-          << "threads=" << threads;
+  for (const auto& [name, advise] : kInputs) {
+    std::string reference;
+    size_t reference_lps = 0;
+    for (size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      log.Enable();  // clears previous records and id counters
+      Recommendation rec;
+      const auto counters = SolverCounterDeltas(advise, threads, &rec);
+      EXPECT_EQ(log.lp_record_count(), counters.at("solver.lp_solves"));
+      const std::string fp = log.Fingerprint();
+      ASSERT_FALSE(fp.empty());
+      if (reference.empty()) {
+        reference = fp;
+        reference_lps = log.lp_record_count();
+      } else {
+        EXPECT_EQ(fp, reference);
+        EXPECT_EQ(log.lp_record_count(), reference_lps);
+      }
     }
   }
 }
@@ -142,7 +199,6 @@ TEST(SolveLogTest, JsonlRoundTrip) {
 
   for (size_t i = 0; i < lps.size(); ++i) {
     EXPECT_EQ(parsed.lp[i].id, lps[i].id);
-    EXPECT_EQ(parsed.lp[i].engine, lps[i].engine);
     EXPECT_EQ(parsed.lp[i].status, lps[i].status);
     EXPECT_EQ(parsed.lp[i].rows, lps[i].rows);
     EXPECT_EQ(parsed.lp[i].iterations, lps[i].iterations);
