@@ -31,6 +31,7 @@
 
 #include "advisor/advisor.h"
 #include "bench/bench_json.h"
+#include "obs/metrics.h"
 #include "rubis/model.h"
 #include "rubis/workload.h"
 #include "solver/bip.h"
@@ -329,10 +330,16 @@ int CompareMain(const std::string& json_path) {
     double fact_bip_ms = 0.0;
     bool presolve_diverged = false;
     bool thread_diverged = false;
+    uint64_t fact_bip_factorizations = 0;
     BipResult fact_bip;
     if (is_bip) {
+      const obs::Counter& factorizations =
+          obs::MetricsRegistry::Global().GetCounter(
+              "solver.lu_factorizations");
+      const uint64_t factorizations_before = factorizations.value();
       fact_bip_ms = TimeBipMs(inst.lp, inst.binaries, kBipTimeLimitSeconds,
                               &fact_bip);
+      fact_bip_factorizations = factorizations.value() - factorizations_before;
       // Presolve gate: the reductions are exact and cost-independent, so
       // branch-and-bound must select the same binary assignment with
       // presolve disabled — not merely the same objective.
@@ -392,6 +399,8 @@ int CompareMain(const std::string& json_path) {
     if (is_bip) {
       record.Metric("fact_bip_ms", fact_bip_ms)
           .Metric("fact_bip_objective", fact_bip.objective)
+          .Metric("fact_bip_lu_factorizations",
+                  static_cast<double>(fact_bip_factorizations))
           .Label("fact_bip_status", BipStatusName(fact_bip.status))
           .Label("presolve_diverged", presolve_diverged)
           .Label("thread_diverged", thread_diverged);
