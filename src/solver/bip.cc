@@ -179,6 +179,10 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     relax = &reduced;
   }
 
+  // Every node solves against one working system of the relaxation's
+  // rows, shared read-only by the pool's workers.
+  const LpWorkingSystem system(*relax);
+
   double incumbent = LpProblem::kInfinity;
   if (options.warm_start != nullptr &&
       options.warm_start->size() ==
@@ -288,7 +292,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       if (out_of_time()) return;
       Evaluated& ev = batch[i];
       const bool is_root = root_pending && ev.node.fixings.empty();
-      ev.lp = relax->Solve(
+      ev.lp = system.Solve(
           ev.node.fixings, /*max_iterations=*/0, lp_deadline,
           is_root ? options.root_basis : ev.node.start.get(), &ev.final_basis,
           /*duals=*/nullptr, logging ? &ev.stats : nullptr);

@@ -1,8 +1,10 @@
 #include "solver/factorization.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 namespace nose {
 namespace {
@@ -23,164 +25,251 @@ constexpr int kMaxEtas = 64;
 
 }  // namespace
 
+void BasisFactorization::ScanColumn(int j, Pivot* best) const {
+  const Slot& slot = col_slot_[static_cast<size_t>(j)];
+  const auto col = std::span(col_file_).subspan(
+      static_cast<size_t>(slot.start), static_cast<size_t>(slot.len));
+  double colmax = 0.0;
+  for (const auto& [i, v] : col) colmax = std::max(colmax, std::abs(v));
+  if (colmax <= kAbsPivotTol) return;
+  const int64_t cn = static_cast<int64_t>(col.size()) - 1;
+  for (const auto& [i, v] : col) {
+    const double mag = std::abs(v);
+    if (mag < kMarkowitzTau * colmax || mag <= kAbsPivotTol) continue;
+    const int64_t cost =
+        (static_cast<int64_t>(row_count_[static_cast<size_t>(i)]) - 1) * cn;
+    // Deterministic preference: lowest Markowitz cost, then largest
+    // magnitude, then lowest row id (callers offer columns ascending).
+    const bool better =
+        best->cost < 0 || cost < best->cost ||
+        (cost == best->cost && best->col == j &&
+         (mag > best->mag || (mag == best->mag && i < best->row)));
+    if (better) {
+      *best = Pivot{i, j, v, mag, cost};
+      if (cost == 0 && mag == colmax) break;
+    }
+  }
+}
+
+void BasisFactorization::AddToRow(int i, int j) {
+  Slot& slot = row_slot_[static_cast<size_t>(i)];
+  if (slot.len == slot.cap) {
+    const int start = static_cast<int>(row_file_.size());
+    row_file_.resize(row_file_.size() + 2 * static_cast<size_t>(slot.cap) + 4);
+    std::copy_n(row_file_.begin() + slot.start, slot.len,
+                row_file_.begin() + start);
+    slot.start = start;
+    slot.cap = 2 * slot.cap + 4;
+  }
+  row_file_[static_cast<size_t>(slot.start + slot.len++)] = j;
+}
+
+bool BasisFactorization::ChoosePivot(Pivot* best) {
+  // A zero-cost pivot ends the full scan at the lowest column holding
+  // one, so that column's own scan picks the same entry. Every such
+  // column is armed; disarm the ones passed over on the way.
+  for (size_t w = 0; w < armed_.size(); ++w) {
+    while (armed_[w] != 0) {
+      const int j = static_cast<int>(w * 64) + std::countr_zero(armed_[w]);
+      armed_[w] &= armed_[w] - 1;
+      if (!col_active_[static_cast<size_t>(j)]) continue;
+      Pivot candidate;
+      ScanColumn(j, &candidate);
+      if (candidate.cost == 0) {
+        *best = candidate;
+        return true;
+      }
+    }
+  }
+  // Nucleus step: every remaining pivot fills in, so scan them all. An
+  // admissible entry now sits in a row of count ≥ 2 and costs at least
+  // its column's count − 1, so a column that cannot undercut the best
+  // cost so far is skipped unread.
+  const int m = static_cast<int>(col_active_.size());
+  for (int j = 0; j < m && best->cost != 0; ++j) {
+    if (!col_active_[static_cast<size_t>(j)]) continue;
+    const int64_t cn = col_slot_[static_cast<size_t>(j)].len - 1;
+    if (best->cost >= 0 && cn >= best->cost) continue;
+    ScanColumn(j, best);
+  }
+  return best->col >= 0;
+}
+
 bool BasisFactorization::Factorize(
     int m, const std::vector<const SparseColumn*>& cols) {
   assert(static_cast<int>(cols.size()) == m);
+  const size_t n = static_cast<size_t>(m);
   m_ = -1;
-  etas_.clear();
-  eta_nnz_ = 0;
+  eta_slot_.clear();
+  eta_pivot_.clear();
+  eta_start_.assign(1, 0);
+  eta_.clear();
   lu_nnz_ = 0;
-  prow_.assign(static_cast<size_t>(m), -1);
-  pcol_.assign(static_cast<size_t>(m), -1);
-  col_step_.assign(static_cast<size_t>(m), -1);
-  lcols_.assign(static_cast<size_t>(m), {});
-  urows_.assign(static_cast<size_t>(m), {});
-  udiag_.assign(static_cast<size_t>(m), 0.0);
+  prow_.assign(n, -1);
+  pcol_.assign(n, -1);
+  col_step_.assign(n, -1);
+  l_start_.assign(1, 0);
+  l_.clear();
+  u_start_.assign(1, 0);
+  u_.clear();
+  udiag_.assign(n, 0.0);
 
-  // Working matrix: one unsorted (row, value) vector per column, plus the
-  // active-row nonzero counts the Markowitz heuristic needs.
-  std::vector<std::vector<std::pair<int, double>>> w(static_cast<size_t>(m));
-  std::vector<int> row_count(static_cast<size_t>(m), 0);
-  std::vector<char> row_active(static_cast<size_t>(m), 1);
-  std::vector<char> col_active(static_cast<size_t>(m), 1);
+  // Working matrix: unsorted (row, value) entries per column, the columns
+  // of each row, and the active-row nonzero counts the Markowitz rule
+  // needs. Every column starts armed.
+  col_slot_.assign(n, Slot{});
+  col_file_.clear();
+  row_count_.assign(n, 0);
+  col_active_.assign(n, 1);
+  armed_.assign((n + 63) / 64, 0);
   for (int j = 0; j < m; ++j) {
     const SparseColumn& src = *cols[static_cast<size_t>(j)];
-    auto& col = w[static_cast<size_t>(j)];
-    col.reserve(src.rows.size());
+    Slot& slot = col_slot_[static_cast<size_t>(j)];
+    slot.start = static_cast<int>(col_file_.size());
     for (size_t k = 0; k < src.rows.size(); ++k) {
       if (src.vals[k] == 0.0) continue;
-      assert(src.rows[k] >= 0 && src.rows[k] < m);
-      col.emplace_back(src.rows[k], src.vals[k]);
-      ++row_count[static_cast<size_t>(src.rows[k])];
+      const int i = src.rows[k];
+      assert(i >= 0 && i < m);
+      col_file_.emplace_back(i, src.vals[k]);
+      ++row_count_[static_cast<size_t>(i)];
+    }
+    slot.len = static_cast<int>(col_file_.size()) - slot.start;
+    slot.cap = slot.len;
+    Arm(j);
+  }
+  row_slot_.assign(n, Slot{});
+  int row_start = 0;
+  for (size_t i = 0; i < n; ++i) {
+    row_slot_[i].start = row_start;
+    row_slot_[i].cap = row_count_[i] + 2;
+    row_start += row_slot_[i].cap;
+  }
+  row_file_.resize(static_cast<size_t>(row_start));
+  for (int j = 0; j < m; ++j) {
+    const Slot& slot = col_slot_[static_cast<size_t>(j)];
+    for (int e = slot.start; e < slot.start + slot.len; ++e) {
+      AddToRow(col_file_[static_cast<size_t>(e)].first, j);
     }
   }
 
   // Dense scatter buffer for the column updates.
-  std::vector<double> buf(static_cast<size_t>(m), 0.0);
-  std::vector<char> mark(static_cast<size_t>(m), 0);
-  std::vector<int> touched;
-  touched.reserve(static_cast<size_t>(m));
+  buf_.assign(n, 0.0);
+  mark_.assign(n, 0);
 
   for (int step = 0; step < m; ++step) {
-    // --- Markowitz pivot selection: scan every active entry once. ---
-    int best_row = -1;
-    int best_col = -1;
-    double best_val = 0.0;
-    int64_t best_cost = -1;
-    double best_mag = 0.0;
-    for (int j = 0; j < m && best_cost != 0; ++j) {
-      if (!col_active[static_cast<size_t>(j)]) continue;
-      const auto& col = w[static_cast<size_t>(j)];
-      double colmax = 0.0;
-      for (const auto& [i, v] : col) colmax = std::max(colmax, std::abs(v));
-      if (colmax <= kAbsPivotTol) continue;
-      const int64_t cn = static_cast<int64_t>(col.size()) - 1;
-      for (const auto& [i, v] : col) {
-        const double mag = std::abs(v);
-        if (mag < kMarkowitzTau * colmax || mag <= kAbsPivotTol) continue;
-        const int64_t cost =
-            (static_cast<int64_t>(row_count[static_cast<size_t>(i)]) - 1) * cn;
-        // Deterministic preference: lowest Markowitz cost, then largest
-        // magnitude, then lowest row id (columns already scan ascending).
-        const bool better =
-            best_cost < 0 || cost < best_cost ||
-            (cost == best_cost && best_col == j &&
-             (mag > best_mag || (mag == best_mag && i < best_row)));
-        if (better) {
-          best_cost = cost;
-          best_mag = mag;
-          best_row = i;
-          best_col = j;
-          best_val = v;
-          if (cost == 0 && mag == colmax) break;
-        }
-      }
-    }
-    if (best_col < 0) return false;  // singular within tolerance
+    Pivot best;
+    if (!ChoosePivot(&best)) return false;  // singular within tolerance
 
-    const int pr = best_row;
-    const int pc = best_col;
-    const double pivot = best_val;
+    const int pr = best.row;
+    const int pc = best.col;
+    const double pivot = best.val;
     prow_[static_cast<size_t>(step)] = pr;
     pcol_[static_cast<size_t>(step)] = pc;
     col_step_[static_cast<size_t>(pc)] = step;
     udiag_[static_cast<size_t>(step)] = pivot;
-    row_active[static_cast<size_t>(pr)] = 0;
-    col_active[static_cast<size_t>(pc)] = 0;
+    col_active_[static_cast<size_t>(pc)] = 0;
 
     // L multipliers from the pivot column's remaining active rows.
-    auto& lcol = lcols_[static_cast<size_t>(step)];
+    const size_t l_begin = l_.size();
     const double inv = 1.0 / pivot;
-    for (const auto& [i, v] : w[static_cast<size_t>(pc)]) {
+    Slot& pivot_slot = col_slot_[static_cast<size_t>(pc)];
+    for (int e = pivot_slot.start; e < pivot_slot.start + pivot_slot.len;
+         ++e) {
+      const auto [i, v] = col_file_[static_cast<size_t>(e)];
       if (i == pr) continue;
-      lcol.emplace_back(i, v * inv);
-      --row_count[static_cast<size_t>(i)];
+      l_.emplace_back(i, v * inv);
+      --row_count_[static_cast<size_t>(i)];
     }
-    w[static_cast<size_t>(pc)].clear();
-    w[static_cast<size_t>(pc)].shrink_to_fit();
+    pivot_slot.len = 0;
+    const size_t l_end = l_.size();
+    l_start_.push_back(static_cast<int>(l_end));
 
-    // Eliminate the pivot row from every remaining column that carries it;
-    // the removed entries form U's row for this step.
-    auto& urow = urows_[static_cast<size_t>(step)];
-    for (int j = 0; j < m; ++j) {
-      if (!col_active[static_cast<size_t>(j)]) continue;
-      auto& col = w[static_cast<size_t>(j)];
+    // Eliminate the pivot row from every remaining column that carries it,
+    // in ascending column order; the removed entries form U's row for
+    // this step. Zeros are never stored, so a carried entry is nonzero.
+    // Fill appends to other rows' lists, which may move them but never
+    // this one, so it is walked by index.
+    Slot& carriers = row_slot_[static_cast<size_t>(pr)];
+    {
+      const auto first = row_file_.begin() + carriers.start;
+      std::sort(first, first + carriers.len);
+      carriers.len =
+          static_cast<int>(std::unique(first, first + carriers.len) - first);
+    }
+    for (int p = carriers.start; p < carriers.start + carriers.len; ++p) {
+      const int j = row_file_[static_cast<size_t>(p)];
+      if (!col_active_[static_cast<size_t>(j)]) continue;
+      Slot& slot = col_slot_[static_cast<size_t>(j)];
       double u = 0.0;
       bool has = false;
-      for (const auto& [i, v] : col) {
-        if (i == pr) {
-          u = v;
+      for (int e = slot.start; e < slot.start + slot.len; ++e) {
+        if (col_file_[static_cast<size_t>(e)].first == pr) {
+          u = col_file_[static_cast<size_t>(e)].second;
           has = true;
           break;
         }
       }
-      if (!has || u == 0.0) {
-        if (has) {  // exact-zero entry: drop it from the active matrix
-          col.erase(std::remove_if(col.begin(), col.end(),
-                                   [pr](const auto& e) {
-                                     return e.first == pr;
-                                   }),
-                    col.end());
-        }
-        continue;
-      }
-      urow.emplace_back(j, u);
+      if (!has) continue;  // the entry cancelled in an earlier step
+      assert(u != 0.0);
+      u_.emplace_back(j, u);
       // Scatter, update, gather: col := col − u · lcol, minus the pivot row.
-      touched.clear();
-      for (const auto& [i, v] : col) {
+      touched_.clear();
+      for (int e = slot.start; e < slot.start + slot.len; ++e) {
+        const auto [i, v] = col_file_[static_cast<size_t>(e)];
         if (i == pr) continue;
-        buf[static_cast<size_t>(i)] = v;
-        mark[static_cast<size_t>(i)] = 1;
-        touched.push_back(i);
+        buf_[static_cast<size_t>(i)] = v;
+        mark_[static_cast<size_t>(i)] = 1;
+        touched_.push_back(i);
       }
-      for (const auto& [i, mult] : lcol) {
-        if (!mark[static_cast<size_t>(i)]) {
-          buf[static_cast<size_t>(i)] = 0.0;
-          mark[static_cast<size_t>(i)] = 1;
-          touched.push_back(i);
-          ++row_count[static_cast<size_t>(i)];  // fill-in (may cancel below)
+      for (size_t k = l_begin; k < l_end; ++k) {
+        const auto [i, mult] = l_[k];
+        if (!mark_[static_cast<size_t>(i)]) {
+          buf_[static_cast<size_t>(i)] = 0.0;
+          mark_[static_cast<size_t>(i)] = 1;
+          touched_.push_back(i);
+          ++row_count_[static_cast<size_t>(i)];  // fill-in (may cancel below)
+          AddToRow(i, j);
         }
-        buf[static_cast<size_t>(i)] -= mult * u;
+        buf_[static_cast<size_t>(i)] -= mult * u;
       }
-      col.clear();
-      for (const int i : touched) {
-        mark[static_cast<size_t>(i)] = 0;
-        const double v = buf[static_cast<size_t>(i)];
+      // The updated column stays in its slot when it fits, else moves to
+      // the end of the file.
+      if (static_cast<int>(touched_.size()) > slot.cap) {
+        slot.start = static_cast<int>(col_file_.size());
+        slot.cap = static_cast<int>(touched_.size());
+        col_file_.resize(col_file_.size() + touched_.size());
+      }
+      slot.len = 0;
+      for (const int i : touched_) {
+        mark_[static_cast<size_t>(i)] = 0;
+        const double v = buf_[static_cast<size_t>(i)];
         if (v == 0.0) {  // exact cancellation only — no drop tolerance
-          --row_count[static_cast<size_t>(i)];
+          --row_count_[static_cast<size_t>(i)];
           continue;
         }
-        col.emplace_back(i, v);
+        col_file_[static_cast<size_t>(slot.start + slot.len++)] = {i, v};
       }
-      --row_count[static_cast<size_t>(pr)];
+      --row_count_[static_cast<size_t>(pr)];
+      Arm(j);  // its entries changed
+    }
+    u_start_.push_back(static_cast<int>(u_.size()));
+
+    // Only the pivot column's rows changed count. One left with a single
+    // active entry makes that entry a zero-cost pivot: arm its column.
+    for (size_t k = l_begin; k < l_end; ++k) {
+      const int i = l_[k].first;
+      if (row_count_[static_cast<size_t>(i)] != 1) continue;
+      const Slot& row = row_slot_[static_cast<size_t>(i)];
+      for (int p = row.start; p < row.start + row.len; ++p) {
+        const int j = row_file_[static_cast<size_t>(p)];
+        if (col_active_[static_cast<size_t>(j)]) Arm(j);
+      }
     }
   }
 
-  lu_nnz_ = static_cast<uint64_t>(m);  // U diagonal
-  for (const auto& lcol : lcols_) lu_nnz_ += lcol.size();
-  for (const auto& urow : urows_) lu_nnz_ += urow.size();
+  lu_nnz_ = static_cast<uint64_t>(m) + l_.size() + u_.size();
   m_ = m;
-  scratch_.assign(static_cast<size_t>(m), 0.0);
+  scratch_.assign(n, 0.0);
   return true;
 }
 
@@ -192,7 +281,9 @@ void BasisFactorization::Ftran(std::vector<double>* v) const {
   for (int k = 0; k < m_; ++k) {
     const double yk = work[static_cast<size_t>(prow_[static_cast<size_t>(k)])];
     if (yk == 0.0) continue;
-    for (const auto& [i, mult] : lcols_[static_cast<size_t>(k)]) {
+    for (int e = l_start_[static_cast<size_t>(k)];
+         e < l_start_[static_cast<size_t>(k) + 1]; ++e) {
+      const auto [i, mult] = l_[static_cast<size_t>(e)];
       work[static_cast<size_t>(i)] -= mult * yk;
     }
   }
@@ -200,7 +291,9 @@ void BasisFactorization::Ftran(std::vector<double>* v) const {
   std::vector<double>& x = scratch_;
   for (int k = m_ - 1; k >= 0; --k) {
     double acc = work[static_cast<size_t>(prow_[static_cast<size_t>(k)])];
-    for (const auto& [slot, u] : urows_[static_cast<size_t>(k)]) {
+    for (int e = u_start_[static_cast<size_t>(k)];
+         e < u_start_[static_cast<size_t>(k) + 1]; ++e) {
+      const auto [slot, u] = u_[static_cast<size_t>(e)];
       const double xs = x[static_cast<size_t>(slot)];
       if (xs != 0.0) acc -= u * xs;
     }
@@ -209,12 +302,14 @@ void BasisFactorization::Ftran(std::vector<double>* v) const {
   }
   work.swap(x);
   // Product-form etas, oldest first.
-  for (const Eta& eta : etas_) {
-    const double t = work[static_cast<size_t>(eta.slot)] / eta.pivot;
-    work[static_cast<size_t>(eta.slot)] = t;
+  for (size_t q = 0; q < eta_slot_.size(); ++q) {
+    const int slot = eta_slot_[q];
+    const double t = work[static_cast<size_t>(slot)] / eta_pivot_[q];
+    work[static_cast<size_t>(slot)] = t;
     if (t == 0.0) continue;
-    for (const auto& [slot, val] : eta.other) {
-      work[static_cast<size_t>(slot)] -= val * t;
+    for (int e = eta_start_[q]; e < eta_start_[q + 1]; ++e) {
+      const auto [other, val] = eta_[static_cast<size_t>(e)];
+      work[static_cast<size_t>(other)] -= val * t;
     }
   }
 }
@@ -223,13 +318,15 @@ void BasisFactorization::Btran(std::vector<double>* v) const {
   assert(m_ >= 0 && static_cast<int>(v->size()) == m_);
   std::vector<double>& work = *v;
   // Eta transposes, newest first: z = E⁻ᵀ y touches only the pivot slot.
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = work[static_cast<size_t>(it->slot)];
-    for (const auto& [slot, val] : it->other) {
-      const double y = work[static_cast<size_t>(slot)];
+  for (size_t q = eta_slot_.size(); q-- > 0;) {
+    const int slot = eta_slot_[q];
+    double acc = work[static_cast<size_t>(slot)];
+    for (int e = eta_start_[q]; e < eta_start_[q + 1]; ++e) {
+      const auto [other, val] = eta_[static_cast<size_t>(e)];
+      const double y = work[static_cast<size_t>(other)];
       if (y != 0.0) acc -= val * y;
     }
-    work[static_cast<size_t>(it->slot)] = acc / it->pivot;
+    work[static_cast<size_t>(slot)] = acc / eta_pivot_[q];
   }
   // Uᵀ solve (forward in step order, saxpy form over U's rows).
   std::vector<double>& acc = scratch_;
@@ -242,7 +339,9 @@ void BasisFactorization::Btran(std::vector<double>* v) const {
         acc[static_cast<size_t>(k)] / udiag_[static_cast<size_t>(k)];
     acc[static_cast<size_t>(k)] = vk;
     if (vk == 0.0) continue;
-    for (const auto& [slot, u] : urows_[static_cast<size_t>(k)]) {
+    for (int e = u_start_[static_cast<size_t>(k)];
+         e < u_start_[static_cast<size_t>(k) + 1]; ++e) {
+      const auto [slot, u] = u_[static_cast<size_t>(e)];
       acc[static_cast<size_t>(col_step_[static_cast<size_t>(slot)])] -=
           u * vk;
     }
@@ -250,7 +349,9 @@ void BasisFactorization::Btran(std::vector<double>* v) const {
   // Lᵀ solve (backward): w[prow_[k]] = v_k − l_kᵀ·w.
   for (int k = m_ - 1; k >= 0; --k) {
     double wk = acc[static_cast<size_t>(k)];
-    for (const auto& [i, mult] : lcols_[static_cast<size_t>(k)]) {
+    for (int e = l_start_[static_cast<size_t>(k)];
+         e < l_start_[static_cast<size_t>(k) + 1]; ++e) {
+      const auto [i, mult] = l_[static_cast<size_t>(e)];
       const double wi = work[static_cast<size_t>(i)];
       if (wi != 0.0) wk -= mult * wi;
     }
@@ -260,16 +361,14 @@ void BasisFactorization::Btran(std::vector<double>* v) const {
 
 void BasisFactorization::AppendEta(int slot,
                                    const std::vector<double>& ftran_column) {
-  Eta eta;
-  eta.slot = slot;
-  eta.pivot = ftran_column[static_cast<size_t>(slot)];
+  eta_slot_.push_back(slot);
+  eta_pivot_.push_back(ftran_column[static_cast<size_t>(slot)]);
   for (int i = 0; i < m_; ++i) {
     if (i == slot) continue;
     const double v = ftran_column[static_cast<size_t>(i)];
-    if (v != 0.0) eta.other.emplace_back(i, v);
+    if (v != 0.0) eta_.emplace_back(i, v);
   }
-  eta_nnz_ += eta.other.size() + 1;
-  etas_.push_back(std::move(eta));
+  eta_start_.push_back(static_cast<int>(eta_.size()));
 }
 
 bool BasisFactorization::Update(int slot,
@@ -294,8 +393,9 @@ void BasisFactorization::ForceUpdate(int slot,
 }
 
 bool BasisFactorization::NeedsRefactorization() const {
-  if (static_cast<int>(etas_.size()) >= kMaxEtas) return true;
-  return eta_nnz_ > 1024 && eta_nnz_ > 2 * lu_nnz_;
+  if (num_updates() >= kMaxEtas) return true;
+  const uint64_t eta_nnz = eta_entries();
+  return eta_nnz > 1024 && eta_nnz > 2 * lu_nnz_;
 }
 
 }  // namespace nose

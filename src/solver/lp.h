@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "solver/factorization.h"
+
 namespace nose {
 
 struct LpSolveStats;
@@ -164,6 +166,11 @@ class LpProblem {
   /// `stats`, when non-null, receives this solve's telemetry (see
   /// solver/solve_log.h); the caller stamps and records it. Null costs
   /// nothing per iteration.
+  ///
+  /// Each call builds the solver's working system of the rows
+  /// (LpWorkingSystem) and solves against it; a caller that solves the
+  /// same rows many times — branch and bound — builds one LpWorkingSystem
+  /// and calls its Solve instead, with identical results.
   LpResult Solve(
       const std::vector<std::tuple<int, double, double>>& bound_overrides = {},
       int max_iterations = 0, double deadline_seconds = 0.0,
@@ -173,11 +180,66 @@ class LpProblem {
       LpSolveStats* stats = nullptr) const;
 
  private:
+  friend class LpWorkingSystem;
+
   std::vector<double> cost_;
   std::vector<double> lb_;
   std::vector<double> ub_;
   std::vector<LpRow> rows_;
   size_t num_nonzeros_ = 0;
+};
+
+/// The solver's working system of an LpProblem's rows, built once and
+/// shared read-only by every solve against them — all branch-and-bound
+/// nodes of one SolveBip, on any worker thread. Each inequality row gets
+/// a slack column (numbered after every structural column, in row
+/// order), each row is divided by its largest coefficient magnitude
+/// (equilibration) and closed by its slack, and the same matrix is kept
+/// by column for pricing and basis factorization. Costs and bounds are
+/// read from the problem at each Solve, so the problem must outlive the
+/// system and keep its rows; its bounds and costs may change between
+/// solves.
+class LpWorkingSystem {
+ public:
+  /// One equilibrated equality row in CSR form: the original row, then its
+  /// slack. Indices stay strictly increasing because slack columns are
+  /// numbered after every structural column.
+  struct Row {
+    std::vector<int> idx;
+    std::vector<double> val;
+  };
+
+  explicit LpWorkingSystem(const LpProblem& problem);
+
+  /// LpProblem::Solve against this system (same arguments and results).
+  /// Safe to call concurrently: each call keeps its own solver state.
+  LpResult Solve(
+      const std::vector<std::tuple<int, double, double>>& bound_overrides = {},
+      int max_iterations = 0, double deadline_seconds = 0.0,
+      const LpBasis* start_basis = nullptr,
+      LpBasis* final_basis = nullptr,
+      std::vector<double>* duals = nullptr,
+      LpSolveStats* stats = nullptr) const;
+
+  const LpProblem& problem() const { return *problem_; }
+  const std::vector<Row>& rows() const { return rows_; }
+  /// Equilibrated right-hand sides, one per row.
+  const std::vector<double>& rhs() const { return rhs_; }
+  /// Per row, its slack column, or -1 for an equality row.
+  const std::vector<int>& slack_col() const { return slack_col_; }
+  /// Structural then slack columns, entries in row order.
+  const std::vector<SparseColumn>& columns() const { return cols_; }
+
+ private:
+  const LpProblem* problem_;
+  int num_columns_ = 0;  // structural + slack
+  std::vector<Row> rows_;
+  std::vector<double> rhs_;
+  std::vector<int> slack_col_;
+  std::vector<double> row_scale_;  // equilibration factor per row
+  std::vector<SparseColumn> cols_;
+  /// Spread of the row magnitudes equilibration divided out (max/min).
+  double equilibration_cond_ = 1.0;
 };
 
 /// Test oracle: solves `problem` from scratch with the original dense
