@@ -8,9 +8,12 @@
 //                 [--solve-budget SECS] [--metrics FILE]
 //
 // --threads sets the advisor's worker-thread count (the recommendation is
-// identical at any value; only the wall clock changes). --json appends the
-// per-scale phase breakdown as nose-bench-v1 records to FILE so
-// baseline-vs-threaded runs can be diffed. Environment
+// identical at any value; only the wall clock changes). Each row also
+// reports the answer's quality: the branch-and-bound node count, whether
+// the solve proved its optimum, and the anytime gap of a budget-bound
+// answer. --json appends the per-scale phase breakdown and those quality
+// fields as nose-bench-v1 records to FILE so baseline-vs-threaded runs can
+// be diffed. Environment
 // fallbacks NOSE_FIG13_MAX_SCALE and NOSE_FIG13_SOLVE_BUDGET still work.
 
 #include <cstdio>
@@ -89,9 +92,9 @@ int Main(int argc, char** argv) {
   std::printf("base: 6 entities, 12 statements; scale multiplies both; "
               "threads=%zu\n\n",
               args.threads);
-  std::printf("%5s %9s %9s %7s %9s %9s %9s %9s %9s\n", "scale", "entities",
-              "stmts", "cands", "cost(s)", "build(s)", "solve(s)", "other(s)",
-              "total(s)");
+  std::printf("%5s %9s %9s %7s %9s %9s %9s %9s %9s %9s %6s %7s\n", "scale",
+              "entities", "stmts", "cands", "cost(s)", "build(s)", "solve(s)",
+              "other(s)", "total(s)", "nodes", "proven", "gap");
 
   // Per-phase wall time summed over every completed scale, in the column
   // order above; the closing shape line names the largest.
@@ -125,10 +128,12 @@ int Main(int argc, char** argv) {
         rec->timing.bip_construction_seconds, rec->timing.bip_solve_seconds,
         rec->timing.other_seconds + rec->timing.enumeration_seconds};
     for (size_t p = 0; p < 4; ++p) phase_totals[p] += phases[p];
-    std::printf("%5d %9zu %9zu %7zu %9.2f %9.2f %9.2f %9.2f %9.2f\n", scale,
-                gen.num_entities, gen.num_statements, rec->num_candidates,
-                phases[0], phases[1], phases[2], phases[3],
-                rec->timing.total_seconds);
+    std::printf(
+        "%5d %9zu %9zu %7zu %9.2f %9.2f %9.2f %9.2f %9.2f %9d %6s %6.1f%%\n",
+        scale, gen.num_entities, gen.num_statements, rec->num_candidates,
+        phases[0], phases[1], phases[2], phases[3], rec->timing.total_seconds,
+        rec->bb_nodes, rec->solve_proven ? "yes" : "no",
+        100.0 * rec->anytime_gap);
     std::fflush(stdout);
     json.Instance("scale" + std::to_string(scale))
         .Metric("threads", static_cast<double>(args.threads))
@@ -137,6 +142,9 @@ int Main(int argc, char** argv) {
         .Metric("candidates", static_cast<double>(rec->num_candidates))
         .Metric("schema_size", static_cast<double>(rec->schema.size()))
         .Metric("objective", rec->objective)
+        .Metric("proven", rec->solve_proven ? 1.0 : 0.0)
+        .Metric("anytime_gap", rec->anytime_gap)
+        .Metric("bb_nodes", static_cast<double>(rec->bb_nodes))
         .Metric("cost_seconds", rec->timing.cost_calculation_seconds)
         .Metric("build_seconds", rec->timing.bip_construction_seconds)
         .Metric("solve_seconds", rec->timing.bip_solve_seconds)

@@ -103,7 +103,7 @@ class RubisBench {
     for (const auto& [name, plan] : out->rec->update_plans) {
       out->update_plans.emplace(name, plan);
     }
-    FinishSetup(out.get(), mix);
+    FinishSetup(out.get());
     return out;
   }
 
@@ -131,7 +131,7 @@ class RubisBench {
         out->update_plans.emplace(entry->name, std::move(plan).value());
       }
     }
-    FinishSetup(out.get(), mix);
+    FinishSetup(out.get());
     return out;
   }
 
@@ -177,8 +177,7 @@ class RubisBench {
   }
 
  private:
-  void FinishSetup(SchemaUnderTest* out, const std::string& mix) {
-    (void)mix;
+  void FinishSetup(SchemaUnderTest* out) {
     out->store = std::make_unique<RecordStore>();
     Status s = LoadSchema(*data_, out->schema, out->store.get());
     if (!s.ok()) Die(out->label + "/load", s);

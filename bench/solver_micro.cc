@@ -13,9 +13,9 @@
 // object per instance to FILE (bench_results/ convention): rows, nnz, LP
 // solve time and objective for both, end-of-solve factor fill, and the
 // production branch-and-bound time and objective. Exits non-zero if the
-// production LP optimum diverges from the reference, if presolve changes
-// a BIP answer, or if a thread-pooled branch-and-bound run is not
-// byte-identical to the serial one — CI runs this as a correctness gate.
+// production LP optimum diverges from the reference, or if a
+// thread-pooled branch-and-bound run is not byte-identical to the serial
+// one — CI runs this as a correctness gate.
 //
 //   solver_micro --json FILE
 
@@ -194,12 +194,11 @@ std::unique_ptr<Workload> ScaleWorkload(const Workload& base, int k) {
   return scaled;
 }
 
-/// Captures the real RUBiS BIP for `mix` by running the advisor with the
-/// BIP strategy forced and a capture hook installed.
+/// Captures the real RUBiS BIP for `mix` by running the advisor with a
+/// capture hook installed.
 Instance CaptureRubisBip(const Workload& workload, const std::string& mix) {
   BipCapture capture;
   AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kBip;
   options.optimizer.capture_bip = &capture;
   Advisor advisor(options);
   auto rec = advisor.Recommend(workload, mix);
@@ -229,9 +228,7 @@ Instance CaptureRubisBip(const Workload& workload, const std::string& mix) {
 /// so the horizon optimizer keeps every window as its own group.
 Instance CaptureHorizonBip(const Workload& workload, int num_windows) {
   BipCapture capture;
-  AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kBip;
-  Advisor advisor(options);
+  Advisor advisor;
   const char* mixes[] = {rubis::kBiddingMix, rubis::kBrowsingMix};
   WorkloadHorizon horizon;
   for (int w = 0; w < num_windows; ++w) {
@@ -328,7 +325,6 @@ int CompareMain(const std::string& json_path) {
     const uint64_t fact_fill = FillEndOf(inst.lp);
 
     double fact_bip_ms = 0.0;
-    bool presolve_diverged = false;
     bool thread_diverged = false;
     uint64_t fact_bip_factorizations = 0;
     BipResult fact_bip;
@@ -340,23 +336,6 @@ int CompareMain(const std::string& json_path) {
       fact_bip_ms = TimeBipMs(inst.lp, inst.binaries, kBipTimeLimitSeconds,
                               &fact_bip);
       fact_bip_factorizations = factorizations.value() - factorizations_before;
-      // Presolve gate: the reductions are exact and cost-independent, so
-      // branch-and-bound must select the same binary assignment with
-      // presolve disabled — not merely the same objective.
-      BipOptions no_presolve;
-      no_presolve.time_limit_seconds = kBipTimeLimitSeconds;
-      no_presolve.presolve = false;
-      BipResult raw = SolveBip(inst.lp, inst.binaries, no_presolve);
-      presolve_diverged = raw.status != fact_bip.status;
-      if (!presolve_diverged && fact_bip.status == BipStatus::kOptimal) {
-        for (int v : inst.binaries) {
-          if (std::lround(fact_bip.x[static_cast<size_t>(v)]) !=
-              std::lround(raw.x[static_cast<size_t>(v)])) {
-            presolve_diverged = true;
-            break;
-          }
-        }
-      }
       // Thread-count invariance gate: pooled branch-and-bound must return
       // byte-for-byte the serial result — same objective bits, same
       // solution vector, same trajectory statistics.
@@ -372,7 +351,7 @@ int CompareMain(const std::string& json_path) {
           thread_diverged = true;
         }
       }
-      diverged = diverged || presolve_diverged || thread_diverged;
+      diverged = diverged || thread_diverged;
     }
     diverged_any = diverged_any || diverged;
 
@@ -402,7 +381,6 @@ int CompareMain(const std::string& json_path) {
           .Metric("fact_bip_lu_factorizations",
                   static_cast<double>(fact_bip_factorizations))
           .Label("fact_bip_status", BipStatusName(fact_bip.status))
-          .Label("presolve_diverged", presolve_diverged)
           .Label("thread_diverged", thread_diverged);
     }
     record.Label("kind", is_bip ? "bip" : "lp").Label("diverged", diverged);
@@ -411,7 +389,7 @@ int CompareMain(const std::string& json_path) {
   if (diverged_any) {
     std::fprintf(stderr,
                  "error: the LP optimum diverged from the reference (or a "
-                 "presolve/thread gate failed) on at least one instance\n");
+                 "thread gate failed) on at least one instance\n");
     return 1;
   }
   return 0;

@@ -21,7 +21,7 @@ struct AdvisorOptions {
   EnumeratorOptions enumerator;
   OptimizerOptions optimizer;
   /// Worker threads for enumeration, plan-space construction, cost
-  /// calculation, and combinatorial node evaluation. 0 = one per hardware
+  /// calculation, and branch-and-bound node evaluation. 0 = one per hardware
   /// core (or $NOSE_TEST_THREADS); 1 = fully serial, no pool created. The
   /// recommendation is byte-identical at every setting — parallel stages
   /// merge their results in deterministic statement/candidate order.

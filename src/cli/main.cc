@@ -80,7 +80,6 @@ options (advise):
                         statement set (same output as per-mix runs)
   --space-limit-mb N    storage budget in megabytes
   --format text|cql     output format (default text)
-  --strategy auto|bip|comb  candidate-selection solver
   --verify              audit the recommendation against the
                         workload invariants before printing
 options (check):
@@ -128,7 +127,7 @@ const std::set<std::string> kTelemetryFlags = {
 const std::map<std::string, CommandFlags> kCommands = {
     {"advise",
      {{"--model", "--workload", "--mix", "--space-limit-mb", "--format",
-       "--strategy", "--solve-budget", "--threads"},
+       "--solve-budget", "--threads"},
       {"--verify", "--all-mixes"}}},
     {"check",
      {{"--model", "--workload", "--mix", "--certificate",
@@ -580,18 +579,15 @@ int VerifyCertificateFile(const std::string& path) {
 }
 
 /// `nose check --model --workload`: the full static gate. Lint has already
-/// run (error findings refuse earlier); this advises with the BIP strategy
-/// under certificate capture, audits the recommendation invariants, runs
-/// the NOSE-S anti-pattern analyses, and verifies the certificate with
-/// exact arithmetic. Exit 1 on any error-severity finding or an unverified
+/// run (error findings refuse earlier); this advises under certificate
+/// capture, audits the recommendation invariants, runs the NOSE-S
+/// anti-pattern analyses, and verifies the certificate with exact
+/// arithmetic. Exit 1 on any error-severity finding or an unverified
 /// certificate.
 int RunCheck(const Args& args, const Telemetry& telemetry,
              const nose::Workload& workload,
              std::vector<nose::Diagnostic> diags) {
   nose::AdvisorOptions options;
-  // Certificates describe a BIP solve; force that strategy so every check
-  // produces one.
-  options.optimizer.strategy = nose::SolveStrategy::kBip;
   options.analyze_antipatterns = true;
   options.verify_invariants = false;  // audited below without aborting
   std::string mix;
@@ -667,15 +663,6 @@ int RunAdvise(const Args& args, const Telemetry& telemetry,
   }
   if (args.count("--space-limit-mb") > 0) {
     options.optimizer.space_limit_bytes = space_limit_mb * 1e6;
-  }
-  const std::string strategy = Flag(args, "--strategy", "auto");
-  if (strategy == "bip") {
-    options.optimizer.strategy = nose::SolveStrategy::kBip;
-  } else if (strategy == "comb") {
-    options.optimizer.strategy = nose::SolveStrategy::kCombinatorial;
-  } else if (strategy != "auto") {
-    std::fprintf(stderr, "error: unknown strategy '%s'\n", strategy.c_str());
-    return Usage();
   }
   const std::string format = Flag(args, "--format", "text");
   if (format != "text" && format != "cql") {

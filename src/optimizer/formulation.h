@@ -55,10 +55,10 @@ struct SupportInfo {
   bool maintainable = true;
 };
 
-/// Everything the BIP (or the combinatorial solver) needs to know about
-/// ONE workload window before any variable is allocated: the per-query
-/// plan spaces, the deduplicated support spaces, the per-candidate
-/// maintenance costs, and which candidates are usable at all. This is the
+/// Everything the BIP needs to know about ONE workload window before any
+/// variable is allocated: the per-query plan spaces, the deduplicated
+/// support spaces, the per-candidate maintenance costs, and which
+/// candidates are usable at all. This is the
 /// reusable per-window formulation: the single-window SchemaOptimizer
 /// instantiates it once; the multi-period HorizonOptimizer instantiates it
 /// once per window over the same interned pool, sharing plan spaces

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "optimizer/combinatorial.h"
 #include "optimizer/formulation.h"
 #include "planner/update_planner.h"
 #include "solver/certificate.h"
@@ -51,9 +50,9 @@ double SolveBudgetSeconds(const OptimizerOptions& options,
 
 /// True when a deadline is set and the stages before the solve already
 /// spent it. The solve then stops after its root node: the root
-/// relaxation bounds the optimum and the warm start (BIP) or the root's
-/// completion (combinatorial) is the incumbent. A node cap, unlike the
-/// kMinSolveSeconds floor alone, does not race the machine's speed.
+/// relaxation bounds the optimum and the warm start is the incumbent. A
+/// node cap, unlike the kMinSolveSeconds floor alone, does not race the
+/// machine's speed.
 bool DeadlineSpent(const OptimizerOptions& options,
                    const Stopwatch& total_watch) {
   return options.deadline_seconds > 0.0 &&
@@ -86,194 +85,135 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
                              cache));
   result.timing.cost_calculation_seconds = phase->StopSeconds();
 
-  // ==== Strategy selection. ====
-  SolveStrategy strategy = options_.strategy;
+  // ==== BIP construction (paper Figs. 7 and 10). ====
+  phase.emplace("optimizer.bip_construction", "optimizer");
+  LpProblem lp;
+  int num_constraints = 0;
+
+  // The LP variable of each candidate's δ: the first variables of the
+  // problem, in candidate order.
+  std::vector<int> delta_vars(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    delta_vars[c] =
+        lp.AddVariable(0.0, form.allowed[c] ? 1.0 : 0.0, form.delta_cost[c]);
+  }
+  const bool tracing = obs::TracingEnabled();
+  Stopwatch assembly_watch;
+  AssignWindowVariables(&form, &lp);
+  num_constraints += BuildWindowRows(form, delta_vars, &lp, threads, tracing);
+  // Optional storage constraint: Σ s_j δ_j ≤ S.
   if (options_.space_limit_bytes.has_value()) {
-    strategy = SolveStrategy::kBip;  // only the BIP models the budget
-  } else if (strategy == SolveStrategy::kAuto) {
-    strategy = candidates.size() > options_.auto_bip_threshold
-                   ? SolveStrategy::kCombinatorial
-                   : SolveStrategy::kBip;
+    std::vector<std::pair<int, double>> coeffs;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      coeffs.emplace_back(delta_vars[c], candidates[c].SizeBytes());
+    }
+    lp.AddRow(RowType::kLe, *options_.space_limit_bytes, std::move(coeffs));
+    ++num_constraints;
   }
 
+  // Branch only on the delta variables: with deltas integral, every
+  // space subproblem is a min-cost flow whose LP optimum is integral
+  // (totally unimodular constraints), so edge variables never need
+  // branching.
+  const std::vector<int>& binaries = delta_vars;
+
+  // Warm start: select every usable candidate and route each flow along
+  // its best plan — feasible unless a storage budget is active. Gives
+  // branch and bound an incumbent immediately (anytime behavior).
+  std::vector<double> warm;
+  BipOptions bip_options = options_.bip;
+  bip_options.threads = threads;
+  if (!options_.space_limit_bytes.has_value()) {
+    warm.assign(static_cast<size_t>(lp.num_variables()), 0.0);
+    if (RouteWindowPoint(form, delta_vars, form.allowed,
+                         /*all_supports=*/true, &warm)) {
+      bip_options.warm_start = &warm;
+    }
+  }
+  // Shared-pool advising: the previous mix's root basis is reusable here
+  // only when the assembled BIP has the exact same structure (same
+  // variables AND rows — weights alone may differ). The fingerprint
+  // check discards stale state when the workload or pool changed under
+  // the cache instead of applying it to a mismatched variable space.
+  LpBasis captured_root_basis;
+  const bool cache_matches =
+      cache != nullptr && cache->last_bip_variables == lp.num_variables() &&
+      cache->last_bip_rows == lp.num_rows() &&
+      cache->last_bip_nonzeros == lp.num_nonzeros();
+  if (cache_matches) {
+    // Hot-start the root LP from the previous optimal basis: identical
+    // rows keep that basis primal feasible under the new costs, so the
+    // root solve skips phase 1. The previous mix's incumbent is NOT
+    // seeded, even though it is feasible here: among equal-cost optima
+    // the returned one depends on the incumbent chain, so a foreign
+    // incumbent could prune the tie the cold per-mix solve returns —
+    // breaking the byte-equality contract between AdviseAllMixes and
+    // Recommend.
+    if (!cache->last_root_basis.empty()) {
+      bip_options.root_basis = &cache->last_root_basis;
+    }
+  }
+  if (cache != nullptr) {
+    bip_options.capture_root_basis = &captured_root_basis;
+  }
+
+  if (options_.capture_bip != nullptr) {
+    options_.capture_bip->lp = lp;
+    options_.capture_bip->binary_vars = binaries;
+    options_.capture_bip->captured = true;
+  }
+  bip_options.capture_certificate = options_.capture_certificate;
+
+  result.bip_variables = lp.num_variables();
+  result.bip_constraints = num_constraints;
+  {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    static obs::Gauge& vars_gauge = reg.GetGauge("optimizer.bip_variables");
+    static obs::Gauge& rows_gauge = reg.GetGauge("optimizer.bip_constraints");
+    static obs::Gauge& nnz_gauge = reg.GetGauge("optimizer.bip_nonzeros");
+    // A gauge, not a counter: wall time varies run to run, and the
+    // counter determinism tests compare complete counter maps.
+    static obs::Gauge& assembly_gauge =
+        reg.GetGauge("optimizer.bip_assembly_ms");
+    vars_gauge.Set(lp.num_variables());
+    rows_gauge.Set(num_constraints);
+    nnz_gauge.Set(static_cast<double>(lp.num_nonzeros()));
+    assembly_gauge.Set(assembly_watch.ElapsedSeconds() * 1000.0);
+  }
+  result.timing.bip_construction_seconds = phase->StopSeconds();
+
+  // ==== BIP solving (cost stage, paper §V). ====
+  phase.emplace("optimizer.bip_solve", "optimizer");
+  bip_options.time_limit_seconds = SolveBudgetSeconds(options_, total_watch);
+  // Without a warm start (a space limit is set) the root alone may leave
+  // no incumbent; such a solve keeps the time floor only.
+  if (bip_options.warm_start != nullptr &&
+      DeadlineSpent(options_, total_watch)) {
+    bip_options.max_nodes = 1;
+  }
+  BipResult solved = SolveBip(lp, binaries, bip_options);
+  if (solved.status == BipStatus::kInfeasible) {
+    return Status::Infeasible(
+        "schema BIP has no feasible solution (space limit too tight?)");
+  }
+  if (solved.status == BipStatus::kNoSolution) {
+    return Status::ResourceExhausted(
+        "BIP solve hit its node/time budget before finding any feasible "
+        "schema; raise OptimizerOptions::bip limits");
+  }
+  result.bb_nodes = solved.nodes_explored;
+  result.objective = solved.objective;
+  result.solve_proven = solved.status == BipStatus::kOptimal;
+  result.best_bound = solved.best_bound;
   std::vector<bool> selected(candidates.size(), false);
-  // BIP path only: the LP variable of each candidate's δ (the first
-  // variables of the problem, in candidate order).
-  std::vector<int> delta_vars;
-
-  if (strategy == SolveStrategy::kCombinatorial) {
-    // ==== Combinatorial branch and bound (large instances). ====
-    phase.emplace("optimizer.bip_construction", "optimizer");
-    CombinatorialInput input;
-    input.num_candidates = candidates.size();
-    input.maintenance = form.delta_cost;
-    input.allowed = form.allowed;
-    for (const SpaceVars& sv : form.query_spaces) {
-      input.query_spaces.push_back({&sv.space, sv.weight});
-    }
-    std::vector<int> shared_to_input(form.shared_supports.size(), -1);
-    for (size_t i = 0; i < form.shared_supports.size(); ++i) {
-      const SharedSupport& shared = *form.shared_supports[i];
-      if (shared.sv.space.states().empty()) continue;
-      shared_to_input[i] = static_cast<int>(input.support_spaces.size());
-      input.support_spaces.push_back({&shared.sv.space, shared.sv.weight});
-    }
-    input.supports_of_cf.resize(candidates.size());
-    for (const SupportInfo& info : form.supports) {
-      for (size_t idx : info.shared_ids) {
-        if (shared_to_input[idx] >= 0) {
-          input.supports_of_cf[info.cf_index].push_back(shared_to_input[idx]);
-        }
-      }
-    }
-    result.timing.bip_construction_seconds = phase->StopSeconds();
-
-    phase.emplace("optimizer.bip_solve", "optimizer");
-    CombinatorialOptions copt;
-    copt.relative_gap = options_.bip.relative_gap;
-    copt.max_nodes = options_.bip.max_nodes;
-    copt.threads = threads;
-    const double budget = SolveBudgetSeconds(options_, total_watch);
-    copt.time_limit_seconds = budget > 0.0 ? budget : 60.0;
-    if (DeadlineSpent(options_, total_watch)) copt.max_nodes = 1;
-    CombinatorialResult comb = SolveCombinatorial(input, copt);
-    if (!comb.feasible) {
-      return Status::ResourceExhausted(
-          "combinatorial solve found no schema within its budget");
-    }
-    result.bb_nodes = comb.nodes_explored;
-    result.objective = comb.objective;
-    result.solve_proven = comb.proven;
-    result.best_bound = comb.best_bound;
-    selected = comb.selected;
-  } else {
-    // ==== BIP construction (paper Figs. 7 and 10). ====
-    phase.emplace("optimizer.bip_construction", "optimizer");
-    LpProblem lp;
-    int num_constraints = 0;
-
-    delta_vars.resize(candidates.size());
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      delta_vars[c] =
-          lp.AddVariable(0.0, form.allowed[c] ? 1.0 : 0.0, form.delta_cost[c]);
-    }
-    const bool tracing = obs::TracingEnabled();
-    Stopwatch assembly_watch;
-    AssignWindowVariables(&form, &lp);
-    num_constraints += BuildWindowRows(form, delta_vars, &lp, threads, tracing);
-    // Optional storage constraint: Σ s_j δ_j ≤ S.
-    if (options_.space_limit_bytes.has_value()) {
-      std::vector<std::pair<int, double>> coeffs;
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        coeffs.emplace_back(delta_vars[c], candidates[c].SizeBytes());
-      }
-      lp.AddRow(RowType::kLe, *options_.space_limit_bytes, std::move(coeffs));
-      ++num_constraints;
-    }
-
-    // Branch only on the delta variables: with deltas integral, every
-    // space subproblem is a min-cost flow whose LP optimum is integral
-    // (totally unimodular constraints), so edge variables never need
-    // branching.
-    const std::vector<int>& binaries = delta_vars;
-
-    // Warm start: select every usable candidate and route each flow along
-    // its best plan — feasible unless a storage budget is active. Gives
-    // branch and bound an incumbent immediately (anytime behavior).
-    std::vector<double> warm;
-    BipOptions bip_options = options_.bip;
-    bip_options.threads = threads;
-    if (!options_.space_limit_bytes.has_value()) {
-      warm.assign(static_cast<size_t>(lp.num_variables()), 0.0);
-      if (RouteWindowPoint(form, delta_vars, form.allowed,
-                           /*all_supports=*/true, &warm)) {
-        bip_options.warm_start = &warm;
-      }
-    }
-    // Shared-pool advising: the previous mix's root basis is reusable here
-    // only when the assembled BIP has the exact same structure (same
-    // variables AND rows — weights alone may differ). The fingerprint
-    // check discards stale state when the workload or pool changed under
-    // the cache instead of applying it to a mismatched variable space.
-    LpBasis captured_root_basis;
-    const bool cache_matches =
-        cache != nullptr && cache->last_bip_variables == lp.num_variables() &&
-        cache->last_bip_rows == lp.num_rows() &&
-        cache->last_bip_nonzeros == lp.num_nonzeros();
-    if (cache_matches) {
-      // Hot-start the root LP from the previous optimal basis: identical
-      // rows keep that basis primal feasible under the new costs, so the
-      // root solve skips phase 1. The previous mix's incumbent is NOT
-      // seeded, even though it is feasible here: among equal-cost optima
-      // the returned one depends on the incumbent chain, so a foreign
-      // incumbent could prune the tie the cold per-mix solve returns —
-      // breaking the byte-equality contract between AdviseAllMixes and
-      // Recommend.
-      if (!cache->last_root_basis.empty()) {
-        bip_options.root_basis = &cache->last_root_basis;
-      }
-    }
-    if (cache != nullptr) {
-      bip_options.capture_root_basis = &captured_root_basis;
-    }
-
-    if (options_.capture_bip != nullptr) {
-      options_.capture_bip->lp = lp;
-      options_.capture_bip->binary_vars = binaries;
-      options_.capture_bip->captured = true;
-    }
-    bip_options.capture_certificate = options_.capture_certificate;
-
-    result.bip_variables = lp.num_variables();
-    result.bip_constraints = num_constraints;
-    {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-      static obs::Gauge& vars_gauge = reg.GetGauge("optimizer.bip_variables");
-      static obs::Gauge& rows_gauge = reg.GetGauge("optimizer.bip_constraints");
-      static obs::Gauge& nnz_gauge = reg.GetGauge("optimizer.bip_nonzeros");
-      // A gauge, not a counter: wall time varies run to run, and the
-      // counter determinism tests compare complete counter maps.
-      static obs::Gauge& assembly_gauge =
-          reg.GetGauge("optimizer.bip_assembly_ms");
-      vars_gauge.Set(lp.num_variables());
-      rows_gauge.Set(num_constraints);
-      nnz_gauge.Set(static_cast<double>(lp.num_nonzeros()));
-      assembly_gauge.Set(assembly_watch.ElapsedSeconds() * 1000.0);
-    }
-    result.timing.bip_construction_seconds = phase->StopSeconds();
-
-    // ==== BIP solving (cost stage, paper §V). ====
-    phase.emplace("optimizer.bip_solve", "optimizer");
-    bip_options.time_limit_seconds = SolveBudgetSeconds(options_, total_watch);
-    // Without a warm start (a space limit is set) the root alone may leave
-    // no incumbent; such a solve keeps the time floor only.
-    if (bip_options.warm_start != nullptr &&
-        DeadlineSpent(options_, total_watch)) {
-      bip_options.max_nodes = 1;
-    }
-    BipResult solved = SolveBip(lp, binaries, bip_options);
-    if (solved.status == BipStatus::kInfeasible) {
-      return Status::Infeasible(
-          "schema BIP has no feasible solution (space limit too tight?)");
-    }
-    if (solved.status == BipStatus::kNoSolution) {
-      return Status::ResourceExhausted(
-          "BIP solve hit its node/time budget before finding any feasible "
-          "schema; raise OptimizerOptions::bip limits");
-    }
-    result.bb_nodes = solved.nodes_explored;
-    result.objective = solved.objective;
-    result.solve_proven = solved.status == BipStatus::kOptimal;
-    result.best_bound = solved.best_bound;
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      selected[c] = solved.x[static_cast<size_t>(delta_vars[c])] > 0.5;
-    }
-    if (cache != nullptr) {
-      cache->last_bip_variables = lp.num_variables();
-      cache->last_bip_rows = lp.num_rows();
-      cache->last_bip_nonzeros = lp.num_nonzeros();
-      cache->last_root_basis = std::move(captured_root_basis);
-    }
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    selected[c] = solved.x[static_cast<size_t>(delta_vars[c])] > 0.5;
+  }
+  if (cache != nullptr) {
+    cache->last_bip_variables = lp.num_variables();
+    cache->last_bip_rows = lp.num_rows();
+    cache->last_bip_nonzeros = lp.num_nonzeros();
+    cache->last_root_basis = std::move(captured_root_basis);
   }
 
   // ==== Schema-size stage (paper §V). ====
@@ -300,9 +240,8 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
   // selection (extraction just proved one exists). Integer-coefficient
   // rows then verify with zero violation in exact arithmetic; the
   // incumbent's raw LP vector would not.
-  if (options_.capture_certificate != nullptr && !delta_vars.empty()) {
+  if (options_.capture_certificate != nullptr) {
     SolveCertificate& cert = *options_.capture_certificate;
-    const LpProblem& lp = cert.problem;
     std::vector<double> xhat(static_cast<size_t>(lp.num_variables()), 0.0);
     if (RouteWindowPoint(form, delta_vars, selected,
                          /*all_supports=*/false, &xhat)) {

@@ -20,21 +20,6 @@
 
 namespace nose {
 
-/// How the candidate-selection problem is solved.
-enum class SolveStrategy {
-  /// Binary integer program via the LP-based branch-and-bound solver —
-  /// the paper's formulation (Figs. 7/10), exact, best for small/medium
-  /// instances and required when a space constraint is set.
-  kBip,
-  /// Structure-exploiting branch and bound with dynamic-programming
-  /// bounds over the plan-space DAGs. Equivalent objective, much faster on
-  /// large instances; no space-constraint support.
-  kCombinatorial,
-  /// kBip below `auto_bip_threshold` candidates (or when a space limit is
-  /// set), kCombinatorial above.
-  kAuto,
-};
-
 /// Snapshot of the assembled BIP, filled when
 /// OptimizerOptions::capture_bip is set. Benchmarks (solver_micro --json)
 /// use it to extract real advisor instances and replay them against the
@@ -52,11 +37,8 @@ struct OptimizerOptions {
   /// Run the schema-size stage after the cost solve: among schemas within
   /// 1e-6 of its objective, drop column families greedily until none can
   /// go (paper §V's fewest-column-families tiebreak;
-  /// DropRedundantCandidates in optimizer/formulation.h). Applies to both
-  /// strategies.
+  /// DropRedundantCandidates in optimizer/formulation.h).
   bool minimize_schema_size = true;
-  SolveStrategy strategy = SolveStrategy::kAuto;
-  size_t auto_bip_threshold = 120;
   BipOptions bip;
   /// Total wall-clock budget for Optimize() in seconds; 0 disables. The
   /// budget is distributed implicitly: plan-space construction and BIP
@@ -68,17 +50,16 @@ struct OptimizerOptions {
   /// deadline generous enough that no limit fires leaves the result
   /// byte-identical to an unbudgeted run.
   double deadline_seconds = 0.0;
-  /// When non-null and the BIP strategy runs, receives a copy of the
-  /// assembled problem before solving.
+  /// When non-null, receives a copy of the assembled problem before
+  /// solving.
   BipCapture* capture_bip = nullptr;
-  /// When non-null and the BIP strategy runs, receives a machine-checkable
-  /// certificate of the cost solve — see solver/certificate.h. Its point
-  /// is the schema that is returned (after the size stage and the unused-
-  /// candidate prune), re-derived as an exactly-integral point (deltas
-  /// from the final selection, support indicators implied, flows routed
-  /// along best paths over it), so the exact-arithmetic checker verifies
-  /// it with zero tolerance on integer-coefficient rows. Not filled by the
-  /// combinatorial strategy.
+  /// When non-null, receives a machine-checkable certificate of the cost
+  /// solve — see solver/certificate.h. Its point is the schema that is
+  /// returned (after the size stage and the unused-candidate prune),
+  /// re-derived as an exactly-integral point (deltas from the final
+  /// selection, support indicators implied, flows routed along best paths
+  /// over it), so the exact-arithmetic checker verifies it with zero
+  /// tolerance on integer-coefficient rows.
   SolveCertificate* capture_certificate = nullptr;
 };
 
@@ -125,7 +106,7 @@ struct PlanSpaceCache {
 struct OptimizerTiming {
   double cost_calculation_seconds = 0.0;  ///< plan-space construction
   double bip_construction_seconds = 0.0;
-  /// The cost solve (BIP or combinatorial) and the schema-size stage at
+  /// The cost solve (the BIP) and the schema-size stage at
   /// that cost (the greedy drop pass, paper §V; ~0 when disabled).
   double cost_solve_seconds = 0.0;
   double size_solve_seconds = 0.0;
@@ -177,10 +158,10 @@ class SchemaOptimizer {
 
   /// `pool` must outlive the result (recommended plans point into it).
   /// When `threads` is non-null the independent per-statement stages —
-  /// plan-space construction, support costing, BIP row assembly, and (for
-  /// the combinatorial strategy) branch-and-bound node evaluation — run on
-  /// it; results are merged in deterministic statement/candidate order, so
-  /// the recommendation is identical at every thread count.
+  /// plan-space construction, support costing, BIP row assembly, and
+  /// branch-and-bound node evaluation — run on it; results are merged in
+  /// deterministic statement/candidate order, so the recommendation is
+  /// identical at every thread count.
   /// When `cache` is non-null, plan spaces and priced supports are read
   /// from / written into it; the caller must pass the same workload, pool,
   /// and cost model for every call sharing a cache.

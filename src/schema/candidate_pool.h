@@ -13,9 +13,9 @@ namespace nose {
 
 /// Dense integer identity of an interned ColumnFamily within a
 /// CandidatePool. Every layer downstream of enumeration (planner edges,
-/// BIP δ_j variables, combinatorial solver, invariant checks, executor
-/// name resolution) identifies candidates by CfId instead of hashing or
-/// copying the canonical key() string.
+/// BIP δ_j variables, invariant checks, executor name resolution)
+/// identifies candidates by CfId instead of hashing or copying the
+/// canonical key() string.
 using CfId = uint32_t;
 
 inline constexpr CfId kInvalidCfId = std::numeric_limits<CfId>::max();

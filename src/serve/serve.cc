@@ -264,7 +264,7 @@ void ServeHarness::DriverLoop(size_t workers, const std::vector<size_t>& owned,
   *status = Status::Ok();
 }
 
-void ServeHarness::MigrationWorker(size_t phase) {
+void ServeHarness::MigrationWorker() {
   obs::Span span("serve.migration", "serve");
   Stopwatch wall;
   Status status = [&]() -> Status {
@@ -380,7 +380,6 @@ void ServeHarness::MigrationWorker(size_t phase) {
   mig_record_.simulated_ms = prog.simulated_ms;
   mig_record_.wall_seconds = wall.ElapsedSeconds();
   migration_status_ = status;
-  (void)phase;
 }
 
 Status ServeHarness::RunPhase(size_t phase) {
@@ -397,7 +396,7 @@ Status ServeHarness::RunPhase(size_t phase) {
   const bool migrating = migration_ != nullptr;
   if (migrating) {
     bucket_.store(1, std::memory_order_relaxed);
-    migration_thread_ = std::thread(&ServeHarness::MigrationWorker, this, phase);
+    migration_thread_ = std::thread(&ServeHarness::MigrationWorker, this);
   }
 
   const size_t workers = std::min(options_.threads, std::max<size_t>(1, streams));

@@ -174,9 +174,9 @@ class ServeHarness {
                             size_t* statements);
   /// The migration worker: backfill -> catch-up -> locked flip ->
   /// verify (retry, then quiesce) -> swap -> epoch barrier -> drop.
-  void MigrationWorker(size_t phase);
+  void MigrationWorker();
   /// Blocks until every running driver is parked at a transaction
-  /// boundary; returns a guard that resumes them when destroyed.
+  /// boundary. The caller resumes them with ResumeDrivers().
   void QuiesceDrivers();
   void ResumeDrivers();
   void MaybePark();  ///< driver side of QuiesceDrivers

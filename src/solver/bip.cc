@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/certificate.h"
-#include "solver/presolve.h"
 #include "solver/solve_log.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -47,16 +46,17 @@ struct Node {
 /// (concurrently when a pool is available), and the results processed in
 /// pop order. The batch size — not the thread count — defines the
 /// trajectory, so recommendations are byte-identical at any parallelism.
-/// Same fixed-batch determinism rule as the combinatorial solver's
-/// kEvalBatch.
 constexpr int kNodeBatch = 16;
+
+/// A binary within this of 0 or 1 counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
 
 /// Picks the branching variable: among fractional binaries, the one with
 /// the largest fractionality weighted by its objective coefficient.
 /// High-cost variables (e.g. maintenance-heavy column families) drive the
 /// LP bound up fastest when resolved. Returns -1 if all integral.
 int PickBranchVariable(const LpProblem& problem, const std::vector<double>& x,
-                       const std::vector<int>& binary_vars, double tol) {
+                       const std::vector<int>& binary_vars) {
   double max_cost = 0.0;
   for (int var : binary_vars) {
     max_cost = std::max(max_cost, std::abs(problem.cost(var)));
@@ -66,7 +66,7 @@ int PickBranchVariable(const LpProblem& problem, const std::vector<double>& x,
   for (int var : binary_vars) {
     const double v = x[static_cast<size_t>(var)];
     const double dist = std::min(v - std::floor(v), std::ceil(v) - v);
-    if (dist <= tol) continue;
+    if (dist <= kIntegralityTolerance) continue;
     const double score =
         dist * (std::abs(problem.cost(var)) + 0.01 * max_cost + 1e-12);
     if (score > best_score) {
@@ -134,10 +134,11 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     cert->instance = instance;
     cert->problem = problem;
     cert->binary_vars = binary_vars;
-    // Harvest duals from one cold solve of the ORIGINAL root relaxation
-    // (not the presolved one, whose rows the checker never sees). The
-    // solution path below is untouched: this solve exists only to certify,
-    // so its log record stands outside the search (bip 0).
+    // Harvest duals from one cold solve of the root relaxation: the
+    // search's root may hot-start from the caller's basis, and the
+    // certified bound must not depend on it. The solution path below is
+    // untouched: this solve exists only to certify, so its log record
+    // stands outside the search (bip 0).
     std::vector<double> duals;
     LpSolveStats stats;
     LpResult root = problem.Solve({}, /*max_iterations=*/0,
@@ -154,34 +155,9 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     }
   }
 
-  // Exact reductions once, up front; every node then relaxes the smaller
-  // instance. Variables keep their indices, so fixings, warm starts, and
-  // the extracted solution are unaffected.
-  LpProblem reduced;
-  const LpProblem* relax = &problem;
-  if (options.presolve) {
-    PresolveSummary presolve_summary;
-    reduced = PresolveForBip(problem, binary_vars, &presolve_summary);
-    bstats.presolved = true;
-    bstats.presolve_rows_dropped = presolve_summary.singleton_rows_dropped +
-                                   presolve_summary.duplicate_rows_dropped +
-                                   presolve_summary.scaled_duplicate_rows_dropped +
-                                   presolve_summary.dominated_rows_dropped +
-                                   presolve_summary.redundant_rows_dropped;
-    bstats.presolve_bounds_tightened =
-        presolve_summary.bounds_tightened +
-        presolve_summary.activity_bounds_tightened;
-    if (presolve_summary.infeasible) {
-      result.status = BipStatus::kInfeasible;
-      finish();
-      return result;
-    }
-    relax = &reduced;
-  }
-
-  // Every node solves against one working system of the relaxation's
-  // rows, shared read-only by the pool's workers.
-  const LpWorkingSystem system(*relax);
+  // Every node solves against one working system of the problem's rows,
+  // shared read-only by the pool's workers.
+  const LpWorkingSystem system(problem);
 
   double incumbent = LpProblem::kInfinity;
   if (options.warm_start != nullptr &&
@@ -357,8 +333,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         continue;
       }
 
-      const int branch_var = PickBranchVariable(problem, lp.x, binary_vars,
-                                                options.integrality_tolerance);
+      const int branch_var = PickBranchVariable(problem, lp.x, binary_vars);
       if (branch_var == -1) {
         // Integral: new incumbent. Snap binaries exactly, then recompute
         // the objective from the snapped point in index order — this makes

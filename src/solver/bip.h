@@ -24,16 +24,14 @@ enum class BipStatus {
 const char* BipStatusName(BipStatus status);
 
 struct BipOptions {
-  double integrality_tolerance = 1e-6;
   /// Prune nodes whose LP bound is within this of the incumbent: the
   /// floating-point tolerance of an exact solve.
   double absolute_gap = 1e-9;
   /// Additionally prune within `relative_gap * |incumbent|`: the returned
   /// solution is optimal to within this factor (Gurobi-style MIP gap).
-  /// 0 proves the optimum, so every exact solver (and the combinatorial
-  /// strategy) returns the same cost; a positive gap trades that for
-  /// fewer nodes. A time or node budget still returns the incumbent with
-  /// an honest anytime gap either way.
+  /// 0 proves the optimum, so every exact solver returns the same cost; a
+  /// positive gap trades that for fewer nodes. A time or node budget still
+  /// returns the incumbent with an honest anytime gap either way.
   double relative_gap = 0.0;
   int max_nodes = 1000000;
   /// Wall-clock budget in seconds; 0 disables. On expiry the best
@@ -51,13 +49,8 @@ struct BipOptions {
   /// thread count (and with no pool at all), with or without the solve
   /// log; only the wall clock differs.
   util::ThreadPool* threads = nullptr;
-  /// Apply exact presolve reductions (singleton rows → bounds, duplicate
-  /// inequality dedup) once, before the search; every node then solves the
-  /// reduced relaxation. The reductions are cost-independent, so captured
-  /// root bases stay valid across re-solves with different objectives.
-  bool presolve = true;
   /// Optional starting basis for the ROOT relaxation, captured from a
-  /// previous solve of the same (presolved) instance — the incremental
+  /// previous solve of an instance with the same rows — the incremental
   /// advisor's hot start. An unusable basis falls back to a cold start.
   /// (Child nodes additionally hot-start from their parent's optimal
   /// basis; the LP solver repairs the bound-change infeasibility with dual
@@ -69,8 +62,8 @@ struct BipOptions {
   /// If set, receives a machine-checkable record of this solve (see
   /// solver/certificate.h): a copy of the instance, the final solution and
   /// objective, and dual multipliers harvested from one extra cold solve of
-  /// the ORIGINAL (un-presolved) root relaxation so the checker can certify
-  /// a lower bound without trusting presolve. Costs one LP solve.
+  /// the root relaxation, so the certified bound does not depend on the
+  /// caller's root_basis. Costs one LP solve.
   SolveCertificate* capture_certificate = nullptr;
 };
 

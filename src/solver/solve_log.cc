@@ -132,11 +132,6 @@ std::string RenderBip(const BipSolveStats& r, bool canonical) {
   out += ",\"nnz\":";
   AppendU64(&out, r.nonzeros);
   out += ",\"binaries\":" + std::to_string(r.binaries);
-  out += ",\"presolved\":";
-  AppendBool(&out, r.presolved);
-  out += ",\"presolve_rows_dropped\":" + std::to_string(r.presolve_rows_dropped);
-  out += ",\"presolve_bounds_tightened\":" +
-         std::to_string(r.presolve_bounds_tightened);
   out += ",\"nodes\":" + std::to_string(r.nodes_explored);
   out += ",\"max_depth\":" + std::to_string(r.max_depth);
   out += ",\"lp_iters\":";
@@ -647,9 +642,6 @@ bool ParseSolveLogJsonl(const std::string& text, SolveLogData* out,
       r.rows = value.Int("rows", 0);
       r.nonzeros = value.U64("nnz", 0);
       r.binaries = value.Int("binaries", 0);
-      r.presolved = value.Bool("presolved", false);
-      r.presolve_rows_dropped = value.Int("presolve_rows_dropped", 0);
-      r.presolve_bounds_tightened = value.Int("presolve_bounds_tightened", 0);
       r.nodes_explored = value.Int("nodes", 0);
       r.max_depth = value.Int("max_depth", 0);
       r.lp_iterations = value.U64("lp_iters", 0);
@@ -765,14 +757,10 @@ std::string ExplainSolveLog(const SolveLogData& data) {
   for (const BipSolveStats& b : data.bips) {
     Appendf(&out, "\n== b&b solve %llu [%s] ==\n",
             static_cast<unsigned long long>(b.id), b.status.c_str());
-    Appendf(&out, "objective %.10g — %d vars (%d binary), %d rows, %llu nnz",
+    Appendf(&out,
+            "objective %.10g — %d vars (%d binary), %d rows, %llu nnz\n",
             b.objective, b.vars, b.binaries, b.rows,
             static_cast<unsigned long long>(b.nonzeros));
-    if (b.presolved) {
-      Appendf(&out, " (presolve: %d rows dropped, %d bounds tightened)",
-              b.presolve_rows_dropped, b.presolve_bounds_tightened);
-    }
-    Appendf(&out, "\n");
     Appendf(&out,
             "nodes: %d explored, max depth %d, %llu incumbents; pruned: "
             "%llu by bound + %llu by parent bound, %llu infeasible",

@@ -107,9 +107,6 @@ struct BipSolveStats {
   int rows = 0;
   uint64_t nonzeros = 0;
   int binaries = 0;
-  bool presolved = false;
-  int presolve_rows_dropped = 0;
-  int presolve_bounds_tightened = 0;
   int nodes_explored = 0;
   int max_depth = 0;
   uint64_t lp_iterations = 0;

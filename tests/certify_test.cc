@@ -140,7 +140,6 @@ SolveCertificate CaptureCertificate(const std::string& stem,
   SolveCertificate cert;
   cert.instance = stem + ":" + mix;
   AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kBip;
   options.optimizer.capture_certificate = &cert;
   Advisor advisor(options);
   auto rec = advisor.Recommend(*f.workload, mix);
@@ -181,7 +180,6 @@ void ExpectCertifiesReturnedSchema(const Workload& workload,
                                    const std::string& mix) {
   SolveCertificate cert;
   AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kBip;
   options.optimizer.capture_certificate = &cert;
   auto rec = Advisor(options).Recommend(workload, mix);
   ASSERT_TRUE(rec.ok()) << rec.status();

@@ -148,6 +148,8 @@ TEST(CliTest, UnknownFlagExitsTwo) {
   EXPECT_EQ(Nose("serve " + kScenario + " --bogus 1").exit_code, 2);
   EXPECT_EQ(Nose("lint " + kHotel + " --trace t.json").exit_code, 2);
   EXPECT_EQ(Nose("evolve " + kScenario + " --report r.json").exit_code, 2);
+  // The BIP is the only selection solver; there is no solver choice.
+  EXPECT_EQ(Nose("advise " + kHotel + " --strategy bip").exit_code, 2);
   EXPECT_EQ(Nose("frobnicate").exit_code, 2);
 }
 

@@ -1,10 +1,10 @@
 // The pipeline counters must inherit the advisor's determinism contract:
 // candidates enumerated, branch-and-bound nodes, simplex iterations — every
 // counter delta must be bitwise-identical whether the advisor runs on 1, 2,
-// or 8 threads. The enumerator merges per-task results in statement order,
-// the combinatorial solver evaluates fixed-size batches, and the LP/BIP
-// solves are serial, so any divergence here is a real scheduling leak, not
-// measurement noise.
+// or 8 threads. The enumerator merges per-task results in statement order
+// and branch and bound evaluates fixed-size node batches whose results it
+// processes in pop order, so any divergence here is a real scheduling leak,
+// not measurement noise.
 
 #include <cstdint>
 #include <map>
@@ -73,7 +73,6 @@ void CheckCounterInvariance(const AdvisorOptions& base, const std::string& mix,
 
 TEST(ObsDeterminismTest, BipCountersAreThreadCountInvariant) {
   AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kBip;
   // Deterministic stopping: bound the search by nodes, not wall clock.
   options.optimizer.bip.max_nodes = 20000;
   options.optimizer.bip.time_limit_seconds = 1e9;
@@ -92,7 +91,6 @@ TEST(ObsDeterminismTest, AdviseAllMixesCountersAreThreadCountInvariant) {
   ASSERT_TRUE(workload.ok()) << workload.status();
 
   AdvisorOptions base;
-  base.optimizer.strategy = SolveStrategy::kBip;
   base.optimizer.bip.max_nodes = 20000;
   base.optimizer.bip.time_limit_seconds = 1e9;
   // Bidding and 10x share a statement set, so the second of the pair rides
@@ -127,14 +125,6 @@ TEST(ObsDeterminismTest, AdviseAllMixesCountersAreThreadCountInvariant) {
   EXPECT_GT(values.at("optimizer.bip_rows_generated"), 0u);
   EXPECT_GT(values.at("solver.lp_nonzeros"), 0u);
   EXPECT_GT(values.at("advisor.pool_reuse_hits"), 0u);
-}
-
-TEST(ObsDeterminismTest, CombinatorialCountersAreThreadCountInvariant) {
-  AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kCombinatorial;
-  options.optimizer.bip.max_nodes = 20000;
-  options.optimizer.bip.time_limit_seconds = 1e9;
-  CheckCounterInvariance(options, rubis::kBrowsingMix, "solver.comb_");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "advisor/advisor.h"
 #include "optimizer/formulation.h"
 #include "randwl/random_workload.h"
+#include "tests/combinatorial_oracle.h"
 #include "tests/hotel_fixture.h"
 
 namespace nose {
@@ -37,34 +38,9 @@ std::unique_ptr<Workload> MakeMixedWorkload(const EntityGraph& graph,
   return workload;
 }
 
-/// Both strategies prove the cost optimum at the default (zero) gap, so
-/// they must agree on the objective to floating-point accuracy.
-TEST(OptimizerStrategyTest, CombinatorialMatchesBipOnHotelWorkloads) {
-  auto graph = MakeHotelGraph();
-  for (double w : {0.001, 0.5, 10.0}) {
-    auto workload = MakeMixedWorkload(*graph, w);
-
-    AdvisorOptions bip_opts;
-    bip_opts.optimizer.strategy = SolveStrategy::kBip;
-    Advisor bip_advisor(bip_opts);
-    auto bip = bip_advisor.Recommend(*workload);
-    ASSERT_TRUE(bip.ok()) << bip.status();
-
-    AdvisorOptions comb_opts;
-    comb_opts.optimizer.strategy = SolveStrategy::kCombinatorial;
-    Advisor comb_advisor(comb_opts);
-    auto comb = comb_advisor.Recommend(*workload);
-    ASSERT_TRUE(comb.ok()) << comb.status();
-
-    const double tol =
-        1e-9 * std::max(1e-9, std::max(bip->objective, comb->objective));
-    EXPECT_NEAR(bip->objective, comb->objective, tol) << "weight " << w;
-  }
-}
-
-// Sanitizer instrumentation slows the solvers several-fold; give the BIP a
-// proportionally larger wall-clock budget so the equivalence check below
-// compares strategies rather than build configurations.
+// Sanitizer instrumentation slows the solvers several-fold; give them a
+// proportionally larger wall-clock budget so the oracle checks below
+// compare answers rather than build configurations.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 constexpr double kSolverBudgetScale = 8.0;
 #elif defined(__has_feature)
@@ -77,6 +53,46 @@ constexpr double kSolverBudgetScale = 1.0;
 constexpr double kSolverBudgetScale = 1.0;
 #endif
 
+/// The differential oracle: SchemaOptimizer's BIP and the combinatorial
+/// branch and bound (tests/combinatorial_oracle.h) solve the same window
+/// formulation over the same candidate pool. Both prove the cost optimum,
+/// so they agree on it to floating-point accuracy. Returns false when a
+/// budget stopped either search and the objectives are not comparable.
+bool ExpectBipMatchesOracle(const EntityGraph& graph, const Workload& workload,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::string mix = Workload::kDefaultMix;
+  CostModel cost;
+  CardinalityEstimator est(&graph, &cost.params());
+  CandidatePool pool = Enumerator().EnumerateWorkload(workload, mix);
+
+  OptimizerOptions opts;
+  opts.bip.time_limit_seconds = 30 * kSolverBudgetScale;
+  auto bip = SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
+
+  auto form = BuildWindowFormulation(workload, mix, pool, &cost, &est,
+                                     nullptr, nullptr);
+  EXPECT_EQ(bip.ok(), form.ok());
+  if (!bip.ok() || !form.ok()) return true;
+  const CombinatorialResult oracle =
+      SolveCombinatorial(*form, 30 * kSolverBudgetScale);
+  EXPECT_TRUE(oracle.feasible);
+  if (!bip->solve_proven || !oracle.proven) return false;
+  const double tol =
+      1e-9 * std::max(1e-9, std::max(bip->objective, oracle.objective));
+  EXPECT_NEAR(bip->objective, oracle.objective, tol);
+  return true;
+}
+
+TEST(OptimizerStrategyTest, CombinatorialMatchesBipOnHotelWorkloads) {
+  auto graph = MakeHotelGraph();
+  for (double w : {0.001, 0.5, 10.0}) {
+    auto workload = MakeMixedWorkload(*graph, w);
+    EXPECT_TRUE(ExpectBipMatchesOracle(*graph, *workload,
+                                       "weight " + std::to_string(w)));
+  }
+}
+
 class StrategyEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StrategyEquivalenceTest, RandomWorkloadsAgree) {
@@ -86,96 +102,14 @@ TEST_P(StrategyEquivalenceTest, RandomWorkloadsAgree) {
   gen.seed = 1000 + static_cast<uint64_t>(GetParam());
   auto rw = randwl::Generate(gen);
   ASSERT_TRUE(rw.ok()) << rw.status();
-
-  AdvisorOptions bip_opts;
-  bip_opts.optimizer.strategy = SolveStrategy::kBip;
-  bip_opts.optimizer.bip.time_limit_seconds = 30 * kSolverBudgetScale;
-  Advisor bip_advisor(bip_opts);
-  auto bip = bip_advisor.Recommend(*rw->workload);
-
-  AdvisorOptions comb_opts;
-  comb_opts.optimizer.strategy = SolveStrategy::kCombinatorial;
-  Advisor comb_advisor(comb_opts);
-  auto comb = comb_advisor.Recommend(*rw->workload);
-
-  ASSERT_EQ(bip.ok(), comb.ok());
-  if (!bip.ok()) return;
-  if (!bip->solve_proven || !comb->solve_proven) {
+  if (!ExpectBipMatchesOracle(*rw->graph, *rw->workload,
+                              "seed " + std::to_string(gen.seed))) {
     GTEST_SKIP() << "a solver hit its budget; objectives not comparable";
   }
-  // The cross-solver differential oracle: two exact solvers, one optimum.
-  const double tol =
-      1e-9 * std::max(1e-9, std::max(bip->objective, comb->objective));
-  EXPECT_NEAR(bip->objective, comb->objective, tol)
-      << "seed " << gen.seed;
-  // Both schemas must cover the workload with comparable costs; plan counts
-  // match statement counts.
-  EXPECT_EQ(bip->query_plans.size(), comb->query_plans.size());
-  EXPECT_EQ(bip->update_plans.size(), comb->update_plans.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyEquivalenceTest,
                          ::testing::Range(0, 24));
-
-TEST(OptimizerStrategyTest, ExactCombinatorialSearchKeepsItsFirstPass) {
-  // A zero-gap combinatorial search runs a 1%-gap pass first. A node
-  // budget that stops the tight pass right after it still returns that
-  // pass's schema (or a cheaper one), with a bound proving it within 1%.
-  randwl::GeneratorOptions gen;
-  gen.num_entities = 4;
-  gen.num_statements = 6;
-  gen.seed = 1015;
-  auto rw = randwl::Generate(gen);
-  ASSERT_TRUE(rw.ok()) << rw.status();
-
-  AdvisorOptions coarse;
-  coarse.optimizer.strategy = SolveStrategy::kCombinatorial;
-  coarse.optimizer.minimize_schema_size = false;
-  coarse.optimizer.bip.relative_gap = 0.01;
-  auto first = Advisor(coarse).Recommend(*rw->workload);
-  ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_TRUE(first->solve_proven);
-
-  AdvisorOptions capped = coarse;
-  capped.optimizer.bip.relative_gap = 0.0;
-  capped.optimizer.bip.max_nodes = first->bb_nodes + 1;
-  auto rec = Advisor(capped).Recommend(*rw->workload);
-  ASSERT_TRUE(rec.ok()) << rec.status();
-  EXPECT_FALSE(rec->solve_proven);
-  EXPECT_LE(rec->objective, first->objective);
-  EXPECT_GE(rec->best_bound, 0.99 * first->objective - 1e-9);
-  EXPECT_LE(rec->anytime_gap, 0.01 + 1e-9);
-
-  AdvisorOptions exact = capped;
-  exact.optimizer.bip.max_nodes = OptimizerOptions().bip.max_nodes;
-  auto proven = Advisor(exact).Recommend(*rw->workload);
-  ASSERT_TRUE(proven.ok()) << proven.status();
-  EXPECT_TRUE(proven->solve_proven);
-  EXPECT_LE(proven->objective, rec->objective);
-}
-
-TEST(OptimizerStrategyTest, AutoSelectsBipForSmallPools) {
-  auto graph = MakeHotelGraph();
-  auto workload = MakeMixedWorkload(*graph, 0.5);
-  AdvisorOptions opts;  // kAuto by default
-  Advisor advisor(opts);
-  auto rec = advisor.Recommend(*workload);
-  ASSERT_TRUE(rec.ok());
-  // Small pool => BIP path => variable counts reported.
-  EXPECT_GT(rec->bip_variables, 0);
-}
-
-TEST(OptimizerStrategyTest, SpaceLimitForcesBip) {
-  auto graph = MakeHotelGraph();
-  auto workload = MakeMixedWorkload(*graph, 0.5);
-  AdvisorOptions opts;
-  opts.optimizer.strategy = SolveStrategy::kCombinatorial;
-  opts.optimizer.space_limit_bytes = 1e12;  // roomy, but forces BIP
-  Advisor advisor(opts);
-  auto rec = advisor.Recommend(*workload);
-  ASSERT_TRUE(rec.ok()) << rec.status();
-  EXPECT_GT(rec->bip_variables, 0);  // BIP path was taken
-}
 
 TEST(OptimizerCacheTest, StructuralChangeDiscardsWarmStart) {
   auto graph = MakeHotelGraph();
@@ -186,9 +120,7 @@ TEST(OptimizerCacheTest, StructuralChangeDiscardsWarmStart) {
   CandidatePool pool =
       Enumerator().EnumerateWorkload(*workload, Workload::kDefaultMix);
 
-  OptimizerOptions opts;
-  opts.strategy = SolveStrategy::kBip;
-  SchemaOptimizer optimizer(&cost, &est, opts);
+  SchemaOptimizer optimizer(&cost, &est);
 
   PlanSpaceCache cache;
   auto full = optimizer.Optimize(*workload, Workload::kDefaultMix, pool,
@@ -226,9 +158,7 @@ TEST(OptimizerCacheTest, CorruptStaleSolutionIsIgnoredSafely) {
   CardinalityEstimator est(graph.get(), &cost.params());
   CandidatePool pool =
       Enumerator().EnumerateWorkload(*workload, Workload::kDefaultMix);
-  OptimizerOptions opts;
-  opts.strategy = SolveStrategy::kBip;
-  SchemaOptimizer optimizer(&cost, &est, opts);
+  SchemaOptimizer optimizer(&cost, &est);
 
   // A cache carrying garbage with a non-matching fingerprint: the solve
   // must ignore it entirely (a matching one is never fabricated here).
@@ -247,13 +177,12 @@ TEST(OptimizerCacheTest, CorruptStaleSolutionIsIgnoredSafely) {
   EXPECT_EQ(guarded->schema.ToString(), plain->schema.ToString());
 }
 
-/// The schema-size stage on one workload and strategy: against the cost
+/// The schema-size stage on one workload: against the cost
 /// stage alone (minimize_schema_size = false), the returned schema is a
 /// drop-pass fixpoint under the 1e-6 budget, costs the same to within that
 /// budget, and has no more column families.
 void ExpectDropPassProperties(const EntityGraph& graph,
                               const Workload& workload,
-                              SolveStrategy strategy,
                               const std::string& label) {
   SCOPED_TRACE(label);
   const std::string mix = Workload::kDefaultMix;
@@ -262,7 +191,6 @@ void ExpectDropPassProperties(const EntityGraph& graph,
   CandidatePool pool = Enumerator().EnumerateWorkload(workload, mix);
 
   OptimizerOptions opts;
-  opts.strategy = strategy;
   opts.minimize_schema_size = false;
   auto cost_stage =
       SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
@@ -299,13 +227,8 @@ TEST(SchemaSizeStageTest, DropPassIsAFixpointWithinBudget) {
   auto graph = MakeHotelGraph();
   for (double w : {0.001, 0.5, 10.0}) {
     auto workload = MakeMixedWorkload(*graph, w);
-    for (SolveStrategy strategy :
-         {SolveStrategy::kBip, SolveStrategy::kCombinatorial}) {
-      ExpectDropPassProperties(
-          *graph, *workload, strategy,
-          "hotel weight " + std::to_string(w) +
-              (strategy == SolveStrategy::kBip ? " bip" : " combinatorial"));
-    }
+    ExpectDropPassProperties(*graph, *workload,
+                             "hotel weight " + std::to_string(w));
   }
   // Seed 1044's cost optimum has a family the workload can do without.
   for (uint64_t seed : {1000, 1005, 1044}) {
@@ -315,13 +238,8 @@ TEST(SchemaSizeStageTest, DropPassIsAFixpointWithinBudget) {
     gen.seed = seed;
     auto rw = randwl::Generate(gen);
     ASSERT_TRUE(rw.ok()) << rw.status();
-    for (SolveStrategy strategy :
-         {SolveStrategy::kBip, SolveStrategy::kCombinatorial}) {
-      ExpectDropPassProperties(
-          *rw->graph, *rw->workload, strategy,
-          "randwl seed " + std::to_string(seed) +
-              (strategy == SolveStrategy::kBip ? " bip" : " combinatorial"));
-    }
+    ExpectDropPassProperties(*rw->graph, *rw->workload,
+                             "randwl seed " + std::to_string(seed));
   }
 }
 
@@ -350,7 +268,10 @@ TEST(SchemaSizeStageTest, DescendsFromEveryUsableCandidate) {
   EXPECT_EQ(DropRedundantCandidates(*form, objective, &selected), 0);
 }
 
-TEST(OptimizerStrategyTest, CombinatorialHandlesLargerRandomInstances) {
+TEST(OptimizerStrategyTest, BipProvesLargerRandomInstances) {
+  // 18 entities and 36 statements: a pool well above RUBiS size. With no
+  // time limit the BIP must prove its optimum, not return a budget-bound
+  // incumbent.
   randwl::GeneratorOptions gen;
   gen.num_entities = 18;
   gen.num_statements = 36;
@@ -358,14 +279,14 @@ TEST(OptimizerStrategyTest, CombinatorialHandlesLargerRandomInstances) {
   auto rw = randwl::Generate(gen);
   ASSERT_TRUE(rw.ok());
   AdvisorOptions opts;
-  opts.optimizer.strategy = SolveStrategy::kCombinatorial;
-  opts.optimizer.bip.time_limit_seconds = 20;
+  opts.optimizer.bip.time_limit_seconds = 0.0;
   Advisor advisor(opts);
   auto rec = advisor.Recommend(*rw->workload);
   ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_TRUE(rec->solve_proven);
+  EXPECT_EQ(rec->anytime_gap, 0.0);
   EXPECT_GT(rec->schema.size(), 0u);
   EXPECT_GT(rec->objective, 0.0);
-  EXPECT_LT(rec->timing.total_seconds, 60.0);
 }
 
 }  // namespace

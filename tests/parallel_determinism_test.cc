@@ -98,7 +98,6 @@ TEST(ParallelDeterminismTest, AdviseAllMixesMatchesPerMixAtEveryThreadCount) {
   const std::vector<std::string> mixes = {
       rubis::kBrowsingMix, rubis::kBiddingMix, rubis::kWrite10xMix};
   AdvisorOptions base;
-  base.optimizer.strategy = SolveStrategy::kBip;
   // Deterministic stopping: bound the search by nodes, not wall clock.
   base.optimizer.bip.max_nodes = 20000;
   base.optimizer.bip.time_limit_seconds = 1e9;
@@ -141,29 +140,9 @@ TEST(ParallelDeterminismTest, RandomWorkloadBipStrategy) {
   auto rw = randwl::Generate(gen);
   ASSERT_TRUE(rw.ok()) << rw.status();
   AdvisorOptions options;
-  options.optimizer.strategy = SolveStrategy::kBip;
   // Deterministic stopping only: a node budget cuts the search at the same
   // tree node in every run, where a wall-clock limit would not.
   options.optimizer.bip.max_nodes = 20000;
-  options.verify_invariants = true;
-  CheckThreadCounts(*rw->workload, Workload::kDefaultMix, options);
-}
-
-TEST(ParallelDeterminismTest, RandomWorkloadCombinatorialStrategy) {
-  randwl::GeneratorOptions gen;
-  gen.num_entities = 12;
-  gen.num_statements = 24;
-  gen.seed = 77;
-  auto rw = randwl::Generate(gen);
-  ASSERT_TRUE(rw.ok()) << rw.status();
-  AdvisorOptions options;
-  // Exercises the batch-parallel branch and bound: its fixed batch size
-  // keeps the search trajectory identical at every thread count. The time
-  // limit is effectively disabled (node budget bounds the run instead)
-  // because a wall-clock stop lands on different nodes in different runs.
-  options.optimizer.strategy = SolveStrategy::kCombinatorial;
-  options.optimizer.bip.max_nodes = 20000;
-  options.optimizer.bip.time_limit_seconds = 1e9;
   options.verify_invariants = true;
   CheckThreadCounts(*rw->workload, Workload::kDefaultMix, options);
 }

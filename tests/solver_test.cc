@@ -6,6 +6,7 @@
 
 #include "solver/bip.h"
 #include "solver/lp.h"
+#include "tests/reference_evaluator.h"
 #include "util/rng.h"
 
 namespace nose {
@@ -277,6 +278,140 @@ TEST_P(RandomLpFeasibilityTest, SolutionSatisfiesConstraints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpFeasibilityTest,
                          ::testing::Range(0, 40));
+
+/// Random weighted set-cover BIPs salted with redundant rows: duplicate
+/// and positively scaled duplicate coverage rows, and singleton rows that
+/// force some sets in and forbid others.
+LpProblem MakeRandomCover(Rng* rng, std::vector<int>* binaries) {
+  LpProblem lp;
+  const int num_sets = static_cast<int>(rng->UniformRange(6, 14));
+  const int num_items = static_cast<int>(rng->UniformRange(4, 10));
+  for (int s = 0; s < num_sets; ++s) {
+    binaries->push_back(
+        lp.AddVariable(0.0, 1.0, 1.0 + static_cast<double>(rng->Uniform(9))));
+  }
+  for (int i = 0; i < num_items; ++i) {
+    std::vector<std::pair<int, double>> coeffs;
+    for (int s = 0; s < num_sets; ++s) {
+      if (rng->Chance(0.4)) coeffs.emplace_back(s, 1.0);
+    }
+    if (coeffs.empty()) coeffs.emplace_back(static_cast<int>(rng->Uniform(num_sets)), 1.0);
+    lp.AddRow(RowType::kGe, 1.0, coeffs);
+    if (rng->Chance(0.3)) lp.AddRow(RowType::kGe, 1.0, coeffs);  // duplicate
+    if (rng->Chance(0.3)) {
+      // Positive scaling of the same cover row.
+      const double s = 0.5 + static_cast<double>(rng->Uniform(8));
+      std::vector<std::pair<int, double>> scaled = coeffs;
+      for (auto& [v, c] : scaled) c *= s;
+      lp.AddRow(RowType::kGe, s, scaled);
+    }
+  }
+  // A few singleton rows: force some sets in, forbid others.
+  for (int s = 0; s < num_sets; ++s) {
+    if (rng->Chance(0.15)) lp.AddRow(RowType::kGe, 1.0, {{s, 1.0}});
+    if (rng->Chance(0.1)) lp.AddRow(RowType::kLe, 0.0, {{s, 1.0}});
+  }
+  return lp;
+}
+
+TEST(BipTest, RandomCoversMatchBruteForce) {
+  // Both gaps at 0 and integer costs: the incumbent's objective, summed in
+  // index order, must equal the brute-force optimum bit for bit.
+  for (int seed = 0; seed < 40; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 7919 + 3);
+    std::vector<int> binaries;
+    LpProblem lp = MakeRandomCover(&rng, &binaries);
+
+    BipOptions options;
+    options.absolute_gap = 0.0;
+    options.relative_gap = 0.0;
+    const BipResult bip = SolveBip(lp, binaries, options);
+    const ReferenceBipResult ref = ReferenceBipMinimize(lp);
+
+    ASSERT_EQ(bip.status == BipStatus::kOptimal, ref.feasible)
+        << "seed " << seed;
+    if (!ref.feasible) {
+      EXPECT_EQ(bip.status, BipStatus::kInfeasible) << "seed " << seed;
+      continue;
+    }
+    EXPECT_EQ(bip.objective, ref.objective) << "seed " << seed;
+  }
+}
+
+TEST(BasisHotStartTest, OptimalBasisRoundTripsIntoHotStart) {
+  // A small LP solved twice: the second solve has different costs but the
+  // same rows, so the captured basis loads and phase 1 is skipped.
+  LpProblem lp;
+  int x0 = lp.AddVariable(0.0, 10.0, 1.0);
+  int x1 = lp.AddVariable(0.0, 10.0, 2.0);
+  lp.AddRow(RowType::kGe, 4.0, {{x0, 1.0}, {x1, 1.0}});
+  lp.AddRow(RowType::kLe, 8.0, {{x0, 2.0}, {x1, 1.0}});
+
+  LpBasis basis;
+  LpResult first = lp.Solve({}, 0, 0.0, nullptr, &basis);
+  ASSERT_EQ(first.status, LpStatus::kOptimal);
+  ASSERT_FALSE(basis.empty());
+  // One status per structural column plus one per inequality slack.
+  EXPECT_EQ(basis.status.size(), 4u);
+
+  lp.SetCost(x0, 5.0);
+  LpResult hot = lp.Solve({}, 0, 0.0, &basis, nullptr);
+  LpResult cold = lp.Solve({}, 0, 0.0, nullptr, nullptr);
+  ASSERT_EQ(hot.status, LpStatus::kOptimal);
+  EXPECT_TRUE(hot.hot_started);
+  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
+}
+
+TEST(BasisHotStartTest, MalformedBasisIsRejectedNotTrusted) {
+  LpProblem lp;
+  int x0 = lp.AddVariable(0.0, 10.0, 1.0);
+  int x1 = lp.AddVariable(0.0, 10.0, 2.0);
+  lp.AddRow(RowType::kGe, 4.0, {{x0, 1.0}, {x1, 1.0}});
+
+  LpBasis wrong_size;
+  wrong_size.status = {2};  // too short for 2 structurals + 1 slack
+  LpResult r = lp.Solve({}, 0, 0.0, &wrong_size, nullptr);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_FALSE(r.hot_started);
+
+  LpBasis all_basic;
+  all_basic.status = {2, 2, 2};  // basic count != row count: singular
+  LpResult r2 = lp.Solve({}, 0, 0.0, &all_basic, nullptr);
+  ASSERT_EQ(r2.status, LpStatus::kOptimal);
+  EXPECT_FALSE(r2.hot_started);
+  EXPECT_NEAR(r.objective, r2.objective, 1e-9);
+}
+
+TEST(BasisHotStartTest, RandomCoverRootBasisReplaysAcrossCostChanges) {
+  // The incremental-advisor pattern: capture the root basis of one BIP
+  // solve, perturb only the objective, and re-solve with the basis as the
+  // root hot start. The selected objective must match a cold re-solve.
+  for (int seed = 0; seed < 10; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 104729 + 11);
+    std::vector<int> binaries;
+    LpProblem lp = MakeRandomCover(&rng, &binaries);
+
+    LpBasis root;
+    BipOptions capture;
+    capture.relative_gap = 0.0;
+    capture.capture_root_basis = &root;
+    BipResult first = SolveBip(lp, binaries, capture);
+    if (first.status != BipStatus::kOptimal || root.empty()) continue;
+
+    for (int v : binaries) lp.SetCost(v, lp.cost(v) + 0.25);
+    BipOptions hot;
+    hot.relative_gap = 0.0;
+    hot.root_basis = &root;
+    BipResult warm = SolveBip(lp, binaries, hot);
+    BipOptions cold_opts;
+    cold_opts.relative_gap = 0.0;
+    BipResult cold = SolveBip(lp, binaries, cold_opts);
+    ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
+    if (warm.status == BipStatus::kOptimal) {
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "seed " << seed;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nose
