@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -26,20 +26,82 @@ void AssignSpaceVariables(SpaceVars* sv, LpProblem* lp, double scale) {
   }
 }
 
+std::vector<CfId> RepeatedReadCandidates(
+    const std::vector<PlanSpaceState>& states) {
+  std::vector<CfId> repeated;
+  if (states.empty()) return repeated;
+  // Only a candidate read by two or more edges can be read twice on one
+  // path.
+  std::map<CfId, int> edges_per_cf;
+  for (const PlanSpaceState& state : states) {
+    for (const PlanSpaceEdge& e : state.edges) ++edges_per_cf[e.cf_index];
+  }
+  // States reachable from the root, successors before predecessors.
+  std::vector<size_t> post_order;
+  std::vector<char> visited(states.size(), 0);
+  std::function<void(size_t)> visit = [&](size_t s) {
+    visited[s] = 1;
+    for (const PlanSpaceEdge& e : states[s].edges) {
+      if (e.target_state != PlanSpaceEdge::kDone &&
+          !visited[static_cast<size_t>(e.target_state)]) {
+        visit(static_cast<size_t>(e.target_state));
+      }
+    }
+    post_order.push_back(s);
+  };
+  visit(0);
+  // reads[s]: the most edges reading j on any path from s to done; -1 when
+  // no path from s completes (dead ends carry no flow).
+  std::vector<int> reads(states.size());
+  for (const auto& [j, count] : edges_per_cf) {
+    if (count < 2) continue;
+    for (size_t s : post_order) {
+      int best = -1;
+      for (const PlanSpaceEdge& e : states[s].edges) {
+        const int tail = e.target_state == PlanSpaceEdge::kDone
+                             ? 0
+                             : reads[static_cast<size_t>(e.target_state)];
+        if (tail < 0) continue;
+        best = std::max(best, tail + (e.cf_index == j ? 1 : 0));
+      }
+      reads[s] = best;
+    }
+    if (reads[0] >= 2) repeated.push_back(j);
+  }
+  return repeated;
+}
+
+void BuildLinkingRows(const std::vector<PlanSpaceState>& states,
+                      const std::vector<std::vector<int>>& edge_vars,
+                      const std::vector<int>& delta_vars, LpRowBuffer* buf) {
+  const std::vector<CfId> repeated = RepeatedReadCandidates(states);
+  std::vector<std::pair<CfId, std::vector<std::pair<int, double>>>> links;
+  std::map<CfId, size_t> link_of_cf;
+  for (size_t s = 0; s < states.size(); ++s) {
+    for (size_t e = 0; e < states[s].edges.size(); ++e) {
+      const CfId j = states[s].edges[e].cf_index;
+      const int x = edge_vars[s][e];
+      if (std::binary_search(repeated.begin(), repeated.end(), j)) {
+        links.push_back({j, {{x, 1.0}}});
+        continue;
+      }
+      auto [it, fresh] = link_of_cf.emplace(j, links.size());
+      if (fresh) links.push_back({j, {}});
+      links[it->second].second.emplace_back(x, 1.0);
+    }
+  }
+  for (auto& [j, coeffs] : links) {
+    coeffs.emplace_back(delta_vars[j], -1.0);
+    buf->Add(RowType::kLe, 0.0, std::move(coeffs));
+  }
+}
+
 void BuildSpaceRows(const SpaceVars& sv, const std::vector<int>& delta_vars,
                     LpRowBuffer* buf, std::string label) {
   obs::Span span("optimizer.add_space", "optimizer");
   if (span.active()) span.Arg("space", std::move(label));
   const PlanSpace& space = sv.space;
-  // Linking constraints x_e <= delta_j.
-  for (size_t s = 0; s < space.states().size(); ++s) {
-    const PlanSpaceState& state = space.states()[s];
-    for (size_t e = 0; e < state.edges.size(); ++e) {
-      buf->Add(RowType::kLe, 0.0,
-               {{sv.edge_vars[s][e], 1.0},
-                {delta_vars[state.edges[e].cf_index], -1.0}});
-    }
-  }
+  BuildLinkingRows(space.states(), sv.edge_vars, delta_vars, buf);
   // Flow conservation. Incoming edges per state:
   std::vector<std::vector<int>> incoming(space.states().size());
   for (size_t s = 0; s < space.states().size(); ++s) {
@@ -69,21 +131,6 @@ void BuildSpaceRows(const SpaceVars& sv, const std::vector<int>& delta_vars,
     for (int v : incoming[s]) coeffs.emplace_back(v, -1.0);
     if (coeffs.empty()) continue;
     buf->Add(RowType::kEq, 0.0, std::move(coeffs));
-  }
-  // Cover cut (workload queries only): every plan opens with some
-  // first-step column family, so at least one of them must be selected
-  // outright. Redundant for integer solutions but tightens the LP bound,
-  // which otherwise pays maintenance costs fractionally.
-  if (sv.root_delta_var < 0) {
-    std::set<int> root_cfs;
-    for (const PlanSpaceEdge& e : space.states()[0].edges) {
-      root_cfs.insert(delta_vars[e.cf_index]);
-    }
-    std::vector<std::pair<int, double>> coeffs;
-    for (int dv : root_cfs) coeffs.emplace_back(dv, 1.0);
-    if (!coeffs.empty()) {
-      buf->Add(RowType::kGe, 1.0, std::move(coeffs));
-    }
   }
   static obs::Counter& rows_generated = obs::MetricsRegistry::Global().GetCounter(
       "optimizer.bip_rows_generated");

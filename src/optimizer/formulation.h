@@ -99,12 +99,36 @@ StatusOr<WindowFormulation> BuildWindowFormulation(
 /// recommendations are unchanged.
 void AssignSpaceVariables(SpaceVars* sv, LpProblem* lp, double scale = 1.0);
 
+/// The candidates that some root-to-done path of a plan-space DAG reads on
+/// two or more edges, in ascending id order: per candidate read by at
+/// least two edges, a longest-path pass that counts only the edges reading
+/// it, memoized per state. States unreachable from states[0] and paths
+/// that dead-end are ignored, since neither can carry flow. Empty on every
+/// space the planner builds today; BuildSpaceRows keeps per-edge linking
+/// rows for whatever it reports.
+std::vector<CfId> RepeatedReadCandidates(
+    const std::vector<PlanSpaceState>& states);
+
+/// The linking rows of one space into `buf`: Σ_{e: cf(e) = j} x_e ≤ δ_j
+/// for each candidate j the states read, in order of first appearance,
+/// where `edge_vars[state][edge]` is x_e and `delta_vars[j]` is δ_j. The
+/// root flow is at most 1, so at a binary point the edges carrying flow
+/// form one path, and the summed row admits exactly the binary points the
+/// per-edge rows x_e ≤ δ_j do as long as no path reads j twice. Its LP
+/// relaxation is the strong facility-location form (the space is the
+/// client, j the facility), which the per-edge rows are not. A candidate
+/// RepeatedReadCandidates reports keeps one x_e ≤ δ_j row per edge.
+void BuildLinkingRows(const std::vector<PlanSpaceState>& states,
+                      const std::vector<std::vector<int>>& edge_vars,
+                      const std::vector<int>& delta_vars, LpRowBuffer* buf);
+
 /// Builds the path constraints for one space (paper Fig. 7) into `buf`:
-/// Σ root edges = rhs; for every interior state, Σ outgoing = Σ incoming;
-/// x_e ≤ δ_cf. Reads the pre-assigned edge variables and never touches the
-/// LpProblem, so spaces fan out on the thread pool and the buffers are
-/// appended in statement order afterwards. `label` names the space in
-/// traces; callers pass an empty string when tracing is off.
+/// the linking rows of BuildLinkingRows; Σ root edges = rhs; for every
+/// interior state, Σ outgoing = Σ incoming. Reads the pre-assigned edge
+/// variables and never touches the LpProblem, so spaces fan out on the
+/// thread pool and the buffers are appended in statement order afterwards.
+/// `label` names the space in traces; callers pass an empty string when
+/// tracing is off.
 void BuildSpaceRows(const SpaceVars& sv, const std::vector<int>& delta_vars,
                     LpRowBuffer* buf, std::string label);
 

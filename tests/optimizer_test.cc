@@ -268,6 +268,94 @@ TEST(SchemaSizeStageTest, DescendsFromEveryUsableCandidate) {
   EXPECT_EQ(DropRedundantCandidates(*form, objective, &selected), 0);
 }
 
+// Hand-built plan-space DAGs for the linking-row guard. Candidates are
+// δ variables 0..3; edge variables follow in state/edge order.
+PlanSpaceEdge Edge(CfId cf, int target) {
+  PlanSpaceEdge e;
+  e.cf_index = cf;
+  e.target_state = target;
+  return e;
+}
+
+std::vector<PlanSpaceState> States(
+    std::vector<std::vector<PlanSpaceEdge>> edges) {
+  std::vector<PlanSpaceState> states(edges.size());
+  for (size_t s = 0; s < edges.size(); ++s) states[s].edges = edges[s];
+  return states;
+}
+
+/// The linking rows BuildLinkingRows gives `states`, each as its sorted
+/// variable indices; every row must read `x - δ <= 0`.
+std::vector<std::vector<int>> LinkingRows(
+    const std::vector<PlanSpaceState>& states) {
+  LpProblem lp;
+  std::vector<int> delta_vars;
+  for (int j = 0; j < 4; ++j) delta_vars.push_back(lp.AddVariable(0, 1, 0));
+  std::vector<std::vector<int>> edge_vars(states.size());
+  for (size_t s = 0; s < states.size(); ++s) {
+    for (size_t e = 0; e < states[s].edges.size(); ++e) {
+      edge_vars[s].push_back(lp.AddVariable(0, 1, 1));
+    }
+  }
+  LpRowBuffer buf;
+  BuildLinkingRows(states, edge_vars, delta_vars, &buf);
+  lp.AppendRows(std::move(buf));
+  std::vector<std::vector<int>> rows;
+  for (int r = 0; r < lp.num_rows(); ++r) {
+    const LpRow& row = lp.row(r);
+    EXPECT_EQ(row.type, RowType::kLe);
+    EXPECT_EQ(row.rhs, 0.0);
+    EXPECT_EQ(row.values.front(), -1.0);  // the δ, lowest index
+    for (size_t k = 1; k < row.values.size(); ++k) {
+      EXPECT_EQ(row.values[k], 1.0);
+    }
+    rows.push_back(row.indices);
+  }
+  return rows;
+}
+
+constexpr int kDone = PlanSpaceEdge::kDone;
+
+TEST(LinkingRowsTest, ChainReadingACandidateTwiceKeepsPerEdgeRows) {
+  // Path 0 -cf0-> 1 -cf0-> done reads cf0 twice. cf2 has two edges, but
+  // on different paths (cf0,cf2 and cf1,cf2).
+  const auto states = States({{Edge(0, 1), Edge(1, 2)},
+                              {Edge(0, kDone), Edge(2, kDone)},
+                              {Edge(2, kDone)}});
+  EXPECT_EQ(RepeatedReadCandidates(states), std::vector<CfId>{0});
+  // Edge variables: 4 (s0e0), 5 (s0e1), 6 (s1e0), 7 (s1e1), 8 (s2e0).
+  const std::vector<std::vector<int>> want = {
+      {0, 4}, {1, 5}, {0, 6}, {2, 7, 8}};
+  EXPECT_EQ(LinkingRows(states), want);
+}
+
+TEST(LinkingRowsTest, DiamondReadingACandidateOncePerBranchSumsItsEdges) {
+  // 0 -cf0-> 1 -cf2-> 3 and 0 -cf1-> 2 -cf2-> 3, then 3 -cf3-> done.
+  const auto states = States({{Edge(0, 1), Edge(1, 2)},
+                              {Edge(2, 3)},
+                              {Edge(2, 3)},
+                              {Edge(3, kDone)}});
+  EXPECT_TRUE(RepeatedReadCandidates(states).empty());
+  // Edge variables: 4, 5 (s0), 6 (s1), 7 (s2), 8 (s3).
+  const std::vector<std::vector<int>> want = {{0, 4}, {1, 5}, {2, 6, 7},
+                                              {3, 8}};
+  EXPECT_EQ(LinkingRows(states), want);
+}
+
+TEST(LinkingRowsTest, RepeatedReadsOnDeadEndsAndUnreachableStatesAreIgnored) {
+  // 0 -cf0-> 1 -cf0-> 2 dead-ends, so the only plan is cf0 then cf1.
+  // State 3 reads cf1 twice but no root path reaches it.
+  const auto states = States({{Edge(0, 1)},
+                              {Edge(0, 2), Edge(1, kDone)},
+                              {},
+                              {Edge(1, 4)},
+                              {Edge(1, kDone)}});
+  EXPECT_TRUE(RepeatedReadCandidates(states).empty());
+  // Edge variables: 4 (s0), 5, 6 (s1), 7 (s3), 8 (s4).
+  const std::vector<std::vector<int>> want = {{0, 4, 5}, {1, 6, 7, 8}};
+  EXPECT_EQ(LinkingRows(states), want);
+}
+
 TEST(OptimizerStrategyTest, BipProvesLargerRandomInstances) {
   // 18 entities and 36 statements: a pool well above RUBiS size. With no
   // time limit the BIP must prove its optimum, not return a budget-bound

@@ -1,21 +1,43 @@
 // Structural invariants of plan spaces, checked over many generated
 // queries: every edge must describe a physically executable get (all
 // partition fields bound, ranges only on ranges, costs positive), the DAG
-// must be acyclic with Done reachable, and best-cost must behave like a
-// minimum.
+// must be acyclic with Done reachable, best-cost must behave like a
+// minimum, and no plan may read one column family twice (the BIP's summed
+// linking rows fall back to per-edge rows for any candidate that does).
 
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "analysis/invariants.h"
 #include "enumerator/enumerator.h"
+#include "optimizer/formulation.h"
 #include "planner/plan_space.h"
 #include "randwl/random_workload.h"
 #include "tests/hotel_fixture.h"
 
 namespace nose {
 namespace {
+
+/// Over the spaces checked so far: candidates read by two or more edges of
+/// one space (the groups RepeatedReadCandidates examines), and how many of
+/// those some root-to-done path reads twice.
+struct RepeatedReadCounts {
+  size_t multi_edge_groups = 0;
+  size_t repeated = 0;
+};
+
+void CountRepeatedReads(const PlanSpace& space, RepeatedReadCounts* counts) {
+  std::map<CfId, int> edges_per_cf;
+  for (const PlanSpaceState& state : space.states()) {
+    for (const PlanSpaceEdge& e : state.edges) ++edges_per_cf[e.cf_index];
+  }
+  for (const auto& [cf, n] : edges_per_cf) {
+    if (n >= 2) ++counts->multi_edge_groups;
+  }
+  counts->repeated += RepeatedReadCandidates(space.states()).size();
+}
 
 void CheckSpaceInvariants(const Query& query, const PlanSpace& space,
                           const std::vector<ColumnFamily>& pool) {
@@ -144,11 +166,15 @@ TEST(PlanSpaceInvariantsTest, HotelQueries) {
   CostModel cm;
   CardinalityEstimator est(graph.get(), &cm.params());
   QueryPlanner planner(&cm, &est);
+  RepeatedReadCounts counts;
   for (const Query& q : queries) {
     PlanSpace space = planner.Build(q, pool.candidates());
     CheckSpaceInvariants(q, space, pool.candidates());
+    CountRepeatedReads(space, &counts);
     EXPECT_TRUE(space.HasPlan()) << q.ToString();
   }
+  EXPECT_GT(counts.multi_edge_groups, 0u);
+  EXPECT_EQ(counts.repeated, 0u);
 }
 
 class RandomPlanSpaceTest : public ::testing::TestWithParam<int> {};
@@ -166,12 +192,16 @@ TEST_P(RandomPlanSpaceTest, InvariantsHoldOnRandomWorkloads) {
   CostModel cm;
   CardinalityEstimator est(rw->graph.get(), &cm.params());
   QueryPlanner planner(&cm, &est);
+  RepeatedReadCounts counts;
   for (const WorkloadEntry& entry : rw->workload->entries()) {
     if (!entry.IsQuery()) continue;
     PlanSpace space = planner.Build(entry.query(), pool.candidates());
     CheckSpaceInvariants(entry.query(), space, pool.candidates());
+    CountRepeatedReads(space, &counts);
     EXPECT_TRUE(space.HasPlan()) << entry.query().ToString();
   }
+  EXPECT_EQ(counts.repeated, 0u)
+      << "of " << counts.multi_edge_groups << " multi-edge groups";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPlanSpaceTest, ::testing::Range(0, 12));

@@ -9,6 +9,7 @@
 
 #include "advisor/advisor.h"
 #include "evolve/scenario.h"
+#include "randwl/random_workload.h"
 #include "rubis/datagen.h"
 #include "rubis/model.h"
 #include "rubis/workload.h"
@@ -220,14 +221,18 @@ TEST(ServeShardTest, SingleShardMatchesUnshardedConstructor) {
 // ===========================================================================
 
 TEST(AnytimeAdviseTest, TinyDeadlineStillReturnsValidIncumbent) {
-  auto graph = rubis::MakeGraph(rubis::ScaleFor(0.02));
-  ASSERT_TRUE(graph.ok());
-  auto workload = rubis::MakeWorkload(**graph);
-  ASSERT_TRUE(workload.ok());
+  // The Fig. 13 scale-1 random workload: its root LP is fractional, so a
+  // root-only solve cannot prove the optimum. (RUBiS roots are integral.)
+  randwl::GeneratorOptions gen;
+  gen.num_entities = 6;
+  gen.num_statements = 12;
+  gen.seed = 4243;
+  auto rw = randwl::Generate(gen);
+  ASSERT_TRUE(rw.ok()) << rw.status();
   Advisor advisor;
   // An absurdly small budget: the pipeline must still return a usable
   // incumbent (never an error merely because time ran out).
-  auto rec = advisor.Recommend(**workload, rubis::kBiddingMix, 1e-6);
+  auto rec = advisor.Recommend(*rw->workload, Workload::kDefaultMix, 1e-6);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_GT(rec->schema.size(), 0u);
   EXPECT_FALSE(rec->query_plans.empty());
