@@ -1,11 +1,13 @@
 // Drift-and-migration benchmark for the online evolution loop.
 //
 // Part 1 measures re-advise latency, incremental vs. cold, on the RUBiS
-// workload: after a first advise on the bidding mix, re-advising a drifted
-// mix over the same statement set reuses the interned candidate pool, the
-// cached plan spaces and the root-LP basis —
-// against a cold Advisor::Recommend on the same mix. Both paths must
-// produce byte-identical recommendations; the benchmark aborts otherwise.
+// workload: after a first advise on the bidding mix, an AdvisingSession
+// re-advising a drifted mix over the same statement set reuses the
+// interned candidate pool, the cached plan spaces and the root-LP basis —
+// against a cold Advisor::Recommend on the same mix. A browsing re-advise
+// (a subset of bidding's statements, so seeded from the bidding group)
+// is checked the same way. Reused and cold paths must produce
+// byte-identical recommendations; the benchmark aborts otherwise.
 //
 // Part 2 replays the bundled Bidding -> Browsing drift scenario through the
 // EvolveController and reports re-advise latency and migration cost
@@ -23,10 +25,10 @@
 #include <cstring>
 #include <string>
 
+#include "advisor/session.h"
 #include "bench/bench_json.h"
 #include "bench/rubis_driver.h"
 #include "evolve/driver.h"
-#include "evolve/incremental_advisor.h"
 #include "evolve/scenario.h"
 #include "util/stopwatch.h"
 
@@ -66,12 +68,12 @@ int Main(int argc, char** argv) {
     if (!s.ok()) bench::RubisBench::Die("drift50", s);
   }
 
-  evolve::IncrementalAdvisor incremental;
-  auto first = incremental.Advise(workload, rubis::kBiddingMix);
+  AdvisingSession session;
+  auto first = session.Advise(workload, rubis::kBiddingMix);
   if (!first.ok()) bench::RubisBench::Die("advise bidding", first.status());
 
   Stopwatch watch;
-  auto warm = incremental.Advise(workload, "drift50");
+  auto warm = session.Advise(workload, "drift50");
   if (!warm.ok()) bench::RubisBench::Die("advise drift50 warm", warm.status());
   const double warm_ms = watch.ElapsedMillis();
 
@@ -81,13 +83,27 @@ int Main(int argc, char** argv) {
   if (!cold.ok()) bench::RubisBench::Die("advise drift50 cold", cold.status());
   const double cold_ms = watch.ElapsedMillis();
 
-  if (!warm->incremental) {
+  if (warm->reuse != PoolReuse::kSameStatements) {
     std::fprintf(stderr, "FATAL: drift50 re-advise was not incremental\n");
     return 1;
   }
-  if (warm->rec.ToString() != cold->ToString()) {
+  if (warm->ToString() != cold->ToString()) {
     std::fprintf(stderr,
                  "FATAL: incremental and cold recommendations differ\n");
+    return 1;
+  }
+  // Browsing weights a subset of bidding's statements: the session seeds
+  // its plan spaces from the bidding group. That path must match cold too.
+  auto seeded = session.Advise(workload, rubis::kBrowsingMix);
+  if (!seeded.ok()) bench::RubisBench::Die("advise browsing", seeded.status());
+  auto cold_browsing = cold_advisor.Recommend(workload, rubis::kBrowsingMix);
+  if (!cold_browsing.ok()) {
+    bench::RubisBench::Die("advise browsing cold", cold_browsing.status());
+  }
+  if (seeded->reuse != PoolReuse::kSeeded ||
+      seeded->ToString() != cold_browsing->ToString()) {
+    std::fprintf(stderr,
+                 "FATAL: seeded browsing re-advise differs from cold\n");
     return 1;
   }
   std::printf("re-advise drift50 (equal recommendations):\n");
@@ -95,12 +111,13 @@ int Main(int argc, char** argv) {
               warm_ms);
   std::printf("  cold:        %8.1f ms\n", cold_ms);
   std::printf("  speedup:     %8.2fx\n", warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
+  std::printf("re-advise browsing seeded from bidding: equal to cold\n");
   json.Instance("readvise")
       .Metric("warm_ms", warm_ms)
       .Metric("cold_ms", cold_ms)
       .Metric("speedup", warm_ms > 0.0 ? cold_ms / warm_ms : 0.0)
-      .Metric("schema_size", static_cast<double>(warm->rec.schema.size()))
-      .Label("incremental", warm->incremental);
+      .Metric("schema_size", static_cast<double>(warm->schema.size()))
+      .Label("incremental", true);
 
   // ---- Part 2: the bundled drift scenario through the controller.
   const std::string scenario_path =

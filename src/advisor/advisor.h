@@ -1,6 +1,7 @@
 #ifndef NOSE_ADVISOR_ADVISOR_H_
 #define NOSE_ADVISOR_ADVISOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "optimizer/horizon.h"
 #include "optimizer/schema_optimizer.h"
 #include "util/statusor.h"
+#include "util/stopwatch.h"
 #include "workload/workload.h"
 
 namespace nose {
@@ -58,6 +60,14 @@ struct AdvisorTiming {
   double total_seconds = 0.0;
 };
 
+/// How a recommendation came by its candidate pool and plan spaces. The
+/// recommendation itself is the same on every path.
+enum class PoolReuse {
+  kCold,            ///< enumerated and planned from scratch
+  kSameStatements,  ///< a group with the same statement set, reused verbatim
+  kSeeded,          ///< enumerated; plan spaces projected from a superset
+};
+
 /// The advisor's output: a schema, one implementation plan per statement,
 /// and diagnostics. Recommended plans point into `pool`, which this struct
 /// owns — keep the Recommendation alive while using them.
@@ -76,8 +86,8 @@ struct Recommendation {
   /// proven, 1 when the deadline left no useful bound. The anytime-advising
   /// quality signal — "this schema is within anytime_gap of optimal".
   double anytime_gap = 0.0;
-  /// The budget passed to Recommend(workload, mix, deadline_seconds);
-  /// 0 when the call was unbudgeted.
+  /// The budget passed to Recommend or AdvisingSession::Advise; 0 when the
+  /// call was unbudgeted.
   double deadline_seconds = 0.0;
   /// True when the call returned within deadline_seconds (trivially true
   /// for unbudgeted calls). A miss means the uninterruptible stages alone
@@ -91,6 +101,9 @@ struct Recommendation {
   int bip_constraints = 0;
   int bb_nodes = 0;
   AdvisorTiming timing;
+  /// Always kCold from Advisor::Recommend; AdvisingSession reports the
+  /// group it reused. Anything but kCold is an incremental re-advise.
+  PoolReuse reuse = PoolReuse::kCold;
 
   /// Findings attached while advising: the NOSE-W006 timing-residual check,
   /// plus the NOSE-S anti-pattern analyses when
@@ -154,49 +167,32 @@ class Advisor {
  public:
   explicit Advisor(AdvisorOptions options = AdvisorOptions());
 
-  /// Recommends a schema and plans for `workload` under `mix`.
+  /// Recommends a schema and plans for `workload` under `mix`, cold: no
+  /// state survives the call (AdvisingSession is the stateful path).
+  ///
+  /// deadline_seconds > 0 makes this anytime advising, bounded by a
+  /// wall-clock budget. It always returns the best incumbent found by the
+  /// deadline — never an error merely because time ran out. Enumeration,
+  /// planning, and BIP assembly run to completion (nothing can be
+  /// recommended without them), and the branch-and-bound solve receives
+  /// whatever they left, stopping at the deadline to within one LP solve.
+  /// The result's anytime_gap reports how far from proven-optimal the
+  /// returned schema can be; deadline_hit records whether the call made
+  /// the budget. A deadline generous enough that the solver finishes on its
+  /// own yields a result byte-identical to the unbudgeted call.
   StatusOr<Recommendation> Recommend(
       const Workload& workload,
-      const std::string& mix = Workload::kDefaultMix) const;
-
-  /// Anytime advising: like Recommend, but bounded by a wall-clock budget.
-  /// Always returns the best incumbent found by the deadline — never an
-  /// error merely because time ran out. The budget is distributed across
-  /// the pipeline implicitly: enumeration, planning, and BIP assembly run
-  /// to completion (nothing can be recommended without them), and the
-  /// branch-and-bound solve receives whatever they left, stopping at the
-  /// deadline to within one LP solve. The result's anytime_gap reports how
-  /// far from proven-optimal the returned schema can be; deadline_hit
-  /// records whether the call made the budget. A deadline generous enough
-  /// that the solver finishes on its own yields a result byte-identical to
-  /// the unbudgeted Recommend. deadline_seconds <= 0 means no budget.
-  StatusOr<Recommendation> Recommend(const Workload& workload,
-                                     const std::string& mix,
-                                     double deadline_seconds) const;
+      const std::string& mix = Workload::kDefaultMix,
+      double deadline_seconds = 0.0) const;
 
   /// Recommends a schema for every mix (all of the workload's mixes when
-  /// `mixes` is empty), paying for candidate enumeration and plan-space
-  /// construction once per group of mixes that share a statement set
-  /// instead of once per mix: mixes differing only in weights reuse the
-  /// interned pool and the cached plan spaces (weights enter later, as BIP
-  /// variable costs). Every recommendation is byte-identical to what
-  /// Recommend(workload, mix) returns — including at every thread count.
-  /// Results are in `mixes` order.
+  /// `mixes` is empty) through one AdvisingSession, so mixes sharing a
+  /// statement set pay for enumeration and planning once. Every
+  /// recommendation is byte-identical to what Recommend(workload, mix)
+  /// returns — including at every thread count. Results are in `mixes`
+  /// order.
   StatusOr<std::vector<std::pair<std::string, Recommendation>>> AdviseAllMixes(
       const Workload& workload, std::vector<std::string> mixes = {}) const;
-
-  /// Re-advises `mix` against an already-enumerated candidate pool and a
-  /// shared PlanSpaceCache — the incremental-advising entry point
-  /// (src/evolve). Produces exactly what Recommend(workload, mix) would
-  /// whenever `pool` matches what enumeration of that mix yields; the
-  /// cache supplies reusable plan spaces plus the previous solve's
-  /// root-LP basis (hot start). The previous incumbent is deliberately
-  /// not seeded: under gap-based pruning it could steer branch and bound
-  /// to a different within-gap optimum than a cold solve returns.
-  StatusOr<Recommendation> RecommendWithPool(const Workload& workload,
-                                             const std::string& mix,
-                                             const CandidatePool& pool,
-                                             PlanSpaceCache* cache) const;
 
   /// Multi-period, migration-aware planning: enumerates ONE union pool
   /// over the horizon's distinct mixes, then solves the joint BIP
@@ -214,34 +210,32 @@ class Advisor {
   const CostModel& cost_model() const { return cost_model_; }
 
  private:
+  friend class AdvisingSession;
+
+  /// The worker pool of one advising call: null at num_threads == 1 (all
+  /// work stays on the calling thread); the output is the same either way.
+  std::unique_ptr<util::ThreadPool> MakeWorkerPool() const;
+
   /// Optimization + diagnostics + invariant audit for one mix against an
   /// already-enumerated pool (moved into the Recommendation first, so plans
-  /// can point into it). Shared by Recommend and AdviseAllMixes.
-  /// `optimizer_deadline_seconds` > 0 bounds the optimizer stage
-  /// (anytime advising); 0 means unbudgeted.
+  /// can point into it). `watch` started with the call, before
+  /// enumeration: deadline_seconds > 0 hands the optimizer what is left of
+  /// the budget and stamps deadline_hit; 0 means unbudgeted.
   StatusOr<Recommendation> RecommendImpl(
       const Workload& workload, const std::string& mix, CandidatePool pool,
       double enumeration_seconds, util::ThreadPool* threads,
-      PlanSpaceCache* cache, double optimizer_deadline_seconds = 0.0) const;
+      PlanSpaceCache* cache, const Stopwatch& watch,
+      double deadline_seconds) const;
+
+  /// Moves `opt`'s schema, plans, solve statistics and stage timings into
+  /// `rec`, then audits it against the workload invariants when
+  /// AdvisorOptions::verify_invariants is on.
+  Status AdoptResult(const Workload& workload, const std::string& mix,
+                     OptimizationResult opt, Recommendation* rec) const;
 
   AdvisorOptions options_;
   CostModel cost_model_;
 };
-
-/// Seeds `out` with exact projections of `super_cache`'s plan spaces onto
-/// `sub_pool`, for the statements in `entries` — the cross-group sharing
-/// path of AdviseAllMixes (Browsing ⊆ Bidding) and of incremental
-/// re-advising after a statement set shrinks. Every seeded space is
-/// byte-identical to what a fresh build over `sub_pool` would produce.
-/// Returns false without touching `out` when some sub-pool candidate is
-/// absent from `super_pool` (the pools do not nest, so projection would be
-/// lossy). Statements missing from `super_cache` are skipped — the
-/// optimizer simply rebuilds those.
-bool SeedCacheFromSuperset(
-    const PlanSpaceCache& super_cache, const CandidatePool& super_pool,
-    const CandidatePool& sub_pool,
-    const std::vector<std::pair<const WorkloadEntry*, double>>& entries,
-    PlanSpaceCache* out);
 
 }  // namespace nose
 

@@ -521,8 +521,10 @@ int RunServe(const Args& args, const Telemetry& telemetry) {
   run_report.AddNumber("p95_after_ms", report.after.p95_ms);
   run_report.AddNumber("p99_after_ms", report.after.p99_ms);
   size_t deadline_misses = 0;
+  double advise_seconds = 0.0;
   for (const auto& a : report.advises) {
     if (!a.deadline_hit) ++deadline_misses;
+    advise_seconds += a.elapsed_seconds;
   }
   run_report.AddNumber("advises", report.advises.size());
   run_report.AddNumber("advise_deadline_misses", deadline_misses);
@@ -535,6 +537,7 @@ int RunServe(const Args& args, const Telemetry& telemetry) {
   }
   run_report.AddNumber("migration_rows_dropped", rows_dropped);
   run_report.AddNumber("migration_verify_retries", retries);
+  run_report.AddPhase("advise", advise_seconds);
   run_report.AddPhase("migrate", wall);
   run_report.AddNumber("realized_store_ms", report.store.simulated_ms);
   run_report.AddSection("digest", "{\"store_digest\":\"" +

@@ -62,7 +62,7 @@ EvolveController::EvolveController(Workload* workload, const Dataset* data,
     : workload_(workload),
       data_(data),
       options_(std::move(options)),
-      advisor_(options_.advisor),
+      session_(options_.advisor),
       tracker_(options_.tracker),
       store_(options_.advisor.cost_params) {}
 
@@ -86,9 +86,9 @@ Status EvolveController::Deploy(Recommendation rec, const std::string& mix) {
 }
 
 Status EvolveController::Init(const std::string& initial_mix) {
-  auto advise = advisor_.Advise(*workload_, initial_mix);
-  if (!advise.ok()) return advise.status();
-  return Deploy(std::move(advise).value().rec, initial_mix);
+  NOSE_ASSIGN_OR_RETURN(Recommendation rec,
+                        session_.Advise(*workload_, initial_mix));
+  return Deploy(std::move(rec), initial_mix);
 }
 
 Status EvolveController::InitPlanned(std::vector<PlannedWindow> windows) {
@@ -172,20 +172,16 @@ Status EvolveController::StartReadvise() {
     NOSE_RETURN_IF_ERROR(
         workload_->SetWeight(name, options_.observed_mix, weight));
   }
-  auto advise = advisor_.Advise(*workload_, options_.observed_mix);
-  if (!advise.ok()) return advise.status();
-  ReadviseResult result = std::move(advise).value();
-  if (result.incremental) {
-    ++report_.re_advises_incremental;
-  } else {
-    ++report_.re_advises_cold;
-  }
+  NOSE_ASSIGN_OR_RETURN(Recommendation rec,
+                        session_.Advise(*workload_, options_.observed_mix));
   MigrationRecord record;
-  record.advise_incremental = result.incremental;
-  record.advise_seconds = result.seconds;
+  record.advise_incremental = rec.reuse != PoolReuse::kCold;
+  record.advise_seconds = rec.timing.total_seconds;
+  ++(record.advise_incremental ? report_.re_advises_incremental
+                               : report_.re_advises_cold);
   // Reactive migrations run under the drift-estimated mix just written
   // into observed_mix.
-  return StartMigration(record, std::move(result.rec), options_.observed_mix);
+  return StartMigration(record, std::move(rec), options_.observed_mix);
 }
 
 Status EvolveController::StartMigration(MigrationRecord record,

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "evolve/incremental_advisor.h"
+#include "advisor/session.h"
 #include "evolve/migration_executor.h"
 #include "evolve/migration_planner.h"
 #include "evolve/workload_tracker.h"
@@ -196,7 +196,7 @@ class EvolveController {
   const Dataset* data_;
   EvolveOptions options_;
 
-  IncrementalAdvisor advisor_;
+  AdvisingSession session_;
   WorkloadTracker tracker_;
   RecordStore store_;
 

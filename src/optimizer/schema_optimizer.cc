@@ -147,7 +147,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     // seeded, even though it is feasible here: among equal-cost optima
     // the returned one depends on the incumbent chain, so a foreign
     // incumbent could prune the tie the cold per-mix solve returns —
-    // breaking the byte-equality contract between AdviseAllMixes and
+    // breaking the byte-equality contract between AdvisingSession and
     // Recommend.
     if (!cache->last_root_basis.empty()) {
       bip_options.root_basis = &cache->last_root_basis;

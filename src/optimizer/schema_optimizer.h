@@ -66,8 +66,8 @@ struct OptimizerOptions {
 /// Mix-independent artifacts reused across Optimize() calls on the SAME
 /// (workload, candidate pool, cost model): a plan space depends only on the
 /// statement, the candidates, and the cost model — mix weights enter later,
-/// as BIP variable costs. Advisor::AdviseAllMixes keeps one cache per group
-/// of mixes sharing a statement set, so Fig. 12-style re-advising pays for
+/// as BIP variable costs. AdvisingSession keeps one cache per group of
+/// mixes sharing a statement set, so Fig. 12-style re-advising pays for
 /// planning once per group instead of once per mix.
 struct PlanSpaceCache {
   /// Workload-query plan spaces keyed by statement name.

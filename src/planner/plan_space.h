@@ -115,7 +115,7 @@ class QueryPlanner {
   /// depends only on (query, state, candidate), and Build's BFS visits
   /// states and edges in a deterministic order this replay mirrors, so
   /// edge payloads are copied bit-for-bit instead of re-matched and
-  /// re-priced. This is how AdviseAllMixes shares plan spaces across
+  /// re-priced. This is how AdvisingSession shares plan spaces across
   /// statement-set groups whose pools nest (e.g. Browsing ⊆ Bidding).
   static PlanSpace RestrictToPool(const PlanSpace& super,
                                   const std::vector<CfId>& sub_to_super,

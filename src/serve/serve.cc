@@ -47,7 +47,9 @@ void PrintQuantiles(std::ostringstream& out, const char* label,
 }  // namespace
 
 ServeHarness::ServeHarness(evolve::DriftScenario scenario, ServeOptions options)
-    : scenario_(std::move(scenario)), options_(std::move(options)) {}
+    : scenario_(std::move(scenario)),
+      options_(std::move(options)),
+      session_(scenario_.options.advisor) {}
 
 ServeHarness::~ServeHarness() {
   if (migration_thread_.joinable()) migration_thread_.join();
@@ -60,8 +62,6 @@ StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
   std::unique_ptr<ServeHarness> harness(
       new ServeHarness(scenario, std::move(options)));
   NOSE_ASSIGN_OR_RETURN(harness->env_, evolve::MakeEnvironment(scenario));
-  harness->advisor_ =
-      std::make_unique<Advisor>(scenario.options.advisor);
   harness->store_ = std::make_unique<RecordStore>(
       scenario.options.advisor.cost_params, harness->options_.store_stripes);
   const size_t streams = harness->options_.streams;
@@ -82,11 +82,8 @@ StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
 StatusOr<Recommendation> ServeHarness::AdviseForPhase(size_t phase) {
   const std::string& mix = scenario_.phases[phase].mix;
   Stopwatch watch;
-  StatusOr<Recommendation> rec =
-      options_.advise_deadline_seconds > 0.0
-          ? advisor_->Recommend(*env_.workload, mix,
-                                options_.advise_deadline_seconds)
-          : advisor_->Recommend(*env_.workload, mix);
+  StatusOr<Recommendation> rec = session_.Advise(
+      *env_.workload, mix, options_.advise_deadline_seconds);
   if (!rec.ok()) return rec.status();
   ServeAdviseRecord record;
   record.phase = phase;
@@ -95,6 +92,7 @@ StatusOr<Recommendation> ServeHarness::AdviseForPhase(size_t phase) {
   record.elapsed_seconds = watch.ElapsedSeconds();
   record.anytime_gap = rec->anytime_gap;
   record.deadline_hit = rec->deadline_hit;
+  record.reuse = rec->reuse;
   report_.advises.push_back(record);
   return rec;
 }
@@ -478,6 +476,7 @@ std::string ServeReport::ToString() const {
   out << "advises: " << advises.size() << "\n";
   for (const ServeAdviseRecord& a : advises) {
     out << "  phase " << a.phase << " mix " << a.mix << ": "
+        << (a.reuse != PoolReuse::kCold ? "incremental" : "cold") << " in "
         << a.elapsed_seconds * 1e3 << " ms";
     if (a.deadline_seconds > 0.0) {
       out << " (deadline " << a.deadline_seconds * 1e3 << " ms "

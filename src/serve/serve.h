@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "advisor/advisor.h"
+#include "advisor/session.h"
 #include "evolve/evolve.h"
 #include "evolve/migration_executor.h"
 #include "evolve/scenario.h"
@@ -39,7 +39,7 @@ struct ServeOptions {
   /// pace themselves to; 0 = unpaced (as fast as possible).
   double target_rate = 0.0;
   /// Anytime-advising budget for the re-advise at each mix boundary
-  /// (Advisor::Recommend(workload, mix, deadline)); 0 = unbudgeted.
+  /// (AdvisingSession::Advise's deadline_seconds); 0 = unbudgeted.
   double advise_deadline_seconds = 0.0;
   /// Concurrent verification attempts before quiescing the drivers for one
   /// authoritative pass (foreground writes can race the old-generation
@@ -81,6 +81,8 @@ struct ServeAdviseRecord {
   double elapsed_seconds = 0.0;
   double anytime_gap = 0.0;
   bool deadline_hit = true;
+  /// How the harness's advising session obtained the candidate pool.
+  PoolReuse reuse = PoolReuse::kCold;
   /// The recommendation differed from the deployed schema (a migration —
   /// or for phase 0 the initial deployment — followed).
   bool schema_changed = false;
@@ -110,7 +112,9 @@ struct ServeReport {
 
 /// The online serving layer: multi-threaded drivers replay a drift
 /// scenario's phase mixes against the sharded concurrent store while, at
-/// each mix boundary, a deadline-bounded re-advise runs and — when the
+/// each mix boundary, a deadline-bounded re-advise runs through one
+/// AdvisingSession (so a later mix reuses what earlier ones planned) and
+/// — when the
 /// recommended schema changed — a migration worker executes the schema
 /// change live (parallel chunked backfill, log catch-up, a locked
 /// dual-write flip, verification with retries, and an epoch-barrier
@@ -185,7 +189,7 @@ class ServeHarness {
   ServeOptions options_;
 
   evolve::ScenarioEnvironment env_;
-  std::unique_ptr<Advisor> advisor_;
+  AdvisingSession session_;
   std::unique_ptr<RecordStore> store_;
   std::vector<Stream> streams_;
 

@@ -1,6 +1,10 @@
+#include <algorithm>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "advisor/session.h"
 #include "rubis/model.h"
 #include "rubis/workload.h"
 #include "tests/hotel_fixture.h"
@@ -208,11 +212,129 @@ TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {
   auto all = advisor.AdviseAllMixes(workload, {"default", "small"});
   ASSERT_TRUE(all.ok()) << all.status();
   ASSERT_EQ(all->size(), 2u);
+  EXPECT_EQ((*all)[0].second.reuse, PoolReuse::kCold);
+  EXPECT_EQ((*all)[1].second.reuse, PoolReuse::kSeeded);
   for (const auto& [mix, rec] : *all) {
     auto solo = advisor.Recommend(workload, mix);
     ASSERT_TRUE(solo.ok()) << mix << ": " << solo.status();
+    EXPECT_EQ(solo->reuse, PoolReuse::kCold) << mix;
     EXPECT_EQ(rec.ToString(), solo->ToString()) << mix;
   }
+}
+
+// ===========================================================================
+// AdvisingSession
+// ===========================================================================
+
+/// Hotel workload with two queries and an update; mixes "default", a
+/// reweighted "shift" over the same statements, and a one-query "sub".
+std::unique_ptr<Workload> MakeEvolvingWorkload(const EntityGraph& graph) {
+  auto workload = std::make_unique<Workload>(&graph);
+  (void)workload->AddQuery("guests_by_city", MakeFig3Query(graph), 3.0);
+  auto poi_path = graph.SingleEntityPath("POI");
+  auto update = Update::MakeUpdate(
+      *poi_path, {{"POIDescription", std::nullopt, "d"}},
+      {{{"POI", "POIID"}, PredicateOp::kEq, std::nullopt, "p"}});
+  (void)workload->AddUpdate("upd_poi", std::move(update).value(), 1.0);
+  (void)workload->SetWeight("guests_by_city", "shift", 0.5);
+  (void)workload->SetWeight("upd_poi", "shift", 4.0);
+  (void)workload->SetWeight("guests_by_city", "sub", 1.0);
+  return workload;
+}
+
+TEST(AdvisingSessionTest, SameStatementSetReusesGroupAndMatchesCold) {
+  auto graph = MakeHotelGraph();
+  auto workload = MakeEvolvingWorkload(*graph);
+
+  AdvisingSession session;
+  auto first = session.Advise(*workload, Workload::kDefaultMix);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->reuse, PoolReuse::kCold);
+
+  auto warm = session.Advise(*workload, "shift");
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(warm->reuse, PoolReuse::kSameStatements);
+
+  auto cold = Advisor().Recommend(*workload, "shift");
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(warm->ToString(), cold->ToString());
+  EXPECT_NEAR(warm->objective, cold->objective,
+              1e-9 * std::max(1.0, cold->objective));
+}
+
+TEST(AdvisingSessionTest, SubsetSeedsFromSupersetGroup) {
+  auto graph = MakeHotelGraph();
+  auto workload = MakeEvolvingWorkload(*graph);
+
+  AdvisingSession session;
+  ASSERT_TRUE(session.Advise(*workload, Workload::kDefaultMix).ok());
+  auto sub = session.Advise(*workload, "sub");
+  ASSERT_TRUE(sub.ok()) << sub.status();
+  EXPECT_EQ(sub->reuse, PoolReuse::kSeeded);
+
+  auto cold = Advisor().Recommend(*workload, "sub");
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(sub->ToString(), cold->ToString());
+}
+
+TEST(AdvisingSessionTest, SubsetWithUpdateSeedsRenumberedSupports) {
+  // The subset keeps the update and a query reading the field it writes,
+  // so seeding projects the update's priced supports, renumbered onto the
+  // smaller pool, as well as the query spaces.
+  auto graph = MakeHotelGraph();
+  auto workload = MakeEvolvingWorkload(*graph);
+  ASSERT_TRUE(workload->AddQuery("guest_pois", MakeGuestPoiQuery(*graph), 1.0)
+                  .ok());
+  ASSERT_TRUE(workload->SetWeight("guest_pois", "poi", 2.0).ok());
+  ASSERT_TRUE(workload->SetWeight("upd_poi", "poi", 1.0).ok());
+
+  AdvisingSession session;
+  ASSERT_TRUE(session.Advise(*workload, Workload::kDefaultMix).ok());
+  auto poi = session.Advise(*workload, "poi");
+  ASSERT_TRUE(poi.ok()) << poi.status();
+  EXPECT_EQ(poi->reuse, PoolReuse::kSeeded);
+  ASSERT_FALSE(poi->update_plans.empty());
+
+  auto cold = Advisor().Recommend(*workload, "poi");
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(poi->ToString(), cold->ToString());
+  EXPECT_EQ(poi->objective, cold->objective);
+}
+
+TEST(AdvisingSessionTest, SupersetGrowthEnumeratesFreshButMatches) {
+  auto graph = MakeHotelGraph();
+  auto workload = MakeEvolvingWorkload(*graph);
+
+  AdvisingSession session;
+  ASSERT_TRUE(session.Advise(*workload, "sub").ok());
+  // The statement set grew: the sub pool cannot answer the update, so this
+  // re-advise re-enumerates — but still matches cold output exactly.
+  auto grown = session.Advise(*workload, Workload::kDefaultMix);
+  ASSERT_TRUE(grown.ok()) << grown.status();
+  EXPECT_EQ(grown->reuse, PoolReuse::kCold);
+
+  auto cold = Advisor().Recommend(*workload, Workload::kDefaultMix);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(grown->ToString(), cold->ToString());
+}
+
+TEST(AdvisingSessionTest, ReturningStatementSetReusesItsEarlierGroup) {
+  // sub -> default -> sub: the session keeps every group, so the third
+  // call finds the first group again instead of seeding from the second.
+  auto graph = MakeHotelGraph();
+  auto workload = MakeEvolvingWorkload(*graph);
+
+  AdvisingSession session;
+  ASSERT_TRUE(session.Advise(*workload, "sub").ok());
+  ASSERT_TRUE(session.Advise(*workload, Workload::kDefaultMix).ok());
+  auto again = session.Advise(*workload, "sub");
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->reuse, PoolReuse::kSameStatements);
+  EXPECT_EQ(again->timing.enumeration_seconds, 0.0);
+
+  auto cold = Advisor().Recommend(*workload, "sub");
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(again->ToString(), cold->ToString());
 }
 
 /// The solve time splits into the cost solve and the schema-size solve,

@@ -8,7 +8,6 @@
 
 #include "evolve/driver.h"
 #include "evolve/evolve.h"
-#include "evolve/incremental_advisor.h"
 #include "evolve/migration_planner.h"
 #include "evolve/scenario.h"
 #include "evolve/workload_tracker.h"
@@ -319,80 +318,6 @@ TEST(EvolveMigrationPlannerTest, IdenticalSchemasYieldEmptyPlan) {
   EXPECT_TRUE(plan.empty());
   EXPECT_TRUE(plan.steps.empty());
   EXPECT_EQ(plan.keep_names.size(), 2u);
-}
-
-// ===========================================================================
-// IncrementalAdvisor
-// ===========================================================================
-
-/// Hotel workload with two queries and an update; mixes "default", a
-/// reweighted "shift" over the same statements, and a one-query "sub".
-std::unique_ptr<Workload> MakeEvolvingWorkload(const EntityGraph& graph) {
-  auto workload = std::make_unique<Workload>(&graph);
-  (void)workload->AddQuery("guests_by_city", MakeFig3Query(graph), 3.0);
-  auto poi_path = graph.SingleEntityPath("POI");
-  auto update = Update::MakeUpdate(
-      *poi_path, {{"POIDescription", std::nullopt, "d"}},
-      {{{"POI", "POIID"}, PredicateOp::kEq, std::nullopt, "p"}});
-  (void)workload->AddUpdate("upd_poi", std::move(update).value(), 1.0);
-  (void)workload->SetWeight("guests_by_city", "shift", 0.5);
-  (void)workload->SetWeight("upd_poi", "shift", 4.0);
-  (void)workload->SetWeight("guests_by_city", "sub", 1.0);
-  return workload;
-}
-
-TEST(EvolveIncrementalAdvisorTest, SameSignatureReadviseMatchesColdExactly) {
-  auto graph = MakeHotelGraph();
-  auto workload = MakeEvolvingWorkload(*graph);
-
-  IncrementalAdvisor incremental;
-  auto first = incremental.Advise(*workload, Workload::kDefaultMix);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->incremental);
-
-  auto warm = incremental.Advise(*workload, "shift");
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  EXPECT_TRUE(warm->incremental);
-  EXPECT_FALSE(warm->seeded_from_superset);
-
-  auto cold = Advisor().Recommend(*workload, "shift");
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_EQ(warm->rec.ToString(), cold->ToString());
-  EXPECT_NEAR(warm->rec.objective, cold->objective,
-              1e-9 * std::max(1.0, cold->objective));
-}
-
-TEST(EvolveIncrementalAdvisorTest, SubsetReadviseSeedsFromSuperset) {
-  auto graph = MakeHotelGraph();
-  auto workload = MakeEvolvingWorkload(*graph);
-
-  IncrementalAdvisor incremental;
-  ASSERT_TRUE(incremental.Advise(*workload, Workload::kDefaultMix).ok());
-  auto sub = incremental.Advise(*workload, "sub");
-  ASSERT_TRUE(sub.ok()) << sub.status();
-  EXPECT_TRUE(sub->incremental);
-  EXPECT_TRUE(sub->seeded_from_superset);
-
-  auto cold = Advisor().Recommend(*workload, "sub");
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_EQ(sub->rec.ToString(), cold->ToString());
-}
-
-TEST(EvolveIncrementalAdvisorTest, SupersetGrowthFallsBackToColdButMatches) {
-  auto graph = MakeHotelGraph();
-  auto workload = MakeEvolvingWorkload(*graph);
-
-  IncrementalAdvisor incremental;
-  ASSERT_TRUE(incremental.Advise(*workload, "sub").ok());
-  // The statement set grew: the sub pool cannot answer the update, so this
-  // re-advise re-enumerates — but still matches cold output exactly.
-  auto grown = incremental.Advise(*workload, Workload::kDefaultMix);
-  ASSERT_TRUE(grown.ok()) << grown.status();
-  EXPECT_FALSE(grown->incremental);
-
-  auto cold = Advisor().Recommend(*workload, Workload::kDefaultMix);
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_EQ(grown->rec.ToString(), cold->ToString());
 }
 
 // ===========================================================================

@@ -111,11 +111,37 @@ TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
   EXPECT_TRUE(report.advises[0].schema_changed);   // initial deployment
   EXPECT_TRUE(report.advises[1].schema_changed);   // browsing migration
   EXPECT_FALSE(report.advises[2].schema_changed);  // browsing again: kept
+  // One advising session across the boundaries: browsing's statements are
+  // a subset of the default mix's, and the third advise finds its group.
+  EXPECT_EQ(report.advises[0].reuse, PoolReuse::kCold);
+  EXPECT_EQ(report.advises[1].reuse, PoolReuse::kSeeded);
+  EXPECT_EQ(report.advises[2].reuse, PoolReuse::kSameStatements);
 
   const std::string text = report.ToString();
   EXPECT_NE(text.find("before migration"), std::string::npos);
   EXPECT_NE(text.find("after cutover"), std::string::npos);
   EXPECT_NE(text.find("migrations: 1"), std::string::npos);
+}
+
+// The bundled drift scenario: the browsing re-advise is seeded from the
+// default mix's group, and the final store content is the one a cold
+// re-advise produced (the reused path must not change any recommendation).
+TEST(ServeTest, BundledScenarioSeedsBrowsingReadviseAtTheKnownDigest) {
+  auto scenario =
+      evolve::LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  auto harness = ServeHarness::Create(*scenario, Options(2));
+  ASSERT_TRUE(harness.ok()) << harness.status();
+  ASSERT_TRUE((*harness)->Run().ok());
+  const ServeReport& report = (*harness)->report();
+  ASSERT_EQ(report.advises.size(), 2u);
+  EXPECT_EQ(report.advises[0].reuse, PoolReuse::kCold);
+  EXPECT_EQ(report.advises[1].mix, "browsing");
+  EXPECT_EQ(report.advises[1].reuse, PoolReuse::kSeeded);
+  EXPECT_EQ(report.migrations.size(), 1u);
+  EXPECT_EQ(report.store_digest, 12556392712640623771ull);
+  EXPECT_NE(report.ToString().find("mix browsing: incremental in"),
+            std::string::npos);
 }
 
 TEST(ServeTest, UnknownPhaseMixIsRejected) {
