@@ -17,6 +17,7 @@
 
 #include "advisor/advisor.h"
 #include "bench/bench_json.h"
+#include "obs/file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rubis/model.h"
@@ -109,7 +110,9 @@ int Main(int argc, char** argv) {
   }
   if (!metrics_path.empty()) {
     std::string error;
-    if (!obs::MetricsRegistry::Global().WriteJson(metrics_path, &error)) {
+    if (!obs::WriteFile(metrics_path,
+                        obs::MetricsRegistry::Global().ToJson() + "\n",
+                        &error)) {
       std::fprintf(stderr, "error: cannot write metrics: %s\n", error.c_str());
       return 1;
     }

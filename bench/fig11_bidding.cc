@@ -24,6 +24,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/rubis_driver.h"
+#include "obs/file.h"
 #include "obs/metrics.h"
 
 namespace nose::bench {
@@ -103,7 +104,9 @@ int Main(int argc, char** argv) {
   json.Close();
   if (const char* metrics_path = std::getenv("NOSE_METRICS")) {
     std::string error;
-    if (!obs::MetricsRegistry::Global().WriteJson(metrics_path, &error)) {
+    if (!obs::WriteFile(metrics_path,
+                        obs::MetricsRegistry::Global().ToJson() + "\n",
+                        &error)) {
       std::fprintf(stderr, "error: cannot write metrics: %s\n", error.c_str());
       return 1;
     }

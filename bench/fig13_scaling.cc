@@ -23,6 +23,7 @@
 
 #include "advisor/advisor.h"
 #include "bench/bench_json.h"
+#include "obs/file.h"
 #include "obs/metrics.h"
 #include "randwl/random_workload.h"
 
@@ -155,7 +156,9 @@ int Main(int argc, char** argv) {
   json.Close();
   if (!args.metrics_path.empty()) {
     std::string error;
-    if (!obs::MetricsRegistry::Global().WriteJson(args.metrics_path, &error)) {
+    if (!obs::WriteFile(args.metrics_path,
+                        obs::MetricsRegistry::Global().ToJson() + "\n",
+                        &error)) {
       std::fprintf(stderr, "error: cannot write metrics: %s\n", error.c_str());
       return 1;
     }

@@ -238,7 +238,7 @@ Instance CaptureHorizonBip(const Workload& workload, int num_windows) {
     window.duration = 5.0;
     horizon.windows.push_back(std::move(window));
   }
-  HorizonPlanOptions plan_options;
+  HorizonOptions plan_options;
   plan_options.capture_bip = &capture;
   auto plan = advisor.PlanHorizon(workload, horizon, plan_options);
   if (!plan.ok()) {

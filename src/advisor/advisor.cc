@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -54,19 +55,30 @@ Advisor::AdviseAllMixes(const Workload& workload,
   if (mixes.empty()) {
     return Status::InvalidArgument("workload declares no mixes");
   }
-  AdvisingSession session(options_);
-  std::vector<std::pair<std::string, Recommendation>> out;
-  out.reserve(mixes.size());
+  // Larger statement sets first (ties by name), so a mix whose statements
+  // a larger mix contains is seeded from that mix's group, not enumerated
+  // cold. Results stay in `mixes` order.
+  std::vector<size_t> sizes, order(mixes.size());
   for (const std::string& mix : mixes) {
-    NOSE_ASSIGN_OR_RETURN(Recommendation rec, session.Advise(workload, mix));
-    out.emplace_back(mix, std::move(rec));
+    sizes.push_back(workload.EntriesIn(mix).size());
+  }
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : mixes[a] < mixes[b];
+  });
+  AdvisingSession session(options_);
+  std::vector<std::pair<std::string, Recommendation>> out(mixes.size());
+  for (size_t i : order) {
+    NOSE_ASSIGN_OR_RETURN(Recommendation rec,
+                          session.Advise(workload, mixes[i]));
+    out[i] = {mixes[i], std::move(rec)};
   }
   return out;
 }
 
 StatusOr<HorizonPlan> Advisor::PlanHorizon(
     const Workload& workload, const WorkloadHorizon& horizon,
-    const HorizonPlanOptions& horizon_options) const {
+    const HorizonOptions& horizon_options) const {
   obs::Span plan_span("advisor.plan_horizon", "advisor");
   if (horizon.empty()) {
     return Status::InvalidArgument("horizon has no windows");
@@ -94,13 +106,8 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
   }
 
   CardinalityEstimator estimator(workload.graph(), &cost_model_.params());
-  HorizonOptions hopts;
-  hopts.optimizer = options_.optimizer;
-  hopts.migration_cost_weight = horizon_options.migration_cost_weight;
-  hopts.initial_schema = horizon_options.initial_schema;
-  hopts.capture_bip = horizon_options.capture_bip;
-  hopts.backfill_chunk_rows = horizon_options.backfill_chunk_rows;
-  HorizonOptimizer optimizer(&cost_model_, &estimator, hopts);
+  HorizonOptimizer optimizer(&cost_model_, &estimator, options_.optimizer,
+                             horizon_options);
   PlanSpaceCache cache;
   NOSE_ASSIGN_OR_RETURN(HorizonResult solved,
                         optimizer.Optimize(workload, horizon, plan.pool,

@@ -115,23 +115,6 @@ struct Recommendation {
   std::string ToString() const;
 };
 
-/// Advisor-level knobs for multi-period planning; the per-window solve
-/// inherits AdvisorOptions::optimizer.
-struct HorizonPlanOptions {
-  /// Multiplier on build costs in the objective (see HorizonOptions).
-  double migration_cost_weight = 1.0;
-  /// Schema deployed before window 0; null means window 0 is the initial
-  /// deployment and its builds are sunk cost.
-  const Schema* initial_schema = nullptr;
-  /// Receives the joint multi-period BIP when one is assembled
-  /// (solver_micro's multi-period instance class).
-  BipCapture* capture_bip = nullptr;
-  /// Rows per backfill batch assumed when pricing dual-write overhead of
-  /// scheduled migrations; keep equal to the executing
-  /// evolve::MigrationOptions::chunk_rows (see HorizonOptions).
-  double backfill_chunk_rows = 256.0;
-};
-
 /// PlanHorizon's output: one Recommendation per window plus the migration
 /// schedule. The UNION candidate pool lives here; per-window plans point
 /// into it and every windows[w].rec.pool is EMPTY — keep the HorizonPlan
@@ -187,10 +170,11 @@ class Advisor {
 
   /// Recommends a schema for every mix (all of the workload's mixes when
   /// `mixes` is empty) through one AdvisingSession, so mixes sharing a
-  /// statement set pay for enumeration and planning once. Every
-  /// recommendation is byte-identical to what Recommend(workload, mix)
-  /// returns — including at every thread count. Results are in `mixes`
-  /// order.
+  /// statement set pay for enumeration and planning once. Mixes are
+  /// advised in descending statement-set size (ties by name), so a subset
+  /// mix is seeded from its superset's group. Every recommendation is
+  /// byte-identical to what Recommend(workload, mix) returns — including
+  /// at every thread count. Results are in `mixes` order.
   StatusOr<std::vector<std::pair<std::string, Recommendation>>> AdviseAllMixes(
       const Workload& workload, std::vector<std::string> mixes = {}) const;
 
@@ -202,10 +186,11 @@ class Advisor {
   /// successive window solves hot-start from each other's root basis. On a
   /// horizon of identical windows this collapses to exactly one
   /// single-window solve — each window's recommendation is then
-  /// byte-identical to Recommend(workload, mix) with zero migrations.
+  /// byte-identical to Recommend(workload, mix) with zero migrations. The
+  /// per-window solve takes AdvisorOptions::optimizer.
   StatusOr<HorizonPlan> PlanHorizon(
       const Workload& workload, const WorkloadHorizon& horizon,
-      const HorizonPlanOptions& horizon_options = HorizonPlanOptions()) const;
+      const HorizonOptions& horizon_options = HorizonOptions()) const;
 
   const CostModel& cost_model() const { return cost_model_; }
 

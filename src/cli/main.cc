@@ -8,10 +8,10 @@
 //   nose lint    --model FILE --workload FILE
 //   nose evolve  --scenario FILE [--horizon]
 //   nose serve   --scenario FILE [--threads N] [--rate TPS] ...
-//   nose explain SOLVE_LOG
+//   nose explain REPORT
 //
-// advise, check, evolve and serve share one telemetry block (--trace,
-// --metrics, --metrics-format, --solve-log, --report-json; see Telemetry).
+// advise, check, evolve and serve share one telemetry block (--trace and
+// --report-json; see Telemetry).
 // `nose` with no arguments prints every option. File formats: the
 // entity-graph DSL (see ParseModel), the ';'-separated workload statement
 // language (see ParseWorkload) and drift scenarios (see LoadScenarioFile).
@@ -22,11 +22,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +36,7 @@
 #include "evolve/driver.h"
 #include "evolve/scenario.h"
 #include "export/cql.h"
+#include "obs/file.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -56,18 +55,14 @@ constexpr const char* kUsage = R"(usage:
   nose lint    --model FILE --workload FILE
   nose evolve  --scenario FILE [options]
   nose serve   --scenario FILE [options]
-  nose explain SOLVE_LOG
+  nose explain REPORT
 common options (advise, check, evolve, serve):
   --trace FILE          write a Chrome trace_event JSON timeline
-                        (chrome://tracing / Perfetto; env NOSE_TRACE
-                        is the fallback when the flag is absent)
-  --metrics FILE        write a snapshot of pipeline counters
-  --metrics-format FMT  json (default) or prom (OpenMetrics text)
-  --solve-log FILE      record per-LP and branch-and-bound telemetry
-                        and write it as JSONL (inspect with
-                        'nose explain FILE')
-  --report-json FILE    write a machine-readable run report (phase
-                        timings, digest, metrics)
+                        (chrome://tracing / Perfetto)
+  --report-json FILE    write the machine-readable run report: phase
+                        timings, digest, the per-LP and branch-and-bound
+                        solve log, and the pipeline metrics (diagnose
+                        the solve log with 'nose explain FILE')
 options (advise, check):
   --mix NAME            workload mix (default: 'default')
   --solve-budget SECS   time budget for the solver
@@ -121,8 +116,7 @@ struct CommandFlags {
   bool telemetry = true;
 };
 
-const std::set<std::string> kTelemetryFlags = {
-    "--trace", "--metrics", "--metrics-format", "--solve-log", "--report-json"};
+const std::set<std::string> kTelemetryFlags = {"--trace", "--report-json"};
 
 const std::map<std::string, CommandFlags> kCommands = {
     {"advise",
@@ -231,39 +225,28 @@ bool Reported(bool ok, const char* what, const std::string& path,
   return ok;
 }
 
-/// The telemetry block every run command shares: --trace (env NOSE_TRACE
-/// is the fallback), --metrics, --metrics-format, --solve-log and
+/// The telemetry block every run command shares: --trace and
 /// --report-json. Start() before the run turns recording on; Finish()
-/// after it writes every requested file, the run report last.
+/// after it writes the trace, then the run report.
 class Telemetry {
  public:
-  /// False (after an error line) on an unknown --metrics-format.
-  bool Parse(const Args& args) {
-    const char* env_trace = std::getenv("NOSE_TRACE");
-    trace_path_ = Flag(args, "--trace", env_trace != nullptr ? env_trace : "");
-    metrics_path_ = Flag(args, "--metrics");
-    metrics_format_ = Flag(args, "--metrics-format", "json");
-    solve_log_path_ = Flag(args, "--solve-log");
-    report_path_ = Flag(args, "--report-json");
-    if (metrics_format_ != "json" && metrics_format_ != "prom") {
-      std::fprintf(stderr, "error: unknown metrics format '%s' (json|prom)\n",
-                   metrics_format_.c_str());
-      return false;
-    }
-    return true;
-  }
+  explicit Telemetry(const Args& args)
+      : trace_path_(Flag(args, "--trace")),
+        report_path_(Flag(args, "--report-json")) {}
 
+  /// A requested report records the solve log it will carry.
   void Start() const {
     if (!trace_path_.empty()) {
       nose::obs::TraceRecorder::Global().Enable();
       nose::obs::TraceRecorder::EnableCrashFlush(trace_path_);
       nose::obs::SetCurrentThreadName("main");
     }
-    if (!solve_log_path_.empty()) nose::SolveLog::Global().Enable();
+    if (!report_path_.empty()) nose::SolveLog::Global().Enable();
   }
 
   /// Call once the run's worker pools are gone, so every trace buffer is
-  /// quiescent. `report` gets the metrics snapshot as its last section. False (after an error line) on a failed write.
+  /// quiescent. `report` gets the solve log and the metrics snapshot as
+  /// its last sections. False (after an error line) on a failed write.
   bool Finish(nose::obs::RunReport* report) const {
     std::string error;
     if (!trace_path_.empty()) {
@@ -274,40 +257,18 @@ class Telemetry {
         return false;
       }
     }
-    nose::obs::MetricsRegistry& metrics = nose::obs::MetricsRegistry::Global();
-    if (!metrics_path_.empty() &&
-        !Reported(metrics_format_ == "prom"
-                      ? metrics.WriteOpenMetrics(metrics_path_, &error)
-                      : metrics.WriteJson(metrics_path_, &error),
-                  "metrics", metrics_path_, error)) {
-      return false;
-    }
-    if (!solve_log_path_.empty() &&
-        !Reported(nose::SolveLog::Global().WriteJsonl(solve_log_path_, &error),
-                  "solve log", solve_log_path_, error)) {
-      return false;
-    }
     if (report_path_.empty()) return true;
-    report->AddSection("metrics", metrics.ToJson());
+    report->AddSection("solve_log", nose::SolveLog::Global().ToJson());
+    report->AddSection("metrics",
+                       nose::obs::MetricsRegistry::Global().ToJson());
     return Reported(report->WriteJson(report_path_, &error), "report",
                     report_path_, error);
   }
 
  private:
   std::string trace_path_;
-  std::string metrics_path_;
-  std::string metrics_format_;
-  std::string solve_log_path_;
   std::string report_path_;
 };
-
-nose::StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return nose::Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// The advisor flags advise and check share: --threads, --solve-budget,
 /// and --mix, which must name one of the workload's mixes. Returns 0, or
@@ -751,7 +712,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
 
-  // `nose explain SOLVE_LOG`: offline diagnosis of a --solve-log capture.
+  // `nose explain REPORT`: offline diagnosis of a run report's solve log.
   if (command == "explain") {
     if (argc != 3 || argv[2][0] == '-') return Usage();
     nose::SolveLogData data;
@@ -766,11 +727,10 @@ int main(int argc, char** argv) {
 
   const auto spec = kCommands.find(command);
   Args args;
-  Telemetry telemetry;
-  if (spec == kCommands.end() || !ParseArgs(argc, argv, spec->second, &args) ||
-      !telemetry.Parse(args)) {
+  if (spec == kCommands.end() || !ParseArgs(argc, argv, spec->second, &args)) {
     return Usage();
   }
+  const Telemetry telemetry(args);
   if (command == "evolve") return RunEvolve(args, telemetry);
   if (command == "serve") return RunServe(args, telemetry);
 
@@ -787,22 +747,18 @@ int main(int argc, char** argv) {
     return Usage();
   }
 
-  auto model_text = ReadFile(args.at("--model"));
-  if (!model_text.ok()) {
-    std::cerr << model_text.status() << "\n";
+  std::string model_text, workload_text, error;
+  if (!nose::obs::ReadFile(args.at("--model"), &model_text, &error) ||
+      !nose::obs::ReadFile(args.at("--workload"), &workload_text, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  auto graph = nose::ParseModel(*model_text);
+  auto graph = nose::ParseModel(model_text);
   if (!graph.ok()) {
     std::cerr << "model error: " << graph.status() << "\n";
     return 1;
   }
-  auto workload_text = ReadFile(args.at("--workload"));
-  if (!workload_text.ok()) {
-    std::cerr << workload_text.status() << "\n";
-    return 1;
-  }
-  auto workload = nose::ParseWorkload(**graph, *workload_text);
+  auto workload = nose::ParseWorkload(**graph, workload_text);
   if (!workload.ok()) {
     std::cerr << "workload error: " << workload.status() << "\n";
     return 1;

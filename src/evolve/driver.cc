@@ -60,7 +60,7 @@ Status DriftRunner::PlanAndInit() {
   }
 
   Advisor advisor(scenario_.options.advisor);
-  HorizonPlanOptions horizon_options;
+  HorizonOptions horizon_options;
   horizon_options.migration_cost_weight = scenario_.migration_cost_weight;
   // Price scheduled migrations with the chunking the executor will use.
   horizon_options.backfill_chunk_rows =

@@ -170,18 +170,18 @@ Status EvolveController::StartReadvise() {
   obs::Span span("evolve.readvise", "evolve");
   for (const auto& [name, weight] : tracker_.estimate()) {
     NOSE_RETURN_IF_ERROR(
-        workload_->SetWeight(name, options_.observed_mix, weight));
+        workload_->SetWeight(name, kObservedMix, weight));
   }
   NOSE_ASSIGN_OR_RETURN(Recommendation rec,
-                        session_.Advise(*workload_, options_.observed_mix));
+                        session_.Advise(*workload_, kObservedMix));
   MigrationRecord record;
   record.advise_incremental = rec.reuse != PoolReuse::kCold;
   record.advise_seconds = rec.timing.total_seconds;
   ++(record.advise_incremental ? report_.re_advises_incremental
                                : report_.re_advises_cold);
   // Reactive migrations run under the drift-estimated mix just written
-  // into observed_mix.
-  return StartMigration(record, std::move(rec), options_.observed_mix);
+  // into kObservedMix.
+  return StartMigration(record, std::move(rec), kObservedMix);
 }
 
 Status EvolveController::StartMigration(MigrationRecord record,
@@ -222,7 +222,7 @@ std::unique_ptr<Generation> EvolveController::Activate(
     current_window_ = pending_record_.to_window;
     active_mix_ = planned_[current_window_].mix;
   } else {
-    active_mix_ = options_.observed_mix;
+    active_mix_ = kObservedMix;
   }
   tracker_.SetAdvised(ActiveWeights());
   return old;

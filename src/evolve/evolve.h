@@ -17,13 +17,14 @@
 
 namespace nose::evolve {
 
+/// Reserved mix name the tracker's observed weights are written into
+/// before each re-advise.
+inline constexpr char kObservedMix[] = "__observed";
+
 struct EvolveOptions {
   TrackerOptions tracker;
   MigrationExecutor::Options migration;
   AdvisorOptions advisor;
-  /// Reserved mix name the tracker's observed weights are written into
-  /// before each re-advise.
-  std::string observed_mix = "__observed";
   /// Recent queries kept for migration verification.
   size_t query_log_capacity = 128;
 };
@@ -119,7 +120,7 @@ struct EvolveReport {
 class EvolveController {
  public:
   /// `workload` is mutated: observed weights are written into
-  /// options.observed_mix before each re-advise. Both pointers must
+  /// kObservedMix before each re-advise. Both pointers must
   /// outlive the controller.
   EvolveController(Workload* workload, const Dataset* data,
                    EvolveOptions options = EvolveOptions());

@@ -12,6 +12,9 @@ namespace nose::evolve {
 
 namespace {
 
+/// Steps a migration soaks in dual-write before it verifies.
+constexpr size_t kMinDualWriteSteps = 2;
+
 int64_t MsToNanos(double ms) {
   return static_cast<int64_t>(std::llround(ms * 1e6));
 }
@@ -96,7 +99,7 @@ Status MigrationExecutor::Step(const std::vector<LoggedStatement>& update_log,
     case MigrationPhase::kCatchUp:
       return CatchUpStep(update_log);
     case MigrationPhase::kDualWrite:
-      if (++dual_write_steps_ >= options_.min_dual_write_steps) {
+      if (++dual_write_steps_ >= kMinDualWriteSteps) {
         phase_ = MigrationPhase::kVerify;
       }
       return Status::Ok();

@@ -93,7 +93,6 @@ class MigrationExecutor {
   struct Options {
     size_t chunk_rows = 256;       ///< root rows per backfill chunk
     size_t catchup_batch = 64;     ///< log entries replayed per Step
-    size_t min_dual_write_steps = 2;
     size_t verify_samples = 16;    ///< logged queries compared at verify
   };
 

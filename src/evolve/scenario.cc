@@ -1,9 +1,9 @@
 #include "evolve/scenario.h"
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
+#include "obs/file.h"
 #include "rubis/datagen.h"
 #include "rubis/model.h"
 #include "util/strings.h"
@@ -120,11 +120,11 @@ StatusOr<DriftScenario> ParseScenario(const std::string& text,
 }
 
 StatusOr<DriftScenario> LoadScenarioFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open scenario file " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseScenario(text.str(), path);
+  std::string text, error;
+  if (!obs::ReadFile(path, &text, &error)) {
+    return Status::NotFound("scenario: " + error);
+  }
+  return ParseScenario(text, path);
 }
 
 StatusOr<ScenarioEnvironment> MakeEnvironment(const DriftScenario& scenario) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 namespace nose {
 namespace obs {
@@ -38,20 +37,6 @@ void AppendDouble(std::string* out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   *out += buf;
-}
-
-/// OpenMetrics names admit only [a-zA-Z0-9_:]; the registry's dotted
-/// convention maps '.' (and anything else) to '_'.
-std::string SanitizeMetricName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
-  return out;
 }
 
 }  // namespace
@@ -217,74 +202,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "}}";
   return out;
-}
-
-std::string MetricsRegistry::ToOpenMetrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [name, c] : counters_) {
-    const std::string m = SanitizeMetricName(name);
-    out += "# TYPE " + m + " counter\n";
-    out += m + "_total " + std::to_string(c->value()) + "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    const std::string m = SanitizeMetricName(name);
-    out += "# TYPE " + m + " gauge\n";
-    out += m + " ";
-    AppendDouble(&out, g->value());
-    out.push_back('\n');
-  }
-  for (const auto& [name, h] : histograms_) {
-    const std::string m = SanitizeMetricName(name);
-    out += "# TYPE " + m + " histogram\n";
-    uint64_t cum = 0;
-    for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      const uint64_t b = h->bucket(i);
-      if (b == 0) continue;
-      cum += b;
-      char bound[64];
-      std::snprintf(bound, sizeof(bound), "%.6g", Histogram::BucketBound(i));
-      out += m + "_bucket{le=\"" + bound + "\"} " + std::to_string(cum) + "\n";
-    }
-    out += m + "_bucket{le=\"+Inf\"} " + std::to_string(h->count()) + "\n";
-    out += m + "_sum ";
-    AppendDouble(&out, h->sum());
-    out.push_back('\n');
-    out += m + "_count " + std::to_string(h->count()) + "\n";
-  }
-  out += "# EOF\n";
-  return out;
-}
-
-bool MetricsRegistry::WriteJson(const std::string& path, std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << ToJson() << "\n";
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
-}
-
-bool MetricsRegistry::WriteOpenMetrics(const std::string& path,
-                                       std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << ToOpenMetrics();
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace obs

@@ -102,25 +102,11 @@ class MetricsRegistry {
   /// Snapshot of all counters, name -> value (used by tests to diff runs).
   std::map<std::string, uint64_t> CounterValues() const;
 
-  /// JSON snapshot:
+  /// JSON snapshot, the run report's "metrics" section:
   ///   {"counters":{...},"gauges":{...},"histograms":{name:
   ///    {"count":n,"sum":s,"min":m,"max":M,"mean":u,
-  ///     "p50":v,"p95":v,"p99":v,"buckets":{"<=B":c}}}}
+  ///     "p50":v,"p95":v,"p99":v,"buckets":{"le_B":c}}}}
   std::string ToJson() const;
-
-  /// OpenMetrics / Prometheus text exposition of the same snapshot
-  /// (`--metrics-format=prom`): counters as `<name>_total`, gauges as
-  /// gauges, histograms as cumulative `_bucket{le="..."}` series plus
-  /// `_sum`/`_count`, metric names sanitized to [a-zA-Z0-9_:]. Ends with
-  /// the mandatory `# EOF` terminator.
-  std::string ToOpenMetrics() const;
-
-  /// Writes ToJson() to `path`. Returns false (and fills *error when
-  /// non-null) on I/O failure.
-  bool WriteJson(const std::string& path, std::string* error = nullptr);
-
-  /// Writes ToOpenMetrics() to `path`.
-  bool WriteOpenMetrics(const std::string& path, std::string* error = nullptr);
 
  private:
   MetricsRegistry() = default;

@@ -2,7 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+
+#include "obs/file.h"
 
 namespace nose {
 namespace obs {
@@ -100,18 +101,7 @@ std::string RunReport::ToJson() const {
 }
 
 bool RunReport::WriteJson(const std::string& path, std::string* error) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << ToJson() << "\n";
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return WriteFile(path, ToJson() + "\n", error);
 }
 
 }  // namespace obs

@@ -19,12 +19,15 @@ void AppendJsonString(std::string* out, const std::string& s);
 ///   {"report_version":1,"command":"advise",
 ///    <scalar fields in insertion order>,
 ///    "phases":{"<name>_seconds":t,...},
-///    <sections in insertion order, e.g. "digest":{...},"metrics":{...}>}
+///    <sections in insertion order, e.g. "digest":{...},
+///     "solve_log":{...},"metrics":{...}>}
 ///
-/// The obs layer sits below the solver and optimizer in the link order, so
-/// the structured sections (digest, metrics snapshot) are
-/// passed in as pre-rendered JSON strings by the CLI; this class only
-/// assembles and validates nothing.
+/// The report is the one machine-readable record of a run: the metrics
+/// snapshot and the solve log (read back by `nose explain`) are sections
+/// of it, not files of their own. The obs layer sits below the solver and
+/// optimizer in the link order, so the structured sections are passed in
+/// as pre-rendered JSON strings by the CLI; this class only assembles and
+/// validates nothing.
 class RunReport {
  public:
   explicit RunReport(std::string command) : command_(std::move(command)) {}

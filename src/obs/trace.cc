@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <set>
 
+#include "obs/file.h"
 #include "obs/report.h"
 
 namespace nose {
@@ -133,18 +133,7 @@ std::string TraceRecorder::RenderChromeJson() {
 
 bool TraceRecorder::WriteChromeJson(const std::string& path,
                                     std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << ToChromeJson() << "\n";
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return WriteFile(path, ToChromeJson() + "\n", error);
 }
 
 bool TraceRecorder::FlushPartial(const std::string& path, std::string* error) {
@@ -152,19 +141,7 @@ bool TraceRecorder::FlushPartial(const std::string& path, std::string* error) {
   // may never release mu_, and a torn read beats a deadlock or an empty
   // trace. In normal (non-signal) use the lock is simply acquired.
   std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
-  const std::string json = RenderChromeJson();
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << json << "\n";
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return WriteFile(path, RenderChromeJson() + "\n", error);
 }
 
 void TraceRecorder::EnableCrashFlush(std::string path) {

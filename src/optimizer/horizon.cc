@@ -105,7 +105,7 @@ StatusOr<HorizonResult> HorizonOptimizer::Optimize(
   // The per-window solves must not fill the caller's capture hooks — those
   // describe the joint instance (or, on the collapsed path, the one real
   // single-window solve below).
-  OptimizerOptions window_options = options_.optimizer;
+  OptimizerOptions window_options = optimizer_;
   window_options.capture_bip = nullptr;
   window_options.capture_certificate = nullptr;
   SchemaOptimizer window_optimizer(cost_, est_, window_options);
@@ -118,7 +118,7 @@ StatusOr<HorizonResult> HorizonOptimizer::Optimize(
   // run the single-window pipeline ONCE and replicate — byte-identical to
   // SchemaOptimizer::Optimize by construction, with zero migrations.
   if (groups.size() == 1 && options_.initial_schema == nullptr) {
-    OptimizerOptions collapse_options = options_.optimizer;
+    OptimizerOptions collapse_options = optimizer_;
     collapse_options.capture_certificate = nullptr;
     collapse_options.capture_bip = options_.capture_bip;
     SchemaOptimizer collapse_optimizer(cost_, est_, collapse_options);
@@ -265,13 +265,13 @@ StatusOr<HorizonResult> HorizonOptimizer::Optimize(
       num_rows += 2;
     }
   }
-  if (options_.optimizer.space_limit_bytes.has_value()) {
+  if (optimizer_.space_limit_bytes.has_value()) {
     for (size_t g = 0; g < groups.size(); ++g) {
       std::vector<std::pair<int, double>> coeffs;
       for (size_t c = 0; c < num_cands; ++c) {
         coeffs.emplace_back(delta_vars[g][c], candidates[c].SizeBytes());
       }
-      lp.AddRow(RowType::kLe, *options_.optimizer.space_limit_bytes,
+      lp.AddRow(RowType::kLe, *optimizer_.space_limit_bytes,
                 std::move(coeffs));
       ++num_rows;
     }
@@ -305,7 +305,7 @@ StatusOr<HorizonResult> HorizonOptimizer::Optimize(
       }
     }
   }
-  BipOptions bip_options = options_.optimizer.bip;
+  BipOptions bip_options = optimizer_.bip;
   bip_options.threads = threads;
   if (warm_ok) bip_options.warm_start = &warm;
 

@@ -2,6 +2,7 @@
 #define NOSE_OPTIMIZER_HORIZON_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cost/cardinality.h"
@@ -74,9 +75,6 @@ double DualWriteCostMs(const ColumnFamily& cf, const CostModel& cost,
 double UpdateWeightShare(const Workload& workload, const std::string& mix);
 
 struct HorizonOptions {
-  /// Per-window formulation/solve options. The capture hooks inside are
-  /// ignored (use HorizonOptions::capture_bip for the joint instance).
-  OptimizerOptions optimizer;
   /// Multiplier on build costs in the objective. 0 makes migrations free
   /// (every window gets its myopic optimum); large values pin the schema.
   double migration_cost_weight = 1.0;
@@ -164,10 +162,17 @@ struct HorizonResult {
 /// with identical weighted workloads.
 class HorizonOptimizer {
  public:
+  /// `optimizer` holds the per-window formulation/solve options. The
+  /// capture hooks inside are ignored (use HorizonOptions::capture_bip for
+  /// the joint instance).
   HorizonOptimizer(const CostModel* cost_model,
                    const CardinalityEstimator* estimator,
+                   OptimizerOptions optimizer,
                    HorizonOptions options = HorizonOptions())
-      : cost_(cost_model), est_(estimator), options_(options) {}
+      : cost_(cost_model),
+        est_(estimator),
+        optimizer_(std::move(optimizer)),
+        options_(options) {}
 
   /// `pool` must cover every window's statements and outlive the result
   /// (plans point into it). `cache` is shared across every window — plan
@@ -183,6 +188,7 @@ class HorizonOptimizer {
  private:
   const CostModel* cost_;
   const CardinalityEstimator* est_;
+  OptimizerOptions optimizer_;
   HorizonOptions options_;
 };
 

@@ -15,6 +15,11 @@ namespace nose::serve {
 
 namespace {
 
+/// Concurrent verification attempts before quiescing the drivers for one
+/// authoritative pass (foreground writes can race the old-generation write
+/// and its dual write, making individual mismatches transient).
+constexpr size_t kVerifyAttempts = 8;
+
 LatencyQuantiles Quantiles(std::vector<double>& samples) {
   LatencyQuantiles q;
   q.count = samples.size();
@@ -301,8 +306,7 @@ void ServeHarness::MigrationWorker() {
     // 4. Verify with retries: a mismatch can be a transient between an
     // old-generation write and its dual write landing.
     bool clean = false;
-    const size_t attempts = std::max<size_t>(1, options_.verify_attempts);
-    for (size_t attempt = 0; attempt < attempts && !clean; ++attempt) {
+    for (size_t attempt = 0; attempt < kVerifyAttempts && !clean; ++attempt) {
       std::vector<evolve::LoggedStatement> qlog;
       {
         std::lock_guard<std::mutex> lock(log_mu_);

@@ -41,10 +41,6 @@ struct ServeOptions {
   /// Anytime-advising budget for the re-advise at each mix boundary
   /// (AdvisingSession::Advise's deadline_seconds); 0 = unbudgeted.
   double advise_deadline_seconds = 0.0;
-  /// Concurrent verification attempts before quiescing the drivers for one
-  /// authoritative pass (foreground writes can race the old-generation
-  /// write and its dual write, making individual mismatches transient).
-  size_t verify_attempts = 8;
 };
 
 /// Latency quantiles over per-transaction simulated store milliseconds.

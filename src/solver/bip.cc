@@ -92,9 +92,9 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
   bstats.binaries = static_cast<int>(binary_vars.size());
   bstats.root_hot_start_attempted =
       options.root_basis != nullptr && !options.root_basis->empty();
-  // Solver telemetry (--solve-log). The search runs the same schedule
-  // either way; SolveBip stamps each LP record with its own (bip, node)
-  // ids and appends it.
+  // Solver telemetry (a run report's solve log). The search runs the same
+  // schedule either way; SolveBip stamps each LP record with its own
+  // (bip, node) ids and appends it.
   SolveLog& slog = SolveLog::Global();
   const bool logging = slog.enabled();
   if (logging) bstats.id = slog.NextBipId();
@@ -200,12 +200,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
   double abandoned_bound = LpProblem::kInfinity;
   bool root_pending = true;
 
-  auto prune_threshold = [&]() {
-    const double rel = std::isfinite(incumbent)
-                           ? options.relative_gap * std::abs(incumbent)
-                           : 0.0;
-    return incumbent - std::max(options.absolute_gap, rel);
-  };
+  auto prune_threshold = [&]() { return incumbent - options.absolute_gap; };
 
   // One selected-and-evaluated node. `node_id` stays -1 unless the node
   // is processed: a relaxation solved for a node pruned (or returned to

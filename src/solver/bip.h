@@ -25,14 +25,10 @@ const char* BipStatusName(BipStatus status);
 
 struct BipOptions {
   /// Prune nodes whose LP bound is within this of the incumbent: the
-  /// floating-point tolerance of an exact solve.
+  /// floating-point tolerance of an exact solve, so the search proves the
+  /// optimum. A time or node budget still returns the incumbent with an
+  /// honest anytime gap.
   double absolute_gap = 1e-9;
-  /// Additionally prune within `relative_gap * |incumbent|`: the returned
-  /// solution is optimal to within this factor (Gurobi-style MIP gap).
-  /// 0 proves the optimum, so every exact solver returns the same cost; a
-  /// positive gap trades that for fewer nodes. A time or node budget still
-  /// returns the incumbent with an honest anytime gap either way.
-  double relative_gap = 0.0;
   int max_nodes = 1000000;
   /// Wall-clock budget in seconds; 0 disables. On expiry the best
   /// incumbent is returned with kNodeLimit status.

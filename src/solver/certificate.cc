@@ -3,10 +3,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "obs/file.h"
 
 namespace nose {
 
@@ -125,16 +126,9 @@ std::string CertificateToString(const SolveCertificate& cert) {
 
 Status WriteCertificate(const SolveCertificate& cert,
                         const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Internal("cannot open certificate file for writing: " +
-                            path);
-  }
-  const std::string text = CertificateToString(cert);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-  out.flush();
-  if (!out) {
-    return Status::Internal("short write to certificate file: " + path);
+  std::string error;
+  if (!obs::WriteFile(path, CertificateToString(cert), &error)) {
+    return Status::Internal("certificate: " + error);
   }
   return Status::Ok();
 }
@@ -290,13 +284,11 @@ StatusOr<SolveCertificate> ParseCertificate(const std::string& text) {
 }
 
 StatusOr<SolveCertificate> ReadCertificate(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open certificate file: " + path);
+  std::string text, error;
+  if (!obs::ReadFile(path, &text, &error)) {
+    return Status::NotFound("certificate: " + error);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCertificate(buf.str());
+  return ParseCertificate(text);
 }
 
 }  // namespace nose

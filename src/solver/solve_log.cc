@@ -6,10 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
+#include "obs/file.h"
 #include "obs/report.h"
 
 namespace nose {
@@ -270,49 +269,31 @@ std::vector<BipSolveStats> SolveLog::BipRecords() const {
   return std::vector<BipSolveStats>(bip_records_.begin(), bip_records_.end());
 }
 
-std::string SolveLog::ToJsonl() const {
+std::string SolveLog::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"type\":\"meta\",\"version\":1,\"lp_records\":";
-  AppendU64(&out, lp_records_.size());
-  out += ",\"node_events\":";
-  AppendU64(&out, node_events_.size());
-  out += ",\"bip_records\":";
-  AppendU64(&out, bip_records_.size());
-  out += ",\"dropped_lp\":";
+  std::string out = "{\"dropped_lp\":";
   AppendU64(&out, dropped_lp_);
   out += ",\"dropped_nodes\":";
   AppendU64(&out, dropped_nodes_);
   out += ",\"dropped_bips\":";
   AppendU64(&out, dropped_bips_);
-  out += "}\n";
-  for (const LpSolveStats& r : lp_records_) {
-    out += RenderLp(r, /*canonical=*/false);
-    out.push_back('\n');
+  out += ",\"lp\":[";
+  for (size_t i = 0; i < lp_records_.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += RenderLp(lp_records_[i], /*canonical=*/false);
   }
-  for (const BbNodeEvent& e : node_events_) {
-    out += RenderNode(e, /*canonical=*/false);
-    out.push_back('\n');
+  out += "],\"nodes\":[";
+  for (size_t i = 0; i < node_events_.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += RenderNode(node_events_[i], /*canonical=*/false);
   }
-  for (const BipSolveStats& r : bip_records_) {
-    out += RenderBip(r, /*canonical=*/false);
-    out.push_back('\n');
+  out += "],\"bips\":[";
+  for (size_t i = 0; i < bip_records_.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += RenderBip(bip_records_[i], /*canonical=*/false);
   }
+  out += "]}";
   return out;
-}
-
-bool SolveLog::WriteJsonl(const std::string& path, std::string* error) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  out << ToJsonl();
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
 }
 
 std::string SolveLog::Fingerprint() const {
@@ -341,15 +322,15 @@ std::string SolveLog::Fingerprint() const {
 }
 
 // ===========================================================================
-// JSONL reader (`nose explain`).
+// Run-report reader (`nose explain`).
 // ===========================================================================
 
 namespace {
 
-/// Minimal recursive-descent JSON value parser — just enough for the solve
-/// log's own output (objects, arrays, strings, numbers, bools, null). The
-/// repo deliberately carries no JSON library; this stays private to the
-/// solve-log reader.
+/// Minimal recursive-descent JSON value parser — just enough for the run
+/// report's own output (objects, arrays, strings, numbers, bools, null).
+/// The repo deliberately carries no JSON library; this stays private to
+/// the solve-log reader.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
@@ -551,125 +532,128 @@ double NumOrInf(const JsonValue& obj, const char* key, double inf_value) {
   return v->number;
 }
 
-}  // namespace
-
-bool ParseSolveLogJsonl(const std::string& text, SolveLogData* out,
-                        std::string* error) {
-  *out = SolveLogData();
-  std::istringstream stream(text);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(stream, line)) {
-    ++line_no;
-    if (line.empty() ||
-        line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
-    }
-    JsonValue value;
-    JsonParser parser(line);
-    if (!parser.Parse(&value) || value.kind != JsonValue::Kind::kObject) {
-      if (error != nullptr) {
-        *error = "line " + std::to_string(line_no) + ": malformed JSON";
+LpSolveStats LpFromJson(const JsonValue& value) {
+  LpSolveStats r;
+  r.id = value.U64("id", 0);
+  r.bip_id = value.U64("bip", 0);
+  r.node_id = value.Int("node", -1);
+  r.status = value.Str("status");
+  r.rows = value.Int("rows", 0);
+  r.cols = value.Int("cols", 0);
+  r.tableau_cols = value.Int("tableau_cols", 0);
+  r.nonzeros = value.U64("nnz", 0);
+  r.iterations = value.Int("iters", 0);
+  r.phase1_iterations = value.Int("phase1_iters", 0);
+  r.devex_resets = value.Int("devex_resets", 0);
+  r.bland_iterations = value.Int("bland_iters", 0);
+  r.bound_flips = value.Int("bound_flips", 0);
+  r.max_degenerate_streak = value.Int("max_degen_streak", 0);
+  r.fill_start = value.U64("fill_start", 0);
+  r.fill_end = value.U64("fill_end", 0);
+  r.refactorizations = value.Int("refactorizations", 0);
+  r.ft_updates = value.Int("ft_updates", 0);
+  r.factor_fill = value.U64("factor_fill", 0);
+  r.equilibration_cond = value.Num("equil_cond", 1.0);
+  r.hot_start_attempted = value.Bool("hot_attempted", false);
+  r.hot_started = value.Bool("hot_started", false);
+  r.farkas = value.Bool("farkas", false);
+  r.solve_ms = value.Num("ms", 0.0);
+  const JsonValue* curve = value.Find("fill_curve");
+  if (curve != nullptr && curve->kind == JsonValue::Kind::kArray) {
+    for (const JsonValue& sample : curve->items) {
+      if (sample.kind == JsonValue::Kind::kArray && sample.items.size() == 2) {
+        r.fill_curve.emplace_back(
+            static_cast<int>(sample.items[0].number),
+            static_cast<uint64_t>(sample.items[1].number));
       }
-      return false;
     }
-    const std::string type = value.Str("type");
-    if (type == "meta") {
-      out->dropped_lp = value.U64("dropped_lp", 0);
-      out->dropped_nodes = value.U64("dropped_nodes", 0);
-      out->dropped_bips = value.U64("dropped_bips", 0);
-    } else if (type == "lp") {
-      LpSolveStats r;
-      r.id = value.U64("id", 0);
-      r.bip_id = value.U64("bip", 0);
-      r.node_id = value.Int("node", -1);
-      r.status = value.Str("status");
-      r.rows = value.Int("rows", 0);
-      r.cols = value.Int("cols", 0);
-      r.tableau_cols = value.Int("tableau_cols", 0);
-      r.nonzeros = value.U64("nnz", 0);
-      r.iterations = value.Int("iters", 0);
-      r.phase1_iterations = value.Int("phase1_iters", 0);
-      r.devex_resets = value.Int("devex_resets", 0);
-      r.bland_iterations = value.Int("bland_iters", 0);
-      r.bound_flips = value.Int("bound_flips", 0);
-      r.max_degenerate_streak = value.Int("max_degen_streak", 0);
-      r.fill_start = value.U64("fill_start", 0);
-      r.fill_end = value.U64("fill_end", 0);
-      r.refactorizations = value.Int("refactorizations", 0);
-      r.ft_updates = value.Int("ft_updates", 0);
-      r.factor_fill = value.U64("factor_fill", 0);
-      r.equilibration_cond = value.Num("equil_cond", 1.0);
-      r.hot_start_attempted = value.Bool("hot_attempted", false);
-      r.hot_started = value.Bool("hot_started", false);
-      r.farkas = value.Bool("farkas", false);
-      r.solve_ms = value.Num("ms", 0.0);
-      const JsonValue* curve = value.Find("fill_curve");
-      if (curve != nullptr && curve->kind == JsonValue::Kind::kArray) {
-        for (const JsonValue& sample : curve->items) {
-          if (sample.kind == JsonValue::Kind::kArray &&
-              sample.items.size() == 2) {
-            r.fill_curve.emplace_back(
-                static_cast<int>(sample.items[0].number),
-                static_cast<uint64_t>(sample.items[1].number));
-          }
-        }
-      }
-      out->lp.push_back(std::move(r));
-    } else if (type == "node") {
-      BbNodeEvent e;
-      e.bip_id = value.U64("bip", 0);
-      e.node_id = value.Int("node", -1);
-      e.depth = value.Int("depth", 0);
-      e.action = value.Str("action");
-      e.parent_bound =
-          NumOrInf(value, "parent_bound",
-                   -std::numeric_limits<double>::infinity());
-      const JsonValue* obj = value.Find("lp_objective");
-      e.has_lp = obj != nullptr && obj->kind == JsonValue::Kind::kNumber;
-      if (e.has_lp) e.lp_objective = obj->number;
-      e.lp_iterations = value.Int("lp_iters", 0);
-      e.branch_var = value.Int("branch_var", -1);
-      e.incumbent = NumOrInf(value, "incumbent",
-                             std::numeric_limits<double>::infinity());
-      out->nodes.push_back(std::move(e));
-    } else if (type == "bip") {
-      BipSolveStats r;
-      r.id = value.U64("id", 0);
-      r.status = value.Str("status");
-      r.objective = value.Num("objective", 0.0);
-      r.vars = value.Int("vars", 0);
-      r.rows = value.Int("rows", 0);
-      r.nonzeros = value.U64("nnz", 0);
-      r.binaries = value.Int("binaries", 0);
-      r.nodes_explored = value.Int("nodes", 0);
-      r.max_depth = value.Int("max_depth", 0);
-      r.lp_iterations = value.U64("lp_iters", 0);
-      r.pruned_bound = value.U64("pruned_bound", 0);
-      r.pruned_parent = value.U64("pruned_parent", 0);
-      r.infeasible = value.U64("infeasible", 0);
-      r.incumbents = value.U64("incumbents", 0);
-      r.warm_started = value.Bool("warm_started", false);
-      r.root_hot_start_attempted = value.Bool("root_hot_attempted", false);
-      r.root_hot_started = value.Bool("root_hot_started", false);
-      r.solve_ms = value.Num("ms", 0.0);
-      out->bips.push_back(std::move(r));
-    }
-    // Unknown types are skipped: newer writers may add record kinds.
   }
-  return true;
+  return r;
 }
+
+BbNodeEvent NodeFromJson(const JsonValue& value) {
+  BbNodeEvent e;
+  e.bip_id = value.U64("bip", 0);
+  e.node_id = value.Int("node", -1);
+  e.depth = value.Int("depth", 0);
+  e.action = value.Str("action");
+  e.parent_bound = NumOrInf(value, "parent_bound",
+                            -std::numeric_limits<double>::infinity());
+  const JsonValue* obj = value.Find("lp_objective");
+  e.has_lp = obj != nullptr && obj->kind == JsonValue::Kind::kNumber;
+  if (e.has_lp) e.lp_objective = obj->number;
+  e.lp_iterations = value.Int("lp_iters", 0);
+  e.branch_var = value.Int("branch_var", -1);
+  e.incumbent =
+      NumOrInf(value, "incumbent", std::numeric_limits<double>::infinity());
+  return e;
+}
+
+BipSolveStats BipFromJson(const JsonValue& value) {
+  BipSolveStats r;
+  r.id = value.U64("id", 0);
+  r.status = value.Str("status");
+  r.objective = value.Num("objective", 0.0);
+  r.vars = value.Int("vars", 0);
+  r.rows = value.Int("rows", 0);
+  r.nonzeros = value.U64("nnz", 0);
+  r.binaries = value.Int("binaries", 0);
+  r.nodes_explored = value.Int("nodes", 0);
+  r.max_depth = value.Int("max_depth", 0);
+  r.lp_iterations = value.U64("lp_iters", 0);
+  r.pruned_bound = value.U64("pruned_bound", 0);
+  r.pruned_parent = value.U64("pruned_parent", 0);
+  r.infeasible = value.U64("infeasible", 0);
+  r.incumbents = value.U64("incumbents", 0);
+  r.warm_started = value.Bool("warm_started", false);
+  r.root_hot_start_attempted = value.Bool("root_hot_attempted", false);
+  r.root_hot_started = value.Bool("root_hot_started", false);
+  r.solve_ms = value.Num("ms", 0.0);
+  return r;
+}
+
+/// Appends FromJson(item) for every object in the array `section[key]`;
+/// a missing key reads as an empty array.
+template <typename Record>
+void ReadRecords(const JsonValue& section, const char* key,
+                 Record (*from_json)(const JsonValue&),
+                 std::vector<Record>* out) {
+  const JsonValue* items = section.Find(key);
+  if (items == nullptr || items->kind != JsonValue::Kind::kArray) return;
+  for (const JsonValue& item : items->items) {
+    if (item.kind == JsonValue::Kind::kObject) {
+      out->push_back(from_json(item));
+    }
+  }
+}
+
+}  // namespace
 
 bool ReadSolveLog(const std::string& path, SolveLogData* out,
                   std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
+  *out = SolveLogData();
+  std::string text;
+  if (!obs::ReadFile(path, &text, error)) return false;
+  JsonValue report;
+  if (!JsonParser(text).Parse(&report)) {
+    if (error != nullptr) *error = path + ": malformed JSON";
     return false;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseSolveLogJsonl(buffer.str(), out, error);
+  const JsonValue* section = report.Find("solve_log");
+  if (section == nullptr || section->kind != JsonValue::Kind::kObject) {
+    if (error != nullptr) {
+      *error = path + ": no \"solve_log\" section (not a --report-json run "
+               "report)";
+    }
+    return false;
+  }
+  out->dropped_lp = section->U64("dropped_lp", 0);
+  out->dropped_nodes = section->U64("dropped_nodes", 0);
+  out->dropped_bips = section->U64("dropped_bips", 0);
+  ReadRecords(*section, "lp", &LpFromJson, &out->lp);
+  ReadRecords(*section, "nodes", &NodeFromJson, &out->nodes);
+  ReadRecords(*section, "bips", &BipFromJson, &out->bips);
+  return true;
 }
 
 // ===========================================================================

@@ -121,8 +121,9 @@ struct BipSolveStats {
 };
 
 /// Process-wide solver-introspection sink: bounded ring buffers of
-/// LpSolveStats / BbNodeEvent / BipSolveStats records, exportable as JSONL
-/// (`nose ... --solve-log FILE`, read back by `nose explain`).
+/// LpSolveStats / BbNodeEvent / BipSolveStats records, exported as the
+/// "solve_log" section of a run report (`nose ... --report-json FILE`,
+/// read back by `nose explain FILE`).
 ///
 /// Off by default. When disabled, the instrumentation cost is one relaxed
 /// atomic load per BIP solve — nothing per LP or simplex iteration — so
@@ -174,10 +175,12 @@ class SolveLog {
   std::vector<LpSolveStats> LpRecords() const;
   std::vector<BipSolveStats> BipRecords() const;
 
-  /// JSONL export: one meta line, then one line per record in record order
-  /// ("type" ∈ meta|lp|node|bip).
-  std::string ToJsonl() const;
-  bool WriteJsonl(const std::string& path, std::string* error = nullptr) const;
+  /// The run report's "solve_log" section: the ring buffers' drop counts,
+  /// then every record in record order, one array per kind
+  /// ("type" ∈ lp|node|bip inside each record):
+  ///   {"dropped_lp":n,"dropped_nodes":n,"dropped_bips":n,
+  ///    "lp":[...],"nodes":[...],"bips":[...]}
+  std::string ToJson() const;
 
   /// Canonical timing-free digest: every record rendered without wall-clock
   /// fields or global ids, lines sorted. Bitwise-identical across runs at
@@ -202,7 +205,7 @@ class SolveLog {
   std::deque<BipSolveStats> bip_records_;
 };
 
-/// A parsed solve log (the output of ReadSolveLog / ParseSolveLogJsonl).
+/// A parsed solve log (the output of ReadSolveLog).
 struct SolveLogData {
   std::vector<LpSolveStats> lp;
   std::vector<BbNodeEvent> nodes;
@@ -212,14 +215,13 @@ struct SolveLogData {
   uint64_t dropped_bips = 0;
 };
 
-/// Parses a JSONL solve log. Unknown line types and unknown fields are
-/// skipped (forward compatibility); a malformed line fails the parse.
-bool ParseSolveLogJsonl(const std::string& text, SolveLogData* out,
-                        std::string* error = nullptr);
+/// Reads the "solve_log" section of the run report at `path`. Unknown
+/// fields are skipped (forward compatibility); malformed JSON or a file
+/// without the section fails the read with a message in *error.
 bool ReadSolveLog(const std::string& path, SolveLogData* out,
                   std::string* error = nullptr);
 
-/// Renders the human-readable diagnosis `nose explain <solve-log>` prints:
+/// Renders the human-readable diagnosis `nose explain REPORT` prints:
 /// B&B tree summary, prune-reason breakdown, hot-start hits, the top LP
 /// time sinks, per-phase/per-context time attribution, and the fill-growth
 /// curve of the slowest solve. Deterministic given the log contents.

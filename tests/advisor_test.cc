@@ -200,6 +200,8 @@ TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {
   // "small" weights a strict subset of the default mix's statements, so
   // AdviseAllMixes serves it by projecting the default group's plan spaces
   // (the cross-group sharing path) — which must not change the output.
+  // "small" is requested first: the larger set is still advised first, and
+  // the results come back in the requested order.
   auto graph = MakeHotelGraph();
   Workload workload(graph.get());
   ASSERT_TRUE(workload.AddQuery("guests_by_city", MakeFig3Query(*graph), 2.0)
@@ -209,11 +211,13 @@ TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {
   ASSERT_TRUE(workload.SetWeight("guests_by_city", "small", 1.0).ok());
 
   Advisor advisor(Verified());
-  auto all = advisor.AdviseAllMixes(workload, {"default", "small"});
+  auto all = advisor.AdviseAllMixes(workload, {"small", "default"});
   ASSERT_TRUE(all.ok()) << all.status();
   ASSERT_EQ(all->size(), 2u);
-  EXPECT_EQ((*all)[0].second.reuse, PoolReuse::kCold);
-  EXPECT_EQ((*all)[1].second.reuse, PoolReuse::kSeeded);
+  EXPECT_EQ((*all)[0].first, "small");
+  EXPECT_EQ((*all)[0].second.reuse, PoolReuse::kSeeded);
+  EXPECT_EQ((*all)[1].first, "default");
+  EXPECT_EQ((*all)[1].second.reuse, PoolReuse::kCold);
   for (const auto& [mix, rec] : *all) {
     auto solo = advisor.Recommend(workload, mix);
     ASSERT_TRUE(solo.ok()) << mix << ": " << solo.status();

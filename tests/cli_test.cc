@@ -1,6 +1,7 @@
-// End-to-end tests of the `nose` binary: exit codes, the telemetry files
-// every run command writes (trace, metrics, solve log, run report), the
-// run-report key layout of advise/check/evolve/serve, the serve digest's
+// End-to-end tests of the `nose` binary: exit codes, the two telemetry
+// files every run command writes (trace and run report, whose solve log
+// `nose explain` reads), the run-report key layout of
+// advise/check/evolve/serve, the serve digest's
 // thread-count independence, and rejection of malformed numeric flags.
 // Every command runs from the source root so workload paths in reports
 // read as they do in the docs. No assertion depends on timing.
@@ -150,6 +151,10 @@ TEST(CliTest, UnknownFlagExitsTwo) {
   EXPECT_EQ(Nose("evolve " + kScenario + " --report r.json").exit_code, 2);
   // The BIP is the only selection solver; there is no solver choice.
   EXPECT_EQ(Nose("advise " + kHotel + " --strategy bip").exit_code, 2);
+  // Metrics and the solve log are sections of the run report, not files.
+  EXPECT_EQ(Nose("advise " + kHotel + " --metrics m.json").exit_code, 2);
+  EXPECT_EQ(Nose("advise " + kHotel + " --metrics-format json").exit_code, 2);
+  EXPECT_EQ(Nose("advise " + kHotel + " --solve-log s.jsonl").exit_code, 2);
   EXPECT_EQ(Nose("frobnicate").exit_code, 2);
 }
 
@@ -170,29 +175,29 @@ TEST(CliTest, EveryRunCommandWritesItsTelemetry) {
   for (const auto& [name, run] : runs) {
     SCOPED_TRACE(name);
     const std::string trace = dir + "/" + name + ".trace.json";
-    const std::string metrics = dir + "/" + name + ".metrics.json";
-    const std::string solve_log = dir + "/" + name + ".slog";
-    ASSERT_EQ(Nose(run + " --trace " + trace + " --metrics " + metrics +
-                   " --solve-log " + solve_log)
-                  .exit_code,
-              0);
+    const std::string report = dir + "/" + name + ".report.json";
+    ASSERT_EQ(
+        Nose(run + " --trace " + trace + " --report-json " + report).exit_code,
+        0);
     EXPECT_NE(ReadFile(trace).find("\"traceEvents\""), std::string::npos);
-    EXPECT_EQ(ReadFile(metrics).rfind('{', 0), 0u);
-    EXPECT_FALSE(ReadFile(solve_log).empty());
-    const RunResult explain = Nose("explain " + solve_log);
+    const std::string solve_log = Value(ReadFile(report), "solve_log");
+    EXPECT_EQ(solve_log.rfind("{\"dropped_lp\":0,", 0), 0u) << solve_log;
+    const RunResult explain = Nose("explain " + report);
     EXPECT_EQ(explain.exit_code, 0);
     EXPECT_FALSE(explain.output.empty());
   }
 }
 
-TEST(CliTest, PromMetricsFormat) {
+TEST(CliTest, ExplainNeedsARunReport) {
   const std::string dir = ScratchDir();
-  ASSERT_EQ(Nose("advise " + kHotel + " --metrics " + dir +
-                 "/m.prom --metrics-format prom")
-                .exit_code,
-            0);
-  EXPECT_NE(ReadFile(dir + "/m.prom").find("# EOF"), std::string::npos);
-  EXPECT_EQ(Nose("advise " + kHotel + " --metrics-format xml").exit_code, 2);
+  std::ofstream(dir + "/trace.json") << "{\"traceEvents\":[]}\n";
+  for (const std::string& path : {dir + "/trace.json", dir + "/none.json"}) {
+    const RunResult r = Nose("explain " + path, /*with_stderr=*/true);
+    EXPECT_EQ(r.exit_code, 1) << path;
+    EXPECT_EQ(r.output.rfind("error: ", 0), 0u) << r.output;
+    EXPECT_EQ(Count(r.output, "\n"), 1u) << r.output;
+  }
+  EXPECT_EQ(Nose("explain").exit_code, 2);
 }
 
 TEST(CliTest, ReportJsonKeysPerCommand) {
@@ -218,17 +223,17 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
   using Names = std::vector<std::string>;
   EXPECT_EQ(Keys(advise),
             (Names{"report_version", "command", "model", "workload", "phases",
-                   "digest", "metrics"}));
+                   "digest", "solve_log", "metrics"}));
   EXPECT_EQ(Keys(check),
             (Names{"report_version", "command", "instance", "errors",
-                   "warnings", "phases", "digest", "metrics"}));
+                   "warnings", "phases", "digest", "solve_log", "metrics"}));
   EXPECT_EQ(Keys(evolve),
             (Names{"report_version", "command", "scenario", "mode",
                    "transactions", "statements", "re_advises_incremental",
                    "re_advises_cold", "no_op_readvises", "last_drift",
                    "migrations", "invariant_violations", "forecast_residual",
                    "realized_store_ms", "phases", "migration_records",
-                   "metrics"}));
+                   "solve_log", "metrics"}));
   EXPECT_EQ(Keys(serve),
             (Names{"report_version", "command", "scenario", "threads",
                    "streams", "transactions", "statements", "migrations",
@@ -237,7 +242,7 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
                    "p50_after_ms", "p95_after_ms", "p99_after_ms", "advises",
                    "advise_deadline_misses", "migration_rows_dropped",
                    "migration_verify_retries", "realized_store_ms", "phases",
-                   "digest", "metrics"}));
+                   "digest", "solve_log", "metrics"}));
 
   // check and advise share one phase list.
   EXPECT_EQ(Keys(Value(check, "phases")),

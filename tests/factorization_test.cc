@@ -740,7 +740,6 @@ TEST(EngineParityTest, CertificateDualsVerify) {
 
     SolveCertificate cert;
     BipOptions options;
-    options.relative_gap = 0.0;
     options.capture_certificate = &cert;
     const BipResult result = SolveBip(lp, binaries, options);
     ASSERT_EQ(result.status, BipStatus::kOptimal) << "seed " << seed;
@@ -760,7 +759,6 @@ TEST(BipDeterminismTest, ResultsBitwiseIdenticalAcrossThreadCounts) {
     LpProblem lp = MakeRandomCover(&rng, &binaries);
 
     BipOptions options;
-    options.relative_gap = 0.0;
     const BipResult serial = SolveBip(lp, binaries, options);
 
     for (const size_t nthreads : {size_t{1}, size_t{2}, size_t{8}}) {

@@ -90,7 +90,7 @@ TEST(HorizonTest, MigrationCostWeightGatesTransitions) {
 
   // Near-free migrations: every window gets its myopic optimum, and since
   // the bidding- and browsing-optimal schemas differ, the plan migrates.
-  HorizonPlanOptions cheap;
+  HorizonOptions cheap;
   cheap.migration_cost_weight = 1e-9;
   auto adaptive = advisor.PlanHorizon(
       *f.workload, MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}), cheap);
@@ -116,7 +116,7 @@ TEST(HorizonTest, MigrationCostWeightGatesTransitions) {
   // (drops stay free, per the shared MigrationPlanner pricing, so the
   // later window may still shed column families it stops using). Every
   // window-1 column family must already exist in window 0.
-  HorizonPlanOptions pinned;
+  HorizonOptions pinned;
   pinned.migration_cost_weight = 1e12;
   auto constant = advisor.PlanHorizon(
       *f.workload, MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}), pinned);
@@ -141,7 +141,7 @@ TEST(HorizonTest, TransitionPricingMatchesSharedBuildCost) {
   RubisFixture f = MakeRubis();
   Advisor advisor;
 
-  HorizonPlanOptions options;
+  HorizonOptions options;
   options.migration_cost_weight = 1e-9;  // force per-window adaptation
   auto plan = advisor.PlanHorizon(
       *f.workload, MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}),

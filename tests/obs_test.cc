@@ -2,7 +2,7 @@
 // capture and Chrome trace_event export, the metrics registry's counters /
 // gauges / histograms and their JSON snapshot, and the interaction with the
 // worker pool (spans recorded inside pool tasks land on named worker lanes),
-// and the run report's JSON assembly.
+// the run report's JSON assembly, and the one file reader/writer.
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/file.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -188,11 +189,6 @@ TEST(MetricsTest, JsonSnapshotIsWellFormedAndFinite) {
   EXPECT_NE(json.find("\"obs_test.json_counter\":7"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
-
-  const std::string path = ::testing::TempDir() + "obs_test_metrics.json";
-  std::string error;
-  ASSERT_TRUE(reg.WriteJson(path, &error)) << error;
-  std::remove(path.c_str());
 }
 
 TEST(MetricsTest, HistogramQuantiles) {
@@ -233,36 +229,6 @@ TEST(MetricsTest, JsonSnapshotCarriesQuantiles) {
   EXPECT_NE(json.find("\"p50\"", at), std::string::npos);
   EXPECT_NE(json.find("\"p95\"", at), std::string::npos);
   EXPECT_NE(json.find("\"p99\"", at), std::string::npos);
-}
-
-TEST(MetricsTest, OpenMetricsExposition) {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("obs_test.om_counter").Add(3);
-  reg.GetGauge("obs_test.om_gauge").Set(2.5);
-  obs::Histogram& h = reg.GetHistogram("obs_test.om_histogram");
-  h.Reset();
-  h.Observe(1.0);
-  h.Observe(10.0);
-
-  const std::string text = reg.ToOpenMetrics();
-  // Names are sanitized (dots are not legal in OpenMetrics names),
-  // counters get the _total suffix, histograms expose cumulative buckets.
-  EXPECT_NE(text.find("obs_test_om_counter_total 3"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_om_gauge 2.5"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_om_histogram_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("obs_test_om_histogram_count 2"), std::string::npos);
-  EXPECT_NE(text.find("obs_test_om_histogram_sum 11"), std::string::npos);
-  EXPECT_EQ(text.find("obs_test.om"), std::string::npos);  // dots sanitized
-  // The exposition must terminate with the EOF marker, final newline
-  // included.
-  ASSERT_GE(text.size(), 6u);
-  EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-
-  const std::string path = ::testing::TempDir() + "obs_test_metrics.prom";
-  std::string error;
-  ASSERT_TRUE(reg.WriteOpenMetrics(path, &error)) << error;
-  std::remove(path.c_str());
 }
 
 TEST(TraceTest, FlushPartialWritesValidJsonMidRecording) {
@@ -314,6 +280,30 @@ TEST(ReportTest, SectionsFollowPhasesInInsertionOrder) {
             "{\"report_version\":1,\"command\":\"demo\",\"name\":\"x\","
             "\"phases\":{\"solve_seconds\":0.5},\"digest\":[1],"
             "\"solver\":{}}");
+}
+
+TEST(FileTest, WriteThenReadIsByteExact) {
+  const std::string path = ::testing::TempDir() + "obs_test_file.bin";
+  const std::string bytes("line\r\n\0tail", 11);
+  std::string error;
+  ASSERT_TRUE(obs::WriteFile(path, bytes, &error)) << error;
+  std::string read;
+  ASSERT_TRUE(obs::ReadFile(path, &read, &error)) << error;
+  EXPECT_EQ(read, bytes);
+  // A rewrite replaces the old contents instead of appending to them.
+  ASSERT_TRUE(obs::WriteFile(path, "x", &error)) << error;
+  ASSERT_TRUE(obs::ReadFile(path, &read, &error)) << error;
+  EXPECT_EQ(read, "x");
+  std::remove(path.c_str());
+
+  // Failures report instead of succeeding silently.
+  error.clear();
+  EXPECT_FALSE(obs::ReadFile(path, &read, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_FALSE(obs::ReadFile(::testing::TempDir(), &read, &error));
+  error.clear();
+  EXPECT_FALSE(obs::WriteFile("/nonexistent-dir/f.json", "{}", &error));
+  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

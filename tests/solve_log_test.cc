@@ -3,21 +3,22 @@
 // the production contract — the log records the search the advisor runs
 // without it, one record per LP solve — on hotel (a one-node search) and
 // RUBiS `default` (a branching one, whose batches hold several nodes).
-// Plus disabled-by-default behaviour, JSONL round-tripping, ring-buffer
-// semantics, and a golden test of the `nose explain` renderer against the
-// bundled solve log under tests/data/.
+// Plus disabled-by-default behaviour, round-tripping through a run report's
+// "solve_log" section, ring-buffer semantics, and a golden test of the
+// `nose explain` renderer against the bundled run report under tests/data/.
 
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "obs/file.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "parser/model_parser.h"
 #include "parser/workload_parser.h"
 #include "rubis/model.h"
@@ -179,7 +180,7 @@ TEST(SolveLogTest, FingerprintIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SolveLogTest, JsonlRoundTrip) {
+TEST(SolveLogTest, ReportSectionRoundTrip) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
   log.Enable();
@@ -190,9 +191,14 @@ TEST(SolveLogTest, JsonlRoundTrip) {
   ASSERT_FALSE(lps.empty());
   ASSERT_FALSE(bips.empty());
 
-  SolveLogData parsed;
+  obs::RunReport report("advise");
+  report.AddSection("solve_log", log.ToJson());
+  const std::string path = ::testing::TempDir() + "solve_log_report.json";
   std::string error;
-  ASSERT_TRUE(ParseSolveLogJsonl(log.ToJsonl(), &parsed, &error)) << error;
+  ASSERT_TRUE(report.WriteJson(path, &error)) << error;
+  SolveLogData parsed;
+  ASSERT_TRUE(ReadSolveLog(path, &parsed, &error)) << error;
+  std::remove(path.c_str());
   ASSERT_EQ(parsed.lp.size(), lps.size());
   ASSERT_EQ(parsed.nodes.size(), log.node_event_count());
   ASSERT_EQ(parsed.bips.size(), bips.size());
@@ -258,26 +264,27 @@ TEST(SolveLogTest, LpRecordsCarryBipContext) {
   }
 }
 
-// The golden pair under tests/data/ was produced by:
+// The golden pair under tests/data/ comes from one hotel advise:
 //   nose advise --model workloads/hotel.model
-//     --workload workloads/hotel.workload
-//     --solve-log tests/data/explain_golden.slog
-//   nose explain tests/data/explain_golden.slog > tests/data/explain_golden.txt
-// ExplainSolveLog is a pure function of the log contents, so the rendered
+//     --workload workloads/hotel.workload --report-json REPORT
+//   nose explain REPORT > tests/data/explain_golden.txt
+// explain_golden.json is a run report whose "solve_log" section holds that
+// run's records verbatim (captured when the solve log was a JSONL file of
+// its own, and converted once; the text was rendered from the JSONL).
+// ExplainSolveLog is a pure function of the records, so the rendered
 // report must reproduce the golden text byte for byte.
 TEST(SolveLogTest, ExplainGolden) {
   const std::string dir = NOSE_TEST_DATA_DIR;
   SolveLogData data;
   std::string error;
-  ASSERT_TRUE(ReadSolveLog(dir + "/explain_golden.slog", &data, &error))
+  ASSERT_TRUE(ReadSolveLog(dir + "/explain_golden.json", &data, &error))
       << error;
-  std::ifstream golden_file(dir + "/explain_golden.txt");
-  ASSERT_TRUE(golden_file.is_open());
-  std::ostringstream golden;
-  golden << golden_file.rdbuf();
+  std::string golden;
+  ASSERT_TRUE(obs::ReadFile(dir + "/explain_golden.txt", &golden, &error))
+      << error;
 
   const std::string rendered = ExplainSolveLog(data);
-  EXPECT_EQ(rendered, golden.str());
+  EXPECT_EQ(rendered, golden);
   // The diagnosis the log exists for: fill growth and time attribution.
   EXPECT_NE(rendered.find("fill growth"), std::string::npos);
   EXPECT_NE(rendered.find("time attribution"), std::string::npos);

@@ -93,27 +93,12 @@ TEST(LpDeadlineTest, DeadlineReturnsIterationLimit) {
   EXPECT_EQ(r.status, LpStatus::kIterationLimit);
 }
 
-TEST(BipGapTest, LooseGapAcceptsNearOptimal) {
-  // Two alternatives with a 0.5% cost difference: a 1% relative gap may
-  // stop at either; the result must be within the gap of the optimum.
-  LpProblem lp;
-  int a = lp.AddVariable(0.0, 1.0, 100.0);
-  int b = lp.AddVariable(0.0, 1.0, 100.5);
-  lp.AddRow(RowType::kEq, 1.0, {{a, 1.0}, {b, 1.0}});
-  BipOptions options;
-  options.relative_gap = 0.01;
-  BipResult r = SolveBip(lp, {a, b}, options);
-  ASSERT_EQ(r.status, BipStatus::kOptimal);
-  EXPECT_LE(r.objective, 100.0 * 1.01);
-}
-
 TEST(BipGapTest, TightGapFindsExactOptimum) {
   LpProblem lp;
   int a = lp.AddVariable(0.0, 1.0, 100.0);
   int b = lp.AddVariable(0.0, 1.0, 100.5);
   lp.AddRow(RowType::kEq, 1.0, {{a, 1.0}, {b, 1.0}});
   BipOptions options;
-  options.relative_gap = 0.0;
   BipResult r = SolveBip(lp, {a, b}, options);
   ASSERT_EQ(r.status, BipStatus::kOptimal);
   EXPECT_NEAR(r.objective, 100.0, 1e-6);
@@ -208,7 +193,6 @@ TEST(BipBruteForcePropertyTest, BitwiseMatchesBruteForce) {
 
     BipOptions options;
     options.absolute_gap = 0.0;
-    options.relative_gap = 0.0;
     const BipResult got = SolveBip(lp, binaries, options);
     if (ref.feasible) {
       ASSERT_EQ(got.status, BipStatus::kOptimal) << "seed " << seed;

@@ -324,7 +324,6 @@ TEST(BipTest, RandomCoversMatchBruteForce) {
 
     BipOptions options;
     options.absolute_gap = 0.0;
-    options.relative_gap = 0.0;
     const BipResult bip = SolveBip(lp, binaries, options);
     const ReferenceBipResult ref = ReferenceBipMinimize(lp);
 
@@ -393,18 +392,15 @@ TEST(BasisHotStartTest, RandomCoverRootBasisReplaysAcrossCostChanges) {
 
     LpBasis root;
     BipOptions capture;
-    capture.relative_gap = 0.0;
     capture.capture_root_basis = &root;
     BipResult first = SolveBip(lp, binaries, capture);
     if (first.status != BipStatus::kOptimal || root.empty()) continue;
 
     for (int v : binaries) lp.SetCost(v, lp.cost(v) + 0.25);
     BipOptions hot;
-    hot.relative_gap = 0.0;
     hot.root_basis = &root;
     BipResult warm = SolveBip(lp, binaries, hot);
     BipOptions cold_opts;
-    cold_opts.relative_gap = 0.0;
     BipResult cold = SolveBip(lp, binaries, cold_opts);
     ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
     if (warm.status == BipStatus::kOptimal) {
