@@ -2,12 +2,16 @@
 // relaxation, key/value splits, Combine).
 //
 // Two subjects:
-//  - RUBiS bidding: simple per-page queries — full materialized views win
-//    regardless, so the features barely move the optimum (an honest
-//    negative result).
-//  - Hotel with an update-heavy range query (the paper's Fig. 6 setting):
-//    relaxation/splits enable the cheap-to-maintain normalized plans, so
-//    disabling them measurably raises the optimal workload cost.
+//  - RUBiS bidding: simple per-page queries, where full materialized views
+//    win regardless.
+//  - Hotel with an update-heavy range query (the paper's Fig. 6 setting).
+// On both, no toggle changes the optimal workload cost (hotel 4.3500 and
+// RUBiS 0.5499 in every row of bench_results/ablation_enum.txt): the
+// always-generated decomposition-split candidates cover the plans the
+// features would add, so here they only trade pool size against advisor
+// runtime. Where the features do raise the optimum — random workloads and
+// the Fig. 13 scales — see the enumeration-ablation measurement in
+// ROADMAP.md.
 
 //   ablation_enumeration [--json FILE]
 //

@@ -4,10 +4,9 @@
 // workload: after a first advise on the bidding mix, an AdvisingSession
 // re-advising a drifted mix over the same statement set reuses the
 // interned candidate pool, the cached plan spaces and the root-LP basis —
-// against a cold Advisor::Recommend on the same mix. A browsing re-advise
-// (a subset of bidding's statements, so seeded from the bidding group)
-// is checked the same way. Reused and cold paths must produce
-// byte-identical recommendations; the benchmark aborts otherwise.
+// against a cold Advisor::Recommend on the same mix. The reused and cold
+// paths must produce byte-identical recommendations; the benchmark aborts
+// otherwise.
 //
 // Part 2 replays the bundled Bidding -> Browsing drift scenario through the
 // EvolveController and reports re-advise latency and migration cost
@@ -92,26 +91,11 @@ int Main(int argc, char** argv) {
                  "FATAL: incremental and cold recommendations differ\n");
     return 1;
   }
-  // Browsing weights a subset of bidding's statements: the session seeds
-  // its plan spaces from the bidding group. That path must match cold too.
-  auto seeded = session.Advise(workload, rubis::kBrowsingMix);
-  if (!seeded.ok()) bench::RubisBench::Die("advise browsing", seeded.status());
-  auto cold_browsing = cold_advisor.Recommend(workload, rubis::kBrowsingMix);
-  if (!cold_browsing.ok()) {
-    bench::RubisBench::Die("advise browsing cold", cold_browsing.status());
-  }
-  if (seeded->reuse != PoolReuse::kSeeded ||
-      seeded->ToString() != cold_browsing->ToString()) {
-    std::fprintf(stderr,
-                 "FATAL: seeded browsing re-advise differs from cold\n");
-    return 1;
-  }
   std::printf("re-advise drift50 (equal recommendations):\n");
   std::printf("  incremental: %8.1f ms (pool+spaces+basis reused)\n",
               warm_ms);
   std::printf("  cold:        %8.1f ms\n", cold_ms);
   std::printf("  speedup:     %8.2fx\n", warm_ms > 0.0 ? cold_ms / warm_ms : 0.0);
-  std::printf("re-advise browsing seeded from bidding: equal to cold\n");
   json.Instance("readvise")
       .Metric("warm_ms", warm_ms)
       .Metric("cold_ms", cold_ms)

@@ -37,6 +37,7 @@
 #include "solver/bip.h"
 #include "solver/lp.h"
 #include "solver/solve_log.h"
+#include "tests/reference_lp.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"

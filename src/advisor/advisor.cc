@@ -6,7 +6,6 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <set>
 #include <utility>
 
@@ -55,23 +54,12 @@ Advisor::AdviseAllMixes(const Workload& workload,
   if (mixes.empty()) {
     return Status::InvalidArgument("workload declares no mixes");
   }
-  // Larger statement sets first (ties by name), so a mix whose statements
-  // a larger mix contains is seeded from that mix's group, not enumerated
-  // cold. Results stay in `mixes` order.
-  std::vector<size_t> sizes, order(mixes.size());
-  for (const std::string& mix : mixes) {
-    sizes.push_back(workload.EntriesIn(mix).size());
-  }
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return sizes[a] != sizes[b] ? sizes[a] > sizes[b] : mixes[a] < mixes[b];
-  });
   AdvisingSession session(options_);
-  std::vector<std::pair<std::string, Recommendation>> out(mixes.size());
-  for (size_t i : order) {
-    NOSE_ASSIGN_OR_RETURN(Recommendation rec,
-                          session.Advise(workload, mixes[i]));
-    out[i] = {mixes[i], std::move(rec)};
+  std::vector<std::pair<std::string, Recommendation>> out;
+  out.reserve(mixes.size());
+  for (const std::string& mix : mixes) {
+    NOSE_ASSIGN_OR_RETURN(Recommendation rec, session.Advise(workload, mix));
+    out.emplace_back(mix, std::move(rec));
   }
   return out;
 }
@@ -233,19 +221,17 @@ StatusOr<Recommendation> Advisor::RecommendImpl(
   // phases use their own stopwatches, so rounding can push the remainder a
   // hair below zero — clamp it, and insist the decomposition still accounts
   // for the total.
-  rec.timing.other_seconds = std::max(
-      0.0, rec.timing.total_seconds - rec.timing.cost_calculation_seconds -
-               rec.timing.bip_construction_seconds -
-               rec.timing.bip_solve_seconds);
+  const double measured = rec.timing.enumeration_seconds +
+                          rec.timing.cost_calculation_seconds +
+                          rec.timing.bip_construction_seconds +
+                          rec.timing.bip_solve_seconds;
+  rec.timing.other_seconds = std::max(0.0, rec.timing.total_seconds - measured);
   // The decomposition should still account for the total; a large residual
   // means a phase stopwatch is missing or double-counting time. Report it
   // as a gauge plus a diagnostic instead of aborting — a loaded machine can
   // legitimately skew the independent clock reads.
-  const double residual =
-      std::abs(rec.timing.cost_calculation_seconds +
-               rec.timing.bip_construction_seconds +
-               rec.timing.bip_solve_seconds + rec.timing.other_seconds -
-               rec.timing.total_seconds);
+  const double residual = std::abs(measured + rec.timing.other_seconds -
+                                   rec.timing.total_seconds);
   static obs::Gauge& residual_gauge = obs::MetricsRegistry::Global().GetGauge(
       "advisor.timing_residual_seconds");
   residual_gauge.Set(residual);

@@ -47,7 +47,7 @@ struct AdvisorOptions {
 
 /// Full advisor timing breakdown (Fig. 13's categories).
 struct AdvisorTiming {
-  double enumeration_seconds = 0.0;  ///< counted under "other" in Fig. 13
+  double enumeration_seconds = 0.0;
   double cost_calculation_seconds = 0.0;
   double bip_construction_seconds = 0.0;
   /// The two BIP stages (paper §V): minimum workload cost, then minimum
@@ -56,6 +56,8 @@ struct AdvisorTiming {
   double size_solve_seconds = 0.0;
   /// Exactly cost_solve_seconds + size_solve_seconds.
   double bip_solve_seconds = 0.0;
+  /// What the other phases leave of the total: enumeration + cost + build
+  /// + solve + other = total.
   double other_seconds = 0.0;
   double total_seconds = 0.0;
 };
@@ -65,7 +67,6 @@ struct AdvisorTiming {
 enum class PoolReuse {
   kCold,            ///< enumerated and planned from scratch
   kSameStatements,  ///< a group with the same statement set, reused verbatim
-  kSeeded,          ///< enumerated; plan spaces projected from a superset
 };
 
 /// The advisor's output: a schema, one implementation plan per statement,
@@ -102,7 +103,7 @@ struct Recommendation {
   int bb_nodes = 0;
   AdvisorTiming timing;
   /// Always kCold from Advisor::Recommend; AdvisingSession reports the
-  /// group it reused. Anything but kCold is an incremental re-advise.
+  /// group it reused. kSameStatements is an incremental re-advise.
   PoolReuse reuse = PoolReuse::kCold;
 
   /// Findings attached while advising: the NOSE-W006 timing-residual check,
@@ -170,11 +171,10 @@ class Advisor {
 
   /// Recommends a schema for every mix (all of the workload's mixes when
   /// `mixes` is empty) through one AdvisingSession, so mixes sharing a
-  /// statement set pay for enumeration and planning once. Mixes are
-  /// advised in descending statement-set size (ties by name), so a subset
-  /// mix is seeded from its superset's group. Every recommendation is
-  /// byte-identical to what Recommend(workload, mix) returns — including
-  /// at every thread count. Results are in `mixes` order.
+  /// statement set pay for enumeration and planning once. Every
+  /// recommendation is byte-identical to what Recommend(workload, mix)
+  /// returns — including at every thread count. Results are in `mixes`
+  /// order.
   StatusOr<std::vector<std::pair<std::string, Recommendation>>> AdviseAllMixes(
       const Workload& workload, std::vector<std::string> mixes = {}) const;
 

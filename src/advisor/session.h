@@ -15,13 +15,10 @@ namespace nose {
 /// The session keeps every statement-set group it has advised: the
 /// interned candidate pool plus its PlanSpaceCache, which also carries the
 /// group's last root-LP basis for a hot start. Enumeration and planning do
-/// not depend on weights, so
-///   * a mix whose statement set matches a group reuses that group
-///     verbatim (PoolReuse::kSameStatements);
-///   * a mix whose set is contained in a group's set enumerates its own
-///     pool but projects that group's plan spaces onto it instead of
-///     rebuilding them (PoolReuse::kSeeded; Browsing ⊆ Bidding);
-///   * any other mix enumerates and plans from scratch (PoolReuse::kCold).
+/// not depend on weights, so a mix whose statement set matches a group
+/// reuses that group verbatim (PoolReuse::kSameStatements); any other mix
+/// enumerates and plans from scratch (PoolReuse::kCold), even when a
+/// group's set contains its own (Browsing ⊆ Bidding).
 /// Each new statement set becomes a group. Every result is byte-identical
 /// to Advisor::Recommend(workload, mix, deadline_seconds) on the same
 /// options: the previous incumbent is deliberately not seeded (see

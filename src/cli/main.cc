@@ -394,10 +394,6 @@ int RunEvolve(const Args& args, const Telemetry& telemetry) {
   run_report.AddNumber("last_drift", report.last_drift);
   run_report.AddNumber("migrations", report.migrations.size());
   run_report.AddNumber("invariant_violations", report.invariant_violations);
-  // The tracker's one-step-ahead forecast error: the re-planning trigger
-  // signal, surfaced here so planned-mode runs can be judged on it.
-  run_report.AddNumber("forecast_residual",
-                       (*runner)->controller().tracker().forecast_residual());
   run_report.AddNumber("realized_store_ms",
                        (*runner)->controller().store()->stats().simulated_ms);
   if (plan != nullptr) {

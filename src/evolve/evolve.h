@@ -154,7 +154,6 @@ class EvolveController {
 
   bool migration_in_progress() const { return migration_ != nullptr; }
   const EvolveReport& report() const { return report_; }
-  const WorkloadTracker& tracker() const { return tracker_; }
 
   /// Active-generation internals, exposed for tests and benchmarks.
   const Recommendation& active_rec() const { return active_->rec; }

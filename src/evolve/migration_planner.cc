@@ -1,7 +1,6 @@
 #include "evolve/migration_planner.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "optimizer/horizon.h"
 
@@ -39,69 +38,18 @@ MigrationPlan PlanMigration(const Schema& old_schema, const Schema& new_schema,
 
   for (size_t i : plan.build_indices) {
     const ColumnFamily& cf = new_schema.column_families()[i];
-    MigrationStep step;
-    step.kind = MigrationStepKind::kBuild;
-    step.cf_name = new_schema.names()[i];
-    step.schema_index = i;
-    step.est_rows = cf.EntryCount();
-    step.est_bytes = cf.SizeBytes();
+    plan.est_build_rows += cf.EntryCount();
+    plan.est_build_bytes += cf.SizeBytes();
     // Shared pricing with the horizon optimizer's transition variables: a
     // planned schedule's migration charges match what executing this plan
     // will actually cost.
-    step.est_cost_ms = BuildCostMs(cf, cost);
-    plan.est_build_rows += step.est_rows;
-    plan.est_build_bytes += step.est_bytes;
-    plan.est_build_cost_ms += step.est_cost_ms;
+    plan.est_build_cost_ms += BuildCostMs(cf, cost);
     plan.est_dual_write_cost_ms += DualWriteCostMs(cf, cost, traffic);
-    plan.steps.push_back(std::move(step));
   }
-  if (!plan.empty()) {
-    plan.steps.push_back({MigrationStepKind::kCatchUp, "", 0, 0, 0, 0});
-    plan.steps.push_back({MigrationStepKind::kDualWrite, "", 0, 0, 0,
-                          plan.est_dual_write_cost_ms});
-    plan.steps.push_back({MigrationStepKind::kVerify, "", 0, 0, 0, 0});
-    plan.steps.push_back({MigrationStepKind::kCutover, "", 0, 0, 0, 0});
-    for (const std::string& name : plan.drop_names) {
-      const double drop_ms = DropCostMs(cost);
-      plan.est_drop_cost_ms += drop_ms;
-      plan.steps.push_back({MigrationStepKind::kDrop, name, 0, 0, 0, drop_ms});
-    }
+  for (size_t i = 0; i < plan.drop_names.size(); ++i) {
+    plan.est_drop_cost_ms += DropCostMs(cost);
   }
   return plan;
-}
-
-std::string MigrationPlan::ToString() const {
-  std::ostringstream out;
-  out << "migration: " << build_indices.size() << " build, "
-      << keep_names.size() << " keep, " << drop_names.size() << " drop; est "
-      << est_build_rows << " rows / " << est_build_bytes << " bytes / "
-      << est_build_cost_ms << " build + " << est_drop_cost_ms << " drop + "
-      << est_dual_write_cost_ms << " dual-write ms\n";
-  for (const MigrationStep& step : steps) {
-    switch (step.kind) {
-      case MigrationStepKind::kBuild:
-        out << "  build " << step.cf_name << " (" << step.est_rows
-            << " rows, " << step.est_bytes << " bytes, " << step.est_cost_ms
-            << " ms)\n";
-        break;
-      case MigrationStepKind::kCatchUp:
-        out << "  catch-up\n";
-        break;
-      case MigrationStepKind::kDualWrite:
-        out << "  dual-write\n";
-        break;
-      case MigrationStepKind::kVerify:
-        out << "  verify\n";
-        break;
-      case MigrationStepKind::kCutover:
-        out << "  cutover\n";
-        break;
-      case MigrationStepKind::kDrop:
-        out << "  drop " << step.cf_name << "\n";
-        break;
-    }
-  }
-  return out.str();
 }
 
 }  // namespace nose::evolve

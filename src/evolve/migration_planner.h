@@ -10,26 +10,6 @@
 
 namespace nose::evolve {
 
-enum class MigrationStepKind {
-  kBuild,     ///< backfill one new column family
-  kCatchUp,   ///< replay the update log into the new column families
-  kDualWrite, ///< apply updates to both generations
-  kVerify,    ///< compare sampled query results old vs. new
-  kCutover,   ///< switch the active generation
-  kDrop,      ///< drop one superseded column family
-};
-
-struct MigrationStep {
-  MigrationStepKind kind = MigrationStepKind::kBuild;
-  /// Store name of the column family (kBuild/kDrop steps only).
-  std::string cf_name;
-  /// Index into the new schema (kBuild steps only).
-  size_t schema_index = 0;
-  double est_rows = 0.0;
-  double est_bytes = 0.0;
-  double est_cost_ms = 0.0;
-};
-
 /// Diff of two named schemas turned into an ordered migration: build every
 /// new-only column family (smallest first, so early steps finish fast and
 /// a failed migration wastes the least data movement), catch up from the
@@ -39,7 +19,6 @@ struct MigrationStep {
 /// post-cutover drops, and the new generation only becomes active once all
 /// builds completed and verified.
 struct MigrationPlan {
-  std::vector<MigrationStep> steps;
   /// Store names of column families present in both schemas, as named by
   /// the NEW schema. The controller names kept families after their live
   /// store column family, so these are also the old names.
@@ -51,14 +30,13 @@ struct MigrationPlan {
   double est_build_rows = 0.0;
   double est_build_bytes = 0.0;
   double est_build_cost_ms = 0.0;
-  /// Σ DropCostMs over drop_names (the post-cutover drop steps).
+  /// Σ DropCostMs over drop_names (the post-cutover drops).
   double est_drop_cost_ms = 0.0;
   /// Σ DualWriteCostMs over the builds under the traffic profile given to
   /// PlanMigration; 0 when the caller passed no traffic.
   double est_dual_write_cost_ms = 0.0;
 
   bool empty() const { return build_indices.empty() && drop_names.empty(); }
-  std::string ToString() const;
   /// Everything a migration is expected to charge the store: builds,
   /// drops, and dual-write overhead. The quantity commensurable with the
   /// horizon BIP's transition pricing.

@@ -1,8 +1,6 @@
 #include "evolve/workload_tracker.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "obs/metrics.h"
 
@@ -57,20 +55,6 @@ void WorkloadTracker::Record(const std::string& statement,
 void WorkloadTracker::CloseWindow() {
   ++windows_closed_;
   const double n = static_cast<double>(window_size_);
-  // Raw window frequencies feed the forecaster before any smoothing.
-  std::map<std::string, double> raw;
-  for (const auto& [name, count] : window_counts_) {
-    raw[name] = static_cast<double>(count) / n;
-  }
-  if (!next_forecast_.empty()) {
-    forecast_residual_ = TotalVariation(raw, next_forecast_);
-    obs::MetricsRegistry::Global()
-        .GetGauge("evolve.forecast_residual")
-        .Set(forecast_residual_);
-  }
-  history_.push_back(raw);
-  while (history_.size() > options_.history_capacity) history_.pop_front();
-  next_forecast_ = ForecastWindow(0);
   // Blend the window's empirical frequencies into the estimate over the
   // union of statement names; absent statements blend toward zero but
   // never reach it (the estimate was seeded from the advised weights).
@@ -108,64 +92,6 @@ void WorkloadTracker::CloseWindow() {
   } else {
     consecutive_over_ = 0;
   }
-}
-
-size_t WorkloadTracker::DetectPeriod() const {
-  const size_t h = history_.size();
-  const size_t max_p = std::min(options_.max_period, h / 2);
-  size_t best_p = 1;
-  double best_mean = std::numeric_limits<double>::infinity();
-  for (size_t p = 1; p <= max_p; ++p) {
-    double sum = 0.0;
-    size_t pairs = 0;
-    for (size_t i = 0; i + p < h; ++i) {
-      sum += TotalVariation(history_[i], history_[i + p]);
-      ++pairs;
-    }
-    if (pairs == 0) continue;
-    const double mean = sum / static_cast<double>(pairs);
-    // Strict '<' ties to the smallest period: a stationary workload, where
-    // every lag looks alike, reports period 1 instead of a harmonic.
-    if (mean < best_mean) {
-      best_mean = mean;
-      best_p = p;
-    }
-  }
-  return best_p;
-}
-
-std::map<std::string, double> WorkloadTracker::ForecastWindow(size_t k) const {
-  if (history_.empty()) return estimate_;
-  const size_t h = history_.size();
-  const size_t p = DetectPeriod();
-  // The k-th future window has absolute index h + k; average the history
-  // windows congruent to it mod p (the same phase of the cycle).
-  std::map<std::string, double> forecast;
-  size_t used = 0;
-  for (size_t j = 0; j < h; ++j) {
-    if ((h + k - j) % p != 0) continue;
-    for (const auto& [name, freq] : history_[j]) forecast[name] += freq;
-    ++used;
-  }
-  if (used == 0) {
-    // Degenerate phase (cannot happen for p <= h, but keep it total).
-    return estimate_;
-  }
-  for (auto& [name, freq] : forecast) {
-    freq /= static_cast<double>(used);
-  }
-  Normalize(&forecast);
-  return forecast;
-}
-
-std::vector<std::map<std::string, double>> WorkloadTracker::ForecastHorizon(
-    size_t num_windows) const {
-  std::vector<std::map<std::string, double>> horizon;
-  horizon.reserve(num_windows);
-  for (size_t k = 0; k < num_windows; ++k) {
-    horizon.push_back(ForecastWindow(k));
-  }
-  return horizon;
 }
 
 bool WorkloadTracker::ShouldReadvise() {

@@ -2,10 +2,8 @@
 #define NOSE_EVOLVE_WORKLOAD_TRACKER_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace nose::evolve {
 
@@ -23,15 +21,10 @@ struct TrackerOptions {
   /// Windows to ignore after a trigger is consumed (lets the freshly
   /// advised distribution settle before drifting again).
   size_t cooldown_windows = 2;
-  /// Closed windows of raw frequencies retained for horizon forecasting.
-  size_t history_capacity = 64;
-  /// Longest workload period (in windows) the forecaster will look for.
-  size_t max_period = 8;
 };
 
 /// Total-variation distance 0.5 · Σ |a − b| over the union of keys — the
-/// drift metric, the forecast-residual metric, and the period detector's
-/// window-similarity measure are all this one distance.
+/// drift metric.
 double TotalVariation(const std::map<std::string, double>& a,
                       const std::map<std::string, double>& b);
 
@@ -61,31 +54,6 @@ class WorkloadTracker {
   /// Consuming the trigger resets it and starts the cooldown.
   bool ShouldReadvise();
 
-  /// Dominant workload period in windows, detected from the raw-frequency
-  /// history: the p ∈ [1, min(max_period, history/2)] minimizing the mean
-  /// total-variation distance between windows p apart (ties to the
-  /// smallest p, so a stationary workload reports 1). Returns 1 until two
-  /// full windows of history exist.
-  size_t DetectPeriod() const;
-
-  /// Forecast distribution for the k-th FUTURE window (k = 0 is the next
-  /// window to close): the average of the history windows in the same
-  /// phase of the detected period, normalized. Falls back to the current
-  /// EWMA estimate while the history is empty.
-  std::map<std::string, double> ForecastWindow(size_t k) const;
-
-  /// Per-window forecasts for the next `num_windows` windows — the input
-  /// the horizon planner turns into a WorkloadHorizon.
-  std::vector<std::map<std::string, double>> ForecastHorizon(
-      size_t num_windows) const;
-
-  /// Total-variation distance between the last closed window's observed
-  /// frequencies and the one-step forecast made when the previous window
-  /// closed (0 until two windows have closed). Also exported as the
-  /// `evolve.forecast_residual` gauge.
-  double forecast_residual() const { return forecast_residual_; }
-  size_t history_size() const { return history_.size(); }
-
   /// Latest total-variation distance between estimate and advised.
   double drift() const { return drift_; }
   /// Current EWMA frequency estimate (normalized).
@@ -109,12 +77,6 @@ class WorkloadTracker {
   uint64_t windows_closed_ = 0;
   uint64_t statements_recorded_ = 0;
   double total_simulated_ms_ = 0.0;
-  /// Raw (un-smoothed) normalized frequencies of the most recent closed
-  /// windows, oldest first — the EWMA would blur exactly the periodicity
-  /// the forecaster looks for.
-  std::deque<std::map<std::string, double>> history_;
-  std::map<std::string, double> next_forecast_;
-  double forecast_residual_ = 0.0;
 };
 
 }  // namespace nose::evolve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -435,27 +434,6 @@ StatusOr<HorizonResult> HorizonOptimizer::Optimize(
   result.total_objective =
       result.execution_objective + result.migration_objective;
   return result;
-}
-
-std::string HorizonResult::ToString() const {
-  std::ostringstream out;
-  out << "=== Horizon plan (" << windows.size() << " windows, "
-      << transitions.size() << " migrations"
-      << (collapsed ? ", collapsed" : "") << ") ===\n";
-  for (size_t w = 0; w < windows.size(); ++w) {
-    out << "window " << w << ": " << windows[w].schema.size()
-        << " column families, objective " << windows[w].objective
-        << " ms/stmt\n";
-  }
-  for (const HorizonTransition& t : transitions) {
-    out << "migrate at start of window " << t.at_window << ": build "
-        << t.builds.size() << ", drop " << t.drops.size() << " (est "
-        << t.build_cost_ms << " build + " << t.drop_cost_ms << " drop + "
-        << t.dual_write_cost_ms << " dual-write ms)\n";
-  }
-  out << "objective: execution " << execution_objective << " + migration "
-      << migration_objective << " = " << total_objective << "\n";
-  return out.str();
 }
 
 }  // namespace nose

@@ -140,8 +140,6 @@ struct HorizonResult {
   int bip_variables = 0;
   int bip_constraints = 0;
   int bb_nodes = 0;
-
-  std::string ToString() const;
 };
 
 /// Multi-period, migration-aware schema optimization: instantiates the

@@ -7,7 +7,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -432,66 +431,6 @@ PlanSpace QueryPlanner::Build(const Query& query,
   max_states.SetMax(static_cast<double>(space.states_.size()));
   state_depth.Observe(static_cast<double>(space.states_.size()));
   return space;
-}
-
-PlanSpace QueryPlanner::RestrictToPool(const PlanSpace& super,
-                                       const std::vector<CfId>& sub_to_super,
-                                       size_t super_pool_size) {
-  static obs::Counter& projected =
-      obs::MetricsRegistry::Global().GetCounter("planner.spaces_projected");
-  PlanSpace out;
-  out.query_ = super.query_;
-  if (super.states_.empty()) {
-    // An empty space (unanswerable-support marker) projects to itself.
-    projected.Increment();
-    return out;
-  }
-
-  // Replay Build's BFS over the sub pool. A super state's edges are unique
-  // per (to_index, cf): TryMatch yields at most one outcome per candidate
-  // step, so the lookup below is exact. Sub states are discovered in the
-  // same order Build(query, sub_pool) would discover them, and edge
-  // payloads transfer verbatim with only cf_index/target_state renumbered.
-  auto edge_key = [super_pool_size](size_t to_index, CfId cf) {
-    return to_index * super_pool_size + static_cast<size_t>(cf);
-  };
-  std::vector<int> super_to_out(super.states_.size(), -1);
-  std::vector<size_t> order;  // out state index -> super state index
-  auto discover = [&](size_t super_index) {
-    int& mapped = super_to_out[super_index];
-    if (mapped < 0) {
-      mapped = static_cast<int>(out.states_.size());
-      order.push_back(super_index);
-      const PlanSpaceState& s = super.states_[super_index];
-      out.states_.push_back(PlanSpaceState{
-          s.entity_index, s.pending_preds, s.pending_attrs, s.holds_ids, {}});
-    }
-    return mapped;
-  };
-  discover(0);
-  std::unordered_map<size_t, const PlanSpaceEdge*> by_key;
-  for (size_t s_out = 0; s_out < order.size(); ++s_out) {
-    const PlanSpaceState& sup = super.states_[order[s_out]];
-    by_key.clear();
-    for (const PlanSpaceEdge& e : sup.edges) {
-      by_key.emplace(edge_key(e.to_index, e.cf_index), &e);
-    }
-    const size_t j = sup.entity_index;
-    for (size_t i = j + 1; i-- > 0;) {
-      for (size_t c = 0; c < sub_to_super.size(); ++c) {
-        auto it = by_key.find(edge_key(i, sub_to_super[c]));
-        if (it == by_key.end()) continue;
-        PlanSpaceEdge edge = *it->second;
-        edge.cf_index = static_cast<CfId>(c);
-        if (edge.target_state != PlanSpaceEdge::kDone) {
-          edge.target_state = discover(static_cast<size_t>(edge.target_state));
-        }
-        out.states_[s_out].edges.push_back(std::move(edge));
-      }
-    }
-  }
-  projected.Increment();
-  return out;
 }
 
 bool PlanSpace::HasPlan() const { return std::isfinite(BestCost()); }

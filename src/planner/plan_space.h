@@ -109,18 +109,6 @@ class QueryPlanner {
   StatusOr<QueryPlan> PlanForSchema(const Query& query,
                                     const std::vector<ColumnFamily>& pool) const;
 
-  /// Projects `super` — a space built over a pool where sub-pool candidate
-  /// `c` sits at id `sub_to_super[c]` — onto the sub pool, returning
-  /// exactly what Build(query, sub_pool) would: a per-candidate step match
-  /// depends only on (query, state, candidate), and Build's BFS visits
-  /// states and edges in a deterministic order this replay mirrors, so
-  /// edge payloads are copied bit-for-bit instead of re-matched and
-  /// re-priced. This is how AdvisingSession shares plan spaces across
-  /// statement-set groups whose pools nest (e.g. Browsing ⊆ Bidding).
-  static PlanSpace RestrictToPool(const PlanSpace& super,
-                                  const std::vector<CfId>& sub_to_super,
-                                  size_t super_pool_size);
-
  private:
   const CostModel* cost_;
   const CardinalityEstimator* est_;

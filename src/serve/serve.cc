@@ -49,6 +49,20 @@ void PrintQuantiles(std::ostringstream& out, const char* label,
   out << "\n";
 }
 
+/// True when `gen` has a plan for every statement `sampler` can draw.
+bool Serves(const evolve::Generation& gen, const Workload& workload,
+            const rubis::TransactionSampler& sampler) {
+  for (const rubis::TransactionSampler::Entry& entry : sampler.entries()) {
+    for (const std::string& stmt : entry.tx->statements) {
+      const bool planned = workload.FindEntry(stmt)->IsQuery()
+                               ? gen.query_plans.count(stmt) != 0
+                               : gen.update_plans.count(stmt) != 0;
+      if (!planned) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 ServeHarness::ServeHarness(evolve::DriftScenario scenario, ServeOptions options)
@@ -398,7 +412,15 @@ Status ServeHarness::RunPhase(size_t phase) {
   const bool migrating = migration_ != nullptr;
   if (migrating) {
     bucket_.store(1, std::memory_order_relaxed);
-    migration_thread_ = std::thread(&ServeHarness::MigrationWorker, this);
+    if (Serves(*active_, *env_.workload, sampler)) {
+      migration_thread_ = std::thread(&ServeHarness::MigrationWorker, this);
+    } else {
+      // The live generation has no plan for some statement this phase
+      // draws (the live schema was advised for a mix without it): cut
+      // over before any driver starts.
+      MigrationWorker();
+      NOSE_RETURN_IF_ERROR(migration_status_);
+    }
   }
 
   const size_t workers = std::min(options_.threads, std::max<size_t>(1, streams));

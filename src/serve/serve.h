@@ -109,12 +109,12 @@ struct ServeReport {
 /// The online serving layer: multi-threaded drivers replay a drift
 /// scenario's phase mixes against the sharded concurrent store while, at
 /// each mix boundary, a deadline-bounded re-advise runs through one
-/// AdvisingSession (so a later mix reuses what earlier ones planned) and
-/// — when the
-/// recommended schema changed — a migration worker executes the schema
-/// change live (parallel chunked backfill, log catch-up, a locked
-/// dual-write flip, verification with retries, and an epoch-barrier
-/// cutover that drops the superseded column families).
+/// AdvisingSession (so a mix whose statement set came earlier reuses what
+/// that mix planned) and — when the recommended schema changed — a
+/// migration worker executes the schema change live (parallel chunked
+/// backfill, log catch-up, a locked dual-write flip, verification with
+/// retries, and an epoch-barrier cutover that drops the superseded column
+/// families).
 ///
 /// Determinism: the workload is S fixed logical streams; stream s owns a
 /// sharded rubis::ParamGenerator (shard s of S) and its own RNG drawing
@@ -163,7 +163,8 @@ class ServeHarness {
   /// schema) or arms a live migration toward it (started by RunPhase).
   Status PrepareBoundary(size_t phase);
   /// Drives phase `p`'s traffic on the worker threads, concurrently with
-  /// any armed migration.
+  /// any armed migration — unless the live generation cannot serve the
+  /// phase's mix, in which case the migration runs to cutover first.
   Status RunPhase(size_t phase);
   void DriverLoop(size_t workers, const std::vector<size_t>& owned,
                   const rubis::TransactionSampler& sampler,

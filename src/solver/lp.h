@@ -148,8 +148,8 @@ class LpProblem {
   /// bounds for this solve only (used by branch-and-bound nodes);
   /// entries are (var, lb, ub). `deadline_seconds` (0 = none) aborts an
   /// overlong solve with kIterationLimit so callers stay responsive.
-  /// ReferenceLpSolve below returns the same optima to solver tolerances
-  /// (tests and solver_micro --json check the agreement).
+  /// ReferenceLpSolve (tests/reference_lp.h) returns the same optima to
+  /// solver tolerances (tests and solver_micro --json check the agreement).
   ///
   /// `start_basis` hot-starts the solve from a basis captured by an
   /// earlier solve of the same constraint rows; on a successful load
@@ -242,14 +242,16 @@ class LpWorkingSystem {
   double equilibration_cond_ = 1.0;
 };
 
-/// Test oracle: solves `problem` from scratch with the original dense
-/// full-tableau simplex (every row starts on its own artificial, every
-/// pivot updates the explicit B⁻¹A). It shares no code path with
-/// LpProblem::Solve beyond the row equilibration, so agreement between
-/// the two checks the production engine the way ReferenceBipMinimize
-/// checks branch and bound. O(m·n) per pivot: small instances only. No
-/// basis, deadline, telemetry, or duals; `hot_started` is always false.
-LpResult ReferenceLpSolve(const LpProblem& problem);
+/// Default simplex iteration cap when the caller passes none.
+int DefaultIterationLimit(const LpProblem& problem);
+
+/// Largest coefficient magnitude of a row. Each row is divided by it (row
+/// equilibration, factor EquilibrationScale(MaxMagnitude(row))) so rows
+/// mixing byte-scale and unit-scale coefficients — e.g. storage
+/// constraints — stay within the solver's absolute tolerances. Shared with
+/// the reference tableau in tests/reference_lp.h.
+double MaxMagnitude(const LpRow& row);
+double EquilibrationScale(double max_mag);
 
 }  // namespace nose
 

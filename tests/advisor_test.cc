@@ -197,11 +197,11 @@ TEST(AdvisorTest, SecondPhaseMinimizesSchemaSize) {
 }
 
 TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {
-  // "small" weights a strict subset of the default mix's statements, so
-  // AdviseAllMixes serves it by projecting the default group's plan spaces
-  // (the cross-group sharing path) — which must not change the output.
-  // "small" is requested first: the larger set is still advised first, and
-  // the results come back in the requested order.
+  // "small" weights a strict subset of the default mix's statements and
+  // "shift" reweights the default mix's own. AdviseAllMixes advises the
+  // mixes in the requested order through one session: "small" and
+  // "default" enumerate and plan cold, "shift" reuses the default group —
+  // and no path changes the output.
   auto graph = MakeHotelGraph();
   Workload workload(graph.get());
   ASSERT_TRUE(workload.AddQuery("guests_by_city", MakeFig3Query(*graph), 2.0)
@@ -209,15 +209,19 @@ TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {
   ASSERT_TRUE(workload.AddQuery("guest_pois", MakeGuestPoiQuery(*graph), 1.0)
                   .ok());
   ASSERT_TRUE(workload.SetWeight("guests_by_city", "small", 1.0).ok());
+  ASSERT_TRUE(workload.SetWeight("guests_by_city", "shift", 1.0).ok());
+  ASSERT_TRUE(workload.SetWeight("guest_pois", "shift", 5.0).ok());
 
   Advisor advisor(Verified());
-  auto all = advisor.AdviseAllMixes(workload, {"small", "default"});
+  auto all = advisor.AdviseAllMixes(workload, {"small", "default", "shift"});
   ASSERT_TRUE(all.ok()) << all.status();
-  ASSERT_EQ(all->size(), 2u);
+  ASSERT_EQ(all->size(), 3u);
   EXPECT_EQ((*all)[0].first, "small");
-  EXPECT_EQ((*all)[0].second.reuse, PoolReuse::kSeeded);
+  EXPECT_EQ((*all)[0].second.reuse, PoolReuse::kCold);
   EXPECT_EQ((*all)[1].first, "default");
   EXPECT_EQ((*all)[1].second.reuse, PoolReuse::kCold);
+  EXPECT_EQ((*all)[2].first, "shift");
+  EXPECT_EQ((*all)[2].second.reuse, PoolReuse::kSameStatements);
   for (const auto& [mix, rec] : *all) {
     auto solo = advisor.Recommend(workload, mix);
     ASSERT_TRUE(solo.ok()) << mix << ": " << solo.status();
@@ -266,7 +270,9 @@ TEST(AdvisingSessionTest, SameStatementSetReusesGroupAndMatchesCold) {
               1e-9 * std::max(1.0, cold->objective));
 }
 
-TEST(AdvisingSessionTest, SubsetSeedsFromSupersetGroup) {
+TEST(AdvisingSessionTest, SubsetOfAGroupAdvisesColdAndMatches) {
+  // A mix whose statements a group contains still enumerates and plans its
+  // own pool: only the same statement set reuses a group.
   auto graph = MakeHotelGraph();
   auto workload = MakeEvolvingWorkload(*graph);
 
@@ -274,35 +280,11 @@ TEST(AdvisingSessionTest, SubsetSeedsFromSupersetGroup) {
   ASSERT_TRUE(session.Advise(*workload, Workload::kDefaultMix).ok());
   auto sub = session.Advise(*workload, "sub");
   ASSERT_TRUE(sub.ok()) << sub.status();
-  EXPECT_EQ(sub->reuse, PoolReuse::kSeeded);
+  EXPECT_EQ(sub->reuse, PoolReuse::kCold);
 
   auto cold = Advisor().Recommend(*workload, "sub");
   ASSERT_TRUE(cold.ok()) << cold.status();
   EXPECT_EQ(sub->ToString(), cold->ToString());
-}
-
-TEST(AdvisingSessionTest, SubsetWithUpdateSeedsRenumberedSupports) {
-  // The subset keeps the update and a query reading the field it writes,
-  // so seeding projects the update's priced supports, renumbered onto the
-  // smaller pool, as well as the query spaces.
-  auto graph = MakeHotelGraph();
-  auto workload = MakeEvolvingWorkload(*graph);
-  ASSERT_TRUE(workload->AddQuery("guest_pois", MakeGuestPoiQuery(*graph), 1.0)
-                  .ok());
-  ASSERT_TRUE(workload->SetWeight("guest_pois", "poi", 2.0).ok());
-  ASSERT_TRUE(workload->SetWeight("upd_poi", "poi", 1.0).ok());
-
-  AdvisingSession session;
-  ASSERT_TRUE(session.Advise(*workload, Workload::kDefaultMix).ok());
-  auto poi = session.Advise(*workload, "poi");
-  ASSERT_TRUE(poi.ok()) << poi.status();
-  EXPECT_EQ(poi->reuse, PoolReuse::kSeeded);
-  ASSERT_FALSE(poi->update_plans.empty());
-
-  auto cold = Advisor().Recommend(*workload, "poi");
-  ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_EQ(poi->ToString(), cold->ToString());
-  EXPECT_EQ(poi->objective, cold->objective);
 }
 
 TEST(AdvisingSessionTest, SupersetGrowthEnumeratesFreshButMatches) {
@@ -324,7 +306,7 @@ TEST(AdvisingSessionTest, SupersetGrowthEnumeratesFreshButMatches) {
 
 TEST(AdvisingSessionTest, ReturningStatementSetReusesItsEarlierGroup) {
   // sub -> default -> sub: the session keeps every group, so the third
-  // call finds the first group again instead of seeding from the second.
+  // call finds the first group again.
   auto graph = MakeHotelGraph();
   auto workload = MakeEvolvingWorkload(*graph);
 
@@ -351,10 +333,21 @@ void ExpectSolveSplit(const AdvisorTiming& timing, const std::string& mix) {
       << mix;
 }
 
+/// Enumeration, the cost, build and solve phases and "other" add up to the
+/// total: no phase is counted twice.
+void ExpectPhasesAddUp(const AdvisorTiming& timing, const std::string& mix) {
+  EXPECT_NEAR(timing.enumeration_seconds + timing.cost_calculation_seconds +
+                  timing.bip_construction_seconds + timing.bip_solve_seconds +
+                  timing.other_seconds,
+              timing.total_seconds, 1e-9)
+      << mix;
+}
+
 TEST(AdvisorTest, TimingBreakdownStaysNonNegative) {
   // Shared-pool advising hands later mixes cached plan spaces, which once
   // drove the residual "other" bucket (total minus attributed phases)
-  // negative. Every bucket must be clamped to a physical value.
+  // negative. Every bucket must be clamped to a physical value, and the
+  // buckets must add up to the total.
   auto graph = MakeHotelGraph();
   Workload workload(graph.get());
   ASSERT_TRUE(workload.AddQuery("guests_by_city", MakeFig3Query(*graph), 2.0)
@@ -375,6 +368,7 @@ TEST(AdvisorTest, TimingBreakdownStaysNonNegative) {
     EXPECT_GE(rec.timing.other_seconds, 0.0) << mix;
     EXPECT_GE(rec.timing.total_seconds, 0.0) << mix;
     ExpectSolveSplit(rec.timing, mix);
+    ExpectPhasesAddUp(rec.timing, mix);
   }
 
   // On RUBiS `default` both stages do real work: branch and bound for the
@@ -386,6 +380,7 @@ TEST(AdvisorTest, TimingBreakdownStaysNonNegative) {
   auto rec = advisor.Recommend(**rubis_workload, rubis::kBiddingMix);
   ASSERT_TRUE(rec.ok()) << rec.status();
   ExpectSolveSplit(rec->timing, rubis::kBiddingMix);
+  ExpectPhasesAddUp(rec->timing, rubis::kBiddingMix);
   EXPECT_GT(rec->timing.cost_solve_seconds, 0.0);
   EXPECT_GT(rec->timing.size_solve_seconds, 0.0);
 }

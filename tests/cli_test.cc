@@ -231,9 +231,8 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
             (Names{"report_version", "command", "scenario", "mode",
                    "transactions", "statements", "re_advises_incremental",
                    "re_advises_cold", "no_op_readvises", "last_drift",
-                   "migrations", "invariant_violations", "forecast_residual",
-                   "realized_store_ms", "phases", "migration_records",
-                   "solve_log", "metrics"}));
+                   "migrations", "invariant_violations", "realized_store_ms",
+                   "phases", "migration_records", "solve_log", "metrics"}));
   EXPECT_EQ(Keys(serve),
             (Names{"report_version", "command", "scenario", "threads",
                    "streams", "transactions", "statements", "migrations",

@@ -13,6 +13,7 @@
 #include "solver/bip.h"
 #include "solver/certificate.h"
 #include "solver/lp.h"
+#include "tests/reference_lp.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 

@@ -111,10 +111,10 @@ TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
   EXPECT_TRUE(report.advises[0].schema_changed);   // initial deployment
   EXPECT_TRUE(report.advises[1].schema_changed);   // browsing migration
   EXPECT_FALSE(report.advises[2].schema_changed);  // browsing again: kept
-  // One advising session across the boundaries: browsing's statements are
-  // a subset of the default mix's, and the third advise finds its group.
+  // One advising session across the boundaries: browsing is a new
+  // statement set, and the third advise finds its group.
   EXPECT_EQ(report.advises[0].reuse, PoolReuse::kCold);
-  EXPECT_EQ(report.advises[1].reuse, PoolReuse::kSeeded);
+  EXPECT_EQ(report.advises[1].reuse, PoolReuse::kCold);
   EXPECT_EQ(report.advises[2].reuse, PoolReuse::kSameStatements);
 
   const std::string text = report.ToString();
@@ -123,10 +123,9 @@ TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
   EXPECT_NE(text.find("migrations: 1"), std::string::npos);
 }
 
-// The bundled drift scenario: the browsing re-advise is seeded from the
-// default mix's group, and the final store content is the one a cold
-// re-advise produced (the reused path must not change any recommendation).
-TEST(ServeTest, BundledScenarioSeedsBrowsingReadviseAtTheKnownDigest) {
+// The bundled drift scenario: the browsing re-advise enumerates and plans
+// its own statement set, and the final store content is the known one.
+TEST(ServeTest, BundledScenarioAdvisesBrowsingColdAtTheKnownDigest) {
   auto scenario =
       evolve::LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
   ASSERT_TRUE(scenario.ok()) << scenario.status();
@@ -137,11 +136,37 @@ TEST(ServeTest, BundledScenarioSeedsBrowsingReadviseAtTheKnownDigest) {
   ASSERT_EQ(report.advises.size(), 2u);
   EXPECT_EQ(report.advises[0].reuse, PoolReuse::kCold);
   EXPECT_EQ(report.advises[1].mix, "browsing");
-  EXPECT_EQ(report.advises[1].reuse, PoolReuse::kSeeded);
+  EXPECT_EQ(report.advises[1].reuse, PoolReuse::kCold);
   EXPECT_EQ(report.migrations.size(), 1u);
   EXPECT_EQ(report.store_digest, 12556392712640623771ull);
-  EXPECT_NE(report.ToString().find("mix browsing: incremental in"),
+  EXPECT_NE(report.ToString().find("mix browsing: cold in"),
             std::string::npos);
+}
+
+// A phase whose mix the live generation cannot serve: the bundled
+// scenario's settings with a short browsing phase before its default
+// phase, so the default phase draws store_bid, which the browsing schema
+// has no plan for. The migration to the default schema completes before
+// any of that phase's drivers start, at every thread count.
+TEST(ServeTest, UnservableMixCutsOverBeforeDriversStart) {
+  auto scenario =
+      evolve::LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  scenario->phases = {{"browsing", 10}, {"default", 250}};
+  uint64_t digests[2] = {0, 0};
+  const size_t threads[2] = {4, 1};
+  for (size_t i = 0; i < 2; ++i) {
+    auto harness = ServeHarness::Create(*scenario, Options(threads[i]));
+    ASSERT_TRUE(harness.ok()) << harness.status();
+    Status run = (*harness)->Run();
+    ASSERT_TRUE(run.ok()) << threads[i] << " threads: " << run;
+    const ServeReport& report = (*harness)->report();
+    EXPECT_EQ(report.migrations.size(), 1u) << threads[i];
+    EXPECT_EQ(report.during.count, 0u) << threads[i];
+    digests[i] = report.store_digest;
+  }
+  EXPECT_NE(digests[0], 0u);
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(ServeTest, UnknownPhaseMixIsRejected) {

@@ -11,6 +11,7 @@
 #include "solver/bip.h"
 #include "solver/lp.h"
 #include "tests/reference_evaluator.h"
+#include "tests/reference_lp.h"
 #include "util/rng.h"
 
 namespace nose {
