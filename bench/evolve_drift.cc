@@ -8,15 +8,15 @@
 // paths must produce byte-identical recommendations; the benchmark aborts
 // otherwise.
 //
-// Part 2 replays the bundled Bidding -> Browsing drift scenario through the
-// EvolveController and reports re-advise latency and migration cost
-// (backfilled rows, catch-up updates, simulated milliseconds) per
-// migration.
+// Part 2 replays the bundled Bidding -> Browsing drift scenario through
+// `nose evolve`'s harness (one thread, one stream, drift trigger) and
+// reports re-advise latency and migration cost (backfilled rows, catch-up
+// updates, simulated milliseconds) per migration.
 //
 //   evolve_drift [--json FILE] [scenario-file]
 //
 // --json appends nose-bench-v1 records — a "readvise" record with the
-// warm/cold latencies and a "scenario" record with the controller replay —
+// warm/cold latencies and a "scenario" record with the harness run —
 // to FILE.
 
 #include <cstdio>
@@ -27,8 +27,8 @@
 #include "advisor/session.h"
 #include "bench/bench_json.h"
 #include "bench/rubis_driver.h"
-#include "evolve/driver.h"
 #include "evolve/scenario.h"
+#include "serve/serve.h"
 #include "util/stopwatch.h"
 
 namespace nose {
@@ -103,27 +103,27 @@ int Main(int argc, char** argv) {
       .Metric("schema_size", static_cast<double>(warm->schema.size()))
       .Label("incremental", true);
 
-  // ---- Part 2: the bundled drift scenario through the controller.
+  // ---- Part 2: the bundled drift scenario through the evolve harness.
   const std::string scenario_path =
       !scenario_arg.empty() ? scenario_arg : "workloads/rubis_drift.scenario";
   auto scenario = evolve::LoadScenarioFile(scenario_path);
   if (!scenario.ok()) bench::RubisBench::Die("scenario", scenario.status());
-  auto runner = evolve::DriftRunner::Create(*scenario);
-  if (!runner.ok()) bench::RubisBench::Die("runner", runner.status());
+  auto harness = serve::ServeHarness::CreateEvolve(*scenario);
+  if (!harness.ok()) bench::RubisBench::Die("harness", harness.status());
   watch.Reset();
-  Status run = (*runner)->Run();
+  Status run = (*harness)->Run();
   if (!run.ok()) bench::RubisBench::Die("run", run);
   const double run_ms = watch.ElapsedMillis();
 
-  const evolve::EvolveReport& report = (*runner)->report();
+  const serve::ServeReport& report = (*harness)->report();
   std::printf("\ndrift scenario %s (%.1f ms wall):\n%s", scenario_path.c_str(),
               run_ms, report.ToString().c_str());
   if (report.invariant_violations > 0) {
     std::fprintf(stderr, "FATAL: invariant violations during migration\n");
     return 1;
   }
-  for (const evolve::MigrationRecord& m : report.migrations) {
-    if (m.verify_mismatches > 0 || m.aborted) {
+  for (const serve::MigrationRecord& m : report.migrations) {
+    if (m.progress.verify_mismatches > 0 || m.aborted) {
       std::fprintf(stderr, "FATAL: migration failed verification\n");
       return 1;
     }
@@ -133,8 +133,10 @@ int Main(int argc, char** argv) {
       .Metric("transactions", static_cast<double>(report.transactions))
       .Metric("statements", static_cast<double>(report.statements))
       .Metric("re_advises_incremental",
-              static_cast<double>(report.re_advises_incremental))
-      .Metric("re_advises_cold", static_cast<double>(report.re_advises_cold))
+              static_cast<double>(report.incremental_readvises()))
+      .Metric("re_advises_cold",
+              static_cast<double>(report.readvises() -
+                                  report.incremental_readvises()))
       .Metric("migrations", static_cast<double>(report.migrations.size()))
       .Metric("invariant_violations",
               static_cast<double>(report.invariant_violations));

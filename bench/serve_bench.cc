@@ -56,7 +56,7 @@ void Emit(bench::BenchJsonWriter& json, const char* instance, const Run& run) {
   // Advising at the mix boundaries is part of run_ms; report it on its own
   // so the serving share of the run is visible.
   double advise_ms = 0.0;
-  for (const serve::ServeAdviseRecord& a : report.advises) {
+  for (const serve::AdviseRecord& a : report.advises) {
     advise_ms += a.elapsed_seconds * 1e3;
   }
   std::printf("%s: %s%s: advise_ms %.3f of run_ms %.3f\n", instance,

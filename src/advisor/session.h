@@ -26,8 +26,8 @@ namespace nose {
 /// different within-gap optimum.
 ///
 /// Groups are matched by statement names: use one session per workload.
-/// Weights may change between calls (the evolve loop rewrites its observed
-/// mix before each re-advise); statement definitions may not.
+/// Weights may change between calls (the drift trigger rewrites its
+/// observed mix before each re-advise); statement definitions may not.
 class AdvisingSession {
  public:
   explicit AdvisingSession(AdvisorOptions options = AdvisorOptions());

@@ -33,7 +33,6 @@
 #include "analysis/certify.h"
 #include "analysis/invariants.h"
 #include "analysis/lint.h"
-#include "evolve/driver.h"
 #include "evolve/scenario.h"
 #include "export/cql.h"
 #include "obs/file.h"
@@ -96,7 +95,8 @@ options (serve):
   --rate TPS            target aggregate transactions/second
                         (default 0: unpaced)
   --stripes N           store hash stripes per column family
-  --migration-threads N backfill workers for live migrations
+  --migration-threads N drivers that may load migration backfill
+                        chunks at once (default 2)
   --advise-deadline SECS  anytime budget for each boundary
                         re-advise (0 = unbudgeted)
 )";
@@ -313,11 +313,12 @@ void AddAdvisorPhases(nose::obs::RunReport* report,
   }
 }
 
-/// Evolve's migrations as a JSON array, one object per migration.
+/// The run's migrations as a JSON array, one object per migration.
 std::string MigrationRecordsJson(
-    const std::vector<nose::evolve::MigrationRecord>& migrations) {
+    const std::vector<nose::serve::MigrationRecord>& migrations) {
   std::string out = "[";
-  for (const nose::evolve::MigrationRecord& m : migrations) {
+  for (const nose::serve::MigrationRecord& m : migrations) {
+    const nose::evolve::MigrationProgress& p = m.progress;
     char buf[768];
     std::snprintf(
         buf, sizeof(buf),
@@ -331,8 +332,8 @@ std::string MigrationRecordsJson(
         "\"aborted\":%s}",
         out.size() > 1 ? "," : "", m.started_at_transaction,
         m.finished_at_transaction, m.builds, m.keeps, m.drops,
-        m.rows_backfilled, m.catchup_updates, m.dual_writes, m.verify_queries,
-        m.verify_mismatches, m.est_build_cost_ms, m.actual_ms,
+        p.rows_backfilled, p.catchup_updates, p.dual_writes, p.verify_queries,
+        p.verify_mismatches, m.est_build_cost_ms, p.simulated_ms,
         m.advise_incremental ? "true" : "false", m.advise_seconds,
         m.drift_at_trigger, m.planned ? "true" : "false", m.to_window,
         m.aborted ? "true" : "false");
@@ -366,14 +367,14 @@ int RunEvolve(const Args& args, const Telemetry& telemetry) {
     return 1;
   }
   if (args.count("--horizon") > 0) scenario->planned = true;
-  auto runner = nose::evolve::DriftRunner::Create(*scenario);
-  if (!runner.ok()) {
-    std::cerr << "evolve error: " << runner.status() << "\n";
+  auto harness = nose::serve::ServeHarness::CreateEvolve(*scenario);
+  if (!harness.ok()) {
+    std::cerr << "evolve error: " << harness.status() << "\n";
     return 1;
   }
-  nose::Status run = (*runner)->Run();
-  const nose::evolve::EvolveReport& report = (*runner)->report();
-  const nose::HorizonPlan* plan = (*runner)->horizon_plan();
+  nose::Status run = (*harness)->Run();
+  const nose::serve::ServeReport& report = (*harness)->report();
+  const nose::HorizonPlan* plan = (*harness)->horizon_plan();
   // The planned schedule first: which boundaries the optimizer chose to
   // migrate at, and what it expects that to cost.
   if (plan != nullptr) std::cout << plan->ToString();
@@ -388,14 +389,14 @@ int RunEvolve(const Args& args, const Telemetry& telemetry) {
   run_report.AddNumber("transactions", report.transactions);
   run_report.AddNumber("statements", report.statements);
   run_report.AddNumber("re_advises_incremental",
-                       report.re_advises_incremental);
-  run_report.AddNumber("re_advises_cold", report.re_advises_cold);
+                       report.incremental_readvises());
+  run_report.AddNumber("re_advises_cold",
+                       report.readvises() - report.incremental_readvises());
   run_report.AddNumber("no_op_readvises", report.no_op_readvises);
   run_report.AddNumber("last_drift", report.last_drift);
   run_report.AddNumber("migrations", report.migrations.size());
   run_report.AddNumber("invariant_violations", report.invariant_violations);
-  run_report.AddNumber("realized_store_ms",
-                       (*runner)->controller().store()->stats().simulated_ms);
+  run_report.AddNumber("realized_store_ms", report.store.simulated_ms);
   if (plan != nullptr) {
     run_report.AddNumber("planned_execution_objective",
                          plan->execution_objective);
@@ -417,7 +418,7 @@ int RunEvolve(const Args& args, const Telemetry& telemetry) {
 
   size_t mismatches = 0, aborted = 0;
   for (const auto& m : report.migrations) {
-    mismatches += m.verify_mismatches;
+    mismatches += m.progress.verify_mismatches;
     if (m.aborted) ++aborted;
   }
   if (!run.ok() || report.invariant_violations > 0 || mismatches > 0 ||
@@ -489,7 +490,7 @@ int RunServe(const Args& args, const Telemetry& telemetry) {
   double wall = 0.0;
   for (const auto& m : report.migrations) {
     rows_dropped += m.rows_dropped;
-    retries += m.verify_retries;
+    retries += m.progress.verify_retries;
     wall += m.wall_seconds;
   }
   run_report.AddNumber("migration_rows_dropped", rows_dropped);

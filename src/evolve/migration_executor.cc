@@ -15,26 +15,42 @@ namespace {
 /// Steps a migration soaks in dual-write before it verifies.
 constexpr size_t kMinDualWriteSteps = 2;
 
+/// Dirty verification passes before the deciding pass with the drivers
+/// paused.
+constexpr size_t kVerifyAttempts = 8;
+
 int64_t MsToNanos(double ms) {
   return static_cast<int64_t>(std::llround(ms * 1e6));
 }
 
 }  // namespace
 
-void MigrationCounts::CopyPlan(const MigrationPlan& plan) {
-  builds = plan.build_indices.size();
-  keeps = plan.keep_names.size();
-  drops = plan.drop_names.size();
-  est_build_cost_ms = plan.est_build_cost_ms;
-  est_drop_cost_ms = plan.est_drop_cost_ms;
-  est_dual_write_cost_ms = plan.est_dual_write_cost_ms;
+void StatementLog::AddQuery(LoggedStatement entry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  queries_.push_back(std::move(entry));
+  if (queries_.size() > query_capacity_) queries_.erase(queries_.begin());
 }
 
-void MigrationCounts::CopyProgress(const MigrationProgress& progress) {
-  rows_backfilled = progress.rows_backfilled;
-  catchup_updates = progress.catchup_updates;
-  dual_writes = progress.dual_writes;
-  verify_queries = progress.verify_queries;
+MigrationExecutor* StatementLog::AddUpdate(LoggedStatement entry,
+                                           const PlanExecutor* via) {
+  std::lock_guard<std::mutex> lock(mu_);
+  updates_.push_back(std::move(entry));
+  return dual_ != nullptr && dual_->old_executor_ == via ? dual_ : nullptr;
+}
+
+void StatementLog::StopDualWrites() {
+  std::lock_guard<std::mutex> lock(mu_);
+  dual_ = nullptr;
+}
+
+std::vector<LoggedStatement> StatementLog::updates() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return updates_;
+}
+
+std::vector<LoggedStatement> StatementLog::queries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queries_;
 }
 
 MigrationExecutor::MigrationExecutor(
@@ -43,7 +59,7 @@ MigrationExecutor::MigrationExecutor(
     const std::map<std::string, QueryPlan>* old_query_plans,
     const std::map<std::string, QueryPlan>* new_query_plans,
     const std::map<std::string, UpdatePlan>* new_update_plans,
-    const MigrationPlan* plan, Options options)
+    const MigrationPlan* plan, Options options, size_t max_loaders)
     : data_(data),
       store_(store),
       new_schema_(new_schema),
@@ -53,7 +69,8 @@ MigrationExecutor::MigrationExecutor(
       new_query_plans_(new_query_plans),
       new_update_plans_(new_update_plans),
       plan_(plan),
-      options_(options) {
+      options_(options),
+      max_loaders_(std::max<size_t>(1, max_loaders)) {
   if (options_.chunk_rows == 0) options_.chunk_rows = 1;
   if (options_.catchup_batch == 0) options_.catchup_batch = 1;
 }
@@ -65,6 +82,15 @@ MigrationProgress MigrationExecutor::progress() const {
   return out;
 }
 
+void MigrationExecutor::Advance(MigrationPhase from, MigrationPhase to) {
+  phase_.compare_exchange_strong(from, to);
+}
+
+Status MigrationExecutor::Fail(Status status) {
+  phase_.store(MigrationPhase::kFailed);
+  return status;
+}
+
 Status MigrationExecutor::Prepare() {
   std::set<std::string> build_keys;
   for (size_t i : plan_->build_indices) {
@@ -74,6 +100,13 @@ Status MigrationExecutor::Prepare() {
         name, cf.partition_key().size(), cf.clustering_key().size(),
         cf.values().size()));
     build_keys.insert(cf.key());
+    // Disjoint root-row ranges write disjoint rows, so chunks commute.
+    const size_t total_roots = data_->RowCount(cf.path().EntityAt(0));
+    for (size_t begin = 0; begin < total_roots;
+         begin += options_.chunk_rows) {
+      chunks_.push_back(
+          {i, begin, std::min(begin + options_.chunk_rows, total_roots)});
+    }
   }
   // Replay maintains only the build set (see replay_plans_ in the header):
   // kept families are live and already maintained by the foreground.
@@ -87,101 +120,73 @@ Status MigrationExecutor::Prepare() {
     }
     if (!filtered.parts.empty()) replay_plans_.emplace(stmt, filtered);
   }
-  if (plan_->build_indices.empty()) phase_ = MigrationPhase::kCatchUp;
+  if (chunks_.empty()) phase_ = MigrationPhase::kCatchUp;
   return Status::Ok();
 }
 
-Status MigrationExecutor::Step(const std::vector<LoggedStatement>& update_log,
-                               const std::vector<LoggedStatement>& query_log) {
+StatusOr<bool> MigrationExecutor::Step(StatementLog* log,
+                                       DriverBarrier* drivers) {
+  if (phase_.load() == MigrationPhase::kBackfill) {
+    NOSE_RETURN_IF_ERROR(BackfillStep());
+    return false;
+  }
+  std::unique_lock<std::mutex> lock(step_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return false;  // another driver is stepping
   switch (phase_.load()) {
-    case MigrationPhase::kBackfill:
-      return BackfillStep();
     case MigrationPhase::kCatchUp:
-      return CatchUpStep(update_log);
+      NOSE_RETURN_IF_ERROR(CatchUpStep(log));
+      return false;
     case MigrationPhase::kDualWrite:
       if (++dual_write_steps_ >= kMinDualWriteSteps) {
-        phase_ = MigrationPhase::kVerify;
+        Advance(MigrationPhase::kDualWrite, MigrationPhase::kVerify);
       }
-      return Status::Ok();
+      return false;
     case MigrationPhase::kVerify:
-      return VerifyStep(query_log);
+      return VerifyStep(log, drivers);
+    case MigrationPhase::kBackfill:
     case MigrationPhase::kReadyForCutover:
     case MigrationPhase::kDone:
     case MigrationPhase::kFailed:
-      return Status::Ok();
+      return false;
   }
-  return Status::Ok();
-}
-
-Status MigrationExecutor::BackfillChunk(size_t cf_index, size_t begin,
-                                        size_t end) {
-  const ColumnFamily& cf = new_schema_->column_families()[cf_index];
-  const std::string& name = new_schema_->names()[cf_index];
-  const double before_ms = RecordStore::ThreadChargeMs();
-  auto written = LoadColumnFamilyChunk(*data_, cf, name, store_, begin, end);
-  if (!written.ok()) {
-    phase_ = MigrationPhase::kFailed;
-    return written.status();
-  }
-  const double charge = RecordStore::ThreadChargeMs() - before_ms;
-  {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    progress_sim_ns_ += MsToNanos(charge);
-    progress_.rows_backfilled += written.value();
-    ++progress_.chunks;
-  }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("evolve.backfill_rows").Add(written.value());
-  reg.GetCounter("evolve.backfill_chunks").Increment();
-  return Status::Ok();
+  return false;
 }
 
 Status MigrationExecutor::BackfillStep() {
+  size_t c = 0;
+  {
+    std::lock_guard<std::mutex> lock(step_mu_);
+    if (next_chunk_ == chunks_.size() || loaders_ >= max_loaders_) {
+      return Status::Ok();
+    }
+    c = next_chunk_++;
+    ++loaders_;
+  }
   obs::Span span("evolve.backfill_chunk", "evolve");
-  const size_t i = plan_->build_indices[build_pos_];
-  const ColumnFamily& cf = new_schema_->column_families()[i];
-  const size_t total_roots = data_->RowCount(cf.path().EntityAt(0));
-
-  NOSE_RETURN_IF_ERROR(
-      BackfillChunk(i, root_cursor_, root_cursor_ + options_.chunk_rows));
-
-  root_cursor_ += options_.chunk_rows;
-  if (root_cursor_ >= total_roots) {
-    root_cursor_ = 0;
-    if (++build_pos_ >= plan_->build_indices.size()) {
-      phase_ = MigrationPhase::kCatchUp;
+  const Chunk& chunk = chunks_[c];
+  const double before_ms = RecordStore::ThreadChargeMs();
+  auto written = LoadColumnFamilyChunk(
+      *data_, new_schema_->column_families()[chunk.cf_index],
+      new_schema_->names()[chunk.cf_index], store_, chunk.begin, chunk.end);
+  if (written.ok()) {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    progress_sim_ns_ += MsToNanos(RecordStore::ThreadChargeMs() - before_ms);
+    progress_.rows_backfilled += written.value();
+    ++progress_.chunks;
+  }
+  {
+    std::lock_guard<std::mutex> lock(step_mu_);
+    --loaders_;
+    // Catch-up starts only once every chunk landed: a replayed update must
+    // never be overwritten by a chunk still loading the dataset's row.
+    if (written.ok() && ++chunks_landed_ == chunks_.size()) {
+      Advance(MigrationPhase::kBackfill, MigrationPhase::kCatchUp);
     }
   }
-  return Status::Ok();
-}
-
-Status MigrationExecutor::BackfillAll(util::ThreadPool* pool) {
-  obs::Span span("evolve.backfill_all", "evolve");
-  // Flatten every build CF into (cf_index, root range) chunks, then fan
-  // out: disjoint root ranges produce disjoint rows, so chunks commute.
-  struct Chunk {
-    size_t cf_index;
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Chunk> chunks;
-  for (size_t i : plan_->build_indices) {
-    const ColumnFamily& cf = new_schema_->column_families()[i];
-    const size_t total_roots = data_->RowCount(cf.path().EntityAt(0));
-    for (size_t begin = 0; begin < total_roots;
-         begin += options_.chunk_rows) {
-      chunks.push_back(
-          {i, begin, std::min(begin + options_.chunk_rows, total_roots)});
-    }
-  }
-  Status status = util::ParallelForStatus(pool, chunks.size(), [&](size_t c) {
-    return BackfillChunk(chunks[c].cf_index, chunks[c].begin, chunks[c].end);
-  });
-  if (!status.ok()) {
-    phase_ = MigrationPhase::kFailed;
-    return status;
-  }
-  phase_ = MigrationPhase::kCatchUp;
+  if (!written.ok()) return Fail(written.status());
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("evolve.backfill_rows").Add(written.value());
+  reg.GetCounter("evolve.backfill_chunks").Increment();
   return Status::Ok();
 }
 
@@ -193,46 +198,51 @@ Status MigrationExecutor::ReplayUpdate(const LoggedStatement& entry) {
   return new_executor_->ExecuteUpdate(it->second, entry.params);
 }
 
-Status MigrationExecutor::ReplayRange(
-    const std::vector<LoggedStatement>& update_log, size_t begin, size_t end) {
+Status MigrationExecutor::Replay(const std::vector<LoggedStatement>& updates,
+                                 size_t begin, size_t end) {
   const double before_ms = RecordStore::ThreadChargeMs();
-  size_t replayed = 0;
-  for (size_t i = begin; i < end && i < update_log.size(); ++i) {
-    Status s = ReplayUpdate(update_log[i]);
-    if (!s.ok()) {
-      phase_ = MigrationPhase::kFailed;
-      return s;
-    }
-    ++replayed;
+  for (size_t i = begin; i < end; ++i) {
+    Status s = ReplayUpdate(updates[i]);
+    if (!s.ok()) return Fail(s);
   }
-  const double charge = RecordStore::ThreadChargeMs() - before_ms;
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
-    progress_.catchup_updates += replayed;
-    progress_sim_ns_ += MsToNanos(charge);
+    progress_.catchup_updates += end - begin;
+    progress_sim_ns_ += MsToNanos(RecordStore::ThreadChargeMs() - before_ms);
   }
   obs::MetricsRegistry::Global()
       .GetCounter("evolve.catchup_updates")
-      .Add(replayed);
+      .Add(end - begin);
   return Status::Ok();
 }
 
-Status MigrationExecutor::CatchUpStep(
-    const std::vector<LoggedStatement>& update_log) {
-  const size_t begin = replay_pos_;
-  const size_t end =
-      std::min(update_log.size(), replay_pos_ + options_.catchup_batch);
-  NOSE_RETURN_IF_ERROR(ReplayRange(update_log, begin, end));
-  replay_pos_ = end;
-  if (replay_pos_ == update_log.size()) {
-    // Every update executed so far has been replayed in order; from here
-    // the controller's OnUpdate calls keep the new generation in sync.
-    phase_ = MigrationPhase::kDualWrite;
+Status MigrationExecutor::CatchUpStep(StatementLog* log) {
+  std::vector<LoggedStatement> batch;
+  {
+    std::lock_guard<std::mutex> lock(log->mu_);
+    const size_t logged = log->updates_.size();
+    if (logged - replay_pos_ <= options_.catchup_batch) {
+      // The flip: every update logged before this critical section is
+      // replayed in it, and every one logged after it is dual-written.
+      NOSE_RETURN_IF_ERROR(Replay(log->updates_, replay_pos_, logged));
+      replay_pos_ = logged;
+      log->dual_ = this;
+      Advance(MigrationPhase::kCatchUp, MigrationPhase::kDualWrite);
+      return Status::Ok();
+    }
+    // Drivers keep appending (the vector may reallocate under them), so
+    // the batch is copied under the mutex and replayed outside it.
+    const auto first =
+        log->updates_.begin() + static_cast<ptrdiff_t>(replay_pos_);
+    batch.assign(first,
+                 first + static_cast<ptrdiff_t>(options_.catchup_batch));
   }
+  NOSE_RETURN_IF_ERROR(Replay(batch, 0, batch.size()));
+  replay_pos_ += batch.size();
   return Status::Ok();
 }
 
-StatusOr<bool> MigrationExecutor::TryVerify(
+StatusOr<bool> MigrationExecutor::VerifyPass(
     const std::vector<LoggedStatement>& query_log) {
   obs::Span span("evolve.verify", "evolve");
   const double before_ms = RecordStore::ThreadChargeMs();
@@ -271,62 +281,56 @@ StatusOr<bool> MigrationExecutor::TryVerify(
       break;
     }
   }
-  const double charge = RecordStore::ThreadChargeMs() - before_ms;
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     progress_.verify_queries += compared;
     progress_.verify_skipped += skipped;
-    progress_sim_ns_ += MsToNanos(charge);
+    progress_sim_ns_ += MsToNanos(RecordStore::ThreadChargeMs() - before_ms);
   }
   obs::MetricsRegistry::Global()
       .GetCounter("evolve.verify_queries")
       .Add(compared);
-  if (!status.ok()) {
-    phase_ = MigrationPhase::kFailed;
-    return status;
-  }
+  if (!status.ok()) return status;
   return clean;
 }
 
-Status MigrationExecutor::VerifyStep(
-    const std::vector<LoggedStatement>& query_log) {
-  // A failed comparison in the single-threaded loop is never transient —
-  // no foreground write can interleave — so a mismatch fails the
-  // migration outright.
-  NOSE_ASSIGN_OR_RETURN(bool clean, TryVerify(query_log));
-  if (!clean) {
-    {
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      ++progress_.verify_mismatches;
-    }
-    obs::MetricsRegistry::Global()
-        .GetCounter("evolve.verify_mismatches")
-        .Increment();
-    phase_ = MigrationPhase::kFailed;
-    return Status::Internal("migration verification mismatch");
+StatusOr<bool> MigrationExecutor::VerifyStep(StatementLog* log,
+                                             DriverBarrier* drivers) {
+  // With the drivers paused no foreground write can race the pass, so a
+  // mismatch in the deciding pass is a real migration fault.
+  const bool deciding = dirty_passes_ >= kVerifyAttempts;
+  if (deciding) drivers->Pause();
+  StatusOr<bool> clean = VerifyPass(log->queries());
+  if (deciding) drivers->Resume();
+  if (!clean.ok()) return Fail(clean.status());
+  {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    progress_.quiesced_verify = deciding;
+    if (!*clean) ++(deciding ? progress_.verify_mismatches
+                             : progress_.verify_retries);
   }
-  phase_ = MigrationPhase::kReadyForCutover;
-  return Status::Ok();
+  if (*clean) {
+    Advance(MigrationPhase::kVerify, MigrationPhase::kReadyForCutover);
+    return phase_.load() == MigrationPhase::kReadyForCutover;
+  }
+  if (!deciding) {
+    ++dirty_passes_;
+    return false;
+  }
+  obs::MetricsRegistry::Global()
+      .GetCounter("evolve.verify_mismatches")
+      .Increment();
+  return Fail(Status::Internal("migration verification mismatch"));
 }
 
 Status MigrationExecutor::OnUpdate(const LoggedStatement& entry) {
-  const MigrationPhase phase = phase_.load();
-  if (phase != MigrationPhase::kDualWrite &&
-      phase != MigrationPhase::kVerify &&
-      phase != MigrationPhase::kReadyForCutover) {
-    return Status::Ok();
-  }
   const double before_ms = RecordStore::ThreadChargeMs();
   Status s = ReplayUpdate(entry);
-  if (!s.ok()) {
-    phase_ = MigrationPhase::kFailed;
-    return s;
-  }
-  const double charge = RecordStore::ThreadChargeMs() - before_ms;
+  if (!s.ok()) return Fail(s);
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     ++progress_.dual_writes;
-    progress_sim_ns_ += MsToNanos(charge);
+    progress_sim_ns_ += MsToNanos(RecordStore::ThreadChargeMs() - before_ms);
   }
   obs::MetricsRegistry::Global().GetCounter("evolve.dual_writes").Increment();
   return Status::Ok();

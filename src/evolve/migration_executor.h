@@ -12,17 +12,63 @@
 #include "executor/dataset.h"
 #include "executor/plan_executor.h"
 #include "store/record_store.h"
-#include "util/thread_pool.h"
+#include "util/statusor.h"
 
 namespace nose::evolve {
 
-/// One executed statement with its bound parameters, as logged by the
-/// controller. The update log is the full history since the initial load
-/// (catch-up replays it to rebuild logical state the dataset does not
-/// contain); the query log is a bounded sample used by verification.
+/// One executed statement with its bound parameters.
 struct LoggedStatement {
   std::string statement;
   PlanExecutor::Params params;
+};
+
+class MigrationExecutor;
+
+/// The statements a run's drivers executed, shared with the migration in
+/// flight. The update log is the full history since the initial load
+/// (catch-up replays it to rebuild logical state the dataset does not
+/// contain); the query log is a bounded sample of recent queries that
+/// verification compares. One mutex guards both logs and the dual-write
+/// routing, so every update is either in the log prefix a migration
+/// replays or dual-written by it, never both.
+class StatementLog {
+ public:
+  explicit StatementLog(size_t query_capacity)
+      : query_capacity_(query_capacity) {}
+
+  void AddQuery(LoggedStatement entry);
+  /// Appends an update that `via` executed. Returns the migration that
+  /// must dual-write it — the one whose catch-up has flipped to dual
+  /// writes, when `via` is its old generation's executor — or null.
+  MigrationExecutor* AddUpdate(LoggedStatement entry, const PlanExecutor* via);
+  /// Ends dual-write routing: after a cutover's epoch barrier, or when the
+  /// migration failed.
+  void StopDualWrites();
+
+  std::vector<LoggedStatement> updates() const;
+  std::vector<LoggedStatement> queries() const;
+
+ private:
+  friend class MigrationExecutor;
+
+  mutable std::mutex mu_;
+  size_t query_capacity_;
+  std::vector<LoggedStatement> updates_;  ///< guarded by mu_
+  std::vector<LoggedStatement> queries_;  ///< guarded by mu_
+  MigrationExecutor* dual_ = nullptr;     ///< guarded by mu_
+};
+
+/// The drivers a migration advances among: the deciding verification pass
+/// runs with every driver but the caller parked.
+class DriverBarrier {
+ public:
+  /// Blocks until every driver other than the caller is parked at a
+  /// transaction boundary; they stay parked until Resume.
+  virtual void Pause() = 0;
+  virtual void Resume() = 0;
+
+ protected:
+  ~DriverBarrier() = default;
 };
 
 enum class MigrationPhase {
@@ -30,7 +76,7 @@ enum class MigrationPhase {
   kCatchUp,          ///< replaying the update log into the new generation
   kDualWrite,        ///< soak: updates applied to both generations
   kVerify,           ///< sampled queries compared old vs. new
-  kReadyForCutover,  ///< verified; controller may cut over
+  kReadyForCutover,  ///< verified; the caller may cut over
   kDone,
   kFailed,
 };
@@ -43,51 +89,46 @@ struct MigrationProgress {
   uint64_t verify_queries = 0;
   uint64_t verify_mismatches = 0;
   uint64_t verify_skipped = 0;
+  /// Dirty verification passes retried before a clean or deciding one.
+  uint64_t verify_retries = 0;
+  /// True when the deciding verification pass ran with the drivers paused.
+  bool quiesced_verify = false;
   /// Simulated store milliseconds charged by migration work (backfill +
   /// catch-up + dual writes + verification reads).
   double simulated_ms = 0.0;
 };
 
-/// The fields the evolve and serve migration records share: the plan's
-/// shape and estimates, and the executor's work counters.
-struct MigrationCounts {
-  size_t builds = 0;
-  size_t keeps = 0;
-  size_t drops = 0;
-  uint64_t rows_backfilled = 0;
-  uint64_t catchup_updates = 0;
-  uint64_t dual_writes = 0;
-  uint64_t verify_queries = 0;
-  double est_build_cost_ms = 0.0;
-  /// Estimated drop + dual-write charges, so the estimate is
-  /// commensurable with the simulated ms charged — which includes both.
-  double est_drop_cost_ms = 0.0;
-  double est_dual_write_cost_ms = 0.0;
-
-  void CopyPlan(const MigrationPlan& plan);
-  void CopyProgress(const MigrationProgress& progress);
-};
-
 /// Executes one migration plan against the live store in bounded steps.
+/// Drivers call Step at their transaction boundaries, from any number of
+/// threads, and log every statement they execute in the StatementLog,
+/// which hands an update to OnUpdate once dual writes are on. One Step
+/// does one unit of the protocol:
 ///
-/// Single-threaded (evolve loop) use: the controller calls Step() between
-/// transactions (one backfill chunk / catch-up batch / verify pass per
-/// call) and OnUpdate() after every executed update so the new generation
-/// stays in sync once dual-writing starts.
+///  1. backfill: loads one chunk of root rows into a build-set column
+///     family. At most `max_loaders` drivers load at once, and catch-up
+///     starts only once every chunk has landed.
+///  2. catch-up: copies the next batch of logged updates under the log
+///     mutex and replays it outside. When at most one batch is left, the
+///     Step replays that tail under the mutex and turns dual writes on in
+///     the same critical section (the flip).
+///  3. dual write: a soak of a few Steps.
+///  4. verify: compares the sampled queries on both generations. Under
+///     concurrent drivers a mismatch can be transient (between an
+///     old-generation write and its dual write), so a dirty pass is
+///     retried at the next Step; after kVerifyAttempts dirty passes one
+///     deciding pass runs with the other drivers paused, and a mismatch
+///     there fails the migration.
+///  5. ready for cutover: the Step that verified returns true, and only
+///     that one. Its caller swaps generations behind an epoch barrier,
+///     stops dual writes, drops the old families and calls FinishCutover.
 ///
-/// Concurrent (serve loop) use: a migration worker drives
-/// BackfillAll/ReplayRange/BeginDualWrite/TryVerify/MarkReadyForCutover
-/// while driver threads execute foreground statements and call OnUpdate
-/// concurrently. phase() is atomic and progress() snapshots under a lock,
-/// so both are safe from any thread; the caller is responsible for the
-/// replay-vs-dual-write handoff (every update either lands in the replayed
-/// log prefix or is OnUpdate'd after BeginDualWrite, never both — see
-/// serve/ServeHarness).
+/// Steps after backfill are serialized: a driver that finds another one
+/// mid-step returns at once and serves its next transaction.
 ///
-/// Safety: backfill and catch-up write only new-generation column
+/// Safety: backfill, catch-up and dual writes write only build-set column
 /// families, so queries served from the old generation are untouched until
-/// the controller cuts over — and cutover is only offered after every
-/// sampled query returned identical rows from both generations.
+/// cutover, and cutover is only offered after every sampled query returned
+/// identical rows from both generations.
 class MigrationExecutor {
  public:
   struct Options {
@@ -105,72 +146,56 @@ class MigrationExecutor {
                     const std::map<std::string, QueryPlan>* old_query_plans,
                     const std::map<std::string, QueryPlan>* new_query_plans,
                     const std::map<std::string, UpdatePlan>* new_update_plans,
-                    const MigrationPlan* plan, Options options);
+                    const MigrationPlan* plan, Options options,
+                    size_t max_loaders);
 
-  /// Creates the build-set column families and derives the replay plans
-  /// (new-generation update plans filtered to build-set parts). Must be
-  /// called once before Step; separate from the constructor so creation
-  /// errors surface.
+  /// Creates the build-set column families, derives the replay plans
+  /// (new-generation update plans filtered to build-set parts) and splits
+  /// the backfill into chunks. Must be called once before Step; separate
+  /// from the constructor so creation errors surface.
   Status Prepare();
 
-  /// Advances one bounded unit of work. `update_log` is the controller's
-  /// full update history (append-only); `query_log` the recent-query
-  /// sample. Returns an error (and enters kFailed) on verification
-  /// mismatch or store failure.
-  Status Step(const std::vector<LoggedStatement>& update_log,
-              const std::vector<LoggedStatement>& query_log);
+  /// Advances one unit of the protocol (see the class comment). Returns
+  /// true to the one caller that must now cut over; an error (and
+  /// kFailed) on a store failure or a deciding verification mismatch.
+  StatusOr<bool> Step(StatementLog* log, DriverBarrier* drivers);
 
-  /// Applies one just-executed update to the new generation when the
-  /// migration has passed catch-up (phases kDualWrite and later). Earlier
-  /// phases rely on the update log instead, so nothing is double-applied:
-  /// catch-up replays exactly the entries executed before dual-writing
-  /// began. Safe to call from multiple driver threads concurrently.
+  /// Applies one just-executed update to the build set. The StatementLog
+  /// routes updates here only after the flip, so nothing is applied twice.
+  /// Safe to call from multiple driver threads concurrently.
   Status OnUpdate(const LoggedStatement& entry);
 
-  /// Backfills every build-set column family in one call, fanning the
-  /// chunks out over `pool` (serial when null). Disjoint root-row ranges
-  /// write disjoint rows, so chunks are independent; the call returns only
-  /// once every chunk landed. Transitions kBackfill -> kCatchUp.
-  Status BackfillAll(util::ThreadPool* pool);
-
-  /// Replays update-log entries [begin, end) into the new generation
-  /// without any phase transition: the serve loop's catch-up primitive,
-  /// driven from the migration worker while drivers keep appending.
-  Status ReplayRange(const std::vector<LoggedStatement>& update_log,
-                     size_t begin, size_t end);
-
-  /// Transitions to kDualWrite. The caller must guarantee (e.g. by holding
-  /// its update-log mutex across the final ReplayRange and this call) that
-  /// every update before the transition was replayed and every one after
-  /// it reaches OnUpdate.
-  void BeginDualWrite() { phase_.store(MigrationPhase::kDualWrite); }
-
-  /// One verification pass over the sampled query log: true when every
-  /// compared query matched, false on a mismatch (no phase change — under
-  /// concurrent foreground writes a mismatch can be a transient between
-  /// the old-generation write and its dual write, so the caller retries).
-  /// Hard store errors fail the migration as usual.
-  StatusOr<bool> TryVerify(const std::vector<LoggedStatement>& query_log);
-
-  /// Marks verification complete; cutover may proceed.
-  void MarkReadyForCutover() {
-    phase_.store(MigrationPhase::kReadyForCutover);
-  }
-
-  /// Marks the cutover done (controller has swapped generations).
+  /// Marks the cutover done (the caller has swapped generations).
   void FinishCutover() { phase_.store(MigrationPhase::kDone); }
 
   MigrationPhase phase() const { return phase_.load(); }
   MigrationProgress progress() const;
 
  private:
+  friend class StatementLog;
+
+  /// Backfill chunk: root rows [begin, end) of build column family
+  /// `cf_index`.
+  struct Chunk {
+    size_t cf_index;
+    size_t begin;
+    size_t end;
+  };
+
   Status BackfillStep();
-  Status CatchUpStep(const std::vector<LoggedStatement>& update_log);
-  Status VerifyStep(const std::vector<LoggedStatement>& query_log);
+  Status CatchUpStep(StatementLog* log);
+  StatusOr<bool> VerifyStep(StatementLog* log, DriverBarrier* drivers);
+  /// One verification pass over the sampled query log: true when every
+  /// compared query matched.
+  StatusOr<bool> VerifyPass(const std::vector<LoggedStatement>& query_log);
+  /// Replays entries [begin, end) of `updates` into the build set.
+  Status Replay(const std::vector<LoggedStatement>& updates, size_t begin,
+                size_t end);
   Status ReplayUpdate(const LoggedStatement& entry);
-  /// Loads root rows [begin, end) of build CF `cf_index`, accounting rows
-  /// and simulated charge into progress. Any thread.
-  Status BackfillChunk(size_t cf_index, size_t begin, size_t end);
+  /// Moves from phase `from` to `to`; a no-op from any other phase, so a
+  /// failure is final.
+  void Advance(MigrationPhase from, MigrationPhase to);
+  Status Fail(Status status);
 
   const Dataset* data_;
   RecordStore* store_;
@@ -182,6 +207,7 @@ class MigrationExecutor {
   const std::map<std::string, UpdatePlan>* new_update_plans_;
   const MigrationPlan* plan_;
   Options options_;
+  size_t max_loaders_;
 
   /// New-generation update plans restricted to parts that write build-set
   /// column families, keyed by statement; statements with no build-set
@@ -191,15 +217,21 @@ class MigrationExecutor {
   /// entries to a kept family would race (and could lose) newer foreground
   /// writes to the same record under concurrent serving.
   std::map<std::string, UpdatePlan> replay_plans_;
+  std::vector<Chunk> chunks_;
 
   std::atomic<MigrationPhase> phase_{MigrationPhase::kBackfill};
-  mutable std::mutex progress_mu_;
-  MigrationProgress progress_;     ///< guarded by progress_mu_
-  int64_t progress_sim_ns_ = 0;    ///< guarded by progress_mu_
-  size_t build_pos_ = 0;    ///< index into plan_->build_indices
-  size_t root_cursor_ = 0;  ///< next root row of the current build CF
-  size_t replay_pos_ = 0;   ///< next update-log entry to replay
+  /// Guards the cursors below; Steps after backfill hold it throughout.
+  std::mutex step_mu_;
+  size_t next_chunk_ = 0;     ///< next backfill chunk to claim
+  size_t chunks_landed_ = 0;  ///< backfill chunks loaded
+  size_t loaders_ = 0;        ///< drivers loading a chunk right now
+  size_t replay_pos_ = 0;     ///< next update-log entry to replay
   size_t dual_write_steps_ = 0;
+  size_t dirty_passes_ = 0;
+
+  mutable std::mutex progress_mu_;
+  MigrationProgress progress_;   ///< guarded by progress_mu_
+  int64_t progress_sim_ns_ = 0;  ///< guarded by progress_mu_
 };
 
 }  // namespace nose::evolve

@@ -20,7 +20,7 @@ namespace nose::evolve {
 /// builds completed and verified.
 struct MigrationPlan {
   /// Store names of column families present in both schemas, as named by
-  /// the NEW schema. The controller names kept families after their live
+  /// the NEW schema. The harness names kept families after their live
   /// store column family, so these are also the old names.
   std::vector<std::string> keep_names;
   /// Indices into the new schema that must be built, in build order.

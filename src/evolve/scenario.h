@@ -5,12 +5,26 @@
 #include <string>
 #include <vector>
 
-#include "evolve/evolve.h"
+#include "advisor/advisor.h"
+#include "evolve/migration_executor.h"
+#include "evolve/workload_tracker.h"
 #include "executor/dataset.h"
 #include "rubis/workload.h"
 #include "util/statusor.h"
 
 namespace nose::evolve {
+
+/// Reserved mix name the tracker's observed weights are written into
+/// before each drift re-advise.
+inline constexpr char kObservedMix[] = "__observed";
+
+struct EvolveOptions {
+  TrackerOptions tracker;
+  MigrationExecutor::Options migration;
+  AdvisorOptions advisor;
+  /// Recent queries kept for migration verification.
+  size_t query_log_capacity = 128;
+};
 
 /// One phase of a drift scenario: sample transactions from `mix` for
 /// `transactions` transactions.
@@ -57,10 +71,10 @@ StatusOr<DriftScenario> ParseScenario(const std::string& text,
                                       const std::string& source = "scenario");
 StatusOr<DriftScenario> LoadScenarioFile(const std::string& path);
 
-/// The application a scenario runs, shared by the evolve and serve loops:
-/// its model, generated dataset and workload, and one transaction sampler
-/// per phase. `graph` and `data` sit behind pointers because `workload`
-/// and the loops' executors point into them.
+/// The application a scenario runs in the serve::ServeHarness: its model,
+/// generated dataset and workload, and one transaction sampler per phase.
+/// `graph` and `data` sit behind pointers because `workload` and the
+/// harness's executors point into them.
 struct ScenarioEnvironment {
   std::unique_ptr<EntityGraph> graph;
   std::unique_ptr<Dataset> data;

@@ -44,10 +44,7 @@ void WorkloadTracker::SetAdvised(const std::map<std::string, double>& weights) {
   obs::MetricsRegistry::Global().GetGauge("evolve.drift").Set(0.0);
 }
 
-void WorkloadTracker::Record(const std::string& statement,
-                             double simulated_ms) {
-  ++statements_recorded_;
-  total_simulated_ms_ += simulated_ms;
+void WorkloadTracker::Record(const std::string& statement) {
   ++window_counts_[statement];
   if (++window_size_ >= options_.window) CloseWindow();
 }

@@ -46,9 +46,8 @@ class WorkloadTracker {
   /// normalized here). Resets the estimate, drift, and trigger state.
   void SetAdvised(const std::map<std::string, double>& weights);
 
-  /// Records one executed statement (`simulated_ms` is accumulated for
-  /// reporting only).
-  void Record(const std::string& statement, double simulated_ms = 0.0);
+  /// Records one executed statement.
+  void Record(const std::string& statement);
 
   /// True when drift has persisted long enough to warrant re-advising.
   /// Consuming the trigger resets it and starts the cooldown.
@@ -59,8 +58,6 @@ class WorkloadTracker {
   /// Current EWMA frequency estimate (normalized).
   const std::map<std::string, double>& estimate() const { return estimate_; }
   uint64_t windows_closed() const { return windows_closed_; }
-  uint64_t statements_recorded() const { return statements_recorded_; }
-  double total_simulated_ms() const { return total_simulated_ms_; }
 
  private:
   void CloseWindow();
@@ -75,8 +72,6 @@ class WorkloadTracker {
   size_t cooldown_left_ = 0;
   bool trigger_ = false;
   uint64_t windows_closed_ = 0;
-  uint64_t statements_recorded_ = 0;
-  double total_simulated_ms_ = 0.0;
 };
 
 }  // namespace nose::evolve

@@ -3,22 +3,20 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <sstream>
+#include <thread>
+#include <utility>
 
 #include "executor/loader.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace nose::serve {
 
 namespace {
 
-/// Concurrent verification attempts before quiescing the drivers for one
-/// authoritative pass (foreground writes can race the old-generation write
-/// and its dual write, making individual mismatches transient).
-constexpr size_t kVerifyAttempts = 8;
+using evolve::MigrationPhase;
 
 LatencyQuantiles Quantiles(std::vector<double>& samples) {
   LatencyQuantiles q;
@@ -49,37 +47,71 @@ void PrintQuantiles(std::ostringstream& out, const char* label,
   out << "\n";
 }
 
-/// True when `gen` has a plan for every statement `sampler` can draw.
-bool Serves(const evolve::Generation& gen, const Workload& workload,
-            const rubis::TransactionSampler& sampler) {
-  for (const rubis::TransactionSampler::Entry& entry : sampler.entries()) {
-    for (const std::string& stmt : entry.tx->statements) {
-      const bool planned = workload.FindEntry(stmt)->IsQuery()
-                               ? gen.query_plans.count(stmt) != 0
-                               : gen.update_plans.count(stmt) != 0;
-      if (!planned) return false;
-    }
+/// Names `rec`'s column families for `store`: families kept from the live
+/// generation `reuse_names_from` keep their store names, new ones get
+/// `prefix` so both generations coexist in one store (no live generation:
+/// advised names). Builds the generation's executor over `store`.
+std::shared_ptr<Generation> MakeGeneration(Recommendation rec,
+                                           const Schema* reuse_names_from,
+                                           const std::string& prefix,
+                                           RecordStore* store) {
+  auto gen = std::make_shared<Generation>();
+  gen->rec = std::move(rec);
+  gen->named = std::make_unique<Schema>();
+  const Schema& advised = gen->rec.schema;
+  for (size_t i = 0; i < advised.size(); ++i) {
+    const ColumnFamily& cf = advised.column_families()[i];
+    const std::string* kept =
+        reuse_names_from != nullptr ? reuse_names_from->NameOf(cf) : nullptr;
+    const std::string name =
+        kept != nullptr ? *kept
+                        : (reuse_names_from != nullptr ? prefix : std::string()) +
+                              advised.names()[i];
+    gen->named->Add(cf, name, advised.PoolIdAt(i));
   }
-  return true;
+  for (const auto& [stmt, plan] : gen->rec.query_plans) {
+    gen->query_plans.emplace(stmt, plan);
+  }
+  for (const auto& [stmt, plan] : gen->rec.update_plans) {
+    gen->update_plans.emplace(stmt, plan);
+  }
+  gen->executor = std::make_unique<PlanExecutor>(store, gen->named.get());
+  return gen;
 }
 
 }  // namespace
 
-ServeHarness::ServeHarness(evolve::DriftScenario scenario, ServeOptions options)
+ServeHarness::ServeHarness(evolve::DriftScenario scenario, ServeOptions options,
+                           Trigger trigger)
     : scenario_(std::move(scenario)),
       options_(std::move(options)),
-      session_(scenario_.options.advisor) {}
+      trigger_(trigger),
+      session_(scenario_.options.advisor),
+      log_(scenario_.options.query_log_capacity) {}
 
-ServeHarness::~ServeHarness() {
-  if (migration_thread_.joinable()) migration_thread_.join();
-}
+ServeHarness::~ServeHarness() = default;
 
 StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
     const evolve::DriftScenario& scenario, ServeOptions options) {
+  return Make(scenario, std::move(options), Trigger::kPhaseBoundary);
+}
+
+StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::CreateEvolve(
+    const evolve::DriftScenario& scenario) {
+  ServeOptions options;
+  options.threads = 1;
+  options.streams = 1;
+  return Make(scenario, options,
+              scenario.planned ? Trigger::kHorizon : Trigger::kDrift);
+}
+
+StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Make(
+    const evolve::DriftScenario& scenario, ServeOptions options,
+    Trigger trigger) {
   if (options.threads == 0) options.threads = 1;
   if (options.streams == 0) options.streams = options.threads;
   std::unique_ptr<ServeHarness> harness(
-      new ServeHarness(scenario, std::move(options)));
+      new ServeHarness(scenario, std::move(options), trigger));
   NOSE_ASSIGN_OR_RETURN(harness->env_, evolve::MakeEnvironment(scenario));
   harness->store_ = std::make_unique<RecordStore>(
       scenario.options.advisor.cost_params, harness->options_.store_stripes);
@@ -93,19 +125,53 @@ StatusOr<std::unique_ptr<ServeHarness>> ServeHarness::Create(
     harness->streams_[s].mix_rng =
         Rng(scenario.seed + 0x9e3779b97f4a7c15ull * (s + 1));
   }
+  if (trigger != Trigger::kPhaseBoundary) {
+    harness->tracker_ =
+        std::make_unique<evolve::WorkloadTracker>(scenario.options.tracker);
+  }
+  harness->report_.trigger = trigger;
   harness->report_.threads = harness->options_.threads;
   harness->report_.streams = streams;
   return harness;
 }
 
-StatusOr<Recommendation> ServeHarness::AdviseForPhase(size_t phase) {
-  const std::string& mix = scenario_.phases[phase].mix;
+Status ServeHarness::PlanHorizon() {
+  WorkloadHorizon horizon;
+  for (size_t p = 0; p < scenario_.phases.size(); ++p) {
+    const evolve::DriftPhase& phase = scenario_.phases[p];
+    HorizonWindow window;
+    window.label = phase.mix;
+    window.mix = phase.mix;
+    // One unit of window objective is one pass over the mix's weighted
+    // statements, and a sampled transaction costs objective / Σ_tx w_tx in
+    // expectation (statement weights are sums of the transaction weights
+    // using them). Scaling by transactions / Σ_tx w_tx makes
+    // Σ duration·objective the expected total execution milliseconds —
+    // commensurable with the migration build costs in the same objective.
+    window.duration = static_cast<double>(phase.transactions) /
+                      env_.phase_samplers[p].total();
+    horizon.windows.push_back(std::move(window));
+  }
+  HorizonOptions horizon_options;
+  horizon_options.migration_cost_weight = scenario_.migration_cost_weight;
+  // Price scheduled migrations with the chunking the executor will use.
+  horizon_options.backfill_chunk_rows =
+      static_cast<double>(scenario_.options.migration.chunk_rows);
+  NOSE_ASSIGN_OR_RETURN(
+      HorizonPlan plan,
+      Advisor(scenario_.options.advisor)
+          .PlanHorizon(*env_.workload, horizon, horizon_options));
+  horizon_plan_ = std::make_unique<HorizonPlan>(std::move(plan));
+  return Status::Ok();
+}
+
+StatusOr<Recommendation> ServeHarness::Advise(const std::string& mix) {
   Stopwatch watch;
   StatusOr<Recommendation> rec = session_.Advise(
       *env_.workload, mix, options_.advise_deadline_seconds);
   if (!rec.ok()) return rec.status();
-  ServeAdviseRecord record;
-  record.phase = phase;
+  AdviseRecord record;
+  record.phase = phase_;
   record.mix = mix;
   record.deadline_seconds = options_.advise_deadline_seconds;
   record.elapsed_seconds = watch.ElapsedSeconds();
@@ -116,52 +182,264 @@ StatusOr<Recommendation> ServeHarness::AdviseForPhase(size_t phase) {
   return rec;
 }
 
-Status ServeHarness::PrepareBoundary(size_t phase) {
-  NOSE_ASSIGN_OR_RETURN(Recommendation rec, AdviseForPhase(phase));
-  const Schema* live = active_ != nullptr ? active_->named.get() : nullptr;
-  std::shared_ptr<Generation> next = evolve::MakeGeneration(
-      std::move(rec), live, "s" + std::to_string(next_serial_++) + "_",
-      store_.get());
-  if (phase == 0) {
-    report_.advises.back().schema_changed = true;
-    active_ = std::move(next);
-    // The initial deployment is not part of the served workload: load the
-    // full schema uncharged, exactly like the evolve loop's Init.
-    return LoadSchema(*env_.data, *active_->named, store_.get());
-  }
+Status ServeHarness::AdviseAndMigrate(const std::string& mix,
+                                      MigrationRecord record) {
+  NOSE_ASSIGN_OR_RETURN(Recommendation rec, Advise(mix));
+  record.to_mix = mix;
+  record.advise_incremental = rec.reuse != PoolReuse::kCold;
+  record.advise_seconds = report_.advises.back().elapsed_seconds;
+  NOSE_RETURN_IF_ERROR(StartMigration(std::move(record), std::move(rec)));
+  report_.advises.back().schema_changed = MigrationInFlight();
+  return Status::Ok();
+}
 
-  mig_record_ = ServeMigrationRecord();
-  evolve::ArmedMigration armed = evolve::ArmMigration(
-      *active_, *next, *env_.workload, scenario_.phases[phase].mix, *env_.data,
-      store_.get(), scenario_.options, &mig_record_);
-  if (armed.executor == nullptr) {
-    // Same physical schema: adopt the fresh plans in place (drivers are
-    // parked between phases, so a plain swap is safe).
-    std::lock_guard<std::mutex> lock(gen_mu_);
-    active_ = std::move(next);
+Status ServeHarness::PrepareBoundary() {
+  const std::string& mix = scenario_.phases[phase_].mix;
+  MigrationRecord record;
+  record.at_phase = phase_;
+  if (phase_ == 0) {
+    Recommendation rec;
+    if (trigger_ == Trigger::kHorizon) {
+      NOSE_RETURN_IF_ERROR(PlanHorizon());
+      // The copied plans point into horizon_plan_->pool, which lives as
+      // long as the harness.
+      rec = horizon_plan_->windows[0].rec;
+    } else {
+      NOSE_ASSIGN_OR_RETURN(rec, Advise(mix));
+      report_.advises.back().schema_changed = true;
+    }
+    std::shared_ptr<Generation> first =
+        MakeGeneration(std::move(rec), nullptr, NextPrefix(), store_.get());
+    // The initial deployment is not part of the served workload: load the
+    // full schema uncharged.
+    NOSE_RETURN_IF_ERROR(LoadSchema(*env_.data, *first->named, store_.get()));
+    Activate(std::move(first), mix);
+  } else if (trigger_ == Trigger::kPhaseBoundary) {
+    NOSE_RETURN_IF_ERROR(AdviseAndMigrate(mix, record));
+  } else if (trigger_ == Trigger::kHorizon) {
+    obs::Span span("evolve.planned_migration", "evolve");
+    MigrationRecord planned = record;
+    planned.to_mix = mix;
+    planned.planned = true;
+    planned.to_window = phase_;
+    NOSE_RETURN_IF_ERROR(
+        StartMigration(planned, horizon_plan_->windows[phase_].rec));
+  }
+  if (Unavailable() == 0) return Status::Ok();
+  // The live generation has no plan for some statement this phase draws
+  // (it was advised for a mix without it): cut over before any driver
+  // starts, to the migration in flight or else to the phase's own mix.
+  NOSE_RETURN_IF_ERROR(StepToCutover());
+  if (Unavailable() == 0) return Status::Ok();
+  NOSE_RETURN_IF_ERROR(AdviseAndMigrate(mix, record));
+  return StepToCutover();
+}
+
+Status ServeHarness::StartMigration(MigrationRecord record,
+                                    Recommendation rec) {
+  record.started_at_transaction = transactions_.load();
+  if (tracker_ != nullptr) record.drift_at_trigger = tracker_->drift();
+  std::shared_ptr<Generation> next = MakeGeneration(
+      std::move(rec), active_->named.get(), NextPrefix(), store_.get());
+  // Dual writes are priced with the update share of the mix the migration
+  // enters — the pricing the horizon planner charges transitions with, so
+  // planned, reactive and served estimates agree.
+  MigrationTraffic traffic;
+  traffic.update_weight_share =
+      UpdateWeightShare(*env_.workload, record.to_mix);
+  traffic.chunk_rows =
+      static_cast<double>(scenario_.options.migration.chunk_rows);
+  auto plan = std::make_unique<evolve::MigrationPlan>(evolve::PlanMigration(
+      *active_->named, *next->named,
+      CostModel(scenario_.options.advisor.cost_params), traffic));
+  if (plan->empty()) {
+    // Same physical schema: the fresh plans only re-rank equal-cost paths,
+    // so they are adopted in place (no driver runs a transaction now).
+    Activate(std::move(next), record.to_mix);
+    ++report_.no_op_readvises;
     return Status::Ok();
   }
-
-  report_.advises.back().schema_changed = true;
-  mig_record_.at_phase = phase;
-  mig_record_.to_mix = scenario_.phases[phase].mix;
+  record.builds = plan->build_indices.size();
+  record.keeps = plan->keep_names.size();
+  record.drops = plan->drop_names.size();
+  record.est_build_cost_ms = plan->est_build_cost_ms;
+  record.est_total_cost_ms = plan->est_total_cost_ms();
+  migration_ = std::make_unique<evolve::MigrationExecutor>(
+      env_.data.get(), store_.get(), next->named.get(),
+      active_->executor.get(), next->executor.get(), &active_->query_plans,
+      &next->query_plans, &next->update_plans, plan.get(),
+      scenario_.options.migration, options_.migration_threads);
   pending_ = std::move(next);
-  mig_plan_ = std::move(armed.plan);
-  migration_ = std::move(armed.executor);
-  NOSE_RETURN_IF_ERROR(migration_->Prepare());
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    live_migration_ = migration_.get();
-    dual_routing_ = false;
-    migrating_from_ = active_.get();
+  mig_plan_ = std::move(plan);
+  mig_record_ = std::move(record);
+  mig_wall_.Reset();
+  bucket_.store(1, std::memory_order_relaxed);
+  Status prepared = migration_->Prepare();
+  if (!prepared.ok()) {
+    AbortMigration();
+    return prepared;
   }
+  obs::MetricsRegistry::Global()
+      .GetCounter("evolve.migrations_started")
+      .Increment();
   return Status::Ok();
+}
+
+Status ServeHarness::Readvise() {
+  obs::Span span("evolve.readvise", "evolve");
+  for (const auto& [name, weight] : tracker_->estimate()) {
+    NOSE_RETURN_IF_ERROR(
+        env_.workload->SetWeight(name, evolve::kObservedMix, weight));
+  }
+  MigrationRecord record;
+  record.at_phase = phase_;
+  return AdviseAndMigrate(evolve::kObservedMix, std::move(record));
+}
+
+bool ServeHarness::MigrationInFlight() const {
+  if (migration_ == nullptr) return false;
+  const MigrationPhase phase = migration_->phase();
+  return phase != MigrationPhase::kDone && phase != MigrationPhase::kFailed;
+}
+
+Status ServeHarness::StepMigration() {
+  StatusOr<bool> cut = migration_->Step(&log_, this);
+  if (!cut.ok()) {
+    // Stop routing so drivers do not keep feeding a dead migration.
+    log_.StopDualWrites();
+    return cut.status();
+  }
+  return *cut ? Cutover() : Status::Ok();
+}
+
+Status ServeHarness::StepToCutover() {
+  while (MigrationInFlight()) NOSE_RETURN_IF_ERROR(StepMigration());
+  return Status::Ok();
+}
+
+std::shared_ptr<Generation> ServeHarness::Activate(
+    std::shared_ptr<Generation> gen, const std::string& mix) {
+  std::shared_ptr<Generation> old;
+  {
+    std::lock_guard<std::mutex> lock(gen_mu_);
+    old = std::exchange(active_, std::move(gen));
+  }
+  if (tracker_ != nullptr) {
+    std::map<std::string, double> weights;
+    for (const auto& [entry, weight] : env_.workload->EntriesIn(mix)) {
+      weights[entry->name] = weight;
+    }
+    tracker_->SetAdvised(weights);
+  }
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("evolve.invariant_checks").Increment();
+  if (const size_t unavailable = Unavailable()) {
+    invariant_violations_ += unavailable;
+    reg.GetCounter("evolve.invariant_violations").Add(unavailable);
+  }
+  return old;
+}
+
+Status ServeHarness::Cutover() {
+  obs::Span span("evolve.cutover", "evolve");
+  std::shared_ptr<Generation> old =
+      Activate(std::move(pending_), mig_record_.to_mix);
+  // The epoch barrier: wait out in-flight transactions still holding the
+  // old generation (they keep dual-writing, so nothing is lost). Only then
+  // stop dual writes and drop the old families.
+  while (old.use_count() > 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  log_.StopDualWrites();
+  migration_->FinishCutover();
+
+  const StoreStats before_drop = store_->stats();
+  for (const std::string& name : mig_plan_->drop_names) {
+    NOSE_RETURN_IF_ERROR(store_->DropColumnFamily(name));
+  }
+  const StoreStats after_drop = store_->stats();
+  mig_record_.rows_dropped = after_drop.rows_dropped - before_drop.rows_dropped;
+  mig_record_.bytes_dropped =
+      after_drop.bytes_dropped - before_drop.bytes_dropped;
+  mig_record_.finished_at_transaction = transactions_.load();
+  mig_record_.progress = migration_->progress();
+  mig_record_.wall_seconds = mig_wall_.ElapsedSeconds();
+  report_.migrations.push_back(mig_record_);
+  bucket_.store(2, std::memory_order_relaxed);
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.GetCounter("evolve.migrations_completed").Increment();
+  reg.GetGauge("evolve.generation")
+      .Set(static_cast<double>(report_.migrations.size()));
+  return Status::Ok();
+}
+
+void ServeHarness::AbortMigration() {
+  log_.StopDualWrites();
+  mig_record_.aborted = true;
+  mig_record_.finished_at_transaction = transactions_.load();
+  mig_record_.progress = migration_->progress();
+  mig_record_.wall_seconds = mig_wall_.ElapsedSeconds();
+  report_.migrations.push_back(mig_record_);
+  // Tear out any half-built column families so the store returns to the
+  // pre-migration catalog.
+  for (size_t i : mig_plan_->build_indices) {
+    const std::string& name = pending_->named->names()[i];
+    if (store_->HasColumnFamily(name)) (void)store_->DropColumnFamily(name);
+  }
+  migration_.reset();
+  mig_plan_.reset();
+  pending_.reset();
+  obs::MetricsRegistry::Global()
+      .GetCounter("evolve.migrations_aborted")
+      .Increment();
+}
+
+size_t ServeHarness::Unavailable() const {
+  const Generation& gen = *active_;
+  auto live = [&](CfId cf_id, const ColumnFamily* cf) {
+    const std::string* name =
+        cf_id != kInvalidCfId ? gen.named->NameOfId(cf_id) : nullptr;
+    if (name == nullptr) name = gen.named->NameOf(*cf);
+    return name != nullptr && store_->HasColumnFamily(*name);
+  };
+  auto servable = [&](const QueryPlan& plan) {
+    return std::all_of(plan.steps.begin(), plan.steps.end(),
+                       [&](const PlanStep& s) { return live(s.cf_id, s.cf); });
+  };
+  std::set<std::string> statements;
+  for (const auto& entry : env_.phase_samplers[phase_].entries()) {
+    statements.insert(entry.tx->statements.begin(),
+                      entry.tx->statements.end());
+  }
+  size_t unavailable = 0;
+  for (const std::string& stmt : statements) {
+    bool ok = false;
+    if (env_.workload->FindEntry(stmt)->IsQuery()) {
+      auto it = gen.query_plans.find(stmt);
+      ok = it != gen.query_plans.end() && servable(it->second);
+    } else if (auto it = gen.update_plans.find(stmt);
+               it != gen.update_plans.end()) {
+      ok = std::all_of(
+          it->second.parts.begin(), it->second.parts.end(),
+          [&](const UpdatePlanPart& part) {
+            return live(part.cf_id, part.cf) &&
+                   std::all_of(part.support_plans.begin(),
+                               part.support_plans.end(), servable);
+          });
+    }
+    if (!ok) ++unavailable;
+  }
+  return unavailable;
 }
 
 Status ServeHarness::ExecuteTransaction(Stream& stream,
                                         const rubis::Transaction& tx,
-                                        const std::shared_ptr<Generation>& gen,
                                         size_t* statements) {
+  std::shared_ptr<Generation> gen;
+  {
+    std::lock_guard<std::mutex> lock(gen_mu_);
+    gen = active_;
+  }
   PlanExecutor::Params params;
   for (const std::string& stmt : tx.statements) {
     stream.params->AddStatementParams(*env_.workload->FindEntry(stmt),
@@ -171,37 +449,36 @@ Status ServeHarness::ExecuteTransaction(Stream& stream,
     if (env_.workload->FindEntry(stmt)->IsQuery()) {
       auto it = gen->query_plans.find(stmt);
       if (it == gen->query_plans.end()) {
+        ++invariant_violations_;
         return Status::NotFound("no active plan for query " + stmt);
       }
       NOSE_RETURN_IF_ERROR(
           gen->executor->ExecuteQuery(it->second, params).status());
-      std::lock_guard<std::mutex> lock(log_mu_);
-      query_log_.push_back({stmt, params});
-      if (query_log_.size() > scenario_.options.query_log_capacity) {
-        query_log_.erase(query_log_.begin());
-      }
+      log_.AddQuery({stmt, params});
     } else {
       auto it = gen->update_plans.find(stmt);
       if (it == gen->update_plans.end()) {
+        ++invariant_violations_;
         return Status::NotFound("no active plan for update " + stmt);
       }
       NOSE_RETURN_IF_ERROR(gen->executor->ExecuteUpdate(it->second, params));
-      evolve::MigrationExecutor* dual = nullptr;
-      {
-        // The append and the routing decision share log_mu_ with the
-        // dual-write flip: every update is either in the replayed log
-        // prefix or dual-written, never both (see the header).
-        std::lock_guard<std::mutex> lock(log_mu_);
-        update_log_.push_back({stmt, params});
-        if (dual_routing_ && gen.get() == migrating_from_) {
-          dual = live_migration_;
-        }
-      }
-      if (dual != nullptr) {
+      if (evolve::MigrationExecutor* dual =
+              log_.AddUpdate({stmt, params}, gen->executor.get())) {
         NOSE_RETURN_IF_ERROR(dual->OnUpdate({stmt, params}));
       }
     }
+    if (tracker_ != nullptr) tracker_->Record(stmt);
     ++*statements;
+  }
+  return Status::Ok();
+}
+
+Status ServeHarness::EndTransaction() {
+  ++transactions_;
+  if (tracker_ != nullptr) report_.last_drift = tracker_->drift();
+  if (MigrationInFlight()) return StepMigration();
+  if (trigger_ == Trigger::kDrift && tracker_->ShouldReadvise()) {
+    return Readvise();
   }
   return Status::Ok();
 }
@@ -218,13 +495,14 @@ void ServeHarness::MaybePark() {
   --parked_;
 }
 
-void ServeHarness::QuiesceDrivers() {
+void ServeHarness::Pause() {
   std::unique_lock<std::mutex> lock(pause_mu_);
   pause_requested_.store(true, std::memory_order_relaxed);
-  pause_cv_.wait(lock, [&] { return parked_ == running_drivers_; });
+  // The caller is a driver at its transaction boundary, or no driver runs.
+  pause_cv_.wait(lock, [&] { return parked_ + 1 >= running_drivers_; });
 }
 
-void ServeHarness::ResumeDrivers() {
+void ServeHarness::Resume() {
   {
     std::lock_guard<std::mutex> lock(pause_mu_);
     pause_requested_.store(false, std::memory_order_relaxed);
@@ -260,167 +538,33 @@ void ServeHarness::DriverLoop(size_t workers, const std::vector<size_t>& owned,
       // Sample the transaction from the stream's own RNG: the sequence
       // depends only on the stream, not on which worker runs it.
       const rubis::Transaction& tx = sampler.Pick(&stream.mix_rng);
-
-      std::shared_ptr<Generation> gen;
-      {
-        std::lock_guard<std::mutex> lock(gen_mu_);
-        gen = active_;
-      }
       const int bucket = bucket_.load(std::memory_order_relaxed);
       const double before = RecordStore::ThreadChargeMs();
-      Status s_txn = ExecuteTransaction(stream, tx, gen, statements);
+      Status s_txn = ExecuteTransaction(stream, tx, statements);
+      if (s_txn.ok()) {
+        samples->push_back({bucket, RecordStore::ThreadChargeMs() - before});
+        --stream.remaining;
+        ++executed;
+        s_txn = EndTransaction();
+      }
       if (!s_txn.ok()) {
         *status = s_txn;
         return;
       }
-      samples->push_back({bucket, RecordStore::ThreadChargeMs() - before});
-      --stream.remaining;
-      ++executed;
     }
   }
   *status = Status::Ok();
 }
 
-void ServeHarness::MigrationWorker() {
-  obs::Span span("serve.migration", "serve");
-  Stopwatch wall;
-  Status status = [&]() -> Status {
-    // 1. Parallel chunked backfill of the build set.
-    util::ThreadPool pool(std::max<size_t>(1, options_.migration_threads));
-    NOSE_RETURN_IF_ERROR(migration_->BackfillAll(&pool));
-
-    // 2. Catch-up: replay the update log in slices copied under the lock
-    // (drivers keep appending; the vector may reallocate under them).
-    size_t replayed = 0;
-    const size_t tail_threshold =
-        std::max<size_t>(1, scenario_.options.migration.catchup_batch);
-    while (true) {
-      std::vector<evolve::LoggedStatement> slice;
-      {
-        std::lock_guard<std::mutex> lock(log_mu_);
-        if (update_log_.size() - replayed <= tail_threshold) break;
-        slice.assign(update_log_.begin() + static_cast<ptrdiff_t>(replayed),
-                     update_log_.end());
-      }
-      NOSE_RETURN_IF_ERROR(migration_->ReplayRange(slice, 0, slice.size()));
-      replayed += slice.size();
-    }
-
-    // 3. The flip: under log_mu_ replay the remaining tail and switch to
-    // dual-write routing. Every update appended before this critical
-    // section is in the replayed prefix; every one after it is OnUpdate'd.
-    {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      NOSE_RETURN_IF_ERROR(
-          migration_->ReplayRange(update_log_, replayed, update_log_.size()));
-      migration_->BeginDualWrite();
-      dual_routing_ = true;
-    }
-
-    // 4. Verify with retries: a mismatch can be a transient between an
-    // old-generation write and its dual write landing.
-    bool clean = false;
-    for (size_t attempt = 0; attempt < kVerifyAttempts && !clean; ++attempt) {
-      std::vector<evolve::LoggedStatement> qlog;
-      {
-        std::lock_guard<std::mutex> lock(log_mu_);
-        qlog = query_log_;
-      }
-      NOSE_ASSIGN_OR_RETURN(clean, migration_->TryVerify(qlog));
-      if (!clean) {
-        ++mig_record_.verify_retries;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    if (!clean) {
-      // Authoritative pass with the drivers parked: no foreground write
-      // can race, so a mismatch here is a real migration bug.
-      QuiesceDrivers();
-      mig_record_.quiesced_verify = true;
-      std::vector<evolve::LoggedStatement> qlog;
-      {
-        std::lock_guard<std::mutex> lock(log_mu_);
-        qlog = query_log_;
-      }
-      StatusOr<bool> quiet = migration_->TryVerify(qlog);
-      ResumeDrivers();
-      NOSE_ASSIGN_OR_RETURN(clean, std::move(quiet));
-      if (!clean) {
-        return Status::Internal("serve migration verification mismatch");
-      }
-    }
-    migration_->MarkReadyForCutover();
-
-    // 5. Cutover: swap the active generation, then wait out in-flight
-    // transactions still holding the old one (they keep dual-writing, so
-    // nothing is lost). Only then stop routing and drop the old families.
-    std::shared_ptr<Generation> old;
-    {
-      std::lock_guard<std::mutex> lock(gen_mu_);
-      old = active_;
-      active_ = std::move(pending_);
-    }
-    while (old.use_count() > 1) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      dual_routing_ = false;
-      live_migration_ = nullptr;
-      migrating_from_ = nullptr;
-    }
-    migration_->FinishCutover();
-
-    const StoreStats before_drop = store_->stats();
-    for (const std::string& name : mig_plan_->drop_names) {
-      NOSE_RETURN_IF_ERROR(store_->DropColumnFamily(name));
-    }
-    const StoreStats after_drop = store_->stats();
-    mig_record_.rows_dropped =
-        after_drop.rows_dropped - before_drop.rows_dropped;
-    mig_record_.bytes_dropped =
-        after_drop.bytes_dropped - before_drop.bytes_dropped;
-    bucket_.store(2, std::memory_order_relaxed);
-    return Status::Ok();
-  }();
-
-  if (!status.ok()) {
-    // Stop routing so drivers do not keep feeding a dead migration.
-    std::lock_guard<std::mutex> lock(log_mu_);
-    dual_routing_ = false;
-    live_migration_ = nullptr;
-    migrating_from_ = nullptr;
-  }
-  const evolve::MigrationProgress prog = migration_->progress();
-  mig_record_.CopyProgress(prog);
-  mig_record_.simulated_ms = prog.simulated_ms;
-  mig_record_.wall_seconds = wall.ElapsedSeconds();
-  migration_status_ = status;
-}
-
-Status ServeHarness::RunPhase(size_t phase) {
-  const evolve::DriftPhase& drift_phase = scenario_.phases[phase];
-  const rubis::TransactionSampler& sampler = env_.phase_samplers[phase];
+Status ServeHarness::RunPhase() {
+  const evolve::DriftPhase& drift_phase = scenario_.phases[phase_];
+  const rubis::TransactionSampler& sampler = env_.phase_samplers[phase_];
 
   // Deal this phase's transactions across the fixed streams.
   const size_t streams = streams_.size();
   for (size_t s = 0; s < streams; ++s) {
     streams_[s].remaining = drift_phase.transactions / streams +
                             (s < drift_phase.transactions % streams ? 1 : 0);
-  }
-
-  const bool migrating = migration_ != nullptr;
-  if (migrating) {
-    bucket_.store(1, std::memory_order_relaxed);
-    if (Serves(*active_, *env_.workload, sampler)) {
-      migration_thread_ = std::thread(&ServeHarness::MigrationWorker, this);
-    } else {
-      // The live generation has no plan for some statement this phase
-      // draws (the live schema was advised for a mix without it): cut
-      // over before any driver starts.
-      MigrationWorker();
-      NOSE_RETURN_IF_ERROR(migration_status_);
-    }
   }
 
   const size_t workers = std::min(options_.threads, std::max<size_t>(1, streams));
@@ -445,7 +589,6 @@ Status ServeHarness::RunPhase(size_t phase) {
     });
   }
   for (std::thread& t : threads) t.join();
-  if (migration_thread_.joinable()) migration_thread_.join();
 
   static const char* kBucketHistograms[3] = {"serve.txn_before_ms",
                                              "serve.txn_during_ms",
@@ -460,47 +603,56 @@ Status ServeHarness::RunPhase(size_t phase) {
           .Observe(sample.ms);
     }
   }
-  report_.transactions += drift_phase.transactions;
-
-  if (migrating) {
-    NOSE_RETURN_IF_ERROR(migration_status_);
-    report_.migrations.push_back(mig_record_);
-    migration_.reset();
-    mig_plan_.reset();
-    obs::MetricsRegistry::Global()
-        .GetCounter("serve.migrations_completed")
-        .Increment();
-  }
-  return Status::Ok();
+  // A migration never outlives its phase.
+  return StepToCutover();
 }
 
 Status ServeHarness::Run() {
   obs::Span span("serve.run", "serve");
   Stopwatch wall;
-  for (size_t p = 0; p < scenario_.phases.size(); ++p) {
-    NOSE_RETURN_IF_ERROR(PrepareBoundary(p));
-    NOSE_RETURN_IF_ERROR(RunPhase(p));
+  Status status = Status::Ok();
+  for (size_t p = 0; p < scenario_.phases.size() && status.ok(); ++p) {
+    phase_ = p;
+    status = PrepareBoundary();
+    if (status.ok()) status = RunPhase();
   }
+  if (migration_ != nullptr &&
+      migration_->phase() == MigrationPhase::kFailed) {
+    AbortMigration();
+  }
+  report_.transactions = transactions_.load();
+  report_.invariant_violations = invariant_violations_.load();
   report_.before = Quantiles(latencies_[0]);
   report_.during = Quantiles(latencies_[1]);
   report_.after = Quantiles(latencies_[2]);
   report_.store = store_->stats();
   report_.store_digest = store_->ContentDigest();
   report_.wall_seconds = wall.ElapsedSeconds();
-  return Status::Ok();
+  return status;
+}
+
+size_t ServeReport::incremental_readvises() const {
+  return static_cast<size_t>(std::count_if(
+      advises.begin() + static_cast<ptrdiff_t>(advises.size() - readvises()),
+      advises.end(),
+      [](const AdviseRecord& a) { return a.reuse != PoolReuse::kCold; }));
 }
 
 std::string ServeReport::ToString() const {
   std::ostringstream out;
-  out << "serve: " << transactions << " transactions / " << statements
+  out << (trigger == Trigger::kPhaseBoundary ? "serve" : "evolve") << ": "
+      << transactions << " transactions / " << statements
       << " statements on " << threads << " threads (" << streams
       << " streams), " << wall_seconds << " s wall\n";
   out << "latency (simulated ms per transaction):\n";
   PrintQuantiles(out, "before migration", before);
   PrintQuantiles(out, "during migration", during);
   PrintQuantiles(out, "after cutover   ", after);
+  out << "re-advises: " << incremental_readvises() << " incremental, "
+      << readvises() - incremental_readvises() << " cold, "
+      << no_op_readvises << " no-op\n";
   out << "advises: " << advises.size() << "\n";
-  for (const ServeAdviseRecord& a : advises) {
+  for (const AdviseRecord& a : advises) {
     out << "  phase " << a.phase << " mix " << a.mix << ": "
         << (a.reuse != PoolReuse::kCold ? "incremental" : "cold") << " in "
         << a.elapsed_seconds * 1e3 << " ms";
@@ -511,20 +663,32 @@ std::string ServeReport::ToString() const {
     }
     out << (a.schema_changed ? ", schema changed" : ", schema kept") << "\n";
   }
+  if (trigger != Trigger::kPhaseBoundary) {
+    out << "last drift: " << last_drift << "\n";
+  }
+  out << "invariant violations: " << invariant_violations << "\n";
   out << "migrations: " << migrations.size() << "\n";
   for (size_t i = 0; i < migrations.size(); ++i) {
-    const ServeMigrationRecord& m = migrations[i];
+    const MigrationRecord& m = migrations[i];
+    const evolve::MigrationProgress& p = m.progress;
     out << "  [" << i << "] phase " << m.at_phase << " -> " << m.to_mix
-        << ": " << m.builds << " build / " << m.keeps << " keep / " << m.drops
-        << " drop, backfilled " << m.rows_backfilled << " rows, caught up "
-        << m.catchup_updates << " updates, " << m.dual_writes
-        << " dual writes, verified " << m.verify_queries << " queries ("
-        << m.verify_retries << " retries"
-        << (m.quiesced_verify ? ", quiesced" : "") << "), reclaimed "
-        << m.rows_dropped << " rows / " << m.bytes_dropped << " bytes, est "
-        << m.est_build_cost_ms + m.est_drop_cost_ms + m.est_dual_write_cost_ms
-        << " ms, actual " << m.simulated_ms << " ms, " << m.wall_seconds
-        << " s wall\n";
+        << ", txn " << m.started_at_transaction << " -> "
+        << m.finished_at_transaction << (m.aborted ? " ABORTED" : "") << ": "
+        << m.builds << " build / " << m.keeps << " keep / " << m.drops
+        << " drop, backfilled " << p.rows_backfilled << " rows, caught up "
+        << p.catchup_updates << " updates, " << p.dual_writes
+        << " dual writes, verified " << p.verify_queries << " queries ("
+        << p.verify_mismatches << " mismatches, " << p.verify_retries
+        << " retries" << (p.quiesced_verify ? ", quiesced" : "")
+        << "), reclaimed " << m.rows_dropped << " rows / " << m.bytes_dropped
+        << " bytes, est " << m.est_total_cost_ms << " ms, actual "
+        << p.simulated_ms << " ms, " << m.wall_seconds << " s wall";
+    if (m.planned) {
+      out << ", planned -> window " << m.to_window;
+    } else if (trigger == Trigger::kDrift) {
+      out << ", drift " << m.drift_at_trigger;
+    }
+    out << "\n";
   }
   out << "store: " << store.gets << " gets / " << store.puts << " puts / "
       << store.deletes << " deletes, " << store.simulated_ms

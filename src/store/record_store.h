@@ -55,8 +55,9 @@ struct RangeBound {
 ///
 /// Concurrency: each column family's partition map is hash-sharded into
 /// `stripes_per_cf` stripes, each behind its own mutex, so driver threads
-/// and migration workers operate concurrently as long as they touch
-/// different stripes (a partition always lives in exactly one stripe).
+/// (serving traffic or stepping a migration) operate concurrently as long
+/// as they touch different stripes (a partition always lives in exactly
+/// one stripe).
 /// The catalog itself is guarded by a shared mutex: operations hold it
 /// shared, CreateColumnFamily/DropColumnFamily hold it exclusive, so a
 /// drop cannot race an in-flight access to the dropped family.

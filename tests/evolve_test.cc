@@ -1,22 +1,26 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "evolve/driver.h"
-#include "evolve/evolve.h"
 #include "evolve/migration_planner.h"
 #include "evolve/scenario.h"
 #include "evolve/workload_tracker.h"
 #include "executor/loader.h"
 #include "rubis/workload.h"
+#include "serve/serve.h"
 #include "tests/hotel_fixture.h"
 
 namespace nose::evolve {
 namespace {
+
+using serve::MigrationRecord;
+using serve::ServeHarness;
+using serve::ServeReport;
 
 // ===========================================================================
 // WorkloadTracker
@@ -213,7 +217,7 @@ TEST(EvolveMigrationPlannerTest, DiffsByDefinitionAndOrdersBuildsBySize) {
 
   Schema new_schema;
   // Kept families carry their live store name into the new generation (the
-  // controller's MakeGeneration guarantees this); only new-only families
+  // harness's MakeGeneration guarantees this); only new-only families
   // get generation-prefixed names.
   new_schema.Add(cfs[1], "kept_cf");
   new_schema.Add(cfs[2], "g1_new_a");
@@ -258,10 +262,56 @@ TEST(EvolveMigrationPlannerTest, IdenticalSchemasYieldEmptyPlan) {
 }
 
 // ===========================================================================
-// End-to-end drift: live migration keeps query results identical to a
-// control store, and the final schema matches a cold advise at the final
-// observed weights.
+// End-to-end drift through `nose evolve`'s harness (one thread, one
+// stream): live migration keeps query results identical to a control
+// store, and the final schema matches a cold advise at the final observed
+// weights.
 // ===========================================================================
+
+StatusOr<std::unique_ptr<ServeHarness>> RunEvolve(
+    const DriftScenario& scenario) {
+  NOSE_ASSIGN_OR_RETURN(auto harness, ServeHarness::CreateEvolve(scenario));
+  NOSE_RETURN_IF_ERROR(harness->Run());
+  return harness;
+}
+
+DriftScenario BundledScenario() {
+  auto scenario = LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
+  EXPECT_TRUE(scenario.ok()) << scenario.status();
+  return *scenario;
+}
+
+// Everything a one-thread run decides, without wall-clock times: the
+// advises, the migration records and the final store.
+std::string Transcript(const ServeReport& report) {
+  std::ostringstream out;
+  out << report.transactions << " txns, " << report.statements
+      << " statements, " << report.invariant_violations << " violations, "
+      << report.no_op_readvises << " no-op, latency buckets "
+      << report.before.count << "/" << report.during.count << "/"
+      << report.after.count << "\n";
+  for (const serve::AdviseRecord& a : report.advises) {
+    out << "advise phase " << a.phase << " " << a.mix << " reuse "
+        << static_cast<int>(a.reuse) << " changed " << a.schema_changed
+        << "\n";
+  }
+  for (const MigrationRecord& m : report.migrations) {
+    const MigrationProgress& p = m.progress;
+    out << "migration phase " << m.at_phase << " -> " << m.to_mix << " txn "
+        << m.started_at_transaction << " -> " << m.finished_at_transaction
+        << ": " << m.builds << "/" << m.keeps << "/" << m.drops << " rows "
+        << p.rows_backfilled << " catchup " << p.catchup_updates << " dual "
+        << p.dual_writes << " verified " << p.verify_queries << " mismatches "
+        << p.verify_mismatches << " retries " << p.verify_retries
+        << " dropped " << m.rows_dropped << "/" << m.bytes_dropped
+        << " actual " << p.simulated_ms << " drift " << m.drift_at_trigger
+        << " window " << m.to_window << " aborted " << m.aborted << "\n";
+  }
+  out << "store " << report.store.gets << "/" << report.store.puts << " "
+      << report.store.simulated_ms << " digest " << report.store_digest
+      << "\n";
+  return out.str();
+}
 
 TEST(EvolveE2ETest, RubisDriftMigratesLiveAndStaysConsistent) {
   auto scenario = ParseScenario(
@@ -280,54 +330,55 @@ TEST(EvolveE2ETest, RubisDriftMigratesLiveAndStaysConsistent) {
       "phase default 150\n"
       "phase browsing 250\n");
   ASSERT_TRUE(scenario.ok()) << scenario.status();
-  auto runner = DriftRunner::Create(*scenario);
-  ASSERT_TRUE(runner.ok()) << runner.status();
-  ASSERT_TRUE((*runner)->Run().ok());
+  auto harness = RunEvolve(*scenario);
+  ASSERT_TRUE(harness.ok()) << harness.status();
 
-  const EvolveReport& report = (*runner)->report();
+  const ServeReport& report = (*harness)->report();
   EXPECT_EQ(report.transactions, 400u);
   EXPECT_EQ(report.invariant_violations, 0u);
   ASSERT_GE(report.migrations.size(), 1u);
-  EXPECT_EQ(report.re_advises_cold, 0u);  // the EWMA keeps the full set
+  // The EWMA keeps the full statement set, so every re-advise reuses the
+  // initial deployment's group.
+  for (size_t i = 1; i < report.advises.size(); ++i) {
+    EXPECT_EQ(report.advises[i].reuse, PoolReuse::kSameStatements) << i;
+  }
   for (const MigrationRecord& m : report.migrations) {
     EXPECT_FALSE(m.aborted);
-    EXPECT_EQ(m.verify_mismatches, 0u);
-    EXPECT_GT(m.verify_queries, 0u);
+    EXPECT_EQ(m.progress.verify_mismatches, 0u);
+    EXPECT_GT(m.progress.verify_queries, 0u);
     EXPECT_TRUE(m.advise_incremental);
     if (m.builds > 0) {
-      EXPECT_GT(m.rows_backfilled, 0u);
+      EXPECT_GT(m.progress.rows_backfilled, 0u);
     }
   }
 
-  EvolveController& controller = (*runner)->controller();
-  ASSERT_FALSE(controller.migration_in_progress());
-
   // Final-schema parity: re-advising cold at the final observed weights
-  // (the "__observed" mix the controller wrote into the workload) must
+  // (the "__observed" mix the harness wrote into the workload) must
   // reproduce the active recommendation byte for byte.
-  auto cold = Advisor().Recommend((*runner)->workload(), "__observed");
+  const serve::Generation& active = (*harness)->active();
+  auto cold = Advisor().Recommend((*harness)->workload(), kObservedMix);
   ASSERT_TRUE(cold.ok()) << cold.status();
-  EXPECT_EQ(controller.active_rec().ToString(), cold->ToString());
+  EXPECT_EQ(active.rec.ToString(), cold->ToString());
 
   // Control-store equivalence: a fresh store built on the FINAL schema from
   // the immutable dataset, with the full update log replayed through the
   // final generation's plans, must answer every logged query with exactly
   // the rows the live (migrated-in-place) store returns.
-  const Schema& schema = controller.active_schema();
+  const Schema& schema = *active.named;
   RecordStore control;
-  ASSERT_TRUE(LoadSchema((*runner)->data(), schema, &control).ok());
+  ASSERT_TRUE(LoadSchema((*harness)->data(), schema, &control).ok());
   PlanExecutor control_exec(&control, &schema);
-  for (const LoggedStatement& entry : controller.update_log()) {
-    auto it = controller.active_update_plans().find(entry.statement);
-    if (it == controller.active_update_plans().end()) continue;
+  for (const LoggedStatement& entry : (*harness)->log().updates()) {
+    auto it = active.update_plans.find(entry.statement);
+    if (it == active.update_plans.end()) continue;
     ASSERT_TRUE(control_exec.ExecuteUpdate(it->second, entry.params).ok())
         << entry.statement;
   }
-  PlanExecutor live_exec(controller.store(), &schema);
+  PlanExecutor live_exec((*harness)->store(), &schema);
   size_t compared = 0;
-  for (const LoggedStatement& entry : controller.query_log()) {
-    auto it = controller.active_query_plans().find(entry.statement);
-    ASSERT_NE(it, controller.active_query_plans().end()) << entry.statement;
+  for (const LoggedStatement& entry : (*harness)->log().queries()) {
+    auto it = active.query_plans.find(entry.statement);
+    ASSERT_NE(it, active.query_plans.end()) << entry.statement;
     auto live = live_exec.ExecuteQuery(it->second, entry.params);
     auto expected = control_exec.ExecuteQuery(it->second, entry.params);
     ASSERT_TRUE(live.ok()) << entry.statement << ": " << live.status();
@@ -344,16 +395,66 @@ TEST(EvolveE2ETest, RubisDriftMigratesLiveAndStaysConsistent) {
 // build type: each re-advise must report the cost of the plans it
 // returns (NOSE-I006).
 TEST(EvolveE2ETest, BundledDriftScenarioPassesInvariantAudit) {
-  auto scenario = LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
-  ASSERT_TRUE(scenario.ok()) << scenario.status();
-  scenario->options.advisor.verify_invariants = true;
-  auto runner = DriftRunner::Create(*scenario);
-  ASSERT_TRUE(runner.ok()) << runner.status();
-  Status run = (*runner)->Run();
-  ASSERT_TRUE(run.ok()) << run;
-  const EvolveReport& report = (*runner)->report();
+  DriftScenario scenario = BundledScenario();
+  scenario.options.advisor.verify_invariants = true;
+  auto harness = RunEvolve(scenario);
+  ASSERT_TRUE(harness.ok()) << harness.status();
+  const ServeReport& report = (*harness)->report();
   EXPECT_EQ(report.invariant_violations, 0u);
   EXPECT_GE(report.migrations.size(), 1u);
+}
+
+// A phase whose mix the live schema cannot serve: browsing first, so the
+// default phase draws store_bid, which the browsing schema has no plan
+// for. The drift trigger alone would run that phase on the browsing
+// schema; the boundary check advises the default mix and cuts over to it
+// before the phase's first transaction.
+TEST(EvolveE2ETest, UnservablePhaseCutsOverBeforeItsFirstTransaction) {
+  DriftScenario scenario = BundledScenario();
+  ASSERT_EQ(scenario.phases.front().mix, "default");
+  scenario.phases.insert(scenario.phases.begin(), {"browsing", 10});
+  std::string transcripts[2];
+  for (std::string& transcript : transcripts) {
+    auto harness = RunEvolve(scenario);
+    ASSERT_TRUE(harness.ok()) << harness.status();
+    const ServeReport& report = (*harness)->report();
+    EXPECT_EQ(report.transactions, 10u + 250u + 450u);
+    EXPECT_EQ(report.invariant_violations, 0u);
+    ASSERT_GE(report.migrations.size(), 1u);
+    const MigrationRecord& first = report.migrations[0];
+    EXPECT_EQ(first.at_phase, 1u);
+    EXPECT_EQ(first.to_mix, "default");
+    EXPECT_EQ(first.started_at_transaction, 10u);
+    EXPECT_EQ(first.finished_at_transaction, 10u);
+    for (const MigrationRecord& m : report.migrations) {
+      EXPECT_FALSE(m.aborted);
+      EXPECT_EQ(m.progress.verify_mismatches, 0u);
+    }
+    transcript = Transcript(report);
+  }
+  EXPECT_EQ(transcripts[0], transcripts[1]);
+}
+
+// One thread and one stream make a whole evolve run deterministic under
+// either trigger: the same migrations, at the same transactions, moving
+// the same rows, into the same store content.
+TEST(EvolveE2ETest, OneThreadRunsAreDeterministic) {
+  DriftScenario reactive = BundledScenario();
+  // Free migrations, so the planned schedule switches schemas at the
+  // phase boundary.
+  DriftScenario planned = BundledScenario();
+  planned.planned = true;
+  planned.migration_cost_weight = 0.0;
+  for (const DriftScenario* scenario : {&reactive, &planned}) {
+    SCOPED_TRACE(scenario->planned ? "planned" : "reactive");
+    auto a = RunEvolve(*scenario);
+    auto b = RunEvolve(*scenario);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_GE((*a)->report().migrations.size(), 1u);
+    EXPECT_EQ(Transcript((*a)->report()), Transcript((*b)->report()));
+    EXPECT_EQ((*a)->store()->ContentDigest(), (*b)->store()->ContentDigest());
+  }
 }
 
 TEST(EvolveE2ETest, UnknownPhaseMixIsRejected) {
@@ -363,10 +464,10 @@ TEST(EvolveE2ETest, UnknownPhaseMixIsRejected) {
       "phase default 60\n"
       "phase bogus 60\n");
   ASSERT_TRUE(scenario.ok()) << scenario.status();
-  auto runner = DriftRunner::Create(*scenario);
-  ASSERT_FALSE(runner.ok());
-  EXPECT_EQ(runner.status().code(), StatusCode::kInvalidArgument);
-  const std::string message = runner.status().ToString();
+  auto harness = ServeHarness::CreateEvolve(*scenario);
+  ASSERT_FALSE(harness.ok());
+  EXPECT_EQ(harness.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = harness.status().ToString();
   EXPECT_NE(message.find("phase 1"), std::string::npos) << message;
   EXPECT_NE(message.find("'bogus'"), std::string::npos) << message;
   EXPECT_NE(message.find("browsing, default, write100x, write10x"),
@@ -375,7 +476,7 @@ TEST(EvolveE2ETest, UnknownPhaseMixIsRejected) {
 }
 
 // ===========================================================================
-// Planned (horizon) mode: the schedule solved up front migrates at the
+// Planned (horizon) trigger: the schedule solved up front migrates at the
 // boundary the optimizer chose, and the planned objective undercuts the
 // reactive baseline's realized cost.
 // ===========================================================================
@@ -400,25 +501,24 @@ TEST(EvolveE2ETest, PlannedHorizonMigratesAtBoundaryAndBeatsReactive) {
   auto planned_scenario = ParseScenario(std::string("mode planned\n") + base);
   ASSERT_TRUE(planned_scenario.ok()) << planned_scenario.status();
   ASSERT_TRUE(planned_scenario->planned);
-  auto planned = DriftRunner::Create(*planned_scenario);
+  auto planned = RunEvolve(*planned_scenario);
   ASSERT_TRUE(planned.ok()) << planned.status();
-  ASSERT_TRUE((*planned)->Run().ok());
 
   const HorizonPlan* plan = (*planned)->horizon_plan();
   ASSERT_NE(plan, nullptr);
   ASSERT_EQ(plan->windows.size(), 2u);
   EXPECT_FALSE(plan->collapsed);
 
-  const EvolveReport& report = (*planned)->report();
+  const ServeReport& report = (*planned)->report();
   EXPECT_EQ(report.transactions, 400u);
   EXPECT_EQ(report.invariant_violations, 0u);
-  // Planned mode never re-advises: the whole schedule was solved up front.
-  EXPECT_EQ(report.re_advises_incremental, 0u);
-  EXPECT_EQ(report.re_advises_cold, 0u);
+  // The planned trigger never advises: the whole schedule was solved up
+  // front.
+  EXPECT_TRUE(report.advises.empty());
   for (const MigrationRecord& m : report.migrations) {
     EXPECT_TRUE(m.planned);
     EXPECT_FALSE(m.aborted);
-    EXPECT_EQ(m.verify_mismatches, 0u);
+    EXPECT_EQ(m.progress.verify_mismatches, 0u);
     EXPECT_EQ(m.to_window, 1u);
     // The migration starts at the planned phase boundary, not on a drift
     // trigger somewhere inside the phase.
@@ -433,23 +533,22 @@ TEST(EvolveE2ETest, PlannedHorizonMigratesAtBoundaryAndBeatsReactive) {
     EXPECT_NE(plan->ToString().find("migrate at start of window 1"),
               std::string::npos);
   }
-  EvolveController& controller = (*planned)->controller();
-  ASSERT_FALSE(controller.migration_in_progress());
-  EXPECT_EQ(controller.current_window(), plan->windows.size() - 1);
+  // The last window's schema is the one left live.
+  EXPECT_EQ((*planned)->active().rec.ToString(),
+            plan->windows.back().rec.ToString());
 
   // Reactive baseline on the byte-identical scenario (drift triggers, same
   // seed and phases).
   auto reactive_scenario = ParseScenario(base);
   ASSERT_TRUE(reactive_scenario.ok()) << reactive_scenario.status();
   ASSERT_FALSE(reactive_scenario->planned);
-  auto reactive = DriftRunner::Create(*reactive_scenario);
+  auto reactive = RunEvolve(*reactive_scenario);
   ASSERT_TRUE(reactive.ok()) << reactive.status();
-  ASSERT_TRUE((*reactive)->Run().ok());
 
   const double planned_realized =
-      (*planned)->controller().store()->stats().simulated_ms;
+      (*planned)->store()->stats().simulated_ms;
   const double reactive_realized =
-      (*reactive)->controller().store()->stats().simulated_ms;
+      (*reactive)->store()->stats().simulated_ms;
   // The acceptance bar: the planned schedule's total objective (execution
   // + migration, in cost-model ms) does not exceed what the reactive
   // baseline actually paid, and neither does the planned run's own

@@ -70,7 +70,7 @@ TEST(ServeTest, StoreContentIdenticalAcrossThreadCounts) {
   // …and both migrated live at the browsing boundary.
   ASSERT_EQ(a.migrations.size(), 1u);
   ASSERT_EQ(b.migrations.size(), 1u);
-  EXPECT_GT(b.migrations[0].rows_backfilled, 0u);
+  EXPECT_GT(b.migrations[0].progress.rows_backfilled, 0u);
   EXPECT_GT(b.migrations[0].rows_dropped, 0u);
 }
 
@@ -98,12 +98,12 @@ TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
   EXPECT_GE(report.before.max_ms, report.before.p99_ms);
 
   ASSERT_EQ(report.migrations.size(), 1u);
-  const ServeMigrationRecord& m = report.migrations[0];
+  const MigrationRecord& m = report.migrations[0];
   EXPECT_EQ(m.at_phase, 1u);
   EXPECT_EQ(m.to_mix, "browsing");
   EXPECT_GT(m.builds, 0u);
   EXPECT_GT(m.drops, 0u);
-  EXPECT_GT(m.verify_queries, 0u);
+  EXPECT_GT(m.progress.verify_queries, 0u);
   EXPECT_GT(m.bytes_dropped, 0u);
   EXPECT_GT(m.wall_seconds, 0.0);
 
@@ -141,6 +141,32 @@ TEST(ServeTest, BundledScenarioAdvisesBrowsingColdAtTheKnownDigest) {
   EXPECT_EQ(report.store_digest, 12556392712640623771ull);
   EXPECT_NE(report.ToString().find("mix browsing: cold in"),
             std::string::npos);
+}
+
+// Drivers step the migration at their transaction boundaries, so it
+// overlaps traffic even with one driver thread; the final store content is
+// still the known one, at any thread count.
+TEST(ServeTest, MigrationOverlapsTrafficAtOneThread) {
+  auto scenario =
+      evolve::LoadScenarioFile(NOSE_WORKLOADS_DIR "/rubis_drift.scenario");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  uint64_t digests[2] = {0, 0};
+  const size_t threads[2] = {1, 8};
+  for (size_t i = 0; i < 2; ++i) {
+    auto harness = ServeHarness::Create(*scenario, Options(threads[i]));
+    ASSERT_TRUE(harness.ok()) << harness.status();
+    ASSERT_TRUE((*harness)->Run().ok());
+    const ServeReport& report = (*harness)->report();
+    ASSERT_EQ(report.migrations.size(), 1u) << threads[i];
+    if (threads[i] == 1) {
+      EXPECT_GT(report.during.count, 0u);
+      const MigrationRecord& m = report.migrations[0];
+      EXPECT_GT(m.finished_at_transaction, m.started_at_transaction);
+    }
+    digests[i] = report.store_digest;
+  }
+  EXPECT_EQ(digests[0], 12556392712640623771ull);
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 // A phase whose mix the live generation cannot serve: the bundled
@@ -246,8 +272,8 @@ TEST(ServeShardTest, ShardsEmitDisjointWrittenIds) {
   }
 }
 
-// The single-shard constructor is the 1-of-1 sharding: existing callers
-// (the evolve driver) see the same id stream they always did.
+// The 1-of-1 sharding is the unsharded constructor: `nose evolve`'s one
+// stream (shard 0 of 1) draws the ids an unsharded generator does.
 TEST(ServeShardTest, SingleShardMatchesUnshardedConstructor) {
   auto graph = rubis::MakeGraph(rubis::ScaleFor(0.02));
   ASSERT_TRUE(graph.ok());
