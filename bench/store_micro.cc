@@ -1,7 +1,9 @@
-// Microbenchmarks of the in-memory record store (google-benchmark): put
-// and get throughput over varying partition layouts. Wall-clock here, not
-// simulated time — this bounds how fast the executor-driven experiments
-// can run, independent of the latency model they report.
+// Microbenchmarks of the in-memory record store and the plan executor on
+// top of it (google-benchmark): put and get throughput over varying
+// partition layouts, and PlanExecutor::ExecuteQuery on a single-step
+// partition scan and on a two-step join. Wall-clock here, not simulated
+// time — this bounds how fast the executor-driven experiments can run,
+// independent of the latency model they report.
 //
 //   store_micro [--json FILE] [google-benchmark flags]
 //
@@ -11,11 +13,16 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "executor/dataset.h"
+#include "executor/loader.h"
+#include "executor/plan_executor.h"
 #include "store/record_store.h"
 #include "util/rng.h"
 
@@ -87,6 +94,164 @@ void BM_StoreClusteringPrefix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreClusteringPrefix);
+
+/// A small shop model for the executor cases: Category 1:N Item N:1
+/// Seller, with `items_per_category` items in each of 100 categories and
+/// the items spread round-robin over 10 sellers.
+class ShopFixture {
+ public:
+  static constexpr int64_t kCategories = 100;
+  static constexpr int64_t kSellers = 10;
+
+  explicit ShopFixture(int64_t items_per_category) {
+    Entity category("Category", 1);
+    Entity item("Item", 1);
+    Entity seller("Seller", 1);
+    Check(item.AddField({"ItemName", FieldType::kString}));
+    Check(item.AddField({"ItemPrice", FieldType::kFloat}));
+    Check(seller.AddField({"SellerName", FieldType::kString}));
+    Check(graph_.AddEntity(std::move(category)));
+    Check(graph_.AddEntity(std::move(item)));
+    Check(graph_.AddEntity(std::move(seller)));
+    Check(graph_.AddRelationship(
+        {"Category", "Item", Cardinality::kOneToMany, "Items", "Category"}));
+    Check(graph_.AddRelationship(
+        {"Seller", "Item", Cardinality::kOneToMany, "Items", "Seller"}));
+
+    data_ = std::make_unique<Dataset>(&graph_);
+    for (int64_t c = 0; c < kCategories; ++c) data_->AddRow("Category", {c});
+    for (int64_t s = 0; s < kSellers; ++s) {
+      data_->AddRow("Seller", {s, Value("seller" + std::to_string(s))});
+    }
+    int64_t id = 0;
+    for (int64_t c = 0; c < kCategories; ++c) {
+      for (int64_t i = 0; i < items_per_category; ++i, ++id) {
+        const size_t row = data_->AddRow(
+            "Item", {id, Value("item" + std::to_string(id)),
+                     Value(static_cast<double>(id % 997) * 0.25)});
+        data_->AddLink(0, static_cast<size_t>(c), row);
+        data_->AddLink(1, static_cast<size_t>(id % kSellers), row);
+      }
+    }
+    data_->SyncCountsTo(&graph_);
+
+    // Items by category: one get per query.
+    const std::string by_category = AddCf(
+        Path("Category", {"Items"}), {{"Category", "CategoryID"}},
+        {{"Item", "ItemID"}}, {{"Item", "ItemName"}, {"Item", "ItemPrice"}});
+    // Sellers of a category's items, then each seller's name: the first
+    // step yields one context per item, which collapse to one per seller.
+    const std::string sellers_by_category =
+        AddCf(Path("Category", {"Items", "Seller"}), {{"Category", "CategoryID"}},
+              {{"Item", "ItemID"}, {"Seller", "SellerID"}}, {});
+    const std::string seller_by_id =
+        AddCf(Path("Seller", {}), {{"Seller", "SellerID"}}, {},
+              {{"Seller", "SellerName"}});
+    Check(LoadSchema(*data_, schema_, &store_));
+
+    const Predicate category_eq{
+        {"Category", "CategoryID"}, PredicateOp::kEq, std::nullopt, "c"};
+    scan_query_ = Query(Path("Item", {"Category"}),
+                        {{"Item", "ItemID"}, {"Item", "ItemName"},
+                         {"Item", "ItemPrice"}},
+                        {category_eq}, {});
+    scan_plan_.query = &scan_query_;
+    scan_plan_.steps.push_back(Step(by_category, 1, 0, category_eq));
+
+    join_query_ = Query(Path("Seller", {"Items", "Category"}),
+                        {{"Seller", "SellerName"}}, {category_eq}, {});
+    join_plan_.query = &join_query_;
+    join_plan_.steps.push_back(Step(sellers_by_category, 2, 0, category_eq));
+    PlanStep by_id;
+    by_id.cf = schema_.FindByName(seller_by_id);
+    by_id.access.partition_uses_id = true;
+    join_plan_.steps.push_back(by_id);
+  }
+
+  const QueryPlan& scan_plan() const { return scan_plan_; }
+  const QueryPlan& join_plan() const { return join_plan_; }
+  PlanExecutor executor() { return PlanExecutor(&store_, &schema_); }
+
+ private:
+  static void Check(const Status& s) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "store_micro: %s\n", s.ToString().c_str());
+      std::exit(1);
+    }
+  }
+
+  KeyPath Path(const std::string& start,
+               const std::vector<std::string>& steps) {
+    StatusOr<KeyPath> path = graph_.ResolvePath(start, steps);
+    Check(path.status());
+    return std::move(path).value();
+  }
+
+  /// Adds a column family to the schema; returns its name.
+  std::string AddCf(KeyPath path, std::vector<FieldRef> partition,
+                            std::vector<FieldRef> clustering,
+                            std::vector<FieldRef> values) {
+    StatusOr<ColumnFamily> cf =
+        ColumnFamily::Create(std::move(path), std::move(partition),
+                             std::move(clustering), std::move(values));
+    Check(cf.status());
+    return schema_.Add(std::move(cf).value());
+  }
+
+  PlanStep Step(const std::string& cf, size_t from, size_t to,
+                const Predicate& partition_pred) const {
+    PlanStep step;
+    step.cf = schema_.FindByName(cf);
+    step.from_index = from;
+    step.to_index = to;
+    step.first = true;
+    step.access.partition_preds = {partition_pred};
+    return step;
+  }
+
+  EntityGraph graph_;
+  std::unique_ptr<Dataset> data_;
+  Schema schema_;
+  RecordStore store_;
+  Query scan_query_;
+  Query join_query_;
+  QueryPlan scan_plan_;
+  QueryPlan join_plan_;
+};
+
+void RunQueries(benchmark::State& state, ShopFixture& shop,
+                const QueryPlan& plan, uint64_t seed) {
+  PlanExecutor executor = shop.executor();
+  Rng rng(seed);
+  int64_t rows = 0;
+  for (auto _ : state) {
+    const PlanExecutor::Params params = {
+        {"c", Value(static_cast<int64_t>(
+                  rng.Uniform(ShopFixture::kCategories)))}};
+    auto result = executor.ExecuteQuery(plan, params);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    rows += static_cast<int64_t>(result->size());
+  }
+  state.SetItemsProcessed(rows);
+}
+
+/// One get of range(0) rows, bound into contexts, deduped and projected.
+void BM_ExecuteQueryScan(benchmark::State& state) {
+  ShopFixture shop(state.range(0));
+  RunQueries(state, shop, shop.scan_plan(), 5);
+}
+BENCHMARK(BM_ExecuteQueryScan)->Arg(10)->Arg(100)->Arg(1000);
+
+/// A 100-row first step whose contexts collapse to one per seller (10),
+/// then one get per seller.
+void BM_ExecuteQueryJoin(benchmark::State& state) {
+  ShopFixture shop(100);
+  RunQueries(state, shop, shop.join_plan(), 6);
+}
+BENCHMARK(BM_ExecuteQueryJoin);
 
 /// Plain console output (no colour codes, so the captured text can be
 /// committed), plus one nose-bench-v1 record per run.

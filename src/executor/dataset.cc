@@ -42,9 +42,18 @@ const ValueTuple& Dataset::Row(const std::string& entity, size_t index) const {
   return rows_.at(entity)[index];
 }
 
+const std::vector<ValueTuple>& Dataset::Rows(const std::string& entity) const {
+  return rows_.at(entity);
+}
+
+size_t Dataset::FieldIndex(const std::string& entity,
+                           const std::string& field) const {
+  return field_index_.at(entity).at(field);
+}
+
 const Value& Dataset::FieldValue(const std::string& entity, size_t index,
                                  const std::string& field) const {
-  return rows_.at(entity)[index][field_index_.at(entity).at(field)];
+  return rows_.at(entity)[index][FieldIndex(entity, field)];
 }
 
 const std::vector<uint32_t>& Dataset::Neighbors(const PathStep& step,

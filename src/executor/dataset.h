@@ -31,6 +31,11 @@ class Dataset {
 
   size_t RowCount(const std::string& entity) const;
   const ValueTuple& Row(const std::string& entity, size_t index) const;
+  /// Every instance of `entity`, in row-index order.
+  const std::vector<ValueTuple>& Rows(const std::string& entity) const;
+
+  /// Column of `field` in `entity`'s rows (its index in Entity::fields()).
+  size_t FieldIndex(const std::string& entity, const std::string& field) const;
 
   /// Value of `field` for instance `index` of `entity`.
   const Value& FieldValue(const std::string& entity, size_t index,

@@ -17,13 +17,17 @@ namespace nose {
 /// application model's client side (paper §IV-B): get requests, client
 /// filtering, client sorting and id-joins between successive lookups.
 ///
+/// Each call first compiles its plan into a slot layout: every field the
+/// plan reads or writes gets a dense slot, and a partial row binding (a
+/// context) is one fixed-width row of optional values. Join merge and
+/// result dedupe compare the dedupe slots' values exactly, keeping the
+/// first occurrence in input order.
+///
 /// The schema maps plan column families to store names; every column
 /// family used by an executed plan must be present in both.
 class PlanExecutor {
  public:
   using Params = std::map<std::string, Value>;
-  /// Partial row binding accumulated while walking a plan.
-  using Context = std::map<FieldRef, Value>;
 
   PlanExecutor(RecordStore* store, const Schema* schema)
       : store_(store), schema_(schema) {}
@@ -38,15 +42,6 @@ class PlanExecutor {
   Status ExecuteUpdate(const UpdatePlan& plan, const Params& params);
 
  private:
-  /// Core of query execution: walks the plan steps, threading contexts.
-  StatusOr<std::vector<Context>> ExecuteContexts(const QueryPlan& plan,
-                                                 const Params& params,
-                                                 const Context& base);
-
-  StatusOr<Value> BindPredicateValue(const Predicate& pred,
-                                     const Params& params,
-                                     const Context& ctx) const;
-
   RecordStore* store_;
   const Schema* schema_;
 };

@@ -593,7 +593,11 @@ std::string PlanSpace::ToString(const std::vector<ColumnFamily>& pool) const {
 StatusOr<QueryPlan> QueryPlanner::PlanForSchema(
     const Query& query, const std::vector<ColumnFamily>& pool) const {
   PlanSpace space = Build(query, pool);
-  return space.BestPlan(pool);
+  StatusOr<QueryPlan> plan = space.BestPlan(pool);
+  if (plan.ok()) {
+    for (PlanStep& step : plan->steps) step.cf_id = kInvalidCfId;
+  }
+  return plan;
 }
 
 }  // namespace nose

@@ -105,7 +105,8 @@ class QueryPlanner {
 
   /// Convenience: the best plan for `query` using only `pool` (e.g. a fixed
   /// schema such as the normalized/expert baselines). Fails if the pool
-  /// cannot answer the query.
+  /// cannot answer the query. Positions in `pool` are not CandidatePool
+  /// ids, so the plan's steps carry kInvalidCfId and resolve by key.
   StatusOr<QueryPlan> PlanForSchema(const Query& query,
                                     const std::vector<ColumnFamily>& pool) const;
 

@@ -28,6 +28,20 @@ std::string ValueTupleToString(const ValueTuple& t) {
   return out;
 }
 
+size_t ValueHash::operator()(const Value& v) const {
+  switch (v.index()) {
+    case 0:
+      return std::hash<int64_t>()(std::get<int64_t>(v));
+    case 1:
+      return std::hash<double>()(std::get<double>(v));
+    case 2:
+      return std::hash<std::string>()(std::get<std::string>(v));
+    case 3:
+      return std::hash<bool>()(std::get<bool>(v));
+  }
+  return 0;
+}
+
 size_t ValueTupleHash::operator()(const ValueTuple& t) const {
   size_t h = 1469598103934665603ull;  // FNV offset basis
   auto mix = [&h](size_t x) {
@@ -36,20 +50,7 @@ size_t ValueTupleHash::operator()(const ValueTuple& t) const {
   };
   for (const Value& v : t) {
     mix(v.index());
-    switch (v.index()) {
-      case 0:
-        mix(std::hash<int64_t>()(std::get<int64_t>(v)));
-        break;
-      case 1:
-        mix(std::hash<double>()(std::get<double>(v)));
-        break;
-      case 2:
-        mix(std::hash<std::string>()(std::get<std::string>(v)));
-        break;
-      case 3:
-        mix(std::hash<bool>()(std::get<bool>(v)));
-        break;
-    }
+    mix(ValueHash()(v));
   }
   return h;
 }

@@ -23,6 +23,13 @@ std::string ValueToString(const Value& v);
 /// Renders a tuple as "(v1, v2, ...)".
 std::string ValueTupleToString(const ValueTuple& t);
 
+/// Hash of one value's payload (the alternative index is not mixed in;
+/// callers that mix values of different types add it themselves).
+/// Consistent with Value equality: 0.0 and -0.0 hash alike.
+struct ValueHash {
+  size_t operator()(const Value& v) const;
+};
+
 /// FNV-1a style hash for a value tuple, usable in unordered containers.
 struct ValueTupleHash {
   size_t operator()(const ValueTuple& t) const;

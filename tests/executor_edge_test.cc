@@ -1,5 +1,6 @@
 // Executor edge cases: key-changing updates (delete + reinsert), multi-
-// field partition keys, literal predicates, and error propagation.
+// field partition keys, literal predicates, error propagation, exact
+// duplicate removal and the join merge of duplicate contexts.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +201,161 @@ TEST_F(ExecutorEdgeTest, DisconnectRemovesRelationshipRecords) {
     return;
   }
   GTEST_SKIP() << "no guest had reservations in this dataset";
+}
+
+TEST_F(ExecutorEdgeTest, DistinctDoublesSurviveDuplicateRemoval) {
+  // Two rooms of one hotel whose rates differ by 1e-7: both rates are
+  // distinct result rows, even though "%f" renders both as "1.000000".
+  Dataset data(graph_.get());
+  data.AddRow("Hotel", {Value(I(0)), Value(std::string("H0")),
+                        Value(std::string("Boston")), Value(std::string("S")),
+                        Value(std::string("A")), Value(std::string("P"))});
+  for (int64_t r = 0; r < 2; ++r) {
+    data.AddRow("Room", {Value(r), Value(I(100 + r)),
+                         Value(1.0000001 + 1e-7 * static_cast<double>(r)),
+                         Value(I(1))});
+    data.AddLink(0, 0, static_cast<size_t>(r));
+  }
+  auto path = graph_->ResolvePath("Room", {"Hotel"});
+  ASSERT_TRUE(path.ok());
+  Workload workload(graph_.get());
+  ASSERT_TRUE(workload
+                  .AddQuery("rates",
+                            Query(*path, {{"Room", "RoomRate"}},
+                                  {{{"Hotel", "HotelCity"}, PredicateOp::kEq,
+                                    std::nullopt, "city"}},
+                                  {}))
+                  .ok());
+  Advisor advisor;
+  auto rec = advisor.Recommend(workload);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  RecordStore store;
+  ASSERT_TRUE(LoadSchema(data, rec->schema, &store).ok());
+  PlanExecutor executor(&store, &rec->schema);
+
+  PlanExecutor::Params params = {{"city", Value(std::string("Boston"))}};
+  auto got = executor.ExecuteQuery(rec->query_plans[0].second, params);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->size(), 2u);
+  EXPECT_NE((*got)[0][0], (*got)[1][0]);
+  EXPECT_EQ(
+      ReferenceEvaluate(data, workload.FindEntry("rates")->query(), params)
+          .size(),
+      2u);
+}
+
+TEST_F(ExecutorEdgeTest, SeparatorsInStringsCannotForgeDuplicates) {
+  // Two guests of one room, ("x'|'y", "z") and ("x", "y'|'z"): joined with
+  // '|' their rendered names and emails give the same key string, yet they
+  // are two distinct rows.
+  Dataset data(graph_.get());
+  data.AddRow("Room", {Value(I(0)), Value(I(100)), Value(80.0), Value(I(1))});
+  data.AddRow("Guest", {Value(I(0)), Value(std::string("x'|'y")),
+                        Value(std::string("z"))});
+  data.AddRow("Guest", {Value(I(1)), Value(std::string("x")),
+                        Value(std::string("y'|'z"))});
+  for (int64_t v = 0; v < 2; ++v) {
+    data.AddRow("Reservation", {Value(v), Value(I(1)), Value(I(2))});
+    data.AddLink(1, 0, static_cast<size_t>(v));
+    data.AddLink(2, static_cast<size_t>(v), static_cast<size_t>(v));
+  }
+  auto path = graph_->ResolvePath("Guest", {"Reservations", "Room"});
+  ASSERT_TRUE(path.ok());
+  Workload workload(graph_.get());
+  ASSERT_TRUE(workload
+                  .AddQuery("guests",
+                            Query(*path,
+                                  {{"Guest", "GuestName"},
+                                   {"Guest", "GuestEmail"}},
+                                  {{{"Room", "RoomID"}, PredicateOp::kEq,
+                                    std::nullopt, "room"}},
+                                  {}))
+                  .ok());
+  Advisor advisor;
+  auto rec = advisor.Recommend(workload);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  RecordStore store;
+  ASSERT_TRUE(LoadSchema(data, rec->schema, &store).ok());
+  PlanExecutor executor(&store, &rec->schema);
+
+  PlanExecutor::Params params = {{"room", Value(I(0))}};
+  auto got = executor.ExecuteQuery(rec->query_plans[0].second, params);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->size(), 2u);
+  EXPECT_EQ(
+      ReferenceEvaluate(data, workload.FindEntry("guests")->query(), params)
+          .size(),
+      2u);
+}
+
+TEST_F(ExecutorEdgeTest, JoinMergesDuplicateContexts) {
+  // Hotels a guest stayed at, as a hand-built two-step plan: the guest's
+  // reservations with their rooms, then each room's hotel. Three
+  // reservations in one room are three first-step contexts that agree on
+  // every field still needed (the room ID; the hotel name is not fetched
+  // yet), so the join merge keeps one and the second step issues one get
+  // (paper §IV-B step 3).
+  Dataset data(graph_.get());
+  data.AddRow("Hotel", {Value(I(0)), Value(std::string("H0")),
+                        Value(std::string("Boston")), Value(std::string("S")),
+                        Value(std::string("A")), Value(std::string("P"))});
+  data.AddRow("Room", {Value(I(0)), Value(I(100)), Value(80.0), Value(I(1))});
+  data.AddLink(0, 0, 0);
+  data.AddRow("Guest", {Value(I(0)), Value(std::string("G0")),
+                        Value(std::string("g0"))});
+  for (int64_t v = 0; v < 3; ++v) {
+    data.AddRow("Reservation", {Value(v), Value(I(1)), Value(I(2))});
+    data.AddLink(1, 0, static_cast<size_t>(v));
+    data.AddLink(2, 0, static_cast<size_t>(v));
+  }
+
+  auto cf_path = [&](const std::string& start,
+                     const std::vector<std::string>& steps) {
+    auto path = graph_->ResolvePath(start, steps);
+    EXPECT_TRUE(path.ok()) << path.status();
+    return std::move(path).value();
+  };
+  auto rooms_by_guest = ColumnFamily::Create(
+      cf_path("Guest", {"Reservations", "Room"}), {{"Guest", "GuestID"}},
+      {{"Reservation", "ResID"}, {"Room", "RoomID"}}, {});
+  auto hotel_by_room = ColumnFamily::Create(
+      cf_path("Room", {"Hotel"}), {{"Room", "RoomID"}},
+      {{"Hotel", "HotelID"}}, {{"Hotel", "HotelName"}});
+  ASSERT_TRUE(rooms_by_guest.ok()) << rooms_by_guest.status();
+  ASSERT_TRUE(hotel_by_room.ok()) << hotel_by_room.status();
+  Schema schema;
+  schema.Add(std::move(rooms_by_guest).value(), "rooms_by_guest");
+  schema.Add(std::move(hotel_by_room).value(), "hotel_by_room");
+  RecordStore store;
+  ASSERT_TRUE(LoadSchema(data, schema, &store).ok());
+
+  // Query path Hotel(0) <- Room(1) <- Reservation(2) <- Guest(3).
+  const Query query(cf_path("Hotel", {"Rooms", "Reservations", "Guest"}),
+                    {{"Hotel", "HotelName"}},
+                    {{{"Guest", "GuestID"}, PredicateOp::kEq, std::nullopt,
+                      "g"}},
+                    {});
+  QueryPlan plan;
+  plan.query = &query;
+  PlanStep by_guest;
+  by_guest.cf = schema.FindByName("rooms_by_guest");
+  by_guest.from_index = 3;
+  by_guest.to_index = 1;
+  by_guest.first = true;
+  by_guest.access.partition_preds = query.predicates();
+  PlanStep by_room;
+  by_room.cf = schema.FindByName("hotel_by_room");
+  by_room.from_index = 1;
+  by_room.to_index = 0;
+  by_room.access.partition_uses_id = true;
+  plan.steps = {by_guest, by_room};
+
+  PlanExecutor executor(&store, &schema);
+  auto got = executor.ExecuteQuery(plan, {{"g", Value(I(0))}});
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(got->size(), 1u);
+  EXPECT_EQ((*got)[0][0], Value(std::string("H0")));
+  EXPECT_EQ(store.stats().gets, 2u);  // one per step: 3 contexts merged to 1
 }
 
 }  // namespace

@@ -19,14 +19,14 @@ namespace nose {
 
 /// Brute-force reference semantics for conceptual-model queries: enumerate
 /// every instance of the query path in `data`, apply all predicates,
-/// project the select list, discard duplicates. The oracle that executed
-/// plans must agree with.
+/// project the select list, discard duplicates (exact ValueTuple equality).
+/// The oracle that executed plans must agree with.
 inline std::vector<ValueTuple> ReferenceEvaluate(
     const Dataset& data, const Query& query,
     const PlanExecutor::Params& params) {
   const KeyPath& path = query.path();
   std::vector<ValueTuple> result;
-  std::set<std::string> seen;
+  std::set<ValueTuple> seen;
   std::vector<size_t> rows(path.NumEntities());
 
   auto value_of = [&](const FieldRef& ref) -> const Value& {
@@ -60,12 +60,8 @@ inline std::vector<ValueTuple> ReferenceEvaluate(
         if (!compare(p.op, value_of(p.field), bound)) return;
       }
       ValueTuple row;
-      std::string key;
-      for (const FieldRef& f : query.select()) {
-        row.push_back(value_of(f));
-        key += ValueToString(row.back()) + "|";
-      }
-      if (seen.insert(key).second) result.push_back(std::move(row));
+      for (const FieldRef& f : query.select()) row.push_back(value_of(f));
+      if (seen.insert(row).second) result.push_back(std::move(row));
       return;
     }
     const PathStep& step = path.steps()[depth - 1];
@@ -81,14 +77,12 @@ inline std::vector<ValueTuple> ReferenceEvaluate(
   return result;
 }
 
-/// Canonical form for set comparison of result rows.
-inline std::vector<std::string> CanonicalRows(
-    const std::vector<ValueTuple>& rows) {
-  std::vector<std::string> out;
-  out.reserve(rows.size());
-  for (const ValueTuple& r : rows) out.push_back(ValueTupleToString(r));
-  std::sort(out.begin(), out.end());
-  return out;
+/// Canonical form for exact set comparison of result rows: the rows,
+/// sorted (rendered strings would equate doubles that agree to six
+/// decimals).
+inline std::vector<ValueTuple> CanonicalRows(std::vector<ValueTuple> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
 struct ReferenceBipResult {
