@@ -8,7 +8,6 @@
 //   nose lint    --model FILE --workload FILE
 //   nose evolve  --scenario FILE [--horizon]
 //   nose serve   --scenario FILE [--threads N] [--rate TPS] ...
-//   nose explain REPORT
 //
 // advise, check, evolve and serve share one telemetry block (--trace and
 // --report-json; see Telemetry).
@@ -54,14 +53,13 @@ constexpr const char* kUsage = R"(usage:
   nose lint    --model FILE --workload FILE
   nose evolve  --scenario FILE [options]
   nose serve   --scenario FILE [options]
-  nose explain REPORT
 common options (advise, check, evolve, serve):
   --trace FILE          write a Chrome trace_event JSON timeline
                         (chrome://tracing / Perfetto)
   --report-json FILE    write the machine-readable run report: phase
                         timings, digest, the per-LP and branch-and-bound
-                        solve log, and the pipeline metrics (diagnose
-                        the solve log with 'nose explain FILE')
+                        solve log, its diagnosis (the "explain" text)
+                        and the pipeline metrics
 options (advise, check):
   --mix NAME            workload mix (default: 'default')
   --solve-budget SECS   time budget for the solver
@@ -245,8 +243,9 @@ class Telemetry {
   }
 
   /// Call once the run's worker pools are gone, so every trace buffer is
-  /// quiescent. `report` gets the solve log and the metrics snapshot as
-  /// its last sections. False (after an error line) on a failed write.
+  /// quiescent. `report` gets the solve log, its diagnosis and the metrics
+  /// snapshot as its last sections. False (after an error line) on a
+  /// failed write.
   bool Finish(nose::obs::RunReport* report) const {
     std::string error;
     if (!trace_path_.empty()) {
@@ -258,7 +257,11 @@ class Telemetry {
       }
     }
     if (report_path_.empty()) return true;
-    report->AddSection("solve_log", nose::SolveLog::Global().ToJson());
+    const nose::SolveLog& log = nose::SolveLog::Global();
+    report->AddSection("solve_log", log.ToJson());
+    std::string explain;
+    nose::obs::AppendJsonString(&explain, log.Explain());
+    report->AddSection("explain", std::move(explain));
     report->AddSection("metrics",
                        nose::obs::MetricsRegistry::Global().ToJson());
     return Reported(report->WriteJson(report_path_, &error), "report",
@@ -708,19 +711,6 @@ int RunAdvise(const Args& args, const Telemetry& telemetry,
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-
-  // `nose explain REPORT`: offline diagnosis of a run report's solve log.
-  if (command == "explain") {
-    if (argc != 3 || argv[2][0] == '-') return Usage();
-    nose::SolveLogData data;
-    std::string error;
-    if (!nose::ReadSolveLog(argv[2], &data, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    std::cout << nose::ExplainSolveLog(data);
-    return 0;
-  }
 
   const auto spec = kCommands.find(command);
   Args args;

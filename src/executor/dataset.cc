@@ -64,10 +64,6 @@ const std::vector<uint32_t>& Dataset::Neighbors(const PathStep& step,
   return lists[index];
 }
 
-size_t Dataset::LinkCount(int rel_index) const {
-  return adjacency_[static_cast<size_t>(rel_index)].links;
-}
-
 void Dataset::SyncCountsTo(EntityGraph* graph) const {
   for (const auto& [name, table] : rows_) {
     Entity* entity = graph->MutableEntity(name);

@@ -51,9 +51,6 @@ class Dataset {
   /// link_counts.
   void SyncCountsTo(EntityGraph* graph) const;
 
-  /// Total number of links of relationship `rel_index`.
-  size_t LinkCount(int rel_index) const;
-
  private:
   struct Adjacency {
     std::vector<std::vector<uint32_t>> forward;   // from-row -> to-rows

@@ -20,11 +20,11 @@ void AppendJsonString(std::string* out, const std::string& s);
 ///    <scalar fields in insertion order>,
 ///    "phases":{"<name>_seconds":t,...},
 ///    <sections in insertion order, e.g. "digest":{...},
-///     "solve_log":{...},"metrics":{...}>}
+///     "solve_log":{...},"explain":"...","metrics":{...}>}
 ///
 /// The report is the one machine-readable record of a run: the metrics
-/// snapshot and the solve log (read back by `nose explain`) are sections
-/// of it, not files of their own. The obs layer sits below the solver and
+/// snapshot, the solve log and its rendered diagnosis are sections of it,
+/// not files of their own. The obs layer sits below the solver and
 /// optimizer in the link order, so the structured sections are passed in
 /// as pre-rendered JSON strings by the CLI; this class only assembles and
 /// validates nothing.

@@ -174,26 +174,6 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     bstats.warm_started = true;
   }
 
-  auto record_node = [&](int node_id, int depth, const char* action,
-                         double parent_bound, const LpResult* lp,
-                         int branch_var) {
-    if (!logging) return;
-    BbNodeEvent event;
-    event.bip_id = bstats.id;
-    event.node_id = node_id;
-    event.depth = depth;
-    event.action = action;
-    event.parent_bound = parent_bound;
-    if (lp != nullptr) {
-      event.has_lp = true;
-      event.lp_objective = lp->objective;
-      event.lp_iterations = lp->iterations;
-    }
-    event.branch_var = branch_var;
-    event.incumbent = incumbent;
-    slog.RecordNode(std::move(event));
-  };
-
   std::vector<Node> stack;
   stack.push_back(Node{{}, -LpProblem::kInfinity, nullptr});
   // Smallest parent bound of a node whose relaxation was abandoned.
@@ -233,9 +213,6 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       stack.pop_back();
       if (node.parent_bound >= prune_threshold()) {
         ++bstats.pruned_parent;
-        record_node(/*node_id=*/-1, static_cast<int>(node.fixings.size()),
-                    "pruned_parent", node.parent_bound, /*lp=*/nullptr,
-                    /*branch_var=*/-1);
         continue;
       }
       batch.emplace_back();
@@ -288,8 +265,6 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         // An incumbent found earlier in this batch retroactively prunes
         // the node; its speculative LP result is discarded.
         ++bstats.pruned_parent;
-        record_node(/*node_id=*/-1, depth, "pruned_parent", node.parent_bound,
-                    /*lp=*/nullptr, /*branch_var=*/-1);
         continue;
       }
 
@@ -308,8 +283,6 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       result.lp_iterations += lp.iterations;
       if (lp.status == LpStatus::kInfeasible) {
         ++bstats.infeasible;
-        record_node(node_id, depth, "infeasible", node.parent_bound, &lp,
-                    /*branch_var=*/-1);
         continue;
       }
       if (lp.status != LpStatus::kOptimal) {
@@ -317,14 +290,10 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         // subtree unexplored: the search can no longer claim optimality,
         // and the node's parent bound stays part of the global bound.
         abandoned_bound = std::min(abandoned_bound, node.parent_bound);
-        record_node(node_id, depth, "abandoned", node.parent_bound, &lp,
-                    /*branch_var=*/-1);
         continue;
       }
       if (lp.objective >= prune_threshold()) {
         ++bstats.pruned_bound;
-        record_node(node_id, depth, "pruned_bound", node.parent_bound, &lp,
-                    /*branch_var=*/-1);
         continue;
       }
 
@@ -347,16 +316,13 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
         result.objective = incumbent;
         result.status = BipStatus::kOptimal;  // provisional; confirmed below
         ++bstats.incumbents;
-        record_node(node_id, depth, "incumbent", node.parent_bound, &lp,
-                    /*branch_var=*/-1);
+        bstats.trajectory.push_back({node_id, depth, incumbent});
         continue;
       }
 
       // Depth-first within the batch: push the branch suggested by the
       // fractional value last so it pops first. Both children share the
       // parent's optimal basis as their hot start.
-      record_node(node_id, depth, "branched", node.parent_bound, &lp,
-                  branch_var);
       const double frac = lp.x[static_cast<size_t>(branch_var)];
       const double preferred = frac >= 0.5 ? 1.0 : 0.0;
       std::shared_ptr<const LpBasis> child_start;

@@ -385,7 +385,6 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
   int iter = 0;
   degenerate_streak_ = 0;
   devex_.assign(static_cast<size_t>(ncols), 1.0);
-  if (stats_ != nullptr) ++stats_->devex_resets;
   std::vector<int> col_rows;
   std::vector<double> col_vals;
   bool resynced_at_optimum = false;
@@ -1134,7 +1133,6 @@ LpResult LpWorkingSystem::Solve(
     LpBasis* final_basis, std::vector<double>* duals,
     LpSolveStats* stats) const {
   const LpProblem& problem = *problem_;
-  const int n = problem.num_variables();
   // Structural bounds and costs as of this call, then the slacks' [0, ∞)
   // at zero cost.
   std::vector<double> lb = problem.lb_;
@@ -1203,9 +1201,7 @@ LpResult LpWorkingSystem::Solve(
   if (stats != nullptr) {
     stats->status = LpStatusName(result.status);
     stats->rows = problem.num_rows();
-    stats->cols = n;
     stats->tableau_cols = simplex.NumColumns();
-    stats->nonzeros = problem.num_nonzeros();
     stats->iterations = result.iterations;
     stats->fill_end = simplex.StoredEntries();
     stats->refactorizations = simplex.refactorizations();

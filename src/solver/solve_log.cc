@@ -4,19 +4,15 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
-#include "obs/file.h"
 #include "obs/report.h"
 
 namespace nose {
 
 namespace {
 
-/// Exact round-trip double rendering for records; non-finite values (−inf
-/// parent bounds at the root, +inf "no incumbent yet") become JSON null.
+/// Exact round-trip double rendering for records; non-finite values become
+/// JSON null.
 void AppendNum(std::string* out, double v) {
   if (!std::isfinite(v)) {
     *out += "null";
@@ -49,13 +45,9 @@ std::string RenderLp(const LpSolveStats& r, bool canonical) {
   out += ",\"status\":";
   AppendJsonString(&out, r.status);
   out += ",\"rows\":" + std::to_string(r.rows);
-  out += ",\"cols\":" + std::to_string(r.cols);
   out += ",\"tableau_cols\":" + std::to_string(r.tableau_cols);
-  out += ",\"nnz\":";
-  AppendU64(&out, r.nonzeros);
   out += ",\"iters\":" + std::to_string(r.iterations);
   out += ",\"phase1_iters\":" + std::to_string(r.phase1_iterations);
-  out += ",\"devex_resets\":" + std::to_string(r.devex_resets);
   out += ",\"bland_iters\":" + std::to_string(r.bland_iterations);
   out += ",\"bound_flips\":" + std::to_string(r.bound_flips);
   out += ",\"max_degen_streak\":" + std::to_string(r.max_degenerate_streak);
@@ -87,32 +79,6 @@ std::string RenderLp(const LpSolveStats& r, bool canonical) {
     out += "]";
   }
   out += "]}";
-  return out;
-}
-
-std::string RenderNode(const BbNodeEvent& e, bool canonical) {
-  std::string out = "{\"type\":\"node\"";
-  if (!canonical) {
-    out += ",\"bip\":";
-    AppendU64(&out, e.bip_id);
-  }
-  out += ",\"node\":" + std::to_string(e.node_id);
-  out += ",\"depth\":" + std::to_string(e.depth);
-  out += ",\"action\":";
-  AppendJsonString(&out, e.action);
-  out += ",\"parent_bound\":";
-  AppendNum(&out, e.parent_bound);
-  out += ",\"lp_objective\":";
-  if (e.has_lp) {
-    AppendNum(&out, e.lp_objective);
-  } else {
-    out += "null";
-  }
-  out += ",\"lp_iters\":" + std::to_string(e.lp_iterations);
-  out += ",\"branch_var\":" + std::to_string(e.branch_var);
-  out += ",\"incumbent\":";
-  AppendNum(&out, e.incumbent);
-  out += "}";
   return out;
 }
 
@@ -149,6 +115,15 @@ std::string RenderBip(const BipSolveStats& r, bool canonical) {
   AppendBool(&out, r.root_hot_start_attempted);
   out += ",\"root_hot_started\":";
   AppendBool(&out, r.root_hot_started);
+  out += ",\"trajectory\":[";
+  for (size_t i = 0; i < r.trajectory.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += "[" + std::to_string(r.trajectory[i].node_id) + "," +
+           std::to_string(r.trajectory[i].depth) + ",";
+    AppendNum(&out, r.trajectory[i].value);
+    out += "]";
+  }
+  out += "]";
   if (!canonical) {
     out += ",\"ms\":";
     AppendNum(&out, r.solve_ms);
@@ -170,20 +145,8 @@ SolveLog& SolveLog::Global() {
   return *log;
 }
 
-void SolveLog::Enable(size_t max_lp_records, size_t max_node_events,
-                      size_t max_bip_records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_lp_ = std::max<size_t>(1, max_lp_records);
-  max_nodes_ = std::max<size_t>(1, max_node_events);
-  max_bips_ = std::max<size_t>(1, max_bip_records);
-  lp_records_.clear();
-  node_events_.clear();
-  bip_records_.clear();
-  next_lp_id_ = 0;
-  next_bip_id_ = 0;
-  dropped_lp_ = 0;
-  dropped_nodes_ = 0;
-  dropped_bips_ = 0;
+void SolveLog::Enable() {
+  Clear();
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -192,37 +155,26 @@ void SolveLog::Disable() { enabled_.store(false, std::memory_order_relaxed); }
 void SolveLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lp_records_.clear();
-  node_events_.clear();
   bip_records_.clear();
   next_lp_id_ = 0;
   next_bip_id_ = 0;
   dropped_lp_ = 0;
-  dropped_nodes_ = 0;
   dropped_bips_ = 0;
 }
 
 void SolveLog::RecordLp(LpSolveStats stats) {
   std::lock_guard<std::mutex> lock(mu_);
   stats.id = ++next_lp_id_;
-  if (lp_records_.size() >= max_lp_) {
+  if (lp_records_.size() >= kLpCapacity) {
     lp_records_.pop_front();
     ++dropped_lp_;
   }
   lp_records_.push_back(std::move(stats));
 }
 
-void SolveLog::RecordNode(BbNodeEvent event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (node_events_.size() >= max_nodes_) {
-    node_events_.pop_front();
-    ++dropped_nodes_;
-  }
-  node_events_.push_back(std::move(event));
-}
-
 void SolveLog::RecordBip(BipSolveStats stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (bip_records_.size() >= max_bips_) {
+  if (bip_records_.size() >= kBipCapacity) {
     bip_records_.pop_front();
     ++dropped_bips_;
   }
@@ -239,11 +191,6 @@ size_t SolveLog::lp_record_count() const {
   return lp_records_.size();
 }
 
-size_t SolveLog::node_event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return node_events_.size();
-}
-
 size_t SolveLog::bip_record_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bip_records_.size();
@@ -252,11 +199,6 @@ size_t SolveLog::bip_record_count() const {
 uint64_t SolveLog::dropped_lp_records() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_lp_;
-}
-
-uint64_t SolveLog::dropped_node_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_nodes_;
 }
 
 std::vector<LpSolveStats> SolveLog::LpRecords() const {
@@ -273,19 +215,12 @@ std::string SolveLog::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"dropped_lp\":";
   AppendU64(&out, dropped_lp_);
-  out += ",\"dropped_nodes\":";
-  AppendU64(&out, dropped_nodes_);
   out += ",\"dropped_bips\":";
   AppendU64(&out, dropped_bips_);
   out += ",\"lp\":[";
   for (size_t i = 0; i < lp_records_.size(); ++i) {
     if (i > 0) out.push_back(',');
     out += RenderLp(lp_records_[i], /*canonical=*/false);
-  }
-  out += "],\"nodes\":[";
-  for (size_t i = 0; i < node_events_.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += RenderNode(node_events_[i], /*canonical=*/false);
   }
   out += "],\"bips\":[";
   for (size_t i = 0; i < bip_records_.size(); ++i) {
@@ -300,13 +235,9 @@ std::string SolveLog::Fingerprint() const {
   std::vector<std::string> lines;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    lines.reserve(lp_records_.size() + node_events_.size() +
-                  bip_records_.size());
+    lines.reserve(lp_records_.size() + bip_records_.size());
     for (const LpSolveStats& r : lp_records_) {
       lines.push_back(RenderLp(r, /*canonical=*/true));
-    }
-    for (const BbNodeEvent& e : node_events_) {
-      lines.push_back(RenderNode(e, /*canonical=*/true));
     }
     for (const BipSolveStats& r : bip_records_) {
       lines.push_back(RenderBip(r, /*canonical=*/true));
@@ -322,342 +253,7 @@ std::string SolveLog::Fingerprint() const {
 }
 
 // ===========================================================================
-// Run-report reader (`nose explain`).
-// ===========================================================================
-
-namespace {
-
-/// Minimal recursive-descent JSON value parser — just enough for the run
-/// report's own output (objects, arrays, strings, numbers, bools, null).
-/// The repo deliberately carries no JSON library; this stays private to
-/// the solve-log reader.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* Find(const char* key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double Num(const char* key, double def) const {
-    const JsonValue* v = Find(key);
-    return (v != nullptr && v->kind == Kind::kNumber) ? v->number : def;
-  }
-  int Int(const char* key, int def) const {
-    return static_cast<int>(Num(key, def));
-  }
-  uint64_t U64(const char* key, uint64_t def) const {
-    const JsonValue* v = Find(key);
-    return (v != nullptr && v->kind == Kind::kNumber)
-               ? static_cast<uint64_t>(v->number)
-               : def;
-  }
-  bool Bool(const char* key, bool def) const {
-    const JsonValue* v = Find(key);
-    return (v != nullptr && v->kind == Kind::kBool) ? v->boolean : def;
-  }
-  std::string Str(const char* key) const {
-    const JsonValue* v = Find(key);
-    return (v != nullptr && v->kind == Kind::kString) ? v->str : std::string();
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    SkipWs();
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return pos_ == text_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    const size_t n = std::strlen(lit);
-    if (text_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            const unsigned long code =
-                std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
-            pos_ += 4;
-            // The writer only escapes control bytes, so ASCII suffices.
-            out->push_back(static_cast<char>(code & 0x7f));
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        SkipWs();
-        std::string key;
-        if (!ParseString(&key)) return false;
-        SkipWs();
-        if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-        ++pos_;
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->fields.emplace_back(std::move(key), std::move(value));
-        SkipWs();
-        if (pos_ >= text_.size()) return false;
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue value;
-        if (!ParseValue(&value)) return false;
-        out->items.push_back(std::move(value));
-        SkipWs();
-        if (pos_ >= text_.size()) return false;
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (text_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't') {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = true;
-      return Literal("true");
-    }
-    if (c == 'f') {
-      out->kind = JsonValue::Kind::kBool;
-      out->boolean = false;
-      return Literal("false");
-    }
-    if (c == 'n') {
-      out->kind = JsonValue::Kind::kNull;
-      return Literal("null");
-    }
-    // Number.
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<size_t>(end - start);
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = v;
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-double NumOrInf(const JsonValue& obj, const char* key, double inf_value) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return inf_value;
-  return v->number;
-}
-
-LpSolveStats LpFromJson(const JsonValue& value) {
-  LpSolveStats r;
-  r.id = value.U64("id", 0);
-  r.bip_id = value.U64("bip", 0);
-  r.node_id = value.Int("node", -1);
-  r.status = value.Str("status");
-  r.rows = value.Int("rows", 0);
-  r.cols = value.Int("cols", 0);
-  r.tableau_cols = value.Int("tableau_cols", 0);
-  r.nonzeros = value.U64("nnz", 0);
-  r.iterations = value.Int("iters", 0);
-  r.phase1_iterations = value.Int("phase1_iters", 0);
-  r.devex_resets = value.Int("devex_resets", 0);
-  r.bland_iterations = value.Int("bland_iters", 0);
-  r.bound_flips = value.Int("bound_flips", 0);
-  r.max_degenerate_streak = value.Int("max_degen_streak", 0);
-  r.fill_start = value.U64("fill_start", 0);
-  r.fill_end = value.U64("fill_end", 0);
-  r.refactorizations = value.Int("refactorizations", 0);
-  r.ft_updates = value.Int("ft_updates", 0);
-  r.factor_fill = value.U64("factor_fill", 0);
-  r.equilibration_cond = value.Num("equil_cond", 1.0);
-  r.hot_start_attempted = value.Bool("hot_attempted", false);
-  r.hot_started = value.Bool("hot_started", false);
-  r.farkas = value.Bool("farkas", false);
-  r.solve_ms = value.Num("ms", 0.0);
-  const JsonValue* curve = value.Find("fill_curve");
-  if (curve != nullptr && curve->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& sample : curve->items) {
-      if (sample.kind == JsonValue::Kind::kArray && sample.items.size() == 2) {
-        r.fill_curve.emplace_back(
-            static_cast<int>(sample.items[0].number),
-            static_cast<uint64_t>(sample.items[1].number));
-      }
-    }
-  }
-  return r;
-}
-
-BbNodeEvent NodeFromJson(const JsonValue& value) {
-  BbNodeEvent e;
-  e.bip_id = value.U64("bip", 0);
-  e.node_id = value.Int("node", -1);
-  e.depth = value.Int("depth", 0);
-  e.action = value.Str("action");
-  e.parent_bound = NumOrInf(value, "parent_bound",
-                            -std::numeric_limits<double>::infinity());
-  const JsonValue* obj = value.Find("lp_objective");
-  e.has_lp = obj != nullptr && obj->kind == JsonValue::Kind::kNumber;
-  if (e.has_lp) e.lp_objective = obj->number;
-  e.lp_iterations = value.Int("lp_iters", 0);
-  e.branch_var = value.Int("branch_var", -1);
-  e.incumbent =
-      NumOrInf(value, "incumbent", std::numeric_limits<double>::infinity());
-  return e;
-}
-
-BipSolveStats BipFromJson(const JsonValue& value) {
-  BipSolveStats r;
-  r.id = value.U64("id", 0);
-  r.status = value.Str("status");
-  r.objective = value.Num("objective", 0.0);
-  r.vars = value.Int("vars", 0);
-  r.rows = value.Int("rows", 0);
-  r.nonzeros = value.U64("nnz", 0);
-  r.binaries = value.Int("binaries", 0);
-  r.nodes_explored = value.Int("nodes", 0);
-  r.max_depth = value.Int("max_depth", 0);
-  r.lp_iterations = value.U64("lp_iters", 0);
-  r.pruned_bound = value.U64("pruned_bound", 0);
-  r.pruned_parent = value.U64("pruned_parent", 0);
-  r.infeasible = value.U64("infeasible", 0);
-  r.incumbents = value.U64("incumbents", 0);
-  r.warm_started = value.Bool("warm_started", false);
-  r.root_hot_start_attempted = value.Bool("root_hot_attempted", false);
-  r.root_hot_started = value.Bool("root_hot_started", false);
-  r.solve_ms = value.Num("ms", 0.0);
-  return r;
-}
-
-/// Appends FromJson(item) for every object in the array `section[key]`;
-/// a missing key reads as an empty array.
-template <typename Record>
-void ReadRecords(const JsonValue& section, const char* key,
-                 Record (*from_json)(const JsonValue&),
-                 std::vector<Record>* out) {
-  const JsonValue* items = section.Find(key);
-  if (items == nullptr || items->kind != JsonValue::Kind::kArray) return;
-  for (const JsonValue& item : items->items) {
-    if (item.kind == JsonValue::Kind::kObject) {
-      out->push_back(from_json(item));
-    }
-  }
-}
-
-}  // namespace
-
-bool ReadSolveLog(const std::string& path, SolveLogData* out,
-                  std::string* error) {
-  *out = SolveLogData();
-  std::string text;
-  if (!obs::ReadFile(path, &text, error)) return false;
-  JsonValue report;
-  if (!JsonParser(text).Parse(&report)) {
-    if (error != nullptr) *error = path + ": malformed JSON";
-    return false;
-  }
-  const JsonValue* section = report.Find("solve_log");
-  if (section == nullptr || section->kind != JsonValue::Kind::kObject) {
-    if (error != nullptr) {
-      *error = path + ": no \"solve_log\" section (not a --report-json run "
-               "report)";
-    }
-    return false;
-  }
-  out->dropped_lp = section->U64("dropped_lp", 0);
-  out->dropped_nodes = section->U64("dropped_nodes", 0);
-  out->dropped_bips = section->U64("dropped_bips", 0);
-  ReadRecords(*section, "lp", &LpFromJson, &out->lp);
-  ReadRecords(*section, "nodes", &NodeFromJson, &out->nodes);
-  ReadRecords(*section, "bips", &BipFromJson, &out->bips);
-  return true;
-}
-
-// ===========================================================================
-// `nose explain` renderer.
+// The run report's "explain" section.
 // ===========================================================================
 
 namespace {
@@ -684,9 +280,10 @@ std::string LpContext(const LpSolveStats& r) {
 
 }  // namespace
 
-std::string ExplainSolveLog(const SolveLogData& data) {
+std::string SolveLog::Explain() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  if (data.lp.empty() && data.nodes.empty() && data.bips.empty()) {
+  if (lp_records_.empty() && bip_records_.empty()) {
     return "solve log is empty\n";
   }
 
@@ -703,7 +300,7 @@ std::string ExplainSolveLog(const SolveLogData& data) {
   double root_ms = 0.0;
   double tree_ms = 0.0;
   double standalone_ms = 0.0;
-  for (const LpSolveStats& r : data.lp) {
+  for (const LpSolveStats& r : lp_records_) {
     total_iters += static_cast<uint64_t>(r.iterations);
     phase1_iters += static_cast<uint64_t>(r.phase1_iterations);
     bland_iters += static_cast<uint64_t>(r.bland_iterations);
@@ -725,11 +322,9 @@ std::string ExplainSolveLog(const SolveLogData& data) {
 
   Appendf(&out, "== solve log ==\n");
   Appendf(&out,
-          "lp solves: %zu (%llu dropped)   b&b solves: %zu   node events: "
-          "%zu (%llu dropped)\n",
-          data.lp.size(), static_cast<unsigned long long>(data.dropped_lp),
-          data.bips.size(), data.nodes.size(),
-          static_cast<unsigned long long>(data.dropped_nodes));
+          "lp solves: %zu (%llu dropped)   b&b solves: %zu\n",
+          lp_records_.size(), static_cast<unsigned long long>(dropped_lp_),
+          bip_records_.size());
   Appendf(&out,
           "total lp time %.2f ms over %llu simplex iterations; hot starts "
           "%llu/%llu loaded\n",
@@ -738,7 +333,7 @@ std::string ExplainSolveLog(const SolveLogData& data) {
           static_cast<unsigned long long>(hot_attempts));
 
   // --- B&B tree summaries. ---
-  for (const BipSolveStats& b : data.bips) {
+  for (const BipSolveStats& b : bip_records_) {
     Appendf(&out, "\n== b&b solve %llu [%s] ==\n",
             static_cast<unsigned long long>(b.id), b.status.c_str());
     Appendf(&out,
@@ -757,7 +352,7 @@ std::string ExplainSolveLog(const SolveLogData& data) {
     // batch relaxations solved for nodes that were never processed.
     uint64_t farkas = 0;
     uint64_t discarded = 0;
-    for (const LpSolveStats& r : data.lp) {
+    for (const LpSolveStats& r : lp_records_) {
       if (r.bip_id != b.id) continue;
       if (r.node_id < 0) {
         ++discarded;
@@ -786,24 +381,22 @@ std::string ExplainSolveLog(const SolveLogData& data) {
     }
     // Incumbent trajectory (first improvements tell how fast the search
     // closes in; an early near-final incumbent means pruning did the rest).
-    int shown = 0;
-    for (const BbNodeEvent& e : data.nodes) {
-      if (e.bip_id != b.id || e.action != "incumbent") continue;
-      if (shown == 8) {
+    for (size_t i = 0; i < b.trajectory.size(); ++i) {
+      if (i == 8) {
         Appendf(&out, "  ... (%llu incumbent updates total)\n",
                 static_cast<unsigned long long>(b.incumbents));
         break;
       }
-      Appendf(&out, "  incumbent %.10g at node %d (depth %d)\n", e.incumbent,
-              e.node_id, e.depth);
-      ++shown;
+      const BbIncumbent& step = b.trajectory[i];
+      Appendf(&out, "  incumbent %.10g at node %d (depth %d)\n", step.value,
+              step.node_id, step.depth);
     }
   }
 
   // --- Top time sinks. ---
   std::vector<const LpSolveStats*> by_ms;
-  by_ms.reserve(data.lp.size());
-  for (const LpSolveStats& r : data.lp) by_ms.push_back(&r);
+  by_ms.reserve(lp_records_.size());
+  for (const LpSolveStats& r : lp_records_) by_ms.push_back(&r);
   std::stable_sort(by_ms.begin(), by_ms.end(),
                    [](const LpSolveStats* a, const LpSolveStats* b) {
                      if (a->solve_ms != b->solve_ms) {

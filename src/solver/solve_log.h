@@ -29,13 +29,10 @@ struct LpSolveStats {
 
   std::string status;  ///< LpStatusName of the result
   int rows = 0;        ///< constraint rows of the original problem
-  int cols = 0;        ///< structural variables
   int tableau_cols = 0;  ///< structural + slack + artificial columns
-  uint64_t nonzeros = 0;  ///< structural nonzeros of the original problem
 
   int iterations = 0;         ///< total simplex iterations (both phases)
   int phase1_iterations = 0;  ///< iterations spent driving artificials out
-  int devex_resets = 0;       ///< devex reference-weight reinitializations
   int bland_iterations = 0;   ///< iterations priced under Bland's rule
   int bound_flips = 0;        ///< nonbasic bound-to-bound moves (no pivot)
   int max_degenerate_streak = 0;  ///< longest run of zero-step pivots
@@ -77,25 +74,12 @@ struct LpSolveStats {
   double FillRatio(uint64_t stored) const;
 };
 
-/// One branch-and-bound search event. `action` is one of:
-///   "pruned_parent" — popped with parent bound above the incumbent
-///                     threshold; no LP was solved (node_id is -1)
-///   "infeasible"    — node LP infeasible
-///   "abandoned"     — node LP unbounded or iteration/deadline-limited
-///   "pruned_bound"  — node LP optimal but bound above the threshold
-///   "incumbent"     — integral LP optimum improved the incumbent
-///   "branched"      — fractional optimum; two children pushed
-struct BbNodeEvent {
-  uint64_t bip_id = 0;
-  int node_id = -1;  ///< explored-node ordinal; -1 when pruned before its LP
-  int depth = 0;     ///< fixings along the branch
-  std::string action;
-  double parent_bound = 0.0;  ///< -inf at the root
-  double lp_objective = 0.0;  ///< valid for pruned_bound/incumbent/branched
-  bool has_lp = false;        ///< whether lp_objective/lp_iterations are set
-  int lp_iterations = 0;
-  int branch_var = -1;        ///< valid for "branched"
-  double incumbent = 0.0;     ///< incumbent after the event; +inf if none
+/// One incumbent improvement of a branch-and-bound search: the explored
+/// node whose integral LP optimum became the incumbent, and its objective.
+struct BbIncumbent {
+  int node_id = 0;
+  int depth = 0;  ///< fixings along the branch
+  double value = 0.0;
 };
 
 /// End-of-search summary for one SolveBip call.
@@ -117,13 +101,16 @@ struct BipSolveStats {
   bool warm_started = false;  ///< incumbent seeded from a warm-start point
   bool root_hot_start_attempted = false;
   bool root_hot_started = false;
+  /// Every incumbent improvement in processing order (one per
+  /// `incumbents`); the values strictly decrease.
+  std::vector<BbIncumbent> trajectory;
   double solve_ms = 0.0;  ///< wall clock; excluded from Fingerprint()
 };
 
 /// Process-wide solver-introspection sink: bounded ring buffers of
-/// LpSolveStats / BbNodeEvent / BipSolveStats records, exported as the
-/// "solve_log" section of a run report (`nose ... --report-json FILE`,
-/// read back by `nose explain FILE`).
+/// LpSolveStats / BipSolveStats records, written into a run report
+/// (`nose ... --report-json FILE`) as its "solve_log" section and, rendered
+/// by Explain(), its "explain" section.
 ///
 /// Off by default. When disabled, the instrumentation cost is one relaxed
 /// atomic load per BIP solve — nothing per LP or simplex iteration — so
@@ -139,37 +126,32 @@ struct BipSolveStats {
 /// independent solves from multiple threads.
 class SolveLog {
  public:
-  static constexpr size_t kDefaultLpCapacity = 16384;
-  static constexpr size_t kDefaultNodeCapacity = 65536;
-  static constexpr size_t kDefaultBipCapacity = 4096;
+  static constexpr size_t kLpCapacity = 16384;
+  static constexpr size_t kBipCapacity = 4096;
   /// Factor fill is sampled every this many simplex iterations.
   static constexpr int kFillSampleStride = 64;
 
   static SolveLog& Global();
 
   /// Starts recording (clears previous records and id counters).
-  void Enable(size_t max_lp_records = kDefaultLpCapacity,
-              size_t max_node_events = kDefaultNodeCapacity,
-              size_t max_bip_records = kDefaultBipCapacity);
+  void Enable();
   void Disable();
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   /// Drops all records and resets id counters; recording state unchanged.
   void Clear();
 
-  /// Appends a record (assigning stats.id) — call only when enabled().
+  /// Appends a record (RecordLp assigns stats.id) — call only when
+  /// enabled().
   void RecordLp(LpSolveStats stats);
-  void RecordNode(BbNodeEvent event);
   void RecordBip(BipSolveStats stats);
 
-  /// Allocates the next 1-based B&B solve id; SolveBip stamps its LP,
-  /// node and bip records with it.
+  /// Allocates the next 1-based B&B solve id; SolveBip stamps its LP and
+  /// bip records with it.
   uint64_t NextBipId();
 
   size_t lp_record_count() const;
-  size_t node_event_count() const;
   size_t bip_record_count() const;
   uint64_t dropped_lp_records() const;
-  uint64_t dropped_node_events() const;
 
   /// Snapshot copies (records stay in the log).
   std::vector<LpSolveStats> LpRecords() const;
@@ -177,10 +159,16 @@ class SolveLog {
 
   /// The run report's "solve_log" section: the ring buffers' drop counts,
   /// then every record in record order, one array per kind
-  /// ("type" ∈ lp|node|bip inside each record):
-  ///   {"dropped_lp":n,"dropped_nodes":n,"dropped_bips":n,
-  ///    "lp":[...],"nodes":[...],"bips":[...]}
+  /// ("type" ∈ lp|bip inside each record):
+  ///   {"dropped_lp":n,"dropped_bips":n,"lp":[...],"bips":[...]}
   std::string ToJson() const;
+
+  /// The run report's "explain" section, a human-readable diagnosis: B&B
+  /// tree summary with its incumbent trajectory, prune-reason breakdown,
+  /// hot-start hits, the top LP time sinks, per-phase/per-context time
+  /// attribution, and the fill-growth curve of the slowest solve.
+  /// Deterministic given the log contents.
+  std::string Explain() const;
 
   /// Canonical timing-free digest: every record rendered without wall-clock
   /// fields or global ids, lines sorted. Bitwise-identical across runs at
@@ -192,40 +180,13 @@ class SolveLog {
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  size_t max_lp_ = kDefaultLpCapacity;
-  size_t max_nodes_ = kDefaultNodeCapacity;
-  size_t max_bips_ = kDefaultBipCapacity;
   uint64_t next_lp_id_ = 0;
   uint64_t next_bip_id_ = 0;
   uint64_t dropped_lp_ = 0;
-  uint64_t dropped_nodes_ = 0;
   uint64_t dropped_bips_ = 0;
   std::deque<LpSolveStats> lp_records_;
-  std::deque<BbNodeEvent> node_events_;
   std::deque<BipSolveStats> bip_records_;
 };
-
-/// A parsed solve log (the output of ReadSolveLog).
-struct SolveLogData {
-  std::vector<LpSolveStats> lp;
-  std::vector<BbNodeEvent> nodes;
-  std::vector<BipSolveStats> bips;
-  uint64_t dropped_lp = 0;
-  uint64_t dropped_nodes = 0;
-  uint64_t dropped_bips = 0;
-};
-
-/// Reads the "solve_log" section of the run report at `path`. Unknown
-/// fields are skipped (forward compatibility); malformed JSON or a file
-/// without the section fails the read with a message in *error.
-bool ReadSolveLog(const std::string& path, SolveLogData* out,
-                  std::string* error = nullptr);
-
-/// Renders the human-readable diagnosis `nose explain REPORT` prints:
-/// B&B tree summary, prune-reason breakdown, hot-start hits, the top LP
-/// time sinks, per-phase/per-context time attribution, and the fill-growth
-/// curve of the slowest solve. Deterministic given the log contents.
-std::string ExplainSolveLog(const SolveLogData& data);
 
 }  // namespace nose
 

@@ -83,14 +83,6 @@ std::vector<Predicate> Query::PredicatesOn(size_t index) const {
   return out;
 }
 
-std::vector<Predicate> Query::EqPredicatesFrom(size_t index) const {
-  std::vector<Predicate> out;
-  for (const Predicate& p : PredicatesFrom(index)) {
-    if (p.IsEquality()) out.push_back(p);
-  }
-  return out;
-}
-
 std::vector<Predicate> Query::PredicatesFrom(size_t index) const {
   std::vector<Predicate> out;
   for (const Predicate& p : predicates_) {

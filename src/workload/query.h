@@ -36,8 +36,6 @@ class Query {
 
   /// Predicates whose field belongs to the path entity at `index`.
   std::vector<Predicate> PredicatesOn(size_t index) const;
-  /// Equality predicates on path suffix [index, end).
-  std::vector<Predicate> EqPredicatesFrom(size_t index) const;
   /// All predicates on path suffix [index, end).
   std::vector<Predicate> PredicatesFrom(size_t index) const;
 

@@ -1,6 +1,7 @@
 // End-to-end tests of the `nose` binary: exit codes, the two telemetry
-// files every run command writes (trace and run report, whose solve log
-// `nose explain` reads), the run-report key layout of
+// files every run command writes (trace and run report, which carries its
+// solve log's diagnosis as the "explain" section), the run-report key
+// layout of
 // advise/check/evolve/serve, the serve digest's
 // thread-count independence, and rejection of malformed numeric flags.
 // Every command runs from the source root so workload paths in reports
@@ -156,6 +157,8 @@ TEST(CliTest, UnknownFlagExitsTwo) {
   EXPECT_EQ(Nose("advise " + kHotel + " --metrics-format json").exit_code, 2);
   EXPECT_EQ(Nose("advise " + kHotel + " --solve-log s.jsonl").exit_code, 2);
   EXPECT_EQ(Nose("frobnicate").exit_code, 2);
+  // The diagnosis is the run report's "explain" section, not a command.
+  EXPECT_EQ(Nose("explain report.json").exit_code, 2);
 }
 
 TEST(CliTest, CheckOnHotelIsVerified) {
@@ -182,22 +185,13 @@ TEST(CliTest, EveryRunCommandWritesItsTelemetry) {
     EXPECT_NE(ReadFile(trace).find("\"traceEvents\""), std::string::npos);
     const std::string solve_log = Value(ReadFile(report), "solve_log");
     EXPECT_EQ(solve_log.rfind("{\"dropped_lp\":0,", 0), 0u) << solve_log;
-    const RunResult explain = Nose("explain " + report);
-    EXPECT_EQ(explain.exit_code, 0);
-    EXPECT_FALSE(explain.output.empty());
+    // The diagnosis, one "== b&b solve" header per bip record.
+    const std::string explain = Value(ReadFile(report), "explain");
+    EXPECT_EQ(explain.rfind("\"== solve log ==\\n", 0), 0u) << explain;
+    EXPECT_EQ(Count(explain, "== b&b solve "),
+              Count(solve_log, "{\"type\":\"bip\""));
+    EXPECT_GT(Count(explain, "== b&b solve "), 0u);
   }
-}
-
-TEST(CliTest, ExplainNeedsARunReport) {
-  const std::string dir = ScratchDir();
-  std::ofstream(dir + "/trace.json") << "{\"traceEvents\":[]}\n";
-  for (const std::string& path : {dir + "/trace.json", dir + "/none.json"}) {
-    const RunResult r = Nose("explain " + path, /*with_stderr=*/true);
-    EXPECT_EQ(r.exit_code, 1) << path;
-    EXPECT_EQ(r.output.rfind("error: ", 0), 0u) << r.output;
-    EXPECT_EQ(Count(r.output, "\n"), 1u) << r.output;
-  }
-  EXPECT_EQ(Nose("explain").exit_code, 2);
 }
 
 TEST(CliTest, ReportJsonKeysPerCommand) {
@@ -223,16 +217,18 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
   using Names = std::vector<std::string>;
   EXPECT_EQ(Keys(advise),
             (Names{"report_version", "command", "model", "workload", "phases",
-                   "digest", "solve_log", "metrics"}));
+                   "digest", "solve_log", "explain", "metrics"}));
   EXPECT_EQ(Keys(check),
             (Names{"report_version", "command", "instance", "errors",
-                   "warnings", "phases", "digest", "solve_log", "metrics"}));
+                   "warnings", "phases", "digest", "solve_log", "explain",
+                   "metrics"}));
   EXPECT_EQ(Keys(evolve),
             (Names{"report_version", "command", "scenario", "mode",
                    "transactions", "statements", "re_advises_incremental",
                    "re_advises_cold", "no_op_readvises", "last_drift",
                    "migrations", "invariant_violations", "realized_store_ms",
-                   "phases", "migration_records", "solve_log", "metrics"}));
+                   "phases", "migration_records", "solve_log", "explain",
+                   "metrics"}));
   EXPECT_EQ(Keys(serve),
             (Names{"report_version", "command", "scenario", "threads",
                    "streams", "transactions", "statements", "migrations",
@@ -241,7 +237,7 @@ TEST(CliTest, ReportJsonKeysPerCommand) {
                    "p50_after_ms", "p95_after_ms", "p99_after_ms", "advises",
                    "advise_deadline_misses", "migration_rows_dropped",
                    "migration_verify_retries", "realized_store_ms", "phases",
-                   "digest", "solve_log", "metrics"}));
+                   "digest", "solve_log", "explain", "metrics"}));
 
   // check and advise share one phase list.
   EXPECT_EQ(Keys(Value(check, "phases")),

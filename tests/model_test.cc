@@ -172,7 +172,6 @@ TEST(QueryTest, PredicateAccessors) {
   EXPECT_EQ(q.PredicatesOn(2).size(), 1u);  // RoomRate on Room
   EXPECT_EQ(q.PredicatesOn(0).size(), 0u);
   EXPECT_EQ(q.PredicatesFrom(2).size(), 2u);
-  EXPECT_EQ(q.EqPredicatesFrom(2).size(), 1u);
   EXPECT_NE(q.ToString().find("SELECT Guest.GuestName"), std::string::npos);
 }
 

@@ -2,13 +2,11 @@
 // fingerprint of an advise is bitwise-identical at any thread count — and
 // the production contract — the log records the search the advisor runs
 // without it, one record per LP solve — on hotel (a one-node search) and
-// RUBiS `default` (a branching one, whose batches hold several nodes).
-// Plus disabled-by-default behaviour, round-tripping through a run report's
-// "solve_log" section, ring-buffer semantics, and a golden test of the
-// `nose explain` renderer against the bundled run report under tests/data/.
+// Fig. 13 scale 1 (a branching one, whose batches hold several nodes).
+// Plus disabled-by-default behaviour, the run report's "explain" section,
+// ring-buffer semantics, and a golden test of the Explain() renderer.
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,8 +19,7 @@
 #include "obs/report.h"
 #include "parser/model_parser.h"
 #include "parser/workload_parser.h"
-#include "rubis/model.h"
-#include "rubis/workload.h"
+#include "randwl/random_workload.h"
 #include "solver/bip.h"
 #include "solver/lp.h"
 #include "solver/solve_log.h"
@@ -72,24 +69,32 @@ Recommendation AdviseHotel(size_t threads) {
   return std::move(rec).value();
 }
 
-/// Advises RUBiS `default` at `threads` workers: its B&B branches, so
+/// Advises the Fig. 13 scale-1 random workload (6 entities, 12 statements,
+/// the seed fig13_scaling uses) at `threads` workers: its B&B branches, so
 /// node batches hold several relaxations and some get discarded.
-Recommendation AdviseRubis(size_t threads) {
-  auto graph = rubis::MakeGraph();
-  EXPECT_TRUE(graph.ok());
-  auto workload = rubis::MakeWorkload(**graph);
-  EXPECT_TRUE(workload.ok());
+Recommendation AdviseFig13Scale1(size_t threads) {
+  randwl::GeneratorOptions gen;
+  gen.num_entities = 6;
+  gen.num_statements = 12;
+  gen.seed = 4243;
+  auto rw = randwl::Generate(gen);
+  EXPECT_TRUE(rw.ok());
   AdvisorOptions options;
   options.num_threads = threads;
   Advisor advisor(options);
-  auto rec = advisor.Recommend(**workload, rubis::kBiddingMix);
+  auto rec = advisor.Recommend(*rw->workload);
   EXPECT_TRUE(rec.ok());
   return std::move(rec).value();
 }
 
 using AdviseFn = Recommendation (*)(size_t threads);
-const std::vector<std::pair<const char*, AdviseFn>> kInputs = {
-    {"hotel", AdviseHotel}, {"rubis-default", AdviseRubis}};
+struct Input {
+  const char* name;
+  AdviseFn advise;
+  bool branches;  ///< the search explores more than the root
+};
+const std::vector<Input> kInputs = {
+    {"hotel", AdviseHotel, false}, {"fig13-scale1", AdviseFig13Scale1, true}};
 
 /// How much each solver.* counter grew while `advise` ran.
 std::map<std::string, uint64_t> SolverCounterDeltas(AdviseFn advise,
@@ -123,14 +128,13 @@ TEST(SolveLogTest, DisabledByDefaultRecordsNothing) {
   log.Clear();
   AdviseHotel(1);
   EXPECT_EQ(log.lp_record_count(), 0u);
-  EXPECT_EQ(log.node_event_count(), 0u);
   EXPECT_EQ(log.bip_record_count(), 0u);
 }
 
 TEST(SolveLogTest, EnablingDoesNotPerturbResults) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
-  for (const auto& [name, advise] : kInputs) {
+  for (const auto& [name, advise, branches] : kInputs) {
     SCOPED_TRACE(name);
     log.Disable();
     log.Clear();
@@ -147,6 +151,9 @@ TEST(SolveLogTest, EnablingDoesNotPerturbResults) {
     EXPECT_EQ(plain.objective, logged.objective);
     EXPECT_EQ(plain.schema.ToString(), logged.schema.ToString());
     EXPECT_EQ(plain.bb_nodes, logged.bb_nodes);
+    if (branches) {
+      EXPECT_GT(logged.bb_nodes, 1);
+    }
     // The logged run is the production search: same LP solves, simplex
     // iterations, nodes and prunes, counter for counter.
     EXPECT_EQ(plain_counters, logged_counters);
@@ -158,7 +165,7 @@ TEST(SolveLogTest, EnablingDoesNotPerturbResults) {
 TEST(SolveLogTest, FingerprintIdenticalAcrossThreadCounts) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
-  for (const auto& [name, advise] : kInputs) {
+  for (const auto& [name, advise, branches] : kInputs) {
     std::string reference;
     size_t reference_lps = 0;
     for (size_t threads : {1u, 2u, 8u}) {
@@ -166,7 +173,18 @@ TEST(SolveLogTest, FingerprintIdenticalAcrossThreadCounts) {
       log.Enable();  // clears previous records and id counters
       Recommendation rec;
       const auto counters = SolverCounterDeltas(advise, threads, &rec);
+      if (branches) {
+        EXPECT_GT(rec.bb_nodes, 1);
+      }
       EXPECT_EQ(log.lp_record_count(), counters.at("solver.lp_solves"));
+      // One trajectory step per incumbent improvement, each better than
+      // the last.
+      for (const BipSolveStats& bip : log.BipRecords()) {
+        ASSERT_EQ(bip.trajectory.size(), bip.incumbents);
+        for (size_t i = 1; i < bip.trajectory.size(); ++i) {
+          EXPECT_LT(bip.trajectory[i].value, bip.trajectory[i - 1].value);
+        }
+      }
       const std::string fp = log.Fingerprint();
       ASSERT_FALSE(fp.empty());
       if (reference.empty()) {
@@ -180,73 +198,54 @@ TEST(SolveLogTest, FingerprintIdenticalAcrossThreadCounts) {
   }
 }
 
+// The report's "explain" section is the renderer's output for the log the
+// report's "solve_log" section holds, as one JSON string.
 TEST(SolveLogTest, ReportSectionRoundTrip) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
   log.Enable();
   AdviseHotel(1);
+  ASSERT_GT(log.lp_record_count(), 0u);
+  ASSERT_GT(log.bip_record_count(), 0u);
 
-  const std::vector<LpSolveStats> lps = log.LpRecords();
-  const std::vector<BipSolveStats> bips = log.BipRecords();
-  ASSERT_FALSE(lps.empty());
-  ASSERT_FALSE(bips.empty());
-
+  const std::string explain = log.Explain();
+  std::string section;
+  obs::AppendJsonString(&section, explain);
   obs::RunReport report("advise");
   report.AddSection("solve_log", log.ToJson());
-  const std::string path = ::testing::TempDir() + "solve_log_report.json";
-  std::string error;
-  ASSERT_TRUE(report.WriteJson(path, &error)) << error;
-  SolveLogData parsed;
-  ASSERT_TRUE(ReadSolveLog(path, &parsed, &error)) << error;
-  std::remove(path.c_str());
-  ASSERT_EQ(parsed.lp.size(), lps.size());
-  ASSERT_EQ(parsed.nodes.size(), log.node_event_count());
-  ASSERT_EQ(parsed.bips.size(), bips.size());
-
-  for (size_t i = 0; i < lps.size(); ++i) {
-    EXPECT_EQ(parsed.lp[i].id, lps[i].id);
-    EXPECT_EQ(parsed.lp[i].status, lps[i].status);
-    EXPECT_EQ(parsed.lp[i].rows, lps[i].rows);
-    EXPECT_EQ(parsed.lp[i].iterations, lps[i].iterations);
-    EXPECT_EQ(parsed.lp[i].fill_end, lps[i].fill_end);
-    EXPECT_EQ(parsed.lp[i].bip_id, lps[i].bip_id);
-    EXPECT_EQ(parsed.lp[i].node_id, lps[i].node_id);
-    EXPECT_EQ(parsed.lp[i].fill_curve, lps[i].fill_curve);
-  }
-  for (size_t i = 0; i < bips.size(); ++i) {
-    EXPECT_EQ(parsed.bips[i].status, bips[i].status);
-    EXPECT_EQ(parsed.bips[i].objective, bips[i].objective);
-    EXPECT_EQ(parsed.bips[i].nodes_explored, bips[i].nodes_explored);
-    EXPECT_EQ(parsed.bips[i].incumbents, bips[i].incumbents);
-  }
+  report.AddSection("explain", section);
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find(",\"explain\":" + section + "}"), std::string::npos);
+  EXPECT_EQ(explain.rfind("== solve log ==\n", 0), 0u);
+  EXPECT_NE(explain.find("== b&b solve 1 [optimal] =="), std::string::npos);
 }
 
 TEST(SolveLogTest, RingBufferDropsOldestAndCounts) {
   SolveLogGuard guard;
   SolveLog& log = SolveLog::Global();
-  log.Enable(/*max_lp_records=*/4, /*max_node_events=*/3,
-             /*max_bip_records=*/2);
-  for (int i = 0; i < 10; ++i) {
+  log.Enable();
+  const size_t overflow = 6;
+  for (size_t i = 0; i < SolveLog::kLpCapacity + overflow; ++i) {
     LpSolveStats stats;
-    stats.rows = i;
+    stats.rows = static_cast<int>(i);
     log.RecordLp(std::move(stats));
   }
-  EXPECT_EQ(log.lp_record_count(), 4u);
-  EXPECT_EQ(log.dropped_lp_records(), 6u);
+  EXPECT_EQ(log.lp_record_count(), SolveLog::kLpCapacity);
+  EXPECT_EQ(log.dropped_lp_records(), overflow);
   const std::vector<LpSolveStats> kept = log.LpRecords();
-  ASSERT_EQ(kept.size(), 4u);
-  // The oldest records fell off: ids 7..10 (1-based) survive.
-  EXPECT_EQ(kept.front().id, 7u);
-  EXPECT_EQ(kept.front().rows, 6);
-  EXPECT_EQ(kept.back().id, 10u);
+  ASSERT_EQ(kept.size(), SolveLog::kLpCapacity);
+  // The oldest records fell off: ids overflow+1.. (1-based) survive.
+  EXPECT_EQ(kept.front().id, overflow + 1);
+  EXPECT_EQ(kept.front().rows, static_cast<int>(overflow));
+  EXPECT_EQ(kept.back().id, SolveLog::kLpCapacity + overflow);
 
-  for (int i = 0; i < 5; ++i) {
-    BbNodeEvent event;
-    event.depth = i;
-    log.RecordNode(std::move(event));
+  for (size_t i = 0; i < SolveLog::kBipCapacity + overflow; ++i) {
+    BipSolveStats stats;
+    stats.id = i + 1;
+    log.RecordBip(std::move(stats));
   }
-  EXPECT_EQ(log.node_event_count(), 3u);
-  EXPECT_EQ(log.dropped_node_events(), 2u);
+  EXPECT_EQ(log.bip_record_count(), SolveLog::kBipCapacity);
+  EXPECT_EQ(log.BipRecords().front().id, overflow + 1);
 }
 
 TEST(SolveLogTest, LpRecordsCarryBipContext) {
@@ -264,26 +263,62 @@ TEST(SolveLogTest, LpRecordsCarryBipContext) {
   }
 }
 
-// The golden pair under tests/data/ comes from one hotel advise:
+// explain_golden.txt is the diagnosis of one hotel advise:
 //   nose advise --model workloads/hotel.model
 //     --workload workloads/hotel.workload --report-json REPORT
-//   nose explain REPORT > tests/data/explain_golden.txt
-// explain_golden.json is a run report whose "solve_log" section holds that
-// run's records verbatim (captured when the solve log was a JSONL file of
-// its own, and converted once; the text was rendered from the JSONL).
-// ExplainSolveLog is a pure function of the records, so the rendered
-// report must reproduce the golden text byte for byte.
+// (the report's "explain" section). Its one LP and one bip record are
+// rebuilt here field by field; Explain() is a pure function of the
+// records, so it must reproduce the golden text byte for byte.
 TEST(SolveLogTest, ExplainGolden) {
-  const std::string dir = NOSE_TEST_DATA_DIR;
-  SolveLogData data;
-  std::string error;
-  ASSERT_TRUE(ReadSolveLog(dir + "/explain_golden.json", &data, &error))
-      << error;
-  std::string golden;
-  ASSERT_TRUE(obs::ReadFile(dir + "/explain_golden.txt", &golden, &error))
-      << error;
+  SolveLogGuard guard;
+  SolveLog& log = SolveLog::Global();
+  log.Enable();
 
-  const std::string rendered = ExplainSolveLog(data);
+  LpSolveStats lp;
+  lp.bip_id = 1;
+  lp.node_id = 0;
+  lp.status = "optimal";
+  lp.rows = 216;
+  lp.tableau_cols = 427;
+  lp.iterations = 175;
+  lp.phase1_iterations = 126;
+  lp.bland_iterations = 0;
+  lp.bound_flips = 2;
+  lp.max_degenerate_streak = 29;
+  lp.fill_start = 216;
+  lp.fill_end = 406;
+  lp.refactorizations = 5;
+  lp.ft_updates = 171;
+  lp.factor_fill = 406;
+  lp.equilibration_cond = 1.0;
+  lp.solve_ms = 1.293731;
+  lp.fill_curve = {{0, 216}, {64, 801}, {126, 470}};
+  log.RecordLp(std::move(lp));
+
+  BipSolveStats bip;
+  bip.id = 1;
+  bip.status = "optimal";
+  bip.objective = 1.1868274349030468;
+  bip.vars = 209;
+  bip.rows = 216;
+  bip.nonzeros = 595;
+  bip.binaries = 49;
+  bip.nodes_explored = 1;
+  bip.max_depth = 0;
+  bip.lp_iterations = 175;
+  bip.incumbents = 1;
+  bip.warm_started = true;
+  bip.trajectory = {{/*node_id=*/0, /*depth=*/0, 1.1868274349030468}};
+  bip.solve_ms = 1.3911469999999999;
+  log.RecordBip(std::move(bip));
+
+  std::string golden;
+  std::string error;
+  ASSERT_TRUE(obs::ReadFile(std::string(NOSE_TEST_DATA_DIR) +
+                                "/explain_golden.txt",
+                            &golden, &error))
+      << error;
+  const std::string rendered = log.Explain();
   EXPECT_EQ(rendered, golden);
   // The diagnosis the log exists for: fill growth and time attribution.
   EXPECT_NE(rendered.find("fill growth"), std::string::npos);
