@@ -81,9 +81,9 @@ int Main(int argc, char** argv) {
                 totals[2] / executions);
     json.Instance(tx.name)
         .Metric("executions", static_cast<double>(executions))
-        .Metric("nose_ms", totals[0] / executions)
-        .Metric("normalized_ms", totals[1] / executions)
-        .Metric("expert_ms", totals[2] / executions)
+        .Metric("nose_sim_cost", totals[0] / executions)
+        .Metric("normalized_sim_cost", totals[1] / executions)
+        .Metric("expert_sim_cost", totals[2] / executions)
         .Label("is_write", tx.is_write);
     const double weight = rubis::TransactionWeight(tx, rubis::kBiddingMix);
     for (int s = 0; s < 3; ++s) wsum[s] += weight * totals[s] / executions;
@@ -96,9 +96,9 @@ int Main(int argc, char** argv) {
       "(paper: 1.8x) and Normalized by ~%.2fx\n",
       wsum[2] / wsum[0], wsum[1] / wsum[0]);
   json.Instance("weighted_avg")
-      .Metric("nose_ms", wsum[0] / wtotal)
-      .Metric("normalized_ms", wsum[1] / wtotal)
-      .Metric("expert_ms", wsum[2] / wtotal)
+      .Metric("nose_sim_cost", wsum[0] / wtotal)
+      .Metric("normalized_sim_cost", wsum[1] / wtotal)
+      .Metric("expert_sim_cost", wsum[2] / wtotal)
       .Metric("expert_over_nose", wsum[2] / wsum[0])
       .Metric("normalized_over_nose", wsum[1] / wsum[0]);
   json.Close();

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <span>
 
 namespace nose {
@@ -81,13 +82,15 @@ bool BasisFactorization::ChoosePivot(Pivot* best) {
       }
     }
   }
-  // Nucleus step: every remaining pivot fills in, so scan them all. An
-  // admissible entry now sits in a row of count ≥ 2 and costs at least
-  // its column's count − 1, so a column that cannot undercut the best
-  // cost so far is skipped unread.
-  const int m = static_cast<int>(col_active_.size());
-  for (int j = 0; j < m && best->cost != 0; ++j) {
-    if (!col_active_[static_cast<size_t>(j)]) continue;
+  // Nucleus step: every remaining pivot fills in, so scan the active
+  // columns. An admissible entry now sits in a row of count ≥ 2 and costs
+  // at least its column's count − 1, so a column that cannot undercut the
+  // best cost so far is skipped unread.
+  std::erase_if(active_cols_, [this](int j) {
+    return !col_active_[static_cast<size_t>(j)];
+  });
+  for (const int j : active_cols_) {
+    if (best->cost == 0) break;
     const int64_t cn = col_slot_[static_cast<size_t>(j)].len - 1;
     if (best->cost >= 0 && cn >= best->cost) continue;
     ScanColumn(j, best);
@@ -121,6 +124,8 @@ bool BasisFactorization::Factorize(
   col_file_.clear();
   row_count_.assign(n, 0);
   col_active_.assign(n, 1);
+  active_cols_.resize(n);
+  std::iota(active_cols_.begin(), active_cols_.end(), 0);
   armed_.assign((n + 63) / 64, 0);
   for (int j = 0; j < m; ++j) {
     const SparseColumn& src = *cols[static_cast<size_t>(j)];
@@ -360,10 +365,11 @@ void BasisFactorization::Btran(std::vector<double>* v) const {
 }
 
 void BasisFactorization::AppendEta(int slot,
-                                   const std::vector<double>& ftran_column) {
+                                   const std::vector<double>& ftran_column,
+                                   const std::vector<int>& nonzeros) {
   eta_slot_.push_back(slot);
   eta_pivot_.push_back(ftran_column[static_cast<size_t>(slot)]);
-  for (int i = 0; i < m_; ++i) {
+  for (const int i : nonzeros) {
     if (i == slot) continue;
     const double v = ftran_column[static_cast<size_t>(i)];
     if (v != 0.0) eta_.emplace_back(i, v);
@@ -372,24 +378,28 @@ void BasisFactorization::AppendEta(int slot,
 }
 
 bool BasisFactorization::Update(int slot,
-                                const std::vector<double>& ftran_column) {
+                                const std::vector<double>& ftran_column,
+                                const std::vector<int>& nonzeros) {
   assert(m_ >= 0 && static_cast<int>(ftran_column.size()) == m_);
   const double pivot = ftran_column[static_cast<size_t>(slot)];
   double maxabs = 0.0;
-  for (const double v : ftran_column) maxabs = std::max(maxabs, std::abs(v));
+  for (const int i : nonzeros) {
+    maxabs = std::max(maxabs, std::abs(ftran_column[static_cast<size_t>(i)]));
+  }
   if (std::abs(pivot) <= kEtaAbsTol ||
       std::abs(pivot) < kEtaRelTol * maxabs) {
     return false;
   }
-  AppendEta(slot, ftran_column);
+  AppendEta(slot, ftran_column, nonzeros);
   return true;
 }
 
 void BasisFactorization::ForceUpdate(int slot,
-                                     const std::vector<double>& ftran_column) {
+                                     const std::vector<double>& ftran_column,
+                                     const std::vector<int>& nonzeros) {
   assert(m_ >= 0 &&
          ftran_column[static_cast<size_t>(slot)] != 0.0);
-  AppendEta(slot, ftran_column);
+  AppendEta(slot, ftran_column, nonzeros);
 }
 
 bool BasisFactorization::NeedsRefactorization() const {

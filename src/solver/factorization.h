@@ -26,10 +26,11 @@ struct SparseColumn {
 /// largest magnitude, then the lowest row. A step costs what its pivot
 /// touches: zero-cost pivots (column singletons, entries alone in their
 /// row) come from a set of armed columns, and only a step with none left
-/// scans the active matrix. `Update` appends a product-form eta per basis
+/// scans the active columns. `Update` appends a product-form eta per basis
 /// change (the eta column is the FTRAN image of the entering column, which
-/// the simplex ratio test already computed), refusing pivots too small to
-/// apply stably so the caller can refactorize instead. `Ftran`/`Btran`
+/// the simplex ratio test already computed), reading only the image's
+/// nonzero slots, and refuses pivots too small to apply stably so the
+/// caller can refactorize instead. `Ftran`/`Btran`
 /// solve B·z = b and Bᵀ·y = c against L, U, and the eta file.
 ///
 /// Index spaces: `Ftran` maps a row-indexed vector to a slot-indexed one
@@ -53,13 +54,17 @@ class BasisFactorization {
 
   /// Replaces the basis column at `slot` with the column whose FTRAN image
   /// is `ftran_column` (dense, slot-indexed), by appending a product-form
-  /// eta. Returns false — with the factorization unchanged — when the eta
-  /// pivot `ftran_column[slot]` is too small to apply stably; the caller
-  /// should refactorize with the new basis instead.
-  bool Update(int slot, const std::vector<double>& ftran_column);
+  /// eta. `nonzeros` lists, ascending, every slot where the image is
+  /// nonzero (it may name zeros too); only those are read. Returns false —
+  /// with the factorization unchanged — when the eta pivot
+  /// `ftran_column[slot]` is too small to apply stably; the caller should
+  /// refactorize with the new basis instead.
+  bool Update(int slot, const std::vector<double>& ftran_column,
+              const std::vector<int>& nonzeros);
   /// Last-resort variant of `Update` that always appends, for when a
   /// refactorization of the new basis failed numerically.
-  void ForceUpdate(int slot, const std::vector<double>& ftran_column);
+  void ForceUpdate(int slot, const std::vector<double>& ftran_column,
+                   const std::vector<int>& nonzeros);
 
   /// True once the eta file is long or filled-in enough that collapsing it
   /// into a fresh factorization is worth the cost.
@@ -93,7 +98,8 @@ class BasisFactorization {
   void Arm(int j) {
     armed_[static_cast<size_t>(j) / 64] |= uint64_t{1} << (j % 64);
   }
-  void AppendEta(int slot, const std::vector<double>& ftran_column);
+  void AppendEta(int slot, const std::vector<double>& ftran_column,
+                 const std::vector<int>& nonzeros);
 
   int m_ = -1;
   std::vector<int> prow_;      // step -> pivot row id
@@ -133,6 +139,9 @@ class BasisFactorization {
   std::vector<int> row_file_;
   std::vector<int> row_count_;  // active entries per row
   std::vector<char> col_active_;
+  /// The active columns, ascending. Compacted lazily: only a nucleus step
+  /// drops the columns pivoted since the previous one.
+  std::vector<int> active_cols_;
   /// Bitset of columns that may hold a zero-cost pivot. Every active
   /// column that does is armed; an armed one that does not is disarmed
   /// when the pivot search reaches it.

@@ -122,9 +122,11 @@ using CsrRow = LpWorkingSystem::Row;
 /// tableau (tests/reference_lp.h), but the basis inverse is a Markowitz sparse
 /// LU plus product-form etas (solver/factorization.h) instead of an
 /// explicit B⁻¹A tableau: the entering column arrives by FTRAN, the pivot
-/// row by BTRAN
-/// plus one pass over the original columns, and fill stays near
-/// nnz(basis) instead of growing toward m·n. The eta file collapses into
+/// row by BTRAN plus a pass over the rows where that BTRAN is nonzero, and
+/// fill stays near nnz(basis) instead of growing toward m·n. Reduced costs
+/// and devex weights are updated from the pivot row, touching only its
+/// nonzero columns, and recomputed from scratch (one BTRAN and a pass over
+/// every column) only at refactorizations. The eta file collapses into
 /// a fresh factorization on an update-count/fill trigger or whenever an
 /// eta pivot is too small to apply stably. Hot starts additionally run a
 /// bounded-variable dual simplex to repair the primal infeasibility a
@@ -256,33 +258,70 @@ class FactorizedSimplex {
     y_ = std::move(y);
   }
 
-  /// Fills rowvals_ with row `slot` of B⁻¹A (BTRAN of a unit vector, then
-  /// one dot product per original column). O(nnz(A)).
+  /// Fills rowvals_ with row `slot` of B⁻¹A: ρ = e_slotᵀB⁻¹ by BTRAN,
+  /// then ρᵀA from the system's rows, visiting ρ's nonzero rows in
+  /// ascending order. Each column thus sums the same products in the same
+  /// order as a dot product down its own entries, bit for bit: a row the
+  /// cold crash negated contributes v·(−ρ_i) = (−v)·ρ_i, and a crash
+  /// artificial its unit entry. pivot_cols_ lists the columns touched;
+  /// every other entry of rowvals_ is zero, so it stays a valid dense row.
   void ComputePivotRow(int slot) {
     const int m = NumRows();
     rho_.assign(static_cast<size_t>(m), 0.0);
     rho_[static_cast<size_t>(slot)] = 1.0;
     fact_.Btran(&rho_);
-    rowvals_.assign(static_cast<size_t>(NumCols()), 0.0);
-    for (int j = 0; j < NumCols(); ++j) {
-      const SparseColumn& col = Column(j);
-      double acc = 0.0;
-      for (size_t k = 0; k < col.rows.size(); ++k) {
-        const double ri = rho_[static_cast<size_t>(col.rows[k])];
-        if (ri != 0.0) acc += col.vals[k] * ri;
+    for (const int j : pivot_cols_) {
+      rowvals_[static_cast<size_t>(j)] = 0.0;
+      in_pivot_row_[static_cast<size_t>(j)] = 0;
+    }
+    pivot_cols_.clear();
+    rowvals_.resize(static_cast<size_t>(NumCols()), 0.0);
+    in_pivot_row_.resize(static_cast<size_t>(NumCols()), 0);
+    const auto add = [this](int j, double v) {
+      if (!in_pivot_row_[static_cast<size_t>(j)]) {
+        in_pivot_row_[static_cast<size_t>(j)] = 1;
+        pivot_cols_.push_back(j);
       }
-      rowvals_[static_cast<size_t>(j)] = acc;
+      rowvals_[static_cast<size_t>(j)] += v;
+    };
+    const std::vector<CsrRow>& rows = system_.rows();
+    for (int i = 0; i < m; ++i) {
+      const double ri = rho_[static_cast<size_t>(i)];
+      if (ri == 0.0) continue;
+      const double signed_ri = row_sign_[static_cast<size_t>(i)] * ri;
+      const CsrRow& row = rows[static_cast<size_t>(i)];
+      for (size_t k = 0; k < row.idx.size(); ++k) {
+        add(row.idx[k], row.val[k] * signed_ri);
+      }
+      const int art = row_artificial_[static_cast<size_t>(i)];
+      if (art >= 0) add(art, ri);
     }
   }
 
-  /// Replaces the basis column in `slot` with `enter` in the factorization:
-  /// product-form eta when stable, otherwise a refactorization (which also
-  /// re-syncs xb_ and d_ against `phase_cost` to shed drift). basis_ /
-  /// status_ must already reflect the new basis. `ftran_column` is the
-  /// entering column's FTRAN image under the OLD basis.
-  void UpdateFactors(int slot, const std::vector<double>& ftran_column,
-                     const std::vector<double>& phase_cost) {
-    const bool appended = fact_.Update(slot, ftran_column);
+  /// alpha_ := B⁻¹·a_j, the FTRAN image of column j, and alpha_rows_ :=
+  /// its nonzero slots in ascending order.
+  void FtranColumn(int j) {
+    const int m = NumRows();
+    alpha_.assign(static_cast<size_t>(m), 0.0);
+    const SparseColumn& col = Column(j);
+    for (size_t k = 0; k < col.rows.size(); ++k) {
+      alpha_[static_cast<size_t>(col.rows[k])] = col.vals[k];
+    }
+    fact_.Ftran(&alpha_);
+    alpha_rows_.clear();
+    for (int i = 0; i < m; ++i) {
+      if (alpha_[static_cast<size_t>(i)] != 0.0) alpha_rows_.push_back(i);
+    }
+  }
+
+  /// Replaces the basis column in `slot` with the entering column in the
+  /// factorization: product-form eta when stable, otherwise a
+  /// refactorization (which also re-syncs xb_ and d_ against `phase_cost`
+  /// to shed drift). basis_ / status_ must already reflect the new basis,
+  /// and alpha_ / alpha_rows_ hold the entering column's FTRAN image under
+  /// the OLD basis.
+  void UpdateFactors(int slot, const std::vector<double>& phase_cost) {
+    const bool appended = fact_.Update(slot, alpha_, alpha_rows_);
     if (appended) ++ft_updates_;
     if (!appended || fact_.NeedsRefactorization()) {
       if (FactorizeBasis()) {
@@ -291,7 +330,7 @@ class FactorizedSimplex {
       } else if (!appended) {
         // Refactorization failed numerically; the old factors plus a
         // forced eta still represent the new basis exactly.
-        fact_.ForceUpdate(slot, ftran_column);
+        fact_.ForceUpdate(slot, alpha_, alpha_rows_);
         ++ft_updates_;
       }
     }
@@ -356,6 +395,7 @@ class FactorizedSimplex {
   std::vector<double> crash_rhs_;
   std::vector<SparseColumn> crash_cols_;
   std::vector<double> row_sign_;
+  std::vector<int> row_artificial_;  // row -> its crash artificial, or -1
   std::vector<VarStatus> status_;
   std::vector<int> basis_;  // slot -> basic column
   std::vector<double> xb_;  // slot -> value of the basic variable
@@ -363,8 +403,11 @@ class FactorizedSimplex {
   std::vector<double> y_;  // row duals from the last ComputeReducedCosts
   std::vector<double> devex_;
   std::vector<double> alpha_;    // FTRAN scratch (entering column)
+  std::vector<int> alpha_rows_;  // alpha_'s nonzero slots, ascending
   std::vector<double> rho_;      // BTRAN scratch (pivot row)
   std::vector<double> rowvals_;  // pivot row over all columns
+  std::vector<int> pivot_cols_;  // columns the pivot row touched
+  std::vector<char> in_pivot_row_;  // column -> listed in pivot_cols_
   BasisFactorization fact_;
   BasisFactorization spare_;  // refactorization target, swapped in on success
   std::vector<const SparseColumn*> basis_cols_;
@@ -379,14 +422,11 @@ class FactorizedSimplex {
 
 LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
                                     const std::vector<double>& phase_cost) {
-  const int m = NumRows();
   const int ncols = NumCols();
   const int base_iter = *iterations_used;  // cumulative across phases
   int iter = 0;
   degenerate_streak_ = 0;
   devex_.assign(static_cast<size_t>(ncols), 1.0);
-  std::vector<int> col_rows;
-  std::vector<double> col_vals;
   bool resynced_at_optimum = false;
   for (; iter < max_iterations; ++iter) {
     if (deadline_seconds_ > 0.0 && (iter & 31) == 0 &&
@@ -457,32 +497,16 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
         status_[static_cast<size_t>(enter)] == VarStatus::kAtLower ? 1.0 : -1.0;
 
     // --- Entering column: FTRAN of the original column. ---
-    alpha_.assign(static_cast<size_t>(m), 0.0);
-    {
-      const SparseColumn& col = Column(enter);
-      for (size_t k = 0; k < col.rows.size(); ++k) {
-        alpha_[static_cast<size_t>(col.rows[k])] = col.vals[k];
-      }
-    }
-    fact_.Ftran(&alpha_);
-    col_rows.clear();
-    col_vals.clear();
-    for (int i = 0; i < m; ++i) {
-      const double a = alpha_[static_cast<size_t>(i)];
-      if (a != 0.0) {
-        col_rows.push_back(i);
-        col_vals.push_back(a);
-      }
-    }
+    FtranColumn(enter);
 
     // --- Ratio test over the column's nonzeros only. ---
     double t_best = ub_[static_cast<size_t>(enter)] - lb_[static_cast<size_t>(enter)];
-    int leave_pos = -1;   // position in col_rows; -1 => bound flip
+    int leave_pos = -1;   // position in alpha_rows_; -1 => bound flip
     bool leave_at_upper = false;
     double best_pivot_mag = 0.0;
-    for (size_t p = 0; p < col_rows.size(); ++p) {
-      const int i = col_rows[p];
-      const double alpha = col_vals[p];
+    for (size_t p = 0; p < alpha_rows_.size(); ++p) {
+      const int i = alpha_rows_[p];
+      const double alpha = alpha_[static_cast<size_t>(i)];
       const double rate = dir * alpha;  // xb_i decreases at this rate
       if (std::abs(rate) <= kPivotTol) continue;
       const int k = basis_[static_cast<size_t>(i)];
@@ -505,8 +529,8 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
           limit < t_best - 1e-10 ||
           (limit < t_best + 1e-10 && leave_pos >= 0 &&
            (bland ? basis_[static_cast<size_t>(i)] <
-                        basis_[static_cast<size_t>(col_rows[static_cast<size_t>(
-                            leave_pos)])]
+                        basis_[static_cast<size_t>(alpha_rows_[
+                            static_cast<size_t>(leave_pos)])]
                   : mag > best_pivot_mag));
       if (better) {
         t_best = limit;
@@ -529,8 +553,9 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
 
     // --- Apply the step to the affected basic values. ---
     if (t_best != 0.0) {
-      for (size_t p = 0; p < col_rows.size(); ++p) {
-        xb_[static_cast<size_t>(col_rows[p])] -= dir * col_vals[p] * t_best;
+      for (const int i : alpha_rows_) {
+        xb_[static_cast<size_t>(i)] -=
+            dir * alpha_[static_cast<size_t>(i)] * t_best;
       }
     }
 
@@ -545,13 +570,14 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     }
 
     // --- Pivot: entering becomes basic in leave_row. ---
-    const int leave_row = col_rows[static_cast<size_t>(leave_pos)];
+    const int leave_row = alpha_rows_[static_cast<size_t>(leave_pos)];
     const int leave_col = basis_[static_cast<size_t>(leave_row)];
-    const double pivot = col_vals[static_cast<size_t>(leave_pos)];
+    const double pivot = alpha_[static_cast<size_t>(leave_row)];
     assert(std::abs(pivot) > kPivotTol);
 
     // Pivot row of B⁻¹A under the OUTGOING basis, for the reduced-cost and
-    // devex updates (a tableau engine reads it off the stored row).
+    // devex updates (a tableau engine reads it off the stored row). Both
+    // visit only the columns it touched.
     ComputePivotRow(leave_row);
 
     status_[static_cast<size_t>(leave_col)] =
@@ -565,7 +591,7 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     const double inv = 1.0 / pivot;
     const double dfactor = d_[static_cast<size_t>(enter)];
     if (dfactor != 0.0) {
-      for (int j = 0; j < ncols; ++j) {
+      for (const int j : pivot_cols_) {
         const double a = rowvals_[static_cast<size_t>(j)];
         if (a != 0.0) d_[static_cast<size_t>(j)] -= dfactor * (a * inv);
       }
@@ -578,7 +604,7 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     // pivots for this, but the factorized engine can).
     constexpr double kDevexMax = 1e12;
     const double w_enter = devex_[static_cast<size_t>(enter)];
-    for (int j = 0; j < ncols; ++j) {
+    for (const int j : pivot_cols_) {
       const double a = rowvals_[static_cast<size_t>(j)];
       if (a == 0.0) continue;
       const double an = a * inv;
@@ -589,7 +615,7 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
     devex_[static_cast<size_t>(leave_col)] = std::min(
         kDevexMax, std::max(1.0, w_enter / std::max(pivot * pivot, 1e-12)));
 
-    UpdateFactors(leave_row, alpha_, phase_cost);
+    UpdateFactors(leave_row, phase_cost);
   }
   *iterations_used += iter;
   return LpStatus::kIterationLimit;
@@ -597,7 +623,6 @@ LpStatus FactorizedSimplex::Iterate(int max_iterations, int* iterations_used,
 
 HotLoad FactorizedSimplex::DualRepair(int* iterations_used) {
   const int m = NumRows();
-  const int ncols = NumCols();
   // The repair runs before any artificials exist, so the phase-2 cost is
   // just cost_ — and because only bounds changed since the basis was
   // optimal, d_ starts dual feasible (within tolerances).
@@ -635,11 +660,13 @@ HotLoad FactorizedSimplex::DualRepair(int* iterations_used) {
 
     // --- Dual ratio test: entering column whose sign moves the leaving
     // basic toward its violated bound, minimizing |d_j| / |a_rj| so the
-    // remaining reduced costs keep their optimality signs.
+    // remaining reduced costs keep their optimality signs. Near-ties go to
+    // the lowest column, so the touched columns are visited ascending.
+    std::sort(pivot_cols_.begin(), pivot_cols_.end());
     int enter = -1;
     double best_ratio = 0.0;
     double best_mag = 0.0;
-    for (int j = 0; j < ncols; ++j) {
+    for (const int j : pivot_cols_) {
       const VarStatus st = status_[static_cast<size_t>(j)];
       if (st == VarStatus::kBasic || IsFixed(j)) continue;
       const double a = rowvals_[static_cast<size_t>(j)];
@@ -670,23 +697,15 @@ HotLoad FactorizedSimplex::DualRepair(int* iterations_used) {
     }
 
     // --- Pivot. ---
-    alpha_.assign(static_cast<size_t>(m), 0.0);
-    {
-      const SparseColumn& col = Column(enter);
-      for (size_t k = 0; k < col.rows.size(); ++k) {
-        alpha_[static_cast<size_t>(col.rows[k])] = col.vals[k];
-      }
-    }
-    fact_.Ftran(&alpha_);
+    FtranColumn(enter);
     const double pivot = alpha_[static_cast<size_t>(leave_row)];
     if (std::abs(pivot) <= kPivotTol) return HotLoad::kRejected;
 
     const double bound_k = to_upper ? ub_[static_cast<size_t>(leave_col)]
                                     : lb_[static_cast<size_t>(leave_col)];
     const double dx = (xb_[static_cast<size_t>(leave_row)] - bound_k) / pivot;
-    for (int i = 0; i < m; ++i) {
-      const double a = alpha_[static_cast<size_t>(i)];
-      if (a != 0.0) xb_[static_cast<size_t>(i)] -= a * dx;
+    for (const int i : alpha_rows_) {
+      xb_[static_cast<size_t>(i)] -= alpha_[static_cast<size_t>(i)] * dx;
     }
     const double enter_from = BoundValue(enter);
     status_[static_cast<size_t>(leave_col)] =
@@ -698,7 +717,7 @@ HotLoad FactorizedSimplex::DualRepair(int* iterations_used) {
     const double theta = d_[static_cast<size_t>(enter)] /
                          rowvals_[static_cast<size_t>(enter)];
     if (theta != 0.0) {
-      for (int j = 0; j < ncols; ++j) {
+      for (const int j : pivot_cols_) {
         const double a = rowvals_[static_cast<size_t>(j)];
         if (a != 0.0) d_[static_cast<size_t>(j)] -= theta * a;
       }
@@ -706,7 +725,7 @@ HotLoad FactorizedSimplex::DualRepair(int* iterations_used) {
     d_[static_cast<size_t>(leave_col)] = -theta;
     d_[static_cast<size_t>(enter)] = 0.0;
 
-    UpdateFactors(leave_row, alpha_, cost_);
+    UpdateFactors(leave_row, cost_);
     ++(*iterations_used);
   }
   return HotLoad::kRejected;  // repair did not converge; cold start decides
@@ -842,6 +861,7 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
 
   first_artificial_ = NumCols();
   row_sign_.assign(static_cast<size_t>(m), 1.0);
+  row_artificial_.assign(static_cast<size_t>(m), -1);
   HotLoad load = HotLoad::kRejected;
   if (start_basis != nullptr && !start_basis->empty()) {
     load = TryLoadBasis(*start_basis, &result.iterations);
@@ -931,6 +951,7 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
       const int art = AddColumn(0.0, LpProblem::kInfinity, 0.0);
       status_.push_back(VarStatus::kBasic);
       crash_cols_.push_back(SparseColumn{{i}, {1.0}});
+      row_artificial_[static_cast<size_t>(i)] = art;
       basis_[static_cast<size_t>(i)] = art;
       xb_[static_cast<size_t>(i)] = residual[static_cast<size_t>(i)];
     }

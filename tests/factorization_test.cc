@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -154,6 +155,16 @@ TEST(FactorizationTest, FtranAndBtranMatchDenseSolve) {
   }
 }
 
+/// The slots where an FTRAN image is nonzero, ascending — what Update
+/// reads the image through.
+std::vector<int> NonzeroSlots(const std::vector<double>& image) {
+  std::vector<int> slots;
+  for (size_t i = 0; i < image.size(); ++i) {
+    if (image[i] != 0.0) slots.push_back(static_cast<int>(i));
+  }
+  return slots;
+}
+
 TEST(FactorizationTest, ProductFormUpdatesTrackReplacedColumns) {
   for (int seed = 0; seed < 8; ++seed) {
     Rng rng(static_cast<uint64_t>(seed) * 6364136223846793005ull + 29);
@@ -179,7 +190,7 @@ TEST(FactorizationTest, ProductFormUpdatesTrackReplacedColumns) {
       }
       std::vector<double> image = replacement;
       fact.Ftran(&image);
-      if (!fact.Update(s, image)) continue;
+      if (!fact.Update(s, image, NonzeroSlots(image))) continue;
       ++applied;
       for (int r = 0; r < m; ++r) {
         dense[static_cast<size_t>(r)][static_cast<size_t>(s)] =
@@ -219,7 +230,7 @@ TEST(FactorizationTest, RefusesUpdateWithTinyPivot) {
 
   std::vector<double> image(static_cast<size_t>(m), 0.0);
   image[1] = 1.0;  // e_1: zero pivot at slot 0
-  EXPECT_FALSE(fact.Update(0, image));
+  EXPECT_FALSE(fact.Update(0, image, NonzeroSlots(image)));
   EXPECT_EQ(fact.num_updates(), 0);
 
   // The old system still solves exactly: diag(1, 1.5, 2, 2.5).
@@ -245,7 +256,7 @@ TEST(FactorizationTest, SignalsRefactorizationAfterManyUpdates) {
   image[0] = 1.0;  // re-enter the same column: pivot 1, always stable
   for (int t = 0; t < 64; ++t) {
     EXPECT_FALSE(fact.NeedsRefactorization()) << "update " << t;
-    ASSERT_TRUE(fact.Update(0, image));
+    ASSERT_TRUE(fact.Update(0, image, NonzeroSlots(image)));
   }
   EXPECT_TRUE(fact.NeedsRefactorization());
   EXPECT_EQ(fact.num_updates(), 64);
@@ -668,7 +679,7 @@ TEST(FactorizationTest, PivotsMatchTheScanOracleBitForBit) {
     // Leave an eta behind; the next Factorize must discard it.
     std::vector<double> image(static_cast<size_t>(m), 0.0);
     image[0] = 1.0;
-    ASSERT_TRUE(warm.Update(0, image));
+    ASSERT_TRUE(warm.Update(0, image, NonzeroSlots(image)));
   }
   EXPECT_GE(factorized, 140);
   EXPECT_GE(singular_after_peeling, 70);
@@ -729,6 +740,108 @@ TEST(EngineParityTest, RandomLpOptimaMatchReferenceSolve) {
     EXPECT_NEAR(fact.objective, reference.objective, 1e-7 * scale)
         << "seed " << seed;
   }
+}
+
+/// Random boxed LPs built around a known feasible point, with the row kinds
+/// MakeRandomCover never produces: inequalities whose residual at the
+/// all-lower start is negative (the cold crash negates them), and equality
+/// rows (which start on artificials). Coefficients and costs take both
+/// signs. `negated_rows` counts the rows the crash must negate.
+LpProblem MakeSignedEqualityLp(Rng* rng, int* negated_rows) {
+  LpProblem lp;
+  const int n = 5 + static_cast<int>(rng->Uniform(8));
+  std::vector<double> lb(static_cast<size_t>(n));
+  std::vector<double> point(static_cast<size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    const double lo = rng->Chance(0.3) ? -1.0 : 0.0;
+    const double hi = lo + 1.0 + static_cast<double>(rng->Uniform(3));
+    lb[static_cast<size_t>(j)] = lo;
+    point[static_cast<size_t>(j)] = lo + (hi - lo) * rng->NextDouble();
+    lp.AddVariable(lo, hi, static_cast<double>(rng->UniformRange(-4, 6)));
+  }
+  const int m = 4 + static_cast<int>(rng->Uniform(7));
+  for (int i = 0; i < m; ++i) {
+    std::vector<std::pair<int, double>> coeffs;
+    double at_point = 0.0;
+    double at_lower = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (!rng->Chance(0.45)) continue;
+      const double a = static_cast<double>(rng->UniformRange(-3, 3)) +
+                       (rng->Chance(0.5) ? 0.5 : 0.0);
+      if (a == 0.0) continue;
+      coeffs.emplace_back(j, a);
+      at_point += a * point[static_cast<size_t>(j)];
+      at_lower += a * lb[static_cast<size_t>(j)];
+    }
+    if (coeffs.empty()) continue;
+    const uint64_t kind = rng->Uniform(3);
+    const double margin = rng->NextDouble();
+    RowType type = RowType::kEq;
+    double rhs = at_point;
+    if (kind == 1) {
+      type = RowType::kLe;
+      rhs = at_point + margin;
+    } else if (kind == 2) {
+      type = RowType::kGe;
+      rhs = at_point - margin;
+    }
+    // Residual rhs − a·x at the all-lower start.
+    if (type != RowType::kEq && rhs - at_lower < 0.0) ++*negated_rows;
+    lp.AddRow(type, rhs, coeffs);
+  }
+  return lp;
+}
+
+TEST(EngineParityTest, NegatedAndEqualityRowsMatchReferenceSolve) {
+  // Cold solves run the crash's row negation and artificials; hot solves
+  // from the root basis under random fixings run the dual repair (and,
+  // when it gives up, the cold crash behind it). Each must agree with the
+  // dense oracle on the same bounds.
+  int negated = 0;
+  int hot_started = 0;
+  int infeasible = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 7919 + 3);
+    LpProblem lp = MakeSignedEqualityLp(&rng, &negated);
+    const LpResult reference = ReferenceLpSolve(lp);
+    LpBasis basis;
+    const LpResult cold = lp.Solve({}, 0, 0.0, nullptr, &basis);
+    ASSERT_EQ(cold.status, reference.status) << "seed " << seed;
+    ASSERT_EQ(cold.status, LpStatus::kOptimal) << "seed " << seed;
+    EXPECT_NEAR(cold.objective, reference.objective,
+                1e-7 * (1.0 + std::fabs(reference.objective)))
+        << "seed " << seed;
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::tuple<int, double, double>> fixings;
+      LpProblem fixed = lp;
+      for (int j = 0; j < lp.num_variables(); ++j) {
+        if (!rng.Chance(0.3)) continue;
+        // Fix to the cold optimum's floor or ceiling: off the vertex, so
+        // the loaded basis usually needs the repair.
+        const double v = rng.Chance(0.5)
+                             ? std::floor(cold.x[static_cast<size_t>(j)])
+                             : std::ceil(cold.x[static_cast<size_t>(j)]);
+        fixings.emplace_back(j, v, v);
+        fixed.SetBounds(j, v, v);
+      }
+      const LpResult want = ReferenceLpSolve(fixed);
+      const LpResult got = lp.Solve(fixings, 0, 0.0, &basis, nullptr);
+      ASSERT_EQ(got.status, want.status)
+          << "seed " << seed << " trial " << trial;
+      if (got.hot_started) ++hot_started;
+      if (got.status != LpStatus::kOptimal) {
+        ++infeasible;
+        continue;
+      }
+      EXPECT_NEAR(got.objective, want.objective,
+                  1e-7 * (1.0 + std::fabs(want.objective)))
+          << "seed " << seed << " trial " << trial;
+    }
+  }
+  // The instances reach the branches this test exists for.
+  EXPECT_GT(negated, 60);
+  EXPECT_GT(hot_started, 60);
+  EXPECT_GT(infeasible, 10);
 }
 
 TEST(EngineParityTest, CertificateDualsVerify) {

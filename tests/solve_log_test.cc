@@ -3,10 +3,13 @@
 // the production contract — the log records the search the advisor runs
 // without it, one record per LP solve — on hotel (a one-node search) and
 // Fig. 13 scale 1 (a branching one, whose batches hold several nodes).
-// Plus disabled-by-default behaviour, the run report's "explain" section,
+// Fig. 13 scale 3 covers the batch relaxations a search discards. Plus
+// disabled-by-default behaviour, the run report's "explain" section,
 // ring-buffer semantics, and a golden test of the Explain() renderer.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -69,14 +72,13 @@ Recommendation AdviseHotel(size_t threads) {
   return std::move(rec).value();
 }
 
-/// Advises the Fig. 13 scale-1 random workload (6 entities, 12 statements,
-/// the seed fig13_scaling uses) at `threads` workers: its B&B branches, so
-/// node batches hold several relaxations and some get discarded.
-Recommendation AdviseFig13Scale1(size_t threads) {
+/// Advises the Fig. 13 random workload of `scale` (6·scale entities,
+/// 12·scale statements, the seed fig13_scaling uses) at `threads` workers.
+Recommendation AdviseFig13(size_t scale, size_t threads) {
   randwl::GeneratorOptions gen;
-  gen.num_entities = 6;
-  gen.num_statements = 12;
-  gen.seed = 4243;
+  gen.num_entities = 6 * scale;
+  gen.num_statements = 12 * scale;
+  gen.seed = 4242 + scale;
   auto rw = randwl::Generate(gen);
   EXPECT_TRUE(rw.ok());
   AdvisorOptions options;
@@ -85,6 +87,12 @@ Recommendation AdviseFig13Scale1(size_t threads) {
   auto rec = advisor.Recommend(*rw->workload);
   EXPECT_TRUE(rec.ok());
   return std::move(rec).value();
+}
+
+/// Fig. 13 scale 1: its B&B branches, so node batches hold several
+/// relaxations.
+Recommendation AdviseFig13Scale1(size_t threads) {
+  return AdviseFig13(1, threads);
 }
 
 using AdviseFn = Recommendation (*)(size_t threads);
@@ -196,6 +204,64 @@ TEST(SolveLogTest, FingerprintIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// Fig. 13 scale 3 solves relaxations in its node batches whose nodes an
+// incumbent found earlier in the same batch then prunes. Batch selection
+// does not depend on the thread count, so one thread shows all of them.
+// Each is logged stamped node -1, counts as an LP solve, and is charged to
+// tree time, not to the root.
+TEST(SolveLogTest, DiscardedBatchRelaxationsAreLoggedAsTreeTime) {
+  SolveLogGuard guard;
+  SolveLog& log = SolveLog::Global();
+  log.Enable();
+  Recommendation rec;
+  const auto counters = SolverCounterDeltas(
+      [](size_t threads) { return AdviseFig13(3, threads); }, 1, &rec);
+  EXPECT_EQ(log.lp_record_count(), counters.at("solver.lp_solves"));
+
+  const std::vector<LpSolveStats> lps = log.LpRecords();
+  const std::string explain = log.Explain();
+  size_t discarded_total = 0;
+  double tree_ms = 0.0;
+  double discarded_ms = 0.0;
+  for (const LpSolveStats& lp : lps) {
+    ASSERT_GT(lp.bip_id, 0u);
+    if (lp.node_id != 0) tree_ms += lp.solve_ms;
+    if (lp.node_id < 0) discarded_ms += lp.solve_ms;
+  }
+  for (const BipSolveStats& bip : log.BipRecords()) {
+    SCOPED_TRACE("bip " + std::to_string(bip.id));
+    // Every explored node logs exactly one relaxation under its ordinal;
+    // every other record of the search is a discarded one, stamped -1.
+    std::vector<int> explored;
+    size_t discarded = 0;
+    for (const LpSolveStats& lp : lps) {
+      if (lp.bip_id != bip.id) continue;
+      if (lp.node_id >= 0) {
+        explored.push_back(lp.node_id);
+      } else {
+        EXPECT_EQ(lp.node_id, -1);
+        ++discarded;
+      }
+    }
+    std::sort(explored.begin(), explored.end());
+    ASSERT_EQ(explored.size(), static_cast<size_t>(bip.nodes_explored));
+    for (size_t i = 0; i < explored.size(); ++i) {
+      EXPECT_EQ(explored[i], static_cast<int>(i));
+    }
+    if (discarded > 0) {
+      EXPECT_NE(explain.find(std::to_string(discarded) +
+                             " batch relaxations discarded"),
+                std::string::npos);
+    }
+    discarded_total += discarded;
+  }
+  EXPECT_EQ(discarded_total, 8u);
+  EXPECT_GT(discarded_ms, 0.0);
+  char tree[64];
+  std::snprintf(tree, sizeof(tree), "tree nodes %.2f ms", tree_ms);
+  EXPECT_NE(explain.find(tree), std::string::npos) << explain;
 }
 
 // The report's "explain" section is the renderer's output for the log the
