@@ -126,11 +126,24 @@ struct KeyComponent {
 };
 
 /// A client-side filter: the fetched slot, compared against the operand.
+/// `value_col`/`clustering_col` name the fetched column the slot is bound
+/// from (a value column wins, as it is bound last); a slot the step does
+/// not fetch is read from the bound context.
 struct Filter {
   uint32_t slot;
   PredicateOp op;
   Source operand;
+  uint32_t value_col = kNoSlot;
+  uint32_t clustering_col = kNoSlot;
 };
+
+/// Index of the last occurrence of `slot` in `slots`, or kNoSlot.
+uint32_t LastIndexOf(const std::vector<uint32_t>& slots, uint32_t slot) {
+  for (size_t i = slots.size(); i-- > 0;) {
+    if (slots[i] == slot) return static_cast<uint32_t>(i);
+  }
+  return kNoSlot;
+}
 
 /// One plan step against the slot layout.
 struct CompiledStep {
@@ -243,8 +256,10 @@ CompiledQuery CompileQuery(const QueryPlan& plan, const Schema& schema,
     c.value_slots = layout->Slots(cf.values());
     c.filters.reserve(step.access.filters.size());
     for (const Predicate& p : step.access.filters) {
-      c.filters.push_back(
-          {layout->Slot(p.field), p.op, PredicateSource(p, params, layout)});
+      Filter f{layout->Slot(p.field), p.op, PredicateSource(p, params, layout)};
+      f.value_col = LastIndexOf(c.value_slots, f.slot);
+      f.clustering_col = LastIndexOf(c.clustering_slots, f.slot);
+      c.filters.push_back(f);
     }
     c.dedupe = needed;
     AddUnique(&c.dedupe,
@@ -342,13 +357,28 @@ void DedupeContexts(const std::vector<uint32_t>& slots,
   rows.resize(kept);
 }
 
+/// The value a filter compares: the fetched column its slot is bound from,
+/// else the bound context's slot; null when that slot is empty.
+const Value* FilterValue(const Filter& f, const Context& bound,
+                         const ValueTuple& clustering,
+                         const ValueTuple& values) {
+  if (f.value_col < values.size()) return &values[f.value_col];
+  if (f.clustering_col < clustering.size()) {
+    return &clustering[f.clustering_col];
+  }
+  return bound[f.slot].has_value() ? &*bound[f.slot] : nullptr;
+}
+
 /// Walks compiled plan steps from `contexts`, threading contexts through
-/// get, filter and join merge.
+/// get, filter and join merge. Each get's rows are filtered where the
+/// store holds them, and a row that passes is bound straight into its
+/// output context: a fetched value is copied once.
 StatusOr<std::vector<Context>> RunSteps(RecordStore* store,
                                         const std::vector<CompiledStep>& steps,
                                         std::vector<Context> contexts) {
   ValueTuple partition;
   ValueTuple prefix;
+  std::vector<const Value*> operands;
   for (const CompiledStep& step : steps) {
     if (step.cf_name == nullptr) {
       return Status::FailedPrecondition(
@@ -372,34 +402,41 @@ StatusOr<std::vector<Context>> RunSteps(RecordStore* store,
         if (v == nullptr) return Unresolved(*step.range);
         range = RangeBound{step.range->pred->op, *v};
       }
-
-      NOSE_ASSIGN_OR_RETURN(std::vector<RecordStore::Row> rows,
-                            store->Get(*step.cf_name, partition, prefix, range));
-
-      // --- Bind fetched fields, filter, emit. ---
-      for (RecordStore::Row& row : rows) {
-        Context out = bound;
-        const size_t nc =
-            std::min(step.clustering_slots.size(), row.clustering.size());
-        for (size_t i = 0; i < nc; ++i) {
-          out[step.clustering_slots[i]] = std::move(row.clustering[i]);
-        }
-        const size_t nv = std::min(step.value_slots.size(), row.values.size());
-        for (size_t i = 0; i < nv; ++i) {
-          out[step.value_slots[i]] = std::move(row.values[i]);
-        }
-        bool keep = true;
-        for (const Filter& f : step.filters) {
-          const Value* operand = Resolve(f.operand, ctx);
-          if (operand == nullptr) return Unresolved(f.operand);
-          const std::optional<Value>& v = out[f.slot];
-          if (!v.has_value() || !CompareValues(f.op, *v, *operand)) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) next.push_back(std::move(out));
+      // An unresolved operand is an error only once a row reaches it.
+      operands.clear();
+      for (const Filter& f : step.filters) {
+        operands.push_back(Resolve(f.operand, ctx));
       }
+
+      // --- Filter each fetched row, bind the ones that pass. ---
+      Status row_error;
+      NOSE_RETURN_IF_ERROR(store->Get(
+          *step.cf_name, partition, prefix, range,
+          [&](const ValueTuple& clustering, const ValueTuple& values) {
+            if (!row_error.ok()) return;
+            for (size_t i = 0; i < step.filters.size(); ++i) {
+              const Filter& f = step.filters[i];
+              if (operands[i] == nullptr) {
+                row_error = Unresolved(f.operand);
+                return;
+              }
+              const Value* v = FilterValue(f, bound, clustering, values);
+              if (v == nullptr || !CompareValues(f.op, *v, *operands[i])) {
+                return;
+              }
+            }
+            Context& out = next.emplace_back(bound);
+            const size_t nc =
+                std::min(step.clustering_slots.size(), clustering.size());
+            for (size_t i = 0; i < nc; ++i) {
+              out[step.clustering_slots[i]] = clustering[i];
+            }
+            const size_t nv = std::min(step.value_slots.size(), values.size());
+            for (size_t i = 0; i < nv; ++i) {
+              out[step.value_slots[i]] = values[i];
+            }
+          }));
+      NOSE_RETURN_IF_ERROR(row_error);
     }
     // --- Join merge: discard duplicate contexts (paper §IV-B step 3). ---
     DedupeContexts(step.dedupe, &next);
@@ -454,12 +491,23 @@ StatusOr<std::vector<ValueTuple>> PlanExecutor::ExecuteQuery(
   }
 
   DedupeContexts(compiled.select, &contexts);
+  // The contexts die here, so each select value moves into the result; a
+  // slot selected twice is copied at all but its last use.
+  std::vector<bool> last_use(compiled.select.size());
+  for (size_t i = 0; i < compiled.select.size(); ++i) {
+    last_use[i] = LastIndexOf(compiled.select, compiled.select[i]) == i;
+  }
   std::vector<ValueTuple> result;
   result.reserve(contexts.size());
-  for (const Context& ctx : contexts) {
+  for (Context& ctx : contexts) {
     ValueTuple row;
-    if (!Collect(ctx, compiled.select, &row)) {
-      return Status::Internal("executed plan did not produce select field");
+    row.reserve(compiled.select.size());
+    for (size_t i = 0; i < compiled.select.size(); ++i) {
+      std::optional<Value>& v = ctx[compiled.select[i]];
+      if (!v.has_value()) {
+        return Status::Internal("executed plan did not produce select field");
+      }
+      row.push_back(last_use[i] ? std::move(*v) : *v);
     }
     result.push_back(std::move(row));
   }

@@ -10,9 +10,9 @@ namespace nose {
 namespace {
 
 /// Store request counters live beside StoreStats rather than replacing it:
-/// StoreStats is per-store (and resettable by tests), while these feed the
-/// process-wide metrics snapshot. Counters only — no spans or histograms on
-/// this path, which the store microbenchmarks treat as hot.
+/// StoreStats is per-store, while these feed the process-wide metrics
+/// snapshot. Counters only — no spans or histograms on this path, which
+/// the store microbenchmarks treat as hot.
 struct StoreCounters {
   obs::Counter& gets;
   obs::Counter& partitions_read;
@@ -149,10 +149,10 @@ StatusOr<RecordStore::ColumnFamilyData*> RecordStore::FindCf(
   return it->second.get();
 }
 
-StatusOr<std::vector<RecordStore::Row>> RecordStore::Get(
-    const std::string& name, const ValueTuple& partition,
-    const ValueTuple& clustering_prefix,
-    const std::optional<RangeBound>& range) {
+Status RecordStore::Get(const std::string& name, const ValueTuple& partition,
+                        const ValueTuple& clustering_prefix,
+                        const std::optional<RangeBound>& range,
+                        const RowVisitor& visit) {
   std::shared_lock<std::shared_mutex> catalog_lock(catalog_mu_);
   NOSE_ASSIGN_OR_RETURN(ColumnFamilyData * cf, FindCf(name));
   if (partition.size() != cf->partition_width) {
@@ -161,9 +161,16 @@ StatusOr<std::vector<RecordStore::Row>> RecordStore::Get(
   if (clustering_prefix.size() > cf->clustering_width) {
     return Status::InvalidArgument("clustering prefix too long for " + name);
   }
-  if (range.has_value() && clustering_prefix.size() >= cf->clustering_width) {
-    return Status::InvalidArgument(
-        "range scan needs a clustering component after the prefix: " + name);
+  if (range.has_value()) {
+    if (clustering_prefix.size() >= cf->clustering_width) {
+      return Status::InvalidArgument(
+          "range scan needs a clustering component after the prefix: " +
+          name);
+    }
+    if (range->op != PredicateOp::kLt && range->op != PredicateOp::kLe &&
+        range->op != PredicateOp::kGt && range->op != PredicateOp::kGe) {
+      return Status::InvalidArgument("invalid range operator");
+    }
   }
 
   Stripe& stripe = cf->StripeFor(partition);
@@ -172,70 +179,62 @@ StatusOr<std::vector<RecordStore::Row>> RecordStore::Get(
   Charge(stripe, params_.read_request);
   StoreCounters::Get().gets.Increment();
 
-  std::vector<Row> rows;
   auto pit = stripe.partitions.find(partition);
-  if (pit == stripe.partitions.end()) return rows;
+  if (pit == stripe.partitions.end()) return Status::Ok();
   StoreCounters::Get().partitions_read.Increment();
 
-  // Iterate the ordered records of this partition from the prefix onward.
+  // Walk the ordered records of this partition from the first key that can
+  // match: the prefix, or for a lower bound the prefix followed by the
+  // bound. With the prefix fixed the scanned component is ordered, so a
+  // kGt scan steps only past the keys equal to the bound, and a kLt/kLe
+  // scan stops at its first miss.
   const std::map<ValueTuple, ValueTuple>& records = pit->second;
-  auto it = clustering_prefix.empty() ? records.begin()
-                                      : records.lower_bound(clustering_prefix);
+  const size_t probe = clustering_prefix.size();
+  const bool lower = range.has_value() && (range->op == PredicateOp::kGt ||
+                                           range->op == PredicateOp::kGe);
+  auto it = records.begin();
+  if (lower) {
+    ValueTuple seek = clustering_prefix;
+    seek.push_back(range->value);
+    it = records.lower_bound(seek);
+  } else if (!clustering_prefix.empty()) {
+    it = records.lower_bound(clustering_prefix);
+  }
+  auto prefix_matches = [&](const ValueTuple& key) {
+    return std::equal(clustering_prefix.begin(), clustering_prefix.end(),
+                      key.begin());
+  };
+  if (lower && range->op == PredicateOp::kGt) {
+    while (it != records.end() && prefix_matches(it->first) &&
+           !(range->value < it->first[probe])) {
+      ++it;
+    }
+  }
+  size_t rows = 0;
+  size_t bytes = 0;
   for (; it != records.end(); ++it) {
     const ValueTuple& key = it->first;
-    // Stop when the prefix no longer matches (keys are sorted).
-    bool prefix_ok = true;
-    for (size_t i = 0; i < clustering_prefix.size(); ++i) {
-      if (key[i] != clustering_prefix[i]) {
-        prefix_ok = false;
-        break;
-      }
+    if (!prefix_matches(key)) break;
+    if (range.has_value() && !lower) {
+      const bool below = range->op == PredicateOp::kLt
+                             ? key[probe] < range->value
+                             : !(range->value < key[probe]);
+      if (!below) break;
     }
-    if (!prefix_ok) break;
-    if (range.has_value()) {
-      const Value& probe = key[clustering_prefix.size()];
-      const Value& bound = range->value;
-      bool keep = true;
-      switch (range->op) {
-        case PredicateOp::kLt:
-          keep = probe < bound;
-          break;
-        case PredicateOp::kLe:
-          keep = !(bound < probe);
-          break;
-        case PredicateOp::kGt:
-          keep = bound < probe;
-          break;
-        case PredicateOp::kGe:
-          keep = !(probe < bound);
-          break;
-        default:
-          return Status::InvalidArgument("invalid range operator");
-      }
-      // The prefix is fixed, so the scanned component is ordered: for
-      // kLt/kLe nothing further can match once a row misses; for kGt/kGe
-      // the miss is below the bound and later rows may still match.
-      if (!keep) {
-        if (range->op == PredicateOp::kLt || range->op == PredicateOp::kLe) {
-          break;  // ordered: nothing further can match
-        }
-        continue;  // kGt/kGe: later rows are larger; this one just misses
-      }
-    }
-    rows.push_back(Row{ValueTuple(key.begin(), key.end()), it->second});
+    visit(key, it->second);
+    ++rows;
+    bytes += TupleBytes(key) + TupleBytes(it->second);
   }
 
-  size_t bytes = 0;
-  for (const Row& r : rows) bytes += TupleBytes(r.clustering) + TupleBytes(r.values);
   if (charging()) {
-    stripe.stats.rows_read += rows.size();
+    stripe.stats.rows_read += rows;
     stripe.stats.bytes_read += bytes;
   }
-  StoreCounters::Get().rows_read.Add(rows.size());
+  StoreCounters::Get().rows_read.Add(rows);
   StoreCounters::Get().bytes_read.Add(bytes);
-  Charge(stripe, static_cast<double>(rows.size()) * params_.read_row +
+  Charge(stripe, static_cast<double>(rows) * params_.read_row +
                      static_cast<double>(bytes) * params_.read_byte);
-  return rows;
+  return Status::Ok();
 }
 
 Status RecordStore::Put(const std::string& name, const ValueTuple& partition,
@@ -375,17 +374,6 @@ uint64_t RecordStore::ContentDigest() const {
     }
   }
   return digest;
-}
-
-void RecordStore::ResetStats() {
-  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-  retired_ = RetiredStats();
-  for (auto& [name, cf] : cfs_) {
-    for (std::unique_ptr<Stripe>& stripe : cf->stripes) {
-      std::lock_guard<std::mutex> stripe_lock(stripe->mu);
-      stripe->stats = StripeStats();
-    }
-  }
 }
 
 }  // namespace nose

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,8 +38,6 @@ struct StoreStats {
   uint64_t rows_dropped = 0;
   uint64_t bytes_dropped = 0;
   double simulated_ms = 0.0;
-
-  void Reset() { *this = StoreStats(); }
 };
 
 /// Inclusive/exclusive bound for a clustering-range scan.
@@ -90,20 +89,24 @@ class RecordStore {
   /// aggregate so stats() never goes backwards.
   Status DropColumnFamily(const std::string& name);
 
-  struct Row {
-    ValueTuple clustering;
-    ValueTuple values;
-  };
+  /// Receives one stored row of a get: its clustering key and its values.
+  using RowVisitor = std::function<void(const ValueTuple& clustering,
+                                        const ValueTuple& values)>;
 
-  /// Fetches, from the record identified by `partition`, all (C -> V) pairs
-  /// whose clustering key starts with `clustering_prefix`, optionally
+  /// Visits, from the record identified by `partition`, every (C -> V)
+  /// pair whose clustering key starts with `clustering_prefix`, optionally
   /// restricted by `range` on the clustering component right after the
-  /// prefix. Rows come back in clustering order.
-  StatusOr<std::vector<Row>> Get(const std::string& name,
-                                 const ValueTuple& partition,
-                                 const ValueTuple& clustering_prefix = {},
-                                 const std::optional<RangeBound>& range =
-                                     std::nullopt);
+  /// prefix: `visit(clustering, values)` is called once per row, in
+  /// clustering order, with references to the stored tuples. The single
+  /// row-read path of the store; the get is charged for the visited rows.
+  ///
+  /// `visit` runs under the partition's stripe lock, so the references are
+  /// valid only during the call, and it must not call back into this
+  /// store: the stripe mutex is not recursive, and a visitor that reads or
+  /// writes the store deadlocks.
+  Status Get(const std::string& name, const ValueTuple& partition,
+             const ValueTuple& clustering_prefix,
+             const std::optional<RangeBound>& range, const RowVisitor& visit);
 
   /// Upserts one record. `values` entries that are nullopt keep the stored
   /// value (Cassandra-style per-column write); for a fresh record they
@@ -124,9 +127,6 @@ class RecordStore {
   /// aggregate of dropped column families. Returned by value — the striped
   /// stats have no single object to hand out a reference to.
   StoreStats stats() const;
-
-  /// Zeroes every stripe's stats and the retained aggregate.
-  void ResetStats();
 
   /// Order-independent hash of the store's full logical content (every
   /// record of every live column family, including names). Two stores hold
@@ -216,7 +216,7 @@ class RecordStore {
 
   /// Stats of dropped column families plus drop accounting; stats() adds
   /// this to the live stripes' totals. Guarded by catalog_mu_ exclusive
-  /// (mutated only by DropColumnFamily/ResetStats).
+  /// (mutated only by DropColumnFamily).
   struct RetiredStats {
     StripeStats ops;
     uint64_t rows_dropped = 0;

@@ -358,5 +358,52 @@ TEST_F(ExecutorEdgeTest, JoinMergesDuplicateContexts) {
   EXPECT_EQ(store.stats().gets, 2u);  // one per step: 3 contexts merged to 1
 }
 
+TEST_F(ExecutorEdgeTest, UnboundFilterOperandFailsOnlyWhenARowReachesIt) {
+  // Rooms of a hotel above a rate, as a hand-built one-step plan whose
+  // rate predicate is a client-side filter. With ?rate unbound the plan
+  // still runs: the error is raised when a fetched row reaches the filter,
+  // so a hotel without rooms answers with no rows.
+  auto path = graph_->ResolvePath("Room", {"Hotel"});
+  ASSERT_TRUE(path.ok()) << path.status();
+  auto rooms_by_hotel =
+      ColumnFamily::Create(*path, {{"Hotel", "HotelID"}}, {{"Room", "RoomID"}},
+                           {{"Room", "RoomRate"}});
+  ASSERT_TRUE(rooms_by_hotel.ok()) << rooms_by_hotel.status();
+  Schema schema;
+  schema.Add(std::move(rooms_by_hotel).value(), "rooms_by_hotel");
+  RecordStore store;
+  ASSERT_TRUE(LoadSchema(data_, schema, &store).ok());
+
+  const Predicate hotel_eq{
+      {"Hotel", "HotelID"}, PredicateOp::kEq, std::nullopt, "h"};
+  const Predicate rate_gt{
+      {"Room", "RoomRate"}, PredicateOp::kGt, std::nullopt, "rate"};
+  const Query query(*path, {{"Room", "RoomID"}}, {hotel_eq, rate_gt}, {});
+  QueryPlan plan;
+  plan.query = &query;
+  PlanStep by_hotel;
+  by_hotel.cf = schema.FindByName("rooms_by_hotel");
+  by_hotel.from_index = 1;
+  by_hotel.to_index = 0;
+  by_hotel.first = true;
+  by_hotel.access.partition_preds = {hotel_eq};
+  by_hotel.access.filters = {rate_gt};
+  plan.steps = {by_hotel};
+  PlanExecutor executor(&store, &schema);
+
+  auto bound = executor.ExecuteQuery(plan, {{"h", Value(I(0))},
+                                            {"rate", Value(0.0)}});
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_EQ(bound->size(), 3u);  // rooms 0, 2 and 4
+
+  auto no_rooms = executor.ExecuteQuery(plan, {{"h", Value(I(7))}});
+  ASSERT_TRUE(no_rooms.ok()) << no_rooms.status();
+  EXPECT_TRUE(no_rooms->empty());
+
+  auto rooms = executor.ExecuteQuery(plan, {{"h", Value(I(0))}});
+  EXPECT_FALSE(rooms.ok());
+  EXPECT_EQ(rooms.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace nose
