@@ -311,6 +311,8 @@ StatusOr<HorizonResult> HorizonOptimizer::Optimize(
   if (options_.capture_bip != nullptr) {
     options_.capture_bip->lp = lp;
     options_.capture_bip->binary_vars = binaries;
+    options_.capture_bip->warm_start =
+        bip_options.warm_start != nullptr ? warm : std::vector<double>();
     options_.capture_bip->captured = true;
   }
 

@@ -160,6 +160,8 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
   if (options_.capture_bip != nullptr) {
     options_.capture_bip->lp = lp;
     options_.capture_bip->binary_vars = binaries;
+    options_.capture_bip->warm_start =
+        bip_options.warm_start != nullptr ? warm : std::vector<double>();
     options_.capture_bip->captured = true;
   }
   bip_options.capture_certificate = options_.capture_certificate;

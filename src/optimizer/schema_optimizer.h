@@ -27,6 +27,9 @@ namespace nose {
 struct BipCapture {
   LpProblem lp;
   std::vector<int> binary_vars;
+  /// The warm-start point the solve was given (BipOptions::warm_start),
+  /// or empty when it had none.
+  std::vector<double> warm_start;
   bool captured = false;
 };
 

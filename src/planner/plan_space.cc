@@ -92,9 +92,13 @@ double FieldCard(const EntityGraph& graph, const FieldRef& ref) {
 }
 
 /// Attempts to serve the decomposition step `state --(segment [i..j])--> i`
-/// with column family `cf`. Returns nullopt if `cf` cannot serve it.
+/// with column family `cf`. `segment` is the query path's [i..j] sub-path
+/// and `reversed` its reverse, built once per (state, i) by the caller.
+/// Returns nullopt if `cf` cannot serve it.
 std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
-                                     size_t i, const ColumnFamily& cf,
+                                     size_t i, const KeyPath& segment,
+                                     const KeyPath& reversed,
+                                     const ColumnFamily& cf,
                                      const CardinalityEstimator& est,
                                      const CostModel& cost) {
   const size_t j = state.entity_index;
@@ -108,8 +112,7 @@ std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
   }
 
   // 1. The column family must span exactly this path segment.
-  const KeyPath segment = q.path().SubPath(i, j);
-  if (!(cf.path() == segment || cf.path() == segment.Reversed())) {
+  if (!(cf.path() == segment || cf.path() == reversed)) {
     return std::nullopt;
   }
 
@@ -379,9 +382,11 @@ PlanSpace QueryPlanner::Build(const Query& query,
     const StateDesc state = descs[s];  // copy: descs may reallocate
     const size_t j = state.entity_index;
     for (size_t i = j + 1; i-- > 0;) {
+      const KeyPath segment = query.path().SubPath(i, j);
+      const KeyPath reversed = segment.Reversed();
       for (size_t c = 0; c < pool.size(); ++c) {
-        std::optional<MatchOutcome> m =
-            TryMatch(query, state, i, pool[c], *est_, *cost_);
+        std::optional<MatchOutcome> m = TryMatch(
+            query, state, i, segment, reversed, pool[c], *est_, *cost_);
         if (!m.has_value()) continue;
 
         PlanSpaceEdge edge;

@@ -229,7 +229,8 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
     // (each relaxation is a pure function of its node). The first node
     // reaching here with no fixings is the root (it is seeded that way and
     // never pruned: its parent bound is -inf). Only the root uses the
-    // caller's starting basis; children hot-start from their parent,
+    // caller's starting basis, and, when that is absent or rejected, cold
+    // crashes from the warm start; children hot-start from their parent,
     // riding on the LP solver's dual-simplex repair of the parent basis
     // (primal infeasible under the branch fixing, still dual feasible). ---
     util::ParallelFor(options.threads, batch.size(), [&](size_t i) {
@@ -243,7 +244,8 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       ev.lp = system.Solve(
           ev.node.fixings, /*max_iterations=*/0, lp_deadline,
           is_root ? options.root_basis : ev.node.start.get(), &ev.final_basis,
-          /*duals=*/nullptr, logging ? &ev.stats : nullptr);
+          /*duals=*/nullptr, logging ? &ev.stats : nullptr,
+          is_root ? options.warm_start : nullptr);
     });
 
     // --- Process in pop order (always serial): prune, bound, incumbent,
@@ -276,6 +278,7 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
       if (root_pending && node.fixings.empty()) {
         root_pending = false;
         bstats.root_hot_started = lp.hot_started;
+        bstats.root_point_crash = lp.point_crash;
         if (options.capture_root_basis != nullptr) {
           *options.capture_root_basis = ev.final_basis;
         }

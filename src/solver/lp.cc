@@ -163,9 +163,12 @@ class FactorizedSimplex {
     return static_cast<int>(cost_.size()) - 1;
   }
 
+  /// `start_point`, when it has one value per structural variable, places
+  /// the cold crash's nonbasic columns (see the crash in Run); otherwise,
+  /// or when `start_basis` loads, it is ignored.
   LpResult Run(int max_iterations, double deadline_seconds,
                const LpBasis* start_basis, LpBasis* final_basis,
-               bool want_duals);
+               bool want_duals, const std::vector<double>* start_point);
 
   /// Telemetry sink for this solve, or null (the default) for none. With a
   /// null sink the per-iteration cost is a handful of predictable branches.
@@ -851,7 +854,8 @@ HotLoad FactorizedSimplex::TryLoadBasis(const LpBasis& basis,
 
 LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
                                 const LpBasis* start_basis,
-                                LpBasis* final_basis, bool want_duals) {
+                                LpBasis* final_basis, bool want_duals,
+                                const std::vector<double>* start_point) {
   deadline_seconds_ = deadline_seconds;
   watch_.Reset();
   const int m = NumRows();
@@ -876,12 +880,29 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
   }
 
   if (!hot) {
-    // Initial point: every column rests at a finite bound.
+    // Initial point: every column rests at a finite bound. A structural
+    // column the start point holds at its upper bound starts there; every
+    // other column starts at its lower bound (at its upper when it has no
+    // lower). With no usable point this is the all-at-lower slack crash.
+    // From a feasible point whose values sit on bounds (the optimizer's
+    // 0/1 warm starts), every residual below is the point's own slack, so
+    // the crash starts at zero infeasibility and phase 1 only drives the
+    // zero-valued artificials out of the basis — which it must, for the
+    // optimal basis to be exportable (see the end of Run).
+    const bool from_point =
+        start_point != nullptr &&
+        start_point->size() == static_cast<size_t>(n_);
+    result.point_crash = from_point;
     status_.assign(static_cast<size_t>(NumCols()), VarStatus::kAtLower);
     for (int j = 0; j < NumCols(); ++j) {
-      if (lb_[static_cast<size_t>(j)] == -LpProblem::kInfinity) {
-        assert(ub_[static_cast<size_t>(j)] != LpProblem::kInfinity &&
+      const double lb = lb_[static_cast<size_t>(j)];
+      const double ub = ub_[static_cast<size_t>(j)];
+      if (lb == -LpProblem::kInfinity) {
+        assert(ub != LpProblem::kInfinity &&
                "free variables are not supported");
+        status_[static_cast<size_t>(j)] = VarStatus::kAtUpper;
+      } else if (from_point && j < n_ && ub > lb &&
+                 (*start_point)[static_cast<size_t>(j)] == ub) {
         status_[static_cast<size_t>(j)] = VarStatus::kAtUpper;
       }
     }
@@ -927,9 +948,11 @@ LpResult FactorizedSimplex::Run(int max_iterations, double deadline_seconds,
     // sign normalization can start with that slack basic at the residual
     // (slacks live in [0, ∞), and the residual is now nonnegative) — no
     // artificial, no phase-1 work. NoSE's BIPs are dominated by ≤ linking
-    // rows (x_e ≤ δ) whose residual at the all-lower starting point is zero,
-    // so this removes the bulk of phase 1; artificials remain only for
-    // equality rows and for inequalities pointing away from their slack.
+    // rows (x_e ≤ δ), whose residual is nonnegative at the all-lower start
+    // and at any feasible point, so this removes the bulk of phase 1;
+    // artificials remain only for equality rows and for inequalities
+    // pointing away from their slack — from a feasible start point those
+    // artificials all start at (near) zero.
     // The slack is the last entry of its row (its index exceeds every
     // structural one).
     first_artificial_ = NumCols();
@@ -1141,18 +1164,18 @@ LpWorkingSystem::LpWorkingSystem(const LpProblem& problem)
 LpResult LpProblem::Solve(
     const std::vector<std::tuple<int, double, double>>& bound_overrides,
     int max_iterations, double deadline_seconds, const LpBasis* start_basis,
-    LpBasis* final_basis, std::vector<double>* duals,
-    LpSolveStats* stats) const {
+    LpBasis* final_basis, std::vector<double>* duals, LpSolveStats* stats,
+    const std::vector<double>* start_point) const {
   return LpWorkingSystem(*this).Solve(bound_overrides, max_iterations,
                                       deadline_seconds, start_basis,
-                                      final_basis, duals, stats);
+                                      final_basis, duals, stats, start_point);
 }
 
 LpResult LpWorkingSystem::Solve(
     const std::vector<std::tuple<int, double, double>>& bound_overrides,
     int max_iterations, double deadline_seconds, const LpBasis* start_basis,
-    LpBasis* final_basis, std::vector<double>* duals,
-    LpSolveStats* stats) const {
+    LpBasis* final_basis, std::vector<double>* duals, LpSolveStats* stats,
+    const std::vector<double>* start_point) const {
   const LpProblem& problem = *problem_;
   // Structural bounds and costs as of this call, then the slacks' [0, ∞)
   // at zero cost.
@@ -1173,7 +1196,7 @@ LpResult LpWorkingSystem::Solve(
                             std::move(cost));
   simplex.set_stats(stats);
   LpResult result = simplex.Run(max_iterations, deadline_seconds, start_basis,
-                                final_basis, duals != nullptr);
+                                final_basis, duals != nullptr, start_point);
 
   // Undo row equilibration on the duals: the engine solved
   // scale_i·(a_i·x) = scale_i·b_i, so the multiplier of the original row is

@@ -30,6 +30,9 @@ struct LpResult {
   /// ended on the Farkas verdict of its dual repair (then kInfeasible).
   /// False when there was none or it was rejected for the cold start.
   bool hot_started = false;
+  /// True if the cold crash started from the caller's start point (see
+  /// LpProblem::Solve); false after a hot start or with no usable point.
+  bool point_crash = false;
   /// Dual value per original constraint row, filled only when the caller
   /// asked for duals (Solve's `duals` out-parameter) and the solve ended
   /// kOptimal. Recovered with one BTRAN against the optimal basis,
@@ -108,8 +111,11 @@ class LpRowBuffer {
 /// handled without pivots): the basis inverse is held as a Markowitz
 /// sparse LU plus product-form updates, the entering column and pivot row
 /// come from FTRAN/BTRAN against the factors, pricing runs on
-/// incrementally maintained dense reduced costs, and a slack crash basis
-/// skips phase-1 work for every inequality row that starts feasible.
+/// incrementally maintained dense reduced costs, and the crash basis
+/// skips phase-1 work for every inequality row that starts feasible: each
+/// structural column starts at the bound a caller's start point holds (all
+/// at lower without one), and each row whose slack can absorb the residual
+/// starts with that slack basic.
 /// Designed for the sparse flow-structured instances NoSE's schema
 /// optimizer emits; replaces the paper's use of Gurobi.
 class LpProblem {
@@ -167,6 +173,15 @@ class LpProblem {
   /// solver/solve_log.h); the caller stamps and records it. Null costs
   /// nothing per iteration.
   ///
+  /// `start_point`, when non-null with one value per variable, places the
+  /// cold crash: a variable it holds at its upper bound starts nonbasic
+  /// there, every other at its lower bound. From a feasible point the
+  /// crash starts at (near) zero infeasibility, so phase 1 is short; an
+  /// infeasible point is still resolved by phase 1, and a point of the
+  /// wrong size is ignored. Only the start moves: the optimal value is
+  /// the same (among tied optima the vertex may differ), and the optimal
+  /// basis is exported as usual.
+  ///
   /// Each call builds the solver's working system of the rows
   /// (LpWorkingSystem) and solves against it; a caller that solves the
   /// same rows many times — branch and bound — builds one LpWorkingSystem
@@ -177,7 +192,8 @@ class LpProblem {
       const LpBasis* start_basis = nullptr,
       LpBasis* final_basis = nullptr,
       std::vector<double>* duals = nullptr,
-      LpSolveStats* stats = nullptr) const;
+      LpSolveStats* stats = nullptr,
+      const std::vector<double>* start_point = nullptr) const;
 
  private:
   friend class LpWorkingSystem;
@@ -219,7 +235,8 @@ class LpWorkingSystem {
       const LpBasis* start_basis = nullptr,
       LpBasis* final_basis = nullptr,
       std::vector<double>* duals = nullptr,
-      LpSolveStats* stats = nullptr) const;
+      LpSolveStats* stats = nullptr,
+      const std::vector<double>* start_point = nullptr) const;
 
   const LpProblem& problem() const { return *problem_; }
   const std::vector<Row>& rows() const { return rows_; }

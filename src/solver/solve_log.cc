@@ -115,6 +115,8 @@ std::string RenderBip(const BipSolveStats& r, bool canonical) {
   AppendBool(&out, r.root_hot_start_attempted);
   out += ",\"root_hot_started\":";
   AppendBool(&out, r.root_hot_started);
+  out += ",\"root_point_crash\":";
+  AppendBool(&out, r.root_point_crash);
   out += ",\"trajectory\":[";
   for (size_t i = 0; i < r.trajectory.size(); ++i) {
     if (i > 0) out.push_back(',');
@@ -369,9 +371,10 @@ std::string SolveLog::Explain() const {
                            : b.root_hot_started        ? "hit"
                                                        : "miss";
     Appendf(&out,
-            "root hot-start: %s; warm-start incumbent: %s; %llu lp "
-            "iterations, %.2f ms\n",
+            "root hot-start: %s; warm-start incumbent: %s; warm-start "
+            "root crash: %s; %llu lp iterations, %.2f ms\n",
             root_hot, b.warm_started ? "yes" : "no",
+            b.root_point_crash ? "yes" : "no",
             static_cast<unsigned long long>(b.lp_iterations), b.solve_ms);
     if (discarded > 0) {
       Appendf(&out,

@@ -101,6 +101,8 @@ struct BipSolveStats {
   bool warm_started = false;  ///< incumbent seeded from a warm-start point
   bool root_hot_start_attempted = false;
   bool root_hot_started = false;
+  /// The root LP's cold crash started from the warm-start point.
+  bool root_point_crash = false;
   /// Every incumbent improvement in processing order (one per
   /// `incumbents`); the values strictly decrease.
   std::vector<BbIncumbent> trajectory;

@@ -344,21 +344,21 @@ TEST(SolveLogTest, ExplainGolden) {
   lp.bip_id = 1;
   lp.node_id = 0;
   lp.status = "optimal";
-  lp.rows = 216;
-  lp.tableau_cols = 427;
-  lp.iterations = 175;
-  lp.phase1_iterations = 126;
+  lp.rows = 179;
+  lp.tableau_cols = 388;
+  lp.iterations = 113;
+  lp.phase1_iterations = 51;
   lp.bland_iterations = 0;
-  lp.bound_flips = 2;
-  lp.max_degenerate_streak = 29;
-  lp.fill_start = 216;
-  lp.fill_end = 406;
-  lp.refactorizations = 5;
-  lp.ft_updates = 171;
-  lp.factor_fill = 406;
+  lp.bound_flips = 30;
+  lp.max_degenerate_streak = 50;
+  lp.fill_start = 179;
+  lp.fill_end = 273;
+  lp.refactorizations = 3;
+  lp.ft_updates = 81;
+  lp.factor_fill = 273;
   lp.equilibration_cond = 1.0;
-  lp.solve_ms = 1.293731;
-  lp.fill_curve = {{0, 216}, {64, 801}, {126, 470}};
+  lp.solve_ms = 0.734387;
+  lp.fill_curve = {{0, 179}, {51, 244}};
   log.RecordLp(std::move(lp));
 
   BipSolveStats bip;
@@ -366,16 +366,17 @@ TEST(SolveLogTest, ExplainGolden) {
   bip.status = "optimal";
   bip.objective = 1.1868274349030468;
   bip.vars = 209;
-  bip.rows = 216;
-  bip.nonzeros = 595;
+  bip.rows = 179;
+  bip.nonzeros = 547;
   bip.binaries = 49;
   bip.nodes_explored = 1;
   bip.max_depth = 0;
-  bip.lp_iterations = 175;
+  bip.lp_iterations = 113;
   bip.incumbents = 1;
   bip.warm_started = true;
+  bip.root_point_crash = true;
   bip.trajectory = {{/*node_id=*/0, /*depth=*/0, 1.1868274349030468}};
-  bip.solve_ms = 1.3911469999999999;
+  bip.solve_ms = 0.916141;
   log.RecordBip(std::move(bip));
 
   std::string golden;

@@ -1,13 +1,22 @@
-// Additional solver behaviors: warm starts, budgets, deadlines, gaps, the
+// Additional solver behaviors: warm starts, the root crash from the
+// warm-start point, budgets, deadlines, gaps, the
 // branch-and-bound-vs-brute-force equivalence property, and infeasibility
 // verdicts proven from hot starts.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <map>
+#include <string>
 #include <tuple>
 
+#include "advisor/advisor.h"
 #include "obs/metrics.h"
+#include "optimizer/schema_optimizer.h"
+#include "randwl/random_workload.h"
+#include "rubis/model.h"
+#include "rubis/workload.h"
 #include "solver/bip.h"
 #include "solver/lp.h"
 #include "tests/reference_evaluator.h"
@@ -72,6 +81,166 @@ TEST(BipWarmStartTest, AbandonedRelaxationIsNotClaimedOptimal) {
   EXPECT_EQ(r.objective, 0.0);
   EXPECT_FALSE(std::isfinite(r.best_bound));
   EXPECT_EQ(SolveBip(lp, {a}).status, BipStatus::kNoSolution);
+}
+
+// ===========================================================================
+// The root crash from the warm-start point, on the advisor's own BIPs: the
+// root LP starts each structural column at the bound the warm start holds,
+// so it reaches the slack crash's optimum in fewer pivots.
+// ===========================================================================
+
+/// Advises `mix` with the BIP capture hook installed.
+BipCapture CaptureBip(const Workload& workload, const std::string& mix) {
+  BipCapture capture;
+  AdvisorOptions options;
+  options.optimizer.capture_bip = &capture;
+  Advisor advisor(options);
+  auto rec = advisor.Recommend(workload, mix);
+  EXPECT_TRUE(rec.ok()) << rec.status();
+  EXPECT_TRUE(capture.captured);
+  return capture;
+}
+
+/// The root LP of `bip`, cold, from `point` (null: the slack crash).
+LpResult SolveRoot(const BipCapture& bip, const std::vector<double>* point,
+                   LpBasis* final_basis = nullptr,
+                   const LpBasis* start_basis = nullptr) {
+  return bip.lp.Solve({}, /*max_iterations=*/0, /*deadline_seconds=*/0.0,
+                      start_basis, final_basis, /*duals=*/nullptr,
+                      /*stats=*/nullptr, point);
+}
+
+/// True when `x` violates some row of `lp` by more than 1e-6.
+bool ViolatesARow(const LpProblem& lp, const std::vector<double>& x) {
+  for (int i = 0; i < lp.num_rows(); ++i) {
+    const LpRow& row = lp.row(i);
+    double activity = 0.0;
+    for (size_t k = 0; k < row.indices.size(); ++k) {
+      activity += row.values[k] * x[static_cast<size_t>(row.indices[k])];
+    }
+    const bool ok = row.type == RowType::kLe   ? activity <= row.rhs + 1e-6
+                    : row.type == RowType::kGe ? activity >= row.rhs - 1e-6
+                                : std::fabs(activity - row.rhs) <= 1e-6;
+    if (!ok) return true;
+  }
+  return false;
+}
+
+void ExpectPointCrash(const BipCapture& bip) {
+  ASSERT_EQ(bip.warm_start.size(),
+            static_cast<size_t>(bip.lp.num_variables()));
+  ASSERT_FALSE(ViolatesARow(bip.lp, bip.warm_start));
+  const LpResult slack = SolveRoot(bip, nullptr);
+  ASSERT_EQ(slack.status, LpStatus::kOptimal);
+  EXPECT_FALSE(slack.point_crash);
+
+  // From the warm point: the same optimum in fewer iterations, and an
+  // optimal basis with no artificial left in it.
+  LpBasis basis;
+  const LpResult point = SolveRoot(bip, &bip.warm_start, &basis);
+  ASSERT_EQ(point.status, LpStatus::kOptimal);
+  EXPECT_TRUE(point.point_crash);
+  EXPECT_NEAR(point.objective, slack.objective, 1e-9);
+  EXPECT_LT(point.iterations, slack.iterations);
+  EXPECT_FALSE(basis.empty());
+
+  // The branch-and-bound root does the same and hands its basis out.
+  BipOptions options;
+  options.warm_start = &bip.warm_start;
+  LpBasis root_basis;
+  options.capture_root_basis = &root_basis;
+  const BipResult solved = SolveBip(bip.lp, bip.binary_vars, options);
+  EXPECT_EQ(solved.status, BipStatus::kOptimal);
+  EXPECT_FALSE(root_basis.empty());
+
+  // A rejected hot start falls back to the crash from the point.
+  const LpBasis wrong_basis{{0, 2}};
+  const LpResult rejected =
+      SolveRoot(bip, &bip.warm_start, nullptr, &wrong_basis);
+  EXPECT_FALSE(rejected.hot_started);
+  EXPECT_TRUE(rejected.point_crash);
+  EXPECT_EQ(rejected.iterations, point.iterations);
+
+  // A point of the wrong size is ignored: the slack crash, pivot for pivot.
+  const std::vector<double> short_point(bip.warm_start.begin(),
+                                        bip.warm_start.end() - 1);
+  const LpResult wrong_size = SolveRoot(bip, &short_point);
+  ASSERT_EQ(wrong_size.status, LpStatus::kOptimal);
+  EXPECT_FALSE(wrong_size.point_crash);
+  EXPECT_EQ(wrong_size.iterations, slack.iterations);
+  EXPECT_EQ(wrong_size.objective, slack.objective);
+
+  // A point off the feasible set (everything at its upper bound) still
+  // ends at the same optimum through phase 1.
+  std::vector<double> all_upper(bip.warm_start.size());
+  for (int v = 0; v < bip.lp.num_variables(); ++v) {
+    all_upper[static_cast<size_t>(v)] = bip.lp.upper_bound(v);
+  }
+  ASSERT_TRUE(ViolatesARow(bip.lp, all_upper));
+  const LpResult infeasible_point = SolveRoot(bip, &all_upper);
+  ASSERT_EQ(infeasible_point.status, LpStatus::kOptimal);
+  EXPECT_TRUE(infeasible_point.point_crash);
+  EXPECT_NEAR(infeasible_point.objective, slack.objective, 1e-9);
+}
+
+TEST(RootPointCrashTest, RubisDefault) {
+  auto graph = rubis::MakeGraph();
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto workload = rubis::MakeWorkload(**graph);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  ExpectPointCrash(CaptureBip(**workload, rubis::kBiddingMix));
+}
+
+TEST(RootPointCrashTest, Fig13Scales) {
+  // The instances bench/fig13_scaling runs at scales 1 and 2.
+  for (size_t scale = 1; scale <= 2; ++scale) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    randwl::GeneratorOptions gen;
+    gen.num_entities = 6 * scale;
+    gen.num_statements = 12 * scale;
+    gen.seed = 4242 + scale;
+    auto rw = randwl::Generate(gen);
+    ASSERT_TRUE(rw.ok()) << rw.status();
+    ExpectPointCrash(CaptureBip(*rw->workload, Workload::kDefaultMix));
+  }
+}
+
+TEST(RootPointCrashTest, SpaceLimitedAdviseKeepsTheSlackCrash) {
+  // A storage budget makes the optimizer's all-candidates point
+  // infeasible, so the solve gets no warm start and its root keeps the
+  // slack crash: the whole search's pivot path, recorded before the point
+  // crash existed, must not move.
+  auto graph = rubis::MakeGraph();
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto workload = rubis::MakeWorkload(**graph);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  auto free = Advisor().Recommend(**workload, rubis::kBiddingMix);
+  ASSERT_TRUE(free.ok()) << free.status();
+  // A budget that binds: the search takes 15 nodes instead of 1, so the
+  // children's hot starts are on the pinned path too.
+  const double limit = 0.9 * free->schema.TotalSizeBytes();
+
+  BipCapture bip;
+  AdvisorOptions options;
+  options.optimizer.capture_bip = &bip;
+  options.optimizer.space_limit_bytes = limit;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const std::map<std::string, uint64_t> before = reg.CounterValues();
+  auto rec = Advisor(options).Recommend(**workload, rubis::kBiddingMix);
+  const std::map<std::string, uint64_t> after = reg.CounterValues();
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  auto delta = [&](const char* name) {
+    const auto it = before.find(name);
+    return after.at(name) - (it == before.end() ? 0 : it->second);
+  };
+  ASSERT_TRUE(bip.captured);
+  EXPECT_TRUE(bip.warm_start.empty());
+  EXPECT_EQ(delta("solver.simplex_iterations"), 1660u);
+  EXPECT_EQ(delta("solver.lu_factorizations"), 52u);
+  EXPECT_EQ(delta("solver.bb_nodes"), 15u);
+  char objective[64];
+  std::snprintf(objective, sizeof(objective), "%a", rec->objective);
+  EXPECT_EQ(std::string(objective), "0x1.3cfdab9368bcep+3");
 }
 
 TEST(LpDeadlineTest, DeadlineReturnsIterationLimit) {
