@@ -75,16 +75,17 @@ int Main(int argc, char** argv) {
       std::printf("%-10s FAILED: %s\n", mix, rec.status().ToString().c_str());
       continue;
     }
+    const AdvisorTiming& t = rec->timing;
     std::printf(
-        "%-10s total %6.3fs  (enum %.3fs, cost %.3fs, build %.3fs, solve "
-        "%.3fs = cost-solve %.3fs + size-solve %.3fs, other %.3fs)  "
+        "%-10s total %7.3f ms  (enum %.3f, cost %.3f, build %.3f, solve "
+        "%.3f = cost-solve %.3f + size-solve %.3f, other %.3f ms)  "
         "candidates=%zu schema=%zu bip=%dx%d nodes=%d\n",
-        mix, rec->timing.total_seconds, rec->timing.enumeration_seconds,
-        rec->timing.cost_calculation_seconds,
-        rec->timing.bip_construction_seconds, rec->timing.bip_solve_seconds,
-        rec->timing.cost_solve_seconds, rec->timing.size_solve_seconds,
-        rec->timing.other_seconds, rec->num_candidates, rec->schema.size(),
-        rec->bip_variables, rec->bip_constraints, rec->bb_nodes);
+        mix, 1e3 * t.total_seconds, 1e3 * t.enumeration_seconds,
+        1e3 * t.cost_calculation_seconds, 1e3 * t.bip_construction_seconds,
+        1e3 * t.bip_solve_seconds, 1e3 * t.cost_solve_seconds,
+        1e3 * t.size_solve_seconds, 1e3 * t.other_seconds,
+        rec->num_candidates, rec->schema.size(), rec->bip_variables,
+        rec->bip_constraints, rec->bb_nodes);
     json.Instance(mix)
         .Metric("threads", static_cast<double>(threads))
         .Metric("candidates", static_cast<double>(rec->num_candidates))

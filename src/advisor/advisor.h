@@ -56,9 +56,11 @@ struct AdvisorTiming {
   double size_solve_seconds = 0.0;
   /// Exactly cost_solve_seconds + size_solve_seconds.
   double bip_solve_seconds = 0.0;
-  /// What the other phases leave of the total: enumeration + cost + build
-  /// + solve + other = total.
+  /// What the other phases leave of the total (worker-pool start-up,
+  /// copying a reused pool): enumeration + cost + build + solve + other =
+  /// total.
   double other_seconds = 0.0;
+  /// Wall time of the call up to plan extraction, from its first line.
   double total_seconds = 0.0;
 };
 

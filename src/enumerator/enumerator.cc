@@ -1,7 +1,9 @@
 #include "enumerator/enumerator.h"
 
 #include <algorithm>
-#include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -146,10 +148,10 @@ void Enumerator::EnumerateQuery(const Query& q, CandidatePool* pool) const {
   //     referenced entity (paper Fig. 5). ---
   for (size_t i = info.lo; i <= info.hi; ++i) {
     const KeyPath segment = path.SubPath(i, info.hi);
-    std::vector<Predicate> seg_preds = info.PredsIn(i, info.hi);
-    std::vector<Predicate> eq_preds, range_preds;
-    for (const Predicate& p : seg_preds) {
-      (p.IsEquality() ? eq_preds : range_preds).push_back(p);
+    const std::vector<Predicate> seg_preds = info.PredsIn(i, info.hi);
+    std::vector<size_t> eq_preds, range_preds;  // indices into seg_preds
+    for (size_t k = 0; k < seg_preds.size(); ++k) {
+      (seg_preds[k].IsEquality() ? eq_preds : range_preds).push_back(k);
     }
     if (eq_preds.empty()) continue;  // cannot anchor the first get
 
@@ -160,28 +162,29 @@ void Enumerator::EnumerateQuery(const Query& q, CandidatePool* pool) const {
     const std::vector<FieldRef> select_attrs = info.SelectIn(i, info.hi);
 
     // Relaxation subsets: predicates on the prefix query's target entity
-    // e_i may be moved out of the key into values (paper §IV-A2). Subset 0
-    // is the unrelaxed variant.
-    std::vector<Predicate> removable;
+    // e_i may be moved out of the key into values (paper §IV-A2). Bit r of
+    // a subset mask relaxes the r-th such predicate; relax_bits[k] holds
+    // the bits that relax seg_preds[k] (a predicate the query repeats is
+    // relaxed by the bit of any copy). Subset 0 is the unrelaxed variant.
+    std::vector<size_t> relax_bits(seg_preds.size(), 0);
+    size_t num_removable = 0;
     if (options_.enable_relaxation) {
       for (const Predicate& p : seg_preds) {
-        if (p.field.entity == path.EntityAt(i)) removable.push_back(p);
-      }
-    }
-    const size_t subsets = static_cast<size_t>(1) << removable.size();
-    for (size_t mask = 0; mask < subsets; ++mask) {
-      std::set<std::string> removed;
-      for (size_t r = 0; r < removable.size(); ++r) {
-        if (mask & (static_cast<size_t>(1) << r)) {
-          removed.insert(removable[r].ToString());
+        if (p.field.entity != path.EntityAt(i)) continue;
+        const size_t bit = static_cast<size_t>(1) << num_removable++;
+        for (size_t k = 0; k < seg_preds.size(); ++k) {
+          if (seg_preds[k] == p) relax_bits[k] |= bit;
         }
       }
+    }
+    const size_t subsets = static_cast<size_t>(1) << num_removable;
+    for (size_t mask = 0; mask < subsets; ++mask) {
       std::vector<Predicate> eq_kept, range_kept, dropped;
-      for (const Predicate& p : eq_preds) {
-        (removed.count(p.ToString()) ? dropped : eq_kept).push_back(p);
+      for (size_t k : eq_preds) {
+        (relax_bits[k] & mask ? dropped : eq_kept).push_back(seg_preds[k]);
       }
-      for (const Predicate& p : range_preds) {
-        (removed.count(p.ToString()) ? dropped : range_kept).push_back(p);
+      for (size_t k : range_preds) {
+        (relax_bits[k] & mask ? dropped : range_kept).push_back(seg_preds[k]);
       }
       if (eq_kept.empty()) continue;  // at least one equality must remain
 
@@ -255,22 +258,20 @@ void Enumerator::EnumerateQuery(const Query& q, CandidatePool* pool) const {
 
   // --- Materialization candidates: [id(e)][][attrs] per referenced entity
   //     (paper: "[GuestID][][GuestName, GuestEmail]"). ---
-  if (options_.enable_splits || true) {
-    for (size_t m = info.lo; m <= info.hi; ++m) {
-      const std::string& entity = path.EntityAt(m);
-      StatusOr<KeyPath> single = q.graph()->SingleEntityPath(entity);
-      if (!single.ok()) continue;
-      const FieldRef id = IdRefOf(*q.graph(), entity);
-      std::vector<FieldRef> attrs = info.SelectIn(m, m);
-      for (const FieldRef& o : info.OrdersIn(m, m)) AddUnique(&attrs, o);
-      std::vector<FieldRef> with_preds = attrs;
-      for (const Predicate& p : q.PredicatesOn(m)) {
-        AddUnique(&with_preds, p.field);
-      }
-      if (!attrs.empty()) TryAdd(pool, *single, {id}, {}, attrs);
-      if (!with_preds.empty() && with_preds != attrs) {
-        TryAdd(pool, *single, {id}, {}, with_preds);
-      }
+  for (size_t m = info.lo; m <= info.hi; ++m) {
+    const std::string& entity = path.EntityAt(m);
+    StatusOr<KeyPath> single = q.graph()->SingleEntityPath(entity);
+    if (!single.ok()) continue;
+    const FieldRef id = IdRefOf(*q.graph(), entity);
+    std::vector<FieldRef> attrs = info.SelectIn(m, m);
+    for (const FieldRef& o : info.OrdersIn(m, m)) AddUnique(&attrs, o);
+    std::vector<FieldRef> with_preds = attrs;
+    for (const Predicate& p : q.PredicatesOn(m)) {
+      AddUnique(&with_preds, p.field);
+    }
+    if (!attrs.empty()) TryAdd(pool, *single, {id}, {}, attrs);
+    if (!with_preds.empty() && with_preds != attrs) {
+      TryAdd(pool, *single, {id}, {}, with_preds);
     }
   }
 }
@@ -281,13 +282,34 @@ void Enumerator::Combine(CandidatePool* pool) const {
   static obs::Counter& combined =
       obs::MetricsRegistry::Global().GetCounter("enumerator.combined_added");
   const size_t size_before = pool->size();
-  const std::vector<ColumnFamily> snapshot = pool->candidates();
-  for (size_t x = 0; x < snapshot.size(); ++x) {
-    const ColumnFamily& a = snapshot[x];
-    if (!a.clustering_key().empty()) continue;
-    for (size_t y = x + 1; y < snapshot.size(); ++y) {
-      const ColumnFamily& b = snapshot[y];
-      if (!b.clustering_key().empty()) continue;
+  const std::vector<ColumnFamily>& cfs = pool->candidates();
+
+  // Only families without a clustering key over the same path and
+  // partition key combine, so bucket them by that pair (as text; the
+  // checks below keep the test exact). Each x then visits the later
+  // members of its own bucket in ascending order: the (x, y) pairs of a
+  // full scan that can combine, in the same order.
+  std::unordered_map<std::string, std::vector<size_t>> buckets;
+  std::vector<const std::vector<size_t>*> bucket_of(cfs.size(), nullptr);
+  for (size_t x = 0; x < cfs.size(); ++x) {
+    if (!cfs[x].clustering_key().empty()) continue;
+    std::string key(cfs[x].path_text());
+    for (const FieldRef& f : cfs[x].partition_key()) {
+      key += '|';
+      key += f.QualifiedName();
+    }
+    std::vector<size_t>& bucket = buckets[key];
+    bucket.push_back(x);
+    bucket_of[x] = &bucket;
+  }
+  std::vector<ColumnFamily> merges;
+  for (size_t x = 0; x < cfs.size(); ++x) {
+    if (bucket_of[x] == nullptr) continue;
+    const ColumnFamily& a = cfs[x];
+    const std::vector<size_t>& bucket = *bucket_of[x];
+    for (auto it = std::upper_bound(bucket.begin(), bucket.end(), x);
+         it != bucket.end(); ++it) {
+      const ColumnFamily& b = cfs[*it];
       if (a.partition_key() != b.partition_key()) continue;
       if (!(a.path() == b.path())) continue;
       if (a.values() == b.values()) continue;
@@ -295,9 +317,11 @@ void Enumerator::Combine(CandidatePool* pool) const {
       for (const FieldRef& v : b.values()) AddUnique(&merged, v);
       auto cf = ColumnFamily::Create(a.path(), a.partition_key(), {},
                                      std::move(merged));
-      if (cf.ok()) pool->Add(std::move(cf).value());
+      if (cf.ok()) merges.push_back(std::move(cf).value());
     }
   }
+  // Interned after the scan (interning may reallocate `cfs`), in pair order.
+  for (ColumnFamily& cf : merges) pool->Add(std::move(cf));
   combined.Add(pool->size() - size_before);
 }
 
@@ -309,67 +333,68 @@ CandidatePool Enumerator::EnumerateWorkload(const Workload& workload,
       obs::MetricsRegistry::Global().GetCounter("enumerator.queries");
   static obs::Counter& generated = obs::MetricsRegistry::Global().GetCounter(
       "enumerator.candidates_generated");
-  static obs::Counter& support_tasks =
-      obs::MetricsRegistry::Global().GetCounter("enumerator.support_tasks");
+  static obs::Counter& support_counter =
+      obs::MetricsRegistry::Global().GetCounter("enumerator.support_queries");
   static obs::Counter& interned = obs::MetricsRegistry::Global().GetCounter(
       "enumerator.candidates_interned");
 
   CandidatePool pool;
   const auto entries = workload.EntriesIn(mix);
 
-  // Per-query enumeration is independent (EnumerateQuery never reads the
-  // pool), so each query fills a private pool in parallel; interning the
-  // private pools in statement order reproduces the serial insertion
-  // sequence — and therefore the serial CfIds — exactly.
+  // Enumerates `queries` on private pools in parallel (EnumerateQuery
+  // never reads the pool) and interns them in list order, which reproduces
+  // the serial insertion sequence — and therefore the serial CfIds —
+  // exactly.
+  auto enumerate_all = [&](const std::vector<const Query*>& queries,
+                           const char* span_name) {
+    std::vector<CandidatePool> locals(queries.size());
+    util::ParallelFor(threads, queries.size(), [&](size_t i) {
+      obs::Span qspan(span_name, "enumerator");
+      EnumerateQuery(*queries[i], &locals[i]);
+    });
+    for (CandidatePool& local : locals) {
+      generated.Add(local.size());
+      pool.MergeFrom(std::move(local));
+    }
+  };
+
   std::vector<const Query*> queries;
   for (const auto& [entry, weight] : entries) {
     if (entry->IsQuery()) queries.push_back(&entry->query());
   }
   queries_counter.Add(queries.size());
-  {
-    std::vector<CandidatePool> locals(queries.size());
-    util::ParallelFor(threads, queries.size(), [&](size_t i) {
-      obs::Span qspan("enumerate.query", "enumerator");
-      EnumerateQuery(*queries[i], &locals[i]);
-    });
-    for (CandidatePool& local : locals) {
-      generated.Add(local.size());
-      pool.MergeFrom(local);
-    }
-  }
+  enumerate_all(queries, "enumerate.query");
 
   // Support-query enumeration runs twice: the first round may introduce
   // families over new paths whose own support queries need candidates too
-  // (paper Algorithm 1, "do twice"). Each round fans out over
-  // (update, candidate) pairs against a snapshot of the pool; the merge in
-  // pair order again matches the serial sequence.
+  // (paper Algorithm 1, "do twice"). Each round derives the support
+  // queries of every (update, candidate) pair serially, in update-major
+  // pair order, and enumerates each distinct query (by text) once per
+  // workload, in first-sighting order. Skipping a repeat changes nothing:
+  // its candidates were all interned when its first sighting was merged.
+  // For the same reason the second round only needs the candidates the
+  // first round added; the pairs of older candidates repeat round one's
+  // queries.
+  std::unordered_set<std::string> seen;
+  CfId first_new = 0;
   for (int round = 0; round < 2; ++round) {
     obs::Span round_span("enumerate.support_round", "enumerator");
-    const std::vector<ColumnFamily> snapshot = pool.candidates();
-    struct SupportTask {
-      const Update* update;
-      const ColumnFamily* cf;
-    };
-    std::vector<SupportTask> tasks;
+    const CfId end = static_cast<CfId>(pool.size());
+    std::vector<Query> fresh;
     for (const auto& [entry, weight] : entries) {
       if (entry->IsQuery()) continue;
-      for (const ColumnFamily& cf : snapshot) {
-        if (!Modifies(entry->update(), cf)) continue;
-        tasks.push_back({&entry->update(), &cf});
+      for (CfId c = first_new; c < end; ++c) {
+        if (!Modifies(entry->update(), pool[c])) continue;
+        for (Query& sq : SupportQueries(entry->update(), pool[c])) {
+          if (seen.insert(sq.ToString()).second) fresh.push_back(std::move(sq));
+        }
       }
     }
-    support_tasks.Add(tasks.size());
-    std::vector<CandidatePool> locals(tasks.size());
-    util::ParallelFor(threads, tasks.size(), [&](size_t i) {
-      obs::Span tspan("enumerate.support_task", "enumerator");
-      for (const Query& sq : SupportQueries(*tasks[i].update, *tasks[i].cf)) {
-        EnumerateQuery(sq, &locals[i]);
-      }
-    });
-    for (CandidatePool& local : locals) {
-      generated.Add(local.size());
-      pool.MergeFrom(local);
-    }
+    first_new = end;
+    support_counter.Add(fresh.size());
+    std::vector<const Query*> fresh_ptrs;
+    for (const Query& sq : fresh) fresh_ptrs.push_back(&sq);
+    enumerate_all(fresh_ptrs, "enumerate.support_query");
   }
   Combine(&pool);
   interned.Add(pool.size());

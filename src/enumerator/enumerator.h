@@ -16,7 +16,9 @@ namespace nose {
 struct EnumeratorOptions {
   /// Generate predicate-relaxed variants (paper §IV-A2 "relaxed queries").
   bool enable_relaxation = true;
-  /// Generate key-only + materialization splits (paper §IV-A2).
+  /// Generate the key-only splits of prefix candidates (paper §IV-A2).
+  /// Single-entity materialization candidates ([id][][attrs] per
+  /// referenced entity) are emitted whatever this is set to.
   bool enable_splits = true;
   /// Run the Combine step (paper §IV-A3).
   bool enable_combination = true;
@@ -39,11 +41,12 @@ class Enumerator {
   void EnumerateQuery(const Query& query, CandidatePool* pool) const;
 
   /// Candidates for the whole workload under `mix`, including support-query
-  /// enumeration for updates (Algorithm 1) and the Combine step. When
-  /// `threads` is non-null, per-statement enumeration runs on it; local
-  /// pools are interned into the result in statement order, which
-  /// reproduces the serial insertion sequence exactly, so candidate CfIds
-  /// are identical at every thread count.
+  /// enumeration for updates (Algorithm 1) and the Combine step. Each
+  /// distinct support query is enumerated once. When `threads` is
+  /// non-null, per-query enumeration runs on it; local pools are interned
+  /// into the result in query order, which reproduces the serial insertion
+  /// sequence exactly, so candidate CfIds are identical at every thread
+  /// count.
   CandidatePool EnumerateWorkload(const Workload& workload,
                                   const std::string& mix,
                                   util::ThreadPool* threads = nullptr) const;

@@ -6,7 +6,8 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -91,14 +92,74 @@ double FieldCard(const EntityGraph& graph, const FieldRef& ref) {
   return static_cast<double>(entity.FieldCardinality(*entity.FindField(ref.field)));
 }
 
+/// What TryMatch reads about the query, computed once per Build rather
+/// than once per (state, segment, candidate). Per-index vectors cover the
+/// path indices 0..anchor, the only ones a state or step reaches.
+struct QueryFacts {
+  /// Shallowest path index the query references: only a step landing at
+  /// an index <= floor may complete the query.
+  size_t floor = 0;
+  /// ORDER BY fields not fixed by an equality predicate, in order: the
+  /// clustering tail a pre-sorted step must start with.
+  std::vector<FieldRef> required_order;
+  std::vector<FieldRef> ids;                       ///< IdRef(q, m)
+  std::vector<std::vector<Predicate>> preds_on;    ///< q.PredicatesOn(m)
+  std::vector<std::vector<FieldRef>> attrs_on;     ///< SelectAttrsOn(q, m)
+  std::vector<double> matching_entities;  ///< est.MatchingEntities(q, m)
+  std::vector<double> entity_count;       ///< max(1, count of entity m)
+
+  QueryFacts(const Query& q, size_t anchor, const CardinalityEstimator& est) {
+    floor = q.path().NumEntities() - 1;
+    for (const Predicate& p : q.predicates()) {
+      floor = std::min(floor, static_cast<size_t>(
+                                  q.path().IndexOfEntity(p.field.entity)));
+    }
+    for (const FieldRef& sel : q.select()) {
+      floor = std::min(floor,
+                       static_cast<size_t>(q.path().IndexOfEntity(sel.entity)));
+    }
+    for (const OrderField& o : q.order_by()) {
+      floor = std::min(floor, static_cast<size_t>(
+                                  q.path().IndexOfEntity(o.field.entity)));
+    }
+    for (const OrderField& o : q.order_by()) {
+      bool constant = false;
+      for (const Predicate& p : q.predicates()) {
+        if (p.IsEquality() && p.field == o.field) constant = true;
+      }
+      if (!constant) required_order.push_back(o.field);
+    }
+    const EntityGraph& graph = *q.graph();
+    for (size_t m = 0; m <= anchor; ++m) {
+      ids.push_back(IdRef(q, m));
+      preds_on.push_back(q.PredicatesOn(m));
+      attrs_on.push_back(SelectAttrsOn(q, m));
+      matching_entities.push_back(est.MatchingEntities(q, m));
+      entity_count.push_back(static_cast<double>(std::max<uint64_t>(
+          1, graph.GetEntity(q.path().EntityAt(m)).count())));
+    }
+  }
+};
+
+/// A candidate's inputs to a step's cost, computed on its first match in
+/// a Build.
+struct CandidateCost {
+  bool known = false;
+  double per_partition = 0.0;  ///< EntryCount() / PartitionCount()
+  double row_bytes = 0.0;      ///< RowBytes(cf)
+};
+
 /// Attempts to serve the decomposition step `state --(segment [i..j])--> i`
 /// with column family `cf`. `segment` is the query path's [i..j] sub-path
-/// and `reversed` its reverse, built once per (state, i) by the caller.
-/// Returns nullopt if `cf` cannot serve it.
-std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
-                                     size_t i, const KeyPath& segment,
+/// and `reversed` its reverse, built once per segment by the caller;
+/// `facts` and `cf_cost` are the query's and the candidate's share of the
+/// Build. Returns nullopt if `cf` cannot serve it.
+std::optional<MatchOutcome> TryMatch(const Query& q, const QueryFacts& facts,
+                                     const StateDesc& state, size_t i,
+                                     const KeyPath& segment,
                                      const KeyPath& reversed,
                                      const ColumnFamily& cf,
+                                     CandidateCost* cf_cost,
                                      const CardinalityEstimator& est,
                                      const CostModel& cost) {
   const size_t j = state.entity_index;
@@ -132,7 +193,7 @@ std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
     preds.push_back({p, /*deferrable=*/i == j && first});
   }
   for (size_t m = i; m < j; ++m) {
-    for (const Predicate& p : q.PredicatesOn(m)) {
+    for (const Predicate& p : facts.preds_on[m]) {
       preds.push_back({p, /*deferrable=*/m == i});
     }
   }
@@ -147,7 +208,7 @@ std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
     attrs.push_back({a, /*deferrable=*/i == j && first});
   }
   for (size_t m = i; m < j; ++m) {
-    for (const FieldRef& a : SelectAttrsOn(q, m)) {
+    for (const FieldRef& a : facts.attrs_on[m]) {
       attrs.push_back({a, /*deferrable=*/m == i});
     }
   }
@@ -155,7 +216,7 @@ std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
   MatchOutcome out;
   std::vector<bool> applied(preds.size(), false);
 
-  const FieldRef id_j = IdRef(q, j);
+  const FieldRef& id_j = facts.ids[j];
   bool id_bound = false;
 
   auto find_unapplied_eq = [&](const FieldRef& field) -> int {
@@ -211,20 +272,11 @@ std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
   // Order check: the clustering tail must start with the not-trivially-
   // constant ORDER BY fields for results to arrive pre-sorted.
   bool clustering_ordered = true;
-  {
-    std::vector<FieldRef> required;
-    for (const OrderField& o : q.order_by()) {
-      bool constant = false;
-      for (const Predicate& p : q.predicates()) {
-        if (p.IsEquality() && p.field == o.field) constant = true;
-      }
-      if (!constant) required.push_back(o.field);
-    }
-    for (size_t r = 0; r < required.size(); ++r) {
-      if (pos + r >= clustering.size() || !(clustering[pos + r] == required[r])) {
-        clustering_ordered = false;
-        break;
-      }
+  const std::vector<FieldRef>& required = facts.required_order;
+  for (size_t r = 0; r < required.size(); ++r) {
+    if (pos + r >= clustering.size() || !(clustering[pos + r] == required[r])) {
+      clustering_ordered = false;
+      break;
     }
   }
 
@@ -275,45 +327,35 @@ std::optional<MatchOutcome> TryMatch(const Query& q, const StateDesc& state,
   }
 
   // 7. Does this step complete the query?
-  size_t floor = q.path().NumEntities() - 1;
-  for (const Predicate& p : q.predicates()) {
-    floor = std::min(floor, static_cast<size_t>(
-                                q.path().IndexOfEntity(p.field.entity)));
-  }
-  for (const FieldRef& s : q.select()) {
-    floor = std::min(floor,
-                     static_cast<size_t>(q.path().IndexOfEntity(s.entity)));
-  }
-  for (const OrderField& o : q.order_by()) {
-    floor = std::min(floor, static_cast<size_t>(
-                                q.path().IndexOfEntity(o.field.entity)));
-  }
-  out.completes = (i <= floor) && out.new_pending_preds.empty() &&
+  out.completes = (i <= facts.floor) && out.new_pending_preds.empty() &&
                   out.new_pending_attrs.empty();
 
   // If the plan continues, the next step needs the landing entity's ID.
-  if (!out.completes && !cf.ContainsField(IdRef(q, i))) return std::nullopt;
+  if (!out.completes && !cf.ContainsField(facts.ids[i])) return std::nullopt;
 
   // 8. Cardinalities and cost.
   double bindings = 1.0;
   if (state.holds_ids) {
-    bindings = est.MatchingEntities(q, j);
+    bindings = facts.matching_entities[j];
     for (const Predicate& p : state.pending_preds) {
       bindings /= std::max(1e-12, est.Selectivity(p));
     }
-    const double entity_count = static_cast<double>(
-        std::max<uint64_t>(1, graph.GetEntity(q.path().EntityAt(j)).count()));
-    bindings = std::min(bindings, entity_count);
+    bindings = std::min(bindings, facts.entity_count[j]);
+  }
+  if (!cf_cost->known) {
+    cf_cost->per_partition = cf.EntryCount() / cf.PartitionCount();
+    cf_cost->row_bytes = RowBytes(cf);
+    cf_cost->known = true;
   }
   const double requests = state.holds_ids ? std::max(1.0, bindings) : 1.0;
-  const double per_partition = cf.EntryCount() / cf.PartitionCount();
   const double rows_per_request =
-      std::max(0.0, per_partition * row_selectivity);
+      std::max(0.0, cf_cost->per_partition * row_selectivity);
   const double rows_scanned = requests * rows_per_request;
   out.access.requests = requests;
   out.access.rows_per_request = rows_per_request;
   out.access.rows_out = rows_scanned * filter_selectivity;
-  out.access.step_cost = cost.GetCost(requests, rows_per_request, RowBytes(cf));
+  out.access.step_cost =
+      cost.GetCost(requests, rows_per_request, cf_cost->row_bytes);
   if (!out.access.filters.empty()) {
     out.access.step_cost += cost.FilterCost(rows_scanned);
   }
@@ -363,13 +405,55 @@ PlanSpace QueryPlanner::Build(const Query& query,
                                   query.path().IndexOfEntity(o.field.entity)));
   }
 
+  // TryMatch rejects every candidate whose path is neither the segment
+  // [i..j] nor its reverse, and equal paths have equal text. So bucket the
+  // pool by path text once, and give each segment the union of its two
+  // buckets in ascending CfId order: every candidate a full scan could
+  // match, in the order it would visit them. States never sit above the
+  // anchor, so only segments with j <= anchor are needed.
+  std::unordered_map<std::string_view, std::vector<CfId>> by_path;
+  for (size_t c = 0; c < pool.size(); ++c) {
+    by_path[pool[c].path_text()].push_back(static_cast<CfId>(c));
+  }
+  struct Segment {
+    KeyPath path;
+    KeyPath reversed;
+    std::vector<CfId> candidates;
+  };
+  std::vector<std::vector<Segment>> segments(anchor + 1);  // [j][i]
+  for (size_t j = 0; j <= anchor; ++j) {
+    for (size_t i = 0; i <= j; ++i) {
+      Segment seg;
+      seg.path = query.path().SubPath(i, j);
+      seg.reversed = seg.path.Reversed();
+      auto add_bucket = [&](const std::string& text) {
+        auto it = by_path.find(text);
+        if (it == by_path.end()) return;
+        const size_t mid = seg.candidates.size();
+        seg.candidates.insert(seg.candidates.end(), it->second.begin(),
+                              it->second.end());
+        std::inplace_merge(seg.candidates.begin(),
+                           seg.candidates.begin() + static_cast<long>(mid),
+                           seg.candidates.end());
+      };
+      const std::string text = seg.path.ToString();
+      const std::string reversed_text = seg.reversed.ToString();
+      add_bucket(text);
+      if (reversed_text != text) add_bucket(reversed_text);
+      segments[j].push_back(std::move(seg));
+    }
+  }
+
+  const QueryFacts facts(query, anchor, *est_);
+  std::vector<CandidateCost> cf_costs(pool.size());
+
   std::vector<StateDesc> descs;
   std::map<std::string, int> state_index;
 
   StateDesc initial;
   initial.entity_index = anchor;
-  initial.pending_preds = query.PredicatesOn(anchor);
-  initial.pending_attrs = SelectAttrsOn(query, anchor);
+  initial.pending_preds = facts.preds_on[anchor];
+  initial.pending_attrs = facts.attrs_on[anchor];
   initial.holds_ids = false;
   initial.ordered = query.order_by().empty();
   descs.push_back(initial);
@@ -382,15 +466,15 @@ PlanSpace QueryPlanner::Build(const Query& query,
     const StateDesc state = descs[s];  // copy: descs may reallocate
     const size_t j = state.entity_index;
     for (size_t i = j + 1; i-- > 0;) {
-      const KeyPath segment = query.path().SubPath(i, j);
-      const KeyPath reversed = segment.Reversed();
-      for (size_t c = 0; c < pool.size(); ++c) {
-        std::optional<MatchOutcome> m = TryMatch(
-            query, state, i, segment, reversed, pool[c], *est_, *cost_);
+      const Segment& seg = segments[j][i];
+      for (const CfId c : seg.candidates) {
+        std::optional<MatchOutcome> m =
+            TryMatch(query, facts, state, i, seg.path, seg.reversed, pool[c],
+                     &cf_costs[c], *est_, *cost_);
         if (!m.has_value()) continue;
 
         PlanSpaceEdge edge;
-        edge.cf_index = static_cast<CfId>(c);
+        edge.cf_index = c;
         edge.from_index = j;
         edge.to_index = i;
         edge.first = !state.holds_ids;

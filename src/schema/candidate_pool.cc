@@ -1,5 +1,7 @@
 #include "schema/candidate_pool.h"
 
+#include <utility>
+
 namespace nose {
 
 CfId CandidatePool::Intern(ColumnFamily cf) {
@@ -16,8 +18,10 @@ CfId CandidatePool::Find(const ColumnFamily& cf) const {
   return it == by_key_.end() ? kInvalidCfId : it->second;
 }
 
-void CandidatePool::MergeFrom(const CandidatePool& other) {
-  for (const ColumnFamily& cf : other.cfs_) Intern(cf);
+void CandidatePool::MergeFrom(CandidatePool&& other) {
+  for (ColumnFamily& cf : other.cfs_) Intern(std::move(cf));
+  other.cfs_.clear();
+  other.by_key_.clear();
 }
 
 }  // namespace nose

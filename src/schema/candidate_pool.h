@@ -44,11 +44,11 @@ class CandidatePool {
     return Find(cf) != kInvalidCfId;
   }
 
-  /// Interns every candidate of `other` in id order. Merging pools built
-  /// from disjoint work items in a fixed order reproduces the insertion
-  /// sequence of a serial enumeration — the deterministic-merge rule the
-  /// parallel enumerator relies on.
-  void MergeFrom(const CandidatePool& other);
+  /// Interns every candidate of `other` in id order, moving them out of
+  /// it. Merging pools built from disjoint work items in a fixed order
+  /// reproduces the insertion sequence of a serial enumeration — the
+  /// deterministic-merge rule the parallel enumerator relies on.
+  void MergeFrom(CandidatePool&& other);
 
   const std::vector<ColumnFamily>& candidates() const { return cfs_; }
   size_t size() const { return cfs_.size(); }

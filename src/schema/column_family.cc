@@ -74,7 +74,9 @@ StatusOr<ColumnFamily> ColumnFamily::Create(
   cf.values_ = std::move(values);
   cf.key_ = FieldListToString(cf.partition_key_) +
             FieldListToString(cf.clustering_key_) +
-            FieldListToString(cf.values_) + " $ " + cf.path_.ToString();
+            FieldListToString(cf.values_) + " $ ";
+  cf.path_text_offset_ = cf.key_.size();
+  cf.key_ += cf.path_.ToString();
   return cf;
 }
 
@@ -94,17 +96,21 @@ bool ColumnFamily::ContainsField(const FieldRef& ref) const {
 }
 
 bool ColumnFamily::TouchesEntity(const std::string& entity) const {
-  for (const FieldRef& ref : AllFields()) {
-    if (ref.entity == entity) return true;
+  for (const std::vector<FieldRef>* fields :
+       {&partition_key_, &clustering_key_, &values_}) {
+    for (const FieldRef& ref : *fields) {
+      if (ref.entity == entity) return true;
+    }
   }
   return false;
 }
 
 namespace {
 
+/// `product` times the cardinality of each of `fields`, in order.
 double KeyCardinalityProduct(const EntityGraph& graph,
-                             const std::vector<FieldRef>& fields) {
-  double product = 1.0;
+                             const std::vector<FieldRef>& fields,
+                             double product = 1.0) {
   for (const FieldRef& ref : fields) {
     const Entity& entity = graph.GetEntity(ref.entity);
     const Field* field = entity.FindField(ref.field);
@@ -117,10 +123,9 @@ double KeyCardinalityProduct(const EntityGraph& graph,
 
 double ColumnFamily::EntryCount() const {
   const double path_instances = graph()->PathInstanceCount(path_);
-  std::vector<FieldRef> key_fields = partition_key_;
-  key_fields.insert(key_fields.end(), clustering_key_.begin(),
-                    clustering_key_.end());
-  const double key_combos = KeyCardinalityProduct(*graph(), key_fields);
+  const double key_combos = KeyCardinalityProduct(
+      *graph(), clustering_key_,
+      KeyCardinalityProduct(*graph(), partition_key_));
   return std::max(1.0, std::min(path_instances, key_combos));
 }
 

@@ -2,6 +2,7 @@
 #define NOSE_SCHEMA_COLUMN_FAMILY_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/entity_graph.h"
@@ -49,6 +50,11 @@ class ColumnFamily {
   /// Stable identity string, e.g.
   /// "[Hotel.HotelCity][Room.RoomRate, Room.RoomID][Guest.GuestName] $ Room-[Hotel]->Hotel".
   const std::string& key() const { return key_; }
+  /// path().ToString(), the tail of key(): families over the same path
+  /// share it, so it buckets a pool by path without building strings.
+  std::string_view path_text() const {
+    return std::string_view(key_).substr(path_text_offset_);
+  }
 
   /// Expected number of records (partition key + clustering key combos).
   double EntryCount() const;
@@ -70,6 +76,7 @@ class ColumnFamily {
   std::vector<FieldRef> clustering_key_;
   std::vector<FieldRef> values_;
   std::string key_;
+  size_t path_text_offset_ = 0;
 };
 
 }  // namespace nose
