@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "executor/loader.h"
 #include "obs/metrics.h"
@@ -26,9 +27,16 @@ int64_t MsToNanos(double ms) {
 }  // namespace
 
 void StatementLog::AddQuery(LoggedStatement entry) {
+  if (query_capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  queries_.push_back(std::move(entry));
-  if (queries_.size() > query_capacity_) queries_.erase(queries_.begin());
+  if (queries_.size() < query_capacity_) {
+    queries_.push_back(std::move(entry));
+    return;
+  }
+  // The oldest entry moves into `entry`, so its parameter map is freed
+  // after the lock is released.
+  std::swap(queries_[query_head_], entry);
+  query_head_ = (query_head_ + 1) % query_capacity_;
 }
 
 MigrationExecutor* StatementLog::AddUpdate(LoggedStatement entry,
@@ -50,7 +58,11 @@ std::vector<LoggedStatement> StatementLog::updates() const {
 
 std::vector<LoggedStatement> StatementLog::queries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queries_;
+  std::vector<LoggedStatement> out;
+  out.reserve(queries_.size());
+  out.insert(out.end(), queries_.begin() + query_head_, queries_.end());
+  out.insert(out.end(), queries_.begin(), queries_.begin() + query_head_);
+  return out;
 }
 
 MigrationExecutor::MigrationExecutor(

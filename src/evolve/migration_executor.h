@@ -27,7 +27,7 @@ class MigrationExecutor;
 /// The statements a run's drivers executed, shared with the migration in
 /// flight. The update log is the full history since the initial load
 /// (catch-up replays it to rebuild logical state the dataset does not
-/// contain); the query log is a bounded sample of recent queries that
+/// contain); the query log is a fixed ring of the most recent queries that
 /// verification compares. One mutex guards both logs and the dual-write
 /// routing, so every update is either in the log prefix a migration
 /// replays or dual-written by it, never both.
@@ -36,6 +36,8 @@ class StatementLog {
   explicit StatementLog(size_t query_capacity)
       : query_capacity_(query_capacity) {}
 
+  /// Keeps the newest `query_capacity` queries: once the ring is full, each
+  /// query overwrites the oldest in constant time.
   void AddQuery(LoggedStatement entry);
   /// Appends an update that `via` executed. Returns the migration that
   /// must dual-write it — the one whose catch-up has flipped to dual
@@ -46,15 +48,18 @@ class StatementLog {
   void StopDualWrites();
 
   std::vector<LoggedStatement> updates() const;
+  /// The query ring, oldest first.
   std::vector<LoggedStatement> queries() const;
 
  private:
   friend class MigrationExecutor;
 
   mutable std::mutex mu_;
-  size_t query_capacity_;
+  const size_t query_capacity_;
   std::vector<LoggedStatement> updates_;  ///< guarded by mu_
   std::vector<LoggedStatement> queries_;  ///< guarded by mu_
+  /// Slot of the oldest query once the ring is full; guarded by mu_.
+  size_t query_head_ = 0;
   MigrationExecutor* dual_ = nullptr;     ///< guarded by mu_
 };
 

@@ -3,10 +3,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "evolve/migration_executor.h"
 #include "evolve/migration_planner.h"
 #include "evolve/scenario.h"
 #include "evolve/workload_tracker.h"
@@ -21,6 +23,71 @@ namespace {
 using serve::MigrationRecord;
 using serve::ServeHarness;
 using serve::ServeReport;
+
+// ===========================================================================
+// StatementLog
+// ===========================================================================
+
+std::vector<std::string> QueryNames(const StatementLog& log) {
+  std::vector<std::string> names;
+  for (const LoggedStatement& entry : log.queries()) {
+    names.push_back(entry.statement);
+  }
+  return names;
+}
+
+// A full query ring overwrites its oldest entry, and reads back oldest
+// first.
+TEST(EvolveStatementLogTest, QueryRingKeepsTheNewestOldestFirst) {
+  StatementLog log(3);
+  for (int i = 0; i < 7; ++i) {
+    log.AddQuery({"q" + std::to_string(i), {{"?id", Value(int64_t{i})}}});
+  }
+  EXPECT_EQ(QueryNames(log), (std::vector<std::string>{"q4", "q5", "q6"}));
+  const std::vector<LoggedStatement> queries = log.queries();
+  EXPECT_EQ(queries.front().params.at("?id"), Value(int64_t{4}));
+}
+
+TEST(EvolveStatementLogTest, ZeroCapacityKeepsNoQueries) {
+  StatementLog log(0);
+  for (int i = 0; i < 5; ++i) log.AddQuery({"q" + std::to_string(i), {}});
+  EXPECT_TRUE(log.queries().empty());
+}
+
+// Drivers append concurrently: the ring ends full, and the entries it
+// keeps of each thread are that thread's newest, in its program order.
+TEST(EvolveStatementLogTest, ConcurrentAppendsKeepEachThreadsOrder) {
+  constexpr size_t kCapacity = 64;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  StatementLog log(kCapacity);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        log.AddQuery({std::to_string(t) + "/" + std::to_string(i), {}});
+      }
+    });
+  }
+  // A reader snapshots the ring while the writers run.
+  for (int i = 0; i < 50; ++i) EXPECT_LE(log.queries().size(), kCapacity);
+  for (std::thread& thread : threads) thread.join();
+
+  const std::vector<std::string> names = QueryNames(log);
+  ASSERT_EQ(names.size(), kCapacity);
+  std::map<int, std::vector<int>> kept;
+  for (const std::string& name : names) {
+    const size_t slash = name.find('/');
+    kept[std::stoi(name.substr(0, slash))].push_back(
+        std::stoi(name.substr(slash + 1)));
+  }
+  for (const auto& [thread, seqs] : kept) {
+    for (size_t i = 0; i < seqs.size(); ++i) {
+      EXPECT_EQ(seqs[i], kPerThread - static_cast<int>(seqs.size() - i))
+          << "thread " << thread;
+    }
+  }
+}
 
 // ===========================================================================
 // WorkloadTracker

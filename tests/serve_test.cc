@@ -74,6 +74,32 @@ TEST(ServeTest, StoreContentIdenticalAcrossThreadCounts) {
   EXPECT_GT(b.migrations[0].rows_dropped, 0u);
 }
 
+// A query ring smaller than the verification sample: drivers evict entries
+// while the migration's verify passes read the ring, and every pass still
+// compares what the ring holds. The migration verifies clean and the store
+// ends where the 1-thread control with the default ring does.
+TEST(ServeTest, QueryRingSmallerThanVerifySampleStillMigrates) {
+  auto control = RunServe(1);
+  ASSERT_TRUE(control.ok()) << control.status();
+  evolve::DriftScenario scenario = TwoPhaseScenario();
+  scenario.options.query_log_capacity = 2;
+  scenario.options.migration.verify_samples = 8;
+  for (size_t threads : {1u, 4u}) {
+    auto harness = ServeHarness::Create(scenario, Options(threads));
+    ASSERT_TRUE(harness.ok()) << harness.status();
+    ASSERT_TRUE((*harness)->Run().ok()) << threads;
+    const ServeReport& report = (*harness)->report();
+    ASSERT_EQ(report.migrations.size(), 1u) << threads;
+    const evolve::MigrationProgress& progress =
+        report.migrations[0].progress;
+    EXPECT_GT(progress.verify_queries, 0u) << threads;
+    EXPECT_EQ(progress.verify_mismatches, 0u) << threads;
+    EXPECT_EQ((*harness)->log().queries().size(), 2u) << threads;
+    EXPECT_EQ(report.store_digest, (*control)->report().store_digest)
+        << threads;
+  }
+}
+
 TEST(ServeTest, ReportsLatencyTimelineAndMigrationRecord) {
   // A third phase after the migration phase: RunPhase joins the migration
   // worker before it returns, so all of phase 2 lands in the "after"
