@@ -15,6 +15,10 @@
 //
 //   evolve_drift [--json FILE] [scenario-file]
 //
+// scenario-file defaults to the source tree's
+// workloads/rubis_drift.scenario, by absolute path, so the bench runs from
+// any working directory.
+//
 // --json appends nose-bench-v1 records — a "readvise" record with the
 // warm/cold latencies and a "scenario" record with the harness run —
 // to FILE.
@@ -105,7 +109,8 @@ int Main(int argc, char** argv) {
 
   // ---- Part 2: the bundled drift scenario through the evolve harness.
   const std::string scenario_path =
-      !scenario_arg.empty() ? scenario_arg : "workloads/rubis_drift.scenario";
+      !scenario_arg.empty() ? scenario_arg
+                            : NOSE_WORKLOADS_DIR "/rubis_drift.scenario";
   auto scenario = evolve::LoadScenarioFile(scenario_path);
   if (!scenario.ok()) bench::RubisBench::Die("scenario", scenario.status());
   auto harness = serve::ServeHarness::CreateEvolve(*scenario);

@@ -11,6 +11,10 @@
 //
 //   serve_bench [--json FILE] [scenario-file]
 //
+// scenario-file defaults to the source tree's
+// workloads/rubis_drift.scenario, by absolute path, so the bench runs from
+// any working directory.
+//
 // --json appends nose-bench-v1 records to FILE: serve_t1 and serve_t8, a
 // "determinism" record with their digest comparison, and curve_t{N} per
 // curve thread count (serve_ms = run_ms - advise_ms, and speedup = t1's
@@ -137,7 +141,8 @@ int Main(int argc, char** argv) {
   }
 
   const std::string scenario_path =
-      !scenario_arg.empty() ? scenario_arg : "workloads/rubis_drift.scenario";
+      !scenario_arg.empty() ? scenario_arg
+                            : NOSE_WORKLOADS_DIR "/rubis_drift.scenario";
   auto scenario = evolve::LoadScenarioFile(scenario_path);
   if (!scenario.ok()) {
     std::fprintf(stderr, "FATAL: scenario: %s\n",

@@ -220,16 +220,19 @@ Instance CaptureRubisBip(const Workload& workload, const std::string& mix) {
   return inst;
 }
 
-/// Captures the joint multi-period BIP (optimizer/horizon.h): a horizon of
-/// `num_windows` windows alternating bidding→browsing, whose per-window
-/// activation binaries are coupled by transition variables — the
+/// Captures the joint multi-period BIP (SchemaOptimizer over a horizon): a
+/// horizon of `num_windows` windows alternating bidding→browsing, whose
+/// per-window activation binaries are coupled by transition variables — the
 /// comparison table's instances with multi-period block structure (W
 /// diagonal window blocks plus inter-window coupling rows) that no
 /// single-window capture exercises. Adjacent windows always differ in mix,
-/// so the horizon optimizer keeps every window as its own group.
+/// so the optimizer keeps every window as its own group, and the capture
+/// hook receives the joint BIP, not the per-group pre-solves.
 Instance CaptureHorizonBip(const Workload& workload, int num_windows) {
   BipCapture capture;
-  Advisor advisor;
+  AdvisorOptions options;
+  options.optimizer.capture_bip = &capture;
+  Advisor advisor(options);
   const char* mixes[] = {rubis::kBiddingMix, rubis::kBrowsingMix};
   WorkloadHorizon horizon;
   for (int w = 0; w < num_windows; ++w) {
@@ -239,9 +242,7 @@ Instance CaptureHorizonBip(const Workload& workload, int num_windows) {
     window.duration = 5.0;
     horizon.windows.push_back(std::move(window));
   }
-  HorizonOptions plan_options;
-  plan_options.capture_bip = &capture;
-  auto plan = advisor.PlanHorizon(workload, horizon, plan_options);
+  auto plan = advisor.PlanHorizon(workload, horizon);
   if (!plan.ok()) {
     std::fprintf(stderr, "FATAL [plan horizon]: %s\n",
                  plan.status().ToString().c_str());

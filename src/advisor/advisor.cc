@@ -94,8 +94,8 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
   }
 
   CardinalityEstimator estimator(workload.graph(), &cost_model_.params());
-  HorizonOptimizer optimizer(&cost_model_, &estimator, options_.optimizer,
-                             horizon_options);
+  SchemaOptimizer optimizer(&cost_model_, &estimator, options_.optimizer,
+                            horizon_options);
   PlanSpaceCache cache;
   NOSE_ASSIGN_OR_RETURN(HorizonResult solved,
                         optimizer.Optimize(workload, horizon, plan.pool,
@@ -105,7 +105,6 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
   plan.execution_objective = solved.execution_objective;
   plan.migration_objective = solved.migration_objective;
   plan.total_objective = solved.total_objective;
-  plan.collapsed = solved.collapsed;
   plan.windows.reserve(horizon.size());
   for (size_t w = 0; w < horizon.size(); ++w) {
     HorizonPlan::Window window;
@@ -125,8 +124,7 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
 std::string HorizonPlan::ToString() const {
   std::string out = "=== Horizon plan (" + std::to_string(windows.size()) +
                     " windows, " + std::to_string(transitions.size()) +
-                    " migrations" + (collapsed ? ", collapsed" : "") +
-                    ") ===\n";
+                    " migrations) ===\n";
   for (size_t w = 0; w < windows.size(); ++w) {
     const Window& win = windows[w];
     out += "-- window " + std::to_string(w) +
@@ -209,13 +207,15 @@ StatusOr<Recommendation> Advisor::RecommendImpl(
   }
   SchemaOptimizer optimizer(&cost_model_, &estimator, opt_options);
   NOSE_ASSIGN_OR_RETURN(
-      OptimizationResult opt,
-      optimizer.Optimize(workload, mix, rec.pool, threads, cache));
+      HorizonResult solved,
+      optimizer.Optimize(workload, WorkloadHorizon::Single(mix), rec.pool,
+                         threads, cache));
   // The call's wall time so far: `watch` started before the worker pool
   // and enumeration, so pool start-up (in no phase) lands in "other". The
   // invariant audit below is not part of the Fig. 13 decomposition.
   rec.timing.total_seconds = watch.ElapsedSeconds();
-  NOSE_RETURN_IF_ERROR(AdoptResult(workload, mix, std::move(opt), &rec));
+  NOSE_RETURN_IF_ERROR(
+      AdoptResult(workload, mix, std::move(solved.windows[0]), &rec));
 
   // "Other" is the remainder of the Fig. 13 decomposition. The measured
   // phases use their own stopwatches, so rounding can push the remainder a

@@ -10,7 +10,6 @@
 #include "cost/cardinality.h"
 #include "cost/cost_model.h"
 #include "enumerator/enumerator.h"
-#include "optimizer/horizon.h"
 #include "optimizer/schema_optimizer.h"
 #include "util/statusor.h"
 #include "util/stopwatch.h"
@@ -137,12 +136,10 @@ struct HorizonPlan {
   std::vector<HorizonTransition> transitions;
   /// Σ_w duration_w × windows[w].rec.objective.
   double execution_objective = 0.0;
-  /// migration_cost_weight × Σ transition build costs.
+  /// migration_cost_weight × Σ transition (build + drop + dual-write)
+  /// costs.
   double migration_objective = 0.0;
   double total_objective = 0.0;
-  /// True when the horizon collapsed to one single-window solve (all
-  /// windows one mix, no initial schema): zero migrations by construction.
-  bool collapsed = false;
 
   std::string ToString() const;
 };
@@ -182,14 +179,14 @@ class Advisor {
 
   /// Multi-period, migration-aware planning: enumerates ONE union pool
   /// over the horizon's distinct mixes, then solves the joint BIP
-  /// (optimizer/horizon.h) that picks a schema per window and schedules a
+  /// (SchemaOptimizer) that picks a schema per window and schedules a
   /// migration only where it pays for itself over the remaining windows.
   /// Plan spaces are shared across windows through one PlanSpaceCache and
-  /// successive window solves hot-start from each other's root basis. On a
-  /// horizon of identical windows this collapses to exactly one
-  /// single-window solve — each window's recommendation is then
-  /// byte-identical to Recommend(workload, mix) with zero migrations. The
-  /// per-window solve takes AdvisorOptions::optimizer.
+  /// successive pre-solves hot-start from each other's root basis. A
+  /// horizon of one mix is the one-group solve Recommend runs — each
+  /// window's recommendation is then byte-identical to Recommend(workload,
+  /// mix), with zero migrations. The solve takes AdvisorOptions::optimizer,
+  /// its deadline and capture hooks included.
   StatusOr<HorizonPlan> PlanHorizon(
       const Workload& workload, const WorkloadHorizon& horizon,
       const HorizonOptions& horizon_options = HorizonOptions()) const;

@@ -526,23 +526,27 @@ double WindowObjective(const WindowFormulation& form,
   return obj;
 }
 
-int DropRedundantCandidates(const WindowFormulation& form, double objective,
-                            std::vector<bool>* selected) {
+int DropRedundantCandidates(double objective,
+                            std::vector<std::vector<bool>>* selections,
+                            const std::function<double()>& evaluate) {
   double best = objective;
   int dropped = 0;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (size_t c = selected->size(); c-- > 0;) {
-      if (!(*selected)[c]) continue;
-      (*selected)[c] = false;
-      const double obj = WindowObjective(form, *selected);
-      if (obj <= best + 1e-6 * std::max(1.0, std::abs(best))) {
-        best = std::min(best, obj);
-        ++dropped;
-        changed = true;
-      } else {
-        (*selected)[c] = true;
+    for (size_t g = selections->size(); g-- > 0;) {
+      std::vector<bool>& selected = (*selections)[g];
+      for (size_t c = selected.size(); c-- > 0;) {
+        if (!selected[c]) continue;
+        selected[c] = false;
+        const double obj = evaluate();
+        if (obj <= best + 1e-6 * std::max(1.0, std::abs(best))) {
+          best = std::min(best, obj);
+          ++dropped;
+          changed = true;
+        } else {
+          selected[c] = true;
+        }
       }
     }
   }
@@ -552,11 +556,10 @@ int DropRedundantCandidates(const WindowFormulation& form, double objective,
 Status ExtractWindowPlans(const WindowFormulation& form,
                           const Workload& workload, const std::string& mix,
                           const CandidatePool& pool,
-                          const CardinalityEstimator& est, bool prune,
-                          std::vector<bool>* selected_in,
+                          const CardinalityEstimator& est,
+                          const std::vector<bool>& selected,
                           OptimizationResult* result) {
   const std::vector<ColumnFamily>& candidates = pool.candidates();
-  std::vector<bool>& selected = *selected_in;
   for (size_t qi = 0; qi < form.query_spaces.size(); ++qi) {
     auto plan = form.query_spaces[qi].space.BestPlan(candidates, selected);
     if (!plan.ok()) {
@@ -566,39 +569,6 @@ Status ExtractWindowPlans(const WindowFormulation& form,
     }
     result->query_plans.emplace_back(form.query_entries[qi]->name,
                                      std::move(plan).value());
-  }
-
-  // Drop selected candidates no recommended plan touches (transitively
-  // through support plans): they add maintenance/storage for nothing.
-  if (prune) {
-    std::vector<bool> used(candidates.size(), false);
-    for (const auto& [name, plan] : result->query_plans) {
-      for (const PlanStep& step : plan.steps) {
-        used[step.cf_id] = true;
-      }
-    }
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const SupportInfo& info : form.supports) {
-        if (!selected[info.cf_index] || !used[info.cf_index]) continue;
-        for (size_t idx : info.shared_ids) {
-          const PlanSpace& space = form.shared_supports[idx]->sv.space;
-          if (space.states().empty()) continue;
-          auto plan = space.BestPlan(candidates, selected);
-          if (!plan.ok()) continue;  // defensive; checked again below
-          for (const PlanStep& step : plan->steps) {
-            if (!used[step.cf_id]) {
-              used[step.cf_id] = true;
-              changed = true;
-            }
-          }
-        }
-      }
-    }
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      selected[c] = selected[c] && used[c];
-    }
   }
   for (size_t c = 0; c < candidates.size(); ++c) {
     if (selected[c]) {

@@ -1,6 +1,7 @@
 #ifndef NOSE_OPTIMIZER_FORMULATION_H_
 #define NOSE_OPTIMIZER_FORMULATION_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,12 +59,10 @@ struct SupportInfo {
 /// Everything the BIP needs to know about ONE workload window before any
 /// variable is allocated: the per-query plan spaces, the deduplicated
 /// support spaces, the per-candidate maintenance costs, and which
-/// candidates are usable at all. This is the
-/// reusable per-window formulation: the single-window SchemaOptimizer
-/// instantiates it once; the multi-period HorizonOptimizer instantiates it
-/// once per window over the same interned pool, sharing plan spaces
-/// through the PlanSpaceCache (they depend only on (statement, pool),
-/// never on mix weights).
+/// candidates are usable at all. SchemaOptimizer instantiates it once per
+/// group of a horizon's windows (once for a single mix) over the same
+/// interned pool, sharing plan spaces through the PlanSpaceCache (they
+/// depend only on (statement, pool), never on mix weights).
 struct WindowFormulation {
   std::vector<SpaceVars> query_spaces;  // workload queries
   std::vector<const WorkloadEntry*> query_entries;
@@ -97,7 +96,7 @@ StatusOr<WindowFormulation> BuildWindowFormulation(
 /// so the variable numbering matches what the original interleaved build
 /// produced (deltas, then per-query edges, then per-support y/edges) and
 /// recommendations are unchanged.
-void AssignSpaceVariables(SpaceVars* sv, LpProblem* lp, double scale = 1.0);
+void AssignSpaceVariables(SpaceVars* sv, LpProblem* lp, double scale);
 
 /// The candidates that some root-to-done path of a plan-space DAG reads on
 /// two or more edges, in ascending id order: per candidate read by at
@@ -136,10 +135,10 @@ void BuildSpaceRows(const SpaceVars& sv, const std::vector<int>& delta_vars,
 /// variables in statement order, then per-support y indicator + edge
 /// variables for every answerable support. `delta_vars` must already be
 /// allocated by the caller (deltas first — the numbering contract).
-/// `scale` multiplies every objective coefficient (a window's duration in
-/// the multi-period problem; 1.0 for the single-window solve).
+/// `scale` multiplies every objective coefficient (a group's duration in
+/// a multi-group horizon; 1.0 when the horizon has one group).
 void AssignWindowVariables(WindowFormulation* form, LpProblem* lp,
-                           double scale = 1.0);
+                           double scale);
 
 /// Appends the window's constraint rows to `lp`: per-space path rows
 /// (built in parallel into per-space buffers, appended in statement
@@ -156,7 +155,7 @@ int BuildWindowRows(const WindowFormulation& form,
 /// cost under `chosen` is activated (the greedy warm start: chosen =
 /// allowed). With it false, only supports some chosen candidate depends on
 /// are activated (the exact point for a given selection — certificate
-/// re-derivation and stitched multi-period warm starts). Returns false if
+/// re-derivation and stitched horizon warm starts). Returns false if
 /// some required routing has no path under `chosen`.
 bool RouteWindowPoint(const WindowFormulation& form,
                       const std::vector<int>& delta_vars,
@@ -164,15 +163,13 @@ bool RouteWindowPoint(const WindowFormulation& form,
                       std::vector<double>* x);
 
 /// Turns a selection into the window's recommendation: min-cost plan per
-/// query, optional transitive unused-candidate prune (through support
-/// plans), the selected schema, and one UpdatePlan per update entry.
-/// `selected` is pruned in place when `prune` is set. Fills
+/// query, the selected schema, and one UpdatePlan per update entry. Fills
 /// result->query_plans/schema/update_plans; plans point into `pool`.
 Status ExtractWindowPlans(const WindowFormulation& form,
                           const Workload& workload, const std::string& mix,
                           const CandidatePool& pool,
-                          const CardinalityEstimator& est, bool prune,
-                          std::vector<bool>* selected,
+                          const CardinalityEstimator& est,
+                          const std::vector<bool>& selected,
                           OptimizationResult* result);
 
 /// The window's execution objective for a selection: Σ_q w_q · best plan
@@ -183,17 +180,20 @@ double WindowObjective(const WindowFormulation& form,
                        const std::vector<bool>& selected);
 
 /// The schema-size stage (paper §V: among minimum-cost schemas, the one
-/// with the fewest column families). Walks the selected candidates in
-/// reverse index order and drops each one whose removal keeps
-/// WindowObjective(form, *selected) at or below the budget `best + 1e-6 ·
-/// max(1, |best|)`, sweeping again until a sweep drops nothing. `best`
-/// starts at `objective` (the cost solve's) and follows any drop that
-/// lowers the objective, so a poor starting point (an early-stopped solve)
-/// descends instead of spending its slack on fewer families. The result is
-/// a fixpoint: dropping any one remaining candidate exceeds the final
-/// budget. Returns the number of candidates dropped.
-int DropRedundantCandidates(const WindowFormulation& form, double objective,
-                            std::vector<bool>* selected);
+/// with the fewest column families), over a schedule of selections, one
+/// per window group. Walks the selected (group, candidate) pairs from the
+/// last group back, each group in reverse index order, and drops each one
+/// whose removal keeps `evaluate()` (the objective of `*selections` as it
+/// stands) at or below the budget `best + 1e-6 · max(1, |best|)`, sweeping
+/// again until a sweep drops nothing. `best` starts at `objective` (the
+/// cost solve's) and follows any drop that lowers the objective, so a poor
+/// starting point (an early-stopped solve) descends instead of spending its
+/// slack on fewer families. The result is a fixpoint: dropping any one
+/// remaining pair exceeds the final budget. Returns the number of pairs
+/// dropped.
+int DropRedundantCandidates(double objective,
+                            std::vector<std::vector<bool>>* selections,
+                            const std::function<double()>& evaluate);
 
 }  // namespace nose
 

@@ -10,6 +10,7 @@
 #include "cost/cardinality.h"
 #include "cost/cost_model.h"
 #include "enumerator/enumerator.h"
+#include "optimizer/horizon.h"
 #include "planner/plan_space.h"
 #include "planner/update_planner.h"
 #include "schema/schema.h"
@@ -43,26 +44,28 @@ struct OptimizerOptions {
   /// DropRedundantCandidates in optimizer/formulation.h).
   bool minimize_schema_size = true;
   BipOptions bip;
-  /// Total wall-clock budget for Optimize() in seconds; 0 disables. The
-  /// budget is distributed implicitly: plan-space construction and BIP
-  /// assembly run to completion (they are what makes ANY incumbent
-  /// possible), and the solve stage receives whatever they left, floored
-  /// at a few milliseconds so the warm-started search always returns an
-  /// incumbent. If they left nothing, the solve stops after its root
-  /// node. Tightens bip.time_limit_seconds when both are set; a
+  /// Total wall-clock budget for Optimize() in seconds, pre-solves
+  /// included; 0 disables. The budget is distributed implicitly: plan-space
+  /// construction and BIP assembly run to completion (they are what makes
+  /// ANY incumbent possible), and the solve stage receives whatever they
+  /// left, floored at a few milliseconds so the warm-started search always
+  /// returns an incumbent. If they left nothing, the solve stops after its
+  /// root node. Tightens bip.time_limit_seconds when both are set; a
   /// deadline generous enough that no limit fires leaves the result
   /// byte-identical to an unbudgeted run.
   double deadline_seconds = 0.0;
   /// When non-null, receives a copy of the assembled problem before
-  /// solving.
+  /// solving: over a horizon of several groups, the joint BIP, not the
+  /// per-group pre-solves that seed its warm start.
   BipCapture* capture_bip = nullptr;
   /// When non-null, receives a machine-checkable certificate of the cost
-  /// solve — see solver/certificate.h. Its point is the schema that is
-  /// returned (after the size stage and the unused-candidate prune),
-  /// re-derived as an exactly-integral point (deltas from the final
-  /// selection, support indicators implied, flows routed along best paths
-  /// over it), so the exact-arithmetic checker verifies it with zero
-  /// tolerance on integer-coefficient rows.
+  /// solve (the joint BIP over a horizon) — see solver/certificate.h. Its
+  /// point is the schedule that is returned (after the size stage and the
+  /// unused-candidate prune), re-derived as an exactly-integral point
+  /// (deltas from the final selections, support indicators implied, flows
+  /// routed along best paths over them, transition and drop variables from
+  /// the selection diffs), so the exact-arithmetic checker verifies it
+  /// with zero tolerance on integer-coefficient rows.
   SolveCertificate* capture_certificate = nullptr;
 };
 
@@ -118,6 +121,7 @@ struct OptimizerTiming {
   double other_seconds = 0.0;
 };
 
+/// One window's recommendation.
 struct OptimizationResult {
   Schema schema;
   /// One entry per weighted query, aligned with the queries of
@@ -132,52 +136,96 @@ struct OptimizationResult {
   /// True when the solver proved optimality (within its gap); false when a
   /// node/time budget stopped it with the best incumbent found.
   bool solve_proven = false;
-  /// Global lower bound on the optimum at solver termination (equals
-  /// `objective` when solve_proven).
+  /// Lower bound on the optimum at solver termination (equals `objective`
+  /// when solve_proven). A horizon of several groups has one bound, on the
+  /// whole schedule; each window reports objective × (1 − anytime_gap).
   double best_bound = 0.0;
-  /// Relative optimality gap of the returned schema, in [0, 1]:
+  /// Relative optimality gap of the returned schedule, in [0, 1]:
   /// (objective - best_bound) / max(|objective|, eps), clamped; 0 when
   /// proven, 1 when the deadline left no useful bound. The anytime-advising
   /// quality signal surfaced as Recommendation::anytime_gap.
   double anytime_gap = 0.0;
 
+  /// The whole Optimize() call's phases, shared by every window.
   OptimizerTiming timing;
   int bip_variables = 0;
   int bip_constraints = 0;
   int bb_nodes = 0;
 };
 
-/// Selects the cost-minimal subset of candidate column families that covers
-/// the workload, by solving the paper's binary integer program: per-edge
-/// decision variables constrained to form one plan per query (path
-/// constraints), linking variables per candidate, update maintenance costs
-/// conditioned on candidate selection, and an optional storage constraint.
+/// The optimum over a horizon: one schema + plans per window, the
+/// migration schedule between them, and the split objective.
+struct HorizonResult {
+  /// One entry per horizon window (merged identical windows are expanded
+  /// back).
+  std::vector<OptimizationResult> windows;
+  /// Non-empty migrations only, in window order.
+  std::vector<HorizonTransition> transitions;
+  /// Σ_w duration_w × windows[w].objective.
+  double execution_objective = 0.0;
+  /// migration_cost_weight × Σ transition (build + drop + dual-write)
+  /// costs.
+  double migration_objective = 0.0;
+  double total_objective = 0.0;
+  bool solve_proven = false;
+  int bip_variables = 0;
+  int bip_constraints = 0;
+  int bb_nodes = 0;
+};
+
+/// Selects, for each window of a horizon, the cost-minimal subset of
+/// candidate column families that covers the window's mix, and schedules
+/// the migrations between them, by solving one binary integer program.
+///
+/// Adjacent windows of the same mix merge into one group. Merging is
+/// exact: build costs are subadditive along a schema path (builds(A→N) ⊆
+/// builds(A→B) ∪ builds(B→N)), so an optimal plan never migrates between
+/// two windows with identical weighted workloads. Each group instantiates
+/// the paper's per-window BIP (optimizer/formulation.h): per-edge decision
+/// variables constrained to form one plan per query (path constraints),
+/// activation binaries δ_{g,c} per candidate, update maintenance costs
+/// conditioned on selection, and an optional storage constraint. With
+/// several groups, each group's costs are scaled by its duration, and
+/// continuous transition variables t_{g,c} ≥ δ_{g,c} − δ_{g−1,c}, priced at
+/// migration_cost_weight × (BuildCostMs(c) + DualWriteCostMs(c)), and drop
+/// variables d_{g,c} ≥ δ_{g−1,c} − δ_{g,c}, priced at migration_cost_weight
+/// × DropCostMs, couple consecutive groups. A single mix is the one-group
+/// case: no scaling and no transition or drop blocks — the paper's BIP.
 class SchemaOptimizer {
  public:
   SchemaOptimizer(const CostModel* cost_model,
                   const CardinalityEstimator* estimator,
-                  OptimizerOptions options = OptimizerOptions())
-      : cost_(cost_model), est_(estimator), options_(options) {}
+                  OptimizerOptions options = OptimizerOptions(),
+                  HorizonOptions horizon_options = HorizonOptions())
+      : cost_(cost_model),
+        est_(estimator),
+        options_(options),
+        horizon_options_(horizon_options) {}
 
-  /// `pool` must outlive the result (recommended plans point into it).
+  /// `pool` must cover every window's statements and outlive the result
+  /// (recommended plans point into it).
   /// When `threads` is non-null the independent per-statement stages —
   /// plan-space construction, support costing, BIP row assembly, and
   /// branch-and-bound node evaluation — run on it; results are merged in
-  /// deterministic statement/candidate order, so the recommendation is
-  /// identical at every thread count.
+  /// deterministic statement/candidate order, so the result is identical
+  /// at every thread count.
   /// When `cache` is non-null, plan spaces and priced supports are read
   /// from / written into it; the caller must pass the same workload, pool,
-  /// and cost model for every call sharing a cache.
-  StatusOr<OptimizationResult> Optimize(const Workload& workload,
-                                        const std::string& mix,
-                                        const CandidatePool& pool,
-                                        util::ThreadPool* threads = nullptr,
-                                        PlanSpaceCache* cache = nullptr) const;
+  /// and cost model for every call sharing a cache. Over several groups,
+  /// each group's one-window pre-solve (which seeds the joint warm start)
+  /// shares it, so W windows of the same statements cost one planning
+  /// pass.
+  StatusOr<HorizonResult> Optimize(const Workload& workload,
+                                   const WorkloadHorizon& horizon,
+                                   const CandidatePool& pool,
+                                   util::ThreadPool* threads = nullptr,
+                                   PlanSpaceCache* cache = nullptr) const;
 
  private:
   const CostModel* cost_;
   const CardinalityEstimator* est_;
   OptimizerOptions options_;
+  HorizonOptions horizon_options_;
 };
 
 }  // namespace nose

@@ -554,69 +554,32 @@ double PlanSpace::BestCost(const std::vector<bool>& allowed) const {
 
 StatusOr<QueryPlan> PlanSpace::BestPlan(const std::vector<ColumnFamily>& pool,
                                         const std::vector<bool>& allowed) const {
-  if (states_.empty() || !std::isfinite(BestCost(allowed))) {
-    return Status::Infeasible("no plan can answer query: " +
-                              (query_ ? query_->ToString() : std::string()));
-  }
-  std::vector<double> memo(states_.size(), -1.0);
-  auto best_cost = [&](auto&& self, size_t s) -> double {
-    if (memo[s] >= 0.0) return memo[s];
-    double best = kInf;
-    for (const PlanSpaceEdge& e : states_[s].edges) {
-      if (!allowed.empty() && !allowed[e.cf_index]) continue;
-      const double rest = e.target_state == PlanSpaceEdge::kDone
-                              ? 0.0
-                              : self(self, static_cast<size_t>(e.target_state));
-      best = std::min(best, e.cost + rest);
-    }
-    memo[s] = best;
-    return best;
-  };
-
   QueryPlan plan;
   plan.query = query_;
-  plan.cost = best_cost(best_cost, 0);
-  size_t s = 0;
-  while (true) {
-    const PlanSpaceEdge* chosen = nullptr;
-    double target_total = memo[s];
-    for (const PlanSpaceEdge& e : states_[s].edges) {
-      if (!allowed.empty() && !allowed[e.cf_index]) continue;
-      const double rest = e.target_state == PlanSpaceEdge::kDone
-                              ? 0.0
-                              : memo[static_cast<size_t>(e.target_state)];
-      if (std::abs(e.cost + rest - target_total) < 1e-9 ||
-          e.cost + rest < target_total) {
-        chosen = &e;
-        break;
-      }
-    }
-    if (chosen == nullptr) {
-      return Status::Internal("plan extraction failed to follow best cost");
-    }
+  NOSE_ASSIGN_OR_RETURN(auto path, BestPath(allowed, &plan.cost));
+  for (const auto& [s, e] : path) {
+    const PlanSpaceEdge& chosen = states_[s].edges[e];
     PlanStep step;
-    step.cf = &pool[chosen->cf_index];
-    step.cf_id = chosen->cf_index;
-    step.from_index = chosen->from_index;
-    step.to_index = chosen->to_index;
-    step.first = chosen->first;
-    step.access = chosen->access;
+    step.cf = &pool[chosen.cf_index];
+    step.cf_id = chosen.cf_index;
+    step.from_index = chosen.from_index;
+    step.to_index = chosen.to_index;
+    step.first = chosen.first;
+    step.access = chosen.access;
     plan.steps.push_back(std::move(step));
-    if (chosen->adds_sort) {
+    if (chosen.adds_sort) {
       plan.needs_sort = true;
-      plan.sort_cost = chosen->sort_cost;
+      plan.sort_cost = chosen.sort_cost;
     }
-    if (chosen->target_state == PlanSpaceEdge::kDone) break;
-    s = static_cast<size_t>(chosen->target_state);
   }
   return plan;
 }
 
 StatusOr<std::vector<std::pair<size_t, size_t>>> PlanSpace::BestPath(
-    const std::vector<bool>& allowed) const {
-  if (states_.empty() || !std::isfinite(BestCost(allowed))) {
-    return Status::Infeasible("no plan under the given candidate restriction");
-  }
+    const std::vector<bool>& allowed, double* cost) const {
+  // Memoized min-cost-to-Done per state (the same recursion as BestCost),
+  // then a walk from the root along each state's first edge within 1e-9 of
+  // the state's minimum.
   std::vector<double> memo(states_.size(), -1.0);
   auto best_cost = [&](auto&& self, size_t s) -> double {
     if (memo[s] >= 0.0) return memo[s];
@@ -631,7 +594,11 @@ StatusOr<std::vector<std::pair<size_t, size_t>>> PlanSpace::BestPath(
     memo[s] = best;
     return best;
   };
-  best_cost(best_cost, 0);
+  if (states_.empty() || !std::isfinite(best_cost(best_cost, 0))) {
+    return Status::Infeasible("no plan can answer query: " +
+                              (query_ ? query_->ToString() : std::string()));
+  }
+  if (cost != nullptr) *cost = memo[0];
 
   std::vector<std::pair<size_t, size_t>> path;
   size_t s = 0;

@@ -63,8 +63,9 @@ class PlanSpace {
   /// no complete plan survives.
   double BestCost(const std::vector<bool>& allowed = {}) const;
 
-  /// Extracts the min-cost plan under the same restriction. Plan steps
-  /// point into `pool` and carry their CfId (the pool index).
+  /// Extracts the min-cost plan under the same restriction: the steps of
+  /// BestPath, pointing into `pool` and carrying their CfId (the pool
+  /// index).
   StatusOr<QueryPlan> BestPlan(const std::vector<ColumnFamily>& pool,
                                const std::vector<bool>& allowed = {}) const;
   StatusOr<QueryPlan> BestPlan(const CandidatePool& pool,
@@ -73,9 +74,11 @@ class PlanSpace {
   }
 
   /// The (state index, edge index) pairs of the min-cost plan — the raw
-  /// path through the DAG (used e.g. to seed BIP warm starts).
+  /// path through the DAG (used e.g. to seed BIP warm starts). At each
+  /// state it takes the first edge within 1e-9 of the state's minimum.
+  /// When `cost` is non-null it receives the minimum, BestCost(allowed).
   StatusOr<std::vector<std::pair<size_t, size_t>>> BestPath(
-      const std::vector<bool>& allowed = {}) const;
+      const std::vector<bool>& allowed = {}, double* cost = nullptr) const;
 
   std::string ToString(const std::vector<ColumnFamily>& pool) const;
 

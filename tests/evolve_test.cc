@@ -574,7 +574,6 @@ TEST(EvolveE2ETest, PlannedHorizonMigratesAtBoundaryAndBeatsReactive) {
   const HorizonPlan* plan = (*planned)->horizon_plan();
   ASSERT_NE(plan, nullptr);
   ASSERT_EQ(plan->windows.size(), 2u);
-  EXPECT_FALSE(plan->collapsed);
 
   const ServeReport& report = (*planned)->report();
   EXPECT_EQ(report.transactions, 400u);

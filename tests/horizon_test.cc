@@ -1,13 +1,20 @@
 // Multi-period, migration-aware planning (advisor::PlanHorizon +
-// optimizer/horizon.h): static-horizon collapse parity, migration-cost
-// gating, shared transition pricing, and thread determinism.
+// SchemaOptimizer over a horizon): static-horizon parity with Recommend,
+// migration-cost gating, shared transition pricing, thread determinism,
+// and what every horizon shares with the single-mix solve: the
+// certificate, the deadline, and the schema-size stage.
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "analysis/certify.h"
+#include "optimizer/formulation.h"
+#include "randwl/random_workload.h"
 #include "rubis/datagen.h"
 #include "rubis/model.h"
 #include "rubis/workload.h"
@@ -72,7 +79,6 @@ TEST(HorizonTest, StaticHorizonCollapsesToSingleWindowRecommend) {
 
   // W identical windows collapse to ONE single-window solve: zero
   // migrations, and every window byte-identical to Recommend.
-  EXPECT_TRUE(plan->collapsed);
   EXPECT_TRUE(plan->transitions.empty());
   EXPECT_EQ(plan->migration_objective, 0.0);
   ASSERT_EQ(plan->windows.size(), 3u);
@@ -95,7 +101,6 @@ TEST(HorizonTest, MigrationCostWeightGatesTransitions) {
   auto adaptive = advisor.PlanHorizon(
       *f.workload, MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}), cheap);
   ASSERT_TRUE(adaptive.ok()) << adaptive.status();
-  EXPECT_FALSE(adaptive->collapsed);
 
   auto bidding = advisor.Recommend(*f.workload, "default");
   auto browsing = advisor.Recommend(*f.workload, "browsing");
@@ -203,6 +208,225 @@ TEST(HorizonTest, PlanIsByteIdenticalAtAnyThreadCount) {
           << "threads=" << threads;
     }
   }
+}
+
+/// Renders a plan and every window's recommendation, for byte comparisons.
+std::string Render(const HorizonPlan& plan) {
+  std::string rendered = plan.ToString();
+  for (const HorizonPlan::Window& w : plan.windows) {
+    rendered += w.rec.ToString();
+  }
+  return rendered;
+}
+
+TEST(HorizonTest, TwoWindowHorizonCertifiesInExactArithmetic) {
+  RubisFixture f = MakeRubis();
+  SolveCertificate cert;
+  AdvisorOptions options;
+  options.optimizer.capture_certificate = &cert;
+  Advisor advisor(options);
+  HorizonOptions cheap;
+  cheap.migration_cost_weight = 1e-9;
+  auto plan = advisor.PlanHorizon(
+      *f.workload, MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}), cheap);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_FALSE(plan->transitions.empty());
+
+  // The certificate describes the joint BIP, and its point is the returned
+  // schedule: exactly feasible, at the schedule's objective.
+  const CertificateReport report = CheckCertificate(cert);
+  EXPECT_TRUE(report.verified);
+  EXPECT_TRUE(report.bound_available);
+  EXPECT_GE(report.certified_gap, 0.0);
+  EXPECT_NEAR(report.exact_objective, plan->total_objective,
+              1e-9 * std::max(1.0, plan->total_objective));
+
+  // The transition and drop variables are the last 2·C variables, one
+  // (t, d) pair per candidate. Clearing one that the schedule sets breaks
+  // its row, t ≥ δ_1 − δ_0 or d ≥ δ_0 − δ_1.
+  const size_t num_cands = plan->pool.size();
+  ASSERT_GE(cert.x.size(), 2 * num_cands);
+  const auto first =
+      cert.x.end() - static_cast<std::ptrdiff_t>(2 * num_cands);
+  const auto set = std::find(first, cert.x.end(), 1.0);
+  ASSERT_NE(set, cert.x.end()) << "the schedule migrates nothing";
+  SolveCertificate flipped = cert;
+  flipped.x[static_cast<size_t>(set - cert.x.begin())] = 0.0;
+  const CertificateReport rejected = CheckCertificate(flipped);
+  EXPECT_FALSE(rejected.verified);
+  ASSERT_FALSE(rejected.diagnostics.empty());
+  EXPECT_EQ(rejected.diagnostics[0].code, "NOSE-C002");
+}
+
+TEST(HorizonTest, SpentDeadlineStillReturnsAnAuditedSchedule) {
+  RubisFixture f = MakeRubis();
+  AdvisorOptions options;
+  options.verify_invariants = true;  // every window's plans are audited
+  options.optimizer.deadline_seconds = 1e-9;
+  auto plan = Advisor(options).PlanHorizon(
+      *f.workload, MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->windows.size(), 2u);
+  for (const HorizonPlan::Window& w : plan->windows) {
+    EXPECT_GE(w.rec.anytime_gap, 0.0);
+    EXPECT_LE(w.rec.anytime_gap, 1.0);
+    EXPECT_GT(w.rec.schema.size(), 0u);
+    // The pre-solves spent the one budget, so the joint solve stopped at
+    // its root node at the latest (unbudgeted, it explores 3).
+    EXPECT_LE(w.rec.bb_nodes, 1);
+  }
+  EXPECT_EQ(plan->total_objective,
+            plan->execution_objective + plan->migration_objective);
+}
+
+TEST(HorizonTest, GenerousDeadlineIsByteIdenticalToNoDeadline) {
+  RubisFixture f = MakeRubis();
+  const WorkloadHorizon horizon =
+      MakeHorizon({{"default", 3.0}, {"browsing", 4.0}});
+  auto unbudgeted = Advisor().PlanHorizon(*f.workload, horizon);
+  ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status();
+  AdvisorOptions options;
+  options.optimizer.deadline_seconds = 3600.0;
+  auto budgeted = Advisor(options).PlanHorizon(*f.workload, horizon);
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status();
+  EXPECT_EQ(Render(*budgeted), Render(*unbudgeted));
+  EXPECT_EQ(budgeted->total_objective, unbudgeted->total_objective);
+  for (const HorizonPlan::Window& w : budgeted->windows) {
+    EXPECT_EQ(w.rec.anytime_gap, 0.0);
+  }
+}
+
+/// The objective the joint size stage walks, evaluated independently:
+/// Σ_w duration_w · WindowObjective + the migration charges of the
+/// selection diffs. Adjacent windows of `horizon` must differ in mix, so
+/// each window is its own group.
+double ScheduleObjective(const Workload& workload,
+                         const WorkloadHorizon& horizon,
+                         const std::vector<WindowFormulation>& forms,
+                         const CandidatePool& pool, const CostModel& cost,
+                         const HorizonOptions& options,
+                         const std::vector<std::vector<bool>>& sel) {
+  double obj = 0.0;
+  for (size_t w = 0; w < sel.size(); ++w) {
+    obj += horizon.windows[w].duration * WindowObjective(forms[w], sel[w]);
+  }
+  for (size_t w = 1; w < sel.size(); ++w) {
+    MigrationTraffic traffic;
+    traffic.update_weight_share =
+        UpdateWeightShare(workload, horizon.windows[w].mix);
+    traffic.chunk_rows = options.backfill_chunk_rows;
+    for (size_t c = 0; c < pool.size(); ++c) {
+      if (sel[w][c] && !sel[w - 1][c]) {
+        obj += options.migration_cost_weight *
+               (BuildCostMs(pool[c], cost) +
+                DualWriteCostMs(pool[c], cost, traffic));
+      } else if (!sel[w][c] && sel[w - 1][c]) {
+        obj += options.migration_cost_weight * DropCostMs(cost);
+      }
+    }
+  }
+  return obj;
+}
+
+/// The joint size stage against the cost stage alone: the schedule costs
+/// the same to within the 1e-6 budget, has no more column families, and is
+/// a fixpoint — dropping any family that remains in any window lifts the
+/// schedule's objective past the budget. Returns the families dropped.
+size_t ExpectJointDropPassProperties(const Workload& workload,
+                                     const WorkloadHorizon& horizon,
+                                     const HorizonOptions& options) {
+  AdvisorOptions cost_only;
+  cost_only.optimizer.minimize_schema_size = false;
+  auto cost_stage = Advisor(cost_only).PlanHorizon(workload, horizon, options);
+  EXPECT_TRUE(cost_stage.ok()) << cost_stage.status();
+  Advisor advisor;
+  auto sized = advisor.PlanHorizon(workload, horizon, options);
+  EXPECT_TRUE(sized.ok()) << sized.status();
+  if (!cost_stage.ok() || !sized.ok()) return 0;
+
+  const double slack =
+      1e-6 * std::max(1.0, std::abs(cost_stage->total_objective));
+  const double budget = cost_stage->total_objective + slack;
+  EXPECT_NEAR(sized->total_objective, cost_stage->total_objective, slack);
+  size_t cost_families = 0;
+  size_t sized_families = 0;
+  for (size_t w = 0; w < horizon.size(); ++w) {
+    cost_families += cost_stage->windows[w].rec.schema.size();
+    sized_families += sized->windows[w].rec.schema.size();
+  }
+  EXPECT_LE(sized_families, cost_families);
+
+  CardinalityEstimator est(workload.graph(),
+                           &advisor.cost_model().params());
+  std::vector<WindowFormulation> forms;
+  std::vector<std::vector<bool>> sel;
+  for (size_t w = 0; w < horizon.size(); ++w) {
+    auto form = BuildWindowFormulation(workload, horizon.windows[w].mix,
+                                       sized->pool, &advisor.cost_model(),
+                                       &est, nullptr, nullptr);
+    EXPECT_TRUE(form.ok()) << form.status();
+    if (!form.ok()) return 0;
+    forms.push_back(std::move(form).value());
+    sel.emplace_back(sized->pool.size(), false);
+    const Schema& schema = sized->windows[w].rec.schema;
+    for (size_t i = 0; i < schema.size(); ++i) {
+      sel[w][schema.PoolIdAt(i)] = true;
+    }
+  }
+  auto objective = [&] {
+    return ScheduleObjective(workload, horizon, forms, sized->pool,
+                             advisor.cost_model(), options, sel);
+  };
+  EXPECT_LE(objective(), budget);
+  for (size_t w = 0; w < sel.size(); ++w) {
+    for (size_t c = 0; c < sel[w].size(); ++c) {
+      if (!sel[w][c]) continue;
+      sel[w][c] = false;
+      EXPECT_GT(objective(), budget)
+          << "window " << w << " could still drop candidate " << c;
+      sel[w][c] = true;
+    }
+  }
+  return cost_families - sized_families;
+}
+
+TEST(HorizonTest, JointSizeStageIsAFixpointWithinBudget) {
+  // RUBiS: the cost stage leaves nothing to drop.
+  RubisFixture f = MakeRubis();
+  for (double weight : {1e-9, 1.0}) {
+    SCOPED_TRACE("rubis, migration weight " + std::to_string(weight));
+    HorizonOptions options;
+    options.migration_cost_weight = weight;
+    EXPECT_EQ(ExpectJointDropPassProperties(
+                  *f.workload,
+                  MakeHorizon({{"default", 5.0}, {"browsing", 5.0}}), options),
+              0u);
+  }
+
+  // Seed 1030 with a reweighted second mix and near-free migrations: the
+  // joint cost optimum keeps a family the schedule can do without, and the
+  // stage drops it.
+  randwl::GeneratorOptions gen;
+  gen.num_entities = 4;
+  gen.num_statements = 6;
+  gen.seed = 1030;
+  auto rw = randwl::Generate(gen);
+  ASSERT_TRUE(rw.ok()) << rw.status();
+  size_t i = 0;
+  for (const WorkloadEntry& entry : rw->workload->entries()) {
+    const double weight = entry.WeightIn(Workload::kDefaultMix);
+    ASSERT_TRUE(rw->workload
+                    ->SetWeight(entry.name, "alt",
+                                weight * (i++ % 3 == 0 ? 5.0 : 0.3))
+                    .ok());
+  }
+  SCOPED_TRACE("randwl seed 1030");
+  HorizonOptions cheap;
+  cheap.migration_cost_weight = 1e-9;
+  EXPECT_GE(ExpectJointDropPassProperties(
+                *rw->workload, MakeHorizon({{"default", 5.0}, {"alt", 5.0}}),
+                cheap),
+            1u);
 }
 
 }  // namespace

@@ -53,6 +53,18 @@ constexpr double kSolverBudgetScale = 1.0;
 constexpr double kSolverBudgetScale = 1.0;
 #endif
 
+/// A single-mix solve: the only window of a one-window horizon.
+StatusOr<OptimizationResult> OptimizeMix(const SchemaOptimizer& optimizer,
+                                         const Workload& workload,
+                                         const std::string& mix,
+                                         const CandidatePool& pool,
+                                         PlanSpaceCache* cache = nullptr) {
+  auto solved = optimizer.Optimize(workload, WorkloadHorizon::Single(mix),
+                                   pool, nullptr, cache);
+  if (!solved.ok()) return solved.status();
+  return std::move(solved->windows[0]);
+}
+
 /// The differential oracle: SchemaOptimizer's BIP and the combinatorial
 /// branch and bound (tests/combinatorial_oracle.h) solve the same window
 /// formulation over the same candidate pool. Both prove the cost optimum,
@@ -68,7 +80,8 @@ bool ExpectBipMatchesOracle(const EntityGraph& graph, const Workload& workload,
 
   OptimizerOptions opts;
   opts.bip.time_limit_seconds = 30 * kSolverBudgetScale;
-  auto bip = SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
+  auto bip =
+      OptimizeMix(SchemaOptimizer(&cost, &est, opts), workload, mix, pool);
 
   auto form = BuildWindowFormulation(workload, mix, pool, &cost, &est,
                                      nullptr, nullptr);
@@ -123,8 +136,8 @@ TEST(OptimizerCacheTest, StructuralChangeDiscardsWarmStart) {
   SchemaOptimizer optimizer(&cost, &est);
 
   PlanSpaceCache cache;
-  auto full = optimizer.Optimize(*workload, Workload::kDefaultMix, pool,
-                                 nullptr, &cache);
+  auto full = OptimizeMix(optimizer, *workload, Workload::kDefaultMix, pool,
+                          &cache);
   ASSERT_TRUE(full.ok()) << full.status();
   // The solve deposits its root basis plus the BIP's structural
   // fingerprint.
@@ -139,13 +152,13 @@ TEST(OptimizerCacheTest, StructuralChangeDiscardsWarmStart) {
   // to a mismatched variable space — and the cached-path result must match
   // a cache-free solve exactly.
   ASSERT_TRUE(workload->SetWeight("guests_by_city", "small", 1.0).ok());
-  auto cached = optimizer.Optimize(*workload, "small", pool, nullptr, &cache);
+  auto cached = OptimizeMix(optimizer, *workload, "small", pool, &cache);
   ASSERT_TRUE(cached.ok()) << cached.status();
   EXPECT_TRUE(cache.last_bip_variables != full_vars ||
               cache.last_bip_rows != full_rows)
       << "the smaller mix should assemble a different BIP";
 
-  auto fresh = optimizer.Optimize(*workload, "small", pool, nullptr, nullptr);
+  auto fresh = OptimizeMix(optimizer, *workload, "small", pool);
   ASSERT_TRUE(fresh.ok()) << fresh.status();
   EXPECT_DOUBLE_EQ(cached->objective, fresh->objective);
   EXPECT_EQ(cached->schema.ToString(), fresh->schema.ToString());
@@ -167,11 +180,10 @@ TEST(OptimizerCacheTest, CorruptStaleSolutionIsIgnoredSafely) {
   cache.last_bip_rows = 1;
   cache.last_bip_nonzeros = 3;
   cache.last_root_basis.status = {2, 0, 1, 2};
-  auto guarded = optimizer.Optimize(*workload, Workload::kDefaultMix, pool,
-                                    nullptr, &cache);
+  auto guarded = OptimizeMix(optimizer, *workload, Workload::kDefaultMix,
+                             pool, &cache);
   ASSERT_TRUE(guarded.ok()) << guarded.status();
-  auto plain = optimizer.Optimize(*workload, Workload::kDefaultMix, pool,
-                                  nullptr, nullptr);
+  auto plain = OptimizeMix(optimizer, *workload, Workload::kDefaultMix, pool);
   ASSERT_TRUE(plain.ok());
   EXPECT_DOUBLE_EQ(guarded->objective, plain->objective);
   EXPECT_EQ(guarded->schema.ToString(), plain->schema.ToString());
@@ -193,10 +205,11 @@ void ExpectDropPassProperties(const EntityGraph& graph,
   OptimizerOptions opts;
   opts.minimize_schema_size = false;
   auto cost_stage =
-      SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
+      OptimizeMix(SchemaOptimizer(&cost, &est, opts), workload, mix, pool);
   ASSERT_TRUE(cost_stage.ok()) << cost_stage.status();
   opts.minimize_schema_size = true;
-  auto sized = SchemaOptimizer(&cost, &est, opts).Optimize(workload, mix, pool);
+  auto sized =
+      OptimizeMix(SchemaOptimizer(&cost, &est, opts), workload, mix, pool);
   ASSERT_TRUE(sized.ok()) << sized.status();
 
   const double budget =
@@ -256,16 +269,18 @@ TEST(SchemaSizeStageTest, DescendsFromEveryUsableCandidate) {
   auto form = BuildWindowFormulation(*workload, Workload::kDefaultMix, pool,
                                      &cost, &est, nullptr, nullptr);
   ASSERT_TRUE(form.ok()) << form.status();
-  std::vector<bool> selected = form->allowed;
+  std::vector<std::vector<bool>> schedule = {form->allowed};
+  std::vector<bool>& selected = schedule[0];
   const size_t before = std::count(selected.begin(), selected.end(), true);
   const double objective = WindowObjective(*form, selected);
-  const int dropped = DropRedundantCandidates(*form, objective, &selected);
+  auto evaluate = [&] { return WindowObjective(*form, selected); };
+  const int dropped = DropRedundantCandidates(objective, &schedule, evaluate);
   const size_t after = std::count(selected.begin(), selected.end(), true);
   EXPECT_EQ(before - after, static_cast<size_t>(dropped));
   EXPECT_GT(dropped, 0);
   EXPECT_LE(WindowObjective(*form, selected),
             objective + 1e-6 * std::max(1.0, objective));
-  EXPECT_EQ(DropRedundantCandidates(*form, objective, &selected), 0);
+  EXPECT_EQ(DropRedundantCandidates(objective, &schedule, evaluate), 0);
 }
 
 // Hand-built plan-space DAGs for the linking-row guard. Candidates are
