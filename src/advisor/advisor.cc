@@ -34,16 +34,17 @@ StatusOr<Recommendation> Advisor::Recommend(const Workload& workload,
   Stopwatch watch;
   std::unique_ptr<util::ThreadPool> threads = MakeWorkerPool();
 
-  // 1. Candidate enumeration (paper §IV-A, Algorithm 1).
+  // 1. Candidate enumeration (paper §IV-A, Algorithm 1), deriving the
+  // support table the formulation then completes.
   obs::PhaseSpan enumeration_phase("advisor.enumeration", "advisor");
-  Enumerator enumerator(options_.enumerator);
-  CandidatePool pool =
-      enumerator.EnumerateWorkload(workload, mix, threads.get());
+  PlanSpaceCache cache;
+  CandidatePool pool = Enumerator(options_.enumerator)
+                           .EnumerateWorkload(workload, mix, threads.get(),
+                                              &cache.supports);
   const double enumeration_seconds = enumeration_phase.StopSeconds();
 
   return RecommendImpl(workload, mix, std::move(pool), enumeration_seconds,
-                       threads.get(), /*cache=*/nullptr, watch,
-                       deadline_seconds);
+                       threads.get(), cache, watch, deadline_seconds);
 }
 
 StatusOr<std::vector<std::pair<std::string, Recommendation>>>
@@ -99,7 +100,7 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
   PlanSpaceCache cache;
   NOSE_ASSIGN_OR_RETURN(HorizonResult solved,
                         optimizer.Optimize(workload, horizon, plan.pool,
-                                           pool_threads.get(), &cache));
+                                           cache, pool_threads.get()));
 
   plan.transitions = std::move(solved.transitions);
   plan.execution_objective = solved.execution_objective;
@@ -182,7 +183,7 @@ Status Advisor::AdoptResult(const Workload& workload, const std::string& mix,
 StatusOr<Recommendation> Advisor::RecommendImpl(
     const Workload& workload, const std::string& mix, CandidatePool pool,
     double enumeration_seconds, util::ThreadPool* threads,
-    PlanSpaceCache* cache, const Stopwatch& watch,
+    PlanSpaceCache& cache, const Stopwatch& watch,
     double deadline_seconds) const {
   obs::Span recommend_span("advisor.recommend", "advisor");
   Recommendation rec;
@@ -209,7 +210,7 @@ StatusOr<Recommendation> Advisor::RecommendImpl(
   NOSE_ASSIGN_OR_RETURN(
       HorizonResult solved,
       optimizer.Optimize(workload, WorkloadHorizon::Single(mix), rec.pool,
-                         threads, cache));
+                         cache, threads));
   // The call's wall time so far: `watch` started before the worker pool
   // and enumeration, so pool start-up (in no phase) lands in "other". The
   // invariant audit below is not part of the Fig. 13 decomposition.

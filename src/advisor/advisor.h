@@ -204,11 +204,12 @@ class Advisor {
   /// already-enumerated pool (moved into the Recommendation first, so plans
   /// can point into it). `watch` started with the call, before
   /// enumeration: deadline_seconds > 0 hands the optimizer what is left of
-  /// the budget and stamps deadline_hit; 0 means unbudgeted.
+  /// the budget and stamps deadline_hit; 0 means unbudgeted. `cache`
+  /// belongs to `pool` (see SchemaOptimizer::Optimize).
   StatusOr<Recommendation> RecommendImpl(
       const Workload& workload, const std::string& mix, CandidatePool pool,
       double enumeration_seconds, util::ThreadPool* threads,
-      PlanSpaceCache* cache, const Stopwatch& watch,
+      PlanSpaceCache& cache, const Stopwatch& watch,
       double deadline_seconds) const;
 
   /// Moves `opt`'s schema, plans, solve statistics and stage timings into

@@ -50,7 +50,8 @@ StatusOr<Recommendation> AdvisingSession::Advise(const Workload& workload,
     auto fresh = std::make_unique<Group>();
     obs::PhaseSpan enumeration_phase("advisor.enumeration", "advisor");
     fresh->pool = Enumerator(advisor_.options_.enumerator)
-                      .EnumerateWorkload(workload, mix, threads.get());
+                      .EnumerateWorkload(workload, mix, threads.get(),
+                                         &fresh->cache.supports);
     enumeration_seconds = enumeration_phase.StopSeconds();
     fresh->names = std::move(names);
     groups_.push_back(std::move(fresh));
@@ -62,7 +63,7 @@ StatusOr<Recommendation> AdvisingSession::Advise(const Workload& workload,
   NOSE_ASSIGN_OR_RETURN(
       Recommendation rec,
       advisor_.RecommendImpl(workload, mix, group.pool, enumeration_seconds,
-                             threads.get(), &group.cache, watch,
+                             threads.get(), group.cache, watch,
                              deadline_seconds));
   rec.reuse = reuse;
   return rec;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -327,7 +328,8 @@ void Enumerator::Combine(CandidatePool* pool) const {
 
 CandidatePool Enumerator::EnumerateWorkload(const Workload& workload,
                                             const std::string& mix,
-                                            util::ThreadPool* threads) const {
+                                            util::ThreadPool* threads,
+                                            SupportTable* supports) const {
   obs::Span span("enumerate.workload", "enumerator");
   static obs::Counter& queries_counter =
       obs::MetricsRegistry::Global().GetCounter("enumerator.queries");
@@ -365,36 +367,24 @@ CandidatePool Enumerator::EnumerateWorkload(const Workload& workload,
   queries_counter.Add(queries.size());
   enumerate_all(queries, "enumerate.query");
 
-  // Support-query enumeration runs twice: the first round may introduce
-  // families over new paths whose own support queries need candidates too
-  // (paper Algorithm 1, "do twice"). Each round derives the support
-  // queries of every (update, candidate) pair serially, in update-major
-  // pair order, and enumerates each distinct query (by text) once per
-  // workload, in first-sighting order. Skipping a repeat changes nothing:
-  // its candidates were all interned when its first sighting was merged.
-  // For the same reason the second round only needs the candidates the
-  // first round added; the pairs of older candidates repeat round one's
-  // queries.
-  std::unordered_set<std::string> seen;
-  CfId first_new = 0;
-  for (int round = 0; round < 2; ++round) {
+  // Support queries (paper Algorithm 1): the table derives the support
+  // queries of every (update, candidate) pair, and each distinct text is
+  // enumerated once per workload, in first-sighting order. Skipping a
+  // repeat changes nothing: its candidates were all interned when its first
+  // sighting was merged. The paper runs this step twice; one round is
+  // enough for this candidate grammar (DESIGN.md).
+  {
     obs::Span round_span("enumerate.support_round", "enumerator");
-    const CfId end = static_cast<CfId>(pool.size());
-    std::vector<Query> fresh;
-    for (const auto& [entry, weight] : entries) {
-      if (entry->IsQuery()) continue;
-      for (CfId c = first_new; c < end; ++c) {
-        if (!Modifies(entry->update(), pool[c])) continue;
-        for (Query& sq : SupportQueries(entry->update(), pool[c])) {
-          if (seen.insert(sq.ToString()).second) fresh.push_back(std::move(sq));
-        }
-      }
+    SupportTable local;
+    std::unordered_set<std::string_view> seen;
+    std::vector<const Query*> fresh;
+    for (const SupportTable::DistinctQuery* d :
+         (supports != nullptr ? *supports : local)
+             .Extend(entries, pool, threads)) {
+      if (seen.insert(d->text).second) fresh.push_back(d->query.get());
     }
-    first_new = end;
     support_counter.Add(fresh.size());
-    std::vector<const Query*> fresh_ptrs;
-    for (const Query& sq : fresh) fresh_ptrs.push_back(&sq);
-    enumerate_all(fresh_ptrs, "enumerate.support_query");
+    enumerate_all(fresh, "enumerate.support_query");
   }
   Combine(&pool);
   interned.Add(pool.size());

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "planner/update_planner.h"
 #include "schema/candidate_pool.h"
 #include "schema/column_family.h"
 #include "util/statusor.h"
@@ -27,7 +28,7 @@ struct EnumeratorOptions {
 /// Workload-driven candidate enumeration (paper §IV-A and Algorithm 1):
 /// for each query, recursive decomposition yields materialized views,
 /// split key/value families and relaxed variants for every path segment;
-/// update support queries are enumerated in two extra rounds; finally
+/// update support queries are enumerated in one extra round; finally
 /// Combine merges compatible families.
 class Enumerator {
  public:
@@ -46,10 +47,14 @@ class Enumerator {
   /// non-null, per-query enumeration runs on it; local pools are interned
   /// into the result in query order, which reproduces the serial insertion
   /// sequence exactly, so candidate CfIds are identical at every thread
-  /// count.
+  /// count. The support queries are derived into `supports` when it is
+  /// non-null (it must start empty), which then covers the pool as it
+  /// stood before the support queries' own candidates and Combine's
+  /// merges were added; the formulation extends it over the rest.
   CandidatePool EnumerateWorkload(const Workload& workload,
                                   const std::string& mix,
-                                  util::ThreadPool* threads = nullptr) const;
+                                  util::ThreadPool* threads = nullptr,
+                                  SupportTable* supports = nullptr) const;
 
   /// Adds combinations of compatible candidates (same partition key, no
   /// clustering key, same path, different values).

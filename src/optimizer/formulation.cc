@@ -141,7 +141,7 @@ StatusOr<WindowFormulation> BuildWindowFormulation(
     const Workload& workload, const std::string& mix,
     const CandidatePool& pool, const CostModel* cost,
     const CardinalityEstimator* est, util::ThreadPool* threads,
-    PlanSpaceCache* cache) {
+    PlanSpaceCache& cache) {
   WindowFormulation form;
   const std::vector<ColumnFamily>& candidates = pool.candidates();
   if (candidates.empty()) {
@@ -159,46 +159,25 @@ StatusOr<WindowFormulation> BuildWindowFormulation(
   // (and hence the recommendation) identical at any thread count.
   QueryPlanner planner(cost, est);
 
-  std::vector<double> query_weights;
   for (const auto& [entry, weight] : entries) {
     if (!entry->IsQuery()) continue;
     form.query_entries.push_back(entry);
-    query_weights.push_back(weight);
+    form.query_spaces.emplace_back().weight = weight;
   }
-  form.query_spaces.resize(form.query_entries.size());
-  // Cache probe runs serially (the map is not synchronized); only the
-  // misses fan out to the planner.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  std::vector<char> query_cached(form.query_entries.size(), 0);
-  if (cache != nullptr) {
-    for (size_t qi = 0; qi < form.query_entries.size(); ++qi) {
-      auto it = cache->query_spaces.find(form.query_entries[qi]->name);
-      if (it != cache->query_spaces.end()) {
-        form.query_spaces[qi].space = it->second;
-        query_cached[qi] = 1;
-        ++cache_hits;
-      } else {
-        ++cache_misses;
-      }
-    }
+  // The cache probe runs serially (the map is not synchronized); only the
+  // misses fan out to the planner, each into its own map node.
+  std::vector<std::pair<const Query*, PlanSpace*>> unplanned_queries;
+  for (const WorkloadEntry* entry : form.query_entries) {
+    auto [it, fresh] = cache.query_spaces.try_emplace(entry->name);
+    if (fresh) unplanned_queries.emplace_back(&entry->query(), &it->second);
   }
-  util::ParallelFor(threads, form.query_entries.size(), [&](size_t qi) {
-    if (!query_cached[qi]) {
-      form.query_spaces[qi].space =
-          planner.Build(form.query_entries[qi]->query(), candidates);
-    }
-    form.query_spaces[qi].weight = query_weights[qi];
+  util::ParallelFor(threads, unplanned_queries.size(), [&](size_t i) {
+    *unplanned_queries[i].second =
+        planner.Build(*unplanned_queries[i].first, candidates);
   });
-  if (cache != nullptr) {
-    for (size_t qi = 0; qi < form.query_entries.size(); ++qi) {
-      if (!query_cached[qi]) {
-        cache->query_spaces.emplace(form.query_entries[qi]->name,
-                                    form.query_spaces[qi].space);
-      }
-    }
-  }
   for (size_t qi = 0; qi < form.query_spaces.size(); ++qi) {
+    form.query_spaces[qi].space =
+        cache.query_spaces.at(form.query_entries[qi]->name);
     if (!form.query_spaces[qi].space.HasPlan()) {
       return Status::Infeasible("no candidate plan covers query " +
                                 form.query_entries[qi]->name);
@@ -209,152 +188,70 @@ StatusOr<WindowFormulation> BuildWindowFormulation(
   // update often need textually identical support queries (e.g. "fetch the
   // user name for this user ID"); the application issues that lookup once
   // per update execution, so plan one shared space per distinct
-  // (update, support query) pair.
-  std::map<std::pair<const WorkloadEntry*, std::string>, size_t> shared_index;
-
-  // Pass 1 (parallel): per update, find the candidates it modifies, price
-  // their writes, and synthesize their support queries.
-  struct RawSupport {
-    size_t cf_index;
-    double write_cost;
-    std::vector<Query> support_queries;
+  // (update, support query) pair. The cache's table derives only the pairs
+  // of the candidates it has not covered: what the enumerator's support
+  // round and Combine added, a whole union pool, or nothing on a reused
+  // pool. Each pair is priced, and each distinct query planned, once.
+  cache.supports.Extend(entries, pool, threads);
+  struct UpdateRow {
+    const WorkloadEntry* entry;
+    double weight;
+    SupportTable::Row* row;
   };
-  std::vector<const WorkloadEntry*> update_entries;
-  std::vector<double> update_weights;
+  std::vector<UpdateRow> rows;
+  std::vector<SupportTable::DistinctQuery*> unplanned;
+  size_t distinct = 0;
   for (const auto& [entry, weight] : entries) {
     if (entry->IsQuery()) continue;
-    update_entries.push_back(entry);
-    update_weights.push_back(weight);
+    rows.push_back({entry, weight, &cache.supports.At(entry->name)});
+    for (SupportTable::DistinctQuery& d : rows.back().row->distinct) {
+      if (!d.space.has_value()) unplanned.push_back(&d);
+      ++distinct;
+    }
   }
-  std::vector<char> update_cached(update_entries.size(), 0);
-  if (cache != nullptr) {
-    for (size_t u = 0; u < update_entries.size(); ++u) {
-      if (cache->update_supports.count(update_entries[u]->name) != 0) {
-        update_cached[u] = 1;
-        ++cache_hits;
-      } else {
-        ++cache_misses;
+  // One fan-out: the rows' unpriced pairs, then the unplanned queries.
+  util::ParallelFor(threads, rows.size() + unplanned.size(), [&](size_t i) {
+    if (i < rows.size()) {
+      const Update& update = rows[i].entry->update();
+      for (SupportTable::Entry& e : rows[i].row->entries) {
+        if (!e.write_cost.has_value()) {
+          e.write_cost = UpdateWriteCost(update, candidates[e.cf], *est, *cost);
+        }
       }
+      return;
     }
-  }
-  std::vector<std::vector<RawSupport>> raw_supports(update_entries.size());
-  util::ParallelFor(threads, update_entries.size(), [&](size_t u) {
-    if (update_cached[u]) return;
-    const Update& update = update_entries[u]->update();
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (!Modifies(update, candidates[c])) continue;
-      RawSupport raw;
-      raw.cf_index = c;
-      raw.write_cost = UpdateWriteCost(update, candidates[c], *est, *cost);
-      raw.support_queries = SupportQueries(update, candidates[c]);
-      raw_supports[u].push_back(std::move(raw));
-    }
+    SupportTable::DistinctQuery& d = *unplanned[i - rows.size()];
+    d.space = planner.Build(*d.query, candidates);
+    if (!d.space->HasPlan()) d.space = PlanSpace();  // unanswerable marker
   });
-
-  // Pass 2 (serial, deterministic order): dedup shared support queries.
-  // Cached updates replay the recorded (cf, write cost, support text)
-  // tuples — same iteration order as a fresh compute, so every downstream
-  // index is identical with and without a cache.
-  for (size_t u = 0; u < update_entries.size(); ++u) {
-    const WorkloadEntry* uentry = update_entries[u];
-    auto intern_support = [&](const std::string& text,
-                              SupportInfo* info) {
-      const auto key = std::make_pair(uentry, text);
-      auto it = shared_index.find(key);
-      size_t idx;
-      if (it == shared_index.end()) {
-        auto shared = std::make_unique<SharedSupport>();
-        if (cache != nullptr) {
-          auto cit = cache->support_spaces.find(uentry->name + "\n" + text);
-          if (cit != cache->support_spaces.end()) {
-            shared->query = cit->second.query;
-            shared->sv.space = cit->second.space;
-            shared->from_cache = true;
-          }
-        }
-        shared->sv.weight = update_weights[u];
-        idx = form.shared_supports.size();
-        shared_index.emplace(key, idx);
-        form.shared_supports.push_back(std::move(shared));
-      } else {
-        idx = it->second;
-      }
-      info->shared_ids.push_back(idx);
-    };
-    if (update_cached[u]) {
-      for (const PlanSpaceCache::UpdateSupport& us :
-           cache->update_supports.at(uentry->name)) {
-        SupportInfo info;
-        info.entry = uentry;
-        info.weight = update_weights[u];
-        info.cf_index = us.cf_index;
-        info.write_cost = us.write_cost;
-        for (const std::string& text : us.support_texts) {
-          intern_support(text, &info);
-        }
-        form.supports.push_back(std::move(info));
-      }
-      continue;
+  // Each update's distinct queries become its shared supports, in order,
+  // so a pair's query indices offset into them.
+  for (const UpdateRow& u : rows) {
+    const size_t first = form.shared_supports.size();
+    for (const SupportTable::DistinctQuery& d : u.row->distinct) {
+      auto shared = std::make_unique<SharedSupport>();
+      shared->query = d.query;
+      shared->sv.space = *d.space;
+      shared->sv.weight = u.weight;
+      form.shared_supports.push_back(std::move(shared));
     }
-    std::vector<PlanSpaceCache::UpdateSupport> cache_entry;
-    for (RawSupport& raw : raw_supports[u]) {
+    for (const SupportTable::Entry& e : u.row->entries) {
       SupportInfo info;
-      info.entry = uentry;
-      info.weight = update_weights[u];
-      info.cf_index = raw.cf_index;
-      info.write_cost = raw.write_cost;
-      PlanSpaceCache::UpdateSupport us;
-      us.cf_index = raw.cf_index;
-      us.write_cost = raw.write_cost;
-      for (Query& sq : raw.support_queries) {
-        std::string text = sq.ToString();
-        const auto key = std::make_pair(uentry, text);
-        if (shared_index.find(key) == shared_index.end()) {
-          // First sighting: take ownership of the synthesized query.
-          auto shared = std::make_unique<SharedSupport>();
-          shared->query = std::make_shared<Query>(std::move(sq));
-          shared->sv.weight = update_weights[u];
-          shared_index.emplace(key, form.shared_supports.size());
-          form.shared_supports.push_back(std::move(shared));
-        }
-        info.shared_ids.push_back(shared_index.at(key));
-        us.support_texts.push_back(std::move(text));
-      }
+      info.entry = u.entry;
+      info.weight = u.weight;
+      info.cf_index = e.cf;
+      info.write_cost = *e.write_cost;
+      for (size_t q : e.queries) info.shared_ids.push_back(first + q);
       form.supports.push_back(std::move(info));
-      if (cache != nullptr) cache_entry.push_back(std::move(us));
-    }
-    if (cache != nullptr) {
-      cache->update_supports.emplace(uentry->name, std::move(cache_entry));
     }
   }
-
-  // Pass 3 (parallel): build the deduplicated support plan spaces that the
-  // cache did not already hold.
-  util::ParallelFor(threads, form.shared_supports.size(), [&](size_t i) {
-    SharedSupport& shared = *form.shared_supports[i];
-    if (shared.from_cache) return;
-    shared.sv.space = planner.Build(*shared.query, candidates);
-    if (!shared.sv.space.HasPlan()) {
-      shared.sv.space = PlanSpace();  // unanswerable marker
-    }
-  });
-  if (cache != nullptr) {
-    for (const auto& [key, idx] : shared_index) {
-      const SharedSupport& shared = *form.shared_supports[idx];
-      if (shared.from_cache) continue;
-      PlanSpaceCache::SupportSpace entry;
-      entry.query = shared.query;
-      entry.space = shared.sv.space;
-      cache->support_spaces.emplace(key.first->name + "\n" + key.second,
-                                    std::move(entry));
-    }
-    static obs::Counter& hits_counter = obs::MetricsRegistry::Global().GetCounter(
-        "optimizer.plan_space_cache_hits");
-    static obs::Counter& miss_counter = obs::MetricsRegistry::Global().GetCounter(
-        "optimizer.plan_space_cache_misses");
-    hits_counter.Add(cache_hits);
-    miss_counter.Add(cache_misses);
-  }
+  static obs::Counter& hits_counter = obs::MetricsRegistry::Global().GetCounter(
+      "optimizer.plan_space_cache_hits");
+  static obs::Counter& miss_counter = obs::MetricsRegistry::Global().GetCounter(
+      "optimizer.plan_space_cache_misses");
+  const size_t misses = unplanned_queries.size() + unplanned.size();
+  hits_counter.Add(form.query_entries.size() + distinct - misses);
+  miss_counter.Add(misses);
   for (SupportInfo& info : form.supports) {
     for (size_t idx : info.shared_ids) {
       if (form.shared_supports[idx]->sv.space.states().empty()) {

@@ -36,17 +36,16 @@ struct SpaceVars {
 };
 
 /// One deduplicated support query shared by every (update, candidate)
-/// pair that needs it: the synthesized query, its plan space, and the y
-/// indicator variable once BIP variables are assigned.
+/// pair that needs it: a distinct query of the SupportTable, its plan
+/// space, and the y indicator variable once BIP variables are assigned.
 struct SharedSupport {
-  std::shared_ptr<const Query> query;  // owns the synthesized query
+  std::shared_ptr<const Query> query;  // owned with the SupportTable
   SpaceVars sv;
   int y_var = -1;
-  bool from_cache = false;  // space copied from the PlanSpaceCache
 };
 
-/// Per (update, modified candidate): write cost + the shared support
-/// spaces whose results it needs.
+/// Per (update, modified candidate), one SupportTable entry: write cost +
+/// the shared support spaces whose results it needs.
 struct SupportInfo {
   const WorkloadEntry* entry;
   double weight;  // normalized mix weight of the update
@@ -61,8 +60,9 @@ struct SupportInfo {
 /// support spaces, the per-candidate maintenance costs, and which
 /// candidates are usable at all. SchemaOptimizer instantiates it once per
 /// group of a horizon's windows (once for a single mix) over the same
-/// interned pool, sharing plan spaces through the PlanSpaceCache (they
-/// depend only on (statement, pool), never on mix weights).
+/// interned pool, sharing plan spaces and the support table through the
+/// PlanSpaceCache (they depend only on (statement, pool), never on mix
+/// weights).
 struct WindowFormulation {
   std::vector<SpaceVars> query_spaces;  // workload queries
   std::vector<const WorkloadEntry*> query_entries;
@@ -82,14 +82,16 @@ struct WindowFormulation {
 /// Builds the window formulation for `mix`: plan spaces for every weighted
 /// query, priced supports for every weighted update, maintenance costs,
 /// pinning propagation, and the coverage check. Parallel per-statement
-/// stages merge in deterministic statement/candidate order. When `cache`
-/// is non-null, plan spaces and priced supports are read from / written
-/// into it.
+/// stages merge in deterministic statement/candidate order. Plan spaces
+/// and the support table are read from and written into `cache`, which
+/// must belong to `pool`: its table is extended over the candidates it has
+/// not covered, each new pair is priced and each new distinct support
+/// query planned, and everything else is reused.
 StatusOr<WindowFormulation> BuildWindowFormulation(
     const Workload& workload, const std::string& mix,
     const CandidatePool& pool, const CostModel* cost,
     const CardinalityEstimator* est, util::ThreadPool* threads,
-    PlanSpaceCache* cache);
+    PlanSpaceCache& cache);
 
 /// Allocates the x_e variable for every edge of the space, with cost
 /// scale · weight · edge.cost. Serial and cheap; runs before row assembly

@@ -123,8 +123,8 @@ void PruneUnusedCandidates(const std::vector<WindowFormulation>& forms,
 
 StatusOr<HorizonResult> SchemaOptimizer::Optimize(
     const Workload& workload, const WorkloadHorizon& horizon,
-    const CandidatePool& pool, util::ThreadPool* threads,
-    PlanSpaceCache* cache) const {
+    const CandidatePool& pool, PlanSpaceCache& cache,
+    util::ThreadPool* threads) const {
   obs::Span optimize_span("optimizer.optimize", "optimizer");
   Stopwatch total_watch;
   if (horizon.empty()) {
@@ -172,7 +172,7 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
           HorizonResult pre,
           SchemaOptimizer(cost_, est_, pre_options)
               .Optimize(workload, WorkloadHorizon::Single(groups[g].mix),
-                        pool, threads, cache));
+                        pool, cache, threads));
       myopic[g].assign(num_cands, false);
       const Schema& schema = pre.windows[0].schema;
       for (size_t i = 0; i < schema.size(); ++i) {
@@ -335,9 +335,9 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
   // the cache instead of applying it to a mismatched variable space.
   LpBasis captured_root_basis;
   const bool cache_matches =
-      cache != nullptr && cache->last_bip_variables == lp.num_variables() &&
-      cache->last_bip_rows == lp.num_rows() &&
-      cache->last_bip_nonzeros == lp.num_nonzeros();
+      cache.last_bip_variables == lp.num_variables() &&
+      cache.last_bip_rows == lp.num_rows() &&
+      cache.last_bip_nonzeros == lp.num_nonzeros();
   if (cache_matches) {
     // Hot-start the root LP from the previous optimal basis: identical
     // rows keep that basis primal feasible under the new costs, so the
@@ -347,13 +347,11 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
     // incumbent could prune the tie the cold per-mix solve returns —
     // breaking the byte-equality contract between AdvisingSession and
     // Recommend.
-    if (!cache->last_root_basis.empty()) {
-      bip_options.root_basis = &cache->last_root_basis;
+    if (!cache.last_root_basis.empty()) {
+      bip_options.root_basis = &cache.last_root_basis;
     }
   }
-  if (cache != nullptr) {
-    bip_options.capture_root_basis = &captured_root_basis;
-  }
+  bip_options.capture_root_basis = &captured_root_basis;
 
   if (options_.capture_bip != nullptr) {
     options_.capture_bip->lp = lp;
@@ -409,12 +407,10 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
       sel[g][c] = solved.x[static_cast<size_t>(delta_vars[g][c])] > 0.5;
     }
   }
-  if (cache != nullptr) {
-    cache->last_bip_variables = lp.num_variables();
-    cache->last_bip_rows = lp.num_rows();
-    cache->last_bip_nonzeros = lp.num_nonzeros();
-    cache->last_root_basis = std::move(captured_root_basis);
-  }
+  cache.last_bip_variables = lp.num_variables();
+  cache.last_bip_rows = lp.num_rows();
+  cache.last_bip_nonzeros = lp.num_nonzeros();
+  cache.last_root_basis = std::move(captured_root_basis);
 
   // ==== Schema-size stage (paper §V). ====
   // Fewest column families among the minimum-cost schedules: a greedy drop

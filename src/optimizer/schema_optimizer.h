@@ -72,28 +72,17 @@ struct OptimizerOptions {
 /// Mix-independent artifacts reused across Optimize() calls on the SAME
 /// (workload, candidate pool, cost model): a plan space depends only on the
 /// statement, the candidates, and the cost model — mix weights enter later,
-/// as BIP variable costs. AdvisingSession keeps one cache per group of
-/// mixes sharing a statement set, so Fig. 12-style re-advising pays for
-/// planning once per group instead of once per mix.
+/// as BIP variable costs. Advisor::Recommend and PlanHorizon keep one for
+/// their call, and AdvisingSession one per group of mixes sharing a
+/// statement set, so Fig. 12-style re-advising pays for planning once per
+/// group instead of once per mix.
 struct PlanSpaceCache {
   /// Workload-query plan spaces keyed by statement name.
   std::map<std::string, PlanSpace> query_spaces;
-
-  struct SupportSpace {
-    std::shared_ptr<const Query> query;  ///< owns the synthesized query
-    PlanSpace space;  ///< empty states() marks an unanswerable support query
-  };
-  /// Keyed by update statement name + '\n' + support-query text.
-  std::map<std::string, SupportSpace> support_spaces;
-
-  struct UpdateSupport {
-    size_t cf_index;
-    double write_cost;
-    std::vector<std::string> support_texts;
-  };
-  /// Per update statement name: the candidates it modifies, priced, with
-  /// the texts of their support queries.
-  std::map<std::string, std::vector<UpdateSupport>> update_supports;
+  /// The pool's support queries, write costs and support plan spaces. The
+  /// enumerator fills it while it grows the pool (EnumerateWorkload's
+  /// `supports`); the formulation covers the rest.
+  SupportTable supports;
 
   /// Structural fingerprint of the BIP that produced last_root_basis. A
   /// solve whose assembled BIP does not match discards the basis instead
@@ -209,8 +198,8 @@ class SchemaOptimizer {
   /// branch-and-bound node evaluation — run on it; results are merged in
   /// deterministic statement/candidate order, so the result is identical
   /// at every thread count.
-  /// When `cache` is non-null, plan spaces and priced supports are read
-  /// from / written into it; the caller must pass the same workload, pool,
+  /// Plan spaces, the support table and the root basis are read from and
+  /// written into `cache`; the caller must pass the same workload, pool,
   /// and cost model for every call sharing a cache. Over several groups,
   /// each group's one-window pre-solve (which seeds the joint warm start)
   /// shares it, so W windows of the same statements cost one planning
@@ -218,8 +207,8 @@ class SchemaOptimizer {
   StatusOr<HorizonResult> Optimize(const Workload& workload,
                                    const WorkloadHorizon& horizon,
                                    const CandidatePool& pool,
-                                   util::ThreadPool* threads = nullptr,
-                                   PlanSpaceCache* cache = nullptr) const;
+                                   PlanSpaceCache& cache,
+                                   util::ThreadPool* threads = nullptr) const;
 
  private:
   const CostModel* cost_;

@@ -1,10 +1,12 @@
 #include "planner/update_planner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 
+#include "obs/metrics.h"
 #include "planner/plan_space.h"
 #include "schema/schema.h"
 #include "util/strings.h"
@@ -220,6 +222,57 @@ std::vector<Query> SupportQueries(const Update& update,
     }
   }
   return out;
+}
+
+std::vector<const SupportTable::DistinctQuery*> SupportTable::Extend(
+    const std::vector<std::pair<const WorkloadEntry*, double>>& entries,
+    const CandidatePool& pool, util::ThreadPool* threads) {
+  static obs::Counter& pairs_counter =
+      obs::MetricsRegistry::Global().GetCounter("planner.support_pairs");
+  const CfId end = static_cast<CfId>(pool.size());
+  std::vector<std::pair<const Update*, Row*>> updates;
+  std::vector<size_t> known;
+  for (const auto& [entry, weight] : entries) {
+    if (entry->IsQuery()) continue;
+    Row* row = &rows_[entry->name];
+    updates.emplace_back(&entry->update(), row);
+    known.push_back(row->distinct.size());
+    if (row->covered < end) pairs_counter.Add(end - row->covered);
+  }
+  util::ParallelFor(threads, updates.size(), [&](size_t u) {
+    const Update& update = *updates[u].first;
+    Row& row = *updates[u].second;
+    for (CfId c = row.covered; c < end; ++c) {
+      if (!Modifies(update, pool[c])) continue;
+      Entry entry;
+      entry.cf = c;
+      for (Query& sq : SupportQueries(update, pool[c])) {
+        std::string text = sq.ToString();
+        auto it = std::find_if(
+            row.distinct.begin(), row.distinct.end(),
+            [&](const DistinctQuery& d) { return d.text == text; });
+        if (it == row.distinct.end()) {
+          DistinctQuery fresh;
+          fresh.query = std::make_shared<const Query>(std::move(sq));
+          fresh.text = std::move(text);
+          row.distinct.push_back(std::move(fresh));
+          it = std::prev(row.distinct.end());
+        }
+        entry.queries.push_back(
+            static_cast<size_t>(it - row.distinct.begin()));
+      }
+      row.entries.push_back(std::move(entry));
+    }
+    row.covered = std::max(row.covered, end);
+  });
+  std::vector<const DistinctQuery*> added;
+  for (size_t u = 0; u < updates.size(); ++u) {
+    const std::vector<DistinctQuery>& distinct = updates[u].second->distinct;
+    for (size_t i = known[u]; i < distinct.size(); ++i) {
+      added.push_back(&distinct[i]);
+    }
+  }
+  return added;
 }
 
 double ModifiedRowEstimate(const Update& update, const ColumnFamily& cf,

@@ -1,13 +1,21 @@
 #ifndef NOSE_PLANNER_UPDATE_PLANNER_H_
 #define NOSE_PLANNER_UPDATE_PLANNER_H_
 
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cost/cardinality.h"
 #include "cost/cost_model.h"
 #include "planner/plan.h"
+#include "planner/plan_space.h"
+#include "schema/candidate_pool.h"
 #include "schema/column_family.h"
 #include "util/statusor.h"
+#include "util/thread_pool.h"
 #include "workload/update.h"
 #include "workload/workload.h"
 
@@ -26,6 +34,55 @@ bool Modifies(const Update& update, const ColumnFamily& cf);
 /// update's parameters. May legitimately be empty (all key attributes are
 /// supplied by the statement). Requires Modifies(update, cf).
 std::vector<Query> SupportQueries(const Update& update, const ColumnFamily& cf);
+
+/// The support queries of one candidate pool, derived once per (update,
+/// candidate) pair. For each update statement the table lists the pool
+/// candidates the update modifies, in ascending CfId; each entry names its
+/// support queries as indices into that update's distinct queries, which
+/// are deduplicated by text in first-sighting order and carry their plan
+/// space once it has been planned. The enumerator extends the table as it
+/// grows the pool, the formulation covers what the pool gained since, and
+/// a table kept with its pool (PlanSpaceCache) derives nothing again.
+class SupportTable {
+ public:
+  struct DistinctQuery {
+    std::shared_ptr<const Query> query;
+    std::string text;  ///< query->ToString(), the deduplication key
+    /// The query's plan space over the pool, once planned; empty states()
+    /// marks a support query no candidate plan answers.
+    std::optional<PlanSpace> space;
+  };
+  struct Entry {
+    CfId cf = kInvalidCfId;
+    /// One index into the update's `distinct` per query of
+    /// SupportQueries(update, pool[cf]), in its order.
+    std::vector<size_t> queries;
+    /// UpdateWriteCost of the pair, once the formulation has priced it.
+    std::optional<double> write_cost;
+  };
+  struct Row {
+    std::vector<DistinctQuery> distinct;
+    std::vector<Entry> entries;
+    CfId covered = 0;  ///< candidates [0, covered) are derived
+  };
+
+  /// Derives, for every update among `entries` (queries are skipped), its
+  /// pairs with the candidates of `pool` its row has not covered yet.
+  /// Updates are independent, so they fan out on `threads`. Returns the
+  /// distinct queries this call added: update by update in `entries`
+  /// order, each update's in first-sighting order. The pointers stay valid
+  /// until the next Extend. Every call must pass the same pool, grown or
+  /// not since the last.
+  std::vector<const DistinctQuery*> Extend(
+      const std::vector<std::pair<const WorkloadEntry*, double>>& entries,
+      const CandidatePool& pool, util::ThreadPool* threads = nullptr);
+
+  /// The row of update statement `name`, which Extend must have seen.
+  Row& At(const std::string& name) { return rows_.at(name); }
+
+ private:
+  std::map<std::string, Row> rows_;
+};
 
 /// Expected number of `cf` records that `update` rewrites.
 double ModifiedRowEstimate(const Update& update, const ColumnFamily& cf,

@@ -360,10 +360,11 @@ size_t ExpectJointDropPassProperties(const Workload& workload,
                            &advisor.cost_model().params());
   std::vector<WindowFormulation> forms;
   std::vector<std::vector<bool>> sel;
+  PlanSpaceCache cache;
   for (size_t w = 0; w < horizon.size(); ++w) {
     auto form = BuildWindowFormulation(workload, horizon.windows[w].mix,
                                        sized->pool, &advisor.cost_model(),
-                                       &est, nullptr, nullptr);
+                                       &est, nullptr, cache);
     EXPECT_TRUE(form.ok()) << form.status();
     if (!form.ok()) return 0;
     forms.push_back(std::move(form).value());

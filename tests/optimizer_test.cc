@@ -59,8 +59,9 @@ StatusOr<OptimizationResult> OptimizeMix(const SchemaOptimizer& optimizer,
                                          const std::string& mix,
                                          const CandidatePool& pool,
                                          PlanSpaceCache* cache = nullptr) {
+  PlanSpaceCache fresh;
   auto solved = optimizer.Optimize(workload, WorkloadHorizon::Single(mix),
-                                   pool, nullptr, cache);
+                                   pool, cache != nullptr ? *cache : fresh);
   if (!solved.ok()) return solved.status();
   return std::move(solved->windows[0]);
 }
@@ -83,8 +84,9 @@ bool ExpectBipMatchesOracle(const EntityGraph& graph, const Workload& workload,
   auto bip =
       OptimizeMix(SchemaOptimizer(&cost, &est, opts), workload, mix, pool);
 
+  PlanSpaceCache cache;
   auto form = BuildWindowFormulation(workload, mix, pool, &cost, &est,
-                                     nullptr, nullptr);
+                                     nullptr, cache);
   EXPECT_EQ(bip.ok(), form.ok());
   if (!bip.ok() || !form.ok()) return true;
   const CombinatorialResult oracle =
@@ -219,8 +221,9 @@ void ExpectDropPassProperties(const EntityGraph& graph,
               1e-6 * std::max(1.0, std::abs(cost_stage->objective)));
   EXPECT_LE(sized->schema.size(), cost_stage->schema.size());
 
+  PlanSpaceCache cache;
   auto form = BuildWindowFormulation(workload, mix, pool, &cost, &est,
-                                     nullptr, nullptr);
+                                     nullptr, cache);
   ASSERT_TRUE(form.ok()) << form.status();
   std::vector<bool> selected(pool.size(), false);
   for (size_t i = 0; i < sized->schema.size(); ++i) {
@@ -266,8 +269,9 @@ TEST(SchemaSizeStageTest, DescendsFromEveryUsableCandidate) {
   CardinalityEstimator est(graph.get(), &cost.params());
   CandidatePool pool =
       Enumerator().EnumerateWorkload(*workload, Workload::kDefaultMix);
+  PlanSpaceCache cache;
   auto form = BuildWindowFormulation(*workload, Workload::kDefaultMix, pool,
-                                     &cost, &est, nullptr, nullptr);
+                                     &cost, &est, nullptr, cache);
   ASSERT_TRUE(form.ok()) << form.status();
   std::vector<std::vector<bool>> schedule = {form->allowed};
   std::vector<bool>& selected = schedule[0];
