@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "analysis/invariants.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace nose {
@@ -20,31 +22,22 @@ namespace nose {
 Advisor::Advisor(AdvisorOptions options)
     : options_(options), cost_model_(options.cost_params) {}
 
-std::unique_ptr<util::ThreadPool> Advisor::MakeWorkerPool() const {
-  const size_t num_threads = options_.num_threads != 0
-                                 ? options_.num_threads
-                                 : util::ThreadPool::DefaultNumThreads();
-  if (num_threads <= 1) return nullptr;
-  return std::make_unique<util::ThreadPool>(num_threads);
-}
-
 StatusOr<Recommendation> Advisor::Recommend(const Workload& workload,
                                             const std::string& mix,
                                             double deadline_seconds) const {
-  Stopwatch watch;
-  std::unique_ptr<util::ThreadPool> threads = MakeWorkerPool();
-
-  // 1. Candidate enumeration (paper §IV-A, Algorithm 1), deriving the
-  // support table the formulation then completes.
-  obs::PhaseSpan enumeration_phase("advisor.enumeration", "advisor");
   PlanSpaceCache cache;
-  CandidatePool pool = Enumerator(options_.enumerator)
-                           .EnumerateWorkload(workload, mix, threads.get(),
-                                              &cache.supports);
-  const double enumeration_seconds = enumeration_phase.StopSeconds();
+  NOSE_ASSIGN_OR_RETURN(
+      HorizonPlan plan,
+      RunPipeline(workload, WorkloadHorizon::Single(mix), HorizonOptions(),
+                  nullptr, cache, deadline_seconds));
+  return OnlyWindow(std::move(plan));
+}
 
-  return RecommendImpl(workload, mix, std::move(pool), enumeration_seconds,
-                       threads.get(), cache, watch, deadline_seconds);
+Recommendation Advisor::OnlyWindow(HorizonPlan plan) {
+  Recommendation rec = std::move(plan.windows[0].rec);
+  // Moving the pool keeps its candidates where the plans point.
+  rec.pool = std::move(plan.pool);
+  return rec;
 }
 
 StatusOr<std::vector<std::pair<std::string, Recommendation>>>
@@ -68,18 +61,40 @@ Advisor::AdviseAllMixes(const Workload& workload,
 StatusOr<HorizonPlan> Advisor::PlanHorizon(
     const Workload& workload, const WorkloadHorizon& horizon,
     const HorizonOptions& horizon_options) const {
-  obs::Span plan_span("advisor.plan_horizon", "advisor");
+  PlanSpaceCache cache;
+  return RunPipeline(workload, horizon, horizon_options, nullptr, cache,
+                     /*deadline_seconds=*/0.0);
+}
+
+StatusOr<HorizonPlan> Advisor::RunPipeline(
+    const Workload& workload, const WorkloadHorizon& horizon,
+    const HorizonOptions& horizon_options, const CandidatePool* enumerated,
+    PlanSpaceCache& cache, double deadline_seconds) const {
+  Stopwatch watch;
+  obs::Span advise_span("advisor.advise", "advisor");
   if (horizon.empty()) {
     return Status::InvalidArgument("horizon has no windows");
   }
-  std::unique_ptr<util::ThreadPool> pool_threads = MakeWorkerPool();
+  // The call's worker pool: null at one thread (all work stays on the
+  // calling thread); the output is the same either way.
+  const size_t num_threads = options_.num_threads != 0
+                                 ? options_.num_threads
+                                 : util::ThreadPool::DefaultNumThreads();
+  std::unique_ptr<util::ThreadPool> threads;
+  if (num_threads > 1) threads = std::make_unique<util::ThreadPool>(num_threads);
 
-  // ONE union pool across the horizon: enumerate each distinct mix once,
-  // in first-appearance window order, and merge — interning keeps shared
-  // candidates at one CfId, which is what lets the per-window activation
-  // binaries and the transition variables talk about the same candidate.
+  // 1. Candidate enumeration (paper §IV-A, Algorithm 1). ONE union pool
+  // across the horizon: each distinct mix is enumerated once, in
+  // first-appearance window order. The first mix's pool keeps its CfIds,
+  // so its enumerator derives the support table the formulation then
+  // completes; later mixes are interned into it, which keeps shared
+  // candidates at one CfId for the per-window activation binaries and the
+  // transition variables.
   HorizonPlan plan;
-  {
+  double enumeration_seconds = 0.0;
+  if (enumerated != nullptr) {
+    plan.pool = *enumerated;
+  } else {
     obs::PhaseSpan enumeration_phase("advisor.enumeration", "advisor");
     Enumerator enumerator(options_.enumerator);
     std::set<std::string> seen_mixes;
@@ -89,35 +104,116 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
         return Status::InvalidArgument("workload has no statements in mix " +
                                        win.mix);
       }
-      plan.pool.MergeFrom(
-          enumerator.EnumerateWorkload(workload, win.mix, pool_threads.get()));
+      if (seen_mixes.size() == 1) {
+        plan.pool = enumerator.EnumerateWorkload(workload, win.mix,
+                                                 threads.get(),
+                                                 &cache.supports);
+      } else {
+        plan.pool.MergeFrom(
+            enumerator.EnumerateWorkload(workload, win.mix, threads.get()));
+      }
     }
+    enumeration_seconds = enumeration_phase.StopSeconds();
   }
 
+  // 2-4. Query planning, schema optimization, plan recommendation.
   CardinalityEstimator estimator(workload.graph(), &cost_model_.params());
-  SchemaOptimizer optimizer(&cost_model_, &estimator, options_.optimizer,
+  OptimizerOptions opt_options = options_.optimizer;
+  if (deadline_seconds > 0.0) {
+    // Hand the optimizer what enumeration left of the budget. The optimizer
+    // in turn charges planning and assembly against it and bounds only the
+    // solve — see OptimizerOptions::deadline_seconds. A non-positive
+    // remainder still runs the pipeline, as the smallest positive budget (0
+    // would disable it): the optimizer finds it spent and solves only the
+    // root node, which still yields an incumbent. The overrun is reported
+    // through deadline_hit.
+    opt_options.deadline_seconds =
+        std::max(std::numeric_limits<double>::min(),
+                 deadline_seconds - watch.ElapsedSeconds());
+  }
+  SchemaOptimizer optimizer(&cost_model_, &estimator, opt_options,
                             horizon_options);
-  PlanSpaceCache cache;
   NOSE_ASSIGN_OR_RETURN(HorizonResult solved,
                         optimizer.Optimize(workload, horizon, plan.pool,
-                                           cache, pool_threads.get()));
+                                           cache, threads.get()));
+  // The call's wall time so far: `watch` started before the worker pool
+  // and enumeration, so pool start-up (in no phase) lands in "other". The
+  // invariant audit below is not part of the Fig. 13 decomposition.
+  AdvisorTiming timing = solved.windows[0].timing;
+  timing.enumeration_seconds = enumeration_seconds;
+  timing.total_seconds = watch.ElapsedSeconds();
+
+  // "Other" is the remainder of the Fig. 13 decomposition. The measured
+  // phases use their own stopwatches, so rounding can push the remainder a
+  // hair below zero — clamp it, and insist the decomposition still accounts
+  // for the total.
+  const double measured =
+      timing.enumeration_seconds + timing.cost_calculation_seconds +
+      timing.bip_construction_seconds + timing.bip_solve_seconds;
+  timing.other_seconds = std::max(0.0, timing.total_seconds - measured);
+  // The decomposition should still account for the total; a large residual
+  // means a phase stopwatch is missing or double-counting time. Report it
+  // as a gauge plus a diagnostic instead of aborting — a loaded machine can
+  // legitimately skew the independent clock reads.
+  const double residual =
+      std::abs(measured + timing.other_seconds - timing.total_seconds);
+  static obs::Gauge& residual_gauge = obs::MetricsRegistry::Global().GetGauge(
+      "advisor.timing_residual_seconds");
+  residual_gauge.Set(residual);
+  std::optional<Diagnostic> residual_warning;
+  if (residual >= 1e-3 + 1e-3 * timing.total_seconds) {
+    char msg[160];
+    std::snprintf(msg, sizeof(msg),
+                  "phase breakdown misses the measured total by %.6fs "
+                  "(total %.6fs)",
+                  residual, timing.total_seconds);
+    Diagnostic& d = residual_warning.emplace();
+    d.code = "NOSE-W006";
+    d.severity = Severity::kWarning;
+    d.message = msg;
+    d.note = "a phase stopwatch is missing or double-counting time";
+  }
 
   plan.transitions = std::move(solved.transitions);
   plan.execution_objective = solved.execution_objective;
   plan.migration_objective = solved.migration_objective;
   plan.total_objective = solved.total_objective;
-  plan.windows.reserve(horizon.size());
+  plan.windows.resize(horizon.size());
   for (size_t w = 0; w < horizon.size(); ++w) {
-    HorizonPlan::Window window;
+    HorizonPlan::Window& window = plan.windows[w];
     window.label = horizon.windows[w].label;
     window.mix = horizon.windows[w].mix;
     window.duration = horizon.windows[w].duration;
-    // The union pool stays on the HorizonPlan — see the struct comment.
-    window.rec.num_candidates = plan.pool.size();
-    NOSE_RETURN_IF_ERROR(AdoptResult(workload, window.mix,
-                                     std::move(solved.windows[w]),
-                                     &window.rec));
-    plan.windows.push_back(std::move(window));
+    Recommendation& rec = window.rec;
+    static_cast<OptimizationResult&>(rec) = std::move(solved.windows[w]);
+    rec.timing = timing;
+    // The union pool stays on the plan — see HorizonPlan.
+    rec.num_candidates = plan.pool.size();
+    RecommendationView view{&rec.schema, &rec.query_plans, &rec.update_plans,
+                            rec.objective, rec.solve_proven};
+    if (options_.verify_invariants) {
+      obs::Span verify_span("advisor.verify_invariants", "advisor");
+      NOSE_RETURN_IF_ERROR(VerifyRecommendation(workload, window.mix, view));
+    }
+    if (residual_warning.has_value()) {
+      rec.diagnostics.push_back(*residual_warning);
+    }
+    if (options_.analyze_antipatterns) {
+      obs::Span analyze_span("advisor.analyze_antipatterns", "advisor");
+      std::vector<Diagnostic> findings =
+          AnalyzeRecommendation(workload, window.mix, view,
+                                rec.num_candidates, options_.antipatterns);
+      rec.diagnostics.insert(rec.diagnostics.end(),
+                             std::make_move_iterator(findings.begin()),
+                             std::make_move_iterator(findings.end()));
+    }
+  }
+  if (deadline_seconds > 0.0) {
+    const bool hit = watch.ElapsedSeconds() <= deadline_seconds;
+    for (HorizonPlan::Window& window : plan.windows) {
+      window.rec.deadline_seconds = deadline_seconds;
+      window.rec.deadline_hit = hit;
+    }
   }
   return plan;
 }
@@ -152,119 +248,6 @@ std::string HorizonPlan::ToString() const {
          " + migration " + std::to_string(migration_objective) + " = " +
          std::to_string(total_objective) + "\n";
   return out;
-}
-
-Status Advisor::AdoptResult(const Workload& workload, const std::string& mix,
-                            OptimizationResult opt,
-                            Recommendation* rec) const {
-  rec->schema = std::move(opt.schema);
-  rec->query_plans = std::move(opt.query_plans);
-  rec->update_plans = std::move(opt.update_plans);
-  rec->objective = opt.objective;
-  rec->solve_proven = opt.solve_proven;
-  rec->best_bound = opt.best_bound;
-  rec->anytime_gap = opt.anytime_gap;
-  rec->bip_variables = opt.bip_variables;
-  rec->bip_constraints = opt.bip_constraints;
-  rec->bb_nodes = opt.bb_nodes;
-  rec->timing.cost_calculation_seconds = opt.timing.cost_calculation_seconds;
-  rec->timing.bip_construction_seconds = opt.timing.bip_construction_seconds;
-  rec->timing.cost_solve_seconds = opt.timing.cost_solve_seconds;
-  rec->timing.size_solve_seconds = opt.timing.size_solve_seconds;
-  rec->timing.bip_solve_seconds = opt.timing.bip_solve_seconds;
-  rec->timing.other_seconds = opt.timing.other_seconds;
-  if (!options_.verify_invariants) return Status::Ok();
-  obs::Span verify_span("advisor.verify_invariants", "advisor");
-  RecommendationView view{&rec->schema, &rec->query_plans, &rec->update_plans,
-                          rec->objective, rec->solve_proven};
-  return VerifyRecommendation(workload, mix, view);
-}
-
-StatusOr<Recommendation> Advisor::RecommendImpl(
-    const Workload& workload, const std::string& mix, CandidatePool pool,
-    double enumeration_seconds, util::ThreadPool* threads,
-    PlanSpaceCache& cache, const Stopwatch& watch,
-    double deadline_seconds) const {
-  obs::Span recommend_span("advisor.recommend", "advisor");
-  Recommendation rec;
-  rec.pool = std::move(pool);
-  rec.num_candidates = rec.pool.size();
-  rec.timing.enumeration_seconds = enumeration_seconds;
-
-  // 2-4. Query planning, schema optimization, plan recommendation.
-  CardinalityEstimator estimator(workload.graph(), &cost_model_.params());
-  OptimizerOptions opt_options = options_.optimizer;
-  if (deadline_seconds > 0.0) {
-    // Hand the optimizer what enumeration left of the budget. The optimizer
-    // in turn charges planning and assembly against it and bounds only the
-    // solve — see OptimizerOptions::deadline_seconds. A non-positive
-    // remainder still runs the pipeline, as the smallest positive budget (0
-    // would disable it): the optimizer finds it spent and solves only the
-    // root node, which still yields an incumbent. The overrun is reported
-    // through deadline_hit.
-    opt_options.deadline_seconds =
-        std::max(std::numeric_limits<double>::min(),
-                 deadline_seconds - watch.ElapsedSeconds());
-  }
-  SchemaOptimizer optimizer(&cost_model_, &estimator, opt_options);
-  NOSE_ASSIGN_OR_RETURN(
-      HorizonResult solved,
-      optimizer.Optimize(workload, WorkloadHorizon::Single(mix), rec.pool,
-                         cache, threads));
-  // The call's wall time so far: `watch` started before the worker pool
-  // and enumeration, so pool start-up (in no phase) lands in "other". The
-  // invariant audit below is not part of the Fig. 13 decomposition.
-  rec.timing.total_seconds = watch.ElapsedSeconds();
-  NOSE_RETURN_IF_ERROR(
-      AdoptResult(workload, mix, std::move(solved.windows[0]), &rec));
-
-  // "Other" is the remainder of the Fig. 13 decomposition. The measured
-  // phases use their own stopwatches, so rounding can push the remainder a
-  // hair below zero — clamp it, and insist the decomposition still accounts
-  // for the total.
-  const double measured = rec.timing.enumeration_seconds +
-                          rec.timing.cost_calculation_seconds +
-                          rec.timing.bip_construction_seconds +
-                          rec.timing.bip_solve_seconds;
-  rec.timing.other_seconds = std::max(0.0, rec.timing.total_seconds - measured);
-  // The decomposition should still account for the total; a large residual
-  // means a phase stopwatch is missing or double-counting time. Report it
-  // as a gauge plus a diagnostic instead of aborting — a loaded machine can
-  // legitimately skew the independent clock reads.
-  const double residual = std::abs(measured + rec.timing.other_seconds -
-                                   rec.timing.total_seconds);
-  static obs::Gauge& residual_gauge = obs::MetricsRegistry::Global().GetGauge(
-      "advisor.timing_residual_seconds");
-  residual_gauge.Set(residual);
-  if (residual >= 1e-3 + 1e-3 * rec.timing.total_seconds) {
-    char msg[160];
-    std::snprintf(msg, sizeof(msg),
-                  "phase breakdown misses the measured total by %.6fs "
-                  "(total %.6fs)",
-                  residual, rec.timing.total_seconds);
-    Diagnostic d;
-    d.code = "NOSE-W006";
-    d.severity = Severity::kWarning;
-    d.message = msg;
-    d.note = "a phase stopwatch is missing or double-counting time";
-    rec.diagnostics.push_back(std::move(d));
-  }
-
-  if (options_.analyze_antipatterns) {
-    obs::Span analyze_span("advisor.analyze_antipatterns", "advisor");
-    RecommendationView view{&rec.schema, &rec.query_plans, &rec.update_plans,
-                            rec.objective, rec.solve_proven};
-    std::vector<Diagnostic> findings = AnalyzeRecommendation(
-        workload, mix, view, rec.num_candidates, options_.antipatterns);
-    rec.diagnostics.insert(rec.diagnostics.end(),
-                           std::make_move_iterator(findings.begin()),
-                           std::make_move_iterator(findings.end()));
-  }
-  if (deadline_seconds > 0.0) {
-    rec.deadline_seconds = deadline_seconds;
-    rec.deadline_hit = watch.ElapsedSeconds() <= deadline_seconds;
-  }
-  return rec;
 }
 
 std::string Recommendation::ToString() const {

@@ -1,7 +1,6 @@
 #ifndef NOSE_ADVISOR_ADVISOR_H_
 #define NOSE_ADVISOR_ADVISOR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -12,7 +11,6 @@
 #include "enumerator/enumerator.h"
 #include "optimizer/schema_optimizer.h"
 #include "util/statusor.h"
-#include "util/stopwatch.h"
 #include "workload/workload.h"
 
 namespace nose {
@@ -44,25 +42,6 @@ struct AdvisorOptions {
   AntipatternOptions antipatterns;
 };
 
-/// Full advisor timing breakdown (Fig. 13's categories).
-struct AdvisorTiming {
-  double enumeration_seconds = 0.0;
-  double cost_calculation_seconds = 0.0;
-  double bip_construction_seconds = 0.0;
-  /// The two BIP stages (paper §V): minimum workload cost, then minimum
-  /// schema size at that cost (OptimizerTiming has the details).
-  double cost_solve_seconds = 0.0;
-  double size_solve_seconds = 0.0;
-  /// Exactly cost_solve_seconds + size_solve_seconds.
-  double bip_solve_seconds = 0.0;
-  /// What the other phases leave of the total (worker-pool start-up,
-  /// copying a reused pool): enumeration + cost + build + solve + other =
-  /// total.
-  double other_seconds = 0.0;
-  /// Wall time of the call up to plan extraction, from its first line.
-  double total_seconds = 0.0;
-};
-
 /// How a recommendation came by its candidate pool and plan spaces. The
 /// recommendation itself is the same on every path.
 enum class PoolReuse {
@@ -70,24 +49,12 @@ enum class PoolReuse {
   kSameStatements,  ///< a group with the same statement set, reused verbatim
 };
 
-/// The advisor's output: a schema, one implementation plan per statement,
-/// and diagnostics. Recommended plans point into `pool`, which this struct
-/// owns — keep the Recommendation alive while using them.
-struct Recommendation {
-  Schema schema;
-  std::vector<std::pair<std::string, QueryPlan>> query_plans;
-  std::vector<std::pair<std::string, UpdatePlan>> update_plans;
-  double objective = 0.0;
-  /// False when the solver returned a budget-bound incumbent rather than a
-  /// proven (within-gap) optimum.
-  bool solve_proven = false;
-  /// Global lower bound on the optimal objective at solver termination
-  /// (equals `objective` when solve_proven).
-  double best_bound = 0.0;
-  /// Relative optimality gap of the returned schema, in [0, 1]: 0 when
-  /// proven, 1 when the deadline left no useful bound. The anytime-advising
-  /// quality signal — "this schema is within anytime_gap of optimal".
-  double anytime_gap = 0.0;
+/// The advisor's output: the optimizer's result for one window (schema,
+/// one implementation plan per statement, solve statistics, the call's
+/// AdvisorTiming) plus what the advisor adds. Recommended plans point into
+/// `pool`, which this struct owns — keep the Recommendation alive while
+/// using them.
+struct Recommendation : OptimizationResult {
   /// The budget passed to Recommend or AdvisingSession::Advise; 0 when the
   /// call was unbudgeted.
   double deadline_seconds = 0.0;
@@ -99,10 +66,6 @@ struct Recommendation {
 
   CandidatePool pool;
   size_t num_candidates = 0;
-  int bip_variables = 0;
-  int bip_constraints = 0;
-  int bb_nodes = 0;
-  AdvisorTiming timing;
   /// Always kCold from Advisor::Recommend; AdvisingSession reports the
   /// group it reused. kSameStatements is an incremental re-advise.
   PoolReuse reuse = PoolReuse::kCold;
@@ -181,12 +144,10 @@ class Advisor {
   /// over the horizon's distinct mixes, then solves the joint BIP
   /// (SchemaOptimizer) that picks a schema per window and schedules a
   /// migration only where it pays for itself over the remaining windows.
-  /// Plan spaces are shared across windows through one PlanSpaceCache and
-  /// successive pre-solves hot-start from each other's root basis. A
-  /// horizon of one mix is the one-group solve Recommend runs — each
-  /// window's recommendation is then byte-identical to Recommend(workload,
-  /// mix), with zero migrations. The solve takes AdvisorOptions::optimizer,
-  /// its deadline and capture hooks included.
+  /// It is the pipeline Recommend runs, over every window: a horizon of
+  /// one mix gives each window a recommendation byte-identical to
+  /// Recommend(workload, mix), with zero migrations. The solve takes
+  /// AdvisorOptions::optimizer, its deadline and capture hooks included.
   StatusOr<HorizonPlan> PlanHorizon(
       const Workload& workload, const WorkloadHorizon& horizon,
       const HorizonOptions& horizon_options = HorizonOptions()) const;
@@ -196,27 +157,26 @@ class Advisor {
  private:
   friend class AdvisingSession;
 
-  /// The worker pool of one advising call: null at num_threads == 1 (all
-  /// work stays on the calling thread); the output is the same either way.
-  std::unique_ptr<util::ThreadPool> MakeWorkerPool() const;
+  /// The one advising pipeline (paper Fig. 4) behind Recommend,
+  /// AdvisingSession::Advise (a one-window horizon) and PlanHorizon. With
+  /// `enumerated` null it enumerates each distinct mix of `horizon` once,
+  /// in first-appearance order, into the plan's union pool: the first
+  /// mix's enumerator fills cache.supports and its pool keeps its CfIds,
+  /// later mixes merge in. Otherwise the plan's pool is a copy of
+  /// `enumerated`, the pool `cache` was filled for. Then it optimizes,
+  /// stamps the timing, the NOSE-W006 residual check and the deadline once
+  /// for the call, and adopts, audits and analyses each window.
+  /// deadline_seconds > 0 bounds the call as in Recommend; 0 leaves
+  /// AdvisorOptions::optimizer as it is.
+  StatusOr<HorizonPlan> RunPipeline(const Workload& workload,
+                                    const WorkloadHorizon& horizon,
+                                    const HorizonOptions& horizon_options,
+                                    const CandidatePool* enumerated,
+                                    PlanSpaceCache& cache,
+                                    double deadline_seconds) const;
 
-  /// Optimization + diagnostics + invariant audit for one mix against an
-  /// already-enumerated pool (moved into the Recommendation first, so plans
-  /// can point into it). `watch` started with the call, before
-  /// enumeration: deadline_seconds > 0 hands the optimizer what is left of
-  /// the budget and stamps deadline_hit; 0 means unbudgeted. `cache`
-  /// belongs to `pool` (see SchemaOptimizer::Optimize).
-  StatusOr<Recommendation> RecommendImpl(
-      const Workload& workload, const std::string& mix, CandidatePool pool,
-      double enumeration_seconds, util::ThreadPool* threads,
-      PlanSpaceCache& cache, const Stopwatch& watch,
-      double deadline_seconds) const;
-
-  /// Moves `opt`'s schema, plans, solve statistics and stage timings into
-  /// `rec`, then audits it against the workload invariants when
-  /// AdvisorOptions::verify_invariants is on.
-  Status AdoptResult(const Workload& workload, const std::string& mix,
-                     OptimizationResult opt, Recommendation* rec) const;
+  /// A one-window plan's Recommendation, owning the plan's pool.
+  static Recommendation OnlyWindow(HorizonPlan plan);
 
   AdvisorOptions options_;
   CostModel cost_model_;

@@ -409,7 +409,7 @@ int RunEvolve(const Args& args, const Telemetry& telemetry) {
     run_report.AddNumber("planned_windows", plan->windows.size());
   }
   double advise_seconds = 0.0;
-  for (const auto& m : report.migrations) advise_seconds += m.advise_seconds;
+  for (const auto& a : report.advises) advise_seconds += a.elapsed_seconds;
   run_report.AddPhase("advise", advise_seconds);
   run_report.AddSection("migration_records",
                         MigrationRecordsJson(report.migrations));

@@ -58,7 +58,7 @@ void TryAdd(CandidatePool* pool, const KeyPath& path,
   if (ck.empty() && vals.empty() && path.NumEntities() == 1) return;
   auto cf = ColumnFamily::Create(path, std::move(partition), std::move(ck),
                                  std::move(vals));
-  if (cf.ok()) pool->Add(std::move(cf).value());
+  if (cf.ok()) pool->Intern(std::move(cf).value());
 }
 
 /// Everything the enumerator needs to know about one query, pre-indexed by
@@ -322,7 +322,7 @@ void Enumerator::Combine(CandidatePool* pool) const {
     }
   }
   // Interned after the scan (interning may reallocate `cfs`), in pair order.
-  for (ColumnFamily& cf : merges) pool->Add(std::move(cf));
+  for (ColumnFamily& cf : merges) pool->Intern(std::move(cf));
   combined.Add(pool->size() - size_before);
 }
 

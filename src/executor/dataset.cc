@@ -38,10 +38,6 @@ size_t Dataset::RowCount(const std::string& entity) const {
   return rows_.at(entity).size();
 }
 
-const ValueTuple& Dataset::Row(const std::string& entity, size_t index) const {
-  return rows_.at(entity)[index];
-}
-
 const std::vector<ValueTuple>& Dataset::Rows(const std::string& entity) const {
   return rows_.at(entity);
 }

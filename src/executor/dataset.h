@@ -30,7 +30,6 @@ class Dataset {
   void AddLink(int rel_index, size_t from_row, size_t to_row);
 
   size_t RowCount(const std::string& entity) const;
-  const ValueTuple& Row(const std::string& entity, size_t index) const;
   /// Every instance of `entity`, in row-index order.
   const std::vector<ValueTuple>& Rows(const std::string& entity) const;
 

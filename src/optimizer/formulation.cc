@@ -486,16 +486,7 @@ Status ExtractWindowPlans(const WindowFormulation& form,
     part.rows = ModifiedRowEstimate(info.entry->update(),
                                     candidates[info.cf_index], est);
     part.write_cost = info.write_cost;
-    if (info.entry->update().kind() == UpdateKind::kUpdate) {
-      for (const FieldRef& f : info.entry->update().ModifiedFields()) {
-        const auto& pk = part.cf->partition_key();
-        const auto& ck = part.cf->clustering_key();
-        if (std::find(pk.begin(), pk.end(), f) != pk.end() ||
-            std::find(ck.begin(), ck.end(), f) != ck.end()) {
-          part.delete_then_insert = true;
-        }
-      }
-    }
+    part.delete_then_insert = ChangesKeyOf(info.entry->update(), *part.cf);
     double part_cost = part.write_cost;
     for (size_t idx : info.shared_ids) {
       const SharedSupport& shared = *form.shared_supports[idx];

@@ -186,7 +186,7 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
   // one pool. Each phase is one PhaseSpan: the span lands in the trace,
   // and the same clock pair feeds AdvisorTiming so Fig. 13 output is
   // independent of whether tracing is on.
-  OptimizerTiming timing;
+  AdvisorTiming timing;
   std::optional<obs::PhaseSpan> phase;
   phase.emplace("optimizer.cost_calculation", "optimizer");
   std::vector<WindowFormulation> forms;
@@ -361,9 +361,6 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
   }
   bip_options.capture_certificate = options_.capture_certificate;
 
-  HorizonResult result;
-  result.bip_variables = lp.num_variables();
-  result.bip_constraints = num_rows;
   {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
     static obs::Gauge& vars_gauge = reg.GetGauge("optimizer.bip_variables");
@@ -398,8 +395,7 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
         "BIP solve hit its node/time budget before finding any feasible "
         "schema; raise OptimizerOptions::bip limits");
   }
-  result.bb_nodes = solved.nodes_explored;
-  result.solve_proven = solved.status == BipStatus::kOptimal;
+  const bool solve_proven = solved.status == BipStatus::kOptimal;
   std::vector<std::vector<bool>> sel(num_groups,
                                      std::vector<bool>(num_cands, false));
   for (size_t g = 0; g < num_groups; ++g) {
@@ -470,6 +466,7 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
   // the size stage may have spent up to 1e-6 of the cost solve's
   // objective, and an inexact or early-stopped solve's incumbent can route
   // worse than extraction's best plans.
+  HorizonResult result;
   std::vector<OptimizationResult> group_results(num_groups);
   double schedule_objective = 0.0;  // in the BIP's (scaled) units
   for (size_t g = 0; g < num_groups; ++g) {
@@ -505,7 +502,7 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
   schedule_objective += result.migration_objective;
   const double best_bound = std::min(solved.best_bound, schedule_objective);
   const double gap =
-      AnytimeGap(schedule_objective, best_bound, result.solve_proven);
+      AnytimeGap(schedule_objective, best_bound, solve_proven);
   // Clamped at the source: when a shared cache satisfies whole phases the
   // recorded phase stopwatches can exceed the (tiny) total, and the
   // residual would otherwise go negative here rather than in the advisor.
@@ -517,13 +514,13 @@ StatusOr<HorizonResult> SchemaOptimizer::Optimize(
   result.windows.resize(horizon.size());
   for (size_t g = 0; g < num_groups; ++g) {
     OptimizationResult& opt = group_results[g];
-    opt.solve_proven = result.solve_proven;
+    opt.solve_proven = solve_proven;
     opt.best_bound = joint ? opt.objective * (1.0 - gap) : best_bound;
     opt.anytime_gap = gap;
     opt.timing = timing;
-    opt.bip_variables = result.bip_variables;
-    opt.bip_constraints = result.bip_constraints;
-    opt.bb_nodes = result.bb_nodes;
+    opt.bip_variables = lp.num_variables();
+    opt.bip_constraints = num_rows;
+    opt.bb_nodes = solved.nodes_explored;
     const std::vector<size_t>& windows = groups[g].window_indices;
     for (size_t i = 0; i + 1 < windows.size(); ++i) {
       result.windows[windows[i]] = opt;

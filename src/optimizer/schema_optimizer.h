@@ -72,10 +72,8 @@ struct OptimizerOptions {
 /// Mix-independent artifacts reused across Optimize() calls on the SAME
 /// (workload, candidate pool, cost model): a plan space depends only on the
 /// statement, the candidates, and the cost model — mix weights enter later,
-/// as BIP variable costs. Advisor::Recommend and PlanHorizon keep one for
-/// their call, and AdvisingSession one per group of mixes sharing a
-/// statement set, so Fig. 12-style re-advising pays for planning once per
-/// group instead of once per mix.
+/// as BIP variable costs. Each advising call keeps one, and AdvisingSession
+/// one per statement-set group, so re-advising plans once per group.
 struct PlanSpaceCache {
   /// Workload-query plan spaces keyed by statement name.
   std::map<std::string, PlanSpace> query_spaces;
@@ -97,20 +95,27 @@ struct PlanSpaceCache {
   LpBasis last_root_basis;
 };
 
-/// Phase timing for the Fig. 13 runtime breakdown.
-struct OptimizerTiming {
+/// The Fig. 13 phases of one advising call: Optimize() fills planning,
+/// assembly and solve, the advisor enumeration, other and the total.
+struct AdvisorTiming {
+  double enumeration_seconds = 0.0;
   double cost_calculation_seconds = 0.0;  ///< plan-space construction
   double bip_construction_seconds = 0.0;
-  /// The cost solve (the BIP) and the schema-size stage at
-  /// that cost (the greedy drop pass, paper §V; ~0 when disabled).
+  /// The two BIP stages (paper §V): the cost solve, then the schema-size
+  /// stage at that cost (the greedy drop pass; ~0 when disabled).
   double cost_solve_seconds = 0.0;
   double size_solve_seconds = 0.0;
   /// Exactly cost_solve_seconds + size_solve_seconds.
   double bip_solve_seconds = 0.0;
+  /// What the other phases leave of the total (worker-pool start-up, a
+  /// reused pool's copy, a horizon's pre-solves): the phases sum to it.
   double other_seconds = 0.0;
+  /// Wall time of the call up to plan extraction, from its first line.
+  double total_seconds = 0.0;
 };
 
-/// One window's recommendation.
+/// One window's schema, plans and solve statistics (Recommendation adds
+/// what the advisor knows).
 struct OptimizationResult {
   Schema schema;
   /// One entry per weighted query, aligned with the queries of
@@ -131,12 +136,11 @@ struct OptimizationResult {
   double best_bound = 0.0;
   /// Relative optimality gap of the returned schedule, in [0, 1]:
   /// (objective - best_bound) / max(|objective|, eps), clamped; 0 when
-  /// proven, 1 when the deadline left no useful bound. The anytime-advising
-  /// quality signal surfaced as Recommendation::anytime_gap.
+  /// proven, 1 when the deadline left no useful bound.
   double anytime_gap = 0.0;
 
-  /// The whole Optimize() call's phases, shared by every window.
-  OptimizerTiming timing;
+  /// The whole call's phases, shared by every window.
+  AdvisorTiming timing;
   int bip_variables = 0;
   int bip_constraints = 0;
   int bb_nodes = 0;
@@ -145,21 +149,15 @@ struct OptimizationResult {
 /// The optimum over a horizon: one schema + plans per window, the
 /// migration schedule between them, and the split objective.
 struct HorizonResult {
-  /// One entry per horizon window (merged identical windows are expanded
-  /// back).
+  /// One entry per window (merged identical windows expanded back).
   std::vector<OptimizationResult> windows;
   /// Non-empty migrations only, in window order.
   std::vector<HorizonTransition> transitions;
   /// Σ_w duration_w × windows[w].objective.
   double execution_objective = 0.0;
-  /// migration_cost_weight × Σ transition (build + drop + dual-write)
-  /// costs.
+  /// migration_cost_weight × Σ transition build + drop + dual-write costs.
   double migration_objective = 0.0;
   double total_objective = 0.0;
-  bool solve_proven = false;
-  int bip_variables = 0;
-  int bip_constraints = 0;
-  int bb_nodes = 0;
 };
 
 /// Selects, for each window of a horizon, the cost-minimal subset of

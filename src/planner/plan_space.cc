@@ -524,18 +524,17 @@ PlanSpace QueryPlanner::Build(const Query& query,
 
 bool PlanSpace::HasPlan() const { return std::isfinite(BestCost()); }
 
-double PlanSpace::BestCost(const std::vector<bool>& allowed) const {
-  // Memoized min-cost-to-Done per state. The state graph is acyclic with
-  // edges only decreasing (entity_index, pending) lexicographic measure, so
-  // a reverse topological pass in discovery order works: compute with
-  // simple recursion + memo.
-  std::vector<double> memo(states_.size(), -1.0);
-  // Iterate until fixpoint is unnecessary (DAG); do recursive lambda.
-  std::vector<int> visiting(states_.size(), 0);
+double PlanSpace::MinCostToDone(const std::vector<bool>& allowed,
+                                std::vector<double>* memo) const {
+  // Memoized recursion over the state graph, which is acyclic: edges only
+  // decrease the (entity_index, pending) lexicographic measure. A state
+  // reads as infinite while its edges are explored, so a cycle would mean
+  // "no plan" rather than endless recursion.
+  if (states_.empty()) return kInf;
+  memo->assign(states_.size(), -1.0);
   auto rec = [&](auto&& self, size_t s) -> double {
-    if (memo[s] >= 0.0) return memo[s];
-    if (visiting[s]) return kInf;  // defensive: cycle guard
-    visiting[s] = 1;
+    if ((*memo)[s] >= 0.0) return (*memo)[s];
+    (*memo)[s] = kInf;
     double best = kInf;
     for (const PlanSpaceEdge& e : states_[s].edges) {
       if (!allowed.empty() && !allowed[e.cf_index]) continue;
@@ -544,12 +543,15 @@ double PlanSpace::BestCost(const std::vector<bool>& allowed) const {
                               : self(self, static_cast<size_t>(e.target_state));
       best = std::min(best, e.cost + rest);
     }
-    visiting[s] = 0;
-    memo[s] = best;
+    (*memo)[s] = best;
     return best;
   };
-  if (states_.empty()) return kInf;
   return rec(rec, 0);
+}
+
+double PlanSpace::BestCost(const std::vector<bool>& allowed) const {
+  std::vector<double> memo;
+  return MinCostToDone(allowed, &memo);
 }
 
 StatusOr<QueryPlan> PlanSpace::BestPlan(const std::vector<ColumnFamily>& pool,
@@ -577,24 +579,10 @@ StatusOr<QueryPlan> PlanSpace::BestPlan(const std::vector<ColumnFamily>& pool,
 
 StatusOr<std::vector<std::pair<size_t, size_t>>> PlanSpace::BestPath(
     const std::vector<bool>& allowed, double* cost) const {
-  // Memoized min-cost-to-Done per state (the same recursion as BestCost),
-  // then a walk from the root along each state's first edge within 1e-9 of
-  // the state's minimum.
-  std::vector<double> memo(states_.size(), -1.0);
-  auto best_cost = [&](auto&& self, size_t s) -> double {
-    if (memo[s] >= 0.0) return memo[s];
-    double best = kInf;
-    for (const PlanSpaceEdge& e : states_[s].edges) {
-      if (!allowed.empty() && !allowed[e.cf_index]) continue;
-      const double rest = e.target_state == PlanSpaceEdge::kDone
-                              ? 0.0
-                              : self(self, static_cast<size_t>(e.target_state));
-      best = std::min(best, e.cost + rest);
-    }
-    memo[s] = best;
-    return best;
-  };
-  if (states_.empty() || !std::isfinite(best_cost(best_cost, 0))) {
+  // Each state's min cost to completion, then a walk from the root along
+  // each state's first edge within 1e-9 of the state's minimum.
+  std::vector<double> memo;
+  if (!std::isfinite(MinCostToDone(allowed, &memo))) {
     return Status::Infeasible("no plan can answer query: " +
                               (query_ ? query_->ToString() : std::string()));
   }

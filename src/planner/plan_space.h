@@ -85,6 +85,12 @@ class PlanSpace {
  private:
   friend class QueryPlanner;
 
+  /// Fills `memo` with the min cost to completion under `allowed` of each
+  /// state reachable from the root, and returns the root's (infinity for
+  /// an empty space or when no complete plan survives).
+  double MinCostToDone(const std::vector<bool>& allowed,
+                       std::vector<double>* memo) const;
+
   const Query* query_ = nullptr;
   std::vector<PlanSpaceState> states_;
 };

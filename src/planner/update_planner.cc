@@ -76,8 +76,8 @@ void EmitSideSupport(const ColumnFamily& cf, size_t anchor_index, bool left,
   EmitSupportQuery(std::move(side), std::move(select), std::move(preds), out);
 }
 
-/// True if `update` changes a partition/clustering attribute of `cf`
-/// (forcing a delete + reinsert of whole records).
+}  // namespace
+
 bool ChangesKeyOf(const Update& update, const ColumnFamily& cf) {
   if (update.kind() != UpdateKind::kUpdate) return false;
   for (const FieldRef& f : update.ModifiedFields()) {
@@ -90,8 +90,6 @@ bool ChangesKeyOf(const Update& update, const ColumnFamily& cf) {
   }
   return false;
 }
-
-}  // namespace
 
 bool Modifies(const Update& update, const ColumnFamily& cf) {
   switch (update.kind()) {
@@ -324,21 +322,7 @@ double UpdateWriteCost(const Update& update, const ColumnFamily& cf,
   // An UPDATE that changes a key attribute must delete old records and
   // insert replacements; other statements write each affected record once
   // (paper §VI-B: delete the old record, insert the new one).
-  double writes = rows;
-  if (update.kind() == UpdateKind::kUpdate) {
-    for (const FieldRef& f : update.ModifiedFields()) {
-      const auto& pk = cf.partition_key();
-      const auto& ck = cf.clustering_key();
-      if (std::find(pk.begin(), pk.end(), f) != pk.end() ||
-          std::find(ck.begin(), ck.end(), f) != ck.end()) {
-        writes = 2.0 * rows;
-        break;
-      }
-    }
-  } else if (update.kind() == UpdateKind::kDelete ||
-             update.kind() == UpdateKind::kDisconnect) {
-    writes = rows;
-  }
+  const double writes = ChangesKeyOf(update, cf) ? 2.0 * rows : rows;
   return cost.PutCost(/*requests=*/std::max(1.0, writes), writes, bytes);
 }
 

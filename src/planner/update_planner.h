@@ -28,6 +28,10 @@ namespace nose {
 ///  - CONNECT/DISCONNECT: cf's path traverses the relationship.
 bool Modifies(const Update& update, const ColumnFamily& cf);
 
+/// True if `update` changes a partition/clustering attribute of `cf`,
+/// forcing a delete + reinsert of whole records.
+bool ChangesKeyOf(const Update& update, const ColumnFamily& cf);
+
 /// Builds the support queries needed to maintain `cf` under `update`
 /// (paper §VI-B): queries that recover the partition/clustering key
 /// attributes of every record that must be rewritten, given only the

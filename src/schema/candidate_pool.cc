@@ -13,11 +13,6 @@ CfId CandidatePool::Intern(ColumnFamily cf) {
   return id;
 }
 
-CfId CandidatePool::Find(const ColumnFamily& cf) const {
-  auto it = by_key_.find(cf.key());
-  return it == by_key_.end() ? kInvalidCfId : it->second;
-}
-
 void CandidatePool::MergeFrom(CandidatePool&& other) {
   for (ColumnFamily& cf : other.cfs_) Intern(std::move(cf));
   other.cfs_.clear();

@@ -32,17 +32,8 @@ class CandidatePool {
   /// Interns `cf` (no-op if an identical definition exists); returns its id.
   CfId Intern(ColumnFamily cf);
 
-  /// Legacy alias for Intern, kept for call sites indexing with size_t.
-  size_t Add(ColumnFamily cf) { return Intern(std::move(cf)); }
-
   const ColumnFamily& Get(CfId id) const { return cfs_[id]; }
   const ColumnFamily& operator[](CfId id) const { return cfs_[id]; }
-
-  /// Id of an equal definition, or kInvalidCfId if absent.
-  CfId Find(const ColumnFamily& cf) const;
-  bool Contains(const ColumnFamily& cf) const {
-    return Find(cf) != kInvalidCfId;
-  }
 
   /// Interns every candidate of `other` in id order, moving them out of
   /// it. Merging pools built from disjoint work items in a fixed order

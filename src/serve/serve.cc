@@ -157,11 +157,19 @@ Status ServeHarness::PlanHorizon() {
   // Price scheduled migrations with the chunking the executor will use.
   horizon_options.backfill_chunk_rows =
       static_cast<double>(scenario_.options.migration.chunk_rows);
+  Stopwatch watch;
   NOSE_ASSIGN_OR_RETURN(
       HorizonPlan plan,
       Advisor(scenario_.options.advisor)
           .PlanHorizon(*env_.workload, horizon, horizon_options));
   horizon_plan_ = std::make_unique<HorizonPlan>(std::move(plan));
+  // The up-front solve is the run's one advise: it deploys window 0.
+  AdviseRecord record;
+  record.mix = horizon.windows[0].mix;
+  record.elapsed_seconds = watch.ElapsedSeconds();
+  record.anytime_gap = horizon_plan_->windows[0].rec.anytime_gap;
+  record.schema_changed = true;
+  report_.advises.push_back(record);
   return Status::Ok();
 }
 

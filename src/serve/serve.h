@@ -97,8 +97,9 @@ struct MigrationRecord {
   bool aborted = false;
 };
 
-/// One advising call of the run: the initial deployment's, a boundary's,
-/// or a drift trigger's.
+/// One advising call of the run: the initial deployment's (under
+/// kHorizon, the up-front horizon solve), a boundary's, or a drift
+/// trigger's.
 struct AdviseRecord {
   size_t phase = 0;
   std::string mix;
@@ -229,7 +230,7 @@ class ServeHarness : private evolve::DriverBarrier {
       const evolve::DriftScenario& scenario, ServeOptions options,
       Trigger trigger);
   /// kHorizon: solves the scenario's phases as a horizon, one window per
-  /// phase.
+  /// phase, and records the solve as phase 0's advise.
   Status PlanHorizon();
 
   /// Advises `mix` through the session and records the call.

@@ -192,15 +192,5 @@ void ParallelFor(ThreadPool* pool, size_t n,
   pool->ParallelFor(n, fn);
 }
 
-Status ParallelForStatus(ThreadPool* pool, size_t n,
-                         const std::function<Status(size_t)>& fn) {
-  std::vector<Status> statuses(n);
-  ParallelFor(pool, n, [&](size_t i) { statuses[i] = fn(i); });
-  for (const Status& s : statuses) {
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
 }  // namespace util
 }  // namespace nose

@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/status.h"
-
 namespace nose {
 namespace util {
 
@@ -23,7 +21,7 @@ namespace util {
 /// distributed round-robin.
 ///
 /// Tasks must not throw — error handling is by Status written into
-/// caller-owned slots (see ParallelForStatus). Submitting from inside a
+/// caller-owned slots. Submitting from inside a
 /// task is supported; Wait() returns only once the transitive closure of
 /// submitted work has drained, and waiting threads help execute tasks
 /// instead of blocking, so nested ParallelFor cannot deadlock.
@@ -91,12 +89,6 @@ class ThreadPool {
 /// serial. The deterministic-merge building block used across the advisor.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
-
-/// Status-propagating variant: runs all n tasks to completion and returns
-/// the first non-OK Status in *index* order (deterministic regardless of
-/// execution order), or OK.
-Status ParallelForStatus(ThreadPool* pool, size_t n,
-                         const std::function<Status(size_t)>& fn);
 
 }  // namespace util
 }  // namespace nose

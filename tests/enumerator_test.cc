@@ -98,10 +98,10 @@ TEST_F(EnumeratorTest, CombineMergesCompatibleFamilies) {
   // clustering must combine into one family with the union of values.
   auto guest = graph_->SingleEntityPath("Guest");
   CandidatePool pool;
-  pool.Add(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
-                                 {{"Guest", "GuestName"}}));
-  pool.Add(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
-                                 {{"Guest", "GuestEmail"}}));
+  pool.Intern(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
+                                    {{"Guest", "GuestName"}}));
+  pool.Intern(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
+                                    {{"Guest", "GuestEmail"}}));
   Enumerator enumerator;
   enumerator.Combine(&pool);
   EXPECT_EQ(pool.size(), 3u);
@@ -111,10 +111,10 @@ TEST_F(EnumeratorTest, CombineMergesCompatibleFamilies) {
   EnumeratorOptions off;
   off.enable_combination = false;
   CandidatePool pool2;
-  pool2.Add(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
-                                  {{"Guest", "GuestName"}}));
-  pool2.Add(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
-                                  {{"Guest", "GuestEmail"}}));
+  pool2.Intern(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
+                                     {{"Guest", "GuestName"}}));
+  pool2.Intern(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
+                                     {{"Guest", "GuestEmail"}}));
   Enumerator disabled(off);
   disabled.Combine(&pool2);
   EXPECT_EQ(pool2.size(), 2u);
@@ -125,14 +125,14 @@ TEST_F(EnumeratorTest, CombineRequiresMatchingShape) {
   auto hotel = graph_->SingleEntityPath("Hotel");
   CandidatePool pool;
   // Different partition keys: no combination.
-  pool.Add(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
-                                 {{"Guest", "GuestName"}}));
-  pool.Add(*ColumnFamily::Create(*hotel, {{"Hotel", "HotelID"}}, {},
-                                 {{"Hotel", "HotelName"}}));
+  pool.Intern(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}}, {},
+                                    {{"Guest", "GuestName"}}));
+  pool.Intern(*ColumnFamily::Create(*hotel, {{"Hotel", "HotelID"}}, {},
+                                    {{"Hotel", "HotelName"}}));
   // Clustering key present: no combination.
-  pool.Add(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}},
-                                 {{"Guest", "GuestName"}},
-                                 {{"Guest", "GuestEmail"}}));
+  pool.Intern(*ColumnFamily::Create(*guest, {{"Guest", "GuestID"}},
+                                    {{"Guest", "GuestName"}},
+                                    {{"Guest", "GuestEmail"}}));
   Enumerator enumerator;
   const size_t before = pool.size();
   enumerator.Combine(&pool);

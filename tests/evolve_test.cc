@@ -578,9 +578,12 @@ TEST(EvolveE2ETest, PlannedHorizonMigratesAtBoundaryAndBeatsReactive) {
   const ServeReport& report = (*planned)->report();
   EXPECT_EQ(report.transactions, 400u);
   EXPECT_EQ(report.invariant_violations, 0u);
-  // The planned trigger never advises: the whole schedule was solved up
-  // front.
-  EXPECT_TRUE(report.advises.empty());
+  // The planned trigger advises once: the whole schedule, solved up front,
+  // deploys phase 0.
+  ASSERT_EQ(report.advises.size(), 1u);
+  EXPECT_EQ(report.advises[0].phase, 0u);
+  EXPECT_EQ(report.advises[0].mix, "default");
+  EXPECT_GT(report.advises[0].elapsed_seconds, 0.0);
   for (const MigrationRecord& m : report.migrations) {
     EXPECT_TRUE(m.planned);
     EXPECT_FALSE(m.aborted);

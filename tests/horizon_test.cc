@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,8 @@
 
 #include "advisor/advisor.h"
 #include "analysis/certify.h"
+#include "evolve/scenario.h"
+#include "obs/metrics.h"
 #include "optimizer/formulation.h"
 #include "randwl/random_workload.h"
 #include "rubis/datagen.h"
@@ -88,6 +91,47 @@ TEST(HorizonTest, StaticHorizonCollapsesToSingleWindowRecommend) {
   }
   EXPECT_EQ(plan->execution_objective, 3.5 * single->objective);
   EXPECT_EQ(plan->total_objective, plan->execution_objective);
+
+  // The horizon runs Recommend's pipeline, so its windows carry the
+  // call's whole Fig. 13 decomposition, enumeration included.
+  for (const HorizonPlan::Window& w : plan->windows) {
+    const AdvisorTiming& t = w.rec.timing;
+    EXPECT_GT(t.total_seconds, 0.0);
+    EXPECT_GT(t.enumeration_seconds, 0.0);
+    EXPECT_NEAR(t.enumeration_seconds + t.cost_calculation_seconds +
+                    t.bip_construction_seconds + t.bip_solve_seconds +
+                    t.other_seconds,
+                t.total_seconds, 1e-3 + 1e-3 * t.total_seconds);
+  }
+}
+
+TEST(HorizonTest, UnionPoolDerivesEachSupportPairOnce) {
+  // The bundled drift scenario's phases as a horizon: the first mix's
+  // enumerator fills the horizon's support table and the formulation
+  // covers the rest of the union pool, so every (update, candidate) pair
+  // is derived exactly once.
+  auto scenario = evolve::LoadScenarioFile(std::string(NOSE_WORKLOADS_DIR) +
+                                           "/rubis_drift.scenario");
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  ASSERT_EQ(scenario->workload, "rubis");
+  RubisFixture f = MakeRubis();
+  std::vector<std::pair<std::string, double>> phases;
+  std::set<std::string> updates;
+  for (const evolve::DriftPhase& phase : scenario->phases) {
+    phases.emplace_back(phase.mix, static_cast<double>(phase.transactions));
+    for (const auto& [entry, weight] : f.workload->EntriesIn(phase.mix)) {
+      if (!entry->IsQuery()) updates.insert(entry->name);
+    }
+  }
+  ASSERT_GE(phases.size(), 2u);
+  ASSERT_FALSE(updates.empty());
+
+  obs::Counter& pairs =
+      obs::MetricsRegistry::Global().GetCounter("planner.support_pairs");
+  const uint64_t before = pairs.value();
+  auto plan = Advisor().PlanHorizon(*f.workload, MakeHorizon(phases));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(pairs.value() - before, updates.size() * plan->pool.size());
 }
 
 TEST(HorizonTest, MigrationCostWeightGatesTransitions) {

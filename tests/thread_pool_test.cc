@@ -82,25 +82,6 @@ TEST(ThreadPoolTest, FreeParallelForWorksWithNullPool) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForStatusReturnsFirstErrorInIndexOrder) {
-  ThreadPool pool(4);
-  // Indices 3 and 7 fail; index order (not completion order) decides which
-  // Status is returned.
-  Status status = ParallelForStatus(&pool, 10, [](size_t i) {
-    if (i == 7) return Status::Internal("late failure");
-    if (i == 3) return Status::InvalidArgument("early failure");
-    return Status::Ok();
-  });
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.ToString().find("early failure"), std::string::npos)
-      << status.ToString();
-
-  EXPECT_TRUE(ParallelForStatus(&pool, 10, [](size_t) { return Status::Ok(); })
-                  .ok());
-  EXPECT_TRUE(
-      ParallelForStatus(nullptr, 0, [](size_t) { return Status::Ok(); }).ok());
-}
-
 TEST(ThreadPoolTest, DefaultNumThreadsHonorsEnvOverride) {
   ::setenv("NOSE_TEST_THREADS", "3", /*overwrite=*/1);
   EXPECT_EQ(ThreadPool::DefaultNumThreads(), 3u);
